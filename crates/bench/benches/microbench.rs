@@ -150,7 +150,8 @@ fn bench_end_to_end(c: &mut Criterion) {
         b.iter(|| {
             let mut cfg = parhip::ParhipConfig::fast(2, parhip::GraphClass::Social, 1);
             cfg.deterministic = true;
-            black_box(parhip::partition_parallel(&g, 4, &cfg).0.edge_cut(&g))
+            let out = parhip::Partitioner::new(&cfg).partition(&g, 4);
+            black_box(out.expect("valid input").stats.cut)
         });
     });
     group.bench_function("parmetis_like_k2_p4", |b| {

@@ -33,7 +33,7 @@
 //!    `parallel_sclp_cluster_with_scratch` calls on a warm scratch:
 //!    the fixed per-call cost, dominated before the cached
 //!    `degree_fingerprint` by re-hashing the whole `xadj` array.
-//! 4. **end_to_end** — full `partition_parallel` on the R-MAT harness
+//! 4. **end_to_end** — full `parhip_distributed` on the R-MAT harness
 //!    with fixed seeds: wall clock, max per-PE CPU time, edge cut,
 //!    imbalance, and the message/element counters.
 //!
@@ -43,9 +43,10 @@
 //! The committed `BENCH_hotpath.json` holds a before/after pair of these
 //! snapshots (see EXPERIMENTS.md "Microbenchmarks").
 
+use bench::harness::run_timed;
 use bench::{arg, arg_usize};
 use parhip::{GraphClass, ParhipConfig};
-use pgp_dmp::{run, run_timed, DistGraph, LabelExchange};
+use pgp_dmp::{run, DistGraph, LabelExchange};
 use pgp_graph::Node;
 use std::time::Instant;
 
@@ -369,7 +370,7 @@ fn main() {
         cfg.deterministic = true;
         let t0 = Instant::now();
         // Mirror harness::run_parhip, keeping the universe for counters.
-        let (results, times) = pgp_dmp::run_timed(p, |comm| {
+        let (results, times) = run_timed(p, |comm| {
             let dg = DistGraph::from_global(comm, &g);
             let (local, _) = parhip::parhip_distributed(comm, &dg, &cfg);
             let all = pgp_dmp::collectives::allgatherv(comm, local);

@@ -37,10 +37,10 @@
 
 use bench::harness::parse_tier;
 use bench::{
-    arg, arg_usize, report_level_table, report_phase_table, report_refine_table,
+    arg, arg_usize, bad_arg, report_level_table, report_phase_table, report_refine_table,
     report_straggler_table,
 };
-use parhip::{GraphClass, ParhipConfig, Preset};
+use parhip::{GraphClass, ParhipConfig, PartitionError, Partitioner, Preset, RecoveryLimits};
 use pgp_gen::benchmark_set;
 
 fn main() {
@@ -54,12 +54,12 @@ fn main() {
             args[i] = format!("{flag}={path}");
         }
     }
-    if let Some(i) = args.iter().position(|a| a == "--recover") {
-        args[i] = "recover=1".to_string();
+    for switch in ["recover", "monitor"] {
+        if let Some(i) = args.iter().position(|a| a == &format!("--{switch}")) {
+            args[i] = format!("{switch}=1");
+        }
     }
-    if let Some(i) = args.iter().position(|a| a == "--monitor") {
-        args[i] = "monitor=1".to_string();
-    }
+    let flag = |key: &str| arg(&args, key).is_some_and(|v| v != "0");
     let name = arg(&args, "graph").unwrap_or_else(|| "amazon".to_string());
     let tier = parse_tier(arg(&args, "tier"));
     let k = arg_usize(&args, "k", 4);
@@ -69,24 +69,21 @@ fn main() {
         None | Some("fast") => Preset::Fast,
         Some("eco") => Preset::Eco,
         Some("minimal") => Preset::Minimal,
-        Some(other) => panic!("unknown preset `{other}` (fast|eco|minimal)"),
+        Some(other) => bad_arg("preset", other),
     };
+    let threads_per_pe = arg_usize(&args, "threads_per_pe", 1);
+    let backend: pgp_dmp::BackendKind = arg(&args, "backend")
+        .map(|v| v.parse().unwrap_or_else(|_| bad_arg("backend", &v)))
+        .unwrap_or_default();
+    let max_retries = arg_usize(&args, "max_retries", 3) as u32;
+    let checkpoint_every = arg_usize(&args, "checkpoint_every", 1);
 
     let inst = benchmark_set::instance(&name, tier, seed);
     let class = match inst.class {
         benchmark_set::GraphClass::Social => GraphClass::Social,
         benchmark_set::GraphClass::Mesh => GraphClass::Mesh,
     };
-    let threads_per_pe = arg_usize(&args, "threads_per_pe", 1);
-    let backend: pgp_dmp::BackendKind = arg(&args, "backend")
-        .map(|v| v.parse().unwrap_or_else(|e| panic!("{e}")))
-        .unwrap_or_default();
-    let recover = arg(&args, "recover").is_some_and(|v| v != "0");
-    let max_retries = arg_usize(&args, "max_retries", 3) as u32;
-    let checkpoint_every = arg_usize(&args, "checkpoint_every", 1);
     let mut cfg = ParhipConfig::preset(preset, k, class, seed);
-    cfg.backend = backend;
-    cfg.threads_per_pe = threads_per_pe;
     cfg.checkpoint = parhip::CheckpointPolicy::every(checkpoint_every);
     let graph = &inst.graph;
     println!(
@@ -98,58 +95,42 @@ fn main() {
         backend.name()
     );
 
-    let trace_path = arg(&args, "trace");
-    let telemetry_path = arg(&args, "telemetry");
-    let monitor_on = arg(&args, "monitor").is_some_and(|v| v != "0");
-    let live = telemetry_path.is_some() || monitor_on;
-    // Every path below records into one externally built registry: the
-    // telemetry monitor (when on) and the report read the same counters,
-    // which is what makes the stream-vs-report conservation check exact.
-    let obs = if trace_path.is_some() {
-        pgp_obs::Obs::with_trace(p, pgp_obs::DEFAULT_TRACE_CAPACITY)
-    } else {
-        pgp_obs::Obs::new(p)
+    // This binary always records — its tables are read off the report —
+    // into one registry: the telemetry monitor (when on) and the report
+    // read the same counters, which is what makes the stream-vs-report
+    // conservation check exact.
+    let outputs = pgp_obs::ObsOutputs {
+        report: arg(&args, "report"),
+        trace: arg(&args, "trace"),
+        telemetry: arg(&args, "telemetry"),
+        monitor: flag("monitor"),
     };
-    let monitor = if live {
-        obs.set_backend(backend.name());
-        obs.enable_live();
-        let out: Box<dyn std::io::Write + Send> = match &telemetry_path {
-            Some(path) => {
-                if let Some(dir) = std::path::Path::new(path).parent() {
-                    if !dir.as_os_str().is_empty() {
-                        std::fs::create_dir_all(dir).expect("create telemetry directory");
-                    }
-                }
-                Box::new(std::fs::File::create(path).expect("create telemetry stream file"))
-            }
-            None => Box::new(std::io::sink()),
-        };
-        let mon_cfg = pgp_obs::LiveMonitorConfig {
-            render: monitor_on,
-            ..Default::default()
-        };
-        Some(pgp_obs::LiveMonitor::spawn(obs.clone(), mon_cfg, out).expect("spawn live monitor"))
-    } else {
-        None
-    };
-    let (partition, stats) = if recover {
-        let run = pgp_dmp::RunConfig {
-            backend: cfg.backend,
-            obs: Some(obs.clone()),
-            ..Default::default()
-        };
-        let limits = parhip::RecoveryLimits {
+    let session = outputs
+        .open(p, backend.name())
+        .unwrap_or_else(|e| fail(&format!("starting observation: {e}")));
+    let obs = session.obs.clone();
+    let mut partitioner = Partitioner::new(&cfg).run(pgp_dmp::RunConfig {
+        backend,
+        threads_per_pe,
+        obs: Some(obs.clone()),
+        ..Default::default()
+    });
+    if flag("recover") {
+        partitioner = partitioner.supervised(RecoveryLimits {
             max_retries,
-            ..parhip::RecoveryLimits::default()
-        };
-        let (partition, stats, recovery) =
-            match parhip::partition_parallel_supervised(graph, p, &cfg, run, limits) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("recovery budget exhausted: {e:?}");
-                    std::process::exit(1);
-                }
-            };
+            ..RecoveryLimits::default()
+        });
+    }
+    let out = partitioner.partition(graph, p).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        // 2 — the front door turned the input away; 1 — the run failed.
+        std::process::exit(if matches!(e, PartitionError::Comm(_)) {
+            1
+        } else {
+            2
+        })
+    });
+    if let Some(recovery) = &out.recovery {
         println!(
             "recovery: {} attempt(s), {} transient retries, {} full recoveries, \
              dead ranks {:?}, {} lost V-cycle(s)",
@@ -159,60 +140,32 @@ fn main() {
             recovery.dead_ranks,
             recovery.lost_cycles
         );
-        (partition, stats)
-    } else {
-        parhip::partition_parallel_with_obs(graph, p, &cfg, obs.clone())
-    };
-    // Monitor before report: the final sweep writes the closing
-    // snapshots and any last alerts into the registry first.
-    if let Some(monitor) = monitor {
-        match monitor.finish() {
-            Ok(mstats) => {
-                if let Some(path) = &telemetry_path {
-                    println!(
-                        "[telemetry {path}: {} snapshot(s), {} alert(s)]",
-                        mstats.snapshots, mstats.alerts
-                    );
-                }
-            }
-            Err(e) => eprintln!("warning: telemetry stream failed: {e}"),
-        }
     }
+    session
+        .finish()
+        .unwrap_or_else(|e| fail(&format!("writing {e}")));
     let report = obs.report();
-    let trace = obs.trace();
     println!(
         "cut = {}, imbalance = {:.4}, levels = {}, coarsest_n = {}",
-        partition.edge_cut(graph),
-        partition.imbalance(graph),
-        stats.levels,
-        stats.coarsest_n
+        out.partition.edge_cut(graph),
+        out.partition.imbalance(graph),
+        out.stats.levels,
+        out.stats.coarsest_n
     );
     println!("\n{}", report_phase_table(&report).render());
     println!("{}", report_level_table(&report).render());
     println!("{}", report_refine_table(&report).render());
-    if let Some(trace) = &trace {
-        println!("{}", report_straggler_table(&report, trace).render());
+    if let Some(trace) = obs.trace() {
+        println!("{}", report_straggler_table(&report, &trace).render());
     }
     println!(
         "comm: {} messages, {} bytes, {} collective calls",
         report.aggregate.messages, report.aggregate.bytes, report.aggregate.collective_calls
     );
-
-    if let Some(path) = arg(&args, "report") {
-        write_output(&path, &report.to_json(false));
-        println!("[report {path}]");
-    }
-    if let (Some(path), Some(trace)) = (trace_path, trace) {
-        write_output(&path, &pgp_obs::to_perfetto_json(&trace));
-        println!("[trace {path}]");
-    }
 }
 
-fn write_output(path: &str, contents: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(path, contents).expect("write output file");
+/// The run or its I/O failed: exit 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1)
 }

@@ -8,10 +8,30 @@ use pgp_dmp::DistGraph;
 use pgp_gen::benchmark_set::{self, Tier};
 use pgp_graph::{CsrGraph, Partition};
 
+/// Like `pgp_dmp::run`, but also measures each PE's *thread CPU time* — the
+/// metric the scaling benchmarks report. On a machine with fewer cores
+/// than PEs, wall-clock time says nothing about parallel scalability; the
+/// per-PE CPU time is what each PE would spend on a dedicated core, so
+/// `max` over PEs approximates the parallel makespan (communication is
+/// in-process and therefore nearly free, akin to the paper's low-latency
+/// InfiniBand at these message sizes — see EXPERIMENTS.md).
+pub fn run_timed<R, F>(p: usize, f: F) -> (Vec<R>, Vec<f64>)
+where
+    R: Send,
+    F: Fn(&pgp_dmp::Comm) -> R + Sync,
+{
+    let pairs = pgp_dmp::run(p, |comm| {
+        let t0 = pgp_dmp::thread_cpu_seconds();
+        let r = f(comm);
+        (r, pgp_dmp::thread_cpu_seconds() - t0)
+    });
+    pairs.into_iter().unzip()
+}
+
 /// Runs ParHIP on `p` simulated PEs; the reported time is the *maximum
 /// per-PE CPU time* (critical path on dedicated cores; see EXPERIMENTS.md).
 pub fn run_parhip(graph: &CsrGraph, p: usize, cfg: &ParhipConfig) -> (Partition, f64) {
-    let (results, times) = pgp_dmp::run_timed(p, |comm| {
+    let (results, times) = run_timed(p, |comm| {
         let dg = DistGraph::from_global(comm, graph);
         let (local, _) = parhip::parhip_distributed(comm, &dg, cfg);
         allgatherv(comm, local)
@@ -35,7 +55,7 @@ pub fn run_parmetis(
     p: usize,
     cfg: &ParmetisLikeConfig,
 ) -> Result<(Partition, f64), BaselineError> {
-    let (results, times) = pgp_dmp::run_timed(p, |comm| {
+    let (results, times) = run_timed(p, |comm| {
         let dg = DistGraph::from_global(comm, graph);
         parmetis_like_distributed(comm, &dg, cfg).map(|(local, _)| allgatherv(comm, local))
     });
@@ -249,5 +269,18 @@ pub fn render_quality_table(results: &[InstanceResult], title: &str, csv_name: &
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_timed_reports_per_pe_times() {
+        let (results, times) = run_timed(3, |comm| comm.rank());
+        assert_eq!(results, vec![0, 1, 2]);
+        assert_eq!(times.len(), 3);
+        assert!(times.iter().all(|&t| (0.0..10.0).contains(&t)));
     }
 }

@@ -326,11 +326,17 @@ pub fn arg(args: &[String], key: &str) -> Option<String> {
         .find_map(|a| a.strip_prefix(&format!("{key}=")).map(|v| v.to_string()))
 }
 
-/// Parses a usize arg with default.
+/// Parses a usize arg with default. A value that is present but does not
+/// parse ends the process with exit code 2 and a message naming the key.
 pub fn arg_usize(args: &[String], key: &str, default: usize) -> usize {
-    arg(args, key)
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("bad {key}")))
-        .unwrap_or(default)
+    arg(args, key).map_or(default, |v| v.parse().unwrap_or_else(|_| bad_arg(key, &v)))
+}
+
+/// A present-but-unusable `key=value`: names the key on stderr and ends
+/// the process with exit code 2.
+pub fn bad_arg(key: &str, value: &str) -> ! {
+    eprintln!("error: invalid {key}={value}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]

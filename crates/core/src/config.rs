@@ -61,7 +61,10 @@ impl CheckpointPolicy {
     }
 }
 
-/// Full configuration of [`crate::partition_parallel`].
+/// What to compute: the algorithmic configuration a [`crate::Partitioner`]
+/// borrows. How the run is carried — comm backend, intra-PE workers,
+/// watchdog, recorder — is `pgp_dmp::RunConfig`'s business, not this
+/// struct's.
 #[derive(Clone, Debug)]
 pub struct ParhipConfig {
     /// Number of blocks `k`.
@@ -99,21 +102,10 @@ pub struct ParhipConfig {
     /// falls below one node and freezes coarsening, so we keep the paper's
     /// *cluster size* rather than its constant (see DESIGN.md §2).
     pub mesh_first_cluster_weight: Weight,
-    /// Intra-PE worker threads for the hybrid SCLP (DESIGN.md §13).
-    /// `1` (the default; `0` is treated the same) runs every PE
-    /// single-threaded — bit-identical to the classic path. Any value
-    /// ≥ 2 enables the chunked superstep path, whose result is fixed by
-    /// `(seed, p)` and identical across all thread counts ≥ 2.
-    pub threads_per_pe: usize,
     /// Checkpoint cadence for runs with a [`crate::CheckpointStore`]
     /// (DESIGN.md §14). Not part of the fingerprint: it never affects
     /// the partition.
     pub checkpoint: CheckpointPolicy,
-    /// Comm transport carrying the run (DESIGN.md §15). Not part of the
-    /// fingerprint: the cross-backend golden tests prove the partition is
-    /// identical under either backend, and a checkpoint taken on threads
-    /// must be resumable over sockets.
-    pub backend: pgp_dmp::BackendKind,
 }
 
 impl ParhipConfig {
@@ -133,9 +125,7 @@ impl ParhipConfig {
             deterministic: false,
             social_first_factor: 14.0,
             mesh_first_cluster_weight: 32,
-            threads_per_pe: 1,
             checkpoint: CheckpointPolicy::default(),
-            backend: pgp_dmp::BackendKind::Threads,
         };
         match preset {
             Preset::Fast => base,
@@ -196,11 +186,14 @@ impl ParhipConfig {
         (self.coarsest_nodes_per_block * self.k) as u64
     }
 
-    /// 64-bit fingerprint of every result-affecting field. Checkpoint/
-    /// restart refuses to resume a snapshot under a different configuration
-    /// (a changed seed or iteration count would silently break the
-    /// bit-identical replay guarantee — see DESIGN.md §9).
-    pub fn fingerprint(&self) -> u64 {
+    /// 64-bit fingerprint of every result-affecting value: all fields but
+    /// `checkpoint`, plus the one run setting that changes the partition —
+    /// the group's `threads_per_pe` (`Comm::threads_per_pe`; `0`/`1` pick
+    /// the sequential SCLP sweep, anything larger the chunked one).
+    /// Checkpoint/restart refuses to resume a snapshot under a different
+    /// fingerprint (a changed seed or iteration count would silently break
+    /// the bit-identical replay guarantee — see DESIGN.md §9).
+    pub fn fingerprint(&self, threads_per_pe: usize) -> u64 {
         let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
         let mut mix = |x: u64| h = pgp_dmp::mix_seed(h, x);
         mix(self.k as u64);
@@ -222,7 +215,7 @@ impl ParhipConfig {
         // Only the single-threaded vs. chunked distinction affects the
         // result; all worker counts ≥ 2 produce identical output, so a
         // checkpoint taken at threads_per_pe = 2 may resume at 4.
-        mix(if self.threads_per_pe <= 1 { 1 } else { 2 });
+        mix(if threads_per_pe <= 1 { 1 } else { 2 });
         // `checkpoint` is deliberately NOT mixed: cadence decides when
         // snapshots happen, never what the partition is, and recovery
         // must be free to resume a checkpoint under a different cadence.
@@ -273,17 +266,13 @@ mod tests {
     #[test]
     fn fingerprint_normalizes_worker_counts() {
         let base = ParhipConfig::fast(4, GraphClass::Social, 9);
-        let with_threads = |t: usize| ParhipConfig {
-            threads_per_pe: t,
-            ..base.clone()
-        };
         // 0 and 1 are the same single-threaded path; every N ≥ 2 is the
         // same chunked path (checkpoints transfer between 2 and 4)...
-        assert_eq!(with_threads(0).fingerprint(), with_threads(1).fingerprint());
-        assert_eq!(with_threads(2).fingerprint(), with_threads(4).fingerprint());
+        assert_eq!(base.fingerprint(0), base.fingerprint(1));
+        assert_eq!(base.fingerprint(2), base.fingerprint(4));
         // ...but the two paths produce different results, so they must
         // not share a fingerprint.
-        assert_ne!(with_threads(1).fingerprint(), with_threads(2).fingerprint());
+        assert_ne!(base.fingerprint(1), base.fingerprint(2));
     }
 
     #[test]
@@ -294,7 +283,7 @@ mod tests {
             ..base.clone()
         };
         // A snapshot written at cadence 1 must resume at cadence 3.
-        assert_eq!(base.fingerprint(), every3.fingerprint());
+        assert_eq!(base.fingerprint(1), every3.fingerprint(1));
     }
 
     #[test]

@@ -20,17 +20,19 @@
 //!    partition as a clustering constraint (cut edges survive coarsening)
 //!    and as a seed individual for the evolutionary algorithm.
 //!
-//! Entry point: [`partition_parallel`] (shared-input convenience) or
-//! [`parhip_distributed`] (SPMD style, inside a `pgp_dmp::run` closure).
+//! Entry point: a [`Partitioner`] — [`Partitioner::partition`] on a global
+//! graph (shared-input convenience) or [`Partitioner::partition_distributed`]
+//! per PE (SPMD style, inside a `pgp_dmp::run` closure);
+//! [`parhip_distributed`] is the latter without options.
 //!
 //! ```
-//! use parhip::{partition_parallel, GraphClass, ParhipConfig};
+//! use parhip::{GraphClass, ParhipConfig, Partitioner};
 //! let (g, _) = pgp_gen::sbm::sbm(600, Default::default(), 7);
 //! let mut cfg = ParhipConfig::fast(4, GraphClass::Social, 42);
 //! cfg.coarsest_nodes_per_block = 50;
-//! let (partition, stats) = partition_parallel(&g, 2, &cfg);
-//! assert!(partition.validate(&g, 0.03).is_ok());
-//! assert!(stats.levels >= 1);
+//! let out = Partitioner::new(&cfg).partition(&g, 2).expect("valid input");
+//! assert!(out.partition.validate(&g, 0.03).is_ok());
+//! assert!(out.stats.levels >= 1);
 //! ```
 
 pub mod coarsen;
@@ -44,10 +46,7 @@ pub use coarsen::{parallel_coarsen, ParHierarchy, ParLevel};
 pub use config::{CheckpointPolicy, GraphClass, ParhipConfig, Preset};
 pub use contract::{parallel_contract, parallel_project_blocks, ParContraction};
 pub use partitioner::{
-    parhip_distributed, parhip_distributed_checkpointed, parhip_distributed_resume,
-    parhip_distributed_supervised, parhip_distributed_with_input, partition_parallel,
-    partition_parallel_observed, partition_parallel_resume, partition_parallel_supervised,
-    partition_parallel_traced, partition_parallel_with_input, partition_parallel_with_obs,
-    partition_parallel_with_store, CheckpointStore, LevelSummary, ParhipStats, RecoveryLimits,
-    VCycleCheckpoint,
+    parhip_distributed, CheckpointStore, LevelSummary, ParhipStats, PartitionError, Partitioned,
+    Partitioner, VCycleCheckpoint,
 };
+pub use pgp_dmp::RecoveryLimits;

@@ -12,18 +12,19 @@
 //! The only state a V-cycle carries into the next one is the block
 //! assignment — every seed is derived from the *absolute* cycle index, so
 //! replaying cycles `c+1..` from cycle `c`'s assignment is bit-identical
-//! to a run that never stopped. [`parhip_distributed_checkpointed`] saves
-//! a [`VCycleCheckpoint`] into a [`CheckpointStore`] at each V-cycle
-//! boundary (assignment, the cycle's replicated coarsest graph + its
-//! initial partition, the composite fine→coarsest map, level shapes, and
-//! graph/config fingerprints); [`parhip_distributed_resume`] verifies the
-//! fingerprints and replays the remaining cycles.
+//! to a run that never stopped. A [`Partitioner`] with a
+//! [`Partitioner::store`] saves a [`VCycleCheckpoint`] into the
+//! [`CheckpointStore`] at each V-cycle boundary (assignment, the cycle's
+//! replicated coarsest graph + its initial partition, the composite
+//! fine→coarsest map, level shapes, and graph/config fingerprints); with
+//! [`Partitioner::resume`] it verifies the fingerprints of the store's
+//! latest snapshot and replays the remaining cycles.
 
 use crate::coarsen::{parallel_coarsen_with_scratch, ParHierarchy};
 use crate::config::ParhipConfig;
 use crate::contract::{parallel_project_blocks, query_owner_values};
 use pgp_dmp::collectives::allgatherv;
-use pgp_dmp::{Comm, DistGraph};
+use pgp_dmp::{AttemptInfo, Comm, CommError, DistGraph, RecoveryLimits, RunConfig};
 use pgp_evo::{Budget, EvoConfig};
 use pgp_graph::ids;
 use pgp_graph::{lmax, CsrGraph, Node, Partition};
@@ -101,15 +102,15 @@ pub struct VCycleCheckpoint {
 
 /// In-memory store holding the latest [`VCycleCheckpoint`] of a run.
 /// Shared between the driver and the PE group (rank 0 writes it at each
-/// V-cycle boundary); after a faulted run, hand it to
-/// [`parhip_distributed_resume`] / [`partition_parallel_resume`].
+/// V-cycle boundary); after a faulted run, hand it to a
+/// [`Partitioner::resume`] run.
 #[derive(Default)]
 pub struct CheckpointStore {
     latest: std::sync::Mutex<Option<VCycleCheckpoint>>,
     /// Total V-cycle *starts* recorded against this store (rank 0 marks
     /// one per cycle entry, across all attempts). A fault-free run starts
     /// exactly `vcycles` cycles, so anything beyond that is work a fault
-    /// destroyed — the supervised wrappers report the difference as
+    /// destroyed — a supervised run reports the difference as
     /// `lost_cycles`.
     cycles_started: std::sync::atomic::AtomicU64,
 }
@@ -193,58 +194,324 @@ fn compose_to_coarsest(comm: &Comm, hierarchy: &ParHierarchy) -> Vec<Node> {
     cur
 }
 
-/// Runs the full system on an already-distributed graph; returns this PE's
-/// local block assignment (owned nodes) plus stats.
+/// Why the front door turned a run away, or why the run it started failed.
+#[derive(Clone, Debug, PartialEq)]
+pub enum PartitionError {
+    /// `k = 0`: there is no partition into zero blocks.
+    InvalidK,
+    /// `p = 0`: a run needs at least one PE.
+    InvalidP,
+    /// `eps` is negative, NaN or infinite.
+    InvalidEps(f64),
+    /// The prepartition does not fit the run: its block count differs from
+    /// `k`, or it does not cover the graph's nodes.
+    PrepartitionMismatch {
+        /// Block count of the prepartition.
+        k: usize,
+        /// Nodes the prepartition covers.
+        n: usize,
+    },
+    /// [`Partitioner::resume`] without a store, or with an empty one.
+    NoCheckpoint,
+    /// A structured comm failure (watchdog timeout, dead peer) ended the
+    /// run — under supervision, after the recovery budget was spent.
+    Comm(CommError),
+}
+
+impl std::fmt::Display for PartitionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::InvalidK => write!(f, "invalid k=0: need at least one block"),
+            Self::InvalidP => write!(f, "invalid p=0: need at least one PE"),
+            Self::InvalidEps(eps) => {
+                write!(f, "invalid eps={eps}: need a finite imbalance >= 0")
+            }
+            Self::PrepartitionMismatch { k, n } => write!(
+                f,
+                "prepartition ({k} blocks over {n} nodes) does not match the run's k and graph"
+            ),
+            Self::NoCheckpoint => write!(f, "resume: the checkpoint store holds no snapshot"),
+            Self::Comm(e) => write!(f, "run failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for PartitionError {}
+
+impl From<CommError> for PartitionError {
+    fn from(e: CommError) -> Self {
+        Self::Comm(e)
+    }
+}
+
+/// What [`Partitioner::partition`] returns.
+#[derive(Clone, Debug)]
+pub struct Partitioned {
+    /// The assembled global partition (identical to what rank 0 holds).
+    pub partition: Partition,
+    /// The run's statistics, `cut` filled in.
+    pub stats: ParhipStats,
+    /// The supervisor's counters (attempts, retries, recoveries, dead
+    /// ranks, lost V-cycles); `Some` iff the run was
+    /// [`Partitioner::supervised`].
+    pub recovery: Option<pgp_obs::RecoveryReport>,
+}
+
+/// The one way to call the partitioner: a borrowed [`ParhipConfig`] plus
+/// the four orthogonal options — a prepartition, the [`RunConfig`] that
+/// carries the run (backend, `threads_per_pe`, watchdog deadline, fault
+/// hook, and the `Obs` registry a report or trace is later read from), a
+/// [`CheckpointStore`] with resume-from-latest, and supervision — and two
+/// verbs: [`partition`](Self::partition) on a global graph,
+/// [`partition_distributed`](Self::partition_distributed) per PE.
+///
+/// ```no_run
+/// use parhip::{GraphClass, ParhipConfig, Partitioner};
+/// let g = pgp_gen::rmat::rmat_web(12, 8, 1);
+/// let cfg = ParhipConfig::fast(16, GraphClass::Social, 42);
+/// let out = Partitioner::new(&cfg).partition(&g, 8).expect("valid input");
+/// assert!(out.partition.is_balanced(&g, 0.05));
+/// println!("cut {} in {} levels", out.stats.cut, out.stats.levels);
+/// ```
+#[derive(Clone)]
+pub struct Partitioner<'a> {
+    cfg: &'a ParhipConfig,
+    run: RunConfig,
+    prepartition: Option<&'a Partition>,
+    store: Option<&'a CheckpointStore>,
+    resume: bool,
+    supervised: Option<RecoveryLimits>,
+}
+
+impl<'a> Partitioner<'a> {
+    /// A plain run of `cfg`: threads backend, one thread per PE, no
+    /// recorder, no checkpoints, no supervision.
+    pub fn new(cfg: &'a ParhipConfig) -> Self {
+        Self {
+            cfg,
+            run: RunConfig::default(),
+            prepartition: None,
+            store: None,
+            resume: false,
+            supervised: None,
+        }
+    }
+
+    /// How [`partition`](Self::partition) carries the run: comm backend,
+    /// `threads_per_pe`, watchdog deadline, fault hook (`pgp-chaos` builds
+    /// one from a `FaultPlan`) and the `Obs` registry. Recording adds two
+    /// allreduces per refinement pass and never changes the partition;
+    /// read `obs.report()` / `obs.trace()` after the run. The registry
+    /// must be sized for exactly `p` PEs.
+    pub fn run(mut self, run: RunConfig) -> Self {
+        self.run = run;
+        self
+    }
+
+    /// Starts from a *prepartition* (paper §VI: "this prepartition could
+    /// be directly fed into the first V-cycle and consecutively be
+    /// improved" — e.g. a geographic or hash-based initialization from a
+    /// cloud toolkit). The first cycle then behaves like a later V-cycle:
+    /// cut edges of the input survive coarsening and the input seeds the
+    /// evolutionary population, so the result is never worse than the
+    /// input.
+    pub fn prepartition(mut self, input: &'a Partition) -> Self {
+        self.prepartition = Some(input);
+        self
+    }
+
+    /// Saves a [`VCycleCheckpoint`] into `store` at the V-cycle boundaries
+    /// `cfg.checkpoint` selects (rank 0 writes; the snapshot itself is
+    /// assembled collectively).
+    pub fn store(mut self, store: &'a CheckpointStore) -> Self {
+        self.store = Some(store);
+        self
+    }
+
+    /// Resumes from the store's latest snapshot instead of starting over:
+    /// verifies the graph and config fingerprints and replays cycles
+    /// `snapshot.cycle + 1` onward. Because every cycle's seeds derive
+    /// from the absolute cycle index, the result is bit-identical to the
+    /// uninterrupted run.
+    ///
+    /// The run panics if the snapshot was taken on a different graph, PE
+    /// count, or configuration (fingerprint mismatch) — resuming would
+    /// silently produce a different partition, which is worse than
+    /// failing loudly.
+    pub fn resume(mut self) -> Self {
+        self.resume = true;
+        self
+    }
+
+    /// Runs [`partition`](Self::partition) under the automatic-recovery
+    /// supervisor (DESIGN.md §14): every V-cycle boundary is checkpointed
+    /// at the cadence in `cfg.checkpoint` (into the [`store`](Self::store)
+    /// if one was given), and when a PE dies mid-run the survivors'
+    /// failure consensus picks the dead ranks, the supervisor respawns a
+    /// fresh universe, and the run resumes from the latest validated
+    /// snapshot — bit-identical to the fault-free partition.
+    /// Uncorroborated timeouts are retried with exponential backoff
+    /// (jitter seeded from `cfg.seed`) before escalating to full recovery.
+    pub fn supervised(mut self, limits: RecoveryLimits) -> Self {
+        self.supervised = Some(limits);
+        self
+    }
+
+    /// Partitions `graph` into `cfg.k` blocks on `p` PEs and assembles the
+    /// global result. Outside input is checked here, once: `k ≥ 1`,
+    /// `p ≥ 1`, a finite `ε ≥ 0`, a prepartition that matches `k` and the
+    /// graph, a snapshot to resume from. A structured comm failure comes
+    /// back as [`PartitionError::Comm`] — under supervision only once the
+    /// recovery budget is exhausted.
+    pub fn partition(&self, graph: &CsrGraph, p: usize) -> Result<Partitioned, PartitionError> {
+        let cfg = self.cfg;
+        if cfg.k == 0 {
+            return Err(PartitionError::InvalidK);
+        }
+        if p == 0 {
+            return Err(PartitionError::InvalidP);
+        }
+        if !(cfg.eps.is_finite() && cfg.eps >= 0.0) {
+            return Err(PartitionError::InvalidEps(cfg.eps));
+        }
+        if let Some(input) = self.prepartition {
+            let (k, n) = (input.k(), input.assignment().len());
+            if k != cfg.k || n != graph.n() {
+                return Err(PartitionError::PrepartitionMismatch { k, n });
+            }
+        }
+        if self.resume && self.store.and_then(CheckpointStore::latest_cycle).is_none() {
+            return Err(PartitionError::NoCheckpoint);
+        }
+        // A supervised run always checkpoints — recovery resumes from it.
+        let own_store = CheckpointStore::new();
+        let store = self.store.or(self.supervised.map(|_| &own_store));
+        let started_before = store.map_or(0, CheckpointStore::cycles_started);
+        let on_pe = |comm: &Comm, attempt: Option<&AttemptInfo>| {
+            let dg = DistGraph::from_global(comm, graph);
+            let (local, stats) = self.run_on_pe(comm, &dg, store, attempt);
+            (allgatherv(comm, local), stats)
+        };
+        let (values, recovery) = match self.supervised {
+            None => {
+                let values = pgp_dmp::run_config(p, self.run.clone(), |comm| on_pe(comm, None))
+                    .into_iter()
+                    .collect::<Result<Vec<_>, CommError>>()?;
+                (values, None)
+            }
+            Some(limits) => {
+                let sup = pgp_dmp::SupervisorConfig {
+                    base: self.run.clone(),
+                    limits,
+                    seed: cfg.seed,
+                };
+                let (values, mut recovery) =
+                    pgp_dmp::run_config_supervised(p, sup, |comm, info| on_pe(comm, Some(info)))?;
+                // Work destroyed by faults: cycle starts beyond the
+                // fault-free count.
+                let started = store.map_or(0, CheckpointStore::cycles_started) - started_before;
+                let lost = started.saturating_sub(cfg.vcycles.max(1) as u64); // lint:cast-ok: small cycle count
+                recovery.lost_cycles = lost;
+                if let Some(obs) = &self.run.obs {
+                    obs.record_recovery(|r| r.lost_cycles = lost);
+                }
+                (values, Some(recovery))
+            }
+        };
+        let (assignment, mut stats) = values.into_iter().next().expect("p >= 1 was checked");
+        let partition = Partition::from_assignment(graph, cfg.k, assignment);
+        stats.cut = partition.edge_cut(graph);
+        Ok(Partitioned {
+            partition,
+            stats,
+            recovery,
+        })
+    }
+
+    /// The per-PE verb, for callers already inside a `pgp_dmp::run*`
+    /// closure: runs the full system on an already-distributed graph and
+    /// returns this PE's local block assignment (owned nodes) plus stats.
+    /// The prepartition, store and resume options apply; the group `comm`
+    /// belongs to was built by the caller, so [`run`](Self::run) and
+    /// [`supervised`](Self::supervised) have nothing to act on here.
+    ///
+    /// # Panics
+    /// Panics on what [`partition`](Self::partition) rejects with an
+    /// error (this verb sits behind the door).
+    pub fn partition_distributed(
+        &self,
+        comm: &Comm,
+        graph: &DistGraph,
+    ) -> (Vec<Node>, ParhipStats) {
+        self.run_on_pe(comm, graph, self.store, None)
+    }
+
+    /// One attempt on one PE. `attempt` is `Some` under supervision: a
+    /// re-attempt resumes from the store's latest *usable* snapshot and
+    /// otherwise starts over. That choice is SPMD-uniform — `attempt`
+    /// comes from the supervisor (identical on every PE) and the store is
+    /// only written at collective V-cycle boundaries, so all PEs observe
+    /// the same latest snapshot between attempts.
+    fn run_on_pe(
+        &self,
+        comm: &Comm,
+        graph: &DistGraph,
+        store: Option<&CheckpointStore>,
+        attempt: Option<&AttemptInfo>,
+    ) -> (Vec<Node>, ParhipStats) {
+        let cfg = self.cfg;
+        let latest = || store.and_then(CheckpointStore::latest);
+        if attempt.is_some_and(|a| a.attempt > 0) {
+            #[cfg(feature = "validate")]
+            crate::validate::assert_recovery_agreed(
+                comm,
+                attempt.map_or(&[], |a| &a.dead_ranks),
+                store.and_then(CheckpointStore::latest_cycle),
+                "supervised attempt entry",
+            );
+            let rec = comm.recorder();
+            rec.enter("restore");
+            // Fingerprint checks are collective (group_graph_fingerprint is an
+            // allreduce) and must run unconditionally on this branch.
+            let group_fp = group_graph_fingerprint(comm, graph);
+            let config_fp = cfg.fingerprint(comm.threads_per_pe());
+            let usable = latest().filter(|cp| {
+                cp.graph_fingerprint == group_fp && cp.config_fingerprint == config_fp
+            });
+            rec.exit("restore");
+            if let Some(cp) = usable {
+                return resume_cycles(comm, graph, cfg, &cp, store);
+            }
+        } else if self.resume {
+            let cp = latest().expect("resume: the checkpoint store holds no snapshot");
+            return resume_cycles(comm, graph, cfg, &cp, store);
+        }
+        let input: Option<Vec<Node>> = self.prepartition.map(|ip| {
+            assert_eq!(ip.k(), cfg.k, "prepartition block count mismatch");
+            (0..ids::node_of_index(graph.n_local() + graph.n_ghost()))
+                .map(|l| ip.block(graph.local_to_global(l)))
+                .collect()
+        });
+        parhip_cycles(comm, graph, cfg, input.as_deref(), 0, store)
+    }
+}
+
+/// The bare distributed verb, in the shape of KaHIP's
+/// `ParHIPPartitionKWay`: runs the full system on an already-distributed
+/// graph; returns this PE's local block assignment (owned nodes) plus
+/// stats. Same as `Partitioner::new(cfg).partition_distributed(comm, graph)`.
 pub fn parhip_distributed(
     comm: &Comm,
     graph: &DistGraph,
     cfg: &ParhipConfig,
 ) -> (Vec<Node>, ParhipStats) {
-    parhip_distributed_with_input(comm, graph, cfg, None)
+    parhip_cycles(comm, graph, cfg, None, 0, None)
 }
 
-/// As [`parhip_distributed`], but optionally starting from a *prepartition*
-/// (paper §VI: "this prepartition could be directly fed into the first
-/// V-cycle and consecutively be improved" — e.g. a geographic or
-/// hash-based initialization from a cloud toolkit). `input` covers owned +
-/// ghost nodes; the first cycle then behaves like a later V-cycle: cut
-/// edges of the input survive coarsening and the input seeds the
-/// evolutionary population, so the result is never worse than the input.
-pub fn parhip_distributed_with_input(
-    comm: &Comm,
-    graph: &DistGraph,
-    cfg: &ParhipConfig,
-    input: Option<&[Node]>,
-) -> (Vec<Node>, ParhipStats) {
-    parhip_cycles(comm, graph, cfg, input, 0, None)
-}
-
-/// As [`parhip_distributed_with_input`], additionally saving a
-/// [`VCycleCheckpoint`] into `store` at every V-cycle boundary (rank 0
-/// writes; the snapshot itself is assembled collectively). If the run is
-/// later lost to a fault, [`parhip_distributed_resume`] replays the
-/// remaining cycles from the last snapshot with bit-identical output.
-pub fn parhip_distributed_checkpointed(
-    comm: &Comm,
-    graph: &DistGraph,
-    cfg: &ParhipConfig,
-    input: Option<&[Node]>,
-    store: &CheckpointStore,
-) -> (Vec<Node>, ParhipStats) {
-    parhip_cycles(comm, graph, cfg, input, 0, Some(store))
-}
-
-/// Resumes a run from `checkpoint`: verifies the graph and config
-/// fingerprints, rebuilds this PE's owned + ghost assignment from the
-/// snapshot's global assignment, and replays cycles `checkpoint.cycle + 1`
-/// onward. Because every cycle's seeds derive from the absolute cycle
-/// index, the result is bit-identical to the uninterrupted run.
-///
-/// # Panics
-/// Panics if the checkpoint was taken on a different graph, PE count, or
-/// configuration (fingerprint mismatch) — resuming would silently produce
-/// a different partition, which is worse than failing loudly.
-pub fn parhip_distributed_resume(
+/// Replays cycles `checkpoint.cycle + 1` onward from `checkpoint` after
+/// verifying its fingerprints, rebuilding this PE's owned + ghost
+/// assignment from the snapshot's global assignment.
+fn resume_cycles(
     comm: &Comm,
     graph: &DistGraph,
     cfg: &ParhipConfig,
@@ -259,7 +526,7 @@ pub fn parhip_distributed_resume(
     );
     assert_eq!(
         checkpoint.config_fingerprint,
-        cfg.fingerprint(),
+        cfg.fingerprint(comm.threads_per_pe()),
         "checkpoint/config mismatch: snapshot of cycle {} was taken under a different configuration",
         checkpoint.cycle
     );
@@ -281,48 +548,9 @@ pub fn parhip_distributed_resume(
     parhip_cycles(comm, graph, cfg, Some(&blocks), checkpoint.cycle + 1, store)
 }
 
-/// The per-attempt body for supervised runs (see
-/// [`partition_parallel_supervised`]): on the first attempt — or whenever
-/// the store holds no usable snapshot — runs checkpointed from scratch; on
-/// recovery attempts with a matching snapshot, resumes from it. The
-/// resume-vs-scratch decision is SPMD-uniform: `attempt` comes from the
-/// supervisor (identical on every PE) and the store is only written at
-/// collective V-cycle boundaries, so all PEs observe the same latest
-/// snapshot between attempts.
-pub fn parhip_distributed_supervised(
-    comm: &Comm,
-    graph: &DistGraph,
-    cfg: &ParhipConfig,
-    attempt: &pgp_dmp::AttemptInfo,
-    store: &CheckpointStore,
-) -> (Vec<Node>, ParhipStats) {
-    if attempt.attempt > 0 {
-        #[cfg(feature = "validate")]
-        crate::validate::assert_recovery_agreed(
-            comm,
-            &attempt.dead_ranks,
-            store.latest_cycle(),
-            "supervised attempt entry",
-        );
-        let rec = comm.recorder();
-        rec.enter("restore");
-        // Fingerprint checks are collective (group_graph_fingerprint is an
-        // allreduce) and must run unconditionally on this branch.
-        let group_fp = group_graph_fingerprint(comm, graph);
-        let usable = store.latest().filter(|cp| {
-            cp.graph_fingerprint == group_fp && cp.config_fingerprint == cfg.fingerprint()
-        });
-        rec.exit("restore");
-        if let Some(cp) = usable {
-            return parhip_distributed_resume(comm, graph, cfg, &cp, Some(store));
-        }
-    }
-    parhip_distributed_checkpointed(comm, graph, cfg, None, store)
-}
-
 /// The shared V-cycle engine: runs cycles `start_cycle..cfg.vcycles` from
 /// an optional carried-in assignment, optionally checkpointing each cycle
-/// boundary into `store`. All public entry points funnel here.
+/// boundary into `store`. Both verbs funnel here.
 fn parhip_cycles(
     comm: &Comm,
     graph: &DistGraph,
@@ -514,7 +742,7 @@ fn parhip_cycles(
                     })
                     .collect(),
                 graph_fingerprint: group_graph_fingerprint(comm, graph),
-                config_fingerprint: cfg.fingerprint(),
+                config_fingerprint: cfg.fingerprint(comm.threads_per_pe()),
                 elapsed_ns: rec.epoch_elapsed_ns(),
             };
             #[cfg(feature = "validate")]
@@ -599,326 +827,6 @@ fn project_down(comm: &Comm, hierarchy: &ParHierarchy, fine_blocks: &[Node]) -> 
     cur
 }
 
-/// The top-level convenience API: partitions `graph` into `cfg.k` blocks
-/// using `p` PEs, returning the assembled global partition (identical to
-/// what rank 0 holds) and the run's statistics.
-///
-/// ```no_run
-/// use parhip::{partition_parallel, ParhipConfig, GraphClass};
-/// let g = pgp_gen::rmat::rmat_web(12, 8, 1);
-/// let (p, stats) = partition_parallel(&g, 8, &ParhipConfig::fast(16, GraphClass::Social, 42));
-/// assert!(p.is_balanced(&g, 0.05));
-/// println!("cut {} in {} levels", stats.cut, stats.levels);
-/// ```
-pub fn partition_parallel(
-    graph: &CsrGraph,
-    p: usize,
-    cfg: &ParhipConfig,
-) -> (Partition, ParhipStats) {
-    partition_parallel_impl(graph, p, cfg, None)
-}
-
-/// As [`partition_parallel`], improving a given *prepartition* (§VI): the
-/// input's cut edges survive coarsening and the input seeds the coarsest-
-/// level population, so the result is at least as good a starting point as
-/// the input itself.
-pub fn partition_parallel_with_input(
-    graph: &CsrGraph,
-    p: usize,
-    cfg: &ParhipConfig,
-    input: &Partition,
-) -> (Partition, ParhipStats) {
-    assert_eq!(input.k(), cfg.k, "prepartition block count mismatch");
-    partition_parallel_impl(graph, p, cfg, Some(input))
-}
-
-/// The runner configuration implied by `cfg` — the comm backend and the
-/// intra-PE worker budget (the observed/traced entry points add `obs`).
-fn run_config_for(cfg: &ParhipConfig) -> pgp_dmp::RunConfig {
-    pgp_dmp::RunConfig {
-        backend: cfg.backend,
-        threads_per_pe: cfg.threads_per_pe,
-        ..Default::default()
-    }
-}
-
-fn partition_parallel_impl(
-    graph: &CsrGraph,
-    p: usize,
-    cfg: &ParhipConfig,
-    input: Option<&Partition>,
-) -> (Partition, ParhipStats) {
-    let results = pgp_dmp::run_config(p, run_config_for(cfg), |comm| {
-        let dg = DistGraph::from_global(comm, graph);
-        let local_input: Option<Vec<Node>> = input.map(|ip| {
-            (0..ids::node_of_index(dg.n_local() + dg.n_ghost()))
-                .map(|l| ip.block(dg.local_to_global(l)))
-                .collect()
-        });
-        let (local, stats) = parhip_distributed_with_input(comm, &dg, cfg, local_input.as_deref());
-        let all = allgatherv(comm, local);
-        (all, stats)
-    });
-    let (assignment, mut stats) = results
-        .into_iter()
-        .next()
-        .expect("at least one PE")
-        .expect("fault-free run cannot fail structurally");
-    let partition = Partition::from_assignment(graph, cfg.k, assignment);
-    stats.cut = partition.edge_cut(graph);
-    (partition, stats)
-}
-
-/// As [`partition_parallel`], additionally recording the run into a
-/// schema-versioned [`pgp_obs::RunReport`]: per-PE per-phase span timings,
-/// per-tag comm counters, per-level structural metrics, and cut/imbalance
-/// after every refinement pass. Recording adds two allreduces per
-/// refinement pass; the partition itself is identical to the unobserved
-/// run (same seeds, same message pattern otherwise).
-pub fn partition_parallel_observed(
-    graph: &CsrGraph,
-    p: usize,
-    cfg: &ParhipConfig,
-) -> (Partition, ParhipStats, pgp_obs::RunReport) {
-    let obs = pgp_obs::Obs::new(p);
-    let run_cfg = pgp_dmp::RunConfig {
-        obs: Some(std::sync::Arc::clone(&obs)),
-        ..run_config_for(cfg)
-    };
-    let results = pgp_dmp::run_config(p, run_cfg, |comm| {
-        let dg = DistGraph::from_global(comm, graph);
-        let (local, stats) = parhip_distributed(comm, &dg, cfg);
-        let all = allgatherv(comm, local);
-        (all, stats)
-    });
-    let (assignment, mut stats) = results
-        .into_iter()
-        .next()
-        .expect("at least one PE")
-        .expect("fault-free observed run cannot fail structurally");
-    let partition = Partition::from_assignment(graph, cfg.k, assignment);
-    stats.cut = partition.edge_cut(graph);
-    (partition, stats, obs.report())
-}
-
-/// As [`partition_parallel_observed`], recording into a caller-supplied
-/// registry instead of a fresh one. This is the live-telemetry entry
-/// point: the caller enables live publication (`Obs::enable_live`) and
-/// attaches a `LiveMonitor` *before* the run, then assembles the report
-/// from the same registry after it — which is what lets the stream's
-/// final aggregates be checked against the report's counters exactly.
-/// `obs` must be sized for exactly `p` PEs.
-pub fn partition_parallel_with_obs(
-    graph: &CsrGraph,
-    p: usize,
-    cfg: &ParhipConfig,
-    obs: std::sync::Arc<pgp_obs::Obs>,
-) -> (Partition, ParhipStats) {
-    let run_cfg = pgp_dmp::RunConfig {
-        obs: Some(obs),
-        ..run_config_for(cfg)
-    };
-    let results = pgp_dmp::run_config(p, run_cfg, |comm| {
-        let dg = DistGraph::from_global(comm, graph);
-        let (local, stats) = parhip_distributed(comm, &dg, cfg);
-        let all = allgatherv(comm, local);
-        (all, stats)
-    });
-    let (assignment, mut stats) = results
-        .into_iter()
-        .next()
-        .expect("at least one PE")
-        .expect("fault-free observed run cannot fail structurally");
-    let partition = Partition::from_assignment(graph, cfg.k, assignment);
-    stats.cut = partition.edge_cut(graph);
-    (partition, stats)
-}
-
-/// As [`partition_parallel_observed`], additionally recording a bounded
-/// per-PE event timeline ([`pgp_obs::RunTrace`]): span open/close,
-/// sends/receives with per-peer sequence numbers, per-peer receive waits,
-/// collective entry/exit, and fault incidents, all on one run-wide
-/// monotonic epoch. Export with [`pgp_obs::to_perfetto_json`] or analyze
-/// in-process (`RunTrace::phase_blame`) for straggler attribution.
-/// `trace_capacity` bounds each PE's ring (`None` uses
-/// [`pgp_obs::DEFAULT_TRACE_CAPACITY`]; overflow drops the newest events
-/// and counts them).
-pub fn partition_parallel_traced(
-    graph: &CsrGraph,
-    p: usize,
-    cfg: &ParhipConfig,
-    trace_capacity: Option<usize>,
-) -> (
-    Partition,
-    ParhipStats,
-    pgp_obs::RunReport,
-    pgp_obs::RunTrace,
-) {
-    let obs =
-        pgp_obs::Obs::with_trace(p, trace_capacity.unwrap_or(pgp_obs::DEFAULT_TRACE_CAPACITY));
-    let run_cfg = pgp_dmp::RunConfig {
-        obs: Some(std::sync::Arc::clone(&obs)),
-        ..run_config_for(cfg)
-    };
-    let results = pgp_dmp::run_config(p, run_cfg, |comm| {
-        let dg = DistGraph::from_global(comm, graph);
-        let (local, stats) = parhip_distributed(comm, &dg, cfg);
-        let all = allgatherv(comm, local);
-        (all, stats)
-    });
-    let (assignment, mut stats) = results
-        .into_iter()
-        .next()
-        .expect("at least one PE")
-        .expect("fault-free traced run cannot fail structurally");
-    let partition = Partition::from_assignment(graph, cfg.k, assignment);
-    stats.cut = partition.edge_cut(graph);
-    let trace = obs.trace().expect("registry was built with tracing on");
-    (partition, stats, obs.report(), trace)
-}
-
-/// As [`partition_parallel`], checkpointing every V-cycle boundary into
-/// `store`. After a faulted run (see `pgp_dmp::run_config` and the
-/// `pgp-chaos` crate), hand the same store to [`partition_parallel_resume`]
-/// to replay the remaining cycles bit-identically.
-pub fn partition_parallel_with_store(
-    graph: &CsrGraph,
-    p: usize,
-    cfg: &ParhipConfig,
-    store: &CheckpointStore,
-) -> (Partition, ParhipStats) {
-    let results = pgp_dmp::run_config(p, run_config_for(cfg), |comm| {
-        let dg = DistGraph::from_global(comm, graph);
-        let (local, stats) = parhip_distributed_checkpointed(comm, &dg, cfg, None, store);
-        let all = allgatherv(comm, local);
-        (all, stats)
-    });
-    let (assignment, mut stats) = results
-        .into_iter()
-        .next()
-        .expect("at least one PE")
-        .expect("fault-free run cannot fail structurally");
-    let partition = Partition::from_assignment(graph, cfg.k, assignment);
-    stats.cut = partition.edge_cut(graph);
-    (partition, stats)
-}
-
-/// Resumes a run from the latest checkpoint in `store`, replaying the
-/// remaining V-cycles (bit-identical to the uninterrupted run — see
-/// [`parhip_distributed_resume`]).
-///
-/// # Panics
-/// Panics if the store is empty or the checkpoint does not match `graph` /
-/// `cfg` / `p` (fingerprint check).
-pub fn partition_parallel_resume(
-    graph: &CsrGraph,
-    p: usize,
-    cfg: &ParhipConfig,
-    store: &CheckpointStore,
-) -> (Partition, ParhipStats) {
-    let checkpoint = store
-        .latest()
-        .expect("partition_parallel_resume: the checkpoint store is empty");
-    let results = pgp_dmp::run_config(p, run_config_for(cfg), |comm| {
-        let dg = DistGraph::from_global(comm, graph);
-        let (local, stats) = parhip_distributed_resume(comm, &dg, cfg, &checkpoint, Some(store));
-        let all = allgatherv(comm, local);
-        (all, stats)
-    });
-    let (assignment, mut stats) = results
-        .into_iter()
-        .next()
-        .expect("at least one PE")
-        .expect("fault-free run cannot fail structurally");
-    let partition = Partition::from_assignment(graph, cfg.k, assignment);
-    stats.cut = partition.edge_cut(graph);
-    (partition, stats)
-}
-
-/// Retry/recovery budgets for [`partition_parallel_supervised`] (the
-/// backoff seed comes from `cfg.seed`, keeping the whole schedule
-/// deterministic).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoveryLimits {
-    /// Transient retries (uncorroborated timeouts) per recovery window
-    /// before a timeout escalates to full recovery.
-    pub max_retries: u32,
-    /// Full recoveries (respawn + resume after confirmed deaths) before
-    /// the supervisor gives up and surfaces the fault.
-    pub max_recoveries: u32,
-    /// Base of the seeded exponential backoff between transient retries,
-    /// in milliseconds.
-    pub backoff_base_ms: u64,
-}
-
-impl Default for RecoveryLimits {
-    fn default() -> Self {
-        let d = pgp_dmp::SupervisorConfig::default();
-        Self {
-            max_retries: d.max_retries,
-            max_recoveries: d.max_recoveries,
-            backoff_base_ms: d.backoff_base_ms,
-        }
-    }
-}
-
-/// As [`partition_parallel`], but run under the automatic-recovery
-/// supervisor (DESIGN.md §14): every V-cycle boundary is checkpointed at
-/// the cadence in `cfg.checkpoint`, and when a PE dies mid-run the
-/// survivors' failure consensus picks the dead ranks, the supervisor
-/// respawns a fresh universe, and the run resumes from the latest
-/// validated snapshot — bit-identical to the fault-free partition.
-/// Uncorroborated timeouts are retried with seeded exponential backoff
-/// before escalating to full recovery.
-///
-/// Fault injection and observation ride in through `run` (`pgp-chaos`
-/// builds a `RunConfig` from a `FaultPlan`; attach an `Obs` to get the
-/// recovery counters in the `RunReport`). A zero `threads_per_pe` in `run`
-/// is filled from `cfg.threads_per_pe`.
-///
-/// Returns the partition, stats, and the supervisor's
-/// [`pgp_obs::RecoveryReport`] (attempts, retries, recoveries, dead ranks,
-/// lost V-cycles). Errors only when the recovery budget is exhausted.
-pub fn partition_parallel_supervised(
-    graph: &CsrGraph,
-    p: usize,
-    cfg: &ParhipConfig,
-    run: pgp_dmp::RunConfig,
-    limits: RecoveryLimits,
-) -> Result<(Partition, ParhipStats, pgp_obs::RecoveryReport), pgp_dmp::CommError> {
-    let mut run = run;
-    if run.threads_per_pe == 0 {
-        run.threads_per_pe = cfg.threads_per_pe;
-    }
-    let obs = run.obs.clone();
-    let store = CheckpointStore::new();
-    let sup = pgp_dmp::SupervisorConfig {
-        base: run,
-        max_retries: limits.max_retries,
-        max_recoveries: limits.max_recoveries,
-        backoff_base_ms: limits.backoff_base_ms,
-        seed: cfg.seed,
-    };
-    let (values, mut recovery) = pgp_dmp::run_config_supervised(p, sup, |comm, info| {
-        let dg = DistGraph::from_global(comm, graph);
-        let (local, stats) = parhip_distributed_supervised(comm, &dg, cfg, info, &store);
-        let all = allgatherv(comm, local);
-        (all, stats)
-    })?;
-    let (assignment, mut stats) = values.into_iter().next().expect("at least one PE");
-    let partition = Partition::from_assignment(graph, cfg.k, assignment);
-    stats.cut = partition.edge_cut(graph);
-    // Work destroyed by faults: cycle starts beyond the fault-free count.
-    recovery.lost_cycles = store
-        .cycles_started()
-        .saturating_sub(cfg.vcycles.max(1) as u64); // lint:cast-ok: small cycle count
-    if let Some(obs) = &obs {
-        let lost = recovery.lost_cycles;
-        obs.record_recovery(|r| r.lost_cycles = lost);
-    }
-    Ok((partition, stats, recovery))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -931,10 +839,18 @@ mod tests {
         cfg
     }
 
+    fn run(g: &CsrGraph, p: usize, cfg: &ParhipConfig) -> Partitioned {
+        Partitioner::new(cfg).partition(g, p).expect("valid input")
+    }
+
     #[test]
     fn partitions_social_standin_validly() {
         let (g, _) = pgp_gen::sbm::sbm(1200, pgp_gen::sbm::SbmParams::default(), 4);
-        let (p, stats) = partition_parallel(&g, 4, &small_cfg(4, GraphClass::Social, 1));
+        let Partitioned {
+            partition: p,
+            stats,
+            ..
+        } = run(&g, 4, &small_cfg(4, GraphClass::Social, 1));
         p.validate(&g, 0.03).unwrap();
         assert!(stats.levels >= 2);
         assert!(stats.cut > 0);
@@ -952,7 +868,7 @@ mod tests {
     #[test]
     fn partitions_mesh_validly() {
         let g = pgp_gen::mesh::grid2d(30, 30);
-        let (p, _) = partition_parallel(&g, 3, &small_cfg(3, GraphClass::Mesh, 7));
+        let p = run(&g, 3, &small_cfg(3, GraphClass::Mesh, 7)).partition;
         p.validate(&g, 0.03).unwrap();
         // 3-way cut of a 30x30 grid: decent quality sanity bound.
         assert!(p.edge_cut(&g) <= 120, "cut {}", p.edge_cut(&g));
@@ -961,7 +877,7 @@ mod tests {
     #[test]
     fn single_pe_works() {
         let (g, _) = pgp_gen::sbm::sbm(400, pgp_gen::sbm::SbmParams::default(), 9);
-        let (p, _) = partition_parallel(&g, 1, &small_cfg(2, GraphClass::Social, 3));
+        let p = run(&g, 1, &small_cfg(2, GraphClass::Social, 3)).partition;
         p.validate(&g, 0.03).unwrap();
     }
 
@@ -969,8 +885,8 @@ mod tests {
     fn deterministic_given_seed_and_p() {
         let (g, _) = pgp_gen::sbm::sbm(500, pgp_gen::sbm::SbmParams::default(), 11);
         let cfg = small_cfg(2, GraphClass::Social, 21);
-        let (a, _) = partition_parallel(&g, 3, &cfg);
-        let (b, _) = partition_parallel(&g, 3, &cfg);
+        let a = run(&g, 3, &cfg).partition;
+        let b = run(&g, 3, &cfg).partition;
         assert_eq!(a.assignment(), b.assignment());
     }
 
@@ -981,8 +897,8 @@ mod tests {
         one.vcycles = 1;
         let mut three = small_cfg(4, GraphClass::Social, 5);
         three.vcycles = 3;
-        let (p1, _) = partition_parallel(&g, 2, &one);
-        let (p3, _) = partition_parallel(&g, 2, &three);
+        let p1 = run(&g, 2, &one).partition;
+        let p3 = run(&g, 2, &three).partition;
         assert!(
             p3.edge_cut(&g) <= p1.edge_cut(&g),
             "3 cycles {} vs 1 cycle {}",
@@ -1000,16 +916,13 @@ mod tests {
         let hash: Vec<Node> = (0..g.n() as Node)
             .map(|v| (pgp_dmp::mix_seed(7, v as u64) % 4) as Node)
             .collect();
-        let hash_cut = Partition::from_assignment(&g, 4, hash.clone()).edge_cut(&g);
-        let results = pgp_dmp::run(2, |comm| {
-            let dg = DistGraph::from_global(comm, &g);
-            let input: Vec<Node> = (0..(dg.n_local() + dg.n_ghost()) as Node)
-                .map(|l| hash[dg.local_to_global(l) as usize])
-                .collect();
-            let (local, _) = super::parhip_distributed_with_input(comm, &dg, &cfg, Some(&input));
-            allgatherv(comm, local)
-        });
-        let p = Partition::from_assignment(&g, 4, results.into_iter().next().unwrap());
+        let input = Partition::from_assignment(&g, 4, hash);
+        let hash_cut = input.edge_cut(&g);
+        let p = Partitioner::new(&cfg)
+            .prepartition(&input)
+            .partition(&g, 2)
+            .expect("valid input")
+            .partition;
         assert!(
             p.edge_cut(&g) < hash_cut / 2,
             "prepartition {hash_cut} should be drastically improved, got {}",
@@ -1024,7 +937,11 @@ mod tests {
     #[cfg(feature = "validate")]
     fn validated_rmat_partition_end_to_end() {
         let g = pgp_gen::rmat::rmat_web(10, 8, 5);
-        let (p, stats) = partition_parallel(&g, 4, &small_cfg(4, GraphClass::Social, 9));
+        let Partitioned {
+            partition: p,
+            stats,
+            ..
+        } = run(&g, 4, &small_cfg(4, GraphClass::Social, 9));
         p.validate(&g, 0.03).unwrap();
         assert!(stats.cut > 0);
     }
@@ -1032,21 +949,36 @@ mod tests {
     #[test]
     fn stats_are_populated() {
         let (g, _) = pgp_gen::sbm::sbm(600, pgp_gen::sbm::SbmParams::default(), 2);
-        let (_, stats) = partition_parallel(&g, 2, &small_cfg(2, GraphClass::Social, 17));
+        let stats = run(&g, 2, &small_cfg(2, GraphClass::Social, 17)).stats;
         assert!(stats.coarsening_s >= 0.0);
         assert!(stats.coarsest_n > 0);
         assert!(stats.levels >= 1);
     }
 
+    fn stored(g: &CsrGraph, cfg: &ParhipConfig, store: &CheckpointStore) -> Partition {
+        Partitioner::new(cfg)
+            .store(store)
+            .partition(g, 2)
+            .expect("valid input")
+            .partition
+    }
+
+    fn resumed(g: &CsrGraph, cfg: &ParhipConfig, store: &CheckpointStore) -> Partition {
+        Partitioner::new(cfg)
+            .store(store)
+            .resume()
+            .partition(g, 2)
+            .expect("the store holds a snapshot")
+            .partition
+    }
+
     #[test]
-    fn checkpointed_run_matches_plain_run_and_fills_store() {
+    fn checkpointed_run_fills_store() {
         let (g, _) = pgp_gen::sbm::sbm(600, pgp_gen::sbm::SbmParams::default(), 31);
         let mut cfg = small_cfg(2, GraphClass::Social, 41);
         cfg.vcycles = 3;
-        let (plain, _) = partition_parallel(&g, 2, &cfg);
         let store = CheckpointStore::new();
-        let (stored, _) = partition_parallel_with_store(&g, 2, &cfg, &store);
-        assert_eq!(plain.assignment(), stored.assignment());
+        let stored = stored(&g, &cfg, &store);
         let cp = store.latest().expect("store must hold a snapshot");
         assert_eq!(cp.cycle, cfg.vcycles - 1, "last V-cycle wins");
         assert_eq!(cp.assignment, stored.assignment());
@@ -1054,7 +986,7 @@ mod tests {
         assert!(cp.coarsest.n() > 0);
         assert_eq!(cp.fine_to_coarsest.len(), g.n());
         assert!(!cp.levels.is_empty());
-        assert_eq!(cp.config_fingerprint, cfg.fingerprint());
+        assert_eq!(cp.config_fingerprint, cfg.fingerprint(1));
     }
 
     /// Resume from the cycle-`c` snapshot must replay cycles `c+1..` to a
@@ -1070,35 +1002,23 @@ mod tests {
         let mut cfg = small_cfg(2, GraphClass::Social, 43);
         cfg.vcycles = 3;
         let full_store = CheckpointStore::new();
-        let (full, _) = partition_parallel_with_store(&g, 2, &cfg, &full_store);
+        let full = stored(&g, &cfg, &full_store);
         // The run a fault would have truncated after its first V-cycle.
         let mut one = cfg.clone();
         one.vcycles = 1;
         let early_store = CheckpointStore::new();
-        let _ = partition_parallel_with_store(&g, 2, &one, &early_store);
+        let _ = stored(&g, &one, &early_store);
         let mut cycle0 = early_store.latest().expect("cycle-0 snapshot");
         assert_eq!(cycle0.cycle, 0);
-        cycle0.config_fingerprint = cfg.fingerprint();
+        cycle0.config_fingerprint = cfg.fingerprint(1);
         let store = CheckpointStore::new();
         store.save(cycle0);
         // Replays cycles 1 and 2 from the snapshot.
-        let (resumed, _) = partition_parallel_resume(&g, 2, &cfg, &store);
+        let resumed = resumed(&g, &cfg, &store);
         assert_eq!(full.assignment(), resumed.assignment());
         // Resume also keeps checkpointing: the store's latest snapshot must
         // now be the final cycle's.
         assert_eq!(store.latest_cycle(), Some(cfg.vcycles - 1));
-    }
-
-    /// Resume from the *final* snapshot replays zero cycles and returns the
-    /// checkpointed assignment unchanged.
-    #[test]
-    fn resume_from_final_snapshot_is_a_no_op() {
-        let (g, _) = pgp_gen::sbm::sbm(500, pgp_gen::sbm::SbmParams::default(), 31);
-        let cfg = small_cfg(2, GraphClass::Social, 59);
-        let store = CheckpointStore::new();
-        let (full, _) = partition_parallel_with_store(&g, 2, &cfg, &store);
-        let (resumed, _) = partition_parallel_resume(&g, 2, &cfg, &store);
-        assert_eq!(full.assignment(), resumed.assignment());
     }
 
     #[test]
@@ -1107,10 +1027,10 @@ mod tests {
         let (g, _) = pgp_gen::sbm::sbm(400, pgp_gen::sbm::SbmParams::default(), 31);
         let cfg = small_cfg(2, GraphClass::Social, 47);
         let store = CheckpointStore::new();
-        let _ = partition_parallel_with_store(&g, 2, &cfg, &store);
+        let _ = stored(&g, &cfg, &store);
         let mut other = cfg;
         other.seed = 48;
-        let _ = partition_parallel_resume(&g, 2, &other, &store);
+        let _ = resumed(&g, &other, &store);
     }
 
     #[test]
@@ -1119,8 +1039,8 @@ mod tests {
         let (g, _) = pgp_gen::sbm::sbm(400, pgp_gen::sbm::SbmParams::default(), 31);
         let cfg = small_cfg(2, GraphClass::Social, 53);
         let store = CheckpointStore::new();
-        let _ = partition_parallel_with_store(&g, 2, &cfg, &store);
+        let _ = stored(&g, &cfg, &store);
         let (h, _) = pgp_gen::sbm::sbm(400, pgp_gen::sbm::SbmParams::default(), 32);
-        let _ = partition_parallel_resume(&h, 2, &cfg, &store);
+        let _ = resumed(&h, &cfg, &store);
     }
 }

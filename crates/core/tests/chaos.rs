@@ -10,12 +10,11 @@
 //! * A run killed after a V-cycle boundary must be resumable from its
 //!   checkpoint to the exact fault-free result.
 
-use parhip::{
-    partition_parallel, partition_parallel_resume, CheckpointStore, GraphClass, ParhipConfig,
-};
+use parhip::{CheckpointStore, GraphClass, ParhipConfig, PartitionError, Partitioner};
 use pgp_chaos::{chaos_run, FaultPlan};
 use pgp_dmp::collectives::allgatherv;
 use pgp_dmp::{CommError, DistGraph};
+use pgp_graph::{CsrGraph, Partition};
 use std::time::{Duration, Instant};
 
 const DEADLINE: Duration = Duration::from_secs(20);
@@ -27,11 +26,18 @@ fn small_cfg(k: usize, seed: u64) -> ParhipConfig {
     cfg
 }
 
+fn fault_free(g: &CsrGraph, p: usize, cfg: &ParhipConfig) -> Partition {
+    Partitioner::new(cfg)
+        .partition(g, p)
+        .expect("valid input")
+        .partition
+}
+
 #[test]
 fn rmat_partition_is_bit_identical_under_delay_reorder() {
     let g = pgp_gen::rmat::rmat_web(9, 8, 5);
     let cfg = small_cfg(4, 11);
-    let (reference, _) = partition_parallel(&g, 4, &cfg);
+    let reference = fault_free(&g, 4, &cfg);
     for plan_seed in [1u64, 42, 777] {
         let plan = FaultPlan::new(plan_seed).delay(400, 5);
         let results = chaos_run(4, plan, DEADLINE, |comm| {
@@ -54,11 +60,13 @@ fn rmat_partition_is_bit_identical_under_delay_reorder() {
 /// `vcycles` setting probed. Phases (tag blocks) are deterministic for a
 /// deterministic config, so a clean probe tells us exactly where a later
 /// cycle begins — which is where the kill goes.
-fn probe_phases(g: &pgp_graph::CsrGraph, cfg: &ParhipConfig, p: usize) -> u64 {
+fn probe_phases(g: &CsrGraph, cfg: &ParhipConfig, p: usize) -> u64 {
     let store = CheckpointStore::new();
     let counts = pgp_dmp::run(p, |comm| {
         let dg = DistGraph::from_global(comm, g);
-        let _ = parhip::parhip_distributed_checkpointed(comm, &dg, cfg, None, &store);
+        let _ = Partitioner::new(cfg)
+            .store(&store)
+            .partition_distributed(comm, &dg);
         comm.phases_started()
     });
     counts.into_iter().max().expect("at least one PE")
@@ -99,7 +107,7 @@ fn checkpoint_resume_reproduces_fault_free_result_after_kill() {
     let g = pgp_gen::rmat::rmat_web(9, 8, 5);
     let mut cfg = small_cfg(2, 17);
     cfg.vcycles = 2;
-    let (reference, _) = partition_parallel(&g, 3, &cfg);
+    let reference = fault_free(&g, 3, &cfg);
 
     // Phase counts of cycle 0 alone and of the full two-cycle run; the
     // kill lands midway through cycle 1, well past rank 0's cycle-0
@@ -113,14 +121,13 @@ fn checkpoint_resume_reproduces_fault_free_result_after_kill() {
 
     let store = CheckpointStore::new();
     let plan = FaultPlan::new(0).kill(1, kill_phase);
-    let results = chaos_run(3, plan, Duration::from_secs(5), |comm| {
-        let dg = DistGraph::from_global(comm, &g);
-        let (local, _) = parhip::parhip_distributed_checkpointed(comm, &dg, &cfg, None, &store);
-        allgatherv(comm, local)
-    });
+    let killed = Partitioner::new(&cfg)
+        .run(plan.into_config(Some(Duration::from_secs(5))))
+        .store(&store)
+        .partition(&g, 3);
     assert!(
-        results.iter().all(|r| r.is_err()),
-        "the kill must fail the whole group"
+        matches!(killed, Err(PartitionError::Comm(_))),
+        "the kill must fail the run: {killed:?}"
     );
     assert_eq!(
         store.latest_cycle(),
@@ -130,7 +137,12 @@ fn checkpoint_resume_reproduces_fault_free_result_after_kill() {
 
     // Restart replays cycle 1 from the snapshot — bit-identical to the
     // uninterrupted run.
-    let (resumed, _) = partition_parallel_resume(&g, 3, &cfg, &store);
+    let resumed = Partitioner::new(&cfg)
+        .store(&store)
+        .resume()
+        .partition(&g, 3)
+        .expect("the store holds cycle 0's snapshot")
+        .partition;
     assert_eq!(resumed.assignment(), reference.assignment());
     assert_eq!(resumed.edge_cut(&g), reference.edge_cut(&g));
 }

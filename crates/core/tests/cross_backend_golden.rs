@@ -6,8 +6,8 @@
 //! backend counts framed wire bytes, threads count in-memory size), and
 //! the report's `backend` field naturally names each transport.
 
-use parhip::{partition_parallel_observed, GraphClass, ParhipConfig};
-use pgp_dmp::BackendKind;
+use parhip::{GraphClass, ParhipConfig, Partitioner};
+use pgp_dmp::{BackendKind, RunConfig};
 use pgp_graph::{CsrGraph, Partition};
 use pgp_obs::RunReport;
 use std::collections::BTreeMap;
@@ -17,11 +17,20 @@ fn run_backend(
     p: usize,
     cfg: &ParhipConfig,
     backend: BackendKind,
+    threads_per_pe: usize,
 ) -> (Partition, RunReport) {
-    let mut cfg = cfg.clone();
-    cfg.backend = backend;
-    let (partition, _, report) = partition_parallel_observed(g, p, &cfg);
-    (partition, report)
+    let obs = pgp_obs::Obs::new(p);
+    let run = RunConfig {
+        backend,
+        threads_per_pe,
+        obs: Some(obs.clone()),
+        ..Default::default()
+    };
+    let out = Partitioner::new(cfg)
+        .run(run)
+        .partition(g, p)
+        .expect("valid input");
+    (out.partition, obs.report())
 }
 
 /// Per-tag *message* counts (bytes excluded — the backends legitimately
@@ -34,9 +43,15 @@ fn msgs_per_tag(report: &RunReport) -> BTreeMap<u64, u64> {
         .collect()
 }
 
-fn assert_golden_equivalence(name: &str, g: &CsrGraph, p: usize, cfg: &ParhipConfig) {
-    let (part_t, rep_t) = run_backend(g, p, cfg, BackendKind::Threads);
-    let (part_s, rep_s) = run_backend(g, p, cfg, BackendKind::Sockets);
+fn assert_golden_equivalence(
+    name: &str,
+    g: &CsrGraph,
+    p: usize,
+    cfg: &ParhipConfig,
+    threads_per_pe: usize,
+) {
+    let (part_t, rep_t) = run_backend(g, p, cfg, BackendKind::Threads, threads_per_pe);
+    let (part_s, rep_s) = run_backend(g, p, cfg, BackendKind::Sockets, threads_per_pe);
 
     // The partition itself: identical block for every node.
     assert_eq!(
@@ -85,7 +100,7 @@ fn ba_instance_is_backend_invariant() {
     let g = pgp_gen::ba::barabasi_albert(5_000, 3, 42);
     let mut cfg = ParhipConfig::fast(4, GraphClass::Social, 42);
     cfg.deterministic = true;
-    assert_golden_equivalence("ba(5000, 3, seed 42)", &g, 3, &cfg);
+    assert_golden_equivalence("ba(5000, 3, seed 42)", &g, 3, &cfg, 1);
 }
 
 #[test]
@@ -94,7 +109,7 @@ fn sbm_instance_is_backend_invariant() {
     let g = pgp_gen::ensure_connected(g);
     let mut cfg = ParhipConfig::fast(4, GraphClass::Social, 7);
     cfg.deterministic = true;
-    assert_golden_equivalence("sbm(4000, seed 7)", &g, 3, &cfg);
+    assert_golden_equivalence("sbm(4000, seed 7)", &g, 3, &cfg, 1);
 }
 
 #[test]
@@ -105,6 +120,5 @@ fn golden_holds_with_intra_pe_workers() {
     let g = pgp_gen::ba::barabasi_albert(4_000, 3, 11);
     let mut cfg = ParhipConfig::fast(4, GraphClass::Social, 11);
     cfg.deterministic = true;
-    cfg.threads_per_pe = 2;
-    assert_golden_equivalence("ba(4000, 3, seed 11) T=2", &g, 2, &cfg);
+    assert_golden_equivalence("ba(4000, 3, seed 11) T=2", &g, 2, &cfg, 2);
 }

@@ -1,6 +1,6 @@
 //! End-to-end tests for the survivor-led automatic-recovery layer
 //! (DESIGN.md §14): the full ParHIP pipeline run under
-//! [`partition_parallel_supervised`] with injected faults.
+//! a supervised [`Partitioner`] with injected faults.
 //!
 //! * A PE killed mid-V-cycle must be recovered without manual
 //!   intervention — failure consensus names the dead rank, the group is
@@ -13,12 +13,11 @@
 //!   match the injected fault plan.
 
 use parhip::{
-    partition_parallel, partition_parallel_supervised, CheckpointPolicy, CheckpointStore,
-    GraphClass, ParhipConfig, RecoveryLimits,
+    CheckpointPolicy, CheckpointStore, GraphClass, ParhipConfig, Partitioner, RecoveryLimits,
 };
 use pgp_chaos::FaultPlan;
 use pgp_dmp::{DistGraph, RunConfig};
-use pgp_graph::CsrGraph;
+use pgp_graph::{CsrGraph, Partition};
 use std::time::Duration;
 
 const DEADLINE: Duration = Duration::from_secs(20);
@@ -30,6 +29,13 @@ fn small_cfg(k: usize, seed: u64) -> ParhipConfig {
     cfg
 }
 
+fn fault_free(g: &CsrGraph, p: usize, cfg: &ParhipConfig) -> Partition {
+    Partitioner::new(cfg)
+        .partition(g, p)
+        .expect("valid input")
+        .partition
+}
+
 /// The max per-PE phase count of a fault-free checkpointed run — phases
 /// (tag blocks) are deterministic for a deterministic config, so a clean
 /// probe tells us exactly where to aim a kill.
@@ -37,7 +43,9 @@ fn probe_phases(g: &CsrGraph, cfg: &ParhipConfig, p: usize) -> u64 {
     let store = CheckpointStore::new();
     let counts = pgp_dmp::run(p, |comm| {
         let dg = DistGraph::from_global(comm, g);
-        let _ = parhip::parhip_distributed_checkpointed(comm, &dg, cfg, None, &store);
+        let _ = Partitioner::new(cfg)
+            .store(&store)
+            .partition_distributed(comm, &dg);
         comm.phases_started()
     });
     counts.into_iter().max().expect("at least one PE")
@@ -79,9 +87,13 @@ fn supervised_under_plan(
     let obs = pgp_obs::Obs::new(p);
     let mut run: RunConfig = plan.into_config(Some(deadline));
     run.obs = Some(obs.clone());
-    let (partition, _, recovery) = partition_parallel_supervised(g, p, cfg, run, limits)
+    let out = Partitioner::new(cfg)
+        .run(run)
+        .supervised(limits)
+        .partition(g, p)
         .expect("supervised run must complete within the recovery budget");
-    (partition, recovery, obs.report())
+    let recovery = out.recovery.expect("supervised runs report recovery");
+    (out.partition, recovery, obs.report())
 }
 
 /// ISSUE 8 acceptance: a chaos plan killing one PE mid-V-cycle, run
@@ -93,7 +105,7 @@ fn supervised_run_survives_mid_cycle_kill_bit_identically() {
     let g = pgp_gen::rmat::rmat_web(9, 8, 5);
     let mut cfg = small_cfg(2, 17);
     cfg.vcycles = 2;
-    let (reference, _) = partition_parallel(&g, 3, &cfg);
+    let reference = fault_free(&g, 3, &cfg);
 
     // Kill rank 1 midway through cycle 1 — after rank 0 wrote cycle 0's
     // snapshot, so recovery resumes rather than restarts.
@@ -136,7 +148,7 @@ fn soak_matrix_kills_across_graphs_ranks_and_phases() {
     let p = 4;
     for (name, g) in &instances {
         let cfg = small_cfg(4, 23);
-        let (reference, _) = partition_parallel(g, p, &cfg);
+        let reference = fault_free(g, p, &cfg);
         let total = probe_phases(g, &cfg, p);
         // One early kill, one late kill, a deterministic double kill at
         // phase 0 (both die before any cross-talk, one consensus round),
@@ -206,7 +218,7 @@ fn soak_matrix_kills_across_graphs_ranks_and_phases() {
 fn transient_stall_is_retried_in_place_without_recovery() {
     let g = pgp_gen::rmat::rmat_web(7, 8, 5);
     let cfg = small_cfg(2, 29);
-    let (reference, _) = partition_parallel(&g, 2, &cfg);
+    let reference = fault_free(&g, 2, &cfg);
 
     // 15 ms stalls on every rank-1 send vs. a 4 ms base deadline: the
     // first attempt is guaranteed to time out; deadline widening (×2 per
@@ -246,7 +258,7 @@ fn transient_stall_is_retried_in_place_without_recovery() {
 fn delay_reorder_keeps_all_recovery_counters_at_zero() {
     let g = pgp_gen::rmat::rmat_web(9, 8, 5);
     let cfg = small_cfg(4, 11);
-    let (reference, _) = partition_parallel(&g, 4, &cfg);
+    let reference = fault_free(&g, 4, &cfg);
     let plan = FaultPlan::new(42).delay(400, 5);
     let (partition, recovery, report) =
         supervised_under_plan(&g, 4, &cfg, plan, DEADLINE, RecoveryLimits::default());
@@ -276,7 +288,7 @@ fn checkpoint_cadence_decides_how_much_work_a_kill_destroys() {
     cfg.vcycles = 2;
     // `checkpoint` is excluded from the config fingerprint, so one
     // fault-free reference serves both cadences.
-    let (reference, _) = partition_parallel(&g, 3, &cfg);
+    let reference = fault_free(&g, 3, &cfg);
 
     for (every, expect_lost) in [(1usize, 1u64), (2, 2)] {
         let mut cadenced = cfg.clone();

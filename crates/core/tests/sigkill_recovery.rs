@@ -9,7 +9,7 @@
 //! (via `WorkerCtx::attempt`), and converge to the *bit-identical*
 //! partition a fault-free thread-backend run produces.
 
-use parhip::{parhip_distributed, partition_parallel, GraphClass, ParhipConfig};
+use parhip::{parhip_distributed, GraphClass, ParhipConfig, Partitioner};
 use pgp_dmp::collectives::{allgatherv, barrier};
 use pgp_dmp::{
     maybe_run_worker, run_multiprocess_supervised, Comm, ProcessConfig, ProcessSupervisor, Wire,
@@ -101,7 +101,10 @@ fn sigkill_mid_run_recovers_to_fault_free_partition() {
 
     // ...and it is bit-identical to the fault-free thread-backend run.
     let g = pgp_gen::ba::barabasi_albert(N, 3, SEED);
-    let (fault_free, _) = partition_parallel(&g, P, &test_config());
+    let fault_free = Partitioner::new(&test_config())
+        .partition(&g, P)
+        .expect("valid input")
+        .partition;
     let from_processes = pgp_graph::Partition::from_assignment(&g, K, assignment);
     assert_eq!(
         from_processes, fault_free,

@@ -1,4 +1,4 @@
-//! End-to-end determinism of `ParhipConfig::threads_per_pe` (DESIGN.md
+//! End-to-end determinism of `RunConfig::threads_per_pe` (DESIGN.md
 //! §13): the full pipeline must produce the identical partition for every
 //! worker count ≥ 2 at a fixed `(seed, p)`, each mode must be stable
 //! across reruns, and both modes must yield valid partitions. The
@@ -6,16 +6,27 @@
 //! the config fingerprint separates them (see
 //! `ParhipConfig::fingerprint`), so no cross-mode equality is promised.
 
-use parhip::{partition_parallel, GraphClass, ParhipConfig};
-use pgp_graph::Partition;
+use parhip::{GraphClass, ParhipConfig, Partitioner};
+use pgp_dmp::RunConfig;
+use pgp_graph::{CsrGraph, Partition};
+
+fn partition_on_threads(g: &CsrGraph, cfg: &ParhipConfig, threads: usize) -> Partition {
+    let run = RunConfig {
+        threads_per_pe: threads,
+        ..Default::default()
+    };
+    Partitioner::new(cfg)
+        .run(run)
+        .partition(g, 2)
+        .expect("valid input")
+        .partition
+}
 
 fn partition_with_threads(threads: usize, seed: u64) -> Partition {
     let g = pgp_gen::ba::barabasi_albert(6_000, 3, seed);
     let mut cfg = ParhipConfig::fast(4, GraphClass::Social, seed);
     cfg.deterministic = true;
-    cfg.threads_per_pe = threads;
-    let (partition, _) = partition_parallel(&g, 2, &cfg);
-    partition
+    partition_on_threads(&g, &cfg, threads)
 }
 
 #[test]
@@ -31,9 +42,7 @@ fn both_modes_produce_valid_partitions() {
         let g = pgp_gen::ba::barabasi_albert(6_000, 3, 9);
         let mut cfg = ParhipConfig::fast(4, GraphClass::Social, 9);
         cfg.deterministic = true;
-        cfg.threads_per_pe = threads;
-        let (partition, _) = partition_parallel(&g, 2, &cfg);
-        partition
+        partition_on_threads(&g, &cfg, threads)
             .validate(&g, cfg.eps)
             .unwrap_or_else(|e| panic!("threads_per_pe={threads}: {e}"));
     }

@@ -3,7 +3,7 @@
 //  - a rank guard around non-collective work (root-only logging),
 //  - a rank-guarded collective in a function UNREACHABLE from any entry
 //    point (dead tooling code is out of SPMD scope).
-pub fn partition_parallel(comm: &Comm) {
+pub fn partition_distributed(comm: &Comm) {
     barrier(comm);
     if comm.rank() == 0 {
         log_summary(comm.rank());

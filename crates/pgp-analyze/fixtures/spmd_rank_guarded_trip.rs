@@ -2,7 +2,7 @@
 // SPMD entry point through one call hop and a derived-rank variable ->
 // spmd-rank-guarded-collective must fire (twice: barrier and
 // fresh_tag_block).
-pub fn partition_parallel(comm: &Comm) {
+pub fn partition_distributed(comm: &Comm) {
     helper(comm);
 }
 

@@ -9,8 +9,8 @@
 //!   and recv sites must agree on the payload type, every sent tag must
 //!   have a receiver, and user tags must stay out of the collective block.
 //! - [`spmd`] — SPMD divergence: collectives lexically guarded by
-//!   rank-dependent conditions, reachable from the `partition_parallel*`
-//!   entry points.
+//!   rank-dependent conditions, reachable from the partitioner's front
+//!   door (`Partitioner`'s two verbs and `parhip_distributed`).
 //! - [`determinism`] — iteration over std hash containers (and float
 //!   reductions fed by them) in determinism-critical crates.
 //! - [`errs`] — swallowed structured faults: `Result<_, CommError>`
@@ -66,6 +66,8 @@ pub struct Analysis {
     pub suppressed: usize,
     /// How many files were scanned.
     pub files_scanned: usize,
+    /// The SPMD rule's entry points and reach (see [`spmd::Coverage`]).
+    pub spmd: spmd::Coverage,
 }
 
 impl Analysis {
@@ -102,7 +104,8 @@ pub fn analyze_files(files: &[SourceFile]) -> Analysis {
 
     let mut raw = Vec::new();
     raw.extend(protocol::check(&units, &consts));
-    raw.extend(spmd::check(&units));
+    let (spmd_findings, spmd) = spmd::check(&units);
+    raw.extend(spmd_findings);
     raw.extend(determinism::check(&units));
     raw.extend(errs::check(&units));
     raw.extend(transport::check(&units));
@@ -117,6 +120,7 @@ pub fn analyze_files(files: &[SourceFile]) -> Analysis {
         findings: s.findings,
         suppressed: s.suppressed,
         files_scanned: units.len(),
+        spmd,
     }
 }
 

@@ -6,8 +6,10 @@
 //! branch (`if comm.rank() == 0 { ... barrier(comm) ... }`), which is
 //! purely lexical — exactly what a static walk can catch.
 //!
-//! The rule walks the name-based call graph from the SPMD entry points
-//! (`partition_parallel*`, `parhip_distributed*`), taints identifiers
+//! The rule walks the name-based call graph from the SPMD entry points —
+//! the front door's two verbs (`Partitioner::partition`,
+//! `Partitioner::partition_distributed`) and the bare `parhip_distributed`
+//! — taints identifiers
 //! derived from `rank`, and flags any collective-set call that sits inside
 //! the branches of a rank-tainted `if`/`else`.
 //!
@@ -22,8 +24,21 @@ use crate::report::{Finding, RULE_RANK_GUARDED_COLLECTIVE};
 use crate::FileUnit;
 use std::collections::{HashMap, HashSet};
 
-/// Function-name prefixes that start an SPMD region.
-const ENTRY_PREFIXES: &[&str] = &["partition_parallel", "parhip_distributed"];
+/// Functions that start an SPMD region: the partitioner's front door.
+/// Matched by exact name — renaming a verb without updating this list
+/// empties the rule's root set, which the workspace test catches through
+/// [`Coverage`].
+const ENTRY_POINTS: &[&str] = &["partition", "partition_distributed", "parhip_distributed"];
+
+/// What the rule looked at: without roots it finds nothing and proves
+/// nothing, so the walk reports its own reach.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Coverage {
+    /// The entry points found in the sources, sorted.
+    pub entry_points: Vec<String>,
+    /// Every function reachable from them (entry points included), sorted.
+    pub reachable: Vec<String>,
+}
 
 /// Group-cooperative operations: calling these on a strict subset of PEs
 /// deadlocks the group. Includes `fresh_tag_block` (the tag counter is
@@ -57,7 +72,7 @@ const COLLECTIVES: &[&str] = &[
 ];
 
 /// Runs the SPMD divergence rule.
-pub fn check(units: &[FileUnit]) -> Vec<Finding> {
+pub fn check(units: &[FileUnit]) -> (Vec<Finding>, Coverage) {
     // Name-based call graph: fn name -> called fn names.
     let mut edges: HashMap<&str, HashSet<&str>> = HashMap::new();
     for unit in units {
@@ -75,11 +90,13 @@ pub fn check(units: &[FileUnit]) -> Vec<Finding> {
     }
     // Reachability from the entry points.
     let mut reach: HashSet<&str> = HashSet::new();
-    let mut queue: Vec<&str> = edges
+    let mut entry_points: Vec<&str> = edges
         .keys()
-        .filter(|n| ENTRY_PREFIXES.iter().any(|p| n.starts_with(p)))
+        .filter(|n| ENTRY_POINTS.contains(n))
         .copied()
         .collect();
+    entry_points.sort_unstable();
+    let mut queue = entry_points.clone();
     while let Some(n) = queue.pop() {
         if !reach.insert(n) {
             continue;
@@ -102,7 +119,13 @@ pub fn check(units: &[FileUnit]) -> Vec<Finding> {
             check_fn(unit, f.body, &mut findings);
         }
     }
-    findings
+    let mut reachable: Vec<String> = reach.into_iter().map(str::to_string).collect();
+    reachable.sort_unstable();
+    let coverage = Coverage {
+        entry_points: entry_points.into_iter().map(str::to_string).collect(),
+        reachable,
+    };
+    (findings, coverage)
 }
 
 /// Checks one reachable function body.

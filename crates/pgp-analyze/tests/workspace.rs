@@ -24,6 +24,33 @@ fn workspace_analyzes_clean() {
     );
 }
 
+/// The SPMD rule finds its roots by name, so a renamed front door would
+/// turn it into a silent no-op: it must find the door in the real tree and
+/// walk from there into the V-cycle engine and the layers under it.
+#[test]
+fn spmd_rule_has_roots_and_reaches_the_vcycle_engine() {
+    let a = analyze_workspace(&workspace_root()).expect("workspace sources readable");
+    for entry in ["partition", "partition_distributed", "parhip_distributed"] {
+        assert!(
+            a.spmd.entry_points.iter().any(|e| e == entry),
+            "entry point `{entry}` not found; roots: {:?}",
+            a.spmd.entry_points
+        );
+    }
+    for engine in [
+        "parhip_cycles",
+        "parallel_coarsen_with_scratch",
+        "parallel_sclp_refine_with_scratch",
+        "kaffpae",
+    ] {
+        assert!(
+            a.spmd.reachable.iter().any(|f| f == engine),
+            "`{engine}` is not reachable from {:?}",
+            a.spmd.entry_points
+        );
+    }
+}
+
 /// A real protocol file together with the tags module, as the analyzer
 /// input set.
 fn real_pair(rel: &str) -> Vec<SourceFile> {

@@ -9,7 +9,8 @@
 //!
 //! Contents:
 //! * [`comm`] — mailboxes, tags, selective receive ([`Comm`]).
-//! * [`runner`] — SPMD execution ([`run`], [`run_seeded`]).
+//! * [`runner`] — SPMD execution ([`run`], [`run_config`],
+//!   [`run_config_supervised`]).
 //! * [`collectives`] — barrier, broadcast, reduce, allreduce, exscan,
 //!   gather, allgather(v), alltoallv.
 //! * [`dgraph`] — the distributed graph of Section IV-A: contiguous node
@@ -44,6 +45,6 @@ pub use wire::{Wire, WireError, WireReader};
 // pgp-obs dependency.
 pub use pgp_obs::{Obs, Recorder, RecoveryReport, RunTrace};
 pub use runner::{
-    mix_seed, run, run_config, run_config_supervised, run_seeded, run_timed, thread_cpu_seconds,
-    AttemptInfo, FailureVerdict, RunConfig, SupervisorConfig,
+    mix_seed, run, run_config, run_config_supervised, thread_cpu_seconds, AttemptInfo,
+    FailureVerdict, RecoveryLimits, RunConfig, SupervisorConfig,
 };

@@ -222,9 +222,34 @@ impl FailureVerdict {
     }
 }
 
+/// Retry/recovery budgets of a supervised run. Wall-clock only: they
+/// decide how long the supervisor keeps trying, never what the result is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecoveryLimits {
+    /// Transient retries (uncorroborated timeouts) per recovery window
+    /// before a timeout escalates to full recovery.
+    pub max_retries: u32,
+    /// Full recoveries (respawn + resume after confirmed deaths) before
+    /// the supervisor gives up and surfaces the fault.
+    pub max_recoveries: u32,
+    /// Base backoff before a transient retry, in milliseconds; doubles per
+    /// retry with a seeded jitter on top.
+    pub backoff_base_ms: u64,
+}
+
+impl Default for RecoveryLimits {
+    fn default() -> Self {
+        Self {
+            max_retries: 3,
+            max_recoveries: 4,
+            backoff_base_ms: 5,
+        }
+    }
+}
+
 /// Knobs for [`run_config_supervised`]: the base run configuration plus
 /// the recovery budgets.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct SupervisorConfig {
     /// Deadline, fault hook, obs registry, and worker-pool width for every
     /// attempt. The supervisor widens the deadline geometrically across
@@ -233,29 +258,10 @@ pub struct SupervisorConfig {
     /// kills for ranks already declared dead so respawned replacements are
     /// not re-killed.
     pub base: RunConfig,
-    /// Transient retries allowed per recovery window before a timeout-only
-    /// failure escalates to a full recovery.
-    pub max_retries: u32,
-    /// Full recoveries (respawn + resume) allowed before giving up.
-    pub max_recoveries: u32,
-    /// Base backoff before a transient retry, in milliseconds; doubles per
-    /// retry with a seeded jitter on top. Wall-clock only — it never
-    /// affects results.
-    pub backoff_base_ms: u64,
+    /// Retry and recovery budgets.
+    pub limits: RecoveryLimits,
     /// Seed for the deterministic backoff jitter.
     pub seed: u64,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self {
-            base: RunConfig::default(),
-            max_retries: 3,
-            max_recoveries: 4,
-            backoff_base_ms: 5,
-            seed: 0,
-        }
-    }
 }
 
 /// What the supervisor tells each attempt's PE closures about history:
@@ -303,7 +309,7 @@ const MAX_WIDEN_EXP: u32 = 5;
 /// retried in place (transient timeout, seeded backoff + widened deadline)
 /// or answered with a full recovery — a fresh universe whose closures see
 /// the dead ranks in [`AttemptInfo`] and are expected to resume from their
-/// latest checkpoint (see `parhip_distributed_supervised` in `core`).
+/// latest checkpoint (see `Partitioner::supervised` in `core`).
 ///
 /// Returns the per-rank values of the first fully successful attempt plus
 /// the recovery counters, or the terminal error once the budgets are
@@ -323,9 +329,12 @@ where
 {
     let SupervisorConfig {
         base,
-        max_retries,
-        max_recoveries,
-        backoff_base_ms,
+        limits:
+            RecoveryLimits {
+                max_retries,
+                max_recoveries,
+                backoff_base_ms,
+            },
         seed,
     } = sup;
     let mut report = RecoveryReport::default();
@@ -438,40 +447,6 @@ where
     }
 }
 
-/// Like [`run`], but hands each PE a mutable per-rank seed value derived
-/// from `seed` (`seed ⊕ rank`-style mixing) — the convention used across the
-/// workspace for deterministic parallel randomness.
-pub fn run_seeded<R, F>(p: usize, seed: u64, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&Comm, u64) -> R + Sync,
-{
-    run(p, |comm| {
-        let rank_seed = mix_seed(seed, pgp_graph::ids::count_global(comm.rank()));
-        f(comm, rank_seed)
-    })
-}
-
-/// Like [`run`], but also measures each PE's *thread CPU time* — the
-/// metric the scaling benchmarks report. On a machine with fewer cores
-/// than PEs, wall-clock time says nothing about parallel scalability; the
-/// per-PE CPU time is what each PE would spend on a dedicated core, so
-/// `max` over PEs approximates the parallel makespan (communication is
-/// in-process and therefore nearly free, akin to the paper's low-latency
-/// InfiniBand at these message sizes — see EXPERIMENTS.md).
-pub fn run_timed<R, F>(p: usize, f: F) -> (Vec<R>, Vec<f64>)
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Sync,
-{
-    let pairs = run(p, |comm| {
-        let t0 = thread_cpu_seconds();
-        let r = f(comm);
-        (r, thread_cpu_seconds() - t0)
-    });
-    pairs.into_iter().unzip()
-}
-
 /// CPU time consumed by the calling thread, in seconds — re-exported
 /// from `pgp-obs`, where resource observation now lives alongside the
 /// rest of the telemetry plane ([`pgp_obs::ResourceSample`] embeds the
@@ -501,18 +476,6 @@ mod tests {
     fn single_pe_works() {
         let r = run(1, |comm| comm.size());
         assert_eq!(r, vec![1]);
-    }
-
-    #[test]
-    fn seeded_runs_are_deterministic_and_rank_distinct() {
-        let a = run_seeded(4, 99, |_, s| s);
-        let b = run_seeded(4, 99, |_, s| s);
-        assert_eq!(a, b);
-        // All rank seeds differ.
-        let mut c = a.clone();
-        c.sort_unstable();
-        c.dedup();
-        assert_eq!(c.len(), 4);
     }
 
     #[test]
@@ -690,7 +653,10 @@ mod tests {
                 fault_hook: Some(Arc::new(KillOnce { rank: 0, phase: 0 })),
                 ..RunConfig::default()
             },
-            max_recoveries: 0,
+            limits: RecoveryLimits {
+                max_recoveries: 0,
+                ..RecoveryLimits::default()
+            },
             ..SupervisorConfig::default()
         };
         let err = run_config_supervised(2, sup, |comm, _| {
@@ -743,14 +709,6 @@ mod cpu_time_tests {
         let t1 = thread_cpu_seconds();
         assert!(t1 >= t0, "cpu time went backwards");
         assert!(t1 - t0 < 10.0, "implausible cpu delta {}", t1 - t0);
-    }
-
-    #[test]
-    fn run_timed_reports_per_pe_times() {
-        let (results, times) = run_timed(3, |comm| comm.rank());
-        assert_eq!(results, vec![0, 1, 2]);
-        assert_eq!(times.len(), 3);
-        assert!(times.iter().all(|&t| (0.0..10.0).contains(&t)));
     }
 
     // The clock-tick-rate sanity test moved to `pgp-obs::resources` with

@@ -65,7 +65,7 @@ pub fn read_metis(reader: impl Read) -> Result<CsrGraph, IoError> {
                 }
                 break (no + 1, t.to_string());
             }
-            None => return Err(perr(0, "missing header line")),
+            None => return Err(perr(1, "missing header line")),
         }
     };
     let mut hp = header.split_whitespace();
@@ -139,10 +139,12 @@ pub fn read_metis(reader: impl Read) -> Result<CsrGraph, IoError> {
         }
         node += 1;
     }
+    // Whole-file mismatches point at the header: its claim is what the
+    // rest of the file contradicts.
     if node != n {
         return Err(perr(
-            0,
-            format!("expected {n} adjacency lines, found {node}"),
+            hline_no,
+            format!("header claims {n} nodes, file has {node} adjacency lines"),
         ));
     }
     let g = match node_weights {
@@ -151,7 +153,7 @@ pub fn read_metis(reader: impl Read) -> Result<CsrGraph, IoError> {
     };
     if g.m() != m {
         return Err(perr(
-            0,
+            hline_no,
             format!("header claims {m} edges, file contains {}", g.m()),
         ));
     }
@@ -338,13 +340,22 @@ mod tests {
     #[test]
     fn metis_rejects_wrong_edge_count() {
         let text = "3 5\n2\n1 3\n2\n";
-        assert!(read_metis(text.as_bytes()).is_err());
+        let err = read_metis(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, IoError::Parse { line: 1, .. }),
+            "must point at the header: {err}"
+        );
     }
 
     #[test]
     fn metis_rejects_missing_lines() {
-        let text = "3 1\n2\n1\n"; // only 2 of 3 adjacency lines
-        assert!(read_metis(text.as_bytes()).is_err());
+        // Only 2 of 3 adjacency lines; the header sits below a comment.
+        let text = "% a comment\n3 1\n2\n1\n";
+        let err = read_metis(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, IoError::Parse { line: 2, .. }),
+            "must point at the header: {err}"
+        );
     }
 
     #[test]

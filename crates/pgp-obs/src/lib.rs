@@ -50,6 +50,9 @@
 //!   length-prefixed frame files), aggregated into an NDJSON stream
 //!   plus a live straggler table, with alert rules whose events land in
 //!   the stream, the report's `alerts` block, and the trace ring.
+//! - Front-end plumbing ([`ObsOutputs`], [`ObsSession`]): which of
+//!   report / trace / live stream a CLI was asked for, opened before the
+//!   run and written after it in the order that keeps them consistent.
 //! - Resource profiling ([`ResourceSample`]): current/peak RSS,
 //!   thread-CPU seconds, and (feature `count-alloc`) allocation
 //!   counters — per-PE in the report and in every live snapshot.
@@ -65,6 +68,7 @@ mod handoff;
 mod json;
 mod live;
 mod metrics;
+mod outputs;
 mod perfetto;
 mod recorder;
 mod report;
@@ -80,6 +84,7 @@ pub use live::{
     LiveStreamSummary, MetricSnapshot, MonitorStats, LIVE_SCHEMA_VERSION,
 };
 pub use metrics::{LevelMetrics, PassStats, PhaseStat, RefineMetrics, TagCounter, WaitHistogram};
+pub use outputs::{ObsOutputs, ObsSession};
 pub use perfetto::{to_perfetto_json, validate_perfetto};
 pub use recorder::{CollectiveGuard, Obs, Recorder, SpanGuard, WaitToken, DEFAULT_TRACE_CAPACITY};
 pub use report::{

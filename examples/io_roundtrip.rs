@@ -7,7 +7,7 @@
 //! cargo run --release --example io_roundtrip
 //! ```
 
-use pgp::parhip::{partition_parallel, GraphClass, ParhipConfig};
+use pgp::parhip::{GraphClass, ParhipConfig, Partitioner};
 use pgp::pgp_graph::io::{read_metis_file, read_partition, write_metis_file, write_partition};
 
 fn main() {
@@ -32,7 +32,10 @@ fn main() {
 
     // Partition and write the partition file.
     let cfg = ParhipConfig::fast(4, GraphClass::Social, 5);
-    let (partition, _) = partition_parallel(&loaded, 2, &cfg);
+    let partition = Partitioner::new(&cfg)
+        .partition(&loaded, 2)
+        .expect("valid input")
+        .partition;
     let f = std::fs::File::create(&part_path).expect("create partition file");
     write_partition(&partition, f).expect("write partition");
     // And the partition file reads back losslessly too.

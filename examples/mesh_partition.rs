@@ -8,7 +8,7 @@
 //! cargo run --release --example mesh_partition
 //! ```
 
-use pgp::parhip::{GraphClass, ParhipConfig, Preset};
+use pgp::parhip::{GraphClass, ParhipConfig, Partitioner, Preset};
 use pgp::pgp_baselines::ParmetisLikeConfig;
 use pgp::pgp_dmp::collectives::allgatherv;
 use pgp::pgp_dmp::DistGraph;
@@ -28,7 +28,10 @@ fn main() {
 
         // ParHIP eco (quality-oriented) on the mesh class.
         let cfg = ParhipConfig::preset(Preset::Eco, k, GraphClass::Mesh, 11);
-        let (part, _) = pgp::parhip::partition_parallel(&graph, p, &cfg);
+        let part = Partitioner::new(&cfg)
+            .partition(&graph, p)
+            .expect("valid input")
+            .partition;
         println!(
             "  ParHIP eco     : cut = {:>6}, imbalance = {:.3}",
             part.edge_cut(&graph),

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pgp::parhip::{partition_parallel, GraphClass, ParhipConfig};
+use pgp::parhip::{GraphClass, ParhipConfig, Partitioned, Partitioner};
 use pgp::pgp_graph::GraphBuilder;
 
 fn main() {
@@ -25,7 +25,11 @@ fn main() {
     // paper's "fast" configuration.
     let mut cfg = ParhipConfig::fast(2, GraphClass::Social, /* seed */ 42);
     cfg.coarsest_nodes_per_block = 4; // tiny demo graph: coarsen it anyway
-    let (partition, stats) = partition_parallel(&graph, 4, &cfg);
+    let Partitioned {
+        partition, stats, ..
+    } = Partitioner::new(&cfg)
+        .partition(&graph, 4)
+        .expect("valid input");
 
     println!("edge cut        : {}", partition.edge_cut(&graph));
     println!("block weights   : {:?}", partition.block_weights());

@@ -10,7 +10,7 @@
 //! cargo run --release --example social_network
 //! ```
 
-use pgp::parhip::{partition_parallel, GraphClass, ParhipConfig};
+use pgp::parhip::{GraphClass, ParhipConfig, Partitioned, Partitioner};
 use pgp::pgp_baselines::hash_partition;
 use pgp::pgp_gen::sbm::{sbm, SbmParams};
 use pgp::pgp_graph::metrics::communication_volume;
@@ -35,7 +35,13 @@ fn main() {
 
     let k = 16;
     let cfg = ParhipConfig::fast(k, GraphClass::Social, 1);
-    let (parhip_p, stats) = partition_parallel(&graph, 4, &cfg);
+    let Partitioned {
+        partition: parhip_p,
+        stats,
+        ..
+    } = Partitioner::new(&cfg)
+        .partition(&graph, 4)
+        .expect("valid input");
     let hash_p = hash_partition(&graph, k, 1);
 
     let (pv_total, pv_max) = communication_volume(&graph, &parhip_p);

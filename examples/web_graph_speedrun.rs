@@ -10,7 +10,7 @@
 //! cargo run --release --example web_graph_speedrun
 //! ```
 
-use pgp::parhip::{partition_parallel, GraphClass, ParhipConfig, Preset};
+use pgp::parhip::{GraphClass, ParhipConfig, Partitioned, Partitioner, Preset};
 use pgp::pgp_baselines::{parmetis_like, BaselineError, ParmetisLikeConfig};
 use pgp::pgp_gen::webgraph::{web_graph, WebGraphParams};
 use std::time::Instant;
@@ -39,7 +39,13 @@ fn main() {
     for preset in [Preset::Minimal, Preset::Fast] {
         let cfg = ParhipConfig::preset(preset, k, GraphClass::Social, 3);
         let t = Instant::now();
-        let (part, stats) = partition_parallel(&graph, p, &cfg);
+        let Partitioned {
+            partition: part,
+            stats,
+            ..
+        } = Partitioner::new(&cfg)
+            .partition(&graph, p)
+            .expect("valid input");
         println!(
             "{preset:?}: cut = {}, balanced = {}, {:.2}s wall ({} levels, coarsest {})",
             part.edge_cut(&graph),

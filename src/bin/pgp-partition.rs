@@ -52,59 +52,69 @@
 //! run report's `recovery` block.
 
 use pgp::parhip::{
-    partition_parallel, partition_parallel_supervised, partition_parallel_with_obs,
-    CheckpointPolicy, GraphClass, ParhipConfig, Preset, RecoveryLimits,
+    CheckpointPolicy, GraphClass, ParhipConfig, PartitionError, Partitioner, Preset, RecoveryLimits,
 };
+use pgp::pgp_dmp::{BackendKind, RunConfig};
 use pgp::pgp_graph::io::{read_metis_file, write_partition};
 use pgp::pgp_graph::stats::GraphStats;
+use pgp::pgp_obs::ObsOutputs;
 use std::process::ExitCode;
+use std::str::FromStr;
+
+const USAGE: &str = "usage: pgp-partition <graph.metis> k=<blocks> [preset=fast|eco|minimal] \
+    [p=<PEs>] [eps=0.03] [seed=0] [class=auto|social|mesh] \
+    [backend=threads|sockets] [threads-per-pe=<n>] [output=<file>] \
+    [report=<file.json>] [trace=<file.json>] \
+    [telemetry=<file.ndjson>] [--monitor] [--recover] \
+    [max-retries=<n>] [checkpoint-every=<n>]";
+
+/// Why the run stopped: the exit code (2 — the invocation is wrong, 1 —
+/// the run or its I/O failed) and the one-line message for stderr.
+struct Failure(u8, String);
+
+fn invalid(msg: String) -> Failure {
+    Failure(2, msg)
+}
+
+fn failed(msg: String) -> Failure {
+    Failure(1, msg)
+}
 
 fn arg(args: &[String], key: &str) -> Option<String> {
     args.iter()
         .find_map(|a| a.strip_prefix(&format!("{key}=")).map(|v| v.to_string()))
 }
 
-/// Enables live publication on `obs` and spawns the aggregating monitor:
-/// NDJSON to `telemetry_path` (or discarded when only the table was
-/// asked for), straggler table to stderr when `render` is set.
-fn start_monitor(
-    obs: &std::sync::Arc<pgp::pgp_obs::Obs>,
-    telemetry_path: Option<&str>,
-    render: bool,
-) -> std::io::Result<pgp::pgp_obs::LiveMonitor> {
-    obs.enable_live();
-    let out: Box<dyn std::io::Write + Send> = match telemetry_path {
-        Some(path) => Box::new(std::fs::File::create(path)?),
-        None => Box::new(std::io::sink()),
-    };
-    let cfg = pgp::pgp_obs::LiveMonitorConfig {
-        render,
-        ..Default::default()
-    };
-    pgp::pgp_obs::LiveMonitor::spawn(std::sync::Arc::clone(obs), cfg, out)
-}
-
-/// Stops the monitor (final slot sweep + `summary` line) and reports
-/// what it streamed.
-fn finish_monitor(monitor: pgp::pgp_obs::LiveMonitor, telemetry_path: Option<&str>) {
-    match monitor.finish() {
-        Ok(stats) => {
-            if let Some(path) = telemetry_path {
-                eprintln!(
-                    "wrote telemetry {path}: {} snapshot(s), {} alert(s)",
-                    stats.snapshots, stats.alerts
-                );
-            }
-        }
-        Err(e) => eprintln!("warning: telemetry stream failed: {e}"),
+/// The value of `key=<value>` as a `T`, or `default` when the key is
+/// absent. A value that is present but does not parse is an error naming
+/// the key — never the default: a typo must not run a different experiment.
+fn parsed<T: FromStr>(args: &[String], key: &str, default: T) -> Result<T, Failure> {
+    match arg(args, key) {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| invalid(format!("error: invalid {key}={v}"))),
     }
 }
 
+fn flag(args: &[String], key: &str) -> bool {
+    arg(args, key).is_some_and(|v| v != "0")
+}
+
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    match run(std::env::args().skip(1).collect()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Failure(code, msg)) => {
+            eprintln!("{msg}");
+            ExitCode::from(code)
+        }
+    }
+}
+
+fn run(mut args: Vec<String>) -> Result<(), Failure> {
     // Normalize the conventional `--flag <path>` spellings into the
     // `key=value` form before positional-argument detection.
-    for flag in [
+    for key in [
         "report",
         "trace",
         "backend",
@@ -113,157 +123,99 @@ fn main() -> ExitCode {
         "checkpoint-every",
         "telemetry",
     ] {
-        if let Some(i) = args.iter().position(|a| a == &format!("--{flag}")) {
+        if let Some(i) = args.iter().position(|a| a == &format!("--{key}")) {
             if i + 1 >= args.len() {
-                eprintln!("error: --{flag} requires a value argument");
-                return ExitCode::from(2);
+                return Err(invalid(format!("error: --{key} requires a value argument")));
             }
-            let flag_value = args.remove(i + 1);
-            args[i] = format!("{flag}={flag_value}");
+            let value = args.remove(i + 1);
+            args[i] = format!("{key}={value}");
         }
     }
     // `--recover` and `--monitor` are boolean switches, not value flags.
-    if let Some(i) = args.iter().position(|a| a == "--recover") {
-        args[i] = "recover=1".to_string();
-    }
-    if let Some(i) = args.iter().position(|a| a == "--monitor") {
-        args[i] = "monitor=1".to_string();
+    for switch in ["recover", "monitor"] {
+        if let Some(i) = args.iter().position(|a| a == &format!("--{switch}")) {
+            args[i] = format!("{switch}=1");
+        }
     }
     let Some(path) = args.iter().find(|a| !a.contains('=')) else {
-        eprintln!(
-            "usage: pgp-partition <graph.metis> k=<blocks> [preset=fast|eco|minimal] \
-             [p=<PEs>] [eps=0.03] [seed=0] [class=auto|social|mesh] \
-             [backend=threads|sockets] [threads-per-pe=<n>] [output=<file>] \
-             [report=<file.json>] [trace=<file.json>] \
-             [telemetry=<file.ndjson>] [--monitor] [--recover] \
-             [max-retries=<n>] [checkpoint-every=<n>]"
-        );
-        return ExitCode::from(2);
+        return Err(invalid(USAGE.to_string()));
     };
-    let Some(k) = arg(&args, "k").and_then(|v| v.parse::<usize>().ok()) else {
-        eprintln!("error: missing or invalid k=<blocks>");
-        return ExitCode::from(2);
-    };
-
-    let graph = match read_metis_file(path) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!("read {path}: n = {}, m = {}", graph.n(), graph.m());
-
-    // Class: explicit, or inferred from the degree distribution the way
-    // Table I classifies instances.
-    let class = match arg(&args, "class").as_deref() {
-        Some("social") => GraphClass::Social,
-        Some("mesh") => GraphClass::Mesh,
-        Some("auto") | None => {
-            let stats = GraphStats::compute(&graph, 256);
-            let c = if stats.looks_like_complex_network() {
-                GraphClass::Social
-            } else {
-                GraphClass::Mesh
-            };
-            eprintln!(
-                "class=auto: degree skew {:.1} -> {:?}",
-                stats.degree_skew, c
-            );
-            c
-        }
-        Some(other) => {
-            eprintln!("error: unknown class '{other}'");
-            return ExitCode::from(2);
-        }
-    };
+    if arg(&args, "k").is_none() {
+        return Err(invalid("error: missing k=<blocks>".to_string()));
+    }
+    let k: usize = parsed(&args, "k", 0)?;
+    let p: usize = parsed(&args, "p", 4)?;
+    let seed: u64 = parsed(&args, "seed", 0)?;
+    let eps: f64 = parsed(&args, "eps", 0.03)?;
+    let threads_per_pe: usize = parsed(&args, "threads-per-pe", 1)?;
+    let backend: BackendKind = parsed(&args, "backend", BackendKind::Threads)?;
+    let max_retries: u32 = parsed(&args, "max-retries", RecoveryLimits::default().max_retries)?;
+    let checkpoint_every: usize = parsed(&args, "checkpoint-every", 1)?;
     let preset = match arg(&args, "preset").as_deref() {
         Some("eco") => Preset::Eco,
         Some("minimal") => Preset::Minimal,
         Some("fast") | None => Preset::Fast,
-        Some(other) => {
-            eprintln!("error: unknown preset '{other}'");
-            return ExitCode::from(2);
-        }
+        Some(other) => return Err(invalid(format!("error: invalid preset={other}"))),
     };
-    let p: usize = arg(&args, "p").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let seed: u64 = arg(&args, "seed").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let eps: f64 = arg(&args, "eps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.03);
-
-    let threads_per_pe: usize = arg(&args, "threads-per-pe")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let backend = match arg(&args, "backend").as_deref().map(str::parse) {
-        None => pgp::pgp_dmp::BackendKind::Threads,
-        Some(Ok(b)) => b,
-        Some(Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+    let class = match arg(&args, "class").as_deref() {
+        Some("social") => Some(GraphClass::Social),
+        Some("mesh") => Some(GraphClass::Mesh),
+        Some("auto") | None => None,
+        Some(other) => return Err(invalid(format!("error: invalid class={other}"))),
     };
 
-    let recover = arg(&args, "recover").is_some_and(|v| v != "0");
-    let max_retries: u32 = arg(&args, "max-retries")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| RecoveryLimits::default().max_retries);
-    let checkpoint_every: usize = arg(&args, "checkpoint-every")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let graph = read_metis_file(path).map_err(|e| failed(format!("error reading {path}: {e}")))?;
+    eprintln!("read {path}: n = {}, m = {}", graph.n(), graph.m());
+
+    // Class: explicit, or inferred from the degree distribution the way
+    // Table I classifies instances.
+    let class = class.unwrap_or_else(|| {
+        let stats = GraphStats::compute(&graph, 256);
+        let c = if stats.looks_like_complex_network() {
+            GraphClass::Social
+        } else {
+            GraphClass::Mesh
+        };
+        eprintln!(
+            "class=auto: degree skew {:.1} -> {:?}",
+            stats.degree_skew, c
+        );
+        c
+    });
 
     let mut cfg = ParhipConfig::preset(preset, k, class, seed);
     cfg.eps = eps;
-    cfg.backend = backend;
-    cfg.threads_per_pe = threads_per_pe;
     cfg.checkpoint = CheckpointPolicy::every(checkpoint_every);
-    let report_path = arg(&args, "report");
-    let trace_path = arg(&args, "trace");
-    let telemetry_path = arg(&args, "telemetry");
-    let monitor_on = arg(&args, "monitor").is_some_and(|v| v != "0");
-    let live = telemetry_path.is_some() || monitor_on;
-    let t0 = std::time::Instant::now();
-    let (partition, stats) = if recover {
-        let obs = if trace_path.is_some() {
-            Some(pgp::pgp_obs::Obs::with_trace(
-                p,
-                pgp::pgp_obs::DEFAULT_TRACE_CAPACITY,
-            ))
-        } else if report_path.is_some() || live {
-            Some(pgp::pgp_obs::Obs::new(p))
-        } else {
-            None
-        };
-        let monitor = match &obs {
-            Some(obs) if live => {
-                obs.set_backend(backend.name());
-                match start_monitor(obs, telemetry_path.as_deref(), monitor_on) {
-                    Ok(m) => Some(m),
-                    Err(e) => {
-                        eprintln!("error starting telemetry stream: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            _ => None,
-        };
-        let run = pgp::pgp_dmp::RunConfig {
-            backend: cfg.backend,
-            obs: obs.clone(),
-            ..Default::default()
-        };
-        let limits = RecoveryLimits {
+    let outputs = ObsOutputs {
+        report: arg(&args, "report"),
+        trace: arg(&args, "trace"),
+        telemetry: arg(&args, "telemetry"),
+        monitor: flag(&args, "monitor"),
+    };
+    // No recorder unless an output needs one: the plain run pays nothing.
+    let session = outputs
+        .any()
+        .then(|| outputs.open(p, backend.name()))
+        .transpose()
+        .map_err(|e| failed(format!("error starting observation: {e}")))?;
+    let mut partitioner = Partitioner::new(&cfg).run(RunConfig {
+        backend,
+        threads_per_pe,
+        obs: session.as_ref().map(|s| s.obs.clone()),
+        ..Default::default()
+    });
+    if flag(&args, "recover") {
+        partitioner = partitioner.supervised(RecoveryLimits {
             max_retries,
             ..RecoveryLimits::default()
-        };
-        let (partition, stats, recovery) =
-            match partition_parallel_supervised(&graph, p, &cfg, run, limits) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: recovery budget exhausted: {e:?}");
-                    return ExitCode::FAILURE;
-                }
-            };
+        });
+    }
+    let t0 = std::time::Instant::now();
+    let out = partitioner.partition(&graph, p).map_err(|e| match e {
+        PartitionError::Comm(_) => failed(format!("error: {e}")),
+        _ => invalid(format!("error: {e}")),
+    })?;
+    if let Some(recovery) = &out.recovery {
         eprintln!(
             "recovery: {} attempt(s), {} transient retries, {} full recoveries, \
              dead ranks {:?}, {} lost V-cycle(s)",
@@ -273,99 +225,30 @@ fn main() -> ExitCode {
             recovery.dead_ranks,
             recovery.lost_cycles
         );
-        // Stop the monitor before assembling the report so every alert
-        // it raised (including ones from the final slot sweep) is in the
-        // report's `alerts` block.
-        if let Some(monitor) = monitor {
-            finish_monitor(monitor, telemetry_path.as_deref());
-        }
-        if let Some(obs) = &obs {
-            if let Some(trace_path) = &trace_path {
-                let trace = obs.trace().expect("registry was built with tracing on");
-                if let Err(e) = std::fs::write(trace_path, pgp::pgp_obs::to_perfetto_json(&trace)) {
-                    eprintln!("error writing {trace_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("wrote trace {trace_path}");
-            }
-            if let Some(report_path) = &report_path {
-                if let Err(e) = std::fs::write(report_path, obs.report().to_json(false)) {
-                    eprintln!("error writing {report_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("wrote run report {report_path}");
-            }
-        }
-        (partition, stats)
-    } else if live || trace_path.is_some() || report_path.is_some() {
-        let obs = if trace_path.is_some() {
-            pgp::pgp_obs::Obs::with_trace(p, pgp::pgp_obs::DEFAULT_TRACE_CAPACITY)
-        } else {
-            pgp::pgp_obs::Obs::new(p)
-        };
-        let monitor = if live {
-            obs.set_backend(backend.name());
-            match start_monitor(&obs, telemetry_path.as_deref(), monitor_on) {
-                Ok(m) => Some(m),
-                Err(e) => {
-                    eprintln!("error starting telemetry stream: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            None
-        };
-        let (partition, stats) =
-            partition_parallel_with_obs(&graph, p, &cfg, std::sync::Arc::clone(&obs));
-        // Monitor first (final slot sweep + summary line), then the
-        // report, so streamed aggregates and report counters agree and
-        // every alert is in both.
-        if let Some(monitor) = monitor {
-            finish_monitor(monitor, telemetry_path.as_deref());
-        }
-        if let Some(trace_path) = &trace_path {
-            let trace = obs.trace().expect("registry was built with tracing on");
-            if let Err(e) = std::fs::write(trace_path, pgp::pgp_obs::to_perfetto_json(&trace)) {
-                eprintln!("error writing {trace_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote trace {trace_path}");
-        }
-        if let Some(report_path) = &report_path {
-            if let Err(e) = std::fs::write(report_path, obs.report().to_json(false)) {
-                eprintln!("error writing {report_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote run report {report_path}");
-        }
-        (partition, stats)
-    } else {
-        partition_parallel(&graph, p, &cfg)
-    };
+    }
+    if let Some(session) = session {
+        session
+            .finish()
+            .map_err(|e| failed(format!("error writing {e}")))?;
+    }
+    let partition = out.partition;
     eprintln!(
         "partitioned in {:.2}s wall: cut = {}, imbalance = {:.4} ({} levels, coarsest n = {})",
         t0.elapsed().as_secs_f64(),
         partition.edge_cut(&graph),
         partition.imbalance(&graph),
-        stats.levels,
-        stats.coarsest_n
+        out.stats.levels,
+        out.stats.coarsest_n
     );
     if let Err(e) = partition.validate(&graph, eps) {
         eprintln!("warning: balance constraint not met exactly: {e}");
     }
 
     let output = arg(&args, "output").unwrap_or_else(|| format!("{path}.part.{k}"));
-    let file = match std::fs::File::create(&output) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error creating {output}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = write_partition(&partition, file) {
-        eprintln!("error writing {output}: {e}");
-        return ExitCode::FAILURE;
-    }
+    let file = std::fs::File::create(&output)
+        .map_err(|e| failed(format!("error creating {output}: {e}")))?;
+    write_partition(&partition, file)
+        .map_err(|e| failed(format!("error writing {output}: {e}")))?;
     eprintln!("wrote {output}");
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -1,7 +1,7 @@
 //! Integration tests of the comparison story: who wins where, and how the
 //! baseline fails — the claims behind Tables II/III.
 
-use pgp::parhip::{partition_parallel, GraphClass, ParhipConfig};
+use pgp::parhip::{GraphClass, ParhipConfig, Partitioner};
 use pgp::pgp_baselines::{parmetis_like, BaselineError, ParmetisLikeConfig};
 
 fn parhip_cfg(k: usize, class: GraphClass, seed: u64) -> ParhipConfig {
@@ -17,7 +17,10 @@ fn parhip_cfg(k: usize, class: GraphClass, seed: u64) -> ParhipConfig {
 #[test]
 fn parhip_beats_matching_baseline_on_social() {
     let (g, _) = pgp::pgp_gen::sbm::sbm(3000, Default::default(), 5);
-    let (ph, _) = partition_parallel(&g, 4, &parhip_cfg(2, GraphClass::Social, 1));
+    let ph = Partitioner::new(&parhip_cfg(2, GraphClass::Social, 1))
+        .partition(&g, 4)
+        .expect("valid input")
+        .partition;
     let (pm, _) = parmetis_like(&g, 4, &ParmetisLikeConfig::new(2, 1)).expect("no memory model");
     let (a, b) = (ph.edge_cut(&g), pm.edge_cut(&g));
     assert!(
@@ -31,7 +34,10 @@ fn parhip_beats_matching_baseline_on_social() {
 #[test]
 fn gap_narrows_on_meshes() {
     let g = pgp::pgp_gen::mesh::grid2d(40, 40);
-    let (ph, _) = partition_parallel(&g, 4, &parhip_cfg(2, GraphClass::Mesh, 2));
+    let ph = Partitioner::new(&parhip_cfg(2, GraphClass::Mesh, 2))
+        .partition(&g, 4)
+        .expect("valid input")
+        .partition;
     let (pm, _) = parmetis_like(&g, 4, &ParmetisLikeConfig::new(2, 2)).expect("fits");
     let (a, b) = (ph.edge_cut(&g) as f64, pm.edge_cut(&g) as f64);
     assert!(
@@ -53,7 +59,10 @@ fn coarsening_stall_mechanism() {
     // ParHIP: cluster contraction.
     let mut ph_cfg = parhip_cfg(2, GraphClass::Social, 1);
     ph_cfg.coarsest_nodes_per_block = 100;
-    let (_, ph_stats) = partition_parallel(&g, 2, &ph_cfg);
+    let ph_stats = Partitioner::new(&ph_cfg)
+        .partition(&g, 2)
+        .expect("valid input")
+        .stats;
     assert!(
         ph_stats.coarsest_n * 4 <= pm_stats.coarsest_n.max(800),
         "cluster contraction ({}) should dwarf matching ({})",
@@ -99,7 +108,10 @@ fn rb_baseline_is_valid_but_dominated_on_social() {
     let rb =
         pgp::pgp_baselines::recursive_bisection(&g, 2, &pgp::pgp_baselines::RbConfig::new(4, 7));
     rb.validate(&g, 0.10).unwrap();
-    let (ph, _) = partition_parallel(&g, 2, &parhip_cfg(4, GraphClass::Social, 7));
+    let ph = Partitioner::new(&parhip_cfg(4, GraphClass::Social, 7))
+        .partition(&g, 2)
+        .expect("valid input")
+        .partition;
     assert!(
         ph.edge_cut(&g) as f64 <= rb.edge_cut(&g) as f64 * 1.05,
         "parhip {} should not lose to RB {}",
@@ -123,7 +135,10 @@ fn infeasible_eps_is_best_effort_not_a_crash() {
     let mut cfg = ParhipConfig::fast(2, GraphClass::Social, 1);
     cfg.coarsest_nodes_per_block = 1;
     cfg.eps = 0.0;
-    let (p, _) = partition_parallel(&g, 1, &cfg);
+    let p = Partitioner::new(&cfg)
+        .partition(&g, 1)
+        .expect("valid input")
+        .partition;
     // The heavy node alone exceeds Lmax = 4; the system must still produce
     // a complete assignment.
     assert_eq!(p.assignment().len(), 3);

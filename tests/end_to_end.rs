@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full parallel system on every
 //! generator family, across k and p.
 
-use pgp::parhip::{partition_parallel, GraphClass, ParhipConfig};
+use pgp::parhip::{GraphClass, ParhipConfig, Partitioned, Partitioner};
 use pgp::pgp_graph::CsrGraph;
 
 fn cfg(k: usize, class: GraphClass, seed: u64) -> ParhipConfig {
@@ -61,7 +61,13 @@ fn all_generators() -> Vec<(&'static str, CsrGraph, GraphClass)> {
 fn every_generator_partitions_validly() {
     for (name, g, class) in all_generators() {
         for k in [2usize, 8] {
-            let (p, stats) = partition_parallel(&g, 2, &cfg(k, class, 7));
+            let Partitioned {
+                partition: p,
+                stats,
+                ..
+            } = Partitioner::new(&cfg(k, class, 7))
+                .partition(&g, 2)
+                .expect("valid input");
             p.validate(&g, 0.03)
                 .unwrap_or_else(|e| panic!("{name} k={k}: {e}"));
             assert!(stats.cut > 0 || p.nonempty_blocks() == 1, "{name} k={k}");
@@ -74,7 +80,10 @@ fn every_generator_partitions_validly() {
 fn pe_counts_all_give_valid_results() {
     let (g, _) = pgp::pgp_gen::sbm::sbm(1000, Default::default(), 5);
     for p in [1usize, 2, 3, 4, 6] {
-        let (part, _) = partition_parallel(&g, p, &cfg(4, GraphClass::Social, 9));
+        let part = Partitioner::new(&cfg(4, GraphClass::Social, 9))
+            .partition(&g, p)
+            .expect("valid input")
+            .partition;
         part.validate(&g, 0.03)
             .unwrap_or_else(|e| panic!("p = {p}: {e}"));
     }
@@ -84,21 +93,33 @@ fn pe_counts_all_give_valid_results() {
 fn determinism_per_seed_and_p() {
     let g = pgp::pgp_gen::delaunay::delaunay_x(10, 2);
     let c = cfg(4, GraphClass::Mesh, 31);
-    let (a, _) = partition_parallel(&g, 3, &c);
-    let (b, _) = partition_parallel(&g, 3, &c);
+    let a = Partitioner::new(&c)
+        .partition(&g, 3)
+        .expect("valid input")
+        .partition;
+    let b = Partitioner::new(&c)
+        .partition(&g, 3)
+        .expect("valid input")
+        .partition;
     assert_eq!(a.assignment(), b.assignment());
     // Different seeds give different partitions (with overwhelming
     // probability).
     let mut c2 = c.clone();
     c2.seed = 32;
-    let (d, _) = partition_parallel(&g, 3, &c2);
+    let d = Partitioner::new(&c2)
+        .partition(&g, 3)
+        .expect("valid input")
+        .partition;
     assert_ne!(a.assignment(), d.assignment());
 }
 
 #[test]
 fn quality_beats_hash_partitioning_on_social_graphs() {
     let (g, _) = pgp::pgp_gen::sbm::sbm(2000, Default::default(), 11);
-    let (part, _) = partition_parallel(&g, 4, &cfg(8, GraphClass::Social, 1));
+    let part = Partitioner::new(&cfg(8, GraphClass::Social, 1))
+        .partition(&g, 4)
+        .expect("valid input")
+        .partition;
     let hash = pgp::pgp_baselines::hash_partition(&g, 8, 1);
     assert!(
         part.edge_cut(&g) * 2 < hash.edge_cut(&g),
@@ -122,8 +143,16 @@ fn eco_at_least_as_good_as_fast_on_average() {
         let mut e = ParhipConfig::eco(4, GraphClass::Social, seed);
         e.coarsest_nodes_per_block = 50;
         e.deterministic = true;
-        fast_total += partition_parallel(&g, 2, &f).0.edge_cut(&g);
-        eco_total += partition_parallel(&g, 2, &e).0.edge_cut(&g);
+        fast_total += Partitioner::new(&f)
+            .partition(&g, 2)
+            .expect("valid input")
+            .partition
+            .edge_cut(&g);
+        eco_total += Partitioner::new(&e)
+            .partition(&g, 2)
+            .expect("valid input")
+            .partition
+            .edge_cut(&g);
     }
     assert!(
         eco_total <= fast_total,
@@ -141,7 +170,10 @@ fn weighted_input_graphs_respect_weighted_balance() {
         b.push_edge(u, v, w);
     }
     let g = b.node_weights(weights).build();
-    let (part, _) = partition_parallel(&g, 3, &cfg(4, GraphClass::Mesh, 17));
+    let part = Partitioner::new(&cfg(4, GraphClass::Mesh, 17))
+        .partition(&g, 3)
+        .expect("valid input")
+        .partition;
     part.validate(&g, 0.03).unwrap();
 }
 
@@ -151,7 +183,10 @@ fn k_larger_than_coarsest_limit_still_works() {
     let mut c = ParhipConfig::fast(32, GraphClass::Social, 3);
     c.coarsest_nodes_per_block = 10; // stop at 320 nodes for k = 32
     c.deterministic = true;
-    let (part, _) = partition_parallel(&g, 2, &c);
+    let part = Partitioner::new(&c)
+        .partition(&g, 2)
+        .expect("valid input")
+        .partition;
     part.validate(&g, 0.05).unwrap();
     assert_eq!(part.nonempty_blocks(), 32);
 }

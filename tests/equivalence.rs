@@ -98,7 +98,10 @@ fn quotient_graph_consistency_on_pipeline_output() {
     let mut cfg = pgp::parhip::ParhipConfig::fast(6, pgp::parhip::GraphClass::Mesh, 3);
     cfg.coarsest_nodes_per_block = 40;
     cfg.deterministic = true;
-    let (part, _) = pgp::parhip::partition_parallel(&g, 2, &cfg);
+    let part = pgp::parhip::Partitioner::new(&cfg)
+        .partition(&g, 2)
+        .expect("valid input")
+        .partition;
     let q = pgp::pgp_graph::QuotientGraph::build(&g, &part);
     assert_eq!(q.total_cut(), part.edge_cut(&g));
     assert!(q.max_quotient_degree() <= 5); // ≤ k−1 neighbouring blocks

@@ -62,7 +62,7 @@ fn comm_volume_objective_steers_selection() {
 /// first V-cycle").
 #[test]
 fn prepartition_public_api() {
-    use pgp::parhip::{partition_parallel_with_input, GraphClass, ParhipConfig};
+    use pgp::parhip::{GraphClass, ParhipConfig, Partitioner};
     let (g, _) = pgp::pgp_gen::sbm::sbm(900, Default::default(), 31);
     let k = 4;
     let input = pgp::pgp_baselines::hash_partition(&g, k, 3);
@@ -70,7 +70,11 @@ fn prepartition_public_api() {
     let mut cfg = ParhipConfig::fast(k, GraphClass::Social, 7);
     cfg.coarsest_nodes_per_block = 50;
     cfg.deterministic = true;
-    let (p, _) = partition_parallel_with_input(&g, 2, &cfg, &input);
+    let p = Partitioner::new(&cfg)
+        .prepartition(&input)
+        .partition(&g, 2)
+        .expect("valid input")
+        .partition;
     assert!(
         p.edge_cut(&g) < input_cut / 2,
         "{} vs input {input_cut}",

@@ -5,19 +5,18 @@
 //! the resource-sample contracts: per-PE peak RSS in the stream is
 //! monotone and nonzero, and the report embeds a closing sample.
 
-use pgp::parhip::{partition_parallel_with_obs, GraphClass, ParhipConfig};
-use pgp::pgp_dmp::BackendKind;
+use pgp::parhip::{GraphClass, ParhipConfig, Partitioner};
+use pgp::pgp_dmp::{BackendKind, RunConfig};
 use pgp::pgp_obs::{
     check_stream_matches_report, validate_live_stream, LiveMonitor, LiveMonitorConfig,
     MetricSnapshot, Obs,
 };
 use std::sync::Arc;
 
-fn cfg(k: usize, seed: u64, backend: BackendKind) -> ParhipConfig {
+fn cfg(k: usize, seed: u64) -> ParhipConfig {
     let mut c = ParhipConfig::fast(k, GraphClass::Social, seed);
     c.coarsest_nodes_per_block = 50;
     c.deterministic = true;
-    c.backend = backend;
     c
 }
 
@@ -54,7 +53,7 @@ fn live_run(
     backend: BackendKind,
     seed: u64,
 ) -> (String, pgp::pgp_obs::RunReport) {
-    let c = cfg(4, seed, backend);
+    let c = cfg(4, seed);
     let obs = Obs::new(p);
     obs.set_backend(backend.name());
     obs.enable_live();
@@ -65,7 +64,15 @@ fn live_run(
         Box::new(buf.clone()),
     )
     .expect("spawn live monitor");
-    let (_partition, _stats) = partition_parallel_with_obs(graph, p, &c, Arc::clone(&obs));
+    let run = RunConfig {
+        backend,
+        obs: Some(Arc::clone(&obs)),
+        ..Default::default()
+    };
+    Partitioner::new(&c)
+        .run(run)
+        .partition(graph, p)
+        .expect("valid input");
     let stats = monitor.finish().expect("monitor stream");
     assert!(stats.snapshots > 0, "run streamed no snapshots at all");
     (buf.text(), obs.report())

@@ -4,8 +4,8 @@
 //! exactly, both fault-free and under a chaos delay/reorder plan. Injected
 //! drops are accounted on their own counter and excluded from the balance.
 
-use pgp::parhip::{parhip_distributed, GraphClass, ParhipConfig};
-use pgp::pgp_dmp::{collectives::allgatherv, DistGraph, Obs, RunConfig};
+use pgp::parhip::{GraphClass, ParhipConfig, Partitioner};
+use pgp::pgp_dmp::{Obs, RunConfig};
 use pgp::pgp_obs::RunReport;
 use pgp_chaos::FaultPlan;
 use std::sync::Arc;
@@ -58,14 +58,10 @@ fn assert_conservation(report: &RunReport) {
 fn observed_run(rc: RunConfig, obs: Arc<Obs>, p: usize, seed: u64) -> RunReport {
     let (g, _) = pgp::pgp_gen::sbm::sbm(800, Default::default(), seed);
     let c = cfg(4, seed);
-    let results = pgp::pgp_dmp::run_config(p, rc, |comm| {
-        let dg = DistGraph::from_global(comm, &g);
-        let (local, _stats) = parhip_distributed(comm, &dg, &c);
-        allgatherv(comm, local)
-    });
-    for (rank, r) in results.iter().enumerate() {
-        assert!(r.is_ok(), "PE {rank} failed structurally: {r:?}");
-    }
+    Partitioner::new(&c)
+        .run(rc)
+        .partition(&g, p)
+        .expect("no PE may fail structurally");
     obs.report()
 }
 

@@ -5,12 +5,9 @@
 //! structure, level metrics, or refinement quality shows up here as a
 //! one-byte diff.
 
-use pgp::parhip::{
-    parhip_distributed_resume, partition_parallel_observed, partition_parallel_with_store,
-    CheckpointStore, GraphClass, ParhipConfig,
-};
-use pgp::pgp_dmp::{collectives::allgatherv, DistGraph, Obs, RunConfig};
-use pgp::pgp_graph::{CsrGraph, Node};
+use pgp::parhip::{CheckpointStore, GraphClass, ParhipConfig, Partitioner, VCycleCheckpoint};
+use pgp::pgp_dmp::{Obs, RunConfig};
+use pgp::pgp_graph::{CsrGraph, Partition};
 use pgp::pgp_obs::{RunReport, SCHEMA_VERSION};
 use std::sync::Arc;
 
@@ -21,12 +18,29 @@ fn cfg(k: usize, seed: u64) -> ParhipConfig {
     c
 }
 
+fn recording(obs: &Arc<Obs>) -> RunConfig {
+    RunConfig {
+        obs: Some(Arc::clone(obs)),
+        ..Default::default()
+    }
+}
+
+/// One run under a fresh recorder: the partition and its report.
+fn observed(g: &CsrGraph, p: usize, c: &ParhipConfig) -> (Partition, RunReport) {
+    let obs = Obs::new(p);
+    let out = Partitioner::new(c)
+        .run(recording(&obs))
+        .partition(g, p)
+        .expect("valid input");
+    (out.partition, obs.report())
+}
+
 #[test]
 fn same_seed_same_report() {
     let (g, _) = pgp::pgp_gen::sbm::sbm(700, Default::default(), 5);
     let c = cfg(4, 23);
-    let (p1, _, r1) = partition_parallel_observed(&g, 4, &c);
-    let (p2, _, r2) = partition_parallel_observed(&g, 4, &c);
+    let (p1, r1) = observed(&g, 4, &c);
+    let (p2, r2) = observed(&g, 4, &c);
     assert_eq!(p1.assignment(), p2.assignment(), "partition nondeterminism");
     let j1 = r1.to_json(true);
     let j2 = r2.to_json(true);
@@ -37,7 +51,7 @@ fn same_seed_same_report() {
 #[test]
 fn report_json_roundtrips_on_a_real_run() {
     let (g, _) = pgp::pgp_gen::sbm::sbm(500, Default::default(), 7);
-    let (_, _, report) = partition_parallel_observed(&g, 2, &cfg(2, 29));
+    let (_, report) = observed(&g, 2, &cfg(2, 29));
     // With timings kept: parse must re-derive the identical report.
     let parsed = RunReport::from_json(&report.to_json(false)).expect("parse own output");
     assert_eq!(parsed, report);
@@ -48,30 +62,32 @@ fn report_json_roundtrips_on_a_real_run() {
 }
 
 /// Observed resume: replays cycles `start.cycle + 1..` from the snapshot
-/// under a recorder, returning the final assignment and the zeroed report.
+/// under a recorder, returning the final partition and the zeroed report.
+/// (A resumed run keeps checkpointing, so each resume gets its own store.)
 fn observed_resume(
     g: &CsrGraph,
     p: usize,
     c: &ParhipConfig,
-    store: &CheckpointStore,
-) -> (Vec<Node>, String) {
-    let checkpoint = store.latest().expect("store holds a snapshot");
+    start: &VCycleCheckpoint,
+) -> (Partition, String) {
+    let store = CheckpointStore::new();
+    store.save(start.clone());
     let obs = Obs::new(p);
-    let rc = RunConfig {
-        obs: Some(Arc::clone(&obs)),
-        ..Default::default()
-    };
-    let results = pgp::pgp_dmp::run_config(p, rc, |comm| {
-        let dg = DistGraph::from_global(comm, g);
-        let (local, _stats) = parhip_distributed_resume(comm, &dg, c, &checkpoint, None);
-        allgatherv(comm, local)
-    });
-    let assignment = results
-        .into_iter()
-        .next()
-        .expect("at least one PE")
-        .expect("fault-free resume cannot fail structurally");
-    (assignment, obs.report().to_json(true))
+    let out = Partitioner::new(c)
+        .run(recording(&obs))
+        .store(&store)
+        .resume()
+        .partition(g, p)
+        .expect("the store holds a snapshot");
+    (out.partition, obs.report().to_json(true))
+}
+
+fn stored(g: &CsrGraph, p: usize, c: &ParhipConfig, store: &CheckpointStore) -> Partition {
+    Partitioner::new(c)
+        .store(store)
+        .partition(g, p)
+        .expect("valid input")
+        .partition
 }
 
 /// The report is deterministic across the checkpoint/resume path too: two
@@ -83,27 +99,21 @@ fn golden_report_across_checkpoint_resume() {
     let mut c = cfg(2, 31);
     c.vcycles = 3;
     let full_store = CheckpointStore::new();
-    let (full, _) = partition_parallel_with_store(&g, 2, &c, &full_store);
+    let full = stored(&g, 2, &c, &full_store);
     // The snapshot a fault would have left after cycle 0: a 1-cycle run of
     // the same config computes identical cycle-0 state (`vcycles` is only
     // the loop bound); patch the config fingerprint accordingly.
     let mut one = c.clone();
     one.vcycles = 1;
     let early_store = CheckpointStore::new();
-    let _ = partition_parallel_with_store(&g, 2, &one, &early_store);
+    let _ = stored(&g, 2, &one, &early_store);
     let mut cycle0 = early_store.latest().expect("cycle-0 snapshot");
     assert_eq!(cycle0.cycle, 0);
-    cycle0.config_fingerprint = c.fingerprint();
-    let store = CheckpointStore::new();
-    store.save(cycle0);
+    cycle0.config_fingerprint = c.fingerprint(1);
 
-    let (a1, j1) = observed_resume(&g, 2, &c, &store);
-    let (a2, j2) = observed_resume(&g, 2, &c, &store);
+    let (a1, j1) = observed_resume(&g, 2, &c, &cycle0);
+    let (a2, j2) = observed_resume(&g, 2, &c, &cycle0);
     assert_eq!(a1, a2, "resumed partition nondeterminism");
     assert_eq!(j1, j2, "RunReport differs between identical resumes");
-    assert_eq!(
-        a1,
-        full.assignment(),
-        "resume diverged from the uninterrupted run"
-    );
+    assert_eq!(a1, full, "resume diverged from the uninterrupted run");
 }

@@ -1,6 +1,6 @@
 //! Workspace-level property tests: the full pipeline on arbitrary inputs.
 
-use pgp::parhip::{partition_parallel, GraphClass, ParhipConfig};
+use pgp::parhip::{GraphClass, ParhipConfig, Partitioner};
 use pgp::pgp_graph::{CsrGraph, GraphBuilder};
 use proptest::prelude::*;
 
@@ -30,7 +30,7 @@ proptest! {
         let mut cfg = ParhipConfig::fast(k, GraphClass::Social, seed);
         cfg.coarsest_nodes_per_block = 8;
         cfg.deterministic = true;
-        let (part, _) = partition_parallel(&g, p, &cfg);
+        let part = Partitioner::new(&cfg).partition(&g, p).expect("valid input").partition;
         prop_assert_eq!(part.assignment().len(), g.n());
         // Balance at the configured eps; tiny graphs may round awkwardly,
         // so accept the ceiling-based bound with one max-node-weight slack.

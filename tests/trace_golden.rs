@@ -6,13 +6,10 @@
 //! `RunTrace::event_signature`); everything else diverging shows up here
 //! as a line diff. The Perfetto export is also structurally validated.
 
-use pgp::parhip::{
-    parhip_distributed_resume, partition_parallel_traced, partition_parallel_with_store,
-    CheckpointStore, GraphClass, ParhipConfig,
-};
-use pgp::pgp_dmp::{collectives::allgatherv, DistGraph, Obs, RunConfig};
-use pgp::pgp_graph::{CsrGraph, Node};
-use pgp::pgp_obs::{to_perfetto_json, validate_perfetto, RunTrace};
+use pgp::parhip::{CheckpointStore, GraphClass, ParhipConfig, Partitioner, VCycleCheckpoint};
+use pgp::pgp_dmp::{Obs, RunConfig};
+use pgp::pgp_graph::{CsrGraph, Partition};
+use pgp::pgp_obs::{to_perfetto_json, validate_perfetto, RunTrace, DEFAULT_TRACE_CAPACITY};
 use std::sync::Arc;
 
 fn cfg(k: usize, seed: u64) -> ParhipConfig {
@@ -22,12 +19,28 @@ fn cfg(k: usize, seed: u64) -> ParhipConfig {
     c
 }
 
+/// A `Partitioner` for `c` recording event rings into `obs`.
+fn tracing<'a>(c: &'a ParhipConfig, obs: &Arc<Obs>) -> Partitioner<'a> {
+    Partitioner::new(c).run(RunConfig {
+        obs: Some(Arc::clone(obs)),
+        ..Default::default()
+    })
+}
+
+/// One run under a fresh tracing recorder: the partition and its trace.
+fn traced(g: &CsrGraph, p: usize, c: &ParhipConfig) -> (Partition, RunTrace) {
+    let obs = Obs::with_trace(p, DEFAULT_TRACE_CAPACITY);
+    let out = tracing(c, &obs).partition(g, p).expect("valid input");
+    let trace = obs.trace().expect("registry was built with tracing on");
+    (out.partition, trace)
+}
+
 #[test]
 fn same_seed_same_event_sequence() {
     let (g, _) = pgp::pgp_gen::sbm::sbm(600, Default::default(), 5);
     let c = cfg(4, 23);
-    let (p1, _, _, t1) = partition_parallel_traced(&g, 4, &c, None);
-    let (p2, _, _, t2) = partition_parallel_traced(&g, 4, &c, None);
+    let (p1, t1) = traced(&g, 4, &c);
+    let (p2, t2) = traced(&g, 4, &c);
     assert_eq!(p1.assignment(), p2.assignment(), "partition nondeterminism");
     assert_eq!(
         t1.event_signature(),
@@ -35,7 +48,7 @@ fn same_seed_same_event_sequence() {
         "trace event sequence differs between identical runs"
     );
     // A different seed records a different message pattern.
-    let (_, _, _, t3) = partition_parallel_traced(&g, 4, &cfg(4, 24), None);
+    let (_, t3) = traced(&g, 4, &cfg(4, 24));
     assert_ne!(
         t1.event_signature(),
         t3.event_signature(),
@@ -46,7 +59,7 @@ fn same_seed_same_event_sequence() {
 #[test]
 fn perfetto_export_of_a_real_run_validates() {
     let (g, _) = pgp::pgp_gen::sbm::sbm(500, Default::default(), 7);
-    let (_, _, _, trace) = partition_parallel_traced(&g, 2, &cfg(2, 29), None);
+    let (_, trace) = traced(&g, 2, &cfg(2, 29));
     let json = to_perfetto_json(&trace);
     let summary = validate_perfetto(&json).expect("real-run trace must validate");
     // Two PE tracks, a non-trivial number of events, resolvable flows.
@@ -58,31 +71,32 @@ fn perfetto_export_of_a_real_run_validates() {
 }
 
 /// Traced resume: replays cycles `start.cycle + 1..` from the snapshot
-/// under a tracing recorder, returning the assignment and the trace.
+/// under a tracing recorder, returning the partition and the trace. (A
+/// resumed run keeps checkpointing, so each resume gets its own store.)
 fn traced_resume(
     g: &CsrGraph,
     p: usize,
     c: &ParhipConfig,
-    store: &CheckpointStore,
-) -> (Vec<Node>, RunTrace) {
-    let checkpoint = store.latest().expect("store holds a snapshot");
-    let obs = Obs::with_trace(p, pgp::pgp_obs::DEFAULT_TRACE_CAPACITY);
-    let rc = RunConfig {
-        obs: Some(Arc::clone(&obs)),
-        ..Default::default()
-    };
-    let results = pgp::pgp_dmp::run_config(p, rc, |comm| {
-        let dg = DistGraph::from_global(comm, g);
-        let (local, _stats) = parhip_distributed_resume(comm, &dg, c, &checkpoint, None);
-        allgatherv(comm, local)
-    });
-    let assignment = results
-        .into_iter()
-        .next()
-        .expect("at least one PE")
-        .expect("fault-free resume cannot fail structurally");
+    start: &VCycleCheckpoint,
+) -> (Partition, RunTrace) {
+    let store = CheckpointStore::new();
+    store.save(start.clone());
+    let obs = Obs::with_trace(p, DEFAULT_TRACE_CAPACITY);
+    let out = tracing(c, &obs)
+        .store(&store)
+        .resume()
+        .partition(g, p)
+        .expect("the store holds a snapshot");
     let trace = obs.trace().expect("registry was built with tracing on");
-    (assignment, trace)
+    (out.partition, trace)
+}
+
+fn stored(g: &CsrGraph, p: usize, c: &ParhipConfig, store: &CheckpointStore) -> Partition {
+    Partitioner::new(c)
+        .store(store)
+        .partition(g, p)
+        .expect("valid input")
+        .partition
 }
 
 /// The event sequence is deterministic across the checkpoint/resume path
@@ -95,36 +109,30 @@ fn golden_trace_across_checkpoint_resume() {
     let mut c = cfg(2, 31);
     c.vcycles = 3;
     let full_store = CheckpointStore::new();
-    let (full, _) = partition_parallel_with_store(&g, 2, &c, &full_store);
+    let full = stored(&g, 2, &c, &full_store);
     // The snapshot a fault would have left after cycle 0: a 1-cycle run of
     // the same config computes identical cycle-0 state (`vcycles` is only
     // the loop bound); patch the config fingerprint accordingly.
     let mut one = c.clone();
     one.vcycles = 1;
     let early_store = CheckpointStore::new();
-    let _ = partition_parallel_with_store(&g, 2, &one, &early_store);
+    let _ = stored(&g, 2, &one, &early_store);
     let mut cycle0 = early_store.latest().expect("cycle-0 snapshot");
     assert_eq!(cycle0.cycle, 0);
-    cycle0.config_fingerprint = c.fingerprint();
+    cycle0.config_fingerprint = c.fingerprint(1);
     // The unobserved runs above carry no epoch; give the snapshot one so
     // the resumed timeline provably starts past it.
     cycle0.elapsed_ns = 5_000_000_000;
-    let store = CheckpointStore::new();
-    store.save(cycle0);
 
-    let (a1, t1) = traced_resume(&g, 2, &c, &store);
-    let (a2, t2) = traced_resume(&g, 2, &c, &store);
+    let (a1, t1) = traced_resume(&g, 2, &c, &cycle0);
+    let (a2, t2) = traced_resume(&g, 2, &c, &cycle0);
     assert_eq!(a1, a2, "resumed partition nondeterminism");
     assert_eq!(
         t1.event_signature(),
         t2.event_signature(),
         "trace event sequence differs between identical resumes"
     );
-    assert_eq!(
-        a1,
-        full.assignment(),
-        "resume diverged from the uninterrupted run"
-    );
+    assert_eq!(a1, full, "resume diverged from the uninterrupted run");
     // Epoch continuity: the resumed V-cycle work sits after the snapshot's
     // elapsed time, so stitching original + resumed traces stays monotone.
     // (The graph-distribution preamble runs before the checkpoint's offset
