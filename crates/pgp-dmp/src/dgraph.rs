@@ -7,7 +7,7 @@
 //! ghost global→local, and a per-ghost owner array gives O(1) owner lookup —
 //! exactly the layout the paper describes.
 
-use crate::collectives::{allgatherv, allreduce_sum, alltoallv};
+use crate::collectives::{allgatherv, allreduce_sum_vec, alltoallv};
 use crate::comm::Comm;
 use pgp_graph::ids;
 use pgp_graph::{CsrGraph, Node, Weight, INVALID_NODE};
@@ -58,6 +58,27 @@ impl BlockDist {
     }
 }
 
+/// Sorts one row's arcs by `(target, weight)` unless they already are:
+/// every graph this workspace builds has ascending rows, so assembly pays
+/// one comparison per arc, and arcs given in any other order still yield
+/// the one deterministic numbering.
+fn sort_row(adjncy: &mut [Node], adjwgt: &mut [Weight]) {
+    // Weights are read only to order two arcs with the same target.
+    let ordered = |i: usize| {
+        adjncy[i - 1] < adjncy[i] || (adjncy[i - 1] == adjncy[i] && adjwgt[i - 1] <= adjwgt[i])
+    };
+    if (1..adjncy.len()).all(ordered) {
+        return;
+    }
+    let mut arcs: Vec<(Node, Weight)> =
+        adjncy.iter().copied().zip(adjwgt.iter().copied()).collect();
+    arcs.sort_unstable();
+    for (i, (v, w)) in arcs.into_iter().enumerate() {
+        adjncy[i] = v;
+        adjwgt[i] = w;
+    }
+}
+
 /// A PE-local view of a distributed graph: owned nodes `0..n_local`,
 /// ghost nodes `n_local..n_local+n_ghost` (ghosts have weights and labels
 /// but no stored adjacency).
@@ -96,145 +117,149 @@ impl DistGraph {
     /// Builds PE `comm.rank()`'s local view from a globally shared graph.
     ///
     /// This is the test/benchmark "scatter": the global graph is only read
-    /// during construction; all algorithms afterwards touch local state and
-    /// messages exclusively.
+    /// during construction (this PE's rows are sliced out of it, no
+    /// messages); all algorithms afterwards touch local state and messages
+    /// exclusively.
     pub fn from_global(comm: &Comm, global: &CsrGraph) -> Self {
         let dist = BlockDist::new(ids::count_global(global.n()), comm.size());
         let rank = comm.rank();
-        let first = dist.first(rank);
-        let last = dist.last_excl(rank);
-        let n_local = ids::global_index(last - first);
-
-        let mut arcs: Vec<(Node, Node, Weight)> = Vec::new();
-        for g in first..last {
-            for (v, w) in global.neighbors_weighted(ids::global_node(g)) {
-                arcs.push((ids::global_node(g), v, w));
-            }
-        }
-        let owned_weights: Vec<Weight> = (first..last)
-            .map(|g| global.node_weight(ids::global_node(g)))
-            .collect();
+        let nodes = ids::global_index(dist.first(rank))..ids::global_index(dist.last_excl(rank));
+        let offsets = &global.xadj()[nodes.start..=nodes.end];
+        let base = offsets[0];
+        let arcs = ids::global_index(base)..ids::global_index(offsets[nodes.len()]);
         // Ghost weights can be read straight off the shared input here; the
         // fully distributed constructor fetches them by message instead.
-        Self::assemble(comm, dist, n_local, owned_weights, arcs, |g| {
-            global.node_weight(g)
-        })
+        Self::from_rows(
+            comm,
+            dist,
+            offsets.iter().map(|&x| x - base).collect(),
+            global.adjncy()[arcs.clone()].to_vec(),
+            global.adjwgt()[arcs].to_vec(),
+            global.node_weights()[nodes].to_vec(),
+            |ghosts, _| ghosts.iter().map(|&g| global.node_weight(g)).collect(),
+        )
     }
 
     /// Fully distributed construction from local arcs: `arcs` holds, for
-    /// every *owned* node `u` (global ID), all arcs `(u, v_global, w)`.
-    /// Ghost node weights are fetched from their owners via one `alltoallv`.
+    /// every *owned* node `u` (global ID), all arcs `(u, v_global, w)`, in
+    /// any order. Ghost node weights are fetched from their owners via one
+    /// query/reply pair of `alltoallv`s.
     pub fn from_arcs(
         comm: &Comm,
         n_global: u64,
         owned_weights: Vec<Weight>,
-        arcs: Vec<(Node, Node, Weight)>,
+        mut arcs: Vec<(Node, Node, Weight)>,
     ) -> Self {
         let dist = BlockDist::new(n_global, comm.size());
         let rank = comm.rank();
         let n_local = dist.count(rank);
         assert_eq!(owned_weights.len(), n_local, "owned weight count mismatch");
-
-        // Discover ghosts, then query their weights from their owners.
         let first = dist.first(rank);
-        let last = dist.last_excl(rank);
-        let mut ghosts: Vec<Node> = arcs
-            .iter()
-            .map(|&(_, v, _)| v)
-            .filter(|&v| ids::node_global(v) < first || ids::node_global(v) >= last)
-            .collect();
-        ghosts.sort_unstable();
-        ghosts.dedup();
-        let mut queries: Vec<Vec<Node>> = vec![Vec::new(); comm.size()];
-        for &g in &ghosts {
-            queries[dist.owner(g)].push(g);
-        }
-        let incoming = alltoallv(comm, queries.clone());
-        let answers: Vec<Vec<Weight>> = incoming
-            .into_iter()
-            .map(|q| {
-                q.into_iter()
-                    .map(|g| owned_weights[ids::global_index(ids::node_global(g) - first)])
-                    .collect()
-            })
-            .collect();
-        let replies = alltoallv(comm, answers);
-        let mut ghost_weight: FxHashMap<Node, Weight> =
-            FxHashMap::with_capacity_and_hasher(ghosts.len(), Default::default());
-        for (pe, qs) in queries.iter().enumerate() {
-            for (i, &g) in qs.iter().enumerate() {
-                ghost_weight.insert(g, replies[pe][i]);
-            }
-        }
-        Self::assemble(comm, dist, n_local, owned_weights, arcs, |g| {
-            ghost_weight[&g]
-        })
-    }
 
-    /// Shared assembly: builds the local CSR, ghost tables and interface
-    /// structure from the arc list. `ghost_weight_of` resolves weights of
-    /// non-owned endpoints.
-    fn assemble(
-        comm: &Comm,
-        dist: BlockDist,
-        n_local: usize,
-        owned_weights: Vec<Weight>,
-        mut arcs: Vec<(Node, Node, Weight)>,
-        ghost_weight_of: impl Fn(Node) -> Weight,
-    ) -> Self {
-        let rank = comm.rank();
-        let first = dist.first(rank);
-        let last = dist.last_excl(rank);
-        arcs.sort_unstable();
-
-        // Ghost discovery in first-appearance order is fine; we sort arcs so
-        // the order is deterministic.
-        let mut ghost_global: Vec<Node> = Vec::new();
-        let mut ghost_map: FxHashMap<Node, Node> = FxHashMap::default();
+        // Triples → rows. Contraction hands them over in row order already;
+        // a stable sort keeps every row's arcs in the order given.
+        if !arcs.is_sorted_by_key(|a| a.0) {
+            arcs.sort_by_key(|a| a.0);
+        }
         let mut xadj = vec![0u64; n_local + 1];
         let mut adjncy = Vec::with_capacity(arcs.len());
         let mut adjwgt = Vec::with_capacity(arcs.len());
-        for &(u, v, w) in &arcs {
-            let lu = ids::global_index(ids::node_global(u) - first);
-            debug_assert!(
-                ids::node_global(u) >= first && ids::node_global(u) < last,
-                "arc source not owned"
+        for (u, v, w) in arcs {
+            assert!(
+                ids::node_global(u) >= first && ids::node_global(u) < dist.last_excl(rank),
+                "arc source {u} not owned by PE {rank}"
             );
-            let lv = if ids::node_global(v) >= first && ids::node_global(v) < last {
-                ids::global_node(ids::node_global(v) - first)
-            } else {
-                *ghost_map.entry(v).or_insert_with(|| {
-                    ghost_global.push(v);
-                    ids::node_of_index(n_local + ghost_global.len() - 1)
-                })
-            };
-            xadj[lu + 1] += 1;
-            adjncy.push(lv);
+            xadj[ids::global_index(ids::node_global(u) - first) + 1] += 1;
+            adjncy.push(v);
             adjwgt.push(w);
         }
         for i in 0..n_local {
             xadj[i + 1] += xadj[i];
         }
 
-        let ghost_owner: Vec<u32> = ghost_global
-            .iter()
-            .map(|&g| ids::pe_rank(dist.owner(g)))
-            .collect();
-        let mut node_weight = owned_weights;
-        node_weight.extend(ghost_global.iter().map(|&g| ghost_weight_of(g)));
+        Self::from_rows(
+            comm,
+            dist,
+            xadj,
+            adjncy,
+            adjwgt,
+            owned_weights,
+            |ghosts, owned| {
+                // Ask every ghost's owner for its weight, ghosts in ascending
+                // ID order. A block distribution's owner is monotone in the
+                // ID, so the replies concatenated by PE come back in exactly
+                // that order.
+                let mut order: Vec<usize> = (0..ghosts.len()).collect();
+                order.sort_unstable_by_key(|&i| ghosts[i]);
+                let mut queries: Vec<Vec<Node>> = vec![Vec::new(); comm.size()];
+                for &i in &order {
+                    queries[dist.owner(ghosts[i])].push(ghosts[i]);
+                }
+                let answers: Vec<Vec<Weight>> = alltoallv(comm, queries)
+                    .into_iter()
+                    .map(|q| {
+                        q.into_iter()
+                            .map(|g| owned[ids::global_index(ids::node_global(g) - first)])
+                            .collect()
+                    })
+                    .collect();
+                let mut weights = vec![0; ghosts.len()];
+                for (&i, w) in order
+                    .iter()
+                    .zip(alltoallv(comm, answers).into_iter().flatten())
+                {
+                    weights[i] = w;
+                }
+                weights
+            },
+        )
+    }
 
+    /// The one assembly path, row by row: this PE's CSR with `adjncy` still
+    /// in global IDs. Rewrites `adjncy` to local IDs in place — ghosts are
+    /// numbered in first-appearance order, rows in order, each row's arcs
+    /// ascending by `(target, weight)` — and builds the ghost tables and
+    /// the interface structure in the same pass. `ghost_weights(ghosts,
+    /// owned_weights)` resolves the weights of the discovered ghosts (global
+    /// IDs, in ghost-local order).
+    fn from_rows(
+        comm: &Comm,
+        dist: BlockDist,
+        xadj: Vec<u64>,
+        mut adjncy: Vec<Node>,
+        mut adjwgt: Vec<Weight>,
+        owned_weights: Vec<Weight>,
+        ghost_weights: impl FnOnce(&[Node], &[Weight]) -> Vec<Weight>,
+    ) -> Self {
+        let rank = comm.rank();
+        let first = dist.first(rank);
+        let last = dist.last_excl(rank);
+        let n_local = xadj.len() - 1;
+
+        let mut ghost_global: Vec<Node> = Vec::new();
+        let mut ghost_owner: Vec<u32> = Vec::new();
+        let mut ghost_map: FxHashMap<Node, Node> = FxHashMap::default();
         // Interface structure: per owned node, distinct adjacent PEs.
         let mut iface_xadj = vec![0u32; n_local + 1];
         let mut iface_pes: Vec<u32> = Vec::new();
         let mut scratch: Vec<u32> = Vec::new();
         for u in 0..n_local {
+            let row = ids::global_index(xadj[u])..ids::global_index(xadj[u + 1]);
+            sort_row(&mut adjncy[row.clone()], &mut adjwgt[row.clone()]);
             scratch.clear();
-            let lo = ids::global_index(xadj[u]);
-            let hi = ids::global_index(xadj[u + 1]);
-            for &t in &adjncy[lo..hi] {
-                if ids::node_index(t) >= n_local {
-                    scratch.push(ghost_owner[ids::node_index(t) - n_local]);
-                }
+            for t in &mut adjncy[row] {
+                let g = ids::node_global(*t);
+                *t = if g >= first && g < last {
+                    ids::global_node(g - first)
+                } else {
+                    let l = *ghost_map.entry(*t).or_insert_with(|| {
+                        ghost_global.push(*t);
+                        ghost_owner.push(ids::pe_rank(dist.owner(*t)));
+                        ids::node_of_index(n_local + ghost_global.len() - 1)
+                    });
+                    scratch.push(ghost_owner[ids::node_index(l) - n_local]);
+                    l
+                };
             }
             scratch.sort_unstable();
             scratch.dedup();
@@ -245,12 +270,22 @@ impl DistGraph {
         adjacent_pes.sort_unstable();
         adjacent_pes.dedup();
 
-        // Global totals.
-        let local_nw: Weight = node_weight[..n_local].iter().sum();
-        let total_node_weight = allreduce_sum(comm, local_nw);
-        let local_arc_w: Weight = adjwgt.iter().sum();
-        let total_edge_weight = allreduce_sum(comm, local_arc_w) / 2;
-        let global_m = allreduce_sum(comm, ids::count_global(adjncy.len())) / 2;
+        let mut node_weight = owned_weights;
+        let weights = ghost_weights(&ghost_global, &node_weight);
+        assert_eq!(weights.len(), ghost_global.len(), "one weight per ghost");
+        node_weight.extend(weights);
+
+        // Global totals, one collective for the three.
+        let totals = allreduce_sum_vec(
+            comm,
+            vec![
+                node_weight[..n_local].iter().sum(),
+                adjwgt.iter().sum(),
+                ids::count_global(adjncy.len()),
+            ],
+        );
+        let (total_node_weight, total_edge_weight, global_m) =
+            (totals[0], totals[1] / 2, totals[2] / 2);
 
         // Degree fingerprint, cached here so per-call consumers (the SCLP
         // scratch guard) pay O(1) instead of re-hashing the offset array.

@@ -1,0 +1,83 @@
+#!/usr/bin/env bash
+# Interleaved A/B of two `pgp-partition` binaries (ROADMAP: "a perf claim is
+# ten interleaved single-process pairs of the two binaries, median ratio").
+#
+# Usage: scripts/ab_pairs.sh <parent-bin> <change-bin> <pairs> <graph> <args…>
+#   e.g. scripts/ab_pairs.sh /root/scratch/parent/pgp-partition \
+#            target/release/pgp-partition 10 web.metis k=8 p=2 class=social
+#
+# Each pair runs both binaries once on <graph> with <args…>, alternating
+# which side goes first, and times the whole process (file in, partition
+# file out). Prints every pair, each side's median and quartiles (Python's
+# exclusive method, as benchmark/src/stats.rs), wins / ties, and the median
+# of the per-pair ratios change / parent. A gain needs the change to win at
+# least nine tenths of the pairs and the medians to differ by more than the
+# parent's inter-quartile distance.
+
+set -euo pipefail
+
+if [ "$#" -lt 4 ]; then
+    sed -n '2,16p' "$0" >&2
+    exit 2
+fi
+parent="$1" change="$2" pairs="$3" graph="$4"
+shift 4
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+# Seconds one run of binary $1 takes; its partition goes to the temp dir.
+time_run() {
+    local bin="$1" t0 t1
+    shift
+    t0="$EPOCHREALTIME"
+    "$bin" "$graph" "$@" "output=$tmp/out.part" >/dev/null 2>"$tmp/stderr" || {
+        echo "run failed: $bin $graph $*" >&2
+        cat "$tmp/stderr" >&2
+        exit 1
+    }
+    t1="$EPOCHREALTIME"
+    awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.4f", b - a }'
+}
+
+echo "pair  first   parent_s  change_s  ratio"
+for ((i = 1; i <= pairs; i++)); do
+    if ((i % 2)); then
+        first=parent
+        p="$(time_run "$parent" "$@")"
+        c="$(time_run "$change" "$@")"
+    else
+        first=change
+        c="$(time_run "$change" "$@")"
+        p="$(time_run "$parent" "$@")"
+    fi
+    echo "$p $c" >>"$tmp/pairs"
+    awk -v i="$i" -v f="$first" -v p="$p" -v c="$c" \
+        'BEGIN { printf "%4d  %-6s  %8.4f  %8.4f  %5.3f\n", i, f, p, c, c / p }'
+done
+
+# Order statistics of the sorted values v[1..n].
+awk '
+function quantile(v, n, k,    pos, lo, frac) {   # k-th quartile, exclusive method
+    pos = k * (n + 1) / 4
+    if (pos < 1) pos = 1
+    if (pos > n) pos = n
+    lo = int(pos); frac = pos - lo
+    return lo < n ? v[lo] + frac * (v[lo + 1] - v[lo]) : v[n]
+}
+function sort(v, n,    i, j, t) {
+    for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t }
+}
+{
+    n++; p[n] = $1; c[n] = $2; r[n] = $2 / $1
+    if ($2 < $1) wins++; else if ($2 == $1) ties++
+}
+END {
+    sort(p, n); sort(c, n); sort(r, n)
+    printf "parent: median %.4f s  quartiles %.4f .. %.4f\n", quantile(p, n, 2), quantile(p, n, 1), quantile(p, n, 3)
+    printf "change: median %.4f s  quartiles %.4f .. %.4f\n", quantile(c, n, 2), quantile(c, n, 1), quantile(c, n, 3)
+    printf "change wins %d of %d pairs, %d ties\n", wins, n, ties
+    printf "median of per-pair ratios change/parent: %.3f\n", quantile(r, n, 2)
+    printf "medians differ by %.4f s; parent inter-quartile distance %.4f s\n", \
+        quantile(p, n, 2) - quantile(c, n, 2), quantile(p, n, 3) - quantile(p, n, 1)
+}' "$tmp/pairs"

@@ -235,7 +235,7 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
     eprintln!(
         "partitioned in {:.2}s wall: cut = {}, imbalance = {:.4} ({} levels, coarsest n = {})",
         t0.elapsed().as_secs_f64(),
-        partition.edge_cut(&graph),
+        out.stats.cut,
         partition.imbalance(&graph),
         out.stats.levels,
         out.stats.coarsest_n

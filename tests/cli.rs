@@ -1,16 +1,25 @@
 //! The shipped `pgp-partition` binary at its front door: a bad invocation
-//! exits 2 with a message naming the key, never a panic and never a
-//! silently substituted default.
+//! exits 2 with a message naming the key, a graph file it cannot accept
+//! exits 1 with a message naming the line — never a panic, never an abort
+//! and never a silently substituted default.
 
 use std::process::Command;
+
+/// Two triangles joined by one bridge.
+const TWO_TRIANGLES: &str = "6 7\n2 3\n1 3 4\n1 2\n2 5 6\n4 6\n4 5\n";
 
 /// Runs the built CLI on a small METIS file with `extra` arguments;
 /// returns the exit code and stderr.
 fn run_cli(tag: &str, extra: &[&str]) -> (Option<i32>, String) {
+    run_cli_on(tag, TWO_TRIANGLES, extra)
+}
+
+/// Runs the built CLI on a graph file holding `text`.
+fn run_cli_on(tag: &str, text: &str, extra: &[&str]) -> (Option<i32>, String) {
     let dir = std::env::temp_dir().join(format!("pgp-cli-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let graph = dir.join("two_triangles.metis");
-    std::fs::write(&graph, "6 7\n2 3\n1 3 4\n1 2\n2 5 6\n4 6\n4 5\n").expect("write graph");
+    let graph = dir.join("graph.metis");
+    std::fs::write(&graph, text).expect("write graph");
     let out = Command::new(env!("CARGO_BIN_EXE_pgp-partition"))
         .arg(&graph)
         .args(extra)
@@ -60,4 +69,30 @@ fn a_good_invocation_still_exits_0() {
         stderr.contains("cut = 1"),
         "two triangles, one bridge:\n{stderr}"
     );
+}
+
+#[test]
+fn hostile_graph_files_exit_1_naming_the_line() {
+    let cases = [
+        // A header that claims more nodes than `Node` holds, one that claims
+        // 10^17 edges, and adjacency only one side lists.
+        ("n", "5000000000 1\n2\n1\n", "line 1"),
+        ("m", "3 99999999999999999\n2\n1 3\n2\n", "line 1"),
+        ("asym", "3 2\n2 3\n\n\n", "line 2"),
+    ];
+    for (tag, text, line) in cases {
+        let (code, stderr) = run_cli_on(tag, text, &["k=2", "p=2"]);
+        assert_eq!(code, Some(1), "{tag} must exit 1, stderr:\n{stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.contains("error")).collect();
+        assert_eq!(errors.len(), 1, "{tag}: one error line, got:\n{stderr}");
+        assert!(
+            errors[0].starts_with("error reading ") && errors[0].contains(line),
+            "{tag} must name {line}, got: {}",
+            errors[0]
+        );
+        assert!(
+            !stderr.contains("panicked at") && !stderr.contains("memory allocation"),
+            "{tag} panicked or aborted:\n{stderr}"
+        );
+    }
 }
