@@ -8,7 +8,7 @@
 //! ```text
 //! cargo run -p bench --release --bin partition -- \
 //!     [graph=amazon] [tier=small] [k=4] [p=4] [seed=1] [preset=fast] \
-//!     [backend=threads] [threads_per_pe=1] \
+//!     [backend=threads] \
 //!     [report=results/run_report.json] \
 //!     [trace=results/trace.json] [recover=1] [max_retries=3] \
 //!     [checkpoint_every=1] [telemetry=results/live.ndjson] [monitor=1]
@@ -71,7 +71,6 @@ fn main() {
         Some("minimal") => Preset::Minimal,
         Some(other) => bad_arg("preset", other),
     };
-    let threads_per_pe = arg_usize(&args, "threads_per_pe", 1);
     let backend: pgp_dmp::BackendKind = arg(&args, "backend")
         .map(|v| v.parse().unwrap_or_else(|_| bad_arg("backend", &v)))
         .unwrap_or_default();
@@ -88,7 +87,7 @@ fn main() {
     let graph = &inst.graph;
     println!(
         "partition: {} (n = {}, m = {}), k = {k}, p = {p}, preset = {preset:?}, seed = {seed}, \
-         backend = {}, threads_per_pe = {threads_per_pe}",
+         backend = {}",
         inst.name,
         graph.n(),
         graph.m(),
@@ -111,7 +110,6 @@ fn main() {
     let obs = session.obs.clone();
     let mut partitioner = Partitioner::new(&cfg).run(pgp_dmp::RunConfig {
         backend,
-        threads_per_pe,
         obs: Some(obs.clone()),
         ..Default::default()
     });

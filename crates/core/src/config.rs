@@ -62,9 +62,8 @@ impl CheckpointPolicy {
 }
 
 /// What to compute: the algorithmic configuration a [`crate::Partitioner`]
-/// borrows. How the run is carried — comm backend, intra-PE workers,
-/// watchdog, recorder — is `pgp_dmp::RunConfig`'s business, not this
-/// struct's.
+/// borrows. How the run is carried — comm backend, watchdog, recorder — is
+/// `pgp_dmp::RunConfig`'s business, not this struct's.
 #[derive(Clone, Debug)]
 pub struct ParhipConfig {
     /// Number of blocks `k`.
@@ -187,13 +186,11 @@ impl ParhipConfig {
     }
 
     /// 64-bit fingerprint of every result-affecting value: all fields but
-    /// `checkpoint`, plus the one run setting that changes the partition —
-    /// the group's `threads_per_pe` (`Comm::threads_per_pe`; `0`/`1` pick
-    /// the sequential SCLP sweep, anything larger the chunked one).
-    /// Checkpoint/restart refuses to resume a snapshot under a different
-    /// fingerprint (a changed seed or iteration count would silently break
-    /// the bit-identical replay guarantee — see DESIGN.md §9).
-    pub fn fingerprint(&self, threads_per_pe: usize) -> u64 {
+    /// `checkpoint`. Checkpoint/restart refuses to resume a snapshot under
+    /// a different fingerprint (a changed seed or iteration count would
+    /// silently break the bit-identical replay guarantee — see DESIGN.md
+    /// §9).
+    pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
         let mut mix = |x: u64| h = pgp_dmp::mix_seed(h, x);
         mix(self.k as u64);
@@ -212,10 +209,6 @@ impl ParhipConfig {
         mix(u64::from(self.deterministic));
         mix(self.social_first_factor.to_bits());
         mix(self.mesh_first_cluster_weight);
-        // Only the single-threaded vs. chunked distinction affects the
-        // result; all worker counts ≥ 2 produce identical output, so a
-        // checkpoint taken at threads_per_pe = 2 may resume at 4.
-        mix(if threads_per_pe <= 1 { 1 } else { 2 });
         // `checkpoint` is deliberately NOT mixed: cadence decides when
         // snapshots happen, never what the partition is, and recovery
         // must be free to resume a checkpoint under a different cadence.
@@ -264,18 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_normalizes_worker_counts() {
-        let base = ParhipConfig::fast(4, GraphClass::Social, 9);
-        // 0 and 1 are the same single-threaded path; every N ≥ 2 is the
-        // same chunked path (checkpoints transfer between 2 and 4)...
-        assert_eq!(base.fingerprint(0), base.fingerprint(1));
-        assert_eq!(base.fingerprint(2), base.fingerprint(4));
-        // ...but the two paths produce different results, so they must
-        // not share a fingerprint.
-        assert_ne!(base.fingerprint(1), base.fingerprint(2));
-    }
-
-    #[test]
     fn checkpoint_cadence_is_excluded_from_fingerprint() {
         let base = ParhipConfig::fast(4, GraphClass::Social, 9);
         let every3 = ParhipConfig {
@@ -283,7 +264,7 @@ mod tests {
             ..base.clone()
         };
         // A snapshot written at cadence 1 must resume at cadence 3.
-        assert_eq!(base.fingerprint(1), every3.fingerprint(1));
+        assert_eq!(base.fingerprint(), every3.fingerprint());
     }
 
     #[test]

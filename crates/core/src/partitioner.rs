@@ -259,8 +259,8 @@ pub struct Partitioned {
 
 /// The one way to call the partitioner: a borrowed [`ParhipConfig`] plus
 /// the four orthogonal options — a prepartition, the [`RunConfig`] that
-/// carries the run (backend, `threads_per_pe`, watchdog deadline, fault
-/// hook, and the `Obs` registry a report or trace is later read from), a
+/// carries the run (backend, watchdog deadline, fault hook, and the `Obs`
+/// registry a report or trace is later read from), a
 /// [`CheckpointStore`] with resume-from-latest, and supervision — and two
 /// verbs: [`partition`](Self::partition) on a global graph,
 /// [`partition_distributed`](Self::partition_distributed) per PE.
@@ -284,8 +284,8 @@ pub struct Partitioner<'a> {
 }
 
 impl<'a> Partitioner<'a> {
-    /// A plain run of `cfg`: threads backend, one thread per PE, no
-    /// recorder, no checkpoints, no supervision.
+    /// A plain run of `cfg`: threads backend, no recorder, no checkpoints,
+    /// no supervision.
     pub fn new(cfg: &'a ParhipConfig) -> Self {
         Self {
             cfg,
@@ -298,8 +298,8 @@ impl<'a> Partitioner<'a> {
     }
 
     /// How [`partition`](Self::partition) carries the run: comm backend,
-    /// `threads_per_pe`, watchdog deadline, fault hook (`pgp-chaos` builds
-    /// one from a `FaultPlan`) and the `Obs` registry. Recording adds two
+    /// watchdog deadline, fault hook (`pgp-chaos` builds one from a
+    /// `FaultPlan`) and the `Obs` registry. Recording adds two
     /// allreduces per refinement pass and never changes the partition;
     /// read `obs.report()` / `obs.trace()` after the run. The registry
     /// must be sized for exactly `p` PEs.
@@ -474,7 +474,7 @@ impl<'a> Partitioner<'a> {
             // Fingerprint checks are collective (group_graph_fingerprint is an
             // allreduce) and must run unconditionally on this branch.
             let group_fp = group_graph_fingerprint(comm, graph);
-            let config_fp = cfg.fingerprint(comm.threads_per_pe());
+            let config_fp = cfg.fingerprint();
             let usable = latest().filter(|cp| {
                 cp.graph_fingerprint == group_fp && cp.config_fingerprint == config_fp
             });
@@ -526,7 +526,7 @@ fn resume_cycles(
     );
     assert_eq!(
         checkpoint.config_fingerprint,
-        cfg.fingerprint(comm.threads_per_pe()),
+        cfg.fingerprint(),
         "checkpoint/config mismatch: snapshot of cycle {} was taken under a different configuration",
         checkpoint.cycle
     );
@@ -742,7 +742,7 @@ fn parhip_cycles(
                     })
                     .collect(),
                 graph_fingerprint: group_graph_fingerprint(comm, graph),
-                config_fingerprint: cfg.fingerprint(comm.threads_per_pe()),
+                config_fingerprint: cfg.fingerprint(),
                 elapsed_ns: rec.epoch_elapsed_ns(),
             };
             #[cfg(feature = "validate")]
@@ -986,7 +986,7 @@ mod tests {
         assert!(cp.coarsest.n() > 0);
         assert_eq!(cp.fine_to_coarsest.len(), g.n());
         assert!(!cp.levels.is_empty());
-        assert_eq!(cp.config_fingerprint, cfg.fingerprint(1));
+        assert_eq!(cp.config_fingerprint, cfg.fingerprint());
     }
 
     /// Resume from the cycle-`c` snapshot must replay cycles `c+1..` to a
@@ -1010,7 +1010,7 @@ mod tests {
         let _ = stored(&g, &one, &early_store);
         let mut cycle0 = early_store.latest().expect("cycle-0 snapshot");
         assert_eq!(cycle0.cycle, 0);
-        cycle0.config_fingerprint = cfg.fingerprint(1);
+        cycle0.config_fingerprint = cfg.fingerprint();
         let store = CheckpointStore::new();
         store.save(cycle0);
         // Replays cycles 1 and 2 from the snapshot.

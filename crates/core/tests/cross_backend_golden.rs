@@ -17,12 +17,10 @@ fn run_backend(
     p: usize,
     cfg: &ParhipConfig,
     backend: BackendKind,
-    threads_per_pe: usize,
 ) -> (Partition, RunReport) {
     let obs = pgp_obs::Obs::new(p);
     let run = RunConfig {
         backend,
-        threads_per_pe,
         obs: Some(obs.clone()),
         ..Default::default()
     };
@@ -43,15 +41,9 @@ fn msgs_per_tag(report: &RunReport) -> BTreeMap<u64, u64> {
         .collect()
 }
 
-fn assert_golden_equivalence(
-    name: &str,
-    g: &CsrGraph,
-    p: usize,
-    cfg: &ParhipConfig,
-    threads_per_pe: usize,
-) {
-    let (part_t, rep_t) = run_backend(g, p, cfg, BackendKind::Threads, threads_per_pe);
-    let (part_s, rep_s) = run_backend(g, p, cfg, BackendKind::Sockets, threads_per_pe);
+fn assert_golden_equivalence(name: &str, g: &CsrGraph, p: usize, cfg: &ParhipConfig) {
+    let (part_t, rep_t) = run_backend(g, p, cfg, BackendKind::Threads);
+    let (part_s, rep_s) = run_backend(g, p, cfg, BackendKind::Sockets);
 
     // The partition itself: identical block for every node.
     assert_eq!(
@@ -100,7 +92,7 @@ fn ba_instance_is_backend_invariant() {
     let g = pgp_gen::ba::barabasi_albert(5_000, 3, 42);
     let mut cfg = ParhipConfig::fast(4, GraphClass::Social, 42);
     cfg.deterministic = true;
-    assert_golden_equivalence("ba(5000, 3, seed 42)", &g, 3, &cfg, 1);
+    assert_golden_equivalence("ba(5000, 3, seed 42)", &g, 3, &cfg);
 }
 
 #[test]
@@ -109,16 +101,5 @@ fn sbm_instance_is_backend_invariant() {
     let g = pgp_gen::ensure_connected(g);
     let mut cfg = ParhipConfig::fast(4, GraphClass::Social, 7);
     cfg.deterministic = true;
-    assert_golden_equivalence("sbm(4000, seed 7)", &g, 3, &cfg, 1);
-}
-
-#[test]
-fn golden_holds_with_intra_pe_workers() {
-    // The hybrid shared-memory × message-passing SCLP (threads_per_pe ≥ 2)
-    // must stay backend-invariant too: worker pools change the compute
-    // path, never the message protocol.
-    let g = pgp_gen::ba::barabasi_albert(4_000, 3, 11);
-    let mut cfg = ParhipConfig::fast(4, GraphClass::Social, 11);
-    cfg.deterministic = true;
-    assert_golden_equivalence("ba(4000, 3, seed 11) T=2", &g, 2, &cfg, 2);
+    assert_golden_equivalence("sbm(4000, seed 7)", &g, 3, &cfg);
 }

@@ -10,20 +10,13 @@
 //! - `det-unordered-float-reduce` — accumulating floats out of such an
 //!   iteration: float addition is not associative, so even a *fixed* set
 //!   of values sums to different results in different orders.
-//! - `det-unordered-chunk-merge` — a `pgp-lp` function that drives the
-//!   intra-PE worker pool (calls `run_chunks` or spawns scoped threads)
-//!   iterating *any* hash container, including the deterministic-hasher
-//!   `FxHashMap`/`FxHashSet`. A fixed hasher makes iteration order a
-//!   function of insertion order — but in a pool function insertion order
-//!   depends on which chunks each worker claimed, so the only
-//!   deterministic merge is by chunk index (DESIGN.md §13).
 //!
 //! The rule is scoped to the determinism-critical crates (everything that
 //! feeds cut/balance accounting, RunReport, or the trace goldens); tools
 //! like `xtask` and the benches may hash freely.
 
 use crate::lexer::{Tok, TokKind};
-use crate::report::{Finding, RULE_CHUNK_MERGE, RULE_FLOAT_REDUCE, RULE_HASH_ITER};
+use crate::report::{Finding, RULE_FLOAT_REDUCE, RULE_HASH_ITER};
 use crate::FileUnit;
 use std::collections::HashSet;
 
@@ -64,107 +57,9 @@ pub fn check(units: &[FileUnit]) -> Vec<Finding> {
         });
         for f in &unit.items.fns {
             check_fn(unit, f.body, std_hash_imported, &mut findings);
-            if unit.rel.starts_with("crates/pgp-lp/src/") && is_pool_fn(&unit.lexed.toks, f.body) {
-                check_pool_fn(unit, f.body, &mut findings);
-            }
         }
     }
     findings
-}
-
-/// True when a function body drives the intra-PE worker pool: it calls
-/// `chunk::run_chunks` or spawns scoped threads itself.
-fn is_pool_fn(toks: &[Tok], body: (usize, usize)) -> bool {
-    let (start, end) = body;
-    (start..end).any(|i| {
-        (toks[i].is_ident("run_chunks") || toks[i].is_ident("spawn"))
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-    })
-}
-
-/// True when a type window names any hash container — std or the
-/// deterministic-hasher Fx variants. Inside a pool function even a fixed
-/// hasher is unordered across threads (insertion order is schedule-
-/// dependent), so the matcher is wider than [`is_hash_type`].
-fn is_any_hash_type(ty: &[Tok]) -> bool {
-    ty.iter().any(|t| {
-        t.is_ident("HashMap")
-            || t.is_ident("HashSet")
-            || t.is_ident("FxHashMap")
-            || t.is_ident("FxHashSet")
-    })
-}
-
-/// `det-unordered-chunk-merge`: flags iteration over any hash-container
-/// local inside a worker-pool function. Structured like `check_fn`, but
-/// with the wider hasher-agnostic matcher and without the float pass —
-/// in a pool function the order leak itself is already the bug.
-fn check_pool_fn(unit: &FileUnit, body: (usize, usize), findings: &mut Vec<Finding>) {
-    let toks = &unit.lexed.toks;
-    let (start, end) = body;
-
-    // Pass 1: locals of any hash type (annotation or constructor call).
-    let mut hash_locals: HashSet<String> = HashSet::new();
-    let mut i = start;
-    while i < end {
-        if toks[i].is_ident("let") {
-            let mut j = i + 1;
-            while j < end && toks[j].is_ident("mut") {
-                j += 1;
-            }
-            if let Some(name) = toks.get(j).filter(|t| t.kind == TokKind::Ident) {
-                let stmt = stmt_extent(toks, j + 1, end);
-                // Stop at the first closure or block delimiter: a hash
-                // container mentioned inside `run_chunks(.., |..| { .. })`
-                // types a *worker-local*, not this binding.
-                let ty_end = (j + 1..stmt)
-                    .find(|&idx| toks[idx].is_punct('{') || toks[idx].is_punct('|'))
-                    .unwrap_or(stmt);
-                if is_any_hash_type(&toks[j + 1..ty_end]) {
-                    hash_locals.insert(name.text.clone());
-                }
-            }
-        }
-        i += 1;
-    }
-
-    // Pass 2: iteration sites (method form and direct `for .. in` form).
-    let mut i = start;
-    while i < end {
-        let t = &toks[i];
-        let method_site = t.kind == TokKind::Ident
-            && hash_locals.contains(&t.text)
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('.'))
-            && toks
-                .get(i + 2)
-                .is_some_and(|t| ITER_METHODS.contains(&t.text.as_str()))
-            && toks.get(i + 3).is_some_and(|t| t.is_punct('('));
-        // Direct iteration only (`for x in [&]map {`); chained calls hit
-        // the method-site pattern instead, avoiding double reports.
-        let mut for_name: Option<String> = None;
-        if t.is_ident("for") {
-            if let Some((name, after)) = name_and_next_after_in(toks, i, end) {
-                if hash_locals.contains(&name) && after.is_some_and(|t| t.is_punct('{')) {
-                    for_name = Some(name);
-                }
-            }
-        }
-        if method_site || for_name.is_some() {
-            let name = for_name.unwrap_or_else(|| t.text.clone());
-            findings.push(Finding {
-                rule: RULE_CHUNK_MERGE,
-                file: unit.rel.clone(),
-                line: t.line,
-                message: format!(
-                    "worker-pool function iterates hash container `{name}`: per-worker \
-                     insertion order depends on chunk claiming, so this order is \
-                     schedule-dependent even with a fixed hasher; merge by chunk index \
-                     (or sort) instead"
-                ),
-            });
-        }
-        i += 1;
-    }
 }
 
 /// True when a type annotation names a std hash container (either imported
@@ -358,35 +253,6 @@ fn hash_name_after_in(toks: &[Tok], for_idx: usize, end: usize) -> Option<String
                 k += 1;
             }
             return toks.get(k).map(|t| t.text.clone());
-        }
-        j += 1;
-    }
-    None
-}
-
-/// As [`hash_name_after_in`], also yielding the token following the
-/// iterated identifier (to distinguish `for x in map {` from chains).
-fn name_and_next_after_in(
-    toks: &[Tok],
-    for_idx: usize,
-    end: usize,
-) -> Option<(String, Option<&Tok>)> {
-    let mut depth = 0i32;
-    let mut j = for_idx + 1;
-    while j < end {
-        let u = &toks[j];
-        if u.is_punct('(') || u.is_punct('[') {
-            depth += 1;
-        } else if u.is_punct(')') || u.is_punct(']') {
-            depth -= 1;
-        } else if u.is_ident("in") && depth == 0 {
-            let mut k = j + 1;
-            while k < end && (toks[k].is_punct('&') || toks[k].is_ident("mut")) {
-                k += 1;
-            }
-            return toks.get(k).map(|t| (t.text.clone(), toks.get(k + 1)));
-        } else if u.is_punct('{') && depth == 0 {
-            return None;
         }
         j += 1;
     }

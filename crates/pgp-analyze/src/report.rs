@@ -15,9 +15,6 @@ pub const RULE_RANK_GUARDED_COLLECTIVE: &str = "spmd-rank-guarded-collective";
 pub const RULE_HASH_ITER: &str = "det-unordered-hash-iter";
 /// Rule: floating-point reduction over an unordered hash iteration.
 pub const RULE_FLOAT_REDUCE: &str = "det-unordered-float-reduce";
-/// Rule: a worker-pool function in `pgp-lp` iterates a hash container —
-/// the cross-thread merge must go by chunk index, not map order.
-pub const RULE_CHUNK_MERGE: &str = "det-unordered-chunk-merge";
 /// Rule: a `Result<_, CommError>` unwrapped/expected/discarded outside the
 /// runner's terminal collection point.
 pub const RULE_ERR_SWALLOWED: &str = "err-swallowed-commerror";
@@ -53,10 +50,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         RULE_FLOAT_REDUCE,
         "floating-point accumulation over an unordered hash iteration (result depends on iteration order)",
-    ),
-    (
-        RULE_CHUNK_MERGE,
-        "a worker-pool function in pgp-lp iterates a hash container (Fx or std): per-worker insertion order depends on chunk claiming, so cross-thread merges must go by chunk index",
     ),
     (
         RULE_ERR_SWALLOWED,

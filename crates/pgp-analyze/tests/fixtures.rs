@@ -156,36 +156,6 @@ fn float_reduce_passes_on_ordered_container() {
     assert_eq!(a.findings, Vec::new());
 }
 
-const LP_REL: &str = "crates/pgp-lp/src/fix.rs";
-
-#[test]
-fn chunk_merge_trips_both_forms_in_pool_fns() {
-    let a = analyze_one(LP_REL, "det_chunk_merge_trip.rs");
-    assert_eq!(rules(&a), vec!["det-unordered-chunk-merge"]);
-    assert_eq!(
-        a.findings.len(),
-        2,
-        "method form and for form: {:?}",
-        a.findings
-    );
-    assert!(a.findings.iter().any(|f| f.message.contains("`deltas`")));
-    assert!(a.findings.iter().any(|f| f.message.contains("`moved`")));
-}
-
-#[test]
-fn chunk_merge_scoped_to_pgp_lp() {
-    // The same source outside pgp-lp: the pool rule does not apply, and
-    // Fx containers do not trip the std hash-iter rule either.
-    let a = analyze_one(DET_REL, "det_chunk_merge_trip.rs");
-    assert_eq!(a.findings, Vec::new());
-}
-
-#[test]
-fn chunk_merge_passes_on_chunk_order_merge_and_nonpool_fns() {
-    let a = analyze_one(LP_REL, "det_chunk_merge_pass.rs");
-    assert_eq!(a.findings, Vec::new());
-}
-
 #[test]
 fn err_swallowed_commerror_trips_all_forms() {
     let a = analyze_one(PROTO_REL, "err_swallowed_commerror_trip.rs");

@@ -221,10 +221,6 @@ pub struct Universe {
     /// Observability registry; `None` = recording disabled (every recorder
     /// hook is a single branch).
     obs: Option<Arc<Obs>>,
-    /// Intra-PE worker-thread budget published to algorithms via
-    /// [`Comm::threads_per_pe`]; the comm layer itself never spawns with
-    /// it. Always ≥ 1 (constructors normalize 0 to 1).
-    threads_per_pe: usize,
 }
 
 impl Universe {
@@ -245,29 +241,15 @@ impl Universe {
         Self::with_config(size, deadline, hook, None)
     }
 
-    /// Like [`Universe::with_config_threads`] with no intra-PE worker pool
-    /// (`threads_per_pe = 1`), the classic single-threaded-PE substrate.
+    /// The fully general constructor: watchdog `deadline`, fault-injection
+    /// `hook` and observability registry `obs` (see `pgp-obs`). When `obs`
+    /// is set, every [`Comm`] handed out by [`Universe::comm`] records
+    /// sends/receives/waits into its rank's cell.
     pub fn with_config(
         size: usize,
         deadline: Option<Duration>,
         hook: Option<Arc<dyn FaultHook>>,
         obs: Option<Arc<Obs>>,
-    ) -> Arc<Self> {
-        Self::with_config_threads(size, deadline, hook, obs, 1)
-    }
-
-    /// The fully general constructor: watchdog `deadline`, fault-injection
-    /// `hook`, observability registry `obs` (see `pgp-obs`), and the
-    /// intra-PE worker-thread budget `threads_per_pe` (`0` is normalized
-    /// to `1` = no worker pool). When `obs` is set, every [`Comm`] handed
-    /// out by [`Universe::comm`] records sends/receives/waits into its
-    /// rank's cell.
-    pub fn with_config_threads(
-        size: usize,
-        deadline: Option<Duration>,
-        hook: Option<Arc<dyn FaultHook>>,
-        obs: Option<Arc<Obs>>,
-        threads_per_pe: usize,
     ) -> Arc<Self> {
         assert!(size > 0, "need at least one PE");
         if let Some(o) = &obs {
@@ -286,7 +268,6 @@ impl Universe {
             deadline,
             hook,
             obs,
-            threads_per_pe: threads_per_pe.max(1),
         })
     }
 
@@ -304,7 +285,6 @@ impl Universe {
             self.deadline,
             self.hook.clone(),
             recorder,
-            self.threads_per_pe,
         )
     }
 
@@ -428,8 +408,6 @@ pub struct Comm {
     deadline: Option<Duration>,
     /// Fault-injection oracle (copied from the group configuration).
     hook: Option<Arc<dyn FaultHook>>,
-    /// Intra-PE worker-thread budget (copied from the group configuration).
-    threads_per_pe: usize,
     /// Cached [`Transport::encoded`]: one branch picks typed-pointer or
     /// wire-encoded packing per send.
     encoded: bool,
@@ -476,7 +454,6 @@ impl Comm {
         deadline: Option<Duration>,
         hook: Option<Arc<dyn FaultHook>>,
         recorder: Recorder,
-        threads_per_pe: usize,
     ) -> Self {
         let encoded = transport.encoded();
         Comm {
@@ -485,7 +462,6 @@ impl Comm {
             rank,
             deadline,
             hook,
-            threads_per_pe: threads_per_pe.max(1),
             encoded,
             seq: AtomicU64::new(0),
             send_seq: AtomicU64::new(0),
@@ -522,15 +498,6 @@ impl Comm {
     #[inline]
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    /// Intra-PE worker-thread budget configured for this run (always ≥ 1).
-    /// `1` means compute phases run single-threaded on the PE thread; `N`
-    /// invites algorithms (e.g. `pgp-lp`'s chunked SCLP) to use up to `N`
-    /// scoped worker threads between communication steps.
-    #[inline]
-    pub fn threads_per_pe(&self) -> usize {
-        self.threads_per_pe
     }
 
     /// Sends `msg` to PE `dst` with `tag`. Never blocks.

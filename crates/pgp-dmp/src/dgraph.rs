@@ -383,9 +383,8 @@ impl DistGraph {
     }
 
     /// Cheap identity of exactly the inputs a degree-derived cache (the
-    /// SCLP scratch's visit order and chunk plan) consumes: the local CSR
-    /// offset array plus the distribution coordinates, hashed **once at
-    /// assembly**. A collision could only perturb a visit order, never
+    /// SCLP scratch's visit order) consumes: the local CSR offset array
+    /// plus the distribution coordinates, hashed **once at assembly**. A collision could only perturb a visit order, never
     /// correctness. Distinct from [`DistGraph::fingerprint_local`], the
     /// heavier checkpoint identity that also covers targets and weights.
     #[inline]

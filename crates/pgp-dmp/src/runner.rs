@@ -37,11 +37,9 @@ pub struct RunConfig {
     /// traffic and phase spans are recorded into it; `None` keeps every
     /// recorder hook to a single branch. Must be sized for exactly `p` PEs.
     pub obs: Option<Arc<Obs>>,
-    /// Intra-PE worker threads available to compute phases (see
-    /// `pgp-lp`'s chunked SCLP). `0` and `1` both mean "no worker pool"
-    /// — every PE computes single-threaded, the classic behaviour. The
-    /// comm layer itself never uses these threads; the knob is published
-    /// through [`Comm::threads_per_pe`] for algorithms to consult.
+    /// Ignored — nothing reads it; it is still here only because the frozen
+    /// `benchmark/` package names it in two struct literals, and leaves with
+    /// the next `benchmark` PR.
     pub threads_per_pe: usize,
 }
 
@@ -164,14 +162,7 @@ where
     R: Send,
     F: Fn(&Comm) -> R + Sync,
 {
-    let group = Group::build(
-        p,
-        cfg.backend,
-        cfg.deadline,
-        cfg.fault_hook,
-        cfg.obs,
-        cfg.threads_per_pe,
-    );
+    let group = Group::build(p, cfg.backend, cfg.deadline, cfg.fault_hook, cfg.obs);
     run_group(&group, f)
 }
 
@@ -251,12 +242,12 @@ impl Default for RecoveryLimits {
 /// the recovery budgets.
 #[derive(Clone, Default)]
 pub struct SupervisorConfig {
-    /// Deadline, fault hook, obs registry, and worker-pool width for every
-    /// attempt. The supervisor widens the deadline geometrically across
-    /// transient retries (×2 per retry, capped at ×32) so a slow-but-alive
-    /// group eventually outruns its watchdog, and disarms the fault hook's
-    /// kills for ranks already declared dead so respawned replacements are
-    /// not re-killed.
+    /// Backend, deadline, fault hook and obs registry for every attempt.
+    /// The supervisor widens the deadline geometrically across transient
+    /// retries (×2 per retry, capped at ×32) so a slow-but-alive group
+    /// eventually outruns its watchdog, and disarms the fault hook's kills
+    /// for ranks already declared dead so respawned replacements are not
+    /// re-killed.
     pub base: RunConfig,
     /// Retry and recovery budgets.
     pub limits: RecoveryLimits,
@@ -377,14 +368,7 @@ where
             recoveries: u32::try_from(report.recoveries).unwrap_or(u32::MAX),
             dead_ranks: dead_all.clone(),
         };
-        let group = Group::build(
-            p,
-            base.backend,
-            deadline,
-            hook,
-            base.obs.clone(),
-            base.threads_per_pe,
-        );
+        let group = Group::build(p, base.backend, deadline, hook, base.obs.clone());
         let results = run_group(&group, |comm| f(comm, &info));
         if results.iter().all(Result::is_ok) {
             publish(&report);
@@ -530,32 +514,6 @@ mod tests {
         assert!(results
             .iter()
             .any(|r| matches!(r, Err(CommError::Timeout { .. }))));
-    }
-
-    #[test]
-    fn threads_per_pe_is_published_and_normalized() {
-        // Default (0) and explicit 1 both mean "no worker pool".
-        for cfg_threads in [0usize, 1] {
-            let cfg = RunConfig {
-                threads_per_pe: cfg_threads,
-                ..RunConfig::default()
-            };
-            let seen = run_config(2, cfg, |comm| comm.threads_per_pe());
-            for t in seen {
-                assert_eq!(t.expect("fault-free"), 1);
-            }
-        }
-        let cfg = RunConfig {
-            threads_per_pe: 4,
-            ..RunConfig::default()
-        };
-        let seen = run_config(2, cfg, |comm| comm.threads_per_pe());
-        for t in seen {
-            assert_eq!(t.expect("fault-free"), 4);
-        }
-        // Plain `run` keeps the classic single-threaded contract.
-        let seen = run(2, |comm| comm.threads_per_pe());
-        assert_eq!(seen, vec![1, 1]);
     }
 
     #[test]

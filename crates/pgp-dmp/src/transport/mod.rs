@@ -284,26 +284,17 @@ impl Group {
         deadline: Option<Duration>,
         hook: Option<Arc<dyn FaultHook>>,
         obs: Option<Arc<Obs>>,
-        threads_per_pe: usize,
     ) -> Self {
         if let Some(o) = &obs {
             o.set_backend(backend.name());
         }
         match backend {
-            BackendKind::Threads => Group::Threads(Universe::with_config_threads(
-                size,
-                deadline,
-                hook,
-                obs,
-                threads_per_pe,
-            )),
-            BackendKind::Sockets => Group::Sockets(socket::SocketGroup::new(
-                size,
-                deadline,
-                hook,
-                obs,
-                threads_per_pe,
-            )),
+            BackendKind::Threads => {
+                Group::Threads(Universe::with_config(size, deadline, hook, obs))
+            }
+            BackendKind::Sockets => {
+                Group::Sockets(socket::SocketGroup::new(size, deadline, hook, obs))
+            }
         }
     }
 

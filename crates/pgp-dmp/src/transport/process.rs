@@ -170,7 +170,6 @@ pub fn maybe_run_worker(entries: &[(&str, WorkerFn)]) {
                 deadline,
                 None,
                 recorder,
-                1,
             );
             let outcome =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm, &ctx, &args)));

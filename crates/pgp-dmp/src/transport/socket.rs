@@ -336,7 +336,6 @@ pub(crate) struct SocketGroup {
     deadline: Option<Duration>,
     hook: Option<Arc<dyn FaultHook>>,
     obs: Option<Arc<Obs>>,
-    threads_per_pe: usize,
 }
 
 impl SocketGroup {
@@ -351,7 +350,6 @@ impl SocketGroup {
         deadline: Option<Duration>,
         hook: Option<Arc<dyn FaultHook>>,
         obs: Option<Arc<Obs>>,
-        threads_per_pe: usize,
     ) -> Self {
         assert!(size > 0, "need at least one PE");
         if let Some(o) = &obs {
@@ -392,7 +390,6 @@ impl SocketGroup {
             deadline,
             hook,
             obs,
-            threads_per_pe,
         }
     }
 
@@ -415,7 +412,6 @@ impl SocketGroup {
             self.deadline,
             self.hook.clone(),
             recorder,
-            self.threads_per_pe,
         )
     }
 

@@ -8,11 +8,7 @@
 //!   `pgp-dmp` substrate: phase-overlapped ghost exchange, localized
 //!   cluster weights during coarsening, allreduce-exact block weights
 //!   during refinement.
-//! * [`chunk`] — graph-derived chunk boundaries and the scoped worker
-//!   pool behind the hybrid shared-memory × message-passing SCLP
-//!   (`threads_per_pe` ≥ 2; DESIGN.md §13).
 
-pub mod chunk;
 pub mod cluster_map;
 pub mod par;
 pub mod seq;

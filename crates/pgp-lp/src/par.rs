@@ -26,25 +26,7 @@
 //! [`SclpScratch`], which caches the degree order per graph so repeated
 //! invocations on the same graph (V-cycles, multiple refinement levels)
 //! skip the O(n log n) re-sort and all per-call allocations.
-//!
-//! ## Intra-PE worker pool (hybrid parallelism, DESIGN.md §13)
-//!
-//! When the run grants a PE more than one thread
-//! ([`Comm::threads_per_pe`] > 1), each round is processed as a chunked
-//! superstep: the visit order is split at fixed, graph-derived boundaries
-//! (see [`crate::chunk`], cached in the scratch), scoped workers propose
-//! moves per chunk against **round-start** labels/weights plus their own
-//! in-chunk deltas, and the PE thread merges the proposals **in
-//! chunk-index order**, re-validating each against the merged weights
-//! (cluster: the soft `U` bound; refine: the true per-phase inflow
-//! budget, so the `Lmax` guarantee is preserved exactly). The result is
-//! bit-identical for a fixed `(seed, p)` across every `threads_per_pe ≥
-//! 2`; `threads_per_pe = 1` takes the classic sequential path below,
-//! unchanged. The two paths differ (in-round staleness vs. full
-//! asynchrony), which is exactly the staleness the paper's localized
-//! weights already absorb across PEs.
 
-use crate::chunk;
 use crate::cluster_map::ClusterMap;
 use crate::seq::SclpStats;
 use pgp_dmp::collectives::{allreduce_sum, allreduce_sum_vec, allreduce_sum_vec_i64};
@@ -68,18 +50,10 @@ pub struct SclpScratch {
     fingerprint: Option<u64>,
     /// Local nodes in degree-increasing order (cluster-mode visit order).
     degree_order: Vec<Node>,
-    /// Maximum local degree (sizes `map`).
-    max_degree: usize,
     /// Refine-mode shuffle buffer (reset to identity at each call).
     index_order: Vec<Node>,
     /// Neighbour-cluster aggregation map, regrown at graph boundaries.
     map: ClusterMap,
-    /// Cluster-mode chunk boundaries over `degree_order`, balanced by
-    /// degree volume (see [`chunk::balanced_bounds`]).
-    cluster_bounds: Vec<usize>,
-    /// Refine-mode chunk boundaries over the per-round shuffled order
-    /// (uniform positional split; see [`chunk::uniform_bounds`]).
-    refine_bounds: Vec<usize>,
 }
 
 impl SclpScratch {
@@ -88,20 +62,17 @@ impl SclpScratch {
         Self {
             fingerprint: None,
             degree_order: Vec::new(),
-            max_degree: 0,
             index_order: Vec::new(),
             map: ClusterMap::with_max_degree(1),
-            cluster_bounds: Vec::new(),
-            refine_bounds: Vec::new(),
         }
     }
 
-    /// Points the scratch at `graph`: recomputes the degree order, chunk
-    /// boundaries, and the map capacity when the graph changed since the
-    /// last call; a no-op when it did not (the same finest graph recurs
-    /// once per V-cycle). The guard compares [`DistGraph`]'s cached
-    /// degree fingerprint — O(1), computed once at graph assembly —
-    /// instead of re-hashing the offset array on every SCLP call.
+    /// Points the scratch at `graph`: recomputes the degree order and the
+    /// map capacity when the graph changed since the last call; a no-op
+    /// when it did not (the same finest graph recurs once per V-cycle). The
+    /// guard compares [`DistGraph`]'s cached degree fingerprint — O(1),
+    /// computed once at graph assembly — instead of re-hashing the offset
+    /// array on every SCLP call.
     fn prepare(&mut self, graph: &DistGraph) {
         let fp = graph.degree_fingerprint();
         if self.fingerprint == Some(fp) {
@@ -112,22 +83,13 @@ impl SclpScratch {
         self.degree_order
             .extend(0..ids::node_of_index(graph.n_local()));
         self.degree_order.sort_by_key(|&v| graph.degree(v));
-        self.max_degree = self
+        let max_degree = self
             .degree_order
             .last()
             .map(|&v| graph.degree(v))
             .unwrap_or(0);
         self.map.clear();
-        self.map.ensure_degree(self.max_degree.max(1));
-        // Chunk boundaries for the intra-PE worker pool: graph-derived so
-        // every threads_per_pe ≥ 2 sees the same work-lists.
-        let chunks = chunk::chunk_count(graph.n_local());
-        self.cluster_bounds = chunk::balanced_bounds(
-            &self.degree_order,
-            |v| ids::count_global(graph.degree(v) + 1),
-            chunks,
-        );
-        self.refine_bounds = chunk::uniform_bounds(graph.n_local(), chunks);
+        self.map.ensure_degree(max_degree.max(1));
     }
 }
 
@@ -217,15 +179,11 @@ pub fn parallel_sclp_cluster_with_scratch(
 
     let mut exchange = LabelExchange::new(comm, graph);
     scratch.prepare(graph);
-    let threads = comm.threads_per_pe();
     let SclpScratch {
         degree_order: order,
         map,
-        max_degree,
-        cluster_bounds,
         ..
     } = scratch;
-    let max_degree = *max_degree;
 
     let mut stats = SclpStats::default();
     for round in 0..iterations {
@@ -233,79 +191,59 @@ pub fn parallel_sclp_cluster_with_scratch(
         // Round marker for the live telemetry plane (SPMD-uniform).
         comm.recorder()
             .set_round(u32::try_from(round).unwrap_or(u32::MAX));
-        let moved = if threads > 1 {
-            cluster_round_chunked(
-                comm,
-                graph,
-                u_bound,
-                pgp_dmp::mix_seed(rank_seed, ids::count_global(round)),
-                order,
-                cluster_bounds,
-                max_degree,
-                threads,
-                labels,
-                constraint,
-                &mut weights,
-                &mut exchange,
-            )
-        } else {
-            let mut moved = 0u64;
-            for &v in order.iter() {
-                if graph.degree(v) == 0 {
-                    continue;
+        let mut moved = 0u64;
+        for &v in order.iter() {
+            if graph.degree(v) == 0 {
+                continue;
+            }
+            let cur = labels[ids::node_index(v)];
+            map.clear();
+            match constraint {
+                None => {
+                    for (u, w) in graph.neighbors(v) {
+                        map.add(labels[ids::node_index(u)], w);
+                    }
                 }
-                let cur = labels[ids::node_index(v)];
-                map.clear();
-                match constraint {
-                    None => {
-                        for (u, w) in graph.neighbors(v) {
+                Some(cons) => {
+                    let cv = cons[ids::node_index(v)];
+                    for (u, w) in graph.neighbors(v) {
+                        if cons[ids::node_index(u)] == cv {
                             map.add(labels[ids::node_index(u)], w);
                         }
                     }
-                    Some(cons) => {
-                        let cv = cons[ids::node_index(v)];
-                        for (u, w) in graph.neighbors(v) {
-                            if cons[ids::node_index(u)] == cv {
-                                map.add(labels[ids::node_index(u)], w);
-                            }
-                        }
-                    }
-                }
-                let cv_weight = graph.node_weight(v) as i64;
-                let mut best = cur;
-                let mut best_w = map.get(cur);
-                let mut ties = 1u32;
-                for (c, w) in map.iter() {
-                    if c == cur {
-                        continue;
-                    }
-                    let target_weight = weights.get(&c).copied().unwrap_or(0).max(0);
-                    if target_weight + cv_weight > u_bound as i64 {
-                        continue;
-                    }
-                    if w > best_w {
-                        best = c;
-                        best_w = w;
-                        ties = 1;
-                    } else if w == best_w && best != cur {
-                        ties += 1;
-                        if rng.gen_range(0..ties) == 0 {
-                            best = c;
-                        }
-                    } else if w == best_w && w > 0 && best == cur {
-                        // Equal to the stay-weight: prefer staying (stability).
-                    }
-                }
-                if best != cur {
-                    *weights.entry(cur).or_insert(0) -= cv_weight;
-                    *weights.entry(best).or_insert(0) += cv_weight;
-                    labels[ids::node_index(v)] = best;
-                    exchange.record(graph, v, best);
-                    moved += 1;
                 }
             }
-            moved
-        };
+            let cv_weight = graph.node_weight(v) as i64;
+            let mut best = cur;
+            let mut best_w = map.get(cur);
+            let mut ties = 1u32;
+            for (c, w) in map.iter() {
+                if c == cur {
+                    continue;
+                }
+                let target_weight = weights.get(&c).copied().unwrap_or(0).max(0);
+                if target_weight + cv_weight > u_bound as i64 {
+                    continue;
+                }
+                if w > best_w {
+                    best = c;
+                    best_w = w;
+                    ties = 1;
+                } else if w == best_w && best != cur {
+                    ties += 1;
+                    if rng.gen_range(0..ties) == 0 {
+                        best = c;
+                    }
+                }
+            }
+            if best != cur {
+                *weights.entry(cur).or_insert(0) -= cv_weight;
+                *weights.entry(best).or_insert(0) += cv_weight;
+                labels[ids::node_index(v)] = best;
+                exchange.record(graph, v, best);
+                moved += 1;
+            }
+        }
         stats.rounds += 1;
         stats.moves += moved;
         // Phase boundary: overlap scheme — send now, apply phase κ−1.
@@ -326,132 +264,6 @@ pub fn parallel_sclp_cluster_with_scratch(
         *weights.entry(new).or_insert(0) += w;
     });
     stats
-}
-
-/// One chunk's proposed moves (`(node, target label)` in chunk-visit
-/// order) plus the worker-measured compute time, folded into the phase
-/// stats by the merging PE thread.
-struct ChunkMoves {
-    moves: Vec<(Node, Node)>,
-    elapsed_ns: u64,
-}
-
-/// One cluster-mode round as a chunked superstep (`threads_per_pe ≥ 2`):
-/// workers propose moves per chunk against round-start `labels`/`weights`
-/// plus their own in-chunk weight deltas; the PE thread merges proposals
-/// in chunk-index order, re-checking the soft `U` bound against the
-/// merged weights so a skipped move never desynchronizes labels from
-/// weights. Deterministic in `(seed, p)` and independent of `threads`
-/// (chunk boundaries and per-chunk RNG streams are graph/round-derived).
-#[allow(clippy::too_many_arguments)] // internal seam of an already-wide API
-fn cluster_round_chunked(
-    comm: &Comm,
-    graph: &DistGraph,
-    u_bound: Weight,
-    round_seed: u64,
-    order: &[Node],
-    bounds: &[usize],
-    max_degree: usize,
-    threads: usize,
-    labels: &mut [Node],
-    constraint: Option<&[Node]>,
-    weights: &mut FxHashMap<Node, i64>,
-    exchange: &mut LabelExchange,
-) -> u64 {
-    // Freeze the round-start state for the worker phase: nothing mutates
-    // `labels`/`weights` until the merge below, so workers take shared
-    // borrows instead of snapshots.
-    let labels_r: &[Node] = labels;
-    let weights_r: &FxHashMap<Node, i64> = weights;
-    let outs = chunk::run_chunks(threads, bounds, |chunk_idx, lo, hi| {
-        let t0 = std::time::Instant::now(); // lint:instant-ok: per-chunk compute span, folded into phase stats at merge
-        let mut rng =
-            SmallRng::seed_from_u64(pgp_dmp::mix_seed(round_seed, ids::count_global(chunk_idx)));
-        let mut map = ClusterMap::with_max_degree(max_degree.max(1));
-        let mut wdelta: FxHashMap<Node, i64> = FxHashMap::default();
-        let mut moves: Vec<(Node, Node)> = Vec::new();
-        for &v in &order[lo..hi] {
-            if graph.degree(v) == 0 {
-                continue;
-            }
-            let cur = labels_r[ids::node_index(v)];
-            map.clear();
-            match constraint {
-                None => {
-                    for (u, w) in graph.neighbors(v) {
-                        map.add(labels_r[ids::node_index(u)], w);
-                    }
-                }
-                Some(cons) => {
-                    let cv = cons[ids::node_index(v)];
-                    for (u, w) in graph.neighbors(v) {
-                        if cons[ids::node_index(u)] == cv {
-                            map.add(labels_r[ids::node_index(u)], w);
-                        }
-                    }
-                }
-            }
-            let cv_weight = graph.node_weight(v) as i64;
-            let mut best = cur;
-            let mut best_w = map.get(cur);
-            let mut ties = 1u32;
-            for (c, w) in map.iter() {
-                if c == cur {
-                    continue;
-                }
-                // Round-start weight plus this chunk's own accepted moves.
-                let target_weight = (weights_r.get(&c).copied().unwrap_or(0)
-                    + wdelta.get(&c).copied().unwrap_or(0))
-                .max(0);
-                if target_weight + cv_weight > u_bound as i64 {
-                    continue;
-                }
-                if w > best_w {
-                    best = c;
-                    best_w = w;
-                    ties = 1;
-                } else if w == best_w && best != cur {
-                    ties += 1;
-                    if rng.gen_range(0..ties) == 0 {
-                        best = c;
-                    }
-                } else if w == best_w && w > 0 && best == cur {
-                    // Equal to the stay-weight: prefer staying (stability).
-                }
-            }
-            if best != cur {
-                *wdelta.entry(cur).or_insert(0) -= cv_weight;
-                *wdelta.entry(best).or_insert(0) += cv_weight;
-                moves.push((v, best));
-            }
-        }
-        ChunkMoves {
-            moves,
-            elapsed_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        }
-    });
-    // Ordered merge on the PE thread: chunk-index order, re-validated
-    // against the *merged* weights. Label and weight updates are applied
-    // together, so a skipped proposal leaves both untouched.
-    let mut moved = 0u64;
-    for out in outs {
-        for &(v, best) in &out.moves {
-            let cur = labels[ids::node_index(v)];
-            let cv_weight = graph.node_weight(v) as i64;
-            let target_weight = weights.get(&best).copied().unwrap_or(0).max(0);
-            if target_weight + cv_weight > u_bound as i64 {
-                continue; // earlier chunks filled the cluster past the soft bound
-            }
-            *weights.entry(cur).or_insert(0) -= cv_weight;
-            *weights.entry(best).or_insert(0) += cv_weight;
-            labels[ids::node_index(v)] = best;
-            exchange.record(graph, v, best);
-            moved += 1;
-        }
-        comm.recorder()
-            .record_phase_ns("sclp_chunk", out.elapsed_ns);
-    }
-    moved
 }
 
 /// Parallel SCLP in **refine mode** over a `k`-way partition. `blocks`
@@ -507,15 +319,11 @@ pub fn parallel_sclp_refine_with_scratch(
 
     let mut exchange = LabelExchange::new(comm, graph);
     scratch.prepare(graph);
-    let threads = comm.threads_per_pe();
     let SclpScratch {
         index_order: order,
         map,
-        max_degree,
-        refine_bounds,
         ..
     } = scratch;
-    let max_degree = *max_degree;
     // Identity order at entry; within a call the shuffles compound.
     order.clear();
     order.extend(0..ids::node_of_index(n_local));
@@ -547,69 +355,50 @@ pub fn parallel_sclp_refine_with_scratch(
             view[b] = w as i64;
             delta[b] = 0;
         }
-        let moved = if threads > 1 {
-            refine_round_chunked(
-                comm,
-                graph,
-                lmax,
-                pgp_dmp::mix_seed(rank_seed, ids::count_global(round)),
-                order,
-                refine_bounds,
-                max_degree,
-                threads,
-                blocks,
-                &mut view,
-                &mut budget,
-                &mut delta,
-                &mut exchange,
-            )
-        } else {
-            let mut moved = 0u64;
-            for &v in order.iter() {
-                if graph.degree(v) == 0 {
+        let mut moved = 0u64;
+        for &v in order.iter() {
+            if graph.degree(v) == 0 {
+                continue;
+            }
+            let cur = blocks[ids::node_index(v)];
+            map.clear();
+            for (u, w) in graph.neighbors(v) {
+                map.add(blocks[ids::node_index(u)], w);
+            }
+            let cw = graph.node_weight(v) as i64;
+            let overloaded = view[ids::node_index(cur)] > lmax as i64;
+            let mut best: Node = if overloaded { Node::MAX } else { cur };
+            let mut best_w: Weight = if overloaded { 0 } else { map.get(cur) };
+            let mut ties = 1u32;
+            for (c, w) in map.iter() {
+                if c == cur {
                     continue;
                 }
-                let cur = blocks[ids::node_index(v)];
-                map.clear();
-                for (u, w) in graph.neighbors(v) {
-                    map.add(blocks[ids::node_index(u)], w);
+                if cw > budget[ids::node_index(c)] {
+                    continue; // would risk exceeding Lmax globally
                 }
-                let cw = graph.node_weight(v) as i64;
-                let overloaded = view[ids::node_index(cur)] > lmax as i64;
-                let mut best: Node = if overloaded { Node::MAX } else { cur };
-                let mut best_w: Weight = if overloaded { 0 } else { map.get(cur) };
-                let mut ties = 1u32;
-                for (c, w) in map.iter() {
-                    if c == cur {
-                        continue;
-                    }
-                    if cw > budget[ids::node_index(c)] {
-                        continue; // would risk exceeding Lmax globally
-                    }
-                    if best == Node::MAX || w > best_w {
+                if best == Node::MAX || w > best_w {
+                    best = c;
+                    best_w = w;
+                    ties = 1;
+                } else if w == best_w {
+                    ties += 1;
+                    if rng.gen_range(0..ties) == 0 {
                         best = c;
-                        best_w = w;
-                        ties = 1;
-                    } else if w == best_w {
-                        ties += 1;
-                        if rng.gen_range(0..ties) == 0 {
-                            best = c;
-                        }
                     }
-                }
-                if best != cur && best != Node::MAX {
-                    view[ids::node_index(cur)] -= cw;
-                    view[ids::node_index(best)] += cw;
-                    budget[ids::node_index(best)] -= cw;
-                    delta[ids::node_index(cur)] -= cw;
-                    delta[ids::node_index(best)] += cw;
-                    blocks[ids::node_index(v)] = best;
-                    exchange.record(graph, v, best);
-                    moved += 1;
                 }
             }
-            moved
-        };
+            if best != cur && best != Node::MAX {
+                view[ids::node_index(cur)] -= cw;
+                view[ids::node_index(best)] += cw;
+                budget[ids::node_index(best)] -= cw;
+                delta[ids::node_index(cur)] -= cw;
+                delta[ids::node_index(best)] += cw;
+                blocks[ids::node_index(v)] = best;
+                exchange.record(graph, v, best);
+                moved += 1;
+            }
+        }
         stats.rounds += 1;
         stats.moves += moved;
         // Phase end: exact ghost labels, then exact weights via one delta
@@ -698,116 +487,6 @@ pub fn parallel_sclp_refine_with_scratch(
         }
     }
     stats
-}
-
-/// One refine-mode round as a chunked superstep (`threads_per_pe ≥ 2`):
-/// workers propose moves against round-start `blocks`/`view`/`budget`
-/// plus their own in-chunk deltas; the PE thread merges in chunk-index
-/// order, re-checking every proposal against the **true** shared inflow
-/// budget — the per-PE slack throttle is thereby applied at merge time,
-/// so the joint inflows still can never exceed `Lmax` (the exact balance
-/// guarantee of the sequential path). `view`/`budget`/`delta` are updated
-/// to the merged end-of-round state.
-#[allow(clippy::too_many_arguments)] // internal seam of an already-wide API
-fn refine_round_chunked(
-    comm: &Comm,
-    graph: &DistGraph,
-    lmax: Weight,
-    round_seed: u64,
-    order: &[Node],
-    bounds: &[usize],
-    max_degree: usize,
-    threads: usize,
-    blocks: &mut [Node],
-    view: &mut [i64],
-    budget: &mut [i64],
-    delta: &mut [i64],
-    exchange: &mut LabelExchange,
-) -> u64 {
-    let k = view.len();
-    // Freeze round-start state: workers read, the merge below mutates.
-    let blocks_r: &[Node] = blocks;
-    let view_r: &[i64] = view;
-    let budget_r: &[i64] = budget;
-    let outs = chunk::run_chunks(threads, bounds, |chunk_idx, lo, hi| {
-        let t0 = std::time::Instant::now(); // lint:instant-ok: per-chunk compute span, folded into phase stats at merge
-        let mut rng =
-            SmallRng::seed_from_u64(pgp_dmp::mix_seed(round_seed, ids::count_global(chunk_idx)));
-        let mut map = ClusterMap::with_max_degree(max_degree.max(1));
-        // This chunk's own view deltas and budget consumption, overlaid on
-        // the round-start vectors for all in-chunk decisions.
-        let mut dview = vec![0i64; k];
-        let mut used = vec![0i64; k];
-        let mut moves: Vec<(Node, Node)> = Vec::new();
-        for &v in &order[lo..hi] {
-            if graph.degree(v) == 0 {
-                continue;
-            }
-            let cur = blocks_r[ids::node_index(v)];
-            map.clear();
-            for (u, w) in graph.neighbors(v) {
-                map.add(blocks_r[ids::node_index(u)], w);
-            }
-            let cw = graph.node_weight(v) as i64;
-            let overloaded =
-                view_r[ids::node_index(cur)] + dview[ids::node_index(cur)] > lmax as i64;
-            let mut best: Node = if overloaded { Node::MAX } else { cur };
-            let mut best_w: Weight = if overloaded { 0 } else { map.get(cur) };
-            let mut ties = 1u32;
-            for (c, w) in map.iter() {
-                if c == cur {
-                    continue;
-                }
-                if cw > budget_r[ids::node_index(c)] - used[ids::node_index(c)] {
-                    continue; // would risk exceeding Lmax globally
-                }
-                if best == Node::MAX || w > best_w {
-                    best = c;
-                    best_w = w;
-                    ties = 1;
-                } else if w == best_w {
-                    ties += 1;
-                    if rng.gen_range(0..ties) == 0 {
-                        best = c;
-                    }
-                }
-            }
-            if best != cur && best != Node::MAX {
-                dview[ids::node_index(cur)] -= cw;
-                dview[ids::node_index(best)] += cw;
-                used[ids::node_index(best)] += cw;
-                moves.push((v, best));
-            }
-        }
-        ChunkMoves {
-            moves,
-            elapsed_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        }
-    });
-    // Ordered merge: the real budget is decremented as proposals are
-    // accepted, so chunks jointly respect the same per-PE inflow cap the
-    // sequential path enforces — skipped proposals simply stay put.
-    let mut moved = 0u64;
-    for out in outs {
-        for &(v, b) in &out.moves {
-            let cur = blocks[ids::node_index(v)];
-            let cw = graph.node_weight(v) as i64;
-            if cw > budget[ids::node_index(b)] {
-                continue; // earlier chunks consumed this block's inflow budget
-            }
-            view[ids::node_index(cur)] -= cw;
-            view[ids::node_index(b)] += cw;
-            budget[ids::node_index(b)] -= cw;
-            delta[ids::node_index(cur)] -= cw;
-            delta[ids::node_index(b)] += cw;
-            blocks[ids::node_index(v)] = b;
-            exchange.record(graph, v, b);
-            moved += 1;
-        }
-        comm.recorder()
-            .record_phase_ns("sclp_chunk", out.elapsed_ns);
-    }
-    moved
 }
 
 #[cfg(test)]

@@ -525,30 +525,6 @@ impl Recorder {
         }
     }
 
-    /// Folds an **externally measured** duration into the phase
-    /// aggregates as one closed span named `name`, nested under the
-    /// currently open span path. Used for work done off the PE thread —
-    /// e.g. the chunked SCLP's per-chunk compute spans, measured by the
-    /// worker and recorded by the PE thread at the merge barrier (a
-    /// worker cannot open a real span: concurrent chunks would interleave
-    /// open/close events and break trace nesting). Phase stats only; no
-    /// trace events are emitted.
-    #[inline]
-    pub fn record_phase_ns(&self, name: &'static str, elapsed_ns: u64) {
-        if let Some(inner) = &self.inner {
-            debug_assert!(!name.contains('/'), "span names must not contain '/'");
-            inner.with(|st| {
-                let path = match st.stack.last() {
-                    Some(top) => format!("{}/{name}", top.path),
-                    None => name.to_string(),
-                };
-                let stat = st.phases.entry(path).or_default();
-                stat.count += 1;
-                stat.total_ns += elapsed_ns;
-            });
-        }
-    }
-
     /// Total recorded seconds of all closed spans whose final path
     /// segment equals `name` (e.g. `coarsen` matches `vcycle/coarsen`).
     pub fn phase_seconds(&self, name: &str) -> f64 {

@@ -214,29 +214,19 @@ fn analyze(args: &[String]) -> ExitCode {
     }
 }
 
-/// Benchmark metrics compared by `bench-regress`, with direction.
-/// Dotted paths address nested objects in the `BENCH_hotpath.json` layout;
-/// a metric missing on either side is skipped (reports evolve).
-const REGRESS_METRICS: &[(&str, bool)] = &[
-    // (path, higher_is_better)
-    ("comm.backlog_msgs_per_s", true),
-    ("comm.ping_msgs_per_s", true),
-    ("exchange.updates_per_s", true),
+/// Benchmark metrics compared by `bench-regress` — all throughputs, so
+/// higher is better. Dotted paths address nested objects in the
+/// `BENCH_hotpath.json` layout; a metric missing on either side is skipped
+/// (reports evolve).
+const REGRESS_METRICS: &[&str] = &[
+    "comm.backlog_msgs_per_s",
+    "comm.ping_msgs_per_s",
+    "exchange.updates_per_s",
     // Disabled-recorder overhead gate: tracing off must stay a branch.
-    ("obs.ping_disabled_msgs_per_s", true),
+    "obs.ping_disabled_msgs_per_s",
     // Live-telemetry overhead gate: recording + snapshot publication
     // under a polling monitor must not collapse ping throughput.
-    ("obs.ping_live_msgs_per_s", true),
-    ("sclp.cluster_round_s", false),
-    ("sclp.refine_round_s", false),
-    // Worker-pool cluster round at threads_per_pe = 4 and the fixed
-    // per-call SCLP overhead (cached degree fingerprint). The x4 scaling
-    // *ratio* is deliberately not gated — it is a property of the host's
-    // core count, not of the code.
-    ("sclp.cluster_round_t4_s", false),
-    ("sclp.warm_call_us", false),
-    ("end_to_end.wall_s", false),
-    ("end_to_end.cpu_max_s", false),
+    "obs.ping_live_msgs_per_s",
 ];
 
 /// Worse-than-baseline factor tolerated before a metric counts as a
@@ -270,24 +260,19 @@ fn metric_at(report: &pgp_obs::JsonValue, path: &str) -> Option<f64> {
 /// threshold logic is unit-testable without touching the filesystem.
 fn compare_reports(new: &pgp_obs::JsonValue, baseline: &pgp_obs::JsonValue) -> Vec<MetricDelta> {
     let mut out = Vec::new();
-    for &(path, higher_is_better) in REGRESS_METRICS {
+    for &path in REGRESS_METRICS {
         let (Some(n), Some(b)) = (metric_at(new, path), metric_at(baseline, path)) else {
             continue;
         };
         if b <= 0.0 {
             continue;
         }
-        // worse_by > 0 ⇔ new is worse than baseline, as a fraction of it.
-        let worse_by = if higher_is_better {
-            (b - n) / b
-        } else {
-            (n - b) / b
-        };
         out.push(MetricDelta {
             path,
             baseline: b,
             new: n,
-            worse_by,
+            // > 0 ⇔ new is worse than baseline, as a fraction of it.
+            worse_by: (b - n) / b,
         });
     }
     out
@@ -1029,12 +1014,12 @@ mod tests {
     fn bench_regress_flags_a_degraded_report() {
         let baseline = parse(
             r#"{"after": {"comm": {"ping_msgs_per_s": 600000},
-                          "end_to_end": {"wall_s": 80.0}}}"#,
+                          "exchange": {"updates_per_s": 8000000}}}"#,
         );
-        // Synthetically degraded: half the throughput, double the wall.
+        // Synthetically degraded: half the throughput on both.
         let degraded = parse(
             r#"{"after": {"comm": {"ping_msgs_per_s": 300000},
-                          "end_to_end": {"wall_s": 160.0}}}"#,
+                          "exchange": {"updates_per_s": 4000000}}}"#,
         );
         let deltas = compare_reports(&degraded, &baseline);
         assert_eq!(deltas.len(), 2, "both shared metrics compared");
@@ -1063,10 +1048,10 @@ mod tests {
     #[test]
     fn bench_regress_reads_flat_reports_too() {
         // No before/after wrapper: metrics at the root are found.
-        let flat = parse(r#"{"end_to_end": {"wall_s": 10.0}}"#);
+        let flat = parse(r#"{"exchange": {"updates_per_s": 10.0}}"#);
         let deltas = compare_reports(&flat, &flat);
         assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].path, "end_to_end.wall_s");
+        assert_eq!(deltas[0].path, "exchange.updates_per_s");
     }
 
     #[test]

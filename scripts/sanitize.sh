@@ -58,21 +58,6 @@ run_tsan() {
         echo "tsan (chaos): FAILURES (see above)"
         failures=$((failures + 1))
     fi
-    # The intra-PE worker pool (DESIGN.md §13): scoped workers claim
-    # chunks off a shared atomic counter while reading frozen round-start
-    # label/weight state, and the PE thread merges their outputs after the
-    # join. An under-synchronized claim or a worker writing shared state
-    # it should only read races here — the threads.rs suite drives the
-    # pool at up to 8 workers over multi-chunk graphs.
-    echo "== ThreadSanitizer: pgp-lp worker-pool suite =="
-    if RUSTFLAGS="-Zsanitizer=thread" \
-        cargo +nightly test -Zbuild-std --target "$host" \
-        -p pgp-lp --tests -- --test-threads=1; then
-        echo "tsan (lp): clean"
-    else
-        echo "tsan (lp): FAILURES (see above)"
-        failures=$((failures + 1))
-    fi
     # The observability layer is all cross-thread choreography: per-PE
     # recorder cells read by the report builder after the join, and the
     # seqlock-style counter-flush handoff published at phase boundaries —

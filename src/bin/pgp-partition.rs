@@ -4,8 +4,7 @@
 //! ```text
 //! pgp-partition <graph.metis> k=8 [preset=fast|eco|minimal] [p=4]
 //!               [eps=0.03] [seed=0] [class=auto|social|mesh]
-//!               [backend=threads|sockets] [threads-per-pe=1]
-//!               [output=<graph>.part.<k>]
+//!               [backend=threads|sockets] [output=<graph>.part.<k>]
 //!               [report=<file.json>] [trace=<file.json>]
 //! ```
 //!
@@ -16,11 +15,6 @@
 //! bit-identical either way (the cross-backend golden tests enforce it);
 //! `sockets` exists to exercise the real wire path and is the transport
 //! the multi-process runner uses.
-//!
-//! `threads-per-pe=<n>` (or `--threads-per-pe <n>`) gives every PE `n`
-//! worker threads for the hybrid SCLP (DESIGN.md §13). `1` is the classic
-//! single-threaded path; any `n ≥ 2` is deterministic in `(seed, p)` and
-//! produces identical output for every `n ≥ 2`.
 //!
 //! `report=<file.json>` (or `--report <file.json>`) runs with the
 //! observability recorder enabled and writes the schema-versioned JSON
@@ -63,10 +57,30 @@ use std::str::FromStr;
 
 const USAGE: &str = "usage: pgp-partition <graph.metis> k=<blocks> [preset=fast|eco|minimal] \
     [p=<PEs>] [eps=0.03] [seed=0] [class=auto|social|mesh] \
-    [backend=threads|sockets] [threads-per-pe=<n>] [output=<file>] \
+    [backend=threads|sockets] [output=<file>] \
     [report=<file.json>] [trace=<file.json>] \
     [telemetry=<file.ndjson>] [--monitor] [--recover] \
     [max-retries=<n>] [checkpoint-every=<n>]";
+
+/// Every `key=` the CLI understands. Anything else is rejected: a typo
+/// (`sed=3`) must not run the default experiment and exit 0.
+const KEYS: [&str; 15] = [
+    "k",
+    "p",
+    "seed",
+    "eps",
+    "preset",
+    "class",
+    "backend",
+    "output",
+    "report",
+    "trace",
+    "telemetry",
+    "monitor",
+    "recover",
+    "max-retries",
+    "checkpoint-every",
+];
 
 /// Why the run stopped: the exit code (2 — the invocation is wrong, 1 —
 /// the run or its I/O failed) and the one-line message for stderr.
@@ -118,7 +132,6 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
         "report",
         "trace",
         "backend",
-        "threads-per-pe",
         "max-retries",
         "checkpoint-every",
         "telemetry",
@@ -137,6 +150,12 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
             args[i] = format!("{switch}=1");
         }
     }
+    if let Some(unknown) = args.iter().find(|a| match a.split_once('=') {
+        Some((key, _)) => !KEYS.contains(&key),
+        None => a.starts_with("--"),
+    }) {
+        return Err(invalid(format!("error: unknown argument {unknown}")));
+    }
     let Some(path) = args.iter().find(|a| !a.contains('=')) else {
         return Err(invalid(USAGE.to_string()));
     };
@@ -147,7 +166,6 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
     let p: usize = parsed(&args, "p", 4)?;
     let seed: u64 = parsed(&args, "seed", 0)?;
     let eps: f64 = parsed(&args, "eps", 0.03)?;
-    let threads_per_pe: usize = parsed(&args, "threads-per-pe", 1)?;
     let backend: BackendKind = parsed(&args, "backend", BackendKind::Threads)?;
     let max_retries: u32 = parsed(&args, "max-retries", RecoveryLimits::default().max_retries)?;
     let checkpoint_every: usize = parsed(&args, "checkpoint-every", 1)?;
@@ -200,7 +218,6 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
         .map_err(|e| failed(format!("error starting observation: {e}")))?;
     let mut partitioner = Partitioner::new(&cfg).run(RunConfig {
         backend,
-        threads_per_pe,
         obs: session.as_ref().map(|s| s.obs.clone()),
         ..Default::default()
     });

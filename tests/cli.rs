@@ -35,24 +35,38 @@ fn run_cli_on(tag: &str, text: &str, extra: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn bad_values_exit_2_naming_the_key() {
-    let cases: [(&str, &[&str]); 9] = [
-        ("k", &["k=0"]),
-        ("p", &["k=2", "p=0"]),
-        ("eps", &["k=2", "eps=-1"]),
-        ("p", &["k=2", "p=two"]),
-        ("seed", &["k=2", "seed=x"]),
-        ("eps", &["k=2", "eps=abc"]),
-        ("threads-per-pe", &["k=2", "threads-per-pe=q"]),
-        ("max-retries", &["k=2", "max-retries=-1"]),
-        ("checkpoint-every", &["k=2", "checkpoint-every=z"]),
+    // (how the last stderr line starts, arguments)
+    let cases: [(&str, &[&str]); 11] = [
+        ("error: invalid k=", &["k=0"]),
+        ("error: invalid p=", &["k=2", "p=0"]),
+        ("error: invalid eps=", &["k=2", "eps=-1"]),
+        ("error: invalid p=", &["k=2", "p=two"]),
+        ("error: invalid seed=", &["k=2", "seed=x"]),
+        ("error: invalid eps=", &["k=2", "eps=abc"]),
+        ("error: invalid max-retries=", &["k=2", "max-retries=-1"]),
+        (
+            "error: invalid checkpoint-every=",
+            &["k=2", "checkpoint-every=z"],
+        ),
+        // A key or flag the CLI does not know — a removed option, a typo —
+        // is refused, not ignored.
+        (
+            "error: unknown argument threads-per-pe=2",
+            &["k=2", "threads-per-pe=2"],
+        ),
+        (
+            "error: unknown argument --threads-per-pe",
+            &["k=2", "--threads-per-pe", "2"],
+        ),
+        ("error: unknown argument sed=3", &["k=2", "sed=3"]),
     ];
-    for (i, (key, args)) in cases.iter().enumerate() {
+    for (i, (want, args)) in cases.iter().enumerate() {
         let (code, stderr) = run_cli(&i.to_string(), args);
         assert_eq!(code, Some(2), "{args:?} must exit 2, stderr:\n{stderr}");
         let last = stderr.lines().last().unwrap_or_default();
         assert!(
-            last.starts_with("error: invalid ") && last.contains(&format!(" {key}=")),
-            "{args:?} must name `{key}` in its last line, got: {last}"
+            last.starts_with(want),
+            "{args:?}: last line must start with `{want}`, got: {last}"
         );
         assert!(
             !stderr.contains("panicked at"),

@@ -109,7 +109,7 @@ fn golden_report_across_checkpoint_resume() {
     let _ = stored(&g, 2, &one, &early_store);
     let mut cycle0 = early_store.latest().expect("cycle-0 snapshot");
     assert_eq!(cycle0.cycle, 0);
-    cycle0.config_fingerprint = c.fingerprint(1);
+    cycle0.config_fingerprint = c.fingerprint();
 
     let (a1, j1) = observed_resume(&g, 2, &c, &cycle0);
     let (a2, j2) = observed_resume(&g, 2, &c, &cycle0);

@@ -33,6 +33,20 @@ fn every_option_yields_the_plain_partition() {
         let plain = plain.partition;
         plain.validate(&g, cfg.eps).expect("plain run is balanced");
 
+        // The one ignored field: there is a single SCLP path, whatever it says.
+        for threads_per_pe in [0, 1, 4] {
+            let run = RunConfig {
+                threads_per_pe,
+                ..Default::default()
+            };
+            let out = door.clone().run(run).partition(&g, p);
+            assert_eq!(
+                out.expect("valid input").partition,
+                plain,
+                "p={p}: threads_per_pe={threads_per_pe}"
+            );
+        }
+
         let obs = Obs::new(p);
         let observed = door.clone().run(recording(&obs)).partition(&g, p);
         assert_eq!(

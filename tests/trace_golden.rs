@@ -119,7 +119,7 @@ fn golden_trace_across_checkpoint_resume() {
     let _ = stored(&g, 2, &one, &early_store);
     let mut cycle0 = early_store.latest().expect("cycle-0 snapshot");
     assert_eq!(cycle0.cycle, 0);
-    cycle0.config_fingerprint = c.fingerprint(1);
+    cycle0.config_fingerprint = c.fingerprint();
     // The unobserved runs above carry no epoch; give the snapshot one so
     // the resumed timeline provably starts past it.
     cycle0.elapsed_ns = 5_000_000_000;
