@@ -12,7 +12,7 @@
 use parhip::{parhip_distributed, GraphClass, ParhipConfig, Partitioner};
 use pgp_dmp::collectives::{allgatherv, barrier};
 use pgp_dmp::{
-    maybe_run_worker, run_multiprocess_supervised, Comm, ProcessConfig, ProcessSupervisor, Wire,
+    maybe_run_worker, run_multiprocess_supervised, Comm, ProcessConfig, RecoveryLimits, Wire,
     WorkerCtx,
 };
 use pgp_graph::Node;
@@ -73,7 +73,7 @@ fn sigkill_mid_run_recovers_to_fault_free_partition() {
             "--nocapture".to_string(),
         ],
     };
-    let (values, report) = run_multiprocess_supervised(P, &cfg, &ProcessSupervisor::default())
+    let (values, report) = run_multiprocess_supervised(P, &cfg, RecoveryLimits::default())
         .expect("supervisor must recover from one SIGKILL");
 
     assert_eq!(

@@ -9,7 +9,7 @@ pub mod tags {
 
 fn sender(comm: &Comm) {
     let tag = comm.fresh_tag_block() + tags::DATA;
-    comm.send_counted::<std::vec::Vec<u64>>(0, tag, Vec::new(), 0);
+    comm.send::<std::vec::Vec<u64>>(0, tag, Vec::new());
 }
 
 fn receiver(comm: &Comm) {

@@ -9,7 +9,7 @@ pub mod tags {
 
 fn exchange(comm: &Comm) -> Vec<u64> {
     let tag = comm.fresh_tag_block() + tags::DATA;
-    comm.send_counted::<Vec<u64>>(0, tag, vec![1, 2, 3], 3);
+    comm.send::<Vec<u64>>(0, tag, vec![1, 2, 3]);
     let v: Vec<u64> = comm.recv(0, tag);
     v
 }

@@ -216,7 +216,7 @@ mod tests {
             "crates/x/src/lib.rs",
             "pub mod tags { pub const DATA: u64 = 0x01; }\n\
              fn s(comm: &Comm) { let tag = comm.fresh_tag_block() + tags::DATA; \
-             comm.send_counted::<Vec<u64>>(0, tag, Vec::new(), 0); }\n\
+             comm.send::<Vec<u64>>(0, tag, Vec::new()); }\n\
              fn r(comm: &Comm) { let tag = comm.fresh_tag_block() + tags::DATA; \
              let v: Vec<u64> = comm.recv(0, tag); let _ = v; }",
         )]);

@@ -619,14 +619,14 @@ mod tests {
 
     #[test]
     fn fn_extraction_with_generics_and_params() {
-        let it = items("pub fn send_counted<T: Send + 'static>(&self, dst: usize, tag: Tag, msg: T, elements: u64) { body(); }");
+        let it = items("pub fn send<T: Send + 'static>(&self, dst: usize, tag: Tag, msg: T) {}");
         assert_eq!(it.fns.len(), 1);
         let f = &it.fns[0];
-        assert_eq!(f.name, "send_counted");
+        assert_eq!(f.name, "send");
         assert_eq!(f.generics, vec!["T"]);
         assert!(f.has_self);
         let names: Vec<_> = f.params.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, vec!["dst", "tag", "msg", "elements"]);
+        assert_eq!(names, vec!["dst", "tag", "msg"]);
         assert_eq!(f.params[1].ty, "Tag");
     }
 

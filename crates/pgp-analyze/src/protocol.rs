@@ -38,11 +38,7 @@ const USER_OFFSET_LIMIT: u64 = 0x100;
 /// from a turbofish or `let` annotation (receives).
 const METHODS: &[(&str, bool, usize, usize)] = &[
     ("send", true, 1, 2),
-    ("send_counted", true, 1, 2),
     ("recv", false, 1, usize::MAX),
-    ("try_recv", false, 1, usize::MAX),
-    ("recv_deadline", false, 1, usize::MAX),
-    ("recv_any", false, 0, usize::MAX),
     ("drain", false, 0, usize::MAX),
 ];
 
@@ -568,18 +564,13 @@ fn site_type(
         } else {
             None
         }
-    } else if matches!(method, "recv" | "try_recv" | "recv_deadline") {
+    } else if method == "recv" {
         // `let x: Ty = comm.recv(...)` — use the active annotation.
         let (_, ty, _) = cur_let.as_ref()?;
-        let mut ty = ty.clone()?;
-        if matches!(method, "try_recv" | "recv_deadline") {
-            // These return Option<T> / Result-wrapped payloads.
-            ty = strip_wrapper(&ty, "Option").to_string();
-        }
-        Some(ty)
+        ty.clone()
     } else {
-        // recv_any / drain without turbofish: tuple/iterator shapes are
-        // not worth guessing.
+        // drain without turbofish: the `Vec<(usize, T)>` shape is not
+        // worth guessing.
         None
     }?;
     // Generic over the fn's type parameters => not a concrete type.
@@ -608,14 +599,6 @@ fn mentions_generic(ty: &str, generics: &[String]) -> bool {
         idents.push(ident);
     }
     idents.iter().any(|i| generics.iter().any(|g| g == i))
-}
-
-/// Strips one `Wrapper<...>` layer if present.
-fn strip_wrapper<'a>(ty: &'a str, wrapper: &str) -> &'a str {
-    ty.strip_prefix(wrapper)
-        .and_then(|r| r.strip_prefix('<'))
-        .and_then(|r| r.strip_suffix('>'))
-        .unwrap_or(ty)
 }
 
 /// Normalizes a type token slice: strips references and path prefixes

@@ -45,7 +45,6 @@ pub struct Coverage {
 /// advanced group-wide) and the exchange phase boundaries.
 const COLLECTIVES: &[&str] = &[
     "barrier",
-    "try_barrier",
     "broadcast",
     "reduce",
     "allreduce",
@@ -53,15 +52,11 @@ const COLLECTIVES: &[&str] = &[
     "allreduce_sum_vec",
     "allreduce_sum_vec_i64",
     "allreduce_min_with_rank",
-    "try_allreduce_sum",
     "exscan_sum",
     "gather",
     "allgather",
     "allgatherv",
-    "try_allgather",
-    "try_allgatherv",
     "alltoallv",
-    "try_alltoallv",
     "fresh_tag_block",
     "flush_sync",
     "flush_sync_with",

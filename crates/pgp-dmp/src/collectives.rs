@@ -7,13 +7,12 @@
 
 #![allow(clippy::needless_range_loop)] // rank-indexed receive loops are clearest as written
 
-use crate::comm::{Comm, CommError, Tag};
+use crate::comm::{Comm, Tag};
 use crate::wire::Wire;
 // Operation codes mixed into the per-call tag block (diagnostic only; the
 // block number alone already guarantees uniqueness across calls). Defined
 // centrally in `tags` with the payload type each op carries.
 use crate::tags::{OP_ALLGATHER, OP_ALLTOALL, OP_BARRIER, OP_BCAST, OP_GATHER, OP_REDUCE, OP_SCAN};
-use std::time::Duration;
 
 /// Dissemination barrier: `⌈log₂ p⌉` rounds, no central coordinator.
 pub fn barrier(comm: &Comm) {
@@ -246,8 +245,7 @@ pub fn alltoallv<T: Wire>(comm: &Comm, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
     let mine = std::mem::take(&mut sends[comm.rank()]);
     for (dst, buf) in sends.into_iter().enumerate() {
         if dst != comm.rank() {
-            let n = pgp_graph::ids::count_global(buf.len());
-            comm.send_counted(dst, tag, buf, n);
+            comm.send(dst, tag, buf);
         }
     }
     let mut out: Vec<Option<Vec<T>>> = (0..comm.size()).map(|_| None).collect();
@@ -258,107 +256,6 @@ pub fn alltoallv<T: Wire>(comm: &Comm, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
         }
     }
     out.into_iter().map(|x| x.expect("all received")).collect()
-}
-
-// ---------------------------------------------------------------------------
-// Deadline variants (deadlock watchdog, DESIGN.md §9)
-//
-// Each variant bounds every *internal receive* by `deadline` and surfaces
-// expiry as `Err(CommError::Timeout)` instead of parking forever — so the
-// total wall time is at most `deadline × receives`, not `deadline` overall.
-// A timeout poisons the universe (the group is wedged; see `comm`), so the
-// remaining PEs fail fast with `PeerDead`/`Timeout` too. The fallible
-// shapes use direct exchanges: O(p) messages instead of the O(log p) trees,
-// acceptable for the supervision paths that want structured failure.
-// ---------------------------------------------------------------------------
-
-/// Dissemination barrier with a per-receive `deadline`.
-pub fn try_barrier(comm: &Comm, deadline: Duration) -> Result<(), CommError> {
-    let _coll = comm.recorder().collective_span("try_barrier");
-    let p = comm.size();
-    if p == 1 {
-        return Ok(());
-    }
-    let tag = comm.fresh_tag_block() + OP_BARRIER;
-    let mut dist = 1;
-    let mut round: u64 = 0;
-    while dist < p {
-        let to = (comm.rank() + dist) % p;
-        let from = (comm.rank() + p - dist) % p;
-        comm.send(to, tag + round, ());
-        comm.recv_deadline::<()>(from, tag + round, deadline)?;
-        dist *= 2;
-        round += 1;
-    }
-    Ok(())
-}
-
-/// Allgather with a per-receive `deadline`.
-pub fn try_allgather<T: Clone + Wire>(
-    comm: &Comm,
-    value: T,
-    deadline: Duration,
-) -> Result<Vec<T>, CommError> {
-    let _coll = comm.recorder().collective_span("try_allgather");
-    let tag = comm.fresh_tag_block() + OP_ALLGATHER;
-    for dst in 0..comm.size() {
-        if dst != comm.rank() {
-            comm.send(dst, tag, value.clone());
-        }
-    }
-    let mut out: Vec<Option<T>> = (0..comm.size()).map(|_| None).collect();
-    out[comm.rank()] = Some(value);
-    for src in 0..comm.size() {
-        if src != comm.rank() {
-            out[src] = Some(comm.recv_deadline::<T>(src, tag, deadline)?);
-        }
-    }
-    Ok(out.into_iter().map(|x| x.expect("all received")).collect())
-}
-
-/// Concatenating allgatherv with a per-receive `deadline`.
-pub fn try_allgatherv<T: Clone + Wire>(
-    comm: &Comm,
-    value: Vec<T>,
-    deadline: Duration,
-) -> Result<Vec<T>, CommError> {
-    Ok(try_allgather(comm, value, deadline)?
-        .into_iter()
-        .flatten()
-        .collect())
-}
-
-/// Sum-allreduce with a per-receive `deadline` (direct exchange: every PE
-/// gathers all contributions and sums locally — bitwise identical to
-/// [`allreduce_sum`] since u64 addition is associative and commutative).
-pub fn try_allreduce_sum(comm: &Comm, value: u64, deadline: Duration) -> Result<u64, CommError> {
-    Ok(try_allgather(comm, value, deadline)?.into_iter().sum())
-}
-
-/// Personalized all-to-all with a per-receive `deadline`.
-pub fn try_alltoallv<T: Wire>(
-    comm: &Comm,
-    mut sends: Vec<Vec<T>>,
-    deadline: Duration,
-) -> Result<Vec<Vec<T>>, CommError> {
-    let _coll = comm.recorder().collective_span("try_alltoallv");
-    assert_eq!(sends.len(), comm.size(), "one send vector per PE required");
-    let tag = comm.fresh_tag_block() + OP_ALLTOALL;
-    let mine = std::mem::take(&mut sends[comm.rank()]);
-    for (dst, buf) in sends.into_iter().enumerate() {
-        if dst != comm.rank() {
-            let n = pgp_graph::ids::count_global(buf.len());
-            comm.send_counted(dst, tag, buf, n);
-        }
-    }
-    let mut out: Vec<Option<Vec<T>>> = (0..comm.size()).map(|_| None).collect();
-    out[comm.rank()] = Some(mine);
-    for src in 0..comm.size() {
-        if src != comm.rank() {
-            out[src] = Some(comm.recv_deadline::<Vec<T>>(src, tag, deadline)?);
-        }
-    }
-    Ok(out.into_iter().map(|x| x.expect("all received")).collect())
 }
 
 #[cfg(test)]
@@ -488,45 +385,6 @@ mod tests {
             let flat: Vec<u32> = recv.iter().flatten().copied().collect();
             assert_eq!(flat, vec![j as u32, 10 + j as u32, 20 + j as u32]);
         }
-    }
-
-    #[test]
-    fn try_variants_match_infallible_ones() {
-        let long = Duration::from_secs(5);
-        let r = run(4, move |comm| {
-            try_barrier(comm, long).expect("barrier in a healthy group");
-            let sum = try_allreduce_sum(comm, comm.rank() as u64, long)
-                .expect("allreduce in a healthy group");
-            let gathered = try_allgatherv(comm, vec![comm.rank() as u32], long)
-                .expect("allgatherv in a healthy group");
-            let sends: Vec<Vec<u32>> = (0..4).map(|dst| vec![dst as u32]).collect();
-            let recvd = try_alltoallv(comm, sends, long).expect("alltoallv in a healthy group");
-            (sum, gathered, recvd)
-        });
-        for (rank, (sum, gathered, recvd)) in r.into_iter().enumerate() {
-            assert_eq!(sum, 6);
-            assert_eq!(gathered, vec![0, 1, 2, 3]);
-            let flat: Vec<u32> = recvd.into_iter().flatten().collect();
-            assert_eq!(flat, vec![rank as u32; 4]);
-        }
-    }
-
-    #[test]
-    fn try_barrier_times_out_when_a_peer_is_absent() {
-        let r = run(2, |comm| {
-            if comm.rank() == 0 {
-                // Rank 1 never joins the barrier; the watchdog must fire.
-                try_barrier(comm, Duration::from_millis(40))
-            } else {
-                Ok(())
-            }
-        });
-        assert!(
-            matches!(r[0], Err(CommError::Timeout { rank: 0, .. })),
-            "expected timeout on rank 0, got {:?}",
-            r[0]
-        );
-        assert_eq!(r[1], Ok(()));
     }
 
     #[test]

@@ -189,19 +189,13 @@ pub trait FaultHook: Send + Sync {
     }
 }
 
-/// The shared state of a thread-backend PE group: the per-PE mailboxes,
-/// the group-wide poison state, and the message counters. (The socket
-/// backend has no shared state by design — its poison propagates through
-/// control frames — so this type is thread-backend-only; [`Comm`]s of
-/// either backend are otherwise indistinguishable.)
+/// The shared state of a thread-backend PE group: the per-PE mailboxes
+/// and the group-wide poison state. (The socket backend has no shared
+/// state by design — its poison propagates through control frames — so
+/// this type is thread-backend-only; [`Comm`]s of either backend are
+/// otherwise indistinguishable.)
 pub struct Universe {
     mailboxes: Vec<Mailbox>,
-    /// Total number of point-to-point messages sent (for tests/benches that
-    /// want to assert on communication behaviour).
-    messages_sent: AtomicU64,
-    /// Approximate payload volume in "elements" (senders report their own
-    /// counts; see [`Comm::send_counted`]).
-    elements_sent: AtomicU64,
     /// Fast poison flag; the authoritative record is `poison`. Checked on
     /// every blocking-path entry so surviving PEs fail fast.
     poisoned: AtomicBool,
@@ -224,27 +218,11 @@ pub struct Universe {
 }
 
 impl Universe {
-    /// Creates the shared state for `size` PEs (no fault injection, no
-    /// watchdog — the classic substrate).
-    pub fn new(size: usize) -> Arc<Self> {
-        Self::with_chaos(size, None, None)
-    }
-
-    /// Creates the shared state for `size` PEs with an optional watchdog
-    /// `deadline` for blocking receives and an optional fault-injection
-    /// `hook` (see [`FaultHook`]).
-    pub fn with_chaos(
-        size: usize,
-        deadline: Option<Duration>,
-        hook: Option<Arc<dyn FaultHook>>,
-    ) -> Arc<Self> {
-        Self::with_config(size, deadline, hook, None)
-    }
-
-    /// The fully general constructor: watchdog `deadline`, fault-injection
-    /// `hook` and observability registry `obs` (see `pgp-obs`). When `obs`
-    /// is set, every [`Comm`] handed out by [`Universe::comm`] records
-    /// sends/receives/waits into its rank's cell.
+    /// Creates the shared state for `size` PEs: an optional watchdog
+    /// `deadline` for blocking receives, an optional fault-injection `hook`
+    /// (see [`FaultHook`]) and an optional observability registry `obs`
+    /// (see `pgp-obs`). When `obs` is set, every [`Comm`] handed out by
+    /// [`Universe::comm`] records sends/receives/waits into its rank's cell.
     pub fn with_config(
         size: usize,
         deadline: Option<Duration>,
@@ -260,8 +238,6 @@ impl Universe {
         }
         Arc::new(Self {
             mailboxes: (0..size).map(|_| Mailbox::new(size)).collect(),
-            messages_sent: AtomicU64::new(0),
-            elements_sent: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             poison: Mutex::new(None),
             faults: Mutex::new(Vec::new()),
@@ -280,7 +256,6 @@ impl Universe {
             .map_or_else(Recorder::disabled, |o| o.recorder(rank));
         Comm::from_parts(
             Arc::new(ThreadTransport::new(Arc::clone(self), rank)),
-            Some(Arc::clone(self)),
             rank,
             self.deadline,
             self.hook.clone(),
@@ -294,27 +269,9 @@ impl Universe {
         &self.mailboxes[rank]
     }
 
-    /// Accounts one sent message carrying `elements` payload elements.
-    pub(crate) fn count_message(&self, elements: u64) {
-        // Statistics counters: message visibility itself is ordered by the
-        // mailbox mutex, not by these counters.
-        self.messages_sent.fetch_add(1, Ordering::Relaxed); // lint:relaxed-ok: stats only
-        self.elements_sent.fetch_add(elements, Ordering::Relaxed); // lint:relaxed-ok: stats only
-    }
-
     /// Number of PEs in the group.
     pub fn size(&self) -> usize {
         self.mailboxes.len()
-    }
-
-    /// Number of point-to-point messages sent so far across all PEs.
-    pub fn message_count(&self) -> u64 {
-        self.messages_sent.load(Ordering::Relaxed) // lint:relaxed-ok: diagnostic-only counter
-    }
-
-    /// Accumulated element counts reported via [`Comm::send_counted`].
-    pub fn element_count(&self) -> u64 {
-        self.elements_sent.load(Ordering::Relaxed) // lint:relaxed-ok: diagnostic-only counter
     }
 
     /// Marks the whole universe failed with `err` (the first poison wins)
@@ -369,18 +326,6 @@ impl Universe {
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
     }
-
-    /// The configured watchdog deadline, if any.
-    pub fn watchdog_deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// The observability registry, if recording is enabled. External
-    /// observers may snapshot `obs().progress()` while the run is in
-    /// flight; `obs().report()` is for after the PEs have joined.
-    pub fn obs(&self) -> Option<&Arc<Obs>> {
-        self.obs.as_ref()
-    }
 }
 
 /// One sender-side limbo queue: messages for `(dst, tag)` held back by
@@ -398,10 +343,6 @@ struct LimboQueue {
 /// whether payloads move as pointers or as socket frames.
 pub struct Comm {
     transport: Arc<dyn Transport>,
-    /// The shared thread-backend state; `None` on socket backends (which
-    /// have no shared state by design). Only the thread-only statistics
-    /// accessor [`Comm::universe`] needs it.
-    universe: Option<Arc<Universe>>,
     rank: usize,
     /// Watchdog deadline for blocking receives (copied from the group
     /// configuration at construction).
@@ -449,7 +390,6 @@ impl Comm {
     /// called by [`Universe::comm`] and the socket groups).
     pub(crate) fn from_parts(
         transport: Arc<dyn Transport>,
-        universe: Option<Arc<Universe>>,
         rank: usize,
         deadline: Option<Duration>,
         hook: Option<Arc<dyn FaultHook>>,
@@ -458,7 +398,6 @@ impl Comm {
         let encoded = transport.encoded();
         Comm {
             transport,
-            universe,
             rank,
             deadline,
             hook,
@@ -482,17 +421,6 @@ impl Comm {
         self.transport.size()
     }
 
-    /// The shared universe (for message statistics).
-    ///
-    /// # Panics
-    /// Panics on the socket backend, which has no shared state — use
-    /// `pgp-obs` reports for cross-backend statistics.
-    pub fn universe(&self) -> &Arc<Universe> {
-        self.universe
-            .as_ref()
-            .expect("Comm::universe() is only available on the thread backend")
-    }
-
     /// This PE's observation recorder. Disabled (every hook one branch)
     /// unless the group was built with an [`Obs`] registry.
     #[inline]
@@ -502,16 +430,7 @@ impl Comm {
 
     /// Sends `msg` to PE `dst` with `tag`. Never blocks.
     pub fn send<T: Wire>(&self, dst: usize, tag: Tag, msg: T) {
-        self.send_counted(dst, tag, msg, 1);
-    }
-
-    /// Like [`Comm::send`], but records `elements` payload elements in the
-    /// group statistics (used by the benchmarks to track volume).
-    pub fn send_counted<T: Wire>(&self, dst: usize, tag: Tag, msg: T, elements: u64) {
         self.check_poison();
-        // Count *before* delivering: once a receiver has observed the
-        // message, the statistics must already include it.
-        self.transport.count_message(elements);
         let payload = if self.encoded {
             pack_encoded(&msg)
         } else {
@@ -641,112 +560,46 @@ impl Comm {
     /// Blocking selective receive: waits for a message from `src` with
     /// `tag` and returns its payload.
     ///
-    /// If the group has a watchdog deadline and it expires, or the
-    /// group is poisoned while parked, this unwinds with the comm-abort
-    /// sentinel (the runner surfaces it as `Err(CommError)`).
+    /// Flushes this PE's limbo first (it is about to park and can produce
+    /// no further send events), then parks in the transport — bounded by
+    /// the group's watchdog deadline when one is set. If the deadline
+    /// expires the group is poisoned (it is wedged — a lone timeout cannot
+    /// be recovered locally), and on expiry or on poison while parked this
+    /// unwinds with the comm-abort sentinel (the runner surfaces it as
+    /// `Err(CommError)`). An available message wins over poison (the
+    /// transports guarantee it), so already-delivered traffic stays
+    /// receivable during an unwind.
     ///
     /// # Panics
     /// Panics if the received payload has a different type than `T` —
     /// that is a protocol bug, not a runtime condition.
     pub fn recv<T: Wire>(&self, src: usize, tag: Tag) -> T {
-        match self.recv_inner(src, tag, self.deadline) {
-            Ok(msg) => msg,
-            Err(err) => std::panic::panic_any(CommAbort(self.localize(err))),
-        }
-    }
-
-    /// As [`Comm::recv`], with an explicit per-receive `deadline` that
-    /// overrides the group watchdog deadline. On expiry the group is
-    /// poisoned (it is wedged — a lone timeout cannot be recovered
-    /// locally) and `CommError::Timeout` is returned to *this* caller.
-    pub fn recv_deadline<T: Wire>(
-        &self,
-        src: usize,
-        tag: Tag,
-        deadline: Duration,
-    ) -> Result<T, CommError> {
-        self.recv_inner(src, tag, Some(deadline))
-    }
-
-    /// The shared blocking-receive core: flushes this PE's limbo (it is
-    /// about to park and can produce no further send events), then parks in
-    /// the transport — bounded by `deadline` when one is set. A deadline
-    /// expiry poisons the group so the whole run fails structurally, not
-    /// just this PE. An available message wins over poison (the transports
-    /// guarantee it), so already-delivered traffic stays receivable during
-    /// an unwind.
-    fn recv_inner<T: Wire>(
-        &self,
-        src: usize,
-        tag: Tag,
-        deadline: Option<Duration>,
-    ) -> Result<T, CommError> {
         self.pre_block();
         // Fast path: already queued — no wait accounting.
         if let Some(payload) = self.transport.try_take(src, tag) {
-            return Ok(self.finish_recv(src, tag, payload));
+            return self.finish_recv(src, tag, payload);
         }
-        let wait_tok = self.recorder.start_wait(Some(src), tag);
-        match self.transport.recv_blocking(Some(src), tag, deadline) {
-            RecvOutcome::Msg(from, payload) => {
+        let wait_tok = self.recorder.start_wait(src, tag);
+        let err = match self.transport.recv_blocking(src, tag, self.deadline) {
+            RecvOutcome::Msg(payload) => {
                 self.recorder.end_wait(wait_tok);
-                Ok(self.finish_recv(from, tag, payload))
+                return self.finish_recv(src, tag, payload);
             }
-            RecvOutcome::Poisoned(err) => Err(self.localize(err)),
+            RecvOutcome::Poisoned(err) => self.localize(err),
             RecvOutcome::TimedOut => {
                 let err = CommError::Timeout {
                     rank: self.rank,
                     src,
                     tag,
                 };
-                // Poison first, then return: peers parked on us must
+                // Poison first, then unwind: peers parked on us must
                 // unwind too, or the join loop would hang on them even
                 // though we failed cleanly.
                 self.transport.poison(err.clone());
-                Err(err)
+                err
             }
-        }
-    }
-
-    /// Non-blocking selective receive.
-    pub fn try_recv<T: Wire>(&self, src: usize, tag: Tag) -> Option<T> {
-        self.check_poison();
-        let payload = self.transport.try_take(src, tag)?;
-        Some(self.finish_recv(src, tag, payload))
-    }
-
-    /// Blocking receive from *any* source with `tag`; returns `(src, msg)`.
-    /// Sources are scanned in rank order, which is as deterministic as the
-    /// arrival interleaving allows (only the randomized rumor-spreading
-    /// protocol receives this way).
-    pub fn recv_any<T: Wire>(&self, tag: Tag) -> (usize, T) {
-        self.pre_block();
-        // Fast path: a message is already queued from some source.
-        for src in 0..self.transport.size() {
-            if let Some(payload) = self.transport.try_take(src, tag) {
-                return (src, self.finish_recv(src, tag, payload));
-            }
-        }
-        // No single awaited source — wait attribution stays unassigned.
-        let wait_tok = self.recorder.start_wait(None, tag);
-        match self.transport.recv_blocking(None, tag, self.deadline) {
-            RecvOutcome::Msg(src, payload) => {
-                self.recorder.end_wait(wait_tok);
-                (src, self.finish_recv(src, tag, payload))
-            }
-            RecvOutcome::Poisoned(err) => std::panic::panic_any(CommAbort(self.localize(err))),
-            RecvOutcome::TimedOut => {
-                let err = CommError::Timeout {
-                    rank: self.rank,
-                    // `recv_any` has no single awaited source; report
-                    // ourselves as the park coordinate.
-                    src: self.rank,
-                    tag,
-                };
-                self.transport.poison(err.clone());
-                std::panic::panic_any(CommAbort(err));
-            }
-        }
+        };
+        std::panic::panic_any(CommAbort(err))
     }
 
     /// Drains all currently queued messages with `tag` (any source) without
@@ -772,9 +625,6 @@ impl Comm {
     /// block (rounds) are the caller's to assign and can never collide with
     /// another call's tags.
     pub fn fresh_tag_block(&self) -> Tag {
-        // Phase boundary: publish this PE's running comm totals so external
-        // observers can watch progress without locking the recorder cells.
-        self.recorder.publish_progress();
         // Live telemetry (off by default — gated behind `Obs::enable_live`,
         // so the common path stays the recorder's single branch): publish a
         // full metric snapshot into this PE's shared slot and, on the
@@ -855,50 +705,6 @@ mod tests {
             }
         });
         assert_eq!(results[2], 100);
-    }
-
-    #[test]
-    fn try_recv_returns_none_when_empty() {
-        let results = run(1, |comm| comm.try_recv::<u8>(0, 99).is_none());
-        assert!(results[0]);
-    }
-
-    #[test]
-    fn recv_any_and_drain() {
-        let results = run(4, |comm| {
-            if comm.rank() == 0 {
-                let (_, first): (usize, u8) = comm.recv_any(3);
-                // Let stragglers arrive, then drain the rest.
-                let mut got = vec![first];
-                while got.len() < 3 {
-                    got.extend(comm.drain::<u8>(3).into_iter().map(|(_, m)| m));
-                }
-                got.sort_unstable();
-                got.iter().map(|&x| x as u32).sum::<u32>()
-            } else {
-                comm.send(0, 3, comm.rank() as u8);
-                0
-            }
-        });
-        assert_eq!(results[0], 6);
-    }
-
-    #[test]
-    fn message_statistics() {
-        let results = run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send_counted(1, 1, vec![1u8, 2, 3], 3);
-            } else {
-                let _: Vec<u8> = comm.recv(0, 1);
-            }
-            (
-                comm.universe().message_count(),
-                comm.universe().element_count(),
-            )
-        });
-        // After the barrier-free exchange, at least one message was recorded.
-        assert!(results.iter().any(|&(m, _)| m >= 1));
-        assert!(results.iter().any(|&(_, e)| e >= 3));
     }
 
     #[test]
@@ -993,10 +799,6 @@ mod tests {
                 for t in 0..(OVERFLOW_SOFT_CAP as u64 + 16) {
                     comm.send(1, 1000 + t, t);
                 }
-            } else {
-                // Receive a sentinel that is never sent on a separate tag so
-                // this PE outlives the sender's burst without consuming it.
-                let _ = comm.try_recv::<u64>(0, 1);
             }
         });
     }
@@ -1059,7 +861,7 @@ mod chaos_tests {
 
     #[test]
     fn poison_ledger_accumulates_distinct_faults() {
-        let u = Universe::new(2);
+        let u = Universe::with_config(2, None, None, None);
         let e1 = CommError::PeerDead { rank: 0, dead: 0 };
         let e2 = CommError::PeerDead { rank: 1, dead: 1 };
         u.poison(e1.clone());
@@ -1197,7 +999,7 @@ mod chaos_tests {
                 comm.send(1, 100, 2u64); // delivered
             } else {
                 assert_eq!(comm.recv::<u64>(0, 100), 2);
-                assert!(comm.try_recv::<u64>(0, 99).is_none());
+                assert!(comm.drain::<u64>(99).is_empty());
             }
         });
         for r in results {

@@ -36,8 +36,8 @@ pub use comm::{Comm, CommError, FaultHook, SendFault, Tag, Universe};
 pub use dgraph::DistGraph;
 pub use exchange::LabelExchange;
 pub use transport::process::{
-    maybe_run_worker, run_multiprocess, run_multiprocess_supervised, ProcessConfig,
-    ProcessSupervisor, WorkerCtx, WorkerFn, ENV_TELEMETRY_DIR,
+    maybe_run_worker, run_multiprocess, run_multiprocess_supervised, ProcessConfig, WorkerCtx,
+    WorkerFn, ENV_TELEMETRY_DIR,
 };
 pub use transport::BackendKind;
 pub use wire::{Wire, WireError, WireReader};

@@ -8,7 +8,7 @@
 //! peers — unwind with a crate-internal sentinel that [`run_config`]
 //! surfaces as `Err(CommError)` per PE instead of a crash.
 
-use crate::comm::{Comm, CommAbort, CommError, FaultHook, Tag, Universe};
+use crate::comm::{Comm, CommAbort, CommError, FaultHook, Tag};
 use crate::transport::{BackendKind, Group};
 use pgp_obs::{Obs, RecoveryReport};
 use std::any::Any;
@@ -146,7 +146,7 @@ where
     R: Send,
     F: Fn(&Comm) -> R + Sync,
 {
-    run_group(&Group::Threads(Universe::new(p)), f)
+    run_config(p, RunConfig::default(), f)
         .into_iter()
         .map(|r| r.unwrap_or_else(|err| panic!("PE failed: {err}")))
         .collect()
@@ -295,49 +295,43 @@ impl FaultHook for DisarmedKills {
 /// Watchdog-widening cap: deadlines stop doubling after ×32.
 const MAX_WIDEN_EXP: u32 = 5;
 
-/// Runs `f` on `p` PEs under automatic recovery (DESIGN.md §14): every
-/// structured group failure is classified by [`FailureVerdict`] and either
-/// retried in place (transient timeout, seeded backoff + widened deadline)
-/// or answered with a full recovery — a fresh universe whose closures see
-/// the dead ranks in [`AttemptInfo`] and are expected to resume from their
-/// latest checkpoint (see `Partitioner::supervised` in `core`).
-///
-/// Returns the per-rank values of the first fully successful attempt plus
-/// the recovery counters, or the terminal error once the budgets are
-/// exhausted. Genuine panics still propagate as panics — recovery is for
-/// structured comm failures, not broken invariants. When `base.obs` is
-/// set, the counters are also written into the registry so they appear in
-/// the RunReport, and the supervisor marks `recovery`/`consensus` spans on
-/// rank 0's timeline between attempts.
-pub fn run_config_supervised<R, F>(
-    p: usize,
-    sup: SupervisorConfig,
-    f: F,
-) -> Result<(Vec<R>, RecoveryReport), CommError>
-where
-    R: Send,
-    F: Fn(&Comm, &AttemptInfo) -> R + Sync,
-{
-    let SupervisorConfig {
-        base,
-        limits:
-            RecoveryLimits {
-                max_retries,
-                max_recoveries,
-                backoff_base_ms,
-            },
-        seed,
-    } = sup;
+/// What one launched attempt hands back to [`supervise`]: the per-rank
+/// outcomes plus every distinct fault the group observed (the thread and
+/// socket groups keep a ledger; worker processes report through their
+/// result files only, so theirs is empty).
+type AttemptOutcome<R> = (Vec<Result<R, CommError>>, Vec<CommError>);
+
+/// The one attempt loop behind both supervised launchers (DESIGN.md §14).
+/// `launch` runs a single attempt — it is told the history so far and the
+/// watchdog deadline to arm (`base_deadline`, doubled per transient retry
+/// up to ×32) — and every failed attempt is classified by
+/// [`FailureVerdict`]: uncorroborated timeouts are retried after a seeded
+/// backoff until `limits.max_retries` is spent, new deaths (or spent
+/// retries) cost one of `limits.max_recoveries` full recoveries, and once
+/// those are gone the attempt's first error is returned. When `obs` is
+/// set the counters are mirrored into the registry and the supervisor
+/// marks `recovery`/`consensus` spans on rank 0's timeline.
+pub(crate) fn supervise<R>(
+    limits: RecoveryLimits,
+    seed: u64,
+    base_deadline: Option<Duration>,
+    obs: Option<&Arc<Obs>>,
+    mut launch: impl FnMut(&AttemptInfo, Option<Duration>) -> AttemptOutcome<R>,
+) -> Result<(Vec<R>, RecoveryReport), CommError> {
+    let RecoveryLimits {
+        max_retries,
+        max_recoveries,
+        backoff_base_ms,
+    } = limits;
     let mut report = RecoveryReport::default();
-    let mut dead_all: Vec<usize> = Vec::new();
+    let mut info = AttemptInfo::default();
     // Transient retries since the last recovery (the escalation budget).
     let mut retries_window: u32 = 0;
     // Monotone widening exponent: never reset, so a consistently slow
     // group keeps its earned headroom even across an escalation.
     let mut widen: u32 = 0;
-    let mut attempt: u32 = 0;
     let publish = |report: &RecoveryReport| {
-        if let Some(obs) = &base.obs {
+        if let Some(obs) = obs {
             let snap = report.clone();
             obs.record_recovery(move |r| {
                 // `lost_cycles` belongs to the partitioner's supervised
@@ -350,26 +344,8 @@ where
     };
     loop {
         report.attempts += 1;
-        let hook = base.fault_hook.as_ref().map(|h| {
-            if dead_all.is_empty() {
-                Arc::clone(h)
-            } else {
-                Arc::new(DisarmedKills {
-                    inner: Arc::clone(h),
-                    disarmed: dead_all.clone(),
-                }) as Arc<dyn FaultHook>
-            }
-        });
-        let deadline = base
-            .deadline
-            .map(|d| d * (1u32 << widen.min(MAX_WIDEN_EXP)));
-        let info = AttemptInfo {
-            attempt,
-            recoveries: u32::try_from(report.recoveries).unwrap_or(u32::MAX),
-            dead_ranks: dead_all.clone(),
-        };
-        let group = Group::build(p, base.backend, deadline, hook, base.obs.clone());
-        let results = run_group(&group, |comm| f(comm, &info));
+        let deadline = base_deadline.map(|d| d * (1u32 << widen.min(MAX_WIDEN_EXP)));
+        let (results, ledger) = launch(&info, deadline);
         if results.iter().all(Result::is_ok) {
             publish(&report);
             let values = results
@@ -381,40 +357,35 @@ where
         // Failure consensus: the poison handshake already showed every
         // survivor the same fault state; the post-join ledger makes the
         // verdict exact even under concurrent multi-rank failures.
-        let ledger = group.fault_ledger();
         let verdict = {
             // No PE threads are alive between attempts, so rank 0's cell
             // is free for the supervisor's own recovery spans.
-            let rec = base.obs.as_ref().map(|o| o.recorder(0));
+            let rec = obs.map(|o| o.recorder(0));
             let _recovery = rec.as_ref().map(|r| r.span("recovery"));
             let _consensus = rec.as_ref().map(|r| r.span("consensus"));
             FailureVerdict::from_run(&ledger, &results)
         };
-        let first_error = || {
-            ledger
-                .first()
-                .cloned()
-                .or_else(|| results.iter().find_map(|r| r.as_ref().err().cloned()))
-                .expect("failed attempt has at least one error")
-        };
         let new_dead: Vec<usize> = verdict
             .dead
-            .iter()
-            .copied()
-            .filter(|r| !dead_all.contains(r))
+            .into_iter()
+            .filter(|r| !info.dead_ranks.contains(r))
             .collect();
-        let escalate_transient = new_dead.is_empty() && retries_window >= max_retries;
-        if !new_dead.is_empty() || escalate_transient {
+        if !new_dead.is_empty() || retries_window >= max_retries {
             // Full recovery: declare the ranks dead, respawn, resume.
             if report.recoveries >= u64::from(max_recoveries) {
                 publish(&report);
-                return Err(first_error());
+                return Err(ledger
+                    .into_iter()
+                    .chain(results.into_iter().filter_map(Result::err))
+                    .next()
+                    .expect("failed attempt has at least one error"));
             }
             report.recoveries += 1;
+            info.recoveries += 1;
             retries_window = 0;
-            dead_all.extend(new_dead);
-            dead_all.sort_unstable();
-            report.dead_ranks = dead_all.clone();
+            info.dead_ranks.extend(new_dead);
+            info.dead_ranks.sort_unstable();
+            report.dead_ranks = info.dead_ranks.clone();
         } else {
             // Transient: back off deterministically, widen the watchdog,
             // and re-run — the next attempt resumes from the latest
@@ -423,12 +394,58 @@ where
             retries_window += 1;
             widen += 1;
             let exp = (retries_window - 1).min(MAX_WIDEN_EXP);
-            let jitter = mix_seed(seed, u64::from(attempt)) % (backoff_base_ms + 1);
+            let jitter = mix_seed(seed, u64::from(info.attempt)) % (backoff_base_ms + 1);
             std::thread::sleep(Duration::from_millis((backoff_base_ms << exp) + jitter));
         }
         publish(&report);
-        attempt += 1;
+        info.attempt += 1;
     }
+}
+
+/// Runs `f` on `p` PEs under automatic recovery (DESIGN.md §14): every
+/// structured group failure is classified by [`FailureVerdict`] and either
+/// retried in place (transient timeout, seeded backoff + widened deadline)
+/// or answered with a full recovery — a fresh universe whose closures see
+/// the dead ranks in [`AttemptInfo`] and are expected to resume from their
+/// latest checkpoint (see `Partitioner::supervised` in `core`).
+///
+/// Returns the per-rank values of the first fully successful attempt plus
+/// the recovery counters, or the terminal error once the budgets are
+/// exhausted. Genuine panics still propagate as panics — recovery is for
+/// structured comm failures, not broken invariants. When `base.obs` is
+/// set, the counters are also written into the registry so they appear in
+/// the RunReport.
+pub fn run_config_supervised<R, F>(
+    p: usize,
+    sup: SupervisorConfig,
+    f: F,
+) -> Result<(Vec<R>, RecoveryReport), CommError>
+where
+    R: Send,
+    F: Fn(&Comm, &AttemptInfo) -> R + Sync,
+{
+    let SupervisorConfig { base, limits, seed } = sup;
+    supervise(
+        limits,
+        seed,
+        base.deadline,
+        base.obs.as_ref(),
+        |info, deadline| {
+            let hook = base.fault_hook.as_ref().map(|h| {
+                if info.dead_ranks.is_empty() {
+                    Arc::clone(h)
+                } else {
+                    Arc::new(DisarmedKills {
+                        inner: Arc::clone(h),
+                        disarmed: info.dead_ranks.clone(),
+                    }) as Arc<dyn FaultHook>
+                }
+            });
+            let group = Group::build(p, base.backend, deadline, hook, base.obs.clone());
+            let results = run_group(&group, |comm| f(comm, info));
+            (results, group.fault_ledger())
+        },
+    )
 }
 
 /// CPU time consumed by the calling thread, in seconds — re-exported
@@ -637,6 +654,75 @@ mod tests {
         assert_eq!(values, vec![0, 7]);
         assert_eq!(report.attempts, 1);
         assert_eq!(report.retries + report.recoveries, 0);
+    }
+
+    /// Drives [`supervise`] with a scripted launch on 2 ranks — no threads,
+    /// no processes. `T` is a timed-out attempt, `D(r)` one where rank `r`
+    /// died, `K` a clean one; `want` is `(attempts, retries, recoveries,
+    /// dead_ranks)` or the terminal error.
+    #[test]
+    fn supervise_loop_budget_table() {
+        #[derive(Clone, Copy, Debug)]
+        enum Step {
+            K,
+            T,
+            D(usize),
+        }
+        use Step::{D, K, T};
+        let limits = RecoveryLimits {
+            backoff_base_ms: 0,
+            ..RecoveryLimits::default()
+        };
+        let (max_retries, max_recoveries) = (limits.max_retries as usize, limits.max_recoveries);
+        let dead = |r| CommError::PeerDead { rank: r, dead: r };
+        type Want = Result<(u64, u64, u64, Vec<usize>), CommError>;
+        let rows: Vec<(Vec<Step>, Want)> = vec![
+            (vec![T, T, K], Ok((3, 2, 0, vec![]))),
+            (vec![D(1), K], Ok((2, 0, 1, vec![1]))),
+            // Spent retries escalate to a recovery although nobody died.
+            (
+                [vec![T; max_retries + 1], vec![K]].concat(),
+                Ok((max_retries as u64 + 2, max_retries as u64, 1, vec![])),
+            ),
+            // Each death names a new rank (a repeated one would be a retry);
+            // one more than the budget surfaces that attempt's first error.
+            (
+                (0..=max_recoveries as usize).map(D).collect(),
+                Err(dead(max_recoveries as usize)),
+            ),
+        ];
+        for (script, want) in rows {
+            let base = Duration::from_millis(10);
+            let mut seen: Vec<AttemptInfo> = Vec::new();
+            let got = supervise(limits, 7, Some(base), None, |info, deadline| {
+                // The watchdog doubles per retry taken (the escalated timeout
+                // of row three is answered by a recovery, not a retry).
+                let timeouts = script[..seen.len()].iter().filter(|s| matches!(s, T));
+                let widen = u32::try_from(timeouts.count().min(max_retries)).expect("small");
+                assert_eq!(deadline, Some(base * (1 << widen)), "{script:?}");
+                seen.push(info.clone());
+                let err = match script[seen.len() - 1] {
+                    K => return (vec![Ok(0usize), Ok(1)], Vec::new()),
+                    T => CommError::Timeout {
+                        rank: 0,
+                        src: 1,
+                        tag: 9,
+                    },
+                    D(r) => dead(r),
+                };
+                (vec![Err(err.clone()), Ok(1)], vec![err])
+            });
+            let got = got.map(|(values, r)| {
+                assert_eq!(values, vec![0, 1]);
+                // The last launch was told everything the report says.
+                let last = seen.last().expect("launched");
+                assert_eq!(last.dead_ranks, r.dead_ranks, "{script:?}");
+                assert_eq!(u64::from(last.recoveries), r.recoveries, "{script:?}");
+                (r.attempts, r.retries, r.recoveries, r.dead_ranks)
+            });
+            assert_eq!(got, want, "{script:?}");
+            assert!(seen.iter().map(|i| i.attempt).eq(0..script.len() as u32));
+        }
     }
 
     #[test]

@@ -208,8 +208,8 @@ pub(crate) fn unpack<T: Wire>(payload: Payload, src: usize, tag: Tag) -> T {
 
 /// Outcome of one blocking transport receive.
 pub(crate) enum RecvOutcome {
-    /// A message from `src` arrived.
-    Msg(usize, Payload),
+    /// The awaited message arrived.
+    Msg(Payload),
     /// The group is poisoned; no message can be expected.
     Poisoned(CommError),
     /// The deadline elapsed with no message and no poison.
@@ -239,16 +239,11 @@ pub(crate) trait Transport: Send + Sync {
     /// in rank order, FIFO within a source.
     fn drain_tag(&self, tag: Tag) -> Vec<(usize, Payload)>;
 
-    /// Parks until a matching message arrives (`src = None` accepts any
-    /// source, scanned in rank order), the group is poisoned, or
-    /// `deadline` elapses. An available message wins over poison, so
-    /// already-delivered traffic stays receivable during an unwind.
-    fn recv_blocking(
-        &self,
-        src: Option<usize>,
-        tag: Tag,
-        deadline: Option<Duration>,
-    ) -> RecvOutcome;
+    /// Parks until a message from `src` with `tag` arrives, the group is
+    /// poisoned, or `deadline` elapses. An available message wins over
+    /// poison, so already-delivered traffic stays receivable during an
+    /// unwind.
+    fn recv_blocking(&self, src: usize, tag: Tag, deadline: Option<Duration>) -> RecvOutcome;
 
     /// Marks the whole group failed with `err` (first poison wins) and
     /// wakes every parked PE — on socket backends this also broadcasts a
@@ -261,9 +256,6 @@ pub(crate) trait Transport: Send + Sync {
     /// True iff the group is poisoned (cheaper than
     /// [`Transport::poison_error`] on the healthy path).
     fn is_poisoned(&self) -> bool;
-
-    /// Accounts one sent message carrying `elements` payload elements.
-    fn count_message(&self, elements: u64);
 }
 
 /// A running PE group of either backend: the runner's seam. Owns the

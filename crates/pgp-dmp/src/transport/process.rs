@@ -12,11 +12,11 @@
 //!   that is a no-op in the parent but, in a spawned child, connects the
 //!   socket mesh, runs the named entry function over a socket-backed
 //!   [`Comm`], writes its result file, and exits without returning.
-//! * [`run_multiprocess_supervised`] wraps the parent side in the PR 8
-//!   attempt loop: failed attempts are diagnosed from the workers' result
-//!   files (a missing or corrupt file is a self-evident death), dead ranks
-//!   accumulate across attempts, deadlines widen, and the run converges or
-//!   exhausts its recovery budget.
+//! * [`run_multiprocess_supervised`] launches the parent side from the
+//!   runner's attempt loop: failed attempts are diagnosed from the workers'
+//!   result files (a missing or corrupt file is a self-evident death), dead
+//!   ranks accumulate across attempts, deadlines widen, and the run
+//!   converges or exhausts its recovery budget.
 //!
 //! Mesh wiring: every rank binds a Unix listener at `<dir>/pe-<r>.sock`,
 //! connects to all lower ranks (announcing itself with an 8-byte hello),
@@ -25,7 +25,8 @@
 //! exactly what a rank killed during setup looks like.
 
 use super::socket::{spawn_reader, SocketEndpoint};
-use crate::comm::{Comm, CommAbort, CommError, Universe};
+use crate::comm::{Comm, CommAbort, CommError};
+use crate::runner::{supervise, RecoveryLimits};
 use crate::wire::Wire;
 use pgp_obs::{Recorder, RecoveryReport};
 use std::io::{Read, Write};
@@ -165,7 +166,6 @@ pub fn maybe_run_worker(entries: &[(&str, WorkerFn)]) {
                 .map_or_else(Recorder::disabled, |o| o.recorder(ctx.rank));
             let comm = Comm::from_parts(
                 Arc::clone(&endpoint) as Arc<dyn super::Transport>,
-                None::<Arc<Universe>>,
                 ctx.rank,
                 deadline,
                 None,
@@ -404,32 +404,12 @@ fn fresh_rendezvous_dir(attempt: u32) -> PathBuf {
     dir
 }
 
-/// Recovery knobs for [`run_multiprocess_supervised`] (the multi-process
-/// counterpart of the runner's `SupervisorConfig`).
-#[derive(Clone, Debug)]
-pub struct ProcessSupervisor {
-    /// Full recoveries (respawn all ranks) allowed before giving up.
-    pub max_recoveries: u32,
-    /// Transient retries allowed per recovery window.
-    pub max_retries: u32,
-    /// Watchdog widening cap exponent (deadline × 2^min(widen, cap)).
-    pub max_widen_exp: u32,
-}
-
-impl Default for ProcessSupervisor {
-    fn default() -> Self {
-        Self {
-            max_recoveries: 4,
-            max_retries: 3,
-            max_widen_exp: 5,
-        }
-    }
-}
-
-/// Runs `cfg.entry` across `size` worker processes under automatic
-/// recovery: each failed attempt is diagnosed from the workers' result
-/// files — a missing file is a self-evident death (the SIGKILL case), a
-/// reported [`CommError::PeerDead`] corroborates its `dead` coordinate, and
+/// Runs `cfg.entry` across `size` worker processes under the runner's
+/// attempt loop (the same one, budgets and backoff as
+/// [`run_config_supervised`](crate::run_config_supervised)): each failed
+/// attempt is diagnosed from the workers' result files — a missing file is
+/// a self-evident death (the SIGKILL case), a reported
+/// [`CommError::PeerDead`] corroborates its `dead` coordinate, and
 /// uncorroborated timeouts are retried with a widened deadline. Every rank
 /// is respawned per attempt (workers are stateless between attempts; the
 /// accumulated dead set and attempt number reach them through
@@ -441,65 +421,16 @@ impl Default for ProcessSupervisor {
 pub fn run_multiprocess_supervised(
     size: usize,
     cfg: &ProcessConfig,
-    sup: &ProcessSupervisor,
+    limits: RecoveryLimits,
 ) -> Result<(Vec<Vec<u8>>, RecoveryReport), CommError> {
-    let mut report = RecoveryReport::default();
-    let mut dead_all: Vec<usize> = Vec::new();
-    let mut retries_window: u32 = 0;
-    let mut widen: u32 = 0;
-    let mut attempt: u32 = 0;
-    loop {
-        report.attempts += 1;
-        let mut attempt_cfg = cfg.clone();
-        attempt_cfg.deadline = cfg
-            .deadline
-            .map(|d| d * (1u32 << widen.min(sup.max_widen_exp)));
-        let results = run_attempt(size, &attempt_cfg, attempt, &dead_all);
-        if results.iter().all(Result::is_ok) {
-            let values = results
-                .into_iter()
-                .map(|r| r.expect("all outcomes checked ok"))
-                .collect();
-            return Ok((values, report));
-        }
-        // Failure consensus over the result files (the multi-process
-        // equivalent of the thread runner's fault ledger).
-        let errors: Vec<&CommError> = results.iter().filter_map(|r| r.as_ref().err()).collect();
-        let mut new_dead: Vec<usize> = Vec::new();
-        let mut timeouts = 0usize;
-        for err in &errors {
-            match err {
-                CommError::PeerDead { dead, .. } => {
-                    if !dead_all.contains(dead) && !new_dead.contains(dead) {
-                        new_dead.push(*dead);
-                    }
-                }
-                CommError::Timeout { .. } => timeouts += 1,
-            }
-        }
-        let _ = timeouts;
-        new_dead.sort_unstable();
-        let first_error = || {
-            errors
-                .first()
-                .map(|e| (*e).clone())
-                .expect("failed attempt has at least one error")
+    // The backoff jitter is wall-clock only, so the parent needs no seed
+    // of its own; the result files are the whole fault record (no ledger).
+    supervise(limits, 0, cfg.deadline, None, |info, deadline| {
+        let attempt_cfg = ProcessConfig {
+            deadline,
+            ..cfg.clone()
         };
-        let escalate_transient = new_dead.is_empty() && retries_window >= sup.max_retries;
-        if !new_dead.is_empty() || escalate_transient {
-            if report.recoveries >= u64::from(sup.max_recoveries) {
-                return Err(first_error());
-            }
-            report.recoveries += 1;
-            retries_window = 0;
-            dead_all.extend(new_dead);
-            dead_all.sort_unstable();
-            report.dead_ranks = dead_all.clone();
-        } else {
-            report.retries += 1;
-            retries_window += 1;
-            widen += 1;
-        }
-        attempt += 1;
-    }
+        let results = run_attempt(size, &attempt_cfg, info.attempt, &info.dead_ranks);
+        (results, Vec::new())
+    })
 }

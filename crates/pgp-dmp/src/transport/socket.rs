@@ -28,7 +28,7 @@
 use super::frame::{control, read_frame, write_frame, CONTROL_TAG};
 use super::thread::Mailbox;
 use super::{Payload, RecvOutcome, Transport};
-use crate::comm::{Comm, CommError, FaultHook, Tag, Universe};
+use crate::comm::{Comm, CommError, FaultHook, Tag};
 use crate::wire::Wire;
 use parking_lot::Mutex;
 use pgp_obs::{Obs, Recorder};
@@ -70,9 +70,6 @@ pub(crate) struct SocketEndpoint {
     /// Set before an orderly teardown: readers treat subsequent EOFs as
     /// clean even without a `BYE` (in-process mode closes by dropping).
     closing: AtomicBool,
-    /// Sent message / element counters (endpoint-local).
-    messages_sent: std::sync::atomic::AtomicU64,
-    elements_sent: std::sync::atomic::AtomicU64,
 }
 
 impl SocketEndpoint {
@@ -99,8 +96,6 @@ impl SocketEndpoint {
             poison: Mutex::new(None),
             faults: Mutex::new(Vec::new()),
             closing: AtomicBool::new(false),
-            messages_sent: std::sync::atomic::AtomicU64::new(0),
-            elements_sent: std::sync::atomic::AtomicU64::new(0),
         })
     }
 
@@ -223,12 +218,7 @@ impl Transport for SocketEndpoint {
         self.mailbox.drain_tag(tag)
     }
 
-    fn recv_blocking(
-        &self,
-        src: Option<usize>,
-        tag: Tag,
-        deadline: Option<Duration>,
-    ) -> RecvOutcome {
+    fn recv_blocking(&self, src: usize, tag: Tag, deadline: Option<Duration>) -> RecvOutcome {
         self.mailbox
             .recv_blocking(src, tag, deadline, &|| self.poison_error_raw())
     }
@@ -246,13 +236,6 @@ impl Transport for SocketEndpoint {
 
     fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
-    }
-
-    fn count_message(&self, elements: u64) {
-        // Statistics counters: message visibility itself is ordered by the
-        // socket stream, not by these counters.
-        self.messages_sent.fetch_add(1, Ordering::Relaxed); // lint:relaxed-ok: stats only
-        self.elements_sent.fetch_add(elements, Ordering::Relaxed); // lint:relaxed-ok: stats only
     }
 }
 
@@ -407,7 +390,6 @@ impl SocketGroup {
             .map_or_else(Recorder::disabled, |o| o.recorder(rank));
         Comm::from_parts(
             Arc::clone(&self.endpoints[rank]) as Arc<dyn Transport>,
-            None::<Arc<Universe>>,
             rank,
             self.deadline,
             self.hook.clone(),

@@ -15,7 +15,7 @@
 //! # Single-consumer invariant
 //!
 //! Mailbox `r` is only ever *received from* by PE `r`'s own thread (every
-//! `recv*`/`drain` call operates on the owning rank's mailbox). At most
+//! `recv`/`drain` call operates on the owning rank's mailbox). At most
 //! one thread can therefore be parked on a mailbox's condvar at any time,
 //! which makes `notify_one` on the send path sufficient — there is no
 //! second waiter a wakeup could be lost to. The loom model in
@@ -193,7 +193,7 @@ impl Mailbox {
     /// reported as [`RecvOutcome::TimedOut`] for the caller to escalate.
     pub(crate) fn recv_blocking(
         &self,
-        src: Option<usize>,
+        src: usize,
         tag: Tag,
         deadline: Option<Duration>,
         poison: &dyn Fn() -> Option<CommError>,
@@ -201,20 +201,8 @@ impl Mailbox {
         let start = deadline.map(|_| Instant::now()); // lint:instant-ok: watchdog deadline
         let mut inner = self.inner.lock();
         loop {
-            match src {
-                Some(s) => {
-                    if let Some(payload) = inner.by_src[s].take(tag) {
-                        return RecvOutcome::Msg(s, payload);
-                    }
-                }
-                None => {
-                    let size = inner.by_src.len();
-                    for s in 0..size {
-                        if let Some(payload) = inner.by_src[s].take(tag) {
-                            return RecvOutcome::Msg(s, payload);
-                        }
-                    }
-                }
+            if let Some(payload) = inner.by_src[src].take(tag) {
+                return RecvOutcome::Msg(payload);
             }
             if let Some(err) = poison() {
                 return RecvOutcome::Poisoned(err);
@@ -234,8 +222,7 @@ impl Mailbox {
 }
 
 /// The thread-backend [`Transport`]: one endpoint per rank over the shared
-/// [`Universe`] (which owns the mailboxes, the group-wide poison state,
-/// and the message counters, exactly as before the transport split).
+/// [`Universe`] (which owns the mailboxes and the group-wide poison state).
 pub(crate) struct ThreadTransport {
     universe: Arc<Universe>,
     rank: usize,
@@ -269,12 +256,7 @@ impl Transport for ThreadTransport {
         self.universe.mailbox(self.rank).drain_tag(tag)
     }
 
-    fn recv_blocking(
-        &self,
-        src: Option<usize>,
-        tag: Tag,
-        deadline: Option<Duration>,
-    ) -> RecvOutcome {
+    fn recv_blocking(&self, src: usize, tag: Tag, deadline: Option<Duration>) -> RecvOutcome {
         self.universe
             .mailbox(self.rank)
             .recv_blocking(src, tag, deadline, &|| self.universe.poison_error())
@@ -290,9 +272,5 @@ impl Transport for ThreadTransport {
 
     fn is_poisoned(&self) -> bool {
         self.universe.is_poisoned()
-    }
-
-    fn count_message(&self, elements: u64) {
-        self.universe.count_message(elements);
     }
 }

@@ -145,23 +145,29 @@ fn fifo_per_src_tag_under_collisions(backend: BackendKind) {
     assert_eq!(results[1], TAGS * PER_TAG);
 }
 
-fn try_recv_and_drain(backend: BackendKind) {
+fn drain_groups_by_source(backend: BackendKind) {
     let results = run_on(backend, 4, |comm| {
         if comm.rank() == 0 {
-            assert!(comm.try_recv::<u8>(1, 99).is_none(), "tag 99 never sent");
-            let (_, first): (usize, u8) = comm.recv_any(3);
-            let mut got = vec![first];
-            while got.len() < 3 {
-                got.extend(comm.drain::<u8>(3).into_iter().map(|(_, m)| m));
+            assert!(comm.drain::<u8>(99).is_empty(), "tag 99 never sent");
+            // A link delivers one sender's frames in send order, so once
+            // the tag-4 marker is here that sender's tag-3 pair is queued.
+            for src in (1..4).rev() {
+                comm.recv::<()>(src, 4);
             }
-            got.sort_unstable();
-            got.iter().map(|&x| u32::from(x)).sum::<u32>()
+            comm.drain::<u8>(3)
         } else {
-            comm.send(0, 3, u8::try_from(comm.rank()).expect("small rank"));
-            0
+            let me = u8::try_from(comm.rank()).expect("small rank");
+            comm.send(0, 3, me * 10);
+            comm.send(0, 3, me * 10 + 1);
+            comm.send(0, 4, ());
+            Vec::new()
         }
     });
-    assert_eq!(results[0], 6);
+    assert_eq!(
+        results[0],
+        vec![(1, 10), (1, 11), (2, 20), (2, 21), (3, 30), (3, 31)],
+        "drain groups by source in rank order, FIFO within a source"
+    );
 }
 
 fn collectives_agree(backend: BackendKind) {
@@ -458,7 +464,7 @@ for_each_backend!(
     selective_receive_by_source,
     typed_payload_roundtrip,
     fifo_per_src_tag_under_collisions,
-    try_recv_and_drain,
+    drain_groups_by_source,
     collectives_agree,
     timeout_is_structural,
     chaos_drop_times_out,

@@ -42,8 +42,7 @@ impl Rumor {
         }
         for dst in chosen {
             let payload: (Weight, Vec<BlockId>) = (best.score, best.assignment.clone());
-            let n = payload.1.len() as u64;
-            comm.send_counted(dst, self.tag, payload, n);
+            comm.send(dst, self.tag, payload);
         }
     }
 

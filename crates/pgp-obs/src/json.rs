@@ -55,14 +55,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as an `i64`, if it is an integral number token.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            JsonValue::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// The value as an `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

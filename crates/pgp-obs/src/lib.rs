@@ -27,10 +27,6 @@
 //!   in the offline vendor set) with fully deterministic field ordering;
 //!   `to_json(true)` zeroes every timing field so reports from runs with
 //!   the same seed and config compare byte-for-byte.
-//! - [`FlushSlot`]: the lock-free single-writer seqlock used to publish a
-//!   PE's running totals at phase barriers so an external observer (the
-//!   deadlock watchdog, a progress display) can snapshot without touching
-//!   the owner's cell mutex.
 //! - [`PassStats`]: the unified local-search outcome type that replaces
 //!   the previously duplicated `SclpStats`/`FmStats`.
 //! - Trace timelines ([`RunTrace`], via [`Obs::with_trace`]): bounded
@@ -64,7 +60,6 @@
 //! sources — the annotated recorder/epoch sites are the only sanctioned
 //! timestamp escapes.
 
-mod handoff;
 mod json;
 mod live;
 mod metrics;
@@ -75,7 +70,6 @@ mod report;
 mod resources;
 mod trace;
 
-pub use handoff::FlushSlot;
 pub use json::JsonValue;
 pub use live::{
     check_stream_matches_report, evaluate_alerts, read_last_telemetry_snapshot,

@@ -99,17 +99,8 @@ pub fn to_perfetto_json(trace: &RunTrace) -> String {
                     let start = ev.ts_ns.saturating_sub(*wait_ns);
                     let mut extra = String::from(", \"cat\": \"wait\", \"dur\": ");
                     push_ts_us(&mut extra, *wait_ns);
-                    match src {
-                        Some(s) => {
-                            extra.push_str(&format!(", \"args\": {{\"src\": {s}, \"tag\": {tag}}}"))
-                        }
-                        None => extra.push_str(&format!(", \"args\": {{\"tag\": {tag}}}")),
-                    }
-                    let name = match src {
-                        Some(s) => format!("wait PE {s}"),
-                        None => "wait any".to_string(),
-                    };
-                    push_event(&mut o, 'X', r, start, &name, &extra);
+                    extra.push_str(&format!(", \"args\": {{\"src\": {src}, \"tag\": {tag}}}"));
+                    push_event(&mut o, 'X', r, start, &format!("wait PE {src}"), &extra);
                 }
                 TraceEventKind::Alert { rule, value_milli } => {
                     let name = format!("alert:{rule}");
@@ -311,7 +302,7 @@ mod tests {
                         e(
                             15,
                             TraceEventKind::RecvWait {
-                                src: Some(0),
+                                src: 0,
                                 tag: 7,
                                 wait_ns: 5,
                             },

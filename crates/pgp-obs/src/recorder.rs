@@ -22,7 +22,6 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::handoff::FlushSlot;
 use crate::live::{AlertEvent, MetricSnapshot};
 use crate::metrics::{LevelMetrics, PhaseStat, RefineMetrics, TagCounter, WaitHistogram};
 use crate::report::{Aggregate, PeReport, RecoveryReport, RunReport, TagEntry, SCHEMA_VERSION};
@@ -44,9 +43,6 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 /// joined.
 pub struct Obs {
     cells: Vec<Mutex<PeState>>,
-    /// Seqlock progress slots, published at phase barriers and readable
-    /// by external observers while the run is in flight.
-    progress: Vec<FlushSlot>,
     /// Origin of the run's monotonic epoch (see the module docs).
     epoch_origin: Mutex<Instant>,
     /// Nanoseconds to add on top of the origin — nonzero after a
@@ -63,10 +59,9 @@ pub struct Obs {
     /// surfaced in the report so run artifacts record which transport ran.
     backend: Mutex<&'static str>,
     /// Latest live metric snapshot per PE, replaced wholesale at each
-    /// publish. A mutex (not the progress seqlock) because publishes
-    /// happen at phase boundaries — cold — and the monitor polls at
-    /// human cadence; contention is negligible and a snapshot is too
-    /// big for a word-pair seqlock anyway.
+    /// publish. Publishes happen at phase boundaries — cold — and the
+    /// monitor polls at human cadence, so contention on the mutex is
+    /// negligible.
     live: Vec<Mutex<Option<MetricSnapshot>>>,
     /// Whether PEs publish live snapshots. Enabled before the group
     /// builds ([`Obs::enable_live`]); the disabled-observability path
@@ -101,9 +96,7 @@ pub(crate) struct PeState {
     pub(crate) collectives: BTreeMap<&'static str, u64>,
     /// Receive-wait latency distribution (√2 log buckets + exact sum).
     pub(crate) recv_wait_hist: WaitHistogram,
-    /// Receive-wait nanoseconds blamed on each awaited source PE
-    /// (wildcard receives are not attributable and land only in the
-    /// histogram).
+    /// Receive-wait nanoseconds blamed on each awaited source PE.
     pub(crate) recv_wait_by_peer: BTreeMap<usize, u64>,
     /// Sends held in a limbo queue by fault injection.
     pub(crate) delayed: u64,
@@ -113,9 +106,6 @@ pub(crate) struct PeState {
     pub(crate) levels: Vec<LevelMetrics>,
     /// Per-refinement-pass quality snapshots, in recording order.
     pub(crate) refinements: Vec<RefineMetrics>,
-    /// Running totals mirrored into the progress seqlock.
-    msgs_sent_total: u64,
-    bytes_sent_total: u64,
     /// V-cycle / level / round progress markers for live snapshots,
     /// set by the partitioner at phase boundaries
     /// ([`Recorder::set_progress`]).
@@ -150,8 +140,6 @@ impl PeState {
             stalled: 0,
             levels: Vec::new(),
             refinements: Vec::new(),
-            msgs_sent_total: 0,
-            bytes_sent_total: 0,
             cycle: 0,
             level: 0,
             round: 0,
@@ -191,7 +179,6 @@ impl Obs {
             cells: (0..p)
                 .map(|_| Mutex::new(PeState::new(trace_capacity)))
                 .collect(),
-            progress: (0..p).map(|_| FlushSlot::new()).collect(),
             epoch_origin: Mutex::new(Instant::now()), // lint:instant-ok: trace epoch origin
             epoch_offset_ns: AtomicU64::new(0),
             traced: trace_capacity.is_some(),
@@ -306,20 +293,6 @@ impl Obs {
                 rank,
             }),
         }
-    }
-
-    /// Sums the progress seqlocks: `(messages, bytes)` sent so far across
-    /// all PEs, as of each PE's last phase barrier. Safe to call while the
-    /// run is in flight (lock-free).
-    pub fn progress(&self) -> (u64, u64) {
-        let mut msgs = 0;
-        let mut bytes = 0;
-        for slot in &self.progress {
-            let (m, b) = slot.snapshot();
-            msgs += m;
-            bytes += b;
-        }
-        (msgs, bytes)
     }
 
     /// Assembles the run report. Call after the PE threads have joined
@@ -540,15 +513,7 @@ impl Recorder {
         }
     }
 
-    /// Counts one invocation of the named collective.
-    #[inline]
-    pub fn count_collective(&self, name: &'static str) {
-        if let Some(inner) = &self.inner {
-            inner.with(|st| *st.collectives.entry(name).or_insert(0) += 1);
-        }
-    }
-
-    /// Counts a collective invocation *and* brackets it on the event
+    /// Counts a collective invocation and brackets it on the event
     /// timeline: a `CollectiveEnter` now, the matching `CollectiveExit`
     /// when the guard drops. Cross-PE deltas between the enter events
     /// of one invocation are the collective's arrival skew (see
@@ -575,8 +540,6 @@ impl Recorder {
             let ts = inner.trace_ts();
             inner.with(|st| {
                 st.sent.entry(tag).or_default().add(bytes);
-                st.msgs_sent_total += 1;
-                st.bytes_sent_total += bytes;
                 if let Some(ring) = &mut st.trace {
                     let seq = ring.next_send_seq(dst, tag);
                     ring.push(
@@ -687,11 +650,11 @@ impl Recorder {
         }
     }
 
-    /// Starts timing a receive wait for `tag` from `src` (`None` for
-    /// wildcard receives). Returns `None` when disabled; pass the token
-    /// to [`Recorder::end_wait`] once the message arrived.
+    /// Starts timing a receive wait for `tag` from `src`. Returns `None`
+    /// when disabled; pass the token to [`Recorder::end_wait`] once the
+    /// message arrived.
     #[inline]
-    pub fn start_wait(&self, src: Option<usize>, tag: u64) -> Option<WaitToken> {
+    pub fn start_wait(&self, src: usize, tag: u64) -> Option<WaitToken> {
         self.inner.as_ref().map(|_| WaitToken {
             start: Instant::now(), // lint:instant-ok: recv wait timing
             src,
@@ -710,9 +673,7 @@ impl Recorder {
             let ns = u64::try_from(end.duration_since(token.start).as_nanos()).unwrap_or(u64::MAX);
             inner.with(|st| {
                 st.recv_wait_hist.record(ns);
-                if let Some(peer) = token.src {
-                    *st.recv_wait_by_peer.entry(peer).or_insert(0) += ns;
-                }
+                *st.recv_wait_by_peer.entry(token.src).or_insert(0) += ns;
                 if let Some(ring) = &mut st.trace {
                     ring.push(
                         inner.ns_at(end),
@@ -740,16 +701,6 @@ impl Recorder {
     pub fn record_refine(&self, refine: RefineMetrics) {
         if let Some(inner) = &self.inner {
             inner.with(|st| st.refinements.push(refine));
-        }
-    }
-
-    /// Publishes this PE's running send totals into its progress seqlock.
-    /// Called at phase barriers (`fresh_tag_block`); see [`FlushSlot`].
-    #[inline]
-    pub fn publish_progress(&self) {
-        if let Some(inner) = &self.inner {
-            let (msgs, bytes) = inner.with(|st| (st.msgs_sent_total, st.bytes_sent_total));
-            inner.obs.progress[inner.rank].publish(msgs, bytes);
         }
     }
 
@@ -797,8 +748,8 @@ impl Recorder {
 
     /// Publishes a full live [`MetricSnapshot`] into this PE's shared
     /// slot (and, when a sink dir is set, its telemetry frame file).
-    /// Called at phase barriers next to [`Recorder::publish_progress`]
-    /// and once more when the PE's closure returns — which is why the
+    /// Called at phase barriers (`fresh_tag_block`) and once more when
+    /// the PE's closure returns — which is why the
     /// final streamed snapshot equals the RunReport's counters exactly.
     /// No-op unless [`Obs::enable_live`] was called; the fully disabled
     /// path is still the recorder's single `Option` branch.
@@ -825,8 +776,8 @@ impl Recorder {
                 cycle: st.cycle,
                 level: st.level,
                 round: st.round,
-                msgs_sent: st.msgs_sent_total,
-                bytes_sent: st.bytes_sent_total,
+                msgs_sent: st.sent.values().map(|c| c.msgs).sum(),
+                bytes_sent: st.sent.values().map(|c| c.bytes).sum(),
                 msgs_recvd: st.recvd.values().map(|c| c.msgs).sum(),
                 bytes_recvd: st.recvd.values().map(|c| c.bytes).sum(),
                 sent_by_tag: tag_entries(&st.sent),
@@ -880,8 +831,8 @@ pub(crate) fn tag_entries(map: &BTreeMap<u64, TagCounter>) -> Vec<TagEntry> {
 /// Times a receive wait; created by [`Recorder::start_wait`].
 pub struct WaitToken {
     start: Instant,
-    /// The awaited source PE, when the receive named one.
-    src: Option<usize>,
+    /// The awaited source PE.
+    src: usize,
     /// The awaited tag.
     tag: u64,
 }
@@ -933,8 +884,8 @@ mod tests {
         assert!(!rec.is_traced());
         let g = rec.span("a");
         rec.on_send(0, 1, 10);
-        rec.count_collective("barrier");
-        let tok = rec.start_wait(Some(0), 1);
+        drop(rec.collective_span("barrier"));
+        let tok = rec.start_wait(0, 1);
         assert!(tok.is_none());
         rec.end_wait(tok);
         assert_eq!(rec.epoch_elapsed_ns(), 0);
@@ -997,7 +948,7 @@ mod tests {
         r0.on_send(1, 7, 8);
         r1.on_recv(0, 7, 16);
         r1.on_recv(0, 7, 8);
-        r0.count_collective("barrier");
+        drop(r0.collective_span("barrier"));
         r0.on_fault_delay(1, 7);
         let report = obs.report();
         let sent = &report.per_pe[0].comm.sent;
@@ -1011,28 +962,18 @@ mod tests {
     }
 
     #[test]
-    fn progress_tracks_publishes() {
-        let obs = Obs::new(2);
-        let r0 = obs.recorder(0);
-        r0.on_send(1, 1, 100);
-        assert_eq!(obs.progress(), (0, 0), "not yet published");
-        r0.publish_progress();
-        assert_eq!(obs.progress(), (1, 100));
-    }
-
-    #[test]
     fn wait_tokens_accumulate_and_blame_peers() {
         let obs = Obs::new(1);
         let rec = obs.recorder(0);
-        let tok = rec.start_wait(Some(3), 7);
+        let tok = rec.start_wait(3, 7);
         assert!(tok.is_some());
         rec.end_wait(tok);
-        rec.end_wait(rec.start_wait(None, 9));
+        rec.end_wait(rec.start_wait(3, 9));
         let report = obs.report();
         let comm = &report.per_pe[0].comm;
         assert!(comm.recv_wait_s >= 0.0);
         assert_eq!(comm.recv_wait_count, 2);
-        assert_eq!(comm.recv_wait_by_peer.len(), 1, "wildcard is unattributed");
+        assert_eq!(comm.recv_wait_by_peer.len(), 1);
         assert_eq!(comm.recv_wait_by_peer[0].peer, 3);
     }
 
@@ -1056,7 +997,7 @@ mod tests {
             let _c = r0.collective_span("barrier");
         }
         r1.on_recv(0, 7, 8);
-        r1.end_wait(r1.start_wait(Some(0), 7));
+        r1.end_wait(r1.start_wait(0, 7));
         let trace = obs.trace().expect("traced");
         assert_eq!(trace.p, 2);
         let kinds: Vec<&TraceEventKind> = trace.per_pe[0].events.iter().map(|e| &e.kind).collect();
@@ -1092,7 +1033,7 @@ mod tests {
         ));
         assert!(matches!(
             trace.per_pe[1].events[1].kind,
-            TraceEventKind::RecvWait { src: Some(0), .. }
+            TraceEventKind::RecvWait { src: 0, .. }
         ));
         // Timestamps are monotone per PE (shared epoch, single thread).
         let ts: Vec<u64> = trace.per_pe[0].events.iter().map(|e| e.ts_ns).collect();

@@ -1092,12 +1092,12 @@ mod tests {
             let _c = r0.span("coarsen");
             r0.on_send(1, 7, 24);
             r0.on_send(1, 1 << 48, 8);
-            r0.count_collective("barrier");
+            drop(r0.collective_span("barrier"));
         }
         r1.on_recv(0, 7, 24);
         r1.on_recv(0, 1 << 48, 8);
-        r1.count_collective("barrier");
-        r1.end_wait(r1.start_wait(Some(0), 7));
+        drop(r1.collective_span("barrier"));
+        r1.end_wait(r1.start_wait(0, 7));
         r0.record_level(LevelMetrics {
             cycle: 0,
             level: 0,

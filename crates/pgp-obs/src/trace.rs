@@ -84,12 +84,11 @@ pub enum TraceEventKind {
         /// Payload wire bytes.
         bytes: u64,
     },
-    /// A receive blocked for `wait_ns`. `src` is the awaited peer
-    /// (`None` for wildcard receives that scan all sources). The
+    /// A receive blocked for `wait_ns` on a message from `src`. The
     /// timestamp is the *end* of the wait.
     RecvWait {
-        /// Awaited source PE, if the receive named one.
-        src: Option<usize>,
+        /// Awaited source PE.
+        src: usize,
         /// Awaited tag.
         tag: u64,
         /// Nanoseconds blocked.
@@ -231,10 +230,8 @@ pub struct PhaseBlame {
     /// Total nanoseconds any PE spent blocked in receives while this
     /// span path was its innermost open span.
     pub total_wait_ns: u64,
-    /// Blame per awaited peer (waits whose receive named a source).
+    /// Blame per awaited peer.
     pub by_peer: BTreeMap<usize, u64>,
-    /// Wait from wildcard receives, attributable to no single peer.
-    pub unattributed_ns: u64,
 }
 
 /// Arrival skew of one collective invocation across PEs.
@@ -335,10 +332,7 @@ impl RunTrace {
                         let path = stack.last().copied().unwrap_or("(root)");
                         let slot = blame.entry(path.to_string()).or_default();
                         slot.total_wait_ns += wait_ns;
-                        match src {
-                            Some(peer) => *slot.by_peer.entry(*peer).or_insert(0) += wait_ns,
-                            None => slot.unattributed_ns += wait_ns,
-                        }
+                        *slot.by_peer.entry(*src).or_insert(0) += wait_ns;
                     }
                     _ => {}
                 }
@@ -448,7 +442,7 @@ mod tests {
             ev(
                 9,
                 TraceEventKind::RecvWait {
-                    src: Some(2),
+                    src: 2,
                     tag: 7,
                     wait_ns: 100,
                 },
@@ -513,7 +507,7 @@ mod tests {
                         ev(
                             50,
                             TraceEventKind::RecvWait {
-                                src: Some(1),
+                                src: 1,
                                 tag: 7,
                                 wait_ns: 40,
                             },
@@ -522,14 +516,6 @@ mod tests {
                             60,
                             TraceEventKind::SpanClose {
                                 path: "vcycle/coarsen".into(),
-                            },
-                        ),
-                        ev(
-                            70,
-                            TraceEventKind::RecvWait {
-                                src: None,
-                                tag: 9,
-                                wait_ns: 5,
                             },
                         ),
                         ev(
@@ -546,7 +532,7 @@ mod tests {
                     events: vec![ev(
                         30,
                         TraceEventKind::RecvWait {
-                            src: Some(0),
+                            src: 0,
                             tag: 7,
                             wait_ns: 10,
                         },
@@ -558,7 +544,6 @@ mod tests {
         let blame = trace.phase_blame();
         assert_eq!(blame["vcycle/coarsen"].total_wait_ns, 40);
         assert_eq!(blame["vcycle/coarsen"].by_peer[&1], 40);
-        assert_eq!(blame["vcycle"].unattributed_ns, 5);
         assert_eq!(blame["(root)"].by_peer[&0], 10);
         assert_eq!(trace.blame_by_peer()[&1], 40);
     }

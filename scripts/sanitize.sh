@@ -58,11 +58,11 @@ run_tsan() {
         echo "tsan (chaos): FAILURES (see above)"
         failures=$((failures + 1))
     fi
-    # The observability layer is all cross-thread choreography: per-PE
-    # recorder cells read by the report builder after the join, and the
-    # seqlock-style counter-flush handoff published at phase boundaries —
-    # a missing fence in either shows up here (and under loom) first.
-    echo "== ThreadSanitizer: pgp-obs recorder/handoff suite =="
+    # The observability layer is cross-thread choreography: per-PE
+    # recorder cells read by the report builder after the join, and live
+    # snapshot slots the monitor polls while the owner publishes — a
+    # missing lock on either shows up here first.
+    echo "== ThreadSanitizer: pgp-obs recorder suite =="
     if RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -Zbuild-std --target "$host" \
         -p pgp-obs --tests -- --test-threads=1; then

@@ -1,11 +1,13 @@
 //! The front door's options are orthogonal to the result: on one seeded
 //! instance, at every PE count, a plain run, a recorded run, a traced
-//! run, a checkpointed run, a resume from the final snapshot and a
-//! fault-free supervised run produce the identical assignment — and a
-//! prepartitioned run is valid and no worse than what it was given.
+//! run, a run over the socket backend, a checkpointed run, a resume from
+//! the final snapshot and a fault-free supervised run produce the identical
+//! assignment (the two backends also count the same messages and
+//! collectives) — and a prepartitioned run is valid and no worse than what
+//! it was given.
 
 use pgp::parhip::{CheckpointStore, GraphClass, ParhipConfig, Partitioner, RecoveryLimits};
-use pgp::pgp_dmp::{Obs, RunConfig};
+use pgp::pgp_dmp::{BackendKind, Obs, RunConfig};
 use pgp::pgp_obs::DEFAULT_TRACE_CAPACITY;
 use std::sync::Arc;
 
@@ -54,7 +56,34 @@ fn every_option_yields_the_plain_partition() {
             plain,
             "p={p}: Obs"
         );
-        assert_eq!(obs.report().p, p);
+        let threads = obs.report();
+        assert_eq!(threads.p, p);
+
+        let obs = Obs::new(p);
+        let run = RunConfig {
+            backend: BackendKind::Sockets,
+            ..recording(&obs)
+        };
+        let socketed = door.clone().run(run).partition(&g, p);
+        assert_eq!(
+            socketed.expect("valid input").partition,
+            plain,
+            "p={p}: sockets"
+        );
+        let sockets = obs.report();
+        assert_eq!(sockets.backend, "sockets");
+        assert_eq!(
+            (
+                sockets.aggregate.messages,
+                sockets.aggregate.collective_calls
+            ),
+            (
+                threads.aggregate.messages,
+                threads.aggregate.collective_calls
+            ),
+            "p={p}: both transports count the same sends and collectives"
+        );
+        assert_eq!(threads.aggregate.messages == 0, p == 1, "p={p}");
 
         let obs = Obs::with_trace(p, DEFAULT_TRACE_CAPACITY);
         let traced = door.clone().run(recording(&obs)).partition(&g, p);
