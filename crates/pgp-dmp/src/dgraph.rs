@@ -79,6 +79,25 @@ fn sort_row(adjncy: &mut [Node], adjwgt: &mut [Weight]) {
     }
 }
 
+/// For every ghost of a [`DistGraph`], the owned nodes with an arc to it
+/// (CSR over ghosts; see [`DistGraph::ghost_rows`]).
+#[derive(Clone, Debug)]
+pub struct GhostRows {
+    n_local: usize,
+    xadj: Vec<u64>,
+    owned: Vec<Node>,
+}
+
+impl GhostRows {
+    /// The owned neighbours of ghost `l` (a local ID `≥ n_local`), in
+    /// ascending order.
+    #[inline]
+    pub fn owned_neighbors(&self, l: Node) -> &[Node] {
+        let g = ids::node_index(l) - self.n_local;
+        &self.owned[ids::global_index(self.xadj[g])..ids::global_index(self.xadj[g + 1])]
+    }
+}
+
 /// A PE-local view of a distributed graph: owned nodes `0..n_local`,
 /// ghost nodes `n_local..n_local+n_ghost` (ghosts have weights and labels
 /// but no stored adjacency).
@@ -499,6 +518,41 @@ impl DistGraph {
         &self.adjacent_pes
     }
 
+    /// The ghost → owned reverse adjacency, built from the interface rows
+    /// (two passes over them, nothing cached): refinement uses it to wake
+    /// the owned neighbours of a ghost whose block changed.
+    pub fn ghost_rows(&self) -> GhostRows {
+        let nl = self.n_local();
+        let ghost_arcs = |u: Node| {
+            self.neighbors(u)
+                .filter(|&(t, _)| self.is_ghost(t))
+                .map(move |(t, _)| ids::node_index(t) - nl)
+        };
+        let interface = || (0..ids::node_of_index(nl)).filter(|&u| self.is_interface(u));
+        let mut xadj = vec![0u64; self.n_ghost() + 1];
+        for u in interface() {
+            for g in ghost_arcs(u) {
+                xadj[g + 1] += 1;
+            }
+        }
+        for g in 0..self.n_ghost() {
+            xadj[g + 1] += xadj[g];
+        }
+        let mut cursor = xadj.clone();
+        let mut owned: Vec<Node> = vec![0; ids::global_index(xadj[self.n_ghost()])];
+        for u in interface() {
+            for g in ghost_arcs(u) {
+                owned[ids::global_index(cursor[g])] = u;
+                cursor[g] += 1;
+            }
+        }
+        GhostRows {
+            n_local: nl,
+            xadj,
+            owned,
+        }
+    }
+
     /// Number of arcs whose target is a ghost (the paper reports ghost-edge
     /// fractions to explain Delaunay vs RGG scaling).
     pub fn ghost_arc_count(&self) -> u64 {
@@ -681,6 +735,31 @@ mod tests {
             // Middle ones are not (each PE owns 4 nodes).
             assert!(!dg.is_interface(1));
             assert_eq!(dg.adjacent_pes().len(), 2);
+        });
+    }
+
+    #[test]
+    fn ghost_rows_reverse_the_ghost_arcs() {
+        // Every fifth node is a hub, so ghosts have several owned neighbours.
+        let mut edges: Vec<(Node, Node)> = (0..30).map(|i| (i, (i + 1) % 30)).collect();
+        edges.extend(
+            (0..30)
+                .filter(|i| i % 5 != 0)
+                .map(|i| (i, (i * 7) % 30 / 5 * 5)),
+        );
+        let g = from_edges(30, &edges);
+        run(3, |comm| {
+            let dg = DistGraph::from_global(comm, &g);
+            let rows = dg.ghost_rows();
+            let mut arcs = 0;
+            for l in dg.n_local() as Node..(dg.n_local() + dg.n_ghost()) as Node {
+                let expected: Vec<Node> = (0..dg.n_local() as Node)
+                    .filter(|&u| dg.neighbors(u).any(|(t, _)| t == l))
+                    .collect();
+                assert_eq!(rows.owned_neighbors(l), expected, "ghost {l}");
+                arcs += expected.len() as u64;
+            }
+            assert_eq!(arcs, dg.ghost_arc_count());
         });
     }
 

@@ -33,7 +33,7 @@ pub mod transport;
 pub mod wire;
 
 pub use comm::{Comm, CommError, FaultHook, SendFault, Tag, Universe};
-pub use dgraph::DistGraph;
+pub use dgraph::{DistGraph, GhostRows};
 pub use exchange::LabelExchange;
 pub use transport::process::{
     maybe_run_worker, run_multiprocess, run_multiprocess_supervised, ProcessConfig, WorkerCtx,

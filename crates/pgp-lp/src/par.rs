@@ -5,7 +5,7 @@
 //! weights are maintained, exactly as in the paper:
 //!
 //! * **Clustering** (coarsening): there are up to `n` clusters, so no PE can
-//!   hold all weights. Each PE keeps a *localized* map with the weights of
+//!   hold all weights. Each PE keeps a *localized* table with the weights of
 //!   the clusters its local and ghost nodes belong to — exact at
 //!   initialization (every cluster is a singleton), updated on local moves
 //!   and on incoming ghost updates, never communicated. The `U = Lmax/f`
@@ -14,18 +14,30 @@
 //! * **Refinement**: only `k` blocks, so exact global weights are restored
 //!   with one `allreduce` per computation phase (ParMetis-style); between
 //!   allreduces each PE sees `exact + own local deltas`. The allreduce
-//!   carries the per-phase *delta* vector, not a recount of all local
-//!   nodes — `exact + Σ deltas` is maintained incrementally and checked
-//!   against a full recount under `debug_assertions` (and by the
-//!   `pgp-check` claimed-weights validator). To *guarantee* the balance
-//!   constraint (the paper reports ParMetis drifting to 6 % imbalance;
-//!   ParHIP does not), each PE additionally limits the weight it moves into
-//!   any block per phase to its `1/p` share of the block's remaining slack.
+//!   carries the per-phase *delta* vector (and the phase's move count as one
+//!   more element), not a recount of all local nodes — `exact + Σ deltas` is
+//!   maintained incrementally and checked against a full recount under
+//!   `debug_assertions` (and by the `pgp-check` claimed-weights validator).
+//!   To *guarantee* the balance constraint (the paper reports ParMetis
+//!   drifting to 6 % imbalance; ParHIP does not), each PE additionally
+//!   limits the weight it moves into any block per phase to its `1/p` share
+//!   of the block's remaining slack.
 //!
-//! Both modes draw their visit order and neighbour-aggregation map from a
-//! [`SclpScratch`], which caches the degree order per graph so repeated
-//! invocations on the same graph (V-cycles, multiple refinement levels)
-//! skip the O(n log n) re-sort and all per-call allocations.
+//! Refinement visits only *active* nodes. A node goes **quiet** when an
+//! evaluation leaves it where it is and either no neighbour is in another
+//! block, or its block is not overloaded and its connection to it is
+//! strictly larger than to every other adjacent block. Evaluating a quiet
+//! node again changes nothing and draws no random number: every candidate
+//! has `w < best_w`, so neither the `>` nor the `==` branch can fire
+//! whatever the budgets are, and budgeted inflow means a block that is not
+//! overloaded never becomes so. The connections change only when a
+//! neighbour changes block, which wakes the node (an own move wakes the
+//! mover's owned neighbours, a ghost update the ghost's). So the skipping is
+//! exact: same moves, same random stream, same partition as a full sweep.
+//!
+//! Both modes draw their visit order from a [`SclpScratch`], which caches the
+//! degree order per graph so repeated invocations on the same graph
+//! (V-cycles, multiple refinement levels) skip the O(n log n) re-sort.
 
 use crate::cluster_map::ClusterMap;
 use crate::seq::SclpStats;
@@ -99,6 +111,67 @@ impl Default for SclpScratch {
     }
 }
 
+/// The localized cluster weights of clustering mode (§IV-B): for every
+/// cluster, the weight of its members among this PE's owned and ghost nodes.
+/// Cluster IDs are global node IDs, and nearly every lookup names a cluster
+/// that started on this PE, so those live in a plain array; the hash map
+/// holds only clusters named after other PEs' nodes.
+struct ClusterWeights {
+    /// This PE's first global node ID: cluster `first + i` is `dense[i]`.
+    first: usize,
+    dense: Vec<i64>,
+    /// FxHash because keys are node IDs, not attacker-controlled input.
+    spill: FxHashMap<Node, i64>,
+}
+
+impl ClusterWeights {
+    /// Counts the weights under `labels` (owned + ghost nodes).
+    fn new(graph: &DistGraph, labels: &[Node]) -> Self {
+        let mut weights = Self {
+            first: ids::global_index(graph.first_global()),
+            dense: vec![0; graph.n_local()],
+            spill: FxHashMap::with_capacity_and_hasher(graph.n_ghost(), Default::default()),
+        };
+        for (l, &c) in labels.iter().enumerate() {
+            weights.add(c, graph.node_weight(ids::node_of_index(l)) as i64);
+        }
+        weights
+    }
+
+    #[inline]
+    fn get(&self, c: Node) -> i64 {
+        let own = ids::node_index(c).checked_sub(self.first);
+        match own.and_then(|i| self.dense.get(i)) {
+            Some(&w) => w,
+            None => self.spill.get(&c).copied().unwrap_or(0),
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, c: Node, delta: i64) {
+        let own = ids::node_index(c).checked_sub(self.first);
+        match own.and_then(|i| self.dense.get_mut(i)) {
+            Some(w) => *w += delta,
+            None => *self.spill.entry(c).or_insert(0) += delta,
+        }
+    }
+
+    /// A node of weight `weight` left cluster `from` for cluster `to`.
+    #[inline]
+    fn transfer(&mut self, from: Node, to: Node, weight: i64) {
+        self.add(from, -weight);
+        self.add(to, weight);
+    }
+
+    /// Whether the incrementally kept table equals a recount under `labels`.
+    fn matches_recount(&self, graph: &DistGraph, labels: &[Node]) -> bool {
+        let recount = Self::new(graph, labels);
+        self.dense == recount.dense
+            && self.spill.iter().all(|(&c, &w)| recount.get(c) == w)
+            && recount.spill.iter().all(|(&c, &w)| self.get(c) == w)
+    }
+}
+
 /// Applies a signed allreduced weight delta to the exact block weights.
 fn apply_weight_delta(exact: &mut [u64], delta: &[i64]) {
     for (w, &d) in exact.iter_mut().zip(delta) {
@@ -159,6 +232,38 @@ pub fn parallel_sclp_cluster_with_scratch(
     constraint: Option<&[Node]>,
     scratch: &mut SclpScratch,
 ) -> SclpStats {
+    cluster_rounds(
+        comm,
+        graph,
+        u_bound,
+        iterations,
+        seed,
+        labels,
+        constraint,
+        scratch,
+        |weights, labels| {
+            debug_assert!(
+                weights.matches_recount(graph, labels),
+                "localized cluster weights drifted"
+            );
+        },
+    )
+}
+
+/// The cluster-mode round loop; `after_round(weights, labels)` runs once a
+/// round's ghost updates are applied, and once more after the final drain.
+#[allow(clippy::too_many_arguments)] // the public signature plus the hook
+fn cluster_rounds(
+    comm: &Comm,
+    graph: &DistGraph,
+    u_bound: Weight,
+    iterations: usize,
+    seed: u64,
+    labels: &mut [Node],
+    constraint: Option<&[Node]>,
+    scratch: &mut SclpScratch,
+    mut after_round: impl FnMut(&ClusterWeights, &[Node]),
+) -> SclpStats {
     let n_local = graph.n_local();
     let n_all = n_local + graph.n_ghost();
     assert_eq!(labels.len(), n_all, "labels must cover owned + ghost nodes");
@@ -168,14 +273,9 @@ pub fn parallel_sclp_cluster_with_scratch(
     let rank_seed = pgp_dmp::mix_seed(seed, ids::count_global(comm.rank()));
     let mut rng = SmallRng::seed_from_u64(rank_seed);
 
-    // Localized cluster weights: exact at init because every cluster the PE
-    // can see is composed of nodes the PE can see (singletons). Sized once;
-    // FxHash because keys are node IDs, not attacker-controlled input.
-    let mut weights: FxHashMap<Node, i64> =
-        FxHashMap::with_capacity_and_hasher(n_all, Default::default());
-    for l in 0..ids::node_of_index(n_all) {
-        *weights.entry(labels[ids::node_index(l)]).or_insert(0) += graph.node_weight(l) as i64;
-    }
+    // Exact at init because every cluster the PE can see is composed of
+    // nodes the PE can see (singletons).
+    let mut weights = ClusterWeights::new(graph, labels);
 
     let mut exchange = LabelExchange::new(comm, graph);
     scratch.prepare(graph);
@@ -193,9 +293,11 @@ pub fn parallel_sclp_cluster_with_scratch(
             .set_round(u32::try_from(round).unwrap_or(u32::MAX));
         let mut moved = 0u64;
         for &v in order.iter() {
-            if graph.degree(v) == 0 {
+            let degree = graph.degree(v);
+            if degree == 0 {
                 continue;
             }
+            stats.edges_scanned += ids::count_global(degree);
             let cur = labels[ids::node_index(v)];
             map.clear();
             match constraint {
@@ -218,18 +320,19 @@ pub fn parallel_sclp_cluster_with_scratch(
             let mut best_w = map.get(cur);
             let mut ties = 1u32;
             for (c, w) in map.iter() {
-                if c == cur {
+                // A candidate that can neither win nor tie is dropped before
+                // its weight is looked up: it would have changed nothing.
+                if c == cur || w < best_w || (w == best_w && best == cur) {
                     continue;
                 }
-                let target_weight = weights.get(&c).copied().unwrap_or(0).max(0);
-                if target_weight + cv_weight > u_bound as i64 {
+                if weights.get(c).max(0) + cv_weight > u_bound as i64 {
                     continue;
                 }
                 if w > best_w {
                     best = c;
                     best_w = w;
                     ties = 1;
-                } else if w == best_w && best != cur {
+                } else {
                     ties += 1;
                     if rng.gen_range(0..ties) == 0 {
                         best = c;
@@ -237,8 +340,7 @@ pub fn parallel_sclp_cluster_with_scratch(
                 }
             }
             if best != cur {
-                *weights.entry(cur).or_insert(0) -= cv_weight;
-                *weights.entry(best).or_insert(0) += cv_weight;
+                weights.transfer(cur, best, cv_weight);
                 labels[ids::node_index(v)] = best;
                 exchange.record(graph, v, best);
                 moved += 1;
@@ -248,10 +350,9 @@ pub fn parallel_sclp_cluster_with_scratch(
         stats.moves += moved;
         // Phase boundary: overlap scheme — send now, apply phase κ−1.
         exchange.flush_overlap_with(comm, graph, labels, |l, old, new| {
-            let w = graph.node_weight(l) as i64;
-            *weights.entry(old).or_insert(0) -= w;
-            *weights.entry(new).or_insert(0) += w;
+            weights.transfer(old, new, graph.node_weight(l) as i64);
         });
+        after_round(&weights, labels);
         // Convergence is global: stop only when *no* PE moved anything.
         let global_moves = allreduce_sum(comm, moved);
         if global_moves == 0 {
@@ -259,10 +360,9 @@ pub fn parallel_sclp_cluster_with_scratch(
         }
     }
     exchange.finish_with(comm, graph, labels, |l, old, new| {
-        let w = graph.node_weight(l) as i64;
-        *weights.entry(old).or_insert(0) -= w;
-        *weights.entry(new).or_insert(0) += w;
+        weights.transfer(old, new, graph.node_weight(l) as i64);
     });
+    after_round(&weights, labels);
     stats
 }
 
@@ -328,10 +428,22 @@ pub fn parallel_sclp_refine_with_scratch(
     order.clear();
     order.extend(0..ids::node_of_index(n_local));
 
-    // Per-round working vectors, hoisted out of the loop and refilled.
+    // Per-round working vectors, hoisted out of the loop and refilled. The
+    // delta vector's last element carries the round's move count, so one
+    // allreduce settles both the weights and the convergence test.
     let mut budget: Vec<i64> = vec![0; k];
     let mut view: Vec<i64> = vec![0; k];
-    let mut delta: Vec<i64> = vec![0; k];
+    let mut delta: Vec<i64> = vec![0; k + 1];
+    // The visited node's connection to every block, the blocks it touches in
+    // first-touch order (the order ties are drawn in), and the flags that
+    // tell a touched block from an untouched one — a zero-weight arc touches
+    // a block without raising its connection.
+    let mut conn: Vec<Weight> = vec![0; k];
+    let mut seen: Vec<bool> = vec![false; k];
+    let mut touched: Vec<Node> = Vec::new();
+    // The active set (see module docs): everything starts active.
+    let mut quiet: Vec<bool> = vec![false; n_local];
+    let ghost_rows = graph.ghost_rows();
 
     let mut stats = SclpStats::default();
     for round in 0..iterations {
@@ -353,27 +465,40 @@ pub fn parallel_sclp_refine_with_scratch(
             let extra = u64::from(rotation % p < slack % p);
             budget[b] = (base + extra) as i64;
             view[b] = w as i64;
-            delta[b] = 0;
         }
+        delta.fill(0);
         let mut moved = 0u64;
         for &v in order.iter() {
-            if graph.degree(v) == 0 {
+            if quiet[ids::node_index(v)] {
                 continue;
             }
             let cur = blocks[ids::node_index(v)];
-            map.clear();
             for (u, w) in graph.neighbors(v) {
-                map.add(blocks[ids::node_index(u)], w);
+                let b = blocks[ids::node_index(u)];
+                if !seen[ids::node_index(b)] {
+                    seen[ids::node_index(b)] = true;
+                    touched.push(b);
+                }
+                conn[ids::node_index(b)] += w;
             }
+            stats.edges_scanned += ids::count_global(graph.degree(v));
             let cw = graph.node_weight(v) as i64;
             let overloaded = view[ids::node_index(cur)] > lmax as i64;
+            let own = conn[ids::node_index(cur)];
+            let interior = touched.len() == usize::from(seen[ids::node_index(cur)]);
             let mut best: Node = if overloaded { Node::MAX } else { cur };
-            let mut best_w: Weight = if overloaded { 0 } else { map.get(cur) };
+            let mut best_w: Weight = if overloaded { 0 } else { own };
             let mut ties = 1u32;
-            for (c, w) in map.iter() {
+            // Whether `cur` beats every other adjacent block outright,
+            // budgets aside.
+            let mut strict = true;
+            for c in touched.drain(..) {
+                let w = std::mem::take(&mut conn[ids::node_index(c)]);
+                seen[ids::node_index(c)] = false;
                 if c == cur {
                     continue;
                 }
+                strict &= w < own;
                 if cw > budget[ids::node_index(c)] {
                     continue; // would risk exceeding Lmax globally
                 }
@@ -397,6 +522,15 @@ pub fn parallel_sclp_refine_with_scratch(
                 blocks[ids::node_index(v)] = best;
                 exchange.record(graph, v, best);
                 moved += 1;
+                // The mover stays active; its owned neighbours wake.
+                for (u, _) in graph.neighbors(v) {
+                    if let Some(q) = quiet.get_mut(ids::node_index(u)) {
+                        *q = false;
+                    }
+                }
+                stats.edges_scanned += ids::count_global(graph.degree(v));
+            } else {
+                quiet[ids::node_index(v)] = interior || (!overloaded && strict);
             }
         }
         stats.rounds += 1;
@@ -404,17 +538,20 @@ pub fn parallel_sclp_refine_with_scratch(
         // Phase end: exact ghost labels, then exact weights via one delta
         // allreduce (own moves are counted by the owner, so the summed
         // deltas cover every node exactly once).
-        exchange.flush_sync(comm, graph, blocks);
-        let global_delta = allreduce_sum_vec_i64(comm, std::mem::take(&mut delta));
-        apply_weight_delta(&mut exact, &global_delta);
-        delta = global_delta;
+        exchange.flush_sync_with(comm, graph, blocks, |ghost, _, _| {
+            for &u in ghost_rows.owned_neighbors(ghost) {
+                quiet[ids::node_index(u)] = false;
+            }
+        });
+        delta[k] = i64::try_from(moved).expect("move count fits in i64");
+        delta = allreduce_sum_vec_i64(comm, delta);
+        apply_weight_delta(&mut exact, &delta);
         #[cfg(debug_assertions)]
         {
             let recount = allreduce_sum_vec(comm, local_contrib(blocks));
             assert_eq!(exact, recount, "incremental block weights drifted");
         }
-        let global_moves = allreduce_sum(comm, moved);
-        if global_moves == 0 {
+        if delta[k] == 0 {
             break;
         }
     }
@@ -435,8 +572,8 @@ pub fn parallel_sclp_refine_with_scratch(
             let extra = u64::from((r + ids::count_global(b) + round) % p < slack % p);
             budget[b] = (base + extra) as i64;
             view[b] = w as i64;
-            delta[b] = 0;
         }
+        delta.fill(0);
         let mut moved = 0u64;
         for v in 0..ids::node_of_index(n_local) {
             let cur = blocks[ids::node_index(v)];
@@ -474,15 +611,15 @@ pub fn parallel_sclp_refine_with_scratch(
         }
         stats.moves += moved;
         exchange.flush_sync(comm, graph, blocks);
-        let global_delta = allreduce_sum_vec_i64(comm, std::mem::take(&mut delta));
-        apply_weight_delta(&mut exact, &global_delta);
-        delta = global_delta;
+        delta[k] = i64::try_from(moved).expect("move count fits in i64");
+        delta = allreduce_sum_vec_i64(comm, delta);
+        apply_weight_delta(&mut exact, &delta);
         #[cfg(debug_assertions)]
         {
             let recount = allreduce_sum_vec(comm, local_contrib(blocks));
             assert_eq!(exact, recount, "incremental block weights drifted");
         }
-        if allreduce_sum(comm, moved) == 0 {
+        if delta[k] == 0 {
             break;
         }
     }
@@ -744,5 +881,135 @@ mod tests {
                 assert_eq!(cons_of(labels[i]), cons_of(gid));
             }
         }
+    }
+
+    /// Three PEs in a chain: every PE 1 node hangs on a heavy edge to a PE 0
+    /// node and a light one to a PE 2 node, so PE 2's ghosts soon carry
+    /// labels of PE 0's nodes — clusters PE 2 can only keep in the spill map,
+    /// PE 0 not being adjacent to it.
+    fn chain_of_three(m: Node) -> CsrGraph {
+        let mut b = pgp_graph::GraphBuilder::new(3 * m as usize);
+        for i in 0..m {
+            b.push_edge(i, m + i, 10);
+            b.push_edge(m + i, 2 * m + i, 1);
+            for part in 0..3 {
+                b.push_edge(part * m + i, part * m + (i + 1) % m, 1);
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn dense_and_spill_weights_equal_a_recount_after_every_round() {
+        let g = chain_of_three(40);
+        let foreign = run(3, |comm| {
+            let dg = DistGraph::from_global(comm, &g);
+            let mut labels = singleton_labels(&dg);
+            let mut rounds = 0;
+            let mut scratch = SclpScratch::new();
+            cluster_rounds(
+                comm,
+                &dg,
+                6,
+                5,
+                17,
+                &mut labels,
+                None,
+                &mut scratch,
+                |weights, labels| {
+                    rounds += 1;
+                    assert!(
+                        weights.matches_recount(&dg, labels),
+                        "PE {} after round {rounds}",
+                        comm.rank()
+                    );
+                },
+            );
+            assert!(
+                rounds >= 3,
+                "several rounds and the final drain were checked"
+            );
+            // Ghosts whose cluster is named after a node of a PE this one
+            // shares no arc with.
+            (dg.n_local()..dg.n_local() + dg.n_ghost())
+                .filter(|&l| {
+                    let owner = dg.dist().owner(labels[l]) as u32;
+                    owner as usize != comm.rank() && !dg.adjacent_pes().contains(&owner)
+                })
+                .count()
+        });
+        assert!(
+            foreign[2] > 0,
+            "the spill path was not reached: {foreign:?}"
+        );
+    }
+
+    #[test]
+    fn cluster_mode_scans_every_local_arc_every_round() {
+        let g = pgp_gen::ba::barabasi_albert(400, 3, 2);
+        run(3, |comm| {
+            let dg = DistGraph::from_global(comm, &g);
+            let mut labels = singleton_labels(&dg);
+            let stats = parallel_sclp_cluster(comm, &dg, 50, 4, 5, &mut labels, None);
+            assert!(stats.rounds > 1);
+            assert_eq!(
+                stats.edges_scanned,
+                dg.local_arc_count() * stats.rounds as u64
+            );
+        });
+    }
+
+    #[test]
+    fn refining_a_refined_mesh_scans_the_boundary_only() {
+        let g = pgp_gen::mesh::grid2d(48, 48);
+        let k = 2usize;
+        let lmax = pgp_graph::lmax(g.total_node_weight(), k, 0.03);
+        let max_degree = 4u64;
+        // (arcs, boundary arcs at entry, moves, scanned) per PE and call.
+        let results = run(2, |comm| {
+            let dg = DistGraph::from_global(comm, &g);
+            let n_all = dg.n_local() + dg.n_ghost();
+            // Split along the diagonal, where a grid node has two neighbours
+            // on either side and ties keep a few nodes moving for ever;
+            // refined once before anything is counted.
+            let mut blocks: Vec<Node> = (0..n_all as Node)
+                .map(|l| dg.local_to_global(l))
+                .map(|g| Node::from(g % 48 + g / 48 >= 47))
+                .collect();
+            parallel_sclp_refine(comm, &dg, k, lmax, 10, 3, &mut blocks);
+            let boundary_arcs: u64 = (0..dg.n_local() as Node)
+                .filter(|&v| {
+                    dg.neighbors(v)
+                        .any(|(u, _)| blocks[u as usize] != blocks[v as usize])
+                })
+                .map(|v| dg.degree(v) as u64)
+                .sum();
+            let one = parallel_sclp_refine(comm, &dg, k, lmax, 1, 4, &mut blocks.clone());
+            let six = parallel_sclp_refine(comm, &dg, k, lmax, 6, 4, &mut blocks);
+            (dg.local_arc_count(), boundary_arcs, one, six)
+        });
+        type PerPe = (u64, u64, SclpStats, SclpStats);
+        let total = |f: fn(&PerPe) -> u64| -> u64 { results.iter().map(f).sum() };
+        let arcs = total(|r| r.0);
+        let boundary = total(|r| r.1);
+        // Round 0 reads every arc once, and a mover's row once more to wake
+        // its neighbours.
+        let one_scanned = total(|r| r.2.edges_scanned);
+        let one_moves = total(|r| r.2.moves);
+        assert!(one_scanned >= arcs);
+        assert!(one_scanned <= arcs + one_moves * max_degree);
+        // Later rounds read only the rows of nodes that are not their
+        // block's outright: the boundary at entry, and movers (on any PE)
+        // with their neighbours.
+        let six_scanned = total(|r| r.3.edges_scanned);
+        let six_moves = total(|r| r.3.moves);
+        let later_rounds = results[0].3.rounds as u64 - 1;
+        assert!(later_rounds >= 1, "the instance converged in one round");
+        let per_round = boundary + six_moves * (max_degree + 1) * max_degree;
+        assert!(
+            six_scanned <= arcs + later_rounds * per_round + six_moves * max_degree,
+            "{six_scanned} arcs scanned, {arcs} per full sweep, boundary {boundary}, {six_moves} moves"
+        );
+        assert!(six_scanned * 2 < arcs * (later_rounds + 1), "{six_scanned}");
     }
 }

@@ -118,6 +118,11 @@ pub struct PassStats {
     pub moves: u64,
     /// Total cut gain achieved (FM only; SCLP reports 0).
     pub gain: i64,
+    /// Arcs read by the sweeps, counted where they are read (parallel SCLP
+    /// only; the other passes report 0). In cluster mode this is the local
+    /// arc count times the rounds; in refine mode the active set makes it
+    /// far smaller than that.
+    pub edges_scanned: u64,
 }
 
 /// Messages/bytes observed for one tag on one side (send or receive).

@@ -8,16 +8,19 @@
 #
 # Each pair runs both binaries once on <graph> with <args…>, alternating
 # which side goes first, and times the whole process (file in, partition
-# file out). Prints every pair, each side's median and quartiles (Python's
-# exclusive method, as benchmark/src/stats.rs), wins / ties, and the median
-# of the per-pair ratios change / parent. A gain needs the change to win at
-# least nine tenths of the pairs and the medians to differ by more than the
-# parent's inter-quartile distance.
+# file out). The two sides write separate partition files and every pair
+# says whether they are byte-identical (`same` / `DIFF`, from cmp), so the
+# ten pairs that show a speed also show whether the result moved. Prints
+# every pair, each side's median and quartiles (Python's exclusive method,
+# as benchmark/src/stats.rs), wins / ties, the median of the per-pair ratios
+# change / parent, and a last line `identical n / n`. A gain needs the change
+# to win at least nine tenths of the pairs and the medians to differ by more
+# than the parent's inter-quartile distance.
 
 set -euo pipefail
 
 if [ "$#" -lt 4 ]; then
-    sed -n '2,16p' "$0" >&2
+    sed -n '2,19p' "$0" >&2
     exit 2
 fi
 parent="$1" change="$2" pairs="$3" graph="$4"
@@ -26,12 +29,12 @@ shift 4
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# Seconds one run of binary $1 takes; its partition goes to the temp dir.
+# Seconds one run of binary $2 takes; its partition goes to $tmp/$1.part.
 time_run() {
-    local bin="$1" t0 t1
-    shift
+    local side="$1" bin="$2" t0 t1
+    shift 2
     t0="$EPOCHREALTIME"
-    "$bin" "$graph" "$@" "output=$tmp/out.part" >/dev/null 2>"$tmp/stderr" || {
+    "$bin" "$graph" "$@" "output=$tmp/$side.part" >/dev/null 2>"$tmp/stderr" || {
         echo "run failed: $bin $graph $*" >&2
         cat "$tmp/stderr" >&2
         exit 1
@@ -40,20 +43,27 @@ time_run() {
     awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.4f", b - a }'
 }
 
-echo "pair  first   parent_s  change_s  ratio"
+echo "pair  first   parent_s  change_s  ratio  output"
+identical=0
 for ((i = 1; i <= pairs; i++)); do
     if ((i % 2)); then
         first=parent
-        p="$(time_run "$parent" "$@")"
-        c="$(time_run "$change" "$@")"
+        p="$(time_run parent "$parent" "$@")"
+        c="$(time_run change "$change" "$@")"
     else
         first=change
-        c="$(time_run "$change" "$@")"
-        p="$(time_run "$parent" "$@")"
+        c="$(time_run change "$change" "$@")"
+        p="$(time_run parent "$parent" "$@")"
+    fi
+    if cmp -s "$tmp/parent.part" "$tmp/change.part"; then
+        output=same
+        identical=$((identical + 1))
+    else
+        output=DIFF
     fi
     echo "$p $c" >>"$tmp/pairs"
-    awk -v i="$i" -v f="$first" -v p="$p" -v c="$c" \
-        'BEGIN { printf "%4d  %-6s  %8.4f  %8.4f  %5.3f\n", i, f, p, c, c / p }'
+    awk -v i="$i" -v f="$first" -v p="$p" -v c="$c" -v o="$output" \
+        'BEGIN { printf "%4d  %-6s  %8.4f  %8.4f  %5.3f  %s\n", i, f, p, c, c / p, o }'
 done
 
 # Order statistics of the sorted values v[1..n].
@@ -81,3 +91,4 @@ END {
     printf "medians differ by %.4f s; parent inter-quartile distance %.4f s\n", \
         quantile(p, n, 2) - quantile(c, n, 2), quantile(p, n, 3) - quantile(p, n, 1)
 }' "$tmp/pairs"
+echo "identical $identical / $pairs"
