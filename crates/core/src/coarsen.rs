@@ -39,6 +39,46 @@ impl ParHierarchy {
     }
 }
 
+/// A hierarchy whose finest level is the caller's graph: only the coarser
+/// levels are owned, so a V-cycle holds the input once. What the
+/// partitioner works on; [`ParHierarchy`] is the same thing with level 0
+/// moved in.
+pub(crate) struct BorrowedHierarchy<'a> {
+    finest: &'a DistGraph,
+    /// Level 0's fine→coarse mapping; empty when no level was built.
+    mapping: Vec<Node>,
+    /// Levels 1.., finest first; the last one's mapping is empty.
+    coarser: Vec<ParLevel>,
+}
+
+impl BorrowedHierarchy<'_> {
+    /// Number of levels, the borrowed one included.
+    pub(crate) fn depth(&self) -> usize {
+        self.coarser.len() + 1
+    }
+
+    /// The graph at level `li` (0 = finest).
+    pub(crate) fn graph(&self, li: usize) -> &DistGraph {
+        match li.checked_sub(1) {
+            None => self.finest,
+            Some(owned) => &self.coarser[owned].graph,
+        }
+    }
+
+    /// Level `li`'s fine→coarse mapping; empty for the coarsest level.
+    pub(crate) fn mapping(&self, li: usize) -> &[Node] {
+        match li.checked_sub(1) {
+            None => &self.mapping,
+            Some(owned) => &self.coarser[owned].mapping,
+        }
+    }
+
+    /// The coarsest level's graph.
+    pub(crate) fn coarsest(&self) -> &DistGraph {
+        self.graph(self.depth() - 1)
+    }
+}
+
 /// Runs the coarsening loop for V-cycle `cycle`. `constraint`, when given,
 /// holds the current partition's block for every owned + ghost node of the
 /// finest graph (V-cycles; §IV-D) and is projected down level by level.
@@ -64,12 +104,37 @@ pub fn parallel_coarsen_with_scratch(
     constraint: Option<&[Node]>,
     scratch: &mut SclpScratch,
 ) -> ParHierarchy {
+    let BorrowedHierarchy {
+        mapping, coarser, ..
+    } = coarsen_borrowed(comm, &finest, cfg, cycle, constraint, scratch);
+    let mut levels = vec![ParLevel {
+        graph: finest,
+        mapping,
+    }];
+    levels.extend(coarser);
+    ParHierarchy { levels }
+}
+
+/// The coarsening loop itself, over a borrowed finest graph.
+pub(crate) fn coarsen_borrowed<'a>(
+    comm: &Comm,
+    finest: &'a DistGraph,
+    cfg: &ParhipConfig,
+    cycle: usize,
+    constraint: Option<&[Node]>,
+    scratch: &mut SclpScratch,
+) -> BorrowedHierarchy<'a> {
     let stop = cfg.stop_size();
-    let mut levels: Vec<ParLevel> = Vec::new();
-    let mut current = finest;
+    let mut hierarchy = BorrowedHierarchy {
+        finest,
+        mapping: Vec::new(),
+        coarser: Vec::new(),
+    };
     let mut cur_constraint: Option<Vec<Node>> = constraint.map(|c| c.to_vec());
 
     loop {
+        let level = hierarchy.depth() - 1;
+        let current = hierarchy.coarsest();
         if current.n_global() <= stop {
             break;
         }
@@ -81,23 +146,22 @@ pub fn parallel_coarsen_with_scratch(
         let max_w = allreduce(comm, local_max_w, |a, b| a.max(b));
         let u = cfg.u_bound(current.total_node_weight(), max_w, cycle);
 
-        let mut labels = singleton_labels(&current);
+        let mut labels = singleton_labels(current);
         {
             let _span = comm.recorder().span("cluster");
             parallel_sclp_cluster_with_scratch(
                 comm,
-                &current,
+                current,
                 u,
                 cfg.coarsen_iterations,
-                cfg.seed.wrapping_add(
-                    ids::count_global(levels.len()) * 0x51CE + ids::count_global(cycle),
-                ),
+                cfg.seed
+                    .wrapping_add(ids::count_global(level) * 0x51CE + ids::count_global(cycle)),
                 &mut labels,
                 cur_constraint.as_deref(),
                 scratch,
             );
         }
-        let c = parallel_contract(comm, &current, &labels);
+        let c = parallel_contract(comm, current, &labels);
 
         // Stall detection (the paper stops when contraction is no longer
         // effective; with cluster contraction this is rare but possible on
@@ -110,7 +174,7 @@ pub fn parallel_coarsen_with_scratch(
         // the global counts are already group-agreed in the DistGraph).
         comm.recorder().record_level(LevelMetrics::at(
             cycle,
-            levels.len(),
+            level,
             c.coarse.n_global(),
             c.coarse.m_global(),
             ids::count_global(c.coarse.n_local()),
@@ -155,17 +219,16 @@ pub fn parallel_coarsen_with_scratch(
             }
         };
 
-        levels.push(ParLevel {
-            graph: current,
-            mapping: c.mapping,
+        match hierarchy.coarser.last_mut() {
+            None => hierarchy.mapping = c.mapping,
+            Some(fine) => fine.mapping = c.mapping,
+        }
+        hierarchy.coarser.push(ParLevel {
+            graph: c.coarse,
+            mapping: Vec::new(),
         });
-        current = c.coarse;
     }
-    levels.push(ParLevel {
-        graph: current,
-        mapping: Vec::new(),
-    });
-    ParHierarchy { levels }
+    hierarchy
 }
 
 #[cfg(test)]
@@ -190,6 +253,33 @@ mod tests {
         }
         // All PEs agree on the shape.
         assert!(depths.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn borrowed_hierarchy_owns_no_level_zero_arrays() {
+        let (g, _) = pgp_gen::sbm::sbm(1500, pgp_gen::sbm::SbmParams::default(), 1);
+        let mut cfg = ParhipConfig::fast(2, GraphClass::Social, 3);
+        cfg.coarsest_nodes_per_block = 60;
+        run(2, |comm| {
+            let dg = DistGraph::from_global(comm, &g);
+            let h = coarsen_borrowed(comm, &dg, &cfg, 0, None, &mut SclpScratch::new());
+            assert!(h.depth() >= 2);
+            // Level 0 is the caller's graph itself; what the hierarchy owns
+            // is the coarser graphs alone, all of them smaller.
+            assert!(std::ptr::eq(h.graph(0), &dg));
+            assert_eq!(h.coarser.len(), h.depth() - 1);
+            let owned: usize = h.coarser.iter().map(|l| l.graph.heap_bytes()).sum();
+            assert!(owned < dg.heap_bytes(), "{owned} vs {}", dg.heap_bytes());
+            // The by-value wrapper builds the same levels around a moved-in
+            // level 0.
+            let shape = |li: usize| (h.graph(li).n_global(), h.graph(li).m_global());
+            let moved = parallel_coarsen(comm, dg.clone(), &cfg, 0, None);
+            assert_eq!(moved.depth(), h.depth());
+            for (li, level) in moved.levels.iter().enumerate() {
+                assert_eq!((level.graph.n_global(), level.graph.m_global()), shape(li));
+                assert_eq!(level.mapping, h.mapping(li));
+            }
+        });
     }
 
     #[test]

@@ -7,13 +7,24 @@
 //!    PE *responsible* for that ID range (`Ip` intervals).
 //! 2. Responsible PEs count their distinct IDs; a prefix sum (`exscan`)
 //!    over those counts yields the renumbering `q` onto a contiguous
-//!    interval, and a reduction yields the coarse node count `n'`.
-//! 3. PEs query `q` for every cluster ID they hold (their own nodes' and
-//!    their ghosts'), which gives the fine→coarse mapping `C`.
-//! 4. Each PE builds its local weighted quotient arcs by hashing and sends
-//!    each arc `(cu, cv, w)` — and each node-weight contribution — to the
-//!    PE owning `cu` in the coarse block distribution.
-//! 5. Owners aggregate and assemble their coarse subgraph.
+//!    interval — `q(c)` is the PE's offset plus `c`'s rank in its sorted ID
+//!    list — and a reduction yields the coarse node count `n'`.
+//! 3. Each PE sorts its owned + ghost nodes by cluster ID once
+//!    (`rank_keys`). The distinct IDs in that order are what it asks `q`
+//!    for, and a node's cluster is from here on its *position* in that
+//!    list: a block distribution's owner is monotone in the ID, so the
+//!    replies concatenated by PE line up with the list and the
+//!    fine→coarse mapping `C` is one indexed read per node.
+//! 4. The quotient rows are built cluster by cluster in the same order:
+//!    the arcs of a cluster's owned members are summed into a dense table
+//!    indexed by the target's position (flags and a touched list reset it;
+//!    flags because a zero-weight arc is still an arc), the members' node
+//!    weights in the same pass, and each row goes out ascending — `(cu,
+//!    cv, w)` and `(cu, weight)` to the PE owning `cu` in the coarse block
+//!    distribution. `q` is monotone in the cluster ID, so every message is
+//!    a sorted run.
+//! 5. Owners merge the `p` runs they receive, add up the arcs several PEs
+//!    contributed to, and assemble their coarse subgraph.
 //!
 //! Uncoarsening answers "which block is my coarse representative in" with
 //! one query/answer `alltoallv` round-trip, also per the paper.
@@ -23,7 +34,6 @@ use pgp_dmp::dgraph::BlockDist;
 use pgp_dmp::{Comm, DistGraph};
 use pgp_graph::ids;
 use pgp_graph::{Node, Weight};
-use rustc_hash::FxHashMap;
 
 /// Result of one parallel contraction step, from one PE's perspective.
 pub struct ParContraction {
@@ -71,6 +81,62 @@ pub fn query_owner_values<T: Clone + pgp_dmp::Wire>(
         .collect()
 }
 
+/// `keys` ranked: the distinct keys ascending, each key's position among
+/// them, and the indices of `keys` in ascending `(key, index)` order.
+struct Ranked {
+    distinct: Vec<Node>,
+    pos: Vec<Node>,
+    order: Vec<Node>,
+}
+
+fn rank_keys(keys: &[Node]) -> Ranked {
+    // One word per key, key above index: plain integer order is
+    // `(key, index)` order, and sorts about twice as fast as tuples.
+    let mut by_key: Vec<u64> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| ids::node_global(k) << Node::BITS | ids::count_global(i))
+        .collect();
+    by_key.sort_unstable();
+    let index_of = |word: u64| ids::global_node(word & u64::from(Node::MAX));
+    let mut distinct: Vec<Node> = Vec::new();
+    let mut pos: Vec<Node> = vec![0; keys.len()];
+    for &word in &by_key {
+        let k = ids::global_node(word >> Node::BITS);
+        if distinct.last() != Some(&k) {
+            distinct.push(k);
+        }
+        pos[ids::node_index(index_of(word))] = ids::node_of_index(distinct.len() - 1);
+    }
+    Ranked {
+        distinct,
+        pos,
+        order: by_key.into_iter().map(index_of).collect(),
+    }
+}
+
+/// Sends every ID of `sorted` (ascending) to its owner under `dist` and
+/// returns the owners' answers, aligned with `sorted`: `answer` runs on the
+/// owner, once per ID it was asked for. The owner is monotone in the ID, so
+/// the replies concatenated by PE are already in `sorted`'s order.
+fn query_sorted<T: pgp_dmp::Wire>(
+    comm: &Comm,
+    dist: BlockDist,
+    sorted: &[Node],
+    answer: impl Fn(Node) -> T,
+) -> Vec<T> {
+    debug_assert!(sorted.is_sorted());
+    let mut buckets: Vec<Vec<Node>> = vec![Vec::new(); comm.size()];
+    for &c in sorted {
+        buckets[dist.owner(c)].push(c);
+    }
+    let answers: Vec<Vec<T>> = alltoallv(comm, buckets)
+        .into_iter()
+        .map(|asked| asked.into_iter().map(&answer).collect())
+        .collect();
+    alltoallv(comm, answers).into_iter().flatten().collect()
+}
+
 /// Contracts `graph` according to `labels` (global cluster IDs for owned +
 /// ghost nodes, as produced by the parallel SCLP).
 pub fn parallel_contract(comm: &Comm, graph: &DistGraph, labels: &[Node]) -> ParContraction {
@@ -91,93 +157,94 @@ pub fn parallel_contract(comm: &Comm, graph: &DistGraph, labels: &[Node]) -> Par
     }
     let received = alltoallv(comm, to_resp);
 
-    // -- Step 2: count distinct IDs in my responsibility interval; build q.
+    // -- Step 2: count distinct IDs in my responsibility interval; q(c) is
+    //    my offset plus c's rank in `my_ids`.
     let mut my_ids: Vec<Node> = received.into_iter().flatten().collect();
     my_ids.sort_unstable();
     my_ids.dedup();
     let my_count = ids::count_global(my_ids.len());
     let offset = exscan_sum(comm, my_count);
     let n_coarse = allreduce_sum(comm, my_count);
-    let q: FxHashMap<Node, Node> = my_ids
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (c, ids::global_node(offset + ids::count_global(i))))
-        .collect();
 
     // -- Step 3: resolve C(v) = q(label(v)) for every local + ghost node.
     // (Not `query_owner_values`: q is keyed by cluster ID on the
     // *responsible* PE, not by owned-node index.)
-    let mut want: Vec<Node> = labels.to_vec();
-    want.sort_unstable();
-    want.dedup();
-    let q_of: Vec<Node> = {
-        // Send the wanted IDs to responsible PEs; they answer from `q`.
-        let mut buckets: Vec<Vec<Node>> = vec![Vec::new(); p];
-        let mut origin: Vec<(usize, usize)> = Vec::with_capacity(want.len());
-        for &c in &want {
-            let owner = fine_dist.owner(c);
-            origin.push((owner, buckets[owner].len()));
-            buckets[owner].push(c);
-        }
-        let incoming = alltoallv(comm, buckets);
-        let answers: Vec<Vec<Node>> = incoming
-            .into_iter()
-            .map(|qs| qs.into_iter().map(|c| q[&c]).collect())
-            .collect();
-        let replies = alltoallv(comm, answers);
-        origin
-            .into_iter()
-            .map(|(owner, idx)| replies[owner][idx])
-            .collect()
-    };
-    let q_map: FxHashMap<Node, Node> = want.iter().copied().zip(q_of).collect();
-    let mapping: Vec<Node> = labels.iter().map(|c| q_map[c]).collect();
+    let Ranked {
+        distinct: want,
+        pos,
+        order,
+    } = rank_keys(labels);
+    let q_of: Vec<Node> = query_sorted(comm, fine_dist, &want, |c| {
+        let rank = my_ids
+            .binary_search(&c)
+            .expect("a queried cluster ID was announced by its members' PE in step 1");
+        ids::global_node(offset + ids::count_global(rank))
+    });
+    let mapping: Vec<Node> = pos.iter().map(|&c| q_of[ids::node_index(c)]).collect();
 
-    // -- Step 4: local quotient arcs + weight contributions, redistributed
+    // -- Step 4: quotient rows + weight contributions, cluster by cluster,
     //    to the coarse owners.
     let coarse_dist = BlockDist::new(n_coarse, p);
-    let mut arc_agg: FxHashMap<(Node, Node), Weight> = FxHashMap::default();
-    for u in 0..ids::node_of_index(n_local) {
-        let cu = mapping[ids::node_index(u)];
-        for (v, w) in graph.neighbors(u) {
-            let cv = mapping[ids::node_index(v)];
-            if cu != cv {
-                *arc_agg.entry((cu, cv)).or_insert(0) += w;
+    let mut arc_sends: Vec<Vec<(Node, Node, Weight)>> = vec![Vec::new(); p];
+    let mut weight_sends: Vec<Vec<(Node, Weight)>> = vec![Vec::new(); p];
+    let mut acc: Vec<Weight> = vec![0; want.len()];
+    let mut seen = vec![false; want.len()];
+    let mut touched: Vec<Node> = Vec::new();
+    let cluster_of = |v: Node| pos[ids::node_index(v)];
+    for cluster in order.chunk_by(|&a, &b| cluster_of(a) == cluster_of(b)) {
+        let c = cluster_of(cluster[0]);
+        // Members ascend, so the owned ones come first; ghost members have
+        // neither rows nor a weight contribution here.
+        let owned = &cluster[..cluster.partition_point(|&u| ids::node_index(u) < n_local)];
+        if owned.is_empty() {
+            continue;
+        }
+        let mut weight: Weight = 0;
+        for &u in owned {
+            weight += graph.node_weight(u);
+            for (v, w) in graph.neighbors(u) {
+                let t = cluster_of(v);
+                if t != c {
+                    if !seen[ids::node_index(t)] {
+                        seen[ids::node_index(t)] = true;
+                        touched.push(t);
+                    }
+                    acc[ids::node_index(t)] += w;
+                }
             }
         }
-    }
-    let mut weight_agg: FxHashMap<Node, Weight> = FxHashMap::default();
-    for u in 0..ids::node_of_index(n_local) {
-        *weight_agg.entry(mapping[ids::node_index(u)]).or_insert(0) += graph.node_weight(u);
-    }
-    let mut arc_sends: Vec<Vec<(Node, Node, Weight)>> = vec![Vec::new(); p];
-    for (&(cu, cv), &w) in &arc_agg {
-        arc_sends[coarse_dist.owner(cu)].push((cu, cv, w));
-    }
-    let mut weight_sends: Vec<Vec<(Node, Weight)>> = vec![Vec::new(); p];
-    for (&c, &w) in &weight_agg {
-        weight_sends[coarse_dist.owner(c)].push((c, w));
+        let cu = q_of[ids::node_index(c)];
+        let owner = coarse_dist.owner(cu);
+        weight_sends[owner].push((cu, weight));
+        touched.sort_unstable();
+        for t in touched.drain(..) {
+            let t = ids::node_index(t);
+            arc_sends[owner].push((cu, q_of[t], acc[t]));
+            acc[t] = 0;
+            seen[t] = false;
+        }
     }
     let arc_recv = alltoallv(comm, arc_sends);
     let weight_recv = alltoallv(comm, weight_sends);
 
-    // -- Step 5: aggregate owned arcs/weights and assemble the subgraph.
+    // -- Step 5: merge the p sorted runs (a stable sort does exactly that),
+    //    sum what several PEs sent for one arc, assemble the subgraph.
     let mut arcs: Vec<(Node, Node, Weight)> = arc_recv.into_iter().flatten().collect();
-    arcs.sort_unstable();
-    let mut merged: Vec<(Node, Node, Weight)> = Vec::with_capacity(arcs.len());
-    for (cu, cv, w) in arcs {
-        match merged.last_mut() {
-            Some((lu, lv, lw)) if *lu == cu && *lv == cv => *lw += w,
-            _ => merged.push((cu, cv, w)),
+    arcs.sort();
+    arcs.dedup_by(|next, kept| {
+        let same = (next.0, next.1) == (kept.0, kept.1);
+        if same {
+            kept.2 += next.2;
         }
-    }
+        same
+    });
     let first = coarse_dist.first(comm.rank());
     let n_owned = coarse_dist.count(comm.rank());
     let mut owned_weights: Vec<Weight> = vec![0; n_owned];
     for (c, w) in weight_recv.into_iter().flatten() {
         owned_weights[ids::global_index(ids::node_global(c) - first)] += w;
     }
-    let coarse = DistGraph::from_arcs(comm, n_coarse, owned_weights, merged);
+    let coarse = DistGraph::from_arcs(comm, n_coarse, owned_weights, arcs);
     #[cfg(feature = "validate")]
     {
         crate::validate::assert_graph_valid(comm, &coarse, "parallel_contract coarse graph");
@@ -202,12 +269,12 @@ pub fn parallel_project_blocks(
         coarse.n_local(),
         "one block per owned coarse node"
     );
-    let mut want: Vec<Node> = mapping.to_vec();
-    want.sort_unstable();
-    want.dedup();
-    let answers = query_owner_values(comm, coarse.dist(), &want, |idx| coarse_blocks[idx]);
-    let block_of: FxHashMap<Node, Node> = want.into_iter().zip(answers).collect();
-    mapping.iter().map(|c| block_of[c]).collect()
+    let Ranked { distinct, pos, .. } = rank_keys(mapping);
+    let first = coarse.first_global();
+    let block_of = query_sorted(comm, coarse.dist(), &distinct, |c| {
+        coarse_blocks[ids::global_index(ids::node_global(c) - first)]
+    });
+    pos.iter().map(|&c| block_of[ids::node_index(c)]).collect()
 }
 
 #[cfg(test)]
@@ -266,6 +333,42 @@ mod tests {
         let g = pgp_gen::mesh::grid2d(6, 6);
         let clustering: Vec<Node> = g.nodes().collect();
         check_equivalence(&g, &clustering, 3);
+    }
+
+    #[test]
+    fn ghost_label_owned_by_a_third_pe() {
+        // 9-ring on 3 PEs (0..3, 3..6, 6..9). Node 3 carries label 7: PE 0
+        // sees it as a ghost owned by PE 1 whose cluster ID PE 2 answers for.
+        let edges: Vec<(Node, Node)> = (0..9).map(|i| (i, (i + 1) % 9)).collect();
+        let g = pgp_graph::builder::from_edges(9, &edges);
+        check_equivalence(&g, &[0, 0, 1, 7, 4, 4, 7, 7, 8], 3);
+    }
+
+    /// The phase-boundary validator of the `validate` feature insists on
+    /// positive arc weights; contraction itself does not.
+    #[cfg(not(feature = "validate"))]
+    #[test]
+    fn zero_weight_arcs_between_clusters_survive() {
+        // Clusters {0,1} and {2,3} touch only through weight-0 edges: the
+        // coarse arc exists and weighs 0 (a table that reads "untouched" off
+        // a zero sum would drop it).
+        let g = pgp_graph::GraphBuilder::new(6)
+            .add_weighted_edge(0, 1, 5)
+            .add_weighted_edge(1, 2, 0)
+            .add_weighted_edge(0, 3, 0)
+            .add_weighted_edge(2, 3, 2)
+            .add_weighted_edge(3, 4, 1)
+            .add_weighted_edge(4, 5, 0)
+            .build();
+        let clustering = [0, 0, 2, 2, 4, 5];
+        let seq = contract_clustering(&g, &clustering);
+        assert_eq!(
+            seq.coarse.neighbors_weighted(0).collect::<Vec<_>>(),
+            vec![(1, 0)]
+        );
+        for p in [1, 2, 3] {
+            check_equivalence(&g, &clustering, p);
+        }
     }
 
     #[test]

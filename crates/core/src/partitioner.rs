@@ -20,7 +20,7 @@
 //! [`Partitioner::resume`] it verifies the fingerprints of the store's
 //! latest snapshot and replays the remaining cycles.
 
-use crate::coarsen::{parallel_coarsen_with_scratch, ParHierarchy};
+use crate::coarsen::{coarsen_borrowed, BorrowedHierarchy};
 use crate::config::ParhipConfig;
 use crate::contract::{parallel_project_blocks, query_owner_values};
 use pgp_dmp::collectives::allgatherv;
@@ -175,9 +175,9 @@ fn group_graph_fingerprint(comm: &Comm, graph: &DistGraph) -> u64 {
 /// this PE's owned *finest* nodes to global *coarsest* node IDs. Each step
 /// resolves the current coarse IDs through their owners' next-level
 /// mapping (an alltoallv round trip via [`query_owner_values`]).
-fn compose_to_coarsest(comm: &Comm, hierarchy: &ParHierarchy) -> Vec<Node> {
+fn compose_to_coarsest(comm: &Comm, hierarchy: &BorrowedHierarchy<'_>) -> Vec<Node> {
     let depth = hierarchy.depth();
-    let finest = &hierarchy.levels[0].graph;
+    let finest = hierarchy.graph(0);
     if depth == 1 {
         return (0..finest.n_local())
             .map(|l| finest.local_to_global(ids::node_of_index(l)))
@@ -185,10 +185,10 @@ fn compose_to_coarsest(comm: &Comm, hierarchy: &ParHierarchy) -> Vec<Node> {
     }
     // Level mappings cover owned + ghost nodes; the composite map covers
     // owned finest nodes only (it is allgathered into global node order).
-    let mut cur: Vec<Node> = hierarchy.levels[0].mapping[..finest.n_local()].to_vec();
+    let mut cur: Vec<Node> = hierarchy.mapping(0)[..finest.n_local()].to_vec();
     for li in 1..depth - 1 {
-        let level_graph = &hierarchy.levels[li].graph;
-        let mapping = &hierarchy.levels[li].mapping;
+        let level_graph = hierarchy.graph(li);
+        let mapping = hierarchy.mapping(li);
         cur = query_owner_values(comm, level_graph.dist(), &cur, |idx| mapping[idx]);
     }
     cur
@@ -599,14 +599,8 @@ fn parhip_cycles(
         }
         // ---- Parallel coarsening -------------------------------------
         rec.enter("coarsen");
-        let hierarchy = parallel_coarsen_with_scratch(
-            comm,
-            graph.clone(),
-            cfg,
-            cycle,
-            blocks.as_deref(),
-            &mut scratch,
-        );
+        // Level 0 of the hierarchy is `graph` itself, borrowed.
+        let hierarchy = coarsen_borrowed(comm, graph, cfg, cycle, blocks.as_deref(), &mut scratch);
         rec.exit("coarsen");
         if cycle == 0 {
             stats.levels = hierarchy.depth();
@@ -652,9 +646,9 @@ fn parhip_cycles(
         // Walk levels coarse→fine.
         for li in (0..hierarchy.depth() - 1).rev() {
             rec.set_progress(cycle_u32, u32::try_from(li).unwrap_or(u32::MAX), 0);
-            let fine = &hierarchy.levels[li].graph;
-            let coarse = &hierarchy.levels[li + 1].graph;
-            let mapping = &hierarchy.levels[li].mapping;
+            let fine = hierarchy.graph(li);
+            let coarse = hierarchy.graph(li + 1);
+            let mapping = hierarchy.mapping(li);
             let mut fine_blocks = parallel_project_blocks(comm, coarse, mapping, &level_blocks);
             parallel_sclp_refine_with_scratch(
                 comm,
@@ -677,7 +671,7 @@ fn parhip_cycles(
         }
         // When the hierarchy is a single level, refine directly on it.
         if hierarchy.depth() == 1 {
-            let fine = &hierarchy.levels[0].graph;
+            let fine = hierarchy.graph(0);
             let mut fb: Vec<Node> = vec![0; fine.n_local() + fine.n_ghost()];
             fb[..fine.n_local()].copy_from_slice(&level_blocks);
             // Ghost blocks from the replicated coarse partition (coarsest ==
@@ -733,12 +727,10 @@ fn parhip_cycles(
                 coarsest: coarsest_global.clone(),
                 coarsest_assignment: coarse_partition.assignment().to_vec(),
                 fine_to_coarsest,
-                levels: hierarchy
-                    .levels
-                    .iter()
-                    .map(|lv| LevelSummary {
-                        n_global: lv.graph.n_global(),
-                        m_global: lv.graph.m_global(),
+                levels: (0..hierarchy.depth())
+                    .map(|li| LevelSummary {
+                        n_global: hierarchy.graph(li).n_global(),
+                        m_global: hierarchy.graph(li).m_global(),
                     })
                     .collect(),
                 graph_fingerprint: group_graph_fingerprint(comm, graph),
@@ -801,13 +793,13 @@ fn observed_quality(comm: &Comm, graph: &DistGraph, blocks: &[Node], k: usize) -
 
 /// Projects the current fine blocks (owned part) down the hierarchy to the
 /// coarsest level, returning the blocks of this PE's owned coarsest nodes.
-fn project_down(comm: &Comm, hierarchy: &ParHierarchy, fine_blocks: &[Node]) -> Vec<Node> {
+fn project_down(comm: &Comm, hierarchy: &BorrowedHierarchy<'_>, fine_blocks: &[Node]) -> Vec<Node> {
     // At each step: owned fine nodes vote (coarse_id, block) to the coarse
     // owner; all members agree because the coarsening was constrained.
-    let mut cur: Vec<Node> = fine_blocks[..hierarchy.levels[0].graph.n_local()].to_vec();
+    let mut cur: Vec<Node> = fine_blocks[..hierarchy.graph(0).n_local()].to_vec();
     for li in 0..hierarchy.depth() - 1 {
-        let coarse = &hierarchy.levels[li + 1].graph;
-        let mapping = &hierarchy.levels[li].mapping;
+        let coarse = hierarchy.graph(li + 1);
+        let mapping = hierarchy.mapping(li);
         let dist = coarse.dist();
         let mut votes: Vec<Vec<(Node, Node)>> = vec![Vec::new(); comm.size()];
         for (v, &b) in cur.iter().enumerate() {
@@ -841,6 +833,38 @@ mod tests {
 
     fn run(g: &CsrGraph, p: usize, cfg: &ParhipConfig) -> Partitioned {
         Partitioner::new(cfg).partition(g, p).expect("valid input")
+    }
+
+    /// Checkpoints written before unit arc weights stopped being stored
+    /// must still match: both fingerprints mix a 1 per unit arc. The
+    /// constants are what the commit before that change printed.
+    #[test]
+    fn graph_fingerprints_do_not_depend_on_the_weight_representation() {
+        let unit = pgp_gen::mesh::grid2d(6, 5);
+        let weighted = pgp_graph::GraphBuilder::new(5)
+            .add_weighted_edge(0, 1, 1)
+            .add_weighted_edge(1, 2, 3)
+            .add_weighted_edge(2, 3, 2)
+            .add_weighted_edge(3, 4, 1)
+            .add_weighted_edge(4, 0, 1)
+            .node_weights(vec![1, 2, 1, 4, 1])
+            .build();
+        assert!(!unit.has_arc_weights() && weighted.has_arc_weights());
+        // PE 2 of 3 owns node 4 alone: a unit slice of the weighted graph.
+        for (g, csr, group) in [
+            (&unit, 0x5834_4af9_24e6_ec5a, 0x5155_bc02_31ff_c4d1),
+            (&weighted, 0x2253_51ee_1484_898f, 0x98db_ccbd_7ae9_3198),
+        ] {
+            assert_eq!(g.fingerprint(), csr);
+            let per_pe = pgp_dmp::run(3, |comm| {
+                let dg = DistGraph::from_global(comm, g);
+                let stored = !dg.adjwgt_raw().is_empty();
+                (group_graph_fingerprint(comm, &dg), stored)
+            });
+            assert!(per_pe.iter().all(|&(fp, _)| fp == group));
+            let stored: Vec<bool> = per_pe.iter().map(|&(_, stored)| stored).collect();
+            assert_eq!(stored, [g.has_arc_weights(), g.has_arc_weights(), false]);
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn spmd_rule_has_roots_and_reaches_the_vcycle_engine() {
     }
     for engine in [
         "parhip_cycles",
-        "parallel_coarsen_with_scratch",
+        "coarsen_borrowed",
         "parallel_sclp_refine_with_scratch",
         "kaffpae",
     ] {

@@ -104,7 +104,8 @@ pub fn validate_dist_graph(comm: &Comm, g: &DistGraph) -> Result<(), Vec<String>
             adjncy.len()
         ));
     }
-    if adjwgt.len() != adjncy.len() {
+    // Empty stands for "every arc weighs 1" (the canonical unit form).
+    if !adjwgt.is_empty() && adjwgt.len() != adjncy.len() {
         errs.push(format!(
             "adjwgt length {} != adjncy length {}",
             adjwgt.len(),
@@ -234,7 +235,11 @@ pub fn validate_dist_graph(comm: &Comm, g: &DistGraph) -> Result<(), Vec<String>
             g.total_node_weight()
         ));
     }
-    let local_aw: Weight = adjwgt.iter().sum();
+    let local_aw: Weight = if adjwgt.is_empty() {
+        g.local_arc_count()
+    } else {
+        adjwgt.iter().sum()
+    };
     let recount_ew = allreduce_sum(comm, local_aw) / 2;
     if recount_ew != g.total_edge_weight() {
         errs.push(format!(
@@ -560,6 +565,8 @@ mod tests {
         let g = ring(24);
         run(4, |comm| {
             let dg = DistGraph::from_global(comm, &g);
+            // The ring is unweighted: the audit sees the unit form.
+            assert!(dg.adjwgt_raw().is_empty());
             validate_dist_graph(comm, &dg).unwrap();
         });
     }

@@ -61,8 +61,15 @@ impl BlockDist {
 /// Sorts one row's arcs by `(target, weight)` unless they already are:
 /// every graph this workspace builds has ascending rows, so assembly pays
 /// one comparison per arc, and arcs given in any other order still yield
-/// the one deterministic numbering.
+/// the one deterministic numbering. An empty `adjwgt` (every arc weighs 1)
+/// sorts the targets alone.
 fn sort_row(adjncy: &mut [Node], adjwgt: &mut [Weight]) {
+    if adjwgt.is_empty() {
+        if !adjncy.is_sorted() {
+            adjncy.sort_unstable();
+        }
+        return;
+    }
     // Weights are read only to order two arcs with the same target.
     let ordered = |i: usize| {
         adjncy[i - 1] < adjncy[i] || (adjncy[i - 1] == adjncy[i] && adjwgt[i - 1] <= adjwgt[i])
@@ -101,6 +108,11 @@ impl GhostRows {
 /// A PE-local view of a distributed graph: owned nodes `0..n_local`,
 /// ghost nodes `n_local..n_local+n_ghost` (ghosts have weights and labels
 /// but no stored adjacency).
+///
+/// As in [`CsrGraph`], unit arc weights are not stored per arc: when every
+/// arc of this PE weighs 1, `adjwgt` holds one run of ones as long as the
+/// longest row (`adjwgt_mask == 0`). Assembly drops an all-ones vector, and
+/// [`DistGraph::neighbors`] is the one reader that knows.
 #[derive(Clone, Debug)]
 pub struct DistGraph {
     rank: usize,
@@ -108,7 +120,12 @@ pub struct DistGraph {
     /// CSR over owned nodes; targets are local IDs (owned or ghost).
     xadj: Vec<u64>,
     adjncy: Vec<Node>,
+    /// One weight per arc (`adjwgt_mask == usize::MAX`), or — every arc
+    /// weighs 1, `adjwgt_mask == 0` — as many ones as the longest row has
+    /// arcs. The weights of the row that starts at arc `lo` start at
+    /// `adjwgt[lo & adjwgt_mask]`.
     adjwgt: Vec<Weight>,
+    adjwgt_mask: usize,
     /// Weights of owned nodes followed by ghost nodes.
     node_weight: Vec<Weight>,
     /// Ghost local index → global ID.
@@ -153,7 +170,11 @@ impl DistGraph {
             dist,
             offsets.iter().map(|&x| x - base).collect(),
             global.adjncy()[arcs.clone()].to_vec(),
-            global.adjwgt()[arcs].to_vec(),
+            if global.has_arc_weights() {
+                global.adjwgt()[arcs].to_vec()
+            } else {
+                Vec::new()
+            },
             global.node_weights()[nodes].to_vec(),
             |ghosts, _| ghosts.iter().map(|&g| global.node_weight(g)).collect(),
         )
@@ -235,7 +256,8 @@ impl DistGraph {
     }
 
     /// The one assembly path, row by row: this PE's CSR with `adjncy` still
-    /// in global IDs. Rewrites `adjncy` to local IDs in place — ghosts are
+    /// in global IDs and `adjwgt` either parallel to it or empty (all ones;
+    /// an all-ones vector is dropped). Rewrites `adjncy` to local IDs in place — ghosts are
     /// numbered in first-appearance order, rows in order, each row's arcs
     /// ascending by `(target, weight)` — and builds the ghost tables and
     /// the interface structure in the same pass. `ghost_weights(ghosts,
@@ -254,6 +276,9 @@ impl DistGraph {
         let first = dist.first(rank);
         let last = dist.last_excl(rank);
         let n_local = xadj.len() - 1;
+        if adjwgt.iter().all(|&w| w == 1) {
+            adjwgt = Vec::new();
+        }
 
         let mut ghost_global: Vec<Node> = Vec::new();
         let mut ghost_owner: Vec<u32> = Vec::new();
@@ -264,7 +289,10 @@ impl DistGraph {
         let mut scratch: Vec<u32> = Vec::new();
         for u in 0..n_local {
             let row = ids::global_index(xadj[u])..ids::global_index(xadj[u + 1]);
-            sort_row(&mut adjncy[row.clone()], &mut adjwgt[row.clone()]);
+            sort_row(
+                &mut adjncy[row.clone()],
+                adjwgt.get_mut(row.clone()).unwrap_or(&mut []),
+            );
             scratch.clear();
             for t in &mut adjncy[row] {
                 let g = ids::node_global(*t);
@@ -299,7 +327,11 @@ impl DistGraph {
             comm,
             vec![
                 node_weight[..n_local].iter().sum(),
-                adjwgt.iter().sum(),
+                if adjwgt.is_empty() {
+                    ids::count_global(adjncy.len())
+                } else {
+                    adjwgt.iter().sum()
+                },
                 ids::count_global(adjncy.len()),
             ],
         );
@@ -321,12 +353,21 @@ impl DistGraph {
             h.finish()
         };
 
+        // From "none or one per arc" to the stored form.
+        let (adjwgt, adjwgt_mask) = if adjwgt.is_empty() {
+            let max_degree = xadj.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+            (vec![1; ids::global_index(max_degree)], 0)
+        } else {
+            (adjwgt, usize::MAX)
+        };
+
         Self {
             rank,
             dist,
             xadj,
             adjncy,
             adjwgt,
+            adjwgt_mask,
             node_weight,
             ghost_global,
             ghost_owner,
@@ -432,8 +473,12 @@ impl DistGraph {
         for &t in &self.adjncy {
             mix(ids::node_global(self.local_to_global(t)));
         }
-        for &w in &self.adjwgt {
-            mix(w);
+        // A unit weight is mixed although it is not stored: checkpoints
+        // carry this value, so it must not depend on the representation.
+        for u in 0..ids::node_of_index(self.n_local()) {
+            for (_, w) in self.neighbors(u) {
+                mix(w);
+            }
         }
         for &w in &self.node_weight[..self.n_local()] {
             mix(w);
@@ -490,10 +535,13 @@ impl DistGraph {
         let u = ids::node_index(l);
         let lo = ids::global_index(self.xadj[u]);
         let hi = ids::global_index(self.xadj[u + 1]);
-        self.adjncy[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.adjwgt[lo..hi].iter().copied())
+        // One array, one masked offset: a branch between two slicings here
+        // cost the SCLP cluster sweep a quarter of its time on `web_p1`
+        // (DESIGN.md §5, "Bytes per arc").
+        let row = &self.adjncy[lo..hi];
+        let start = lo & self.adjwgt_mask;
+        let weights = &self.adjwgt[start..start + row.len()];
+        row.iter().copied().zip(weights.iter().copied())
     }
 
     /// True iff owned node `l` has at least one ghost neighbour.
@@ -570,6 +618,22 @@ impl DistGraph {
         ids::count_global(self.adjncy.len())
     }
 
+    /// Bytes of heap this PE's view holds: capacity × element size of every
+    /// array, the ghost map at one entry plus one control byte per slot of
+    /// capacity.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.xadj.capacity() * size_of::<u64>()
+            + (self.adjncy.capacity() + self.ghost_global.capacity()) * size_of::<Node>()
+            + (self.adjwgt.capacity() + self.node_weight.capacity()) * size_of::<Weight>()
+            + (self.ghost_owner.capacity()
+                + self.iface_xadj.capacity()
+                + self.iface_pes.capacity()
+                + self.adjacent_pes.capacity())
+                * size_of::<u32>()
+            + self.ghost_map.capacity() * (size_of::<(Node, Node)>() + 1)
+    }
+
     /// Weights of the owned nodes (slice of length `n_local`).
     pub fn owned_weights(&self) -> &[Weight] {
         &self.node_weight[..self.n_local()]
@@ -585,9 +649,14 @@ impl DistGraph {
         &self.adjncy
     }
 
-    /// Raw arc weights (validator access).
+    /// Raw arc weights (validator access): one per arc, or empty when every
+    /// arc weighs 1.
     pub fn adjwgt_raw(&self) -> &[Weight] {
-        &self.adjwgt
+        if self.adjwgt_mask == 0 {
+            &[]
+        } else {
+            &self.adjwgt
+        }
     }
 
     /// Ghost global IDs in ghost-local order (validator access).
@@ -617,9 +686,14 @@ impl DistGraph {
         &mut self.node_weight
     }
 
-    /// Mutable arc weights, for seeding corruptions in validator tests.
+    /// Mutable arc weights (unit weights written out first), for seeding
+    /// corruptions in validator tests.
     #[doc(hidden)]
     pub fn adjwgt_mut_for_test(&mut self) -> &mut Vec<Weight> {
+        if self.adjwgt_mask == 0 {
+            self.adjwgt = vec![1; self.adjncy.len()];
+            self.adjwgt_mask = usize::MAX;
+        }
         &mut self.adjwgt
     }
 
@@ -817,6 +891,43 @@ mod tests {
         for gg in gathered {
             assert_eq!(gg, g);
         }
+    }
+
+    #[test]
+    fn unit_arc_weights_take_no_heap() {
+        // K_32 on 2 PEs: arcs far outnumber nodes and ghosts, so an
+        // 8 B-per-arc array shows.
+        let clique = |w: Weight| {
+            let mut b = pgp_graph::GraphBuilder::new(32);
+            for u in 0..32 {
+                for v in u + 1..32 {
+                    b.push_edge(u, v, w);
+                }
+            }
+            b.build()
+        };
+        let (unit, weighted) = (clique(1), clique(3));
+        run(2, |comm| {
+            let u = DistGraph::from_global(comm, &unit);
+            let w = DistGraph::from_global(comm, &weighted);
+            let arc_weights = u.local_arc_count() as usize * std::mem::size_of::<Weight>();
+            assert!(u.adjwgt_raw().is_empty());
+            assert!(u.heap_bytes() < arc_weights);
+            // What the unit form holds instead: one row of 31 ones.
+            let unit_row = 31 * std::mem::size_of::<Weight>();
+            assert_eq!(w.heap_bytes() + unit_row, u.heap_bytes() + arc_weights);
+            assert_eq!(u.total_edge_weight() * 3, w.total_edge_weight());
+            assert!(u.neighbors(0).all(|(_, x)| x == 1));
+            // All ones handed over as triples are dropped again.
+            let mut arcs = Vec::new();
+            for l in 0..u.n_local() as Node {
+                let gl = u.local_to_global(l);
+                arcs.extend(u.neighbors(l).map(|(t, x)| (gl, u.local_to_global(t), x)));
+            }
+            let again = DistGraph::from_arcs(comm, 32, u.owned_weights().to_vec(), arcs);
+            assert!(again.adjwgt_raw().is_empty());
+            assert_eq!(again.fingerprint_local(), u.fingerprint_local());
+        });
     }
 
     #[test]

@@ -3,8 +3,17 @@
 //! The layout mirrors the adjacency-array representation described in
 //! Section IV-A of the paper: one array of head pointers (`xadj`) and one
 //! flat edge array (`adjncy`, `adjwgt`). Undirected edges are stored twice.
+//!
+//! Unit arc weights are not stored per arc: when every arc weighs 1,
+//! `adjwgt` holds one run of ones as long as the longest row and every row
+//! reads its weights from the start of it (`adjwgt_mask == 0`). That is the
+//! canonical form — the constructors drop an all-ones vector — so two equal
+//! graphs always compare and fingerprint equal.
+//! [`CsrGraph::neighbors_weighted`] is the one reader that knows, and both
+//! forms iterate as the same slice zip at the same cost per arc.
 
 use crate::{Node, Weight};
+use std::borrow::Cow;
 
 /// An immutable undirected graph in CSR form with node and edge weights.
 ///
@@ -12,7 +21,11 @@ use crate::{Node, Weight};
 /// [`crate::GraphBuilder`]):
 ///
 /// * `xadj.len() == n + 1`, `xadj[0] == 0`, `xadj` is non-decreasing and
-///   `xadj[n] == adjncy.len() == adjwgt.len() == m_directed`.
+///   `xadj[n] == adjncy.len() == m_directed`.
+/// * Either `adjwgt_mask == usize::MAX` and `adjwgt` holds one weight per
+///   arc, not all of them 1; or `adjwgt_mask == 0`, every arc weighs 1 and
+///   `adjwgt` holds `max_degree` ones. The weights of the row that starts
+///   at arc `lo` start at `adjwgt[lo & adjwgt_mask]`.
 /// * No self loops; every arc `(u, v)` has a reverse arc `(v, u)` with the
 ///   same weight.
 /// * `node_weight.len() == n`.
@@ -21,13 +34,16 @@ pub struct CsrGraph {
     xadj: Vec<u64>,
     adjncy: Vec<Node>,
     adjwgt: Vec<Weight>,
+    adjwgt_mask: usize,
     node_weight: Vec<Weight>,
     total_node_weight: Weight,
     total_edge_weight: Weight,
 }
 
 impl CsrGraph {
-    /// Builds a graph directly from CSR arrays.
+    /// Builds a graph directly from CSR arrays. `adjwgt` holds one weight
+    /// per arc, or nothing when every arc weighs 1 (an all-ones vector is
+    /// dropped).
     ///
     /// # Panics
     /// Panics if the arrays are structurally inconsistent (lengths, pointer
@@ -48,7 +64,10 @@ impl CsrGraph {
             adjncy.len(),
             "xadj[n] must equal the number of stored arcs"
         );
-        assert_eq!(adjncy.len(), adjwgt.len(), "adjncy/adjwgt length mismatch");
+        assert!(
+            adjwgt.is_empty() || adjwgt.len() == adjncy.len(),
+            "adjncy/adjwgt length mismatch"
+        );
         debug_assert!(
             xadj.windows(2).all(|w| w[0] <= w[1]),
             "xadj must be non-decreasing"
@@ -57,12 +76,19 @@ impl CsrGraph {
         // Every undirected edge is stored twice; halve the arc-weight sum.
         // (Asymmetric inputs — a broken invariant — are caught by
         // `validate`, not here, so tests can construct them.)
-        let arc_weight: Weight = adjwgt.iter().sum();
+        let (adjwgt, adjwgt_mask, arc_weight) = if adjwgt.iter().all(|&w| w == 1) {
+            let max_degree = xadj.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+            (vec![1; max_degree as usize], 0, adjncy.len() as Weight)
+        } else {
+            let sum = adjwgt.iter().sum();
+            (adjwgt, usize::MAX, sum)
+        };
         let total_edge_weight = arc_weight / 2;
         Self {
             xadj,
             adjncy,
             adjwgt,
+            adjwgt_mask,
             node_weight,
             total_node_weight,
             total_edge_weight,
@@ -73,8 +99,7 @@ impl CsrGraph {
     /// adjacency arrays.
     pub fn unweighted(xadj: Vec<u64>, adjncy: Vec<Node>) -> Self {
         let n = xadj.len() - 1;
-        let m_dir = adjncy.len();
-        Self::from_parts(xadj, adjncy, vec![1; m_dir], vec![1; n])
+        Self::from_parts(xadj, adjncy, Vec::new(), vec![1; n])
     }
 
     /// The empty graph.
@@ -143,10 +168,13 @@ impl CsrGraph {
     pub fn neighbors_weighted(&self, v: Node) -> impl Iterator<Item = (Node, Weight)> + '_ {
         let lo = self.xadj[v as usize] as usize;
         let hi = self.xadj[v as usize + 1] as usize;
-        self.adjncy[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.adjwgt[lo..hi].iter().copied())
+        // One array, one masked offset: no branch and no second base
+        // pointer between the two weight forms, either of which measurably
+        // slows the kernels on this iterator (DESIGN.md §5, "Bytes per arc").
+        let row = &self.adjncy[lo..hi];
+        let start = lo & self.adjwgt_mask;
+        let weights = &self.adjwgt[start..start + row.len()];
+        row.iter().copied().zip(weights.iter().copied())
     }
 
     /// The neighbor slice of `v` (no weights).
@@ -185,10 +213,30 @@ impl CsrGraph {
         &self.adjncy
     }
 
-    /// Raw CSR access: flat edge-weight array (parallel to `adjncy`).
+    /// Raw CSR access: flat edge-weight array (parallel to `adjncy`);
+    /// borrowed when weights are stored, a vector of ones when they are not.
+    pub fn adjwgt(&self) -> Cow<'_, [Weight]> {
+        if self.has_arc_weights() {
+            Cow::Borrowed(&self.adjwgt)
+        } else {
+            Cow::Owned(vec![1; self.adjncy.len()])
+        }
+    }
+
+    /// True iff some arc weighs other than 1, i.e. a weight per arc is
+    /// stored.
     #[inline]
-    pub fn adjwgt(&self) -> &[Weight] {
-        &self.adjwgt
+    pub fn has_arc_weights(&self) -> bool {
+        self.adjwgt_mask != 0
+    }
+
+    /// Bytes of heap this graph holds: capacity × element size of every
+    /// array.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.xadj.capacity() * size_of::<u64>()
+            + self.adjncy.capacity() * size_of::<Node>()
+            + (self.adjwgt.capacity() + self.node_weight.capacity()) * size_of::<Weight>()
     }
 
     /// Raw access: node weights.
@@ -212,8 +260,12 @@ impl CsrGraph {
         for &v in &self.adjncy {
             mix(u64::from(v));
         }
-        for &w in &self.adjwgt {
-            mix(w);
+        // A unit weight is mixed although it is not stored: the value must
+        // not depend on the representation (checkpoints carry it).
+        for u in self.nodes() {
+            for (_, w) in self.neighbors_weighted(u) {
+                mix(w);
+            }
         }
         for &w in &self.node_weight {
             mix(w);
@@ -369,6 +421,36 @@ mod tests {
     }
 
     #[test]
+    fn unit_arc_weights_take_no_heap() {
+        // K_20: arcs far outnumber nodes, so an 8 B-per-arc array shows.
+        let clique = |w: Weight| {
+            let mut b = GraphBuilder::new(20);
+            for u in 0..20 {
+                for v in u + 1..20 {
+                    b.push_edge(u, v, w);
+                }
+            }
+            b.build()
+        };
+        let (unit, weighted) = (clique(1), clique(3));
+        let arcs = unit.num_arcs();
+        assert!(!unit.has_arc_weights() && weighted.has_arc_weights());
+        let arc_weights = arcs * std::mem::size_of::<Weight>();
+        assert!(unit.heap_bytes() < arc_weights);
+        // What the unit form holds instead: one row of 19 ones.
+        let unit_row = 19 * std::mem::size_of::<Weight>();
+        assert_eq!(
+            weighted.heap_bytes() + unit_row,
+            unit.heap_bytes() + arc_weights
+        );
+        // The readers cannot tell: same arcs, same totals, a full `adjwgt()`.
+        assert_eq!(unit.neighbors_weighted(0).nth(4), Some((5, 1)));
+        assert_eq!(unit.total_edge_weight() * 3, weighted.total_edge_weight());
+        assert_eq!(unit.adjwgt().len(), arcs);
+        assert_eq!(unit.adjwgt().to_vec(), vec![1; arcs]);
+    }
+
+    #[test]
     fn max_degree_and_avg_degree() {
         let star = GraphBuilder::new(5)
             .add_edge(0, 1)
@@ -378,5 +460,49 @@ mod tests {
             .build();
         assert_eq!(star.max_degree(), 4);
         assert!((star.avg_degree() - 8.0 / 5.0).abs() < 1e-12);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::GraphBuilder;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The unit form is canonical: all-ones weights handed to
+        /// `from_parts` give the graph `unweighted` gives, bit for bit in
+        /// `==` and in `fingerprint()`; one other weight gives neither.
+        #[test]
+        fn all_ones_is_the_unweighted_graph(
+            n in 1usize..24,
+            edges in proptest::collection::vec((0u32..24, 0u32..24), 0..80),
+            heavy in 0usize..160,
+        ) {
+            let mut b = GraphBuilder::new(n);
+            for (u, v) in edges {
+                b.push_edge(u % n as Node, v % n as Node, 1);
+            }
+            let built = b.build();
+            let (xadj, adjncy) = (built.xadj().to_vec(), built.adjncy().to_vec());
+            // Parallel edges merge to weight > 1 in the builder; this is
+            // about the structure alone.
+            let arcs = adjncy.len();
+            let unit = CsrGraph::unweighted(xadj.clone(), adjncy.clone());
+            let ones = CsrGraph::from_parts(xadj.clone(), adjncy.clone(), vec![1; arcs], vec![1; n]);
+            prop_assert_eq!(&ones, &unit);
+            prop_assert_eq!(ones.fingerprint(), unit.fingerprint());
+            prop_assert_eq!(ones.heap_bytes(), unit.heap_bytes());
+            prop_assert_eq!(unit.total_edge_weight(), unit.m() as Weight);
+            if arcs > 0 {
+                let mut w = vec![1; arcs];
+                w[heavy % arcs] = 2;
+                let other = CsrGraph::from_parts(xadj, adjncy, w, vec![1; n]);
+                prop_assert_ne!(&other, &unit);
+                prop_assert_ne!(other.fingerprint(), unit.fingerprint());
+            }
+        }
     }
 }

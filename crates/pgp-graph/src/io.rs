@@ -254,7 +254,8 @@ pub fn read_metis(mut reader: impl Read) -> Result<CsrGraph, IoError> {
 
     let mut xadj = vec![0u64; n + 1];
     let mut adjncy: Vec<Node> = Vec::with_capacity(2 * m);
-    let mut adjwgt: Vec<Weight> = Vec::with_capacity(2 * m);
+    // Stays empty while every arc read so far weighs 1 (`push_arc_weight`).
+    let mut adjwgt: Vec<Weight> = Vec::new();
     let mut node_weight: Vec<Weight> = Vec::with_capacity(n);
     let mut node_weight_sum: Weight = 0;
     let mut arc_weight_sum: Weight = 0;
@@ -294,18 +295,18 @@ pub fn read_metis(mut reader: impl Read) -> Result<CsrGraph, IoError> {
             clean &= v > prev && v != own;
             prev = v;
             adjncy.push(ids::global_node(v - 1));
-            if has_edge_weights {
-                let w = s.field("edge weight")?;
-                arc_weight_sum = arc_weight_sum
-                    .checked_add(w)
-                    .ok_or_else(|| perr(s.line, "edge weights overflow u64"))?;
-                adjwgt.push(w);
-            }
+            let w = if has_edge_weights {
+                s.field("edge weight")?
+            } else {
+                1
+            };
+            arc_weight_sum = arc_weight_sum
+                .checked_add(w)
+                .ok_or_else(|| perr(s.line, "edge weights overflow u64"))?;
+            push_arc_weight(&mut adjwgt, adjncy.len(), 2 * m, w);
         }
-        // Without edge weights every arc weighs 1.
-        adjwgt.resize(adjncy.len(), 1);
         if !clean {
-            normalise_row(ids::node_of_index(u), row, &mut adjncy, &mut adjwgt);
+            normalise_row(ids::node_of_index(u), row, &mut adjncy, &mut adjwgt, 2 * m);
         }
         xadj[u + 1] = ids::count_global(adjncy.len());
     }
@@ -340,27 +341,50 @@ pub fn read_metis(mut reader: impl Read) -> Result<CsrGraph, IoError> {
     Ok(CsrGraph::from_parts(xadj, adjncy, adjwgt, node_weight))
 }
 
+/// Records the weight of the arc just pushed, the `arcs`-th of at most
+/// `cap`. `adjwgt` stays empty — every arc weighs 1 — until the first arc
+/// that weighs something else; only then is it allocated, with the ones
+/// before it filled in.
+#[inline]
+fn push_arc_weight(adjwgt: &mut Vec<Weight>, arcs: usize, cap: usize, w: Weight) {
+    if adjwgt.is_empty() && w != 1 {
+        adjwgt.reserve_exact(cap);
+        adjwgt.resize(arcs - 1, 1);
+    }
+    if w != 1 || !adjwgt.is_empty() {
+        adjwgt.push(w);
+    }
+}
+
 /// Rewrites the row that starts at `row` and runs to the end of the arrays
 /// the way [`GraphBuilder`] would have built it: self-loops of `u` dropped,
 /// neighbours sorted, repeated neighbours merged by summing their weights.
-fn normalise_row(u: Node, row: usize, adjncy: &mut Vec<Node>, adjwgt: &mut Vec<Weight>) {
-    let mut arcs: Vec<(Node, Weight)> = adjncy[row..]
-        .iter()
-        .copied()
-        .zip(adjwgt[row..].iter().copied())
+fn normalise_row(
+    u: Node,
+    row: usize,
+    adjncy: &mut Vec<Node>,
+    adjwgt: &mut Vec<Weight>,
+    cap: usize,
+) {
+    let weight = |i: usize| if adjwgt.is_empty() { 1 } else { adjwgt[i] };
+    let mut arcs: Vec<(Node, Weight)> = (row..adjncy.len())
+        .map(|i| (adjncy[i], weight(i)))
         .filter(|&(v, _)| v != u)
         .collect();
     arcs.sort_unstable_by_key(|&(v, _)| v);
+    // Cannot overflow: the reader bounds the sum of all weights.
+    arcs.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
     adjncy.truncate(row);
     adjwgt.truncate(row);
     for (v, w) in arcs {
-        if adjncy.len() > row && adjncy[adjncy.len() - 1] == v {
-            // Cannot overflow: the reader bounds the sum of all weights.
-            *adjwgt.last_mut().expect("parallel to adjncy") += w;
-        } else {
-            adjncy.push(v);
-            adjwgt.push(w);
-        }
+        adjncy.push(v);
+        push_arc_weight(adjwgt, adjncy.len(), cap, w);
     }
 }
 
@@ -389,7 +413,8 @@ fn first_unmirrored_arc(xadj: &[u64], adjncy: &[Node], adjwgt: &[Weight]) -> Opt
             }
             let c = next[ids::node_index(v)];
             let unclaimed = row(ids::node_index(v)).contains(&c).then(|| adjncy[c]);
-            if unclaimed == Some(own) && adjwgt[c] == adjwgt[i] {
+            // No stored weights: all arcs weigh 1 and the targets decide.
+            if unclaimed == Some(own) && (adjwgt.is_empty() || adjwgt[c] == adjwgt[i]) {
                 next[ids::node_index(v)] = c + 1;
             } else {
                 // An entry of row `v` that row `x < u` did not claim is the
@@ -414,7 +439,7 @@ fn first_unmirrored_arc(xadj: &[u64], adjncy: &[Node], adjwgt: &[Weight]) -> Opt
 pub fn write_metis(graph: &CsrGraph, writer: impl Write) -> Result<(), IoError> {
     let mut w = BufWriter::new(writer);
     let node_weighted = graph.node_weights().iter().any(|&x| x != 1);
-    let edge_weighted = graph.adjwgt().iter().any(|&x| x != 1);
+    let edge_weighted = graph.has_arc_weights();
     let fmt = match (node_weighted, edge_weighted) {
         (false, false) => "",
         (false, true) => " 1",
@@ -577,6 +602,32 @@ mod tests {
         assert_eq!(parse_line(read_metis("2 1 1\n2 5\n1 6\n".as_bytes())), 3);
         // Node 1 lists 2 twice (merged weight 2), node 2 lists 1 once.
         assert_eq!(parse_line(read_metis("2 1\n2 2\n1\n".as_bytes())), 3);
+        // Weights all 1 but one, and its mirror is 1.
+        assert_eq!(
+            parse_line(read_metis("3 2 1\n2 1 3 1\n1 1\n1 2\n".as_bytes())),
+            4
+        );
+    }
+
+    #[test]
+    fn unit_weights_are_stored_only_when_an_arc_needs_one() {
+        let plain = read_metis("3 2\n2 3\n1\n1\n".as_bytes()).unwrap();
+        assert!(!plain.has_arc_weights());
+        // `fmt 1` with every weight spelled out as 1 is the same graph.
+        let spelled = read_metis("3 2 1\n2 1 3 1\n1 1\n1 1\n".as_bytes()).unwrap();
+        assert!(!spelled.has_arc_weights());
+        assert_eq!(spelled, plain);
+        assert_eq!(spelled.fingerprint(), plain.fingerprint());
+        // No `fmt`, but rows 1 and 2 list each other twice: that edge weighs
+        // 2, the ones read before and after it stay 1, the mirror check holds.
+        let merged = read_metis("4 3\n3\n3 3 4\n1 2 2\n2\n".as_bytes()).unwrap();
+        assert!(merged.has_arc_weights());
+        let arcs: Vec<_> = merged
+            .nodes()
+            .flat_map(|u| merged.neighbors_weighted(u))
+            .collect();
+        assert_eq!(arcs, vec![(2, 1), (2, 2), (3, 1), (0, 1), (1, 2), (1, 1)]);
+        merged.validate().unwrap();
     }
 
     #[test]

@@ -183,7 +183,12 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
     };
 
     let graph = read_metis_file(path).map_err(|e| failed(format!("error reading {path}: {e}")))?;
-    eprintln!("read {path}: n = {}, m = {}", graph.n(), graph.m());
+    eprintln!(
+        "read {path}: n = {}, m = {}, {:.1} bytes per arc in memory",
+        graph.n(),
+        graph.m(),
+        graph.heap_bytes() as f64 / graph.num_arcs().max(1) as f64
+    );
 
     // Class: explicit, or inferred from the degree distribution the way
     // Table I classifies instances.
@@ -266,6 +271,10 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
         .map_err(|e| failed(format!("error creating {output}: {e}")))?;
     write_partition(&partition, file)
         .map_err(|e| failed(format!("error writing {output}: {e}")))?;
-    eprintln!("wrote {output}");
+    let (_, peak_rss_kb) = pgp::pgp_obs::read_rss_kb();
+    eprintln!(
+        "wrote {output}; peak RSS {:.1} MiB",
+        peak_rss_kb as f64 / 1024.0
+    );
     Ok(())
 }
