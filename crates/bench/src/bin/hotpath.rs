@@ -1,6 +1,7 @@
-//! Hot-path benchmark gate (ISSUE 2): measures the layers the hot-path
-//! overhaul targets and emits a machine-readable JSON snapshot so every
-//! perf PR records before/after numbers.
+//! Hot-path microbenchmark (ISSUE 2): measures the layers the hot-path
+//! overhaul targets and emits a machine-readable JSON snapshot. Its
+//! numbers compare within one run on one host (the recorder-mode A/B
+//! below); across snapshots they mostly measure the host.
 //!
 //! Sections:
 //!
@@ -10,20 +11,16 @@
 //!    in-order ping stream. Reported as messages/sec.
 //!
 //!    1b. **obs** — the same ping stream under each recorder mode
-//!    (disabled / report / trace / live): the disabled mode must sit
-//!    within noise of the plain comm ping (single-branch hooks), and the
-//!    others quantify the cost of turning recording on; `live` adds
-//!    snapshot publication with a polling telemetry monitor attached
-//!    (DESIGN.md §16).
+//!    (disabled / report / trace): the disabled mode must sit within
+//!    noise of the plain comm ping (single-branch hooks), and the others
+//!    quantify the cost of turning recording on.
 //! 2. **exchange** — `LabelExchange` phase throughput on an R-MAT graph:
 //!    every interface node records an update each phase. Reported as
 //!    updates/sec.
 //!
 //! Usage: `cargo run -p bench --release --bin hotpath -- [smoke=1]
 //! [out=results/hotpath.json] [scale=13] [p=4] [reps=3] [seed=3]`
-//!
-//! The committed `BENCH_hotpath.json` holds a before/after pair of these
-//! snapshots (see EXPERIMENTS.md "Microbenchmarks").
+//! (see EXPERIMENTS.md "Microbenchmarks").
 
 use bench::{arg, arg_usize};
 use pgp_dmp::{run, DistGraph, LabelExchange};
@@ -123,9 +120,8 @@ fn main() {
     // ---- 1b. obs A/B: the same ping stream under each recorder mode ----
     // The observability discipline promises a single-branch hot path when
     // recording is off; `obs.disabled` vs the plain ping above must sit
-    // within noise, and `obs.report`/`obs.trace`/`obs.live` quantify the
-    // cost of turning recording on (counters + histograms, then + event
-    // rings, then + live snapshot publication under a polling monitor).
+    // within noise, and `obs.report`/`obs.trace` quantify the cost of
+    // turning recording on (counters + histograms, then + event rings).
     let ping_obs = |obs: Option<std::sync::Arc<pgp_obs::Obs>>| -> f64 {
         let mut wall = f64::INFINITY;
         for _ in 0..reps {
@@ -160,48 +156,6 @@ fn main() {
         2,
         pgp_obs::DEFAULT_TRACE_CAPACITY,
     )));
-    // Live telemetry mode: recording on, live publication enabled, and an
-    // aggregating monitor polling the snapshot slots concurrently (stream
-    // discarded). The delta vs `obs.report` is the live plane's whole
-    // cost on the recording path; `obs.disabled` above stays the gate for
-    // the telemetry-off single-branch claim.
-    let obs_ping_live = {
-        let mut wall = f64::INFINITY;
-        for _ in 0..reps {
-            let obs = pgp_obs::Obs::new(2);
-            obs.enable_live();
-            let monitor = pgp_obs::LiveMonitor::spawn(
-                obs.clone(),
-                pgp_obs::LiveMonitorConfig::default(),
-                Box::new(std::io::sink()),
-            )
-            .expect("spawn live monitor");
-            let rc = pgp_dmp::RunConfig {
-                obs: Some(obs),
-                ..Default::default()
-            };
-            let t0 = Instant::now();
-            let results = pgp_dmp::run_config(2, rc, |comm| {
-                if comm.rank() == 0 {
-                    for i in 0..ping_rounds {
-                        comm.send(1, 7, vec![i]);
-                        let _: Vec<u64> = comm.recv(1, 9);
-                    }
-                } else {
-                    for _ in 0..ping_rounds {
-                        let v: Vec<u64> = comm.recv(0, 7);
-                        comm.send(0, 9, v);
-                    }
-                }
-            });
-            for r in results {
-                r.expect("fault-free ping cannot fail");
-            }
-            wall = wall.min(t0.elapsed().as_secs_f64());
-            monitor.finish().expect("live monitor stream");
-        }
-        (2 * ping_rounds) as f64 / wall
-    };
 
     // ---- R-MAT instance for the exchange --------------------------------
     let g = pgp_gen::rmat::rmat_web(scale, 8, seed);
@@ -239,8 +193,7 @@ fn main() {
          \"backlog\": {backlog}, \"backlog_tags\": {backlog_tags}, \
          \"backlog_msgs\": {backlog_msgs} }},\n  \
          \"obs\": {{ \"ping_disabled_msgs_per_s\": {opd:.0}, \
-         \"ping_report_msgs_per_s\": {opr:.0}, \"ping_trace_msgs_per_s\": {opt:.0}, \
-         \"ping_live_msgs_per_s\": {opl:.0} }},\n  \
+         \"ping_report_msgs_per_s\": {opr:.0}, \"ping_trace_msgs_per_s\": {opt:.0} }},\n  \
          \"exchange\": {{ \"updates_per_s\": {exu:.0}, \"updates\": {exn}, \"phases\": {exp} }}\n}}\n",
         n = g.n(),
         m = g.m(),
@@ -249,7 +202,6 @@ fn main() {
         opd = obs_ping_disabled,
         opr = obs_ping_report,
         opt = obs_ping_trace,
-        opl = obs_ping_live,
         exu = exchange_updates_per_s,
         exn = exchange_updates,
         exp = exchange_phases,

@@ -11,7 +11,7 @@
 //!     [backend=threads] \
 //!     [report=results/run_report.json] \
 //!     [trace=results/trace.json] [recover=1] [max_retries=3] \
-//!     [checkpoint_every=1] [telemetry=results/live.ndjson] [monitor=1]
+//!     [checkpoint_every=1]
 //! ```
 //!
 //! `backend=threads|sockets` (or `--backend <b>`) selects the comm
@@ -28,12 +28,6 @@
 //! supervisor (DESIGN.md §14) with V-cycle checkpoints every
 //! `checkpoint_every` cycles and up to `max_retries` transient retries;
 //! the report's `recovery` block carries the supervisor counters.
-//!
-//! `telemetry=<path>` (or `--telemetry <path>`) streams live per-PE
-//! metric snapshots to the path as NDJSON while the run is in flight
-//! (DESIGN.md §16); `monitor=1` (or `--monitor`) renders the live
-//! straggler table to stderr. Validate a finished stream with
-//! `pgp-top --validate <path> --report <report.json>`.
 
 use bench::harness::parse_tier;
 use bench::{
@@ -47,19 +41,16 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // Normalize the conventional `--flag <path>` spellings into the
     // harness `key=value` form.
-    for flag in ["report", "trace", "backend", "telemetry"] {
+    for flag in ["report", "trace", "backend"] {
         if let Some(i) = args.iter().position(|a| a == &format!("--{flag}")) {
             assert!(i + 1 < args.len(), "--{flag} requires a path argument");
             let path = args.remove(i + 1);
             args[i] = format!("{flag}={path}");
         }
     }
-    for switch in ["recover", "monitor"] {
-        if let Some(i) = args.iter().position(|a| a == &format!("--{switch}")) {
-            args[i] = format!("{switch}=1");
-        }
+    if let Some(i) = args.iter().position(|a| a == "--recover") {
+        args[i] = "recover=1".to_string();
     }
-    let flag = |key: &str| arg(&args, key).is_some_and(|v| v != "0");
     let name = arg(&args, "graph").unwrap_or_else(|| "amazon".to_string());
     let tier = parse_tier(arg(&args, "tier"));
     let k = arg_usize(&args, "k", 4);
@@ -94,26 +85,19 @@ fn main() {
         backend.name()
     );
 
-    // This binary always records — its tables are read off the report —
-    // into one registry: the telemetry monitor (when on) and the report
-    // read the same counters, which is what makes the stream-vs-report
-    // conservation check exact.
+    // This binary always records — its tables are read off the report.
     let outputs = pgp_obs::ObsOutputs {
         report: arg(&args, "report"),
         trace: arg(&args, "trace"),
-        telemetry: arg(&args, "telemetry"),
-        monitor: flag("monitor"),
     };
-    let session = outputs
-        .open(p, backend.name())
-        .unwrap_or_else(|e| fail(&format!("starting observation: {e}")));
+    let session = outputs.open(p);
     let obs = session.obs.clone();
     let mut partitioner = Partitioner::new(&cfg).run(pgp_dmp::RunConfig {
         backend,
         obs: Some(obs.clone()),
         ..Default::default()
     });
-    if flag("recover") {
+    if arg(&args, "recover").is_some_and(|v| v != "0") {
         partitioner = partitioner.supervised(RecoveryLimits {
             max_retries,
             ..RecoveryLimits::default()

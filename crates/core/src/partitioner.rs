@@ -585,11 +585,6 @@ fn parhip_cycles(
     for cycle in start_cycle..cfg.vcycles.max(1) {
         let rec = comm.recorder();
         rec.enter("vcycle");
-        // Progress markers for the live telemetry plane: every PE passes
-        // the same coordinates at the same SPMD boundary, so a monitor
-        // comparing PEs sees algorithmic position, not clock skew.
-        let cycle_u32 = u32::try_from(cycle).unwrap_or(u32::MAX);
-        rec.set_progress(cycle_u32, 0, 0);
         // Cycle-start accounting for the recovery layer: one mark per
         // entered cycle (rank 0 only — the counter is global, not per-PE).
         if let Some(store) = store {
@@ -645,7 +640,6 @@ fn parhip_cycles(
             .collect();
         // Walk levels coarse→fine.
         for li in (0..hierarchy.depth() - 1).rev() {
-            rec.set_progress(cycle_u32, u32::try_from(li).unwrap_or(u32::MAX), 0);
             let fine = hierarchy.graph(li);
             let coarse = hierarchy.graph(li + 1);
             let mapping = hierarchy.mapping(li);

@@ -16,13 +16,6 @@
 //! the whole transport vocabulary including `std::os::unix::net` /
 //! `std::net` stream types.
 //!
-//! The rule also patrols the *telemetry* frame codec (DESIGN.md §16):
-//! the length-prefixed snapshot frames the live plane writes per PE are
-//! an out-of-band side channel owned by `pgp-obs` (codec + reader) and
-//! the comm/transport layer (the publish and post-mortem call sites).
-//! Algorithm code reading another PE's frame file would be a covert
-//! channel around `Comm` — same seam, same guarantee, same rule.
-//!
 //! Tests and benches are exempt (excluded by the shared pipeline): the
 //! wire-codec property tests and the conformance harness exercise the
 //! frame layer on purpose.
@@ -62,70 +55,28 @@ const CONFINED: &[(&str, &str)] = &[
     ("TcpListener", "raw OS socket listener"),
 ];
 
-/// The telemetry side channel's owning layer: the `pgp-obs` crate holds
-/// the frame codec and readers; comm.rs/transport/ hold the publish and
-/// post-mortem call sites (process workers flush frames, the supervisor
-/// reads a dead rank's last snapshot).
-const TELEMETRY_OWNER_DIR: &str = "crates/pgp-obs/src/";
-
-/// The `pgp-dmp` facade re-exports `ENV_TELEMETRY_DIR` for external
-/// process supervisors (the same sanctioned-re-export precedent as
-/// `xtask` rule 6's chaos-hook list).
-const TELEMETRY_OWNER_FACADE: &str = "crates/pgp-dmp/src/lib.rs";
-
-/// Telemetry-frame vocabulary (DESIGN.md §16). Confined to
-/// [`TELEMETRY_OWNER_DIR`] plus the transport owners above: anything
-/// else reading per-PE frame files is routing data around `Comm`.
-const TELEMETRY_CONFINED: &[(&str, &str)] = &[
-    ("telemetry_frame_path", "per-PE telemetry frame file layout"),
-    ("write_telemetry_frame", "telemetry frame encoder"),
-    ("read_telemetry_frames", "telemetry frame decoder"),
-    (
-        "read_last_telemetry_snapshot",
-        "post-mortem snapshot reader",
-    ),
-    ("ENV_TELEMETRY_DIR", "worker telemetry-sink env knob"),
-];
-
 /// Runs the transport-confinement rule.
 pub fn check(units: &[FileUnit]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for unit in units {
-        let transport_owner = unit.rel == OWNER_FILE || unit.rel.starts_with(OWNER_DIR);
-        let telemetry_owner = transport_owner
-            || unit.rel.starts_with(TELEMETRY_OWNER_DIR)
-            || unit.rel == TELEMETRY_OWNER_FACADE;
+        if unit.rel == OWNER_FILE || unit.rel.starts_with(OWNER_DIR) {
+            continue;
+        }
         for t in &unit.lexed.toks {
             if t.kind != TokKind::Ident {
                 continue;
             }
-            if !transport_owner {
-                if let Some((name, what)) = CONFINED.iter().find(|(n, _)| *n == t.text) {
-                    findings.push(Finding {
-                        rule: RULE_TRANSPORT_CONFINED,
-                        file: unit.rel.clone(),
-                        line: t.line,
-                        message: format!(
-                            "`{name}` ({what}) is a transport-layer internal; only comm.rs \
-                             and transport/ may name it — go through the Comm \
-                             send/recv/collective API so the backend stays swappable"
-                        ),
-                    });
-                }
-            }
-            if !telemetry_owner {
-                if let Some((name, what)) = TELEMETRY_CONFINED.iter().find(|(n, _)| *n == t.text) {
-                    findings.push(Finding {
-                        rule: RULE_TRANSPORT_CONFINED,
-                        file: unit.rel.clone(),
-                        line: t.line,
-                        message: format!(
-                            "`{name}` ({what}) is telemetry side-channel machinery; only \
-                             pgp-obs, comm.rs and transport/ may name it — PE state must \
-                             travel through Comm messages, not frame files"
-                        ),
-                    });
-                }
+            if let Some((name, what)) = CONFINED.iter().find(|(n, _)| *n == t.text) {
+                findings.push(Finding {
+                    rule: RULE_TRANSPORT_CONFINED,
+                    file: unit.rel.clone(),
+                    line: t.line,
+                    message: format!(
+                        "`{name}` ({what}) is a transport-layer internal; only comm.rs \
+                         and transport/ may name it — go through the Comm \
+                         send/recv/collective API so the backend stays swappable"
+                    ),
+                });
             }
         }
     }

@@ -235,56 +235,6 @@ fn transport_confined_passes_on_comm_api_usage() {
 }
 
 #[test]
-fn telemetry_side_channel_trips_on_every_breach_kind() {
-    let a = analyze_one(PROTO_REL, "transport_telemetry_confined_trip.rs");
-    assert_eq!(rules(&a), vec!["transport-confined"]);
-    assert_eq!(
-        a.findings.len(),
-        6,
-        "frame path x2, decoder, post-mortem reader, encoder, env knob: {:?}",
-        a.findings
-    );
-    let msgs: String = a
-        .findings
-        .iter()
-        .map(|f| f.message.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(
-        msgs.contains("`telemetry_frame_path`"),
-        "file layout: {msgs}"
-    );
-    assert!(msgs.contains("`read_telemetry_frames`"), "decoder: {msgs}");
-    assert!(
-        msgs.contains("`read_last_telemetry_snapshot`"),
-        "post-mortem reader: {msgs}"
-    );
-    assert!(msgs.contains("`write_telemetry_frame`"), "encoder: {msgs}");
-    assert!(msgs.contains("`ENV_TELEMETRY_DIR`"), "env knob: {msgs}");
-}
-
-#[test]
-fn telemetry_side_channel_exempts_its_owning_layers() {
-    // The identical uses inside pgp-obs (codec home) and the transport
-    // layer (publish + post-mortem call sites): silent.
-    for owner in [
-        "crates/pgp-obs/src/live.rs",
-        "crates/pgp-obs/src/recorder.rs",
-        "crates/pgp-dmp/src/comm.rs",
-        "crates/pgp-dmp/src/transport/process.rs",
-    ] {
-        let a = analyze_one(owner, "transport_telemetry_confined_trip.rs");
-        assert_eq!(a.findings, Vec::new(), "owner file {owner} is exempt");
-    }
-}
-
-#[test]
-fn telemetry_side_channel_passes_on_sanctioned_surface() {
-    let a = analyze_one(PROTO_REL, "transport_telemetry_confined_pass.rs");
-    assert_eq!(a.findings, Vec::new());
-}
-
-#[test]
 fn unused_allow_trips_for_stale_and_unknown_markers() {
     let a = analyze_one(DET_REL, "unused_allow_trip.rs");
     assert_eq!(rules(&a), vec!["unused-allow"]);

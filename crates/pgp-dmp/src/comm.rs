@@ -625,11 +625,6 @@ impl Comm {
     /// block (rounds) are the caller's to assign and can never collide with
     /// another call's tags.
     pub fn fresh_tag_block(&self) -> Tag {
-        // Live telemetry (off by default — gated behind `Obs::enable_live`,
-        // so the common path stays the recorder's single branch): publish a
-        // full metric snapshot into this PE's shared slot and, on the
-        // process backend, append a telemetry frame to the sink file.
-        self.recorder.publish_live();
         // `seq` is per-Comm and each Comm is owned by one PE thread, so
         // there is no cross-thread ordering to establish.
         let s = self.seq.fetch_add(1, Ordering::Relaxed); // lint:relaxed-ok: single-owner counter

@@ -37,7 +37,7 @@ pub use dgraph::{DistGraph, GhostRows};
 pub use exchange::LabelExchange;
 pub use transport::process::{
     maybe_run_worker, run_multiprocess, run_multiprocess_supervised, ProcessConfig, WorkerCtx,
-    WorkerFn, ENV_TELEMETRY_DIR,
+    WorkerFn,
 };
 pub use transport::BackendKind;
 pub use wire::{Wire, WireError, WireReader};

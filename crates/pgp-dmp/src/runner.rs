@@ -71,15 +71,11 @@ where
                 // any broken invariants die with the run.
                 match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm))) {
                     Ok(r) => {
-                        // Final telemetry flush on the PE's own thread:
-                        // store the closing resource sample for the report
-                        // and publish a last live snapshot whose counters
-                        // equal the PE's final totals — the conservation
-                        // contract the stream validator checks against the
-                        // RunReport. Both are single-branch no-ops when
-                        // observability (resp. live mode) is off.
+                        // On the PE's own thread (thread-CPU is per
+                        // thread): the closing resource sample for the
+                        // report. A single-branch no-op when observability
+                        // is off.
                         comm.recorder().sample_resources();
-                        comm.recorder().publish_live();
                         PeOutcome::Done(Ok(r))
                     }
                     Err(payload) => match payload.downcast::<CommAbort>() {
@@ -449,8 +445,8 @@ where
 }
 
 /// CPU time consumed by the calling thread, in seconds — re-exported
-/// from `pgp-obs`, where resource observation now lives alongside the
-/// rest of the telemetry plane ([`pgp_obs::ResourceSample`] embeds the
+/// from `pgp-obs`, where resource observation lives alongside the rest
+/// of the observability layer ([`pgp_obs::ResourceSample`] embeds the
 /// same reading per PE). The `pgp_dmp::thread_cpu_seconds` path is kept
 /// for the benchmarks and downstream callers.
 pub use pgp_obs::thread_cpu_seconds;

@@ -50,14 +50,6 @@ const ENV_DEADLINE_MS: &str = "PGP_WORKER_DEADLINE_MS";
 const ENV_ATTEMPT: &str = "PGP_WORKER_ATTEMPT";
 /// Comma-separated ranks declared dead in earlier attempts.
 const ENV_DEAD: &str = "PGP_WORKER_DEAD";
-/// Directory for live telemetry frame files (one per rank). Optional;
-/// inherited by spawned workers from the parent's environment, so setting
-/// it on the parent process (the CLIs' `--telemetry` flag does) gives
-/// every worker a frame sink. Because frames are flushed at every phase
-/// boundary, a rank SIGKILL'd mid-run leaves its last snapshot on disk —
-/// the parent reads it back to blame the death with phase context.
-pub const ENV_TELEMETRY_DIR: &str = "PGP_TELEMETRY_DIR";
-
 /// How long mesh setup waits for a missing peer before declaring it dead.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -150,35 +142,15 @@ pub fn maybe_run_worker(entries: &[(&str, WorkerFn)]) {
                 .enumerate()
                 .filter_map(|(src, s)| s.map(|s| spawn_reader(Arc::clone(&endpoint), src, s)))
                 .collect();
-            // Telemetry side channel: with `PGP_TELEMETRY_DIR` inherited
-            // from the parent, the worker records into its own one-rank
-            // view of an Obs registry whose live publishes go to a frame
-            // file. Without it, the classic zero-overhead disabled path.
-            let obs = std::env::var(ENV_TELEMETRY_DIR).ok().map(|tdir| {
-                let obs = pgp_obs::Obs::new(ctx.size);
-                obs.set_backend("process");
-                obs.enable_live();
-                obs.set_live_sink_dir(PathBuf::from(tdir));
-                obs
-            });
-            let recorder = obs
-                .as_ref()
-                .map_or_else(Recorder::disabled, |o| o.recorder(ctx.rank));
             let comm = Comm::from_parts(
                 Arc::clone(&endpoint) as Arc<dyn super::Transport>,
                 ctx.rank,
                 deadline,
                 None,
-                recorder,
+                Recorder::disabled(),
             );
             let outcome =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm, &ctx, &args)));
-            // Final flush: the closing frame carries the worker's finished
-            // totals (a clean exit) or its last known state (a structured
-            // failure); a SIGKILL'd worker never reaches this line, which
-            // is exactly why every phase boundary also wrote a frame.
-            comm.recorder().sample_resources();
-            comm.recorder().publish_live();
             drop(comm);
             let result = match outcome {
                 Ok(bytes) => Ok(bytes),
@@ -361,35 +333,6 @@ fn run_attempt(
             }
         })
         .collect();
-    // Post-mortem blame: a failed rank's frame file holds the last
-    // snapshot it flushed before dying — phase path and counters the
-    // parent could not otherwise know (the rank wrote no result file).
-    if let Ok(tdir) = std::env::var(ENV_TELEMETRY_DIR) {
-        let tdir = PathBuf::from(tdir);
-        for (rank, r) in results.iter().enumerate() {
-            if r.is_err() {
-                let frame = pgp_obs::telemetry_frame_path(&tdir, rank);
-                if let Some(snap) = pgp_obs::read_last_telemetry_snapshot(&frame) {
-                    eprintln!(
-                        "[pgp-dmp] rank {rank} failed (attempt {attempt}); last telemetry: \
-                         phase={} cycle={} level={} round={} msgs_sent={} bytes_sent={} \
-                         rss_peak_kb={}",
-                        if snap.phase_path.is_empty() {
-                            "(root)"
-                        } else {
-                            &snap.phase_path
-                        },
-                        snap.cycle,
-                        snap.level,
-                        snap.round,
-                        snap.msgs_sent,
-                        snap.bytes_sent,
-                        snap.resources.rss_peak_kb,
-                    );
-                }
-            }
-        }
-    }
     let _ = std::fs::remove_dir_all(&dir);
     results
 }

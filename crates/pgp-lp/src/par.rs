@@ -286,11 +286,8 @@ fn cluster_rounds(
     } = scratch;
 
     let mut stats = SclpStats::default();
-    for round in 0..iterations {
+    for _ in 0..iterations {
         let _round_span = comm.recorder().span("sclp_round");
-        // Round marker for the live telemetry plane (SPMD-uniform).
-        comm.recorder()
-            .set_round(u32::try_from(round).unwrap_or(u32::MAX));
         let mut moved = 0u64;
         for &v in order.iter() {
             let degree = graph.degree(v);
@@ -448,9 +445,6 @@ pub fn parallel_sclp_refine_with_scratch(
     let mut stats = SclpStats::default();
     for round in 0..iterations {
         let _round_span = comm.recorder().span("sclp_round");
-        // Round marker for the live telemetry plane (SPMD-uniform).
-        comm.recorder()
-            .set_round(u32::try_from(round).unwrap_or(u32::MAX));
         order.shuffle(&mut rng);
         // Per-phase inflow budget: the block's remaining slack is split
         // across PEs (floor share + round-robin remainder, rotated per block

@@ -40,18 +40,11 @@
 //! - [`WaitHistogram`]: √2-log-bucket latency histogram behind the
 //!   report's receive-wait distribution fields (p50/p95/p99 are
 //!   re-derived from the buckets at parse time).
-//! - Live telemetry plane ([`MetricSnapshot`], [`LiveMonitor`],
-//!   [`AlertRule`]): in-flight per-PE snapshots published at phase
-//!   boundaries into shared slots (and, on the process backend,
-//!   length-prefixed frame files), aggregated into an NDJSON stream
-//!   plus a live straggler table, with alert rules whose events land in
-//!   the stream, the report's `alerts` block, and the trace ring.
 //! - Front-end plumbing ([`ObsOutputs`], [`ObsSession`]): which of
-//!   report / trace / live stream a CLI was asked for, opened before the
-//!   run and written after it in the order that keeps them consistent.
-//! - Resource profiling ([`ResourceSample`]): current/peak RSS,
-//!   thread-CPU seconds, and (feature `count-alloc`) allocation
-//!   counters — per-PE in the report and in every live snapshot.
+//!   report / trace a CLI was asked for, opened before the run and
+//!   written after the PEs have joined.
+//! - Resource profiling ([`ResourceSample`]): current/peak RSS and
+//!   thread-CPU seconds, per PE in the report.
 //!
 //! Raw `Instant::now()` in `crates/{core,pgp-dmp,pgp-lp}` is confined to
 //! this crate's seam by `cargo xtask lint` rule 7 (`instant-now`): time is
@@ -61,7 +54,6 @@
 //! timestamp escapes.
 
 mod json;
-mod live;
 mod metrics;
 mod outputs;
 mod perfetto;
@@ -70,13 +62,6 @@ mod report;
 mod resources;
 mod trace;
 
-pub use json::JsonValue;
-pub use live::{
-    check_stream_matches_report, evaluate_alerts, read_last_telemetry_snapshot,
-    read_telemetry_frames, render_live_table, telemetry_frame_path, validate_live_stream,
-    write_telemetry_frame, AlertEvent, AlertRule, LiveMonitor, LiveMonitorConfig,
-    LiveStreamSummary, MetricSnapshot, MonitorStats, LIVE_SCHEMA_VERSION,
-};
 pub use metrics::{LevelMetrics, PassStats, PhaseStat, RefineMetrics, TagCounter, WaitHistogram};
 pub use outputs::{ObsOutputs, ObsSession};
 pub use perfetto::{to_perfetto_json, validate_perfetto};
@@ -85,7 +70,7 @@ pub use report::{
     Aggregate, CollectiveEntry, CommReport, HistBucketEntry, PeReport, PeerWaitEntry, PhaseEntry,
     RecoveryReport, RunReport, TagEntry, SCHEMA_VERSION,
 };
-pub use resources::{alloc_counters, read_rss_kb, thread_cpu_seconds, ResourceSample};
+pub use resources::{read_rss_kb, thread_cpu_seconds, ResourceSample};
 pub use trace::{
     CollectiveSkew, FaultKind, PeTrace, PhaseBlame, RunTrace, TraceEvent, TraceEventKind,
 };

@@ -102,14 +102,6 @@ pub fn to_perfetto_json(trace: &RunTrace) -> String {
                     extra.push_str(&format!(", \"args\": {{\"src\": {src}, \"tag\": {tag}}}"));
                     push_event(&mut o, 'X', r, start, &format!("wait PE {src}"), &extra);
                 }
-                TraceEventKind::Alert { rule, value_milli } => {
-                    let name = format!("alert:{rule}");
-                    let extra = format!(
-                        ", \"cat\": \"alert\", \"s\": \"g\", \
-                         \"args\": {{\"value_milli\": {value_milli}}}"
-                    );
-                    push_event(&mut o, 'i', r, ev.ts_ns, &name, &extra);
-                }
                 TraceEventKind::Fault {
                     kind,
                     peer,

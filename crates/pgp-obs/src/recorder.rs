@@ -15,14 +15,12 @@
 //! over at zero.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::live::{AlertEvent, MetricSnapshot};
 use crate::metrics::{LevelMetrics, PhaseStat, RefineMetrics, TagCounter, WaitHistogram};
 use crate::report::{Aggregate, PeReport, RecoveryReport, RunReport, TagEntry, SCHEMA_VERSION};
 use crate::resources::ResourceSample;
@@ -58,23 +56,6 @@ pub struct Obs {
     /// Comm-backend name ("threads" unless a group build overrides it),
     /// surfaced in the report so run artifacts record which transport ran.
     backend: Mutex<&'static str>,
-    /// Latest live metric snapshot per PE, replaced wholesale at each
-    /// publish. Publishes happen at phase boundaries — cold — and the
-    /// monitor polls at human cadence, so contention on the mutex is
-    /// negligible.
-    live: Vec<Mutex<Option<MetricSnapshot>>>,
-    /// Whether PEs publish live snapshots. Enabled before the group
-    /// builds ([`Obs::enable_live`]); the disabled-observability path
-    /// never reaches the check (the recorder `Option` gates first).
-    live_enabled: AtomicBool,
-    /// When set, each live publish also appends a length-prefixed frame
-    /// to `frames-<rank>.bin` under this directory — the side channel
-    /// the one-OS-process-per-PE backend uses, since its workers share
-    /// no memory with the supervisor reading the slots.
-    live_sink_dir: Mutex<Option<PathBuf>>,
-    /// Alert events fired by the live monitor, in firing order;
-    /// embedded in the report's `alerts` block.
-    alerts: Mutex<Vec<AlertEvent>>,
 }
 
 /// All observations of one PE. Single-writer by the owning thread.
@@ -106,18 +87,8 @@ pub(crate) struct PeState {
     pub(crate) levels: Vec<LevelMetrics>,
     /// Per-refinement-pass quality snapshots, in recording order.
     pub(crate) refinements: Vec<RefineMetrics>,
-    /// V-cycle / level / round progress markers for live snapshots,
-    /// set by the partitioner at phase boundaries
-    /// ([`Recorder::set_progress`]).
-    cycle: u32,
-    level: u32,
-    round: u32,
-    /// Live snapshots published so far; becomes the snapshot `seq`.
-    live_seq: u64,
-    /// Lazily opened frame file (see [`Obs`] `live_sink_dir`).
-    frame_file: Option<std::fs::File>,
-    /// Most recent resource sample ([`Recorder::sample_resources`] or
-    /// a live publish); embedded in the report's per-PE block.
+    /// Most recent resource sample ([`Recorder::sample_resources`]);
+    /// embedded in the report's per-PE block.
     pub(crate) resources: ResourceSample,
     /// Event timeline, present when the registry was built with
     /// [`Obs::with_trace`].
@@ -140,11 +111,6 @@ impl PeState {
             stalled: 0,
             levels: Vec::new(),
             refinements: Vec::new(),
-            cycle: 0,
-            level: 0,
-            round: 0,
-            live_seq: 0,
-            frame_file: None,
             resources: ResourceSample::default(),
             trace: trace_capacity.map(TraceRing::new),
         }
@@ -184,10 +150,6 @@ impl Obs {
             traced: trace_capacity.is_some(),
             recovery: Mutex::new(RecoveryReport::default()),
             backend: Mutex::new("threads"),
-            live: (0..p).map(|_| Mutex::new(None)).collect(),
-            live_enabled: AtomicBool::new(false),
-            live_sink_dir: Mutex::new(None),
-            alerts: Mutex::new(Vec::new()),
         })
     }
 
@@ -207,57 +169,6 @@ impl Obs {
         self.traced
     }
 
-    /// Turns on live snapshot publication ([`Recorder::publish_live`]).
-    /// Call before the group builds; enabledness is uniform across the
-    /// run's PEs like tracing.
-    pub fn enable_live(&self) {
-        self.live_enabled.store(true, Ordering::Release);
-    }
-
-    /// Whether PEs publish live snapshots.
-    pub fn is_live(&self) -> bool {
-        self.live_enabled.load(Ordering::Acquire)
-    }
-
-    /// Routes live publishes into per-rank telemetry frame files under
-    /// `dir` (created on first publish) in addition to the shared
-    /// slots — the side channel for one-OS-process-per-PE workers.
-    pub fn set_live_sink_dir(&self, dir: PathBuf) {
-        *self.live_sink_dir.lock() = Some(dir);
-    }
-
-    /// The latest live snapshot `rank` published, if any. Safe to call
-    /// while the run is in flight (brief uncontended lock).
-    pub fn live_snapshot(&self, rank: usize) -> Option<MetricSnapshot> {
-        self.live[rank].lock().clone()
-    }
-
-    /// Name of the comm backend recorded for this run.
-    pub fn backend_name(&self) -> &'static str {
-        *self.backend.lock()
-    }
-
-    /// Records a fired alert: stored for the report's `alerts` block
-    /// and, when tracing, pushed onto the blamed PE's trace ring as an
-    /// `Alert` event (the one sanctioned cross-thread ring write — the
-    /// monitor fires while the owner computes; the cell mutex makes it
-    /// safe, and alert cadence is far too low to contend).
-    pub fn record_alert(&self, alert: &AlertEvent) {
-        self.alerts.lock().push(alert.clone());
-        if self.traced && alert.pe < self.cells.len() {
-            let mut cell = self.cells[alert.pe].lock();
-            if let Some(ring) = &mut cell.trace {
-                ring.push(
-                    alert.epoch_ns,
-                    TraceEventKind::Alert {
-                        rule: alert.rule.clone(),
-                        value_milli: (alert.value * 1000.0) as u64,
-                    },
-                );
-            }
-        }
-    }
-
     /// Re-anchors the run epoch at "now". The universe calls this once
     /// at setup, before the PE threads spawn — recorders created after
     /// the rebase (all of them) share the new origin.
@@ -270,16 +181,6 @@ impl Obs {
     /// resumed run's timestamps continue from there.
     pub fn set_epoch_offset_ns(&self, offset_ns: u64) {
         self.epoch_offset_ns.store(offset_ns, Ordering::Relaxed);
-    }
-
-    /// Nanoseconds elapsed on the run epoch (offset included). This is
-    /// what checkpoints save for resume continuity.
-    pub fn epoch_elapsed_ns(&self) -> u64 {
-        let origin = *self.epoch_origin.lock();
-        let since = Instant::now().saturating_duration_since(origin); // lint:instant-ok: trace epoch read
-        self.epoch_offset_ns
-            .load(Ordering::Relaxed)
-            .saturating_add(u64::try_from(since.as_nanos()).unwrap_or(u64::MAX))
     }
 
     /// The recorder handle for `rank`'s cell.
@@ -312,7 +213,6 @@ impl Obs {
             per_pe,
             aggregate,
             recovery: self.recovery.lock().clone(),
-            alerts: self.alerts.lock().clone(),
         }
     }
 
@@ -704,120 +604,25 @@ impl Recorder {
         }
     }
 
-    /// Records V-cycle / level / round progress markers, carried by live
-    /// snapshots so a monitor can say *where* in the algorithm each PE
-    /// is. Called by the partitioner at phase boundaries (SPMD-uniform:
-    /// every PE passes the same values at the same boundary).
-    #[inline]
-    pub fn set_progress(&self, cycle: u32, level: u32, round: u32) {
-        if let Some(inner) = &self.inner {
-            inner.with(|st| {
-                st.cycle = cycle;
-                st.level = level;
-                st.round = round;
-            });
-        }
-    }
-
-    /// Updates only the round marker (see [`Recorder::set_progress`]).
-    /// Called by the label-propagation round loop, which knows its round
-    /// index but not the enclosing V-cycle/level coordinates.
-    #[inline]
-    pub fn set_round(&self, round: u32) {
-        if let Some(inner) = &self.inner {
-            inner.with(|st| st.round = round);
-        }
-    }
-
     /// Captures a resource sample on the calling thread and stores it as
     /// this PE's report-embedded sample. The runner calls this once when
-    /// the PE's closure returns (live publishes also refresh it).
+    /// the PE's closure returns.
     pub fn sample_resources(&self) {
         if let Some(inner) = &self.inner {
             let mut sample = ResourceSample::capture();
             inner.with(|st| {
-                // Same monotone clamp as publish_live: the kernel's VmHWM
-                // can sag a few pages between reads, and a sagged sample
-                // stored here would lower the clamp floor for the next
-                // publish, letting published peaks go backwards.
+                // The kernel's VmHWM can sag a few pages between reads
+                // (the per-task rss counters sync lazily); clamp so a
+                // relaunched PE's stored peak never goes backwards.
                 sample.rss_peak_kb = sample.rss_peak_kb.max(st.resources.rss_peak_kb);
                 st.resources = sample;
             });
         }
     }
-
-    /// Publishes a full live [`MetricSnapshot`] into this PE's shared
-    /// slot (and, when a sink dir is set, its telemetry frame file).
-    /// Called at phase barriers (`fresh_tag_block`) and once more when
-    /// the PE's closure returns — which is why the
-    /// final streamed snapshot equals the RunReport's counters exactly.
-    /// No-op unless [`Obs::enable_live`] was called; the fully disabled
-    /// path is still the recorder's single `Option` branch.
-    pub fn publish_live(&self) {
-        let Some(inner) = &self.inner else { return };
-        if !inner.obs.is_live() {
-            return;
-        }
-        let mut resources = ResourceSample::capture();
-        let epoch_ns = inner.ns_at(Instant::now()); // lint:instant-ok: live snapshot timestamp
-        let recovery = inner.obs.recovery.lock().clone();
-        let snap = inner.with(|st| {
-            st.live_seq += 1;
-            // The kernel's VmHWM can sag a few pages between reads (the
-            // per-task rss counters sync lazily); clamp so published
-            // peaks are monotone per PE, as the stream validator checks.
-            resources.rss_peak_kb = resources.rss_peak_kb.max(st.resources.rss_peak_kb);
-            st.resources = resources;
-            MetricSnapshot {
-                rank: inner.rank,
-                seq: st.live_seq,
-                epoch_ns,
-                phase_path: st.stack.last().map(|s| s.path.clone()).unwrap_or_default(),
-                cycle: st.cycle,
-                level: st.level,
-                round: st.round,
-                msgs_sent: st.sent.values().map(|c| c.msgs).sum(),
-                bytes_sent: st.sent.values().map(|c| c.bytes).sum(),
-                msgs_recvd: st.recvd.values().map(|c| c.msgs).sum(),
-                bytes_recvd: st.recvd.values().map(|c| c.bytes).sum(),
-                sent_by_tag: tag_entries(&st.sent),
-                recvd_by_tag: tag_entries(&st.recvd),
-                recv_wait_count: st.recv_wait_hist.count,
-                recv_wait_p50_ns: st.recv_wait_hist.quantile_ns(0.50),
-                recv_wait_p95_ns: st.recv_wait_hist.quantile_ns(0.95),
-                last_cut: st.refinements.last().map(|r| r.cut).unwrap_or(0),
-                last_imbalance: st.refinements.last().map(|r| r.imbalance).unwrap_or(0.0),
-                recovery_attempts: recovery.attempts,
-                recovery_retries: recovery.retries,
-                recovery_recoveries: recovery.recoveries,
-                resources,
-            }
-        });
-        let sink_dir = inner.obs.live_sink_dir.lock().clone();
-        if let Some(dir) = sink_dir {
-            let line = snap.to_json_line();
-            inner.with(|st| {
-                if st.frame_file.is_none() {
-                    let _ = std::fs::create_dir_all(&dir);
-                    st.frame_file = std::fs::OpenOptions::new()
-                        .create(true)
-                        .append(true)
-                        .open(crate::live::telemetry_frame_path(&dir, inner.rank))
-                        .ok();
-                }
-                if let Some(f) = &mut st.frame_file {
-                    // Telemetry is best-effort: a full disk must not
-                    // fail the partitioning run.
-                    let _ = crate::live::write_telemetry_frame(f, &line);
-                }
-            });
-        }
-        *inner.obs.live[inner.rank].lock() = Some(snap);
-    }
 }
 
-/// Per-tag counter map in report/snapshot entry form (tag ascending —
-/// BTreeMap order).
+/// Per-tag counter map in report entry form (tag ascending — BTreeMap
+/// order).
 pub(crate) fn tag_entries(map: &BTreeMap<u64, TagCounter>) -> Vec<TagEntry> {
     map.iter()
         .map(|(&tag, c)| TagEntry {
@@ -1038,71 +843,6 @@ mod tests {
         // Timestamps are monotone per PE (shared epoch, single thread).
         let ts: Vec<u64> = trace.per_pe[0].events.iter().map(|e| e.ts_ns).collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "{ts:?}");
-    }
-
-    #[test]
-    fn live_publish_exposes_snapshot_with_running_totals() {
-        let obs = Obs::new(1);
-        obs.enable_live();
-        assert!(obs.is_live());
-        let rec = obs.recorder(0);
-        assert!(obs.live_snapshot(0).is_none(), "nothing published yet");
-        rec.enter("vcycle");
-        rec.set_progress(1, 2, 3);
-        rec.on_send(0, 7, 64);
-        rec.on_recv(0, 7, 64);
-        rec.publish_live();
-        let snap = obs.live_snapshot(0).expect("published");
-        assert_eq!(snap.seq, 1);
-        assert_eq!(snap.phase_path, "vcycle");
-        assert_eq!((snap.cycle, snap.level, snap.round), (1, 2, 3));
-        assert_eq!((snap.msgs_sent, snap.bytes_sent), (1, 64));
-        assert_eq!((snap.msgs_recvd, snap.bytes_recvd), (1, 64));
-        assert_eq!(snap.sent_by_tag.len(), 1);
-        assert!(snap.resources.rss_peak_kb > 0, "resource sample captured");
-        rec.on_send(0, 7, 36);
-        rec.publish_live();
-        let snap2 = obs.live_snapshot(0).expect("republished");
-        assert_eq!(snap2.seq, 2);
-        assert_eq!(snap2.bytes_sent, 100);
-        assert!(snap2.resources.rss_peak_kb >= snap.resources.rss_peak_kb);
-        // The report's per-PE resources were refreshed by the publish.
-        assert!(obs.report().per_pe[0].resources.rss_peak_kb > 0);
-    }
-
-    #[test]
-    fn live_publish_is_inert_unless_enabled() {
-        let obs = Obs::new(1);
-        let rec = obs.recorder(0);
-        rec.on_send(0, 7, 8);
-        rec.publish_live();
-        assert!(obs.live_snapshot(0).is_none());
-        assert!(!obs.is_live());
-    }
-
-    #[test]
-    fn record_alert_lands_in_report_and_trace_ring() {
-        let obs = Obs::with_trace(2, 16);
-        let alert = crate::live::AlertEvent {
-            rule: "straggler-skew".to_string(),
-            pe: 1,
-            value: 6.25,
-            threshold: 4.0,
-            epoch_ns: 42,
-        };
-        obs.record_alert(&alert);
-        let report = obs.report();
-        assert_eq!(report.alerts.len(), 1);
-        assert_eq!(report.alerts[0].pe, 1);
-        let trace = obs.trace().expect("traced");
-        assert!(
-            matches!(
-                &trace.per_pe[1].events[0].kind,
-                TraceEventKind::Alert { rule, value_milli: 6250 } if rule == "straggler-skew"
-            ),
-            "alert must land on the blamed PE's ring"
-        );
-        assert!(trace.per_pe[0].events.is_empty());
     }
 
     #[test]

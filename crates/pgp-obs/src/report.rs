@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 
 use crate::json::{push_json_str, JsonValue};
-use crate::live::AlertEvent;
 use crate::metrics::{LevelMetrics, RefineMetrics, TagCounter, WaitHistogram};
 use crate::recorder::PeState;
 use crate::resources::ResourceSample;
@@ -31,13 +30,15 @@ use crate::resources::ResourceSample;
 /// the run ("threads" or "sockets", DESIGN.md §15). Cross-backend golden
 /// tests compare reports after normalizing this one field.
 ///
-/// v5: per-PE `resources` block (current/peak RSS, thread-CPU seconds,
-/// allocation counters — the live telemetry plane's resource sample,
-/// DESIGN.md §16), aggregate `rss_peak_max_kb`/`thread_cpu_total_s`, and
-/// a top-level `alerts` array of live-monitor alert events. All of these
-/// are wall-clock observations: `to_json(true)` zeroes the resource
-/// fields and empties `alerts`, so golden comparisons are unaffected.
-pub const SCHEMA_VERSION: u32 = 5;
+/// v5: per-PE `resources` block (current/peak RSS, thread-CPU seconds)
+/// and aggregate `rss_peak_max_kb`/`thread_cpu_total_s`. These are
+/// wall-clock observations: `to_json(true)` zeroes them, so golden
+/// comparisons are unaffected.
+///
+/// v6: the top-level `alerts` array went with the live telemetry plane,
+/// and `resources.allocs` / `resources.alloc_bytes` with the
+/// allocation-counting Cargo feature that no build enabled.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// A complete observed run: per-PE detail plus cross-PE aggregates.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,10 +57,6 @@ pub struct RunReport {
     pub aggregate: Aggregate,
     /// Recovery-supervisor counters (all-zero when no supervisor ran).
     pub recovery: RecoveryReport,
-    /// Alert events fired by the live monitor, firing order. Empty when
-    /// no monitor ran; emptied by `to_json(true)` (alerts fire on
-    /// wall-clock skew, which is racy by nature).
-    pub alerts: Vec<AlertEvent>,
 }
 
 /// Counters from the recovery supervisor (`run_config_supervised`): how
@@ -143,8 +140,8 @@ pub struct PeReport {
     /// Span exits dropped because their name did not match the innermost
     /// open span. Always 0 for RAII-guarded instrumentation.
     pub orphan_exits: u64,
-    /// The PE's last resource sample (RSS, thread-CPU, allocation
-    /// counters). Wall-clock observations — zeroed by `to_json(true)`.
+    /// The PE's last resource sample (RSS, thread-CPU). Wall-clock
+    /// observations — zeroed by `to_json(true)`.
     pub resources: ResourceSample,
 }
 
@@ -411,23 +408,7 @@ impl RunReport {
         self.aggregate.push_json(&mut o, z);
         o.push_str(",\n  \"recovery\": ");
         self.recovery.push_json(&mut o);
-        // Alerts fire on wall-clock skew — racy, so a zero-timings
-        // report empties them wholesale like the wait histograms.
-        o.push_str(",\n  \"alerts\": [");
-        let alerts: &[AlertEvent] = if z { &[] } else { &self.alerts };
-        for (i, a) in alerts.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    {\"rule\": ");
-            push_json_str(&mut o, &a.rule);
-            o.push_str(&format!(", \"pe\": {}, \"value\": ", a.pe));
-            push_f64(&mut o, a.value, false);
-            o.push_str(", \"threshold\": ");
-            push_f64(&mut o, a.threshold, false);
-            o.push_str(&format!(", \"epoch_ns\": {}}}", a.epoch_ns));
-        }
-        o.push_str(if alerts.is_empty() { "]\n" } else { "\n  ]\n" });
-        o.push('}');
-        o.push('\n');
+        o.push_str("\n}\n");
         o
     }
 
@@ -504,38 +485,6 @@ impl RunReport {
         // (also zero) timings; keep whichever was serialized.
         aggregate.recv_wait_s = claimed_recv_wait;
         let recovery = RecoveryReport::from_json(v.get("recovery").ok_or("missing recovery")?)?;
-        let alerts = v
-            .get("alerts")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing alerts")?
-            .iter()
-            .map(|a| {
-                Ok(AlertEvent {
-                    rule: a
-                        .get("rule")
-                        .and_then(JsonValue::as_str)
-                        .ok_or("alert missing rule")?
-                        .to_string(),
-                    pe: a
-                        .get("pe")
-                        .and_then(JsonValue::as_u64)
-                        .and_then(|x| usize::try_from(x).ok())
-                        .ok_or("alert missing pe")?,
-                    value: a
-                        .get("value")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or("alert missing value")?,
-                    threshold: a
-                        .get("threshold")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or("alert missing threshold")?,
-                    epoch_ns: a
-                        .get("epoch_ns")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or("alert missing epoch_ns")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
         Ok(RunReport {
             schema_version: sv32,
             p: usize::try_from(p).map_err(|_| "p out of range")?,
@@ -543,7 +492,6 @@ impl RunReport {
             per_pe,
             aggregate,
             recovery,
-            alerts,
         })
     }
 
@@ -623,8 +571,6 @@ impl RunReport {
                 rss_current_kb: 1,
                 rss_peak_kb: 1,
                 thread_cpu_s: 1.0,
-                allocs: 1,
-                alloc_bytes: 1,
             },
         }];
         let sample = RunReport {
@@ -640,13 +586,6 @@ impl RunReport {
                 dead_ranks: vec![1],
                 lost_cycles: 1,
             },
-            alerts: vec![AlertEvent {
-                rule: "straggler-skew".to_string(),
-                pe: 1,
-                value: 1.0,
-                threshold: 1.0,
-                epoch_ns: 1,
-            }],
         };
         let json = sample.to_json(false);
         let v = JsonValue::parse(&json).expect("schema sample must parse");
@@ -804,7 +743,7 @@ impl PeReport {
         });
         o.push_str(&format!("      \"orphan_exits\": {},\n", self.orphan_exits));
         // The resource sample is pure wall-clock observation; a
-        // zero-timings report zeroes all five fields.
+        // zero-timings report zeroes all three fields.
         let r = if z {
             ResourceSample::default()
         } else {
@@ -816,10 +755,7 @@ impl PeReport {
             r.rss_current_kb, r.rss_peak_kb
         ));
         push_f64(o, r.thread_cpu_s, z);
-        o.push_str(&format!(
-            ", \"allocs\": {}, \"alloc_bytes\": {}}}\n",
-            r.allocs, r.alloc_bytes
-        ));
+        o.push_str("}\n");
         o.push_str("    }");
     }
 
@@ -1019,8 +955,6 @@ impl PeReport {
                         .get("thread_cpu_s")
                         .and_then(JsonValue::as_f64)
                         .ok_or("resources missing thread_cpu_s")?,
-                    allocs: ru("allocs")?,
-                    alloc_bytes: ru("alloc_bytes")?,
                 }
             },
         })
@@ -1113,13 +1047,6 @@ mod tests {
             imbalance: 0.03,
         });
         r0.sample_resources();
-        obs.record_alert(&AlertEvent {
-            rule: "straggler-skew".to_string(),
-            pe: 1,
-            value: 5.5,
-            threshold: 4.0,
-            epoch_ns: 123,
-        });
         obs.report()
     }
 
@@ -1138,7 +1065,7 @@ mod tests {
         let report = sample_report();
         let json = report.to_json(true);
         assert!(!json.contains("total_s\": 0."), "timings must be zeroed");
-        assert!(json.contains("\"schema_version\": 5"));
+        assert!(json.contains("\"schema_version\": 6"));
         assert!(json.contains("\"final_cut\": 42"));
         assert!(
             json.contains("\"imbalance\": 0.03"),
@@ -1154,8 +1081,8 @@ mod tests {
             "resource samples must be zeroed: {json}"
         );
         assert!(
-            json.contains("\"alerts\": []") && json.contains("\"rss_peak_max_kb\": 0"),
-            "alerts/resource aggregates must be emptied: {json}"
+            json.contains("\"rss_peak_max_kb\": 0"),
+            "resource aggregates must be zeroed: {json}"
         );
     }
 
@@ -1170,13 +1097,16 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_future_schema() {
+    fn parse_rejects_other_schema_versions() {
         let report = sample_report();
-        let json = report
-            .to_json(true)
-            .replace("\"schema_version\": 5", "\"schema_version\": 999");
-        let err = RunReport::from_json(&json).expect_err("must reject");
-        assert!(err.contains("schema version"), "{err}");
+        for other in ["5", "999"] {
+            let json = report.to_json(true).replace(
+                "\"schema_version\": 6",
+                &format!("\"schema_version\": {other}"),
+            );
+            let err = RunReport::from_json(&json).expect_err("must reject");
+            assert!(err.contains("unsupported report schema version"), "{err}");
+        }
     }
 
     #[test]
@@ -1247,12 +1177,6 @@ mod tests {
             "aggregate.recv_wait_s",
             "aggregate.rss_peak_max_kb",
             "aggregate.thread_cpu_total_s",
-            "alerts",
-            "alerts[].epoch_ns",
-            "alerts[].pe",
-            "alerts[].rule",
-            "alerts[].threshold",
-            "alerts[].value",
             "backend",
             "p",
             "per_pe",
@@ -1301,8 +1225,6 @@ mod tests {
             "per_pe[].refinements[].imbalance",
             "per_pe[].refinements[].level",
             "per_pe[].resources",
-            "per_pe[].resources.alloc_bytes",
-            "per_pe[].resources.allocs",
             "per_pe[].resources.rss_current_kb",
             "per_pe[].resources.rss_peak_kb",
             "per_pe[].resources.thread_cpu_s",
@@ -1314,7 +1236,7 @@ mod tests {
             "recovery.retries",
             "schema_version",
         ];
-        assert_eq!(SCHEMA_VERSION, 5, "bumped version: update the golden list");
+        assert_eq!(SCHEMA_VERSION, 6, "bumped version: update the golden list");
         assert_eq!(
             RunReport::schema_fingerprint(),
             expected,

@@ -1,10 +1,10 @@
-//! Per-PE resource profiling: RSS, thread-CPU time, allocation counters.
+//! Per-PE resource profiling: RSS and thread-CPU time.
 //!
 //! The semi-external roadmap item (ROADMAP.md item 3, grounded in
 //! *(Semi-)External Algorithms for Graph Partitioning and Clustering*)
 //! needs runs to *prove* a memory budget — peak RSS per PE in the run
 //! artifacts, not an eyeballed `top`. This module supplies the sample
-//! type the live telemetry plane publishes and the report embeds:
+//! type the report embeds:
 //!
 //! - current/peak RSS from `/proc/self/status` (`VmRSS`/`VmHWM`) —
 //!   process-wide on the threads backend (PEs share one address space;
@@ -13,17 +13,10 @@
 //! - thread-CPU seconds from `/proc/thread-self/stat` (utime+stime),
 //!   moved here from `pgp-dmp::runner` so resource observation lives
 //!   with the rest of the observability layer (`pgp-dmp` re-exports it
-//!   for compatibility);
-//! - allocation counters from the feature-gated counting global
-//!   allocator (`count-alloc`): a zero-dependency wrapper over
-//!   [`std::alloc::System`] that counts calls and bytes. Off by
-//!   default — the counters read 0 and no allocator hook exists, so
-//!   the hot path is untouched.
+//!   for compatibility).
 //!
 //! Everything here degrades to zeros on platforms without `/proc`;
 //! nothing panics.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One point-in-time resource measurement for one PE.
 ///
@@ -39,11 +32,6 @@ pub struct ResourceSample {
     pub rss_peak_kb: u64,
     /// CPU seconds consumed by the sampling thread (utime + stime).
     pub thread_cpu_s: f64,
-    /// Global allocation calls since process start (0 unless the
-    /// `count-alloc` feature installed the counting allocator).
-    pub allocs: u64,
-    /// Bytes requested by those allocations (0 unless `count-alloc`).
-    pub alloc_bytes: u64,
 }
 
 impl ResourceSample {
@@ -52,13 +40,10 @@ impl ResourceSample {
     /// loops.
     pub fn capture() -> Self {
         let (rss_current_kb, rss_peak_kb) = read_rss_kb();
-        let (allocs, alloc_bytes) = alloc_counters();
         ResourceSample {
             rss_current_kb,
             rss_peak_kb,
             thread_cpu_s: thread_cpu_seconds(),
-            allocs,
-            alloc_bytes,
         }
     }
 }
@@ -139,58 +124,6 @@ fn clock_ticks_per_second() -> f64 {
     })
 }
 
-/// Process-wide allocation call count (see [`CountingAlloc`]).
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-/// Process-wide allocated-byte count (see [`CountingAlloc`]).
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// `(calls, bytes)` allocated process-wide since start. Always readable;
-/// stays `(0, 0)` unless the `count-alloc` feature installed
-/// [`CountingAlloc`] as the global allocator.
-pub fn alloc_counters() -> (u64, u64) {
-    (
-        ALLOC_CALLS.load(Ordering::Relaxed),
-        ALLOC_BYTES.load(Ordering::Relaxed),
-    )
-}
-
-/// Counting global allocator: [`std::alloc::System`] plus two relaxed
-/// atomic counters. Installed for the whole workspace when `pgp-obs` is
-/// built with the `count-alloc` feature; costs two uncontended atomic
-/// adds per allocation, which is why it is opt-in rather than default
-/// (the hotpath A/B bench gates the default build's zero-overhead
-/// claim).
-#[cfg(feature = "count-alloc")]
-pub struct CountingAlloc;
-
-// SAFETY: a pure pass-through to `System` with counter side effects; it
-// upholds `GlobalAlloc`'s contract because `System` does. The workspace
-// denies `unsafe_code`; this feature-gated impl is the one sanctioned
-// escape (an allocator cannot be implemented without it).
-#[cfg(feature = "count-alloc")]
-#[allow(unsafe_code)]
-unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed); // lint:relaxed-ok: monotone telemetry counter
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed); // lint:relaxed-ok: monotone telemetry counter
-        unsafe { std::alloc::System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        unsafe { std::alloc::System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed); // lint:relaxed-ok: monotone telemetry counter
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed); // lint:relaxed-ok: monotone telemetry counter
-        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[cfg(feature = "count-alloc")]
-#[global_allocator]
-static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +151,7 @@ mod tests {
         // VmHWM is max(hiwater_rss, current-approximate-rss) and the
         // kernel's per-task rss counters are synced lazily, so the
         // reported peak can sag by a few pages after a free. Allow that
-        // jitter; the live publisher clamps per-PE peaks monotone.
+        // jitter; `Recorder::sample_resources` clamps per-PE peaks monotone.
         let (_, peak_final) = read_rss_kb();
         assert!(
             peak_final + 4096 >= peak_after,
@@ -231,10 +164,6 @@ mod tests {
         let s = ResourceSample::capture();
         assert!(s.rss_peak_kb >= s.rss_current_kb);
         assert!(s.thread_cpu_s >= 0.0);
-        // Allocation counters are 0 without `count-alloc`, and positive
-        // with it; either way they never exceed the current globals.
-        let (calls_now, bytes_now) = alloc_counters();
-        assert!(s.allocs <= calls_now && s.alloc_bytes <= bytes_now);
     }
 
     #[test]

@@ -104,19 +104,6 @@ pub enum TraceEventKind {
         /// Collective name.
         name: &'static str,
     },
-    /// The live monitor fired an alert rule blaming this PE (straggler
-    /// skew, imbalance drift, recovery escalation — DESIGN.md §16).
-    /// Pushed onto the blamed PE's ring so the alert lands on its
-    /// timeline next to the behavior that caused it. Alerts fire on
-    /// wall-clock skew, so like [`TraceEventKind::RecvWait`] they are
-    /// excluded from [`RunTrace::event_signature`].
-    Alert {
-        /// Alert rule identifier (`straggler-skew`, …).
-        rule: String,
-        /// Observed value that crossed the threshold, in thousandths
-        /// (integer so the event kind stays `Eq`-comparable).
-        value_milli: u64,
-    },
     /// Fault injection acted on a send from this PE. Keeping injected
     /// time in its own event kind (rather than letting it surface as
     /// peer wait) keeps chaos-run timelines interpretable: the stalled
@@ -284,9 +271,9 @@ impl RunTrace {
                         seq,
                         bytes,
                     } => recvs.push((*src, *tag, *seq, *bytes)),
-                    // Waits and alerts exist only because of wall-clock
-                    // races; neither belongs in a deterministic signature.
-                    TraceEventKind::RecvWait { .. } | TraceEventKind::Alert { .. } => {}
+                    // Waits exist only because of wall-clock races; they
+                    // do not belong in a deterministic signature.
+                    TraceEventKind::RecvWait { .. } => {}
                     TraceEventKind::CollectiveEnter { name } => {
                         let _ = writeln!(out, "  coll+ {name}");
                     }

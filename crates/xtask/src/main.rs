@@ -34,11 +34,10 @@
 //!    the instrumented crates (`crates/{core,pgp-dmp,pgp-lp,pgp-obs}/src`)
 //!    are forbidden (ISSUE 4): phase timing must go through the `pgp-obs`
 //!    Recorder spans so every timer lands in the run report and is
-//!    zeroable for golden comparisons, and the live telemetry plane
-//!    (ISSUE 10) must stamp snapshots from the registry's monotonic
-//!    epoch — a wall clock in a snapshot would make streams
-//!    non-reproducible and skew straggler math across PEs. The
-//!    watchdog-deadline sites in `comm.rs` and the annotated
+//!    zeroable for golden comparisons, and trace events are stamped from
+//!    the registry's monotonic epoch — a wall clock in a report or trace
+//!    would make them non-reproducible and skew straggler math across
+//!    PEs. The watchdog-deadline sites in `comm.rs` and the annotated
 //!    recorder/epoch sites inside `pgp-obs` itself (ISSUE 5 trace
 //!    timestamps) are the sanctioned exceptions, marked
 //!    `// lint:instant-ok: <reason>`.
@@ -46,12 +45,6 @@
 //! The scanner is line-based with comment/string stripping and skips
 //! `#[cfg(test)]` modules (test code may take shortcuts).
 //!
-//! `cargo xtask bench-regress <new.json> <baseline.json> [--tolerance
-//! <frac>]` compares two hotpath bench reports (`BENCH_hotpath.json`
-//! format) with a noise-aware threshold (default 25%) and exits nonzero
-//! when a metric regressed — CI runs it as a hard gate against the
-//! committed smoke-scale baseline with a widened shared-runner tolerance
-//! (see EXPERIMENTS.md for the baseline-refresh procedure).
 //! `cargo xtask validate-trace <trace.json>` runs the Perfetto structural
 //! validator over an exported trace.
 //!
@@ -138,16 +131,15 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
         Some("analyze") => analyze(&args[1..]),
-        Some("bench-regress") => bench_regress(&args[1..]),
         Some("validate-trace") => validate_trace(&args[1..]),
         Some(other) => {
             eprintln!("unknown xtask command: {other}");
-            eprintln!("available commands: lint, analyze, bench-regress, validate-trace");
+            eprintln!("available commands: lint, analyze, validate-trace");
             ExitCode::FAILURE
         }
         None => {
             eprintln!("usage: cargo xtask <command>");
-            eprintln!("available commands: lint, analyze, bench-regress, validate-trace");
+            eprintln!("available commands: lint, analyze, validate-trace");
             ExitCode::FAILURE
         }
     }
@@ -211,142 +203,6 @@ fn analyze(args: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-/// Benchmark metrics compared by `bench-regress` — all throughputs, so
-/// higher is better. Dotted paths address nested objects in the
-/// `BENCH_hotpath.json` layout; a metric missing on either side is skipped
-/// (reports evolve).
-const REGRESS_METRICS: &[&str] = &[
-    "comm.backlog_msgs_per_s",
-    "comm.ping_msgs_per_s",
-    "exchange.updates_per_s",
-    // Disabled-recorder overhead gate: tracing off must stay a branch.
-    "obs.ping_disabled_msgs_per_s",
-    // Live-telemetry overhead gate: recording + snapshot publication
-    // under a polling monitor must not collapse ping throughput.
-    "obs.ping_live_msgs_per_s",
-];
-
-/// Worse-than-baseline factor tolerated before a metric counts as a
-/// regression. The bench host is a shared container whose effective speed
-/// drifts tens of percent between runs (see the `method` note in
-/// `BENCH_hotpath.json`), so the gate only fires on changes well outside
-/// that envelope.
-const REGRESS_TOLERANCE: f64 = 0.25;
-
-/// One compared metric: name, baseline value, new value, and the
-/// worse-by fraction (> 0 means the new value is worse).
-struct MetricDelta {
-    path: &'static str,
-    baseline: f64,
-    new: f64,
-    worse_by: f64,
-}
-
-/// Resolves a dotted path (`comm.ping_msgs_per_s`) in a parsed report,
-/// descending into an `after` block when one exists (the
-/// `BENCH_hotpath.json` before/after wrapper); bare flat reports work too.
-fn metric_at(report: &pgp_obs::JsonValue, path: &str) -> Option<f64> {
-    let mut node = report.get("after").unwrap_or(report);
-    for key in path.split('.') {
-        node = node.get(key)?;
-    }
-    node.as_f64()
-}
-
-/// Compares every known metric present in both reports. Pure so the
-/// threshold logic is unit-testable without touching the filesystem.
-fn compare_reports(new: &pgp_obs::JsonValue, baseline: &pgp_obs::JsonValue) -> Vec<MetricDelta> {
-    let mut out = Vec::new();
-    for &path in REGRESS_METRICS {
-        let (Some(n), Some(b)) = (metric_at(new, path), metric_at(baseline, path)) else {
-            continue;
-        };
-        if b <= 0.0 {
-            continue;
-        }
-        out.push(MetricDelta {
-            path,
-            baseline: b,
-            new: n,
-            // > 0 ⇔ new is worse than baseline, as a fraction of it.
-            worse_by: (b - n) / b,
-        });
-    }
-    out
-}
-
-/// `cargo xtask bench-regress <new.json> <baseline.json>`: exits nonzero
-/// when any metric regressed beyond [`REGRESS_TOLERANCE`].
-fn bench_regress(args: &[String]) -> ExitCode {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut tolerance = REGRESS_TOLERANCE;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--tolerance" {
-            let parsed = args.get(i + 1).and_then(|v| v.parse::<f64>().ok());
-            let Some(t) = parsed.filter(|t| *t > 0.0) else {
-                eprintln!("bench-regress: --tolerance needs a positive fraction (e.g. 0.5)");
-                return ExitCode::FAILURE;
-            };
-            tolerance = t;
-            i += 2;
-        } else {
-            paths.push(&args[i]);
-            i += 1;
-        }
-    }
-    let [new_path, base_path] = paths[..] else {
-        eprintln!(
-            "usage: cargo xtask bench-regress <new.json> <baseline.json> [--tolerance <frac>]"
-        );
-        return ExitCode::FAILURE;
-    };
-    let load = |path: &str| -> Result<pgp_obs::JsonValue, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        pgp_obs::JsonValue::parse(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (new, baseline) = match (load(new_path), load(base_path)) {
-        (Ok(n), Ok(b)) => (n, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("bench-regress: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let deltas = compare_reports(&new, &baseline);
-    if deltas.is_empty() {
-        eprintln!("bench-regress: no comparable metrics found");
-        return ExitCode::FAILURE;
-    }
-    let mut regressed = false;
-    for d in &deltas {
-        let status = if d.worse_by > tolerance {
-            regressed = true;
-            "REGRESSED"
-        } else if d.worse_by < -tolerance {
-            "improved"
-        } else {
-            "ok"
-        };
-        println!(
-            "{:28} baseline {:>14.4}  new {:>14.4}  {:>+7.1}%  {status}",
-            d.path,
-            d.baseline,
-            d.new,
-            d.worse_by * 100.0
-        );
-    }
-    if regressed {
-        eprintln!(
-            "bench-regress: regression beyond {:.0}% tolerance",
-            tolerance * 100.0
-        );
-        ExitCode::FAILURE
-    } else {
-        println!("bench-regress: within tolerance");
-        ExitCode::SUCCESS
     }
 }
 
@@ -600,9 +456,9 @@ fn apply_rules(
 
     // Rule 7: raw clock reads in the instrumented crates. Instant::now()
     // bypasses the Recorder span seam; SystemTime::now() is worse — a
-    // wall-clock stamp in a metric snapshot or trace event breaks replay
-    // determinism outright (the live telemetry plane stamps snapshots
-    // from the registry's monotonic epoch instead).
+    // wall-clock stamp in a report field or trace event breaks replay
+    // determinism outright (events are stamped from the registry's
+    // monotonic epoch instead).
     if instant_restricted
         && (code.contains("Instant::now") || code.contains("SystemTime::now"))
         && !raw_line.contains("lint:instant-ok")
@@ -612,7 +468,7 @@ fn apply_rules(
             line: lineno,
             rule: "instant-now",
             message: "raw Instant::now()/SystemTime::now() in an instrumented crate; phase \
-                      timing must go through the pgp-obs Recorder spans and telemetry \
+                      timing must go through the pgp-obs Recorder spans and trace \
                       timestamps through the registry epoch (justify non-metric timers \
                       with `// lint:instant-ok: <reason>`)"
                 .to_string(),
@@ -863,28 +719,28 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_reads_flagged_in_telemetry_code() {
-        // The live telemetry plane must stamp snapshots from the
-        // registry's monotonic epoch; a SystemTime read in pgp-obs (or
-        // any instrumented crate) trips rule 7 like a raw Instant.
+    fn wall_clock_reads_flagged_in_obs_code() {
+        // Trace events must be stamped from the registry's monotonic
+        // epoch; a SystemTime read in pgp-obs (or any instrumented
+        // crate) trips rule 7 like a raw Instant.
         let src = "fn f() -> u64 { stamp(SystemTime::now()) }\n\
-                   fn g() { let t = SystemTime::now(); } // lint:instant-ok: NDJSON file mtime\n";
+                   fn g() { let t = SystemTime::now(); } // lint:instant-ok: output file mtime\n";
         let mut v = Vec::new();
         scan_file(
-            Path::new("crates/pgp-obs/src/live.rs"),
-            "crates/pgp-obs/src/live.rs",
+            Path::new("crates/pgp-obs/src/recorder.rs"),
+            "crates/pgp-obs/src/recorder.rs",
             src,
             &mut v,
         );
         let hits: Vec<_> = v.iter().filter(|x| x.rule == "instant-now").collect();
         assert_eq!(hits.len(), 1, "exactly the unescaped line");
         assert_eq!(hits[0].line, 1);
-        // CLI front-ends (pgp-top's follow loop) live outside the
-        // instrumented prefixes and may read whatever clock they like.
+        // CLI front-ends live outside the instrumented prefixes and may
+        // read whatever clock they like.
         let mut v = Vec::new();
         scan_file(
-            Path::new("src/bin/pgp-top.rs"),
-            "src/bin/pgp-top.rs",
+            Path::new("src/bin/pgp-partition.rs"),
+            "src/bin/pgp-partition.rs",
             src,
             &mut v,
         );
@@ -1004,54 +860,6 @@ mod tests {
         assert_eq!(hits.len(), 1, "only the crate missing the opt-in: {hits:?}");
         assert_eq!(hits[0].file, bad.join("Cargo.toml"));
         std::fs::remove_dir_all(&root).ok();
-    }
-
-    fn parse(text: &str) -> pgp_obs::JsonValue {
-        pgp_obs::JsonValue::parse(text).expect("test JSON parses")
-    }
-
-    #[test]
-    fn bench_regress_flags_a_degraded_report() {
-        let baseline = parse(
-            r#"{"after": {"comm": {"ping_msgs_per_s": 600000},
-                          "exchange": {"updates_per_s": 8000000}}}"#,
-        );
-        // Synthetically degraded: half the throughput on both.
-        let degraded = parse(
-            r#"{"after": {"comm": {"ping_msgs_per_s": 300000},
-                          "exchange": {"updates_per_s": 4000000}}}"#,
-        );
-        let deltas = compare_reports(&degraded, &baseline);
-        assert_eq!(deltas.len(), 2, "both shared metrics compared");
-        assert!(
-            deltas.iter().all(|d| d.worse_by > REGRESS_TOLERANCE),
-            "a 2x degradation must exceed the noise tolerance"
-        );
-        // The same report against itself is clean.
-        let same = compare_reports(&baseline, &baseline);
-        assert!(same.iter().all(|d| d.worse_by.abs() < f64::EPSILON));
-    }
-
-    #[test]
-    fn bench_regress_tolerates_noise_and_missing_metrics() {
-        let baseline = parse(r#"{"after": {"comm": {"ping_msgs_per_s": 600000}}}"#);
-        // 10% slower: inside the shared-host noise envelope.
-        let noisy = parse(r#"{"after": {"comm": {"ping_msgs_per_s": 540000}}}"#);
-        let deltas = compare_reports(&noisy, &baseline);
-        assert_eq!(deltas.len(), 1);
-        assert!(deltas[0].worse_by < REGRESS_TOLERANCE, "10% is noise");
-        // A metric only one side has is skipped, not an error.
-        let sparse = parse(r#"{"after": {"exchange": {"updates_per_s": 1000}}}"#);
-        assert!(compare_reports(&sparse, &baseline).is_empty());
-    }
-
-    #[test]
-    fn bench_regress_reads_flat_reports_too() {
-        // No before/after wrapper: metrics at the root are found.
-        let flat = parse(r#"{"exchange": {"updates_per_s": 10.0}}"#);
-        let deltas = compare_reports(&flat, &flat);
-        assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].path, "exchange.updates_per_s");
     }
 
     #[test]

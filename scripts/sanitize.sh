@@ -59,9 +59,8 @@ run_tsan() {
         failures=$((failures + 1))
     fi
     # The observability layer is cross-thread choreography: per-PE
-    # recorder cells read by the report builder after the join, and live
-    # snapshot slots the monitor polls while the owner publishes — a
-    # missing lock on either shows up here first.
+    # recorder cells read by the report builder after the join — a
+    # missing lock shows up here first.
     echo "== ThreadSanitizer: pgp-obs recorder suite =="
     if RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -Zbuild-std --target "$host" \

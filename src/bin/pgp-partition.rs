@@ -26,16 +26,6 @@
 //! (DESIGN.md §11) — open at <https://ui.perfetto.dev> to see one track
 //! per PE with spans, collectives, receive waits, and send→recv flows.
 //!
-//! `--telemetry <file.ndjson>` (or `telemetry=<file>`) streams live
-//! per-PE metric snapshots to the file as NDJSON while the run is in
-//! flight (DESIGN.md §16): one `meta` line, then `snapshot`/`alert`
-//! lines as PEs cross phase boundaries, then a final `summary` whose
-//! aggregates exactly match the run report's counters. `--monitor` (or
-//! `monitor=1`) additionally renders a live per-PE straggler table to
-//! stderr (use `pgp-top --follow <file>` to watch from another
-//! terminal, or `pgp-top --validate <file>` to check a finished
-//! stream).
-//!
 //! `--recover` (or `recover=1`) runs under the automatic-recovery
 //! supervisor (DESIGN.md §14): V-cycle boundaries are checkpointed every
 //! `checkpoint-every=<n>` cycles (default 1), confirmed PE deaths trigger
@@ -58,13 +48,12 @@ use std::str::FromStr;
 const USAGE: &str = "usage: pgp-partition <graph.metis> k=<blocks> [preset=fast|eco|minimal] \
     [p=<PEs>] [eps=0.03] [seed=0] [class=auto|social|mesh] \
     [backend=threads|sockets] [output=<file>] \
-    [report=<file.json>] [trace=<file.json>] \
-    [telemetry=<file.ndjson>] [--monitor] [--recover] \
+    [report=<file.json>] [trace=<file.json>] [--recover] \
     [max-retries=<n>] [checkpoint-every=<n>]";
 
 /// Every `key=` the CLI understands. Anything else is rejected: a typo
 /// (`sed=3`) must not run the default experiment and exit 0.
-const KEYS: [&str; 15] = [
+const KEYS: [&str; 13] = [
     "k",
     "p",
     "seed",
@@ -75,8 +64,6 @@ const KEYS: [&str; 15] = [
     "output",
     "report",
     "trace",
-    "telemetry",
-    "monitor",
     "recover",
     "max-retries",
     "checkpoint-every",
@@ -134,7 +121,6 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
         "backend",
         "max-retries",
         "checkpoint-every",
-        "telemetry",
     ] {
         if let Some(i) = args.iter().position(|a| a == &format!("--{key}")) {
             if i + 1 >= args.len() {
@@ -144,11 +130,9 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
             args[i] = format!("{key}={value}");
         }
     }
-    // `--recover` and `--monitor` are boolean switches, not value flags.
-    for switch in ["recover", "monitor"] {
-        if let Some(i) = args.iter().position(|a| a == &format!("--{switch}")) {
-            args[i] = format!("{switch}=1");
-        }
+    // `--recover` is a boolean switch, not a value flag.
+    if let Some(i) = args.iter().position(|a| a == "--recover") {
+        args[i] = "recover=1".to_string();
     }
     if let Some(unknown) = args.iter().find(|a| match a.split_once('=') {
         Some((key, _)) => !KEYS.contains(&key),
@@ -212,15 +196,9 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
     let outputs = ObsOutputs {
         report: arg(&args, "report"),
         trace: arg(&args, "trace"),
-        telemetry: arg(&args, "telemetry"),
-        monitor: flag(&args, "monitor"),
     };
     // No recorder unless an output needs one: the plain run pays nothing.
-    let session = outputs
-        .any()
-        .then(|| outputs.open(p, backend.name()))
-        .transpose()
-        .map_err(|e| failed(format!("error starting observation: {e}")))?;
+    let session = outputs.any().then(|| outputs.open(p));
     let mut partitioner = Partitioner::new(&cfg).run(RunConfig {
         backend,
         obs: session.as_ref().map(|s| s.obs.clone()),

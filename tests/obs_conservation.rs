@@ -82,6 +82,12 @@ fn conservation_fault_free() {
         assert_eq!(pe.comm.delayed, 0);
         assert_eq!(pe.comm.stalled, 0);
         assert_eq!(pe.orphan_exits, 0, "PE {} had orphan span exits", pe.rank);
+        // The runner's closing resource sample: nonzero on Linux,
+        // peak-dominant, and rolled up into the aggregate.
+        let res = &pe.resources;
+        assert!(res.rss_peak_kb > 0, "PE {} report RSS zero", pe.rank);
+        assert!(res.rss_peak_kb >= res.rss_current_kb);
+        assert!(report.aggregate.rss_peak_max_kb >= res.rss_peak_kb);
     }
 }
 
