@@ -5,9 +5,18 @@
 //! the combine operator relies on: each pass applies a sequence of moves
 //! (possibly through negative-gain territory), then rolls back to the best
 //! prefix, so the cut never increases.
+//!
+//! One pass loop, two ways to answer "the best move for `v`" (DESIGN.md §8,
+//! *Sequential FM*). Both give exactly the answer a fresh scan of `v`'s
+//! arcs gives and draw the same random numbers, so the heap, the moves and
+//! the rollbacks do not depend on which one runs:
+//! * k = 2: `TwoWay` caches every node's connection to both blocks once per
+//!   pass and updates the rows of a mover's neighbours, so a candidate costs
+//!   O(1) instead of a re-scan;
+//! * k ≥ 3: `Dense` re-scans `v`'s arcs into a dense `conn[k]` table and
+//!   walks the blocks in first-touch order, the order ties are drawn in.
 
 use pgp_graph::{CsrGraph, Node, Weight};
-use pgp_lp::ClusterMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -29,7 +38,8 @@ pub struct FmConfig {
 
 /// Result of an FM run — the unified pass-metric type from `pgp-obs`
 /// (`rounds` = passes executed, `moves` = moves kept after rollbacks,
-/// `gain` = total cut improvement across all passes).
+/// `gain` = total cut improvement across all passes, `edges_scanned` = arcs
+/// read to evaluate moves).
 pub type FmStats = pgp_obs::PassStats;
 
 /// Runs k-way FM on `labels` (block IDs, in place). Returns statistics;
@@ -39,28 +49,201 @@ pub type FmStats = pgp_obs::PassStats;
 pub fn kway_fm(graph: &CsrGraph, k: usize, labels: &mut [Node], cfg: &FmConfig) -> FmStats {
     assert_eq!(labels.len(), graph.n());
     assert_eq!(cfg.block_caps.len(), k);
-    let n = graph.n();
-    let mut stats = FmStats::default();
-    if n == 0 || k < 2 {
-        return stats;
+    if graph.n() == 0 || k < 2 {
+        return FmStats::default();
     }
+    if k == 2 {
+        run(graph, labels, cfg, &mut TwoWay::new(graph.n()))
+    } else {
+        run(graph, labels, cfg, &mut Dense::new(k))
+    }
+}
+
+/// Where a pass gets a node's best move from.
+trait Gains {
+    /// Called at the start of every pass, on the labels the pass starts from.
+    fn start_pass(&mut self, graph: &CsrGraph, labels: &[Node], scanned: &mut u64);
+
+    /// The best move for `v`: `(gain, target)` over eligible blocks, or
+    /// `None` when no other block is adjacent/eligible. Ties between blocks
+    /// of equal gain are broken by `rng`, in first-touch order.
+    #[allow(clippy::too_many_arguments)]
+    fn best_move(
+        &mut self,
+        graph: &CsrGraph,
+        labels: &[Node],
+        weights: &[Weight],
+        caps: &[Weight],
+        v: Node,
+        rng: &mut SmallRng,
+        scanned: &mut u64,
+    ) -> Option<(i64, Node)>;
+
+    /// `v` has just moved from block `from` to block `to`.
+    fn moved(&mut self, graph: &CsrGraph, v: Node, from: Node, to: Node, scanned: &mut u64);
+}
+
+/// k ≥ 3: every candidate re-scans the node's arcs into a dense table.
+struct Dense {
+    /// Connection of the scanned node to each block.
+    conn: Vec<Weight>,
+    /// Whether an arc reached the block — a zero-weight arc makes a block
+    /// adjacent without raising `conn`, so `conn == 0` cannot stand in.
+    seen: Vec<bool>,
+    /// The blocks reached, in first-touch order.
+    touched: Vec<Node>,
+}
+
+impl Dense {
+    fn new(k: usize) -> Self {
+        Self {
+            conn: vec![0; k],
+            seen: vec![false; k],
+            touched: Vec::new(),
+        }
+    }
+}
+
+impl Gains for Dense {
+    fn start_pass(&mut self, _: &CsrGraph, _: &[Node], _: &mut u64) {}
+
+    fn best_move(
+        &mut self,
+        graph: &CsrGraph,
+        labels: &[Node],
+        weights: &[Weight],
+        caps: &[Weight],
+        v: Node,
+        rng: &mut SmallRng,
+        scanned: &mut u64,
+    ) -> Option<(i64, Node)> {
+        let cur = labels[v as usize];
+        for (u, w) in graph.neighbors_weighted(v) {
+            let b = labels[u as usize];
+            if !self.seen[b as usize] {
+                self.seen[b as usize] = true;
+                self.touched.push(b);
+            }
+            self.conn[b as usize] += w;
+        }
+        *scanned += graph.degree(v) as u64;
+        let internal = self.conn[cur as usize] as i64;
+        let cw = graph.node_weight(v);
+        let mut best: Option<(i64, Node)> = None;
+        let mut ties = 1u32;
+        for b in self.touched.drain(..) {
+            let w = std::mem::take(&mut self.conn[b as usize]);
+            self.seen[b as usize] = false;
+            if b == cur || weights[b as usize] + cw > caps[b as usize] {
+                continue;
+            }
+            let gain = w as i64 - internal;
+            match best {
+                None => best = Some((gain, b)),
+                Some((bg, _)) if gain > bg => {
+                    best = Some((gain, b));
+                    ties = 1;
+                }
+                Some((bg, _)) if gain == bg => {
+                    ties += 1;
+                    if rng.gen_range(0..ties) == 0 {
+                        best = Some((gain, b));
+                    }
+                }
+                _ => {}
+            }
+        }
+        best
+    }
+
+    fn moved(&mut self, _: &CsrGraph, _: Node, _: Node, _: Node, _: &mut u64) {}
+}
+
+/// k = 2: every node's connection to both blocks, built once per pass and
+/// kept current as nodes move. With one other block there is one candidate,
+/// so no tie is ever drawn.
+struct TwoWay {
+    /// Per node, the summed weight of its arcs into block 0 and block 1.
+    conn: Vec<[Weight; 2]>,
+    /// Per node, the number of its arcs into each block: a zero-weight arc
+    /// still makes the block adjacent.
+    arcs: Vec<[u32; 2]>,
+}
+
+impl TwoWay {
+    fn new(n: usize) -> Self {
+        Self {
+            conn: vec![[0; 2]; n],
+            arcs: vec![[0; 2]; n],
+        }
+    }
+}
+
+impl Gains for TwoWay {
+    fn start_pass(&mut self, graph: &CsrGraph, labels: &[Node], scanned: &mut u64) {
+        for v in graph.nodes() {
+            let (mut conn, mut arcs) = ([0; 2], [0; 2]);
+            for (u, w) in graph.neighbors_weighted(v) {
+                let b = labels[u as usize] as usize;
+                conn[b] += w;
+                arcs[b] += 1;
+            }
+            self.conn[v as usize] = conn;
+            self.arcs[v as usize] = arcs;
+        }
+        *scanned += graph.num_arcs() as u64;
+    }
+
+    fn best_move(
+        &mut self,
+        graph: &CsrGraph,
+        labels: &[Node],
+        weights: &[Weight],
+        caps: &[Weight],
+        v: Node,
+        _: &mut SmallRng,
+        _: &mut u64,
+    ) -> Option<(i64, Node)> {
+        let cur = labels[v as usize] as usize;
+        let other = cur ^ 1;
+        if self.arcs[v as usize][other] == 0 || weights[other] + graph.node_weight(v) > caps[other]
+        {
+            return None;
+        }
+        let conn = self.conn[v as usize];
+        Some((conn[other] as i64 - conn[cur] as i64, other as Node))
+    }
+
+    fn moved(&mut self, graph: &CsrGraph, v: Node, from: Node, to: Node, scanned: &mut u64) {
+        let (from, to) = (from as usize, to as usize);
+        for (u, w) in graph.neighbors_weighted(v) {
+            let (conn, arcs) = (&mut self.conn[u as usize], &mut self.arcs[u as usize]);
+            conn[from] -= w;
+            conn[to] += w;
+            arcs[from] -= 1;
+            arcs[to] += 1;
+        }
+        *scanned += graph.degree(v) as u64;
+    }
+}
+
+/// Up to `cfg.max_passes` passes, stopping at the first that gains nothing.
+fn run(graph: &CsrGraph, labels: &mut [Node], cfg: &FmConfig, gains: &mut impl Gains) -> FmStats {
+    let mut stats = FmStats::default();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut weights = vec![0 as Weight; k];
+    let mut weights = vec![0 as Weight; cfg.block_caps.len()];
     for v in graph.nodes() {
         weights[labels[v as usize] as usize] += graph.node_weight(v);
     }
-    let mut map = ClusterMap::with_max_degree(graph.max_degree().max(1));
-
     for _pass in 0..cfg.max_passes {
         stats.rounds += 1;
         let gain = fm_pass(
             graph,
-            k,
             labels,
             &mut weights,
             cfg,
             &mut rng,
-            &mut map,
+            gains,
             &mut stats,
         );
         if gain <= 0 {
@@ -71,87 +254,29 @@ pub fn kway_fm(graph: &CsrGraph, k: usize, labels: &mut [Node], cfg: &FmConfig) 
     stats
 }
 
-/// The best move for `v`: `(gain, target)` over eligible blocks, or `None`
-/// when no other block is adjacent/eligible.
-#[allow(clippy::too_many_arguments)]
-fn best_move(
-    graph: &CsrGraph,
-    labels: &[Node],
-    weights: &[Weight],
-    caps: &[Weight],
-    map: &mut ClusterMap,
-    v: Node,
-    rng: &mut SmallRng,
-) -> Option<(i64, Node)> {
-    let cur = labels[v as usize];
-    map.clear();
-    for (u, w) in graph.neighbors_weighted(v) {
-        map.add(labels[u as usize], w);
-    }
-    let internal = map.get(cur) as i64;
-    let cw = graph.node_weight(v);
-    let mut best: Option<(i64, Node)> = None;
-    let mut ties = 1u32;
-    for (b, w) in map.iter() {
-        if b == cur {
-            continue;
-        }
-        if weights[b as usize] + cw > caps[b as usize] {
-            continue;
-        }
-        let gain = w as i64 - internal;
-        match best {
-            None => best = Some((gain, b)),
-            Some((bg, _)) if gain > bg => {
-                best = Some((gain, b));
-                ties = 1;
-            }
-            Some((bg, _)) if gain == bg => {
-                ties += 1;
-                if rng.gen_range(0..ties) == 0 {
-                    best = Some((gain, b));
-                }
-            }
-            _ => {}
-        }
-    }
-    best
-}
-
-#[allow(clippy::too_many_arguments)]
 fn fm_pass(
     graph: &CsrGraph,
-    k: usize,
     labels: &mut [Node],
     weights: &mut [Weight],
     cfg: &FmConfig,
     rng: &mut SmallRng,
-    map: &mut ClusterMap,
+    gains: &mut impl Gains,
     stats: &mut FmStats,
 ) -> i64 {
     let n = graph.n();
+    let caps = &cfg.block_caps[..];
+    let scanned = &mut stats.edges_scanned;
     // Lazy-invalidation heap of candidate moves.
     let mut version = vec![0u32; n];
     let mut locked = vec![false; n];
     let mut heap: BinaryHeap<(i64, Reverse<u64>, Node, Node, u32)> = BinaryHeap::new();
-    let push = |heap: &mut BinaryHeap<(i64, Reverse<u64>, Node, Node, u32)>,
-                rng: &mut SmallRng,
-                v: Node,
-                gain: i64,
-                target: Node,
-                ver: u32| {
-        heap.push((gain, Reverse(rng.gen::<u64>()), v, target, ver));
-    };
 
-    // Seed with boundary nodes.
+    // Seed with boundary nodes (an interior node has no candidate).
+    gains.start_pass(graph, labels, scanned);
     for v in graph.nodes() {
-        let cur = labels[v as usize];
-        if graph.neighbors(v).any(|u| labels[u as usize] != cur) {
-            if let Some((gain, target)) =
-                best_move(graph, labels, weights, &cfg.block_caps, map, v, rng)
-            {
-                push(&mut heap, rng, v, gain, target, 0);
-            }
+        if let Some((gain, target)) = gains.best_move(graph, labels, weights, caps, v, rng, scanned)
+        {
+            heap.push((gain, Reverse(rng.gen()), v, target, 0));
         }
     }
 
@@ -168,12 +293,11 @@ fn fm_pass(
         // Re-validate: weights may have changed since the entry was pushed.
         let cur = labels[v as usize];
         let cw = graph.node_weight(v);
-        if weights[target as usize] + cw > cfg.block_caps[target as usize] {
+        if weights[target as usize] + cw > caps[target as usize] {
             // Try to recompute a fresh candidate.
             version[v as usize] += 1;
-            if let Some((g2, t2)) = best_move(graph, labels, weights, &cfg.block_caps, map, v, rng)
-            {
-                push(&mut heap, rng, v, g2, t2, version[v as usize]);
+            if let Some((g2, t2)) = gains.best_move(graph, labels, weights, caps, v, rng, scanned) {
+                heap.push((g2, Reverse(rng.gen()), v, t2, version[v as usize]));
             }
             continue;
         }
@@ -183,6 +307,7 @@ fn fm_pass(
         labels[v as usize] = target;
         locked[v as usize] = true;
         journal.push((v, cur, target));
+        gains.moved(graph, v, cur, target, scanned);
         cum_gain += gain;
         if cum_gain > best_gain {
             best_gain = cum_gain;
@@ -195,14 +320,13 @@ fn fm_pass(
             }
         }
         // Refresh neighbours.
-        for (u, _) in graph.neighbors_weighted(v) {
+        for u in graph.neighbors(v) {
             if locked[u as usize] {
                 continue;
             }
             version[u as usize] += 1;
-            if let Some((g2, t2)) = best_move(graph, labels, weights, &cfg.block_caps, map, u, rng)
-            {
-                push(&mut heap, rng, u, g2, t2, version[u as usize]);
+            if let Some((g2, t2)) = gains.best_move(graph, labels, weights, caps, u, rng, scanned) {
+                heap.push((g2, Reverse(rng.gen()), u, t2, version[u as usize]));
             }
         }
     }
@@ -214,7 +338,6 @@ fn fm_pass(
         labels[v as usize] = from;
     }
     stats.moves += best_len as u64;
-    let _ = k;
     best_gain
 }
 
@@ -397,6 +520,69 @@ mod tests {
         let p = Partition::from_assignment(&g, 2, labels);
         assert!(p.max_block_weight() <= 7);
     }
+
+    /// Wraps a candidate source and records every applied move.
+    struct Recording<G> {
+        inner: G,
+        moved: Vec<Node>,
+    }
+
+    impl<G: Gains> Gains for Recording<G> {
+        fn start_pass(&mut self, graph: &CsrGraph, labels: &[Node], scanned: &mut u64) {
+            self.inner.start_pass(graph, labels, scanned);
+        }
+
+        fn best_move(
+            &mut self,
+            graph: &CsrGraph,
+            labels: &[Node],
+            weights: &[Weight],
+            caps: &[Weight],
+            v: Node,
+            rng: &mut SmallRng,
+            scanned: &mut u64,
+        ) -> Option<(i64, Node)> {
+            self.inner
+                .best_move(graph, labels, weights, caps, v, rng, scanned)
+        }
+
+        fn moved(&mut self, graph: &CsrGraph, v: Node, from: Node, to: Node, scanned: &mut u64) {
+            self.moved.push(v);
+            self.inner.moved(graph, v, from, to, scanned);
+        }
+    }
+
+    #[test]
+    fn two_way_pass_reads_each_arc_once_per_pass_plus_the_movers_rows() {
+        let g = pgp_gen::mesh::grid2d(9, 7);
+        let start: Vec<Node> = (0..63).map(|v| Node::from(v * 7 % 5 < 2)).collect();
+        let cfg = FmConfig {
+            max_passes: 4,
+            block_caps: vec![33, 33],
+            seed: 4,
+            patience: 6,
+        };
+        let mut labels = start.clone();
+        let mut rec = Recording {
+            inner: TwoWay::new(g.n()),
+            moved: Vec::new(),
+        };
+        let stats = run(&g, &mut labels, &cfg, &mut rec);
+        let movers: u64 = rec.moved.iter().map(|&v| g.degree(v) as u64).sum();
+        assert_eq!(
+            stats.edges_scanned,
+            stats.rounds as u64 * g.num_arcs() as u64 + movers
+        );
+        assert!(stats.rounds > 1 && stats.moves > 0);
+        assert!(
+            rec.moved.len() as u64 > stats.moves,
+            "no move was rolled back"
+        );
+        // The entry point runs this very pass.
+        let mut again = start;
+        assert_eq!(kway_fm(&g, 2, &mut again, &cfg), stats);
+        assert_eq!(again, labels);
+    }
 }
 
 #[cfg(test)]
@@ -439,6 +625,45 @@ mod proptests {
             let p = Partition::from_assignment(&g, k, labels);
             prop_assert!(p.edge_cut(&g) <= before);
             prop_assert!(p.max_block_weight() <= cap);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The cached two-way pass makes the moves the generic dense pass
+        /// makes at k = 2 (the oracle): zero-weight arcs, weighted nodes,
+        /// caps tight enough that a side can start overloaded.
+        #[test]
+        fn two_way_pass_matches_the_dense_pass(
+            n in 2usize..40,
+            edges in proptest::collection::vec((0u32..40, 0u32..40, 0u64..4), 0..120),
+            node_weights in proptest::collection::vec(1u64..6, 40),
+            sides in proptest::collection::vec(0u32..2, 40),
+            (slack0, slack1) in (0u64..4, 0u64..4),
+            (seed, patience) in (0u64..1000, 0usize..12),
+        ) {
+            let mut b = GraphBuilder::new(n);
+            for (u, v, w) in edges {
+                b.push_edge(u % n as u32, v % n as u32, w);
+            }
+            let g = b.node_weights(node_weights[..n].to_vec()).build();
+            let half = g.total_node_weight() / 2;
+            let cfg = FmConfig {
+                max_passes: 3,
+                block_caps: vec![half + slack0, g.total_node_weight() - half + slack1],
+                seed,
+                patience,
+            };
+            let mut cached = sides[..n].to_vec();
+            let mut dense = cached.clone();
+            let got = run(&g, &mut cached, &cfg, &mut TwoWay::new(n));
+            let want = run(&g, &mut dense, &cfg, &mut Dense::new(2));
+            prop_assert_eq!(&cached, &dense);
+            prop_assert_eq!(
+                (got.rounds, got.moves, got.gain),
+                (want.rounds, want.moves, want.gain)
+            );
         }
     }
 }

@@ -172,11 +172,15 @@ fn grow(graph: &CsrGraph, target0: Weight, rng: &mut SmallRng) -> Vec<Node> {
     heap.push((0, Reverse(rng.gen()), start));
     let mut in_heap_or_grown = vec![false; n];
     in_heap_or_grown[start as usize] = true;
+    // Restart candidates: no node below the cursor is untouched (flags are
+    // never cleared), so the scan resumes where the last one stopped.
+    let mut untouched = 0 as Node;
     while grown < target0 {
         let Some((_, _, v)) = heap.pop() else {
-            // Disconnected graph: restart from an untouched node.
-            match (0..n as Node).find(|&v| !in_heap_or_grown[v as usize]) {
+            // Disconnected graph: restart from the first untouched node.
+            match (untouched..n as Node).find(|&v| !in_heap_or_grown[v as usize]) {
                 Some(v) => {
+                    untouched = v + 1;
                     in_heap_or_grown[v as usize] = true;
                     heap.push((0, Reverse(rng.gen()), v));
                     continue;

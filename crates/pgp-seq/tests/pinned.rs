@@ -1,0 +1,150 @@
+//! Pinned outputs of the sequential partitioner: `kaffpa`, `initial_partition`,
+//! `bisect` and `kway_fm` on small instances, as 64-bit hashes of the
+//! assignment (and, for FM, of its `moves` / `gain`). Taken on the commit
+//! before FM stopped re-scanning adjacency (ISSUE 25) and reproduced bit for
+//! bit since. The instances reach the branches that make FM's tie order and
+//! rollbacks delicate: k = 32 on an SBM graph (the `evo_k32` shape), a grid
+//! whose arcs weigh 0..=3 (a zero-weight arc still makes a block adjacent) at
+//! k = 2 and k = 5, a bisection that starts overloaded (weighted nodes,
+//! `eps = 0`) and a disconnected graph with isolated nodes.
+//!
+//! A mismatch prints the whole recomputed table, so a deliberate change of
+//! the algorithm re-pins it with one paste.
+
+use pgp_graph::{CsrGraph, GraphBuilder, Node, Weight};
+use pgp_seq::{initial_partition, kaffpa, kway_fm, FmConfig, InitialConfig, KaffpaConfig};
+
+fn mix(a: u64, b: u64) -> u64 {
+    let mut z = a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn hash(labels: &[Node]) -> u64 {
+    labels
+        .iter()
+        .fold(0xCBF2_9CE4_8422_2325, |h, &b| mix(h, u64::from(b)))
+}
+
+/// A unit grid re-weighted: arcs 0..=3 (a quarter weigh nothing), nodes
+/// `node_weight(v)`.
+fn decorate(base: &CsrGraph, seed: u64, node_weight: impl Fn(u64) -> Weight) -> CsrGraph {
+    let mut b = GraphBuilder::with_capacity(base.n(), base.m());
+    for (u, v, _) in base.edges() {
+        b.push_edge(u, v, mix(mix(seed, u64::from(u)), u64::from(v)) % 4);
+    }
+    b.node_weights((0..base.n() as u64).map(node_weight).collect())
+        .build()
+}
+
+fn zero_arc_grid() -> CsrGraph {
+    decorate(&pgp_gen::mesh::grid2d(24, 20), 5, |_| 1)
+}
+
+/// Weighted nodes (1..=5, every 11th weighs 9): with `eps = 0` greedy
+/// growing overshoots its target, so bisection FM starts overloaded.
+fn heavy_grid() -> CsrGraph {
+    decorate(&pgp_gen::mesh::grid2d(16, 16), 9, |v| {
+        if v.is_multiple_of(11) {
+            9
+        } else {
+            1 + mix(9, v) % 5
+        }
+    })
+}
+
+/// Six path / cycle components of different sizes plus 30 isolated nodes.
+fn disconnected() -> CsrGraph {
+    let sizes = [40u32, 7, 25, 3, 60, 12];
+    let n = sizes.iter().sum::<u32>() + 30;
+    let mut b = GraphBuilder::new(n as usize);
+    let mut base = 0;
+    for (i, &s) in sizes.iter().enumerate() {
+        for j in 0..s - 1 {
+            b.push_edge(base + j, base + j + 1, 1 + (j as u64 % 3));
+        }
+        if i % 2 == 0 {
+            b.push_edge(base, base + s - 1, 1); // close the cycle
+        }
+        base += s;
+    }
+    b.build()
+}
+
+fn sbm() -> CsrGraph {
+    pgp_gen::sbm::sbm(2000, Default::default(), 1).0
+}
+
+fn fm(graph: &CsrGraph, k: usize, eps: f64, seed: u64) -> u64 {
+    let cap = pgp_graph::lmax(graph.total_node_weight(), k, eps);
+    let mut labels: Vec<Node> = (0..graph.n() as u64)
+        .map(|v| (mix(seed, v) % k as u64) as Node)
+        .collect();
+    let stats = kway_fm(
+        graph,
+        k,
+        &mut labels,
+        &FmConfig {
+            max_passes: 4,
+            block_caps: vec![cap; k],
+            seed,
+            patience: 24,
+        },
+    );
+    mix(mix(hash(&labels), stats.moves), stats.gain as u64)
+}
+
+fn initial(graph: &CsrGraph, k: usize, eps: f64, seed: u64) -> u64 {
+    let cfg = InitialConfig {
+        eps,
+        seed,
+        ..Default::default()
+    };
+    hash(initial_partition(graph, k, &cfg).assignment())
+}
+
+fn kaffpa_hash(graph: &CsrGraph, k: usize, seed: u64) -> u64 {
+    hash(kaffpa(graph, &KaffpaConfig::new(k, seed)).assignment())
+}
+
+fn bisect(graph: &CsrGraph, eps: f64, seed: u64) -> u64 {
+    let target0 = graph.total_node_weight() / 3;
+    let cfg = InitialConfig {
+        eps,
+        ..Default::default()
+    };
+    hash(&pgp_seq::initial::bisect(graph, target0, &cfg, seed))
+}
+
+type Case = (&'static str, fn() -> u64, u64);
+
+#[rustfmt::skip]
+const CASES: &[Case] = &[
+    ("kaffpa sbm k=32",           || kaffpa_hash(&sbm(), 32, 7),             0x25840cc61f6fa279),
+    ("initial sbm k=32",          || initial(&sbm(), 32, 0.03, 3),           0x7eb34d97acc738ce),
+    ("fm sbm k=32",               || fm(&sbm(), 32, 0.03, 4),                0x182cc75973c6671c),
+    ("initial zero-arc grid k=2", || initial(&zero_arc_grid(), 2, 0.03, 1),  0x7311d038dcd06e03),
+    ("initial zero-arc grid k=5", || initial(&zero_arc_grid(), 5, 0.03, 2),  0xd9a4b748e81d1a1b),
+    ("kaffpa zero-arc grid k=5",  || kaffpa_hash(&zero_arc_grid(), 5, 3),    0x7c768ce19864e2f1),
+    ("fm zero-arc grid k=2",      || fm(&zero_arc_grid(), 2, 0.03, 5),       0x26d56ca77f8fa098),
+    ("fm zero-arc grid k=5",      || fm(&zero_arc_grid(), 5, 0.03, 6),       0x79aed102f6424c3a),
+    // Attempt 2 of 4 grows side 0 to 302 against a cap of 301.
+    ("bisect overloaded start",   || bisect(&heavy_grid(), 0.0, 7),          0x3b64000d56f16407),
+    ("initial heavy eps=0 k=3",   || initial(&heavy_grid(), 3, 0.0, 8),      0xc4f6c2d7012c8443),
+    ("fm heavy eps=0 k=2",        || fm(&heavy_grid(), 2, 0.0, 9),           0x70368b49eb7035fb),
+    ("initial disconnected k=4",  || initial(&disconnected(), 4, 0.03, 10),  0x4129de93b67218e1),
+    ("kaffpa disconnected k=4",   || kaffpa_hash(&disconnected(), 4, 11),    0x15b21d2e2582fca3),
+];
+
+#[test]
+fn pinned_outputs() {
+    let rows: Vec<(&Case, u64)> = CASES.iter().map(|c| (c, (c.1)())).collect();
+    if rows.iter().any(|(c, h)| c.2 != *h) {
+        for (&(name, _, pinned), h) in &rows {
+            let mark = if pinned == *h { "  " } else { "!=" };
+            eprintln!("{mark} {name:<28} {h:#018x}");
+        }
+        panic!("a pinned sequential output changed (rows marked != above)");
+    }
+}

@@ -126,6 +126,45 @@ fn a_good_invocation_still_exits_0() {
 }
 
 #[test]
+fn many_isolated_nodes_partition_in_linear_time() {
+    // 100 000 nodes, one edge: greedy growing restarts once per isolated
+    // node it absorbs. A restart that scanned from node 0 every time made
+    // this run take 17 s in release; it takes a fraction of a second now.
+    let n = 100_000;
+    let mut text = format!("{n} 1\n2\n1\n");
+    text.push_str(&"\n".repeat(n - 2));
+    let dir = temp_dir("isolated");
+    let graph = dir.join("graph.metis");
+    let out = dir.join("out.part");
+    std::fs::write(&graph, text).expect("write graph");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pgp-partition"))
+        .arg(&graph)
+        .args(["k=2", "p=1"])
+        .arg(format!("output={}", out.display()))
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn pgp-partition");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait for pgp-partition") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            let _ = std::fs::remove_dir_all(&dir);
+            panic!("k=2 p=1 on {n} isolated nodes did not finish within 30 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let written = std::fs::read_to_string(&out).unwrap_or_default();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(status.success(), "exit {status}");
+    assert_eq!(written.lines().count(), n);
+}
+
+#[test]
 fn hostile_graph_files_exit_1_naming_the_line() {
     let cases = [
         // A header that claims more nodes than `Node` holds, one that claims
