@@ -1,10 +1,9 @@
 //! Cross-backend golden equivalence (DESIGN.md §15): the full partition
 //! pipeline must be *byte-identical* between the thread-mailbox and the
 //! Unix-socket comm backends — same assignment, same cut and balance,
-//! same message and collective counters — on seeded social-network
-//! instances (BA and SBM). Only payload *bytes* may differ (the socket
-//! backend counts framed wire bytes, threads count in-memory size), and
-//! the report's `backend` field naturally names each transport.
+//! same message, byte and collective counters — on seeded social-network
+//! instances (BA and SBM). Only the report's `backend` field differs: it
+//! names each transport.
 
 use parhip::{GraphClass, ParhipConfig, Partitioner};
 use pgp_dmp::{BackendKind, RunConfig};
@@ -31,13 +30,12 @@ fn run_backend(
     (out.partition, obs.report())
 }
 
-/// Per-tag *message* counts (bytes excluded — the backends legitimately
-/// count payload size differently; message counts must match exactly).
-fn msgs_per_tag(report: &RunReport) -> BTreeMap<u64, u64> {
+/// Per-tag `(messages, bytes)` sent.
+fn traffic_per_tag(report: &RunReport) -> BTreeMap<u64, (u64, u64)> {
     report
         .total_sent_per_tag()
         .into_iter()
-        .map(|(tag, c)| (tag, c.msgs))
+        .map(|(tag, c)| (tag, (c.msgs, c.bytes)))
         .collect()
 }
 
@@ -65,21 +63,24 @@ fn assert_golden_equivalence(name: &str, g: &CsrGraph, p: usize, cfg: &ParhipCon
     );
     assert_eq!(part_t.edge_cut(g), part_s.edge_cut(g), "{name}: edge cut");
 
-    // The communication structure: same messages on the same tags, same
-    // collective count. (Bytes differ by design: wire framing vs
-    // in-memory size.)
+    // The communication structure: same messages and bytes on the same
+    // tags, same collective count.
     assert_eq!(
         rep_t.aggregate.messages, rep_s.aggregate.messages,
         "{name}: total message count must match"
+    );
+    assert_eq!(
+        rep_t.aggregate.bytes, rep_s.aggregate.bytes,
+        "{name}: total byte count must match"
     );
     assert_eq!(
         rep_t.aggregate.collective_calls, rep_s.aggregate.collective_calls,
         "{name}: collective call count must match"
     );
     assert_eq!(
-        msgs_per_tag(&rep_t),
-        msgs_per_tag(&rep_s),
-        "{name}: per-tag message counts must match"
+        traffic_per_tag(&rep_t),
+        traffic_per_tag(&rep_s),
+        "{name}: per-tag message and byte counts must match"
     );
 
     // The one field allowed to differ names each transport.

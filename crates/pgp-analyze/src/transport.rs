@@ -25,7 +25,7 @@ use crate::report::{Finding, RULE_TRANSPORT_CONFINED};
 use crate::FileUnit;
 
 /// The owning layer: the `Comm` facade plus every transport module
-/// (thread mailboxes, socket mesh, frame codec, process supervisor).
+/// (thread mailboxes, socket mesh, frame codec).
 /// Mirrors `MAILBOX_OWNER_FILES` in `xtask` rule 5.
 const OWNER_FILE: &str = "crates/pgp-dmp/src/comm.rs";
 const OWNER_DIR: &str = "crates/pgp-dmp/src/transport/";

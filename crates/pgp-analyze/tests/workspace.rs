@@ -78,8 +78,8 @@ const MUTATIONS: &[Mutation] = &[
     // `Vec<(Node, Node)>`.
     Mutation {
         rel: "crates/pgp-dmp/src/exchange.rs",
-        needle: "let mut updates: Vec<(Node, Node)> = comm.recv",
-        replacement: "let mut updates: Vec<u64> = comm.recv",
+        needle: "let updates: Vec<(Node, Node)> = comm.recv",
+        replacement: "let updates: Vec<u64> = comm.recv",
     },
     // Rumor spreading: flip the drain turbofish away from the sent
     // `(Weight, Vec<BlockId>)`.

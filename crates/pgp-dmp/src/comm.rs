@@ -6,25 +6,21 @@
 //! what the paper's implementation uses.
 //!
 //! Since PR 9 the layer is split (DESIGN.md §15): everything
-//! transport-agnostic — typed pack/unpack, fault-injection limbo queues,
-//! observability recording, poison *reaction* — lives here, while message
-//! *movement* sits behind the crate-internal
-//! [`Transport`](crate::transport) trait with two implementations:
+//! transport-agnostic — packing a message into its [`Wire`] bytes and
+//! back, fault-injection limbo queues, observability recording, poison
+//! *reaction* — lives here, while message *movement* sits behind the
+//! crate-internal [`Transport`](crate::transport) trait with two
+//! implementations:
 //!
 //! * the **thread backend** ([`Universe`] + per-`(src, tag)` bucketed
-//!   mailboxes): payloads move between threads of one process, so
-//!   "serialization" is a pointer move. The dominant payload types —
-//!   `Vec<(Node, Node)>` label updates and `Vec<u64>` reduction vectors —
-//!   travel through a typed enum fast path with no `Box<dyn Any>`
-//!   allocation. The *communication pattern and volume* of the algorithms
-//!   built on top are nevertheless exactly those of the MPI program (see
-//!   DESIGN.md §2 and the "Hot-path memory layout" section).
-//! * the **socket backend**: every payload is [`Wire`]-encoded into a
-//!   length-prefixed frame and crosses a Unix-domain socket — in-process
-//!   (PE threads over socketpairs) or with one OS process per PE.
+//!   mailboxes): the encoded payload is handed between threads of one
+//!   process;
+//! * the **socket backend**: the same encoded payload is framed and
+//!   crosses a Unix-domain socketpair between PE threads.
 //!
-//! Every payload type must implement [`Wire`] so any message can cross
-//! either backend; protocols stay socket-clean by construction.
+//! A message is its bytes on both, as between MPI processes, so the
+//! *communication pattern and volume* the recorder counts are the MPI
+//! program's (DESIGN.md §2) and equal across backends.
 //!
 //! # Fault model (DESIGN.md §9)
 //!
@@ -39,12 +35,12 @@
 //! its next blocking operation instead of parking forever.
 
 use crate::transport::thread::{Mailbox, ThreadTransport};
-use crate::transport::{pack, pack_encoded, unpack, Payload, RecvOutcome, Transport};
+use crate::transport::{pack, unpack, Payload, PoisonState, RecvOutcome, Transport};
 use crate::wire::{Wire, WireError, WireReader};
 use parking_lot::Mutex;
 use pgp_obs::{Obs, Recorder};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -95,8 +91,8 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// `CommError` crosses process boundaries in `POISON` control frames and
-/// worker result files, so it needs a wire form of its own.
+/// `CommError` crosses socket links in `POISON` control frames, so it
+/// needs a wire form of its own.
 impl Wire for CommError {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -196,17 +192,8 @@ pub trait FaultHook: Send + Sync {
 /// otherwise indistinguishable.)
 pub struct Universe {
     mailboxes: Vec<Mailbox>,
-    /// Fast poison flag; the authoritative record is `poison`. Checked on
-    /// every blocking-path entry so surviving PEs fail fast.
-    poisoned: AtomicBool,
-    /// First fatal failure observed anywhere in the group (first wins).
-    poison: Mutex<Option<CommError>>,
-    /// Every *distinct* fatal failure observed in the group, in arrival
-    /// order. The `poison` slot above keeps only the first error (it
-    /// drives the unwind); this ledger is what failure consensus reads
-    /// after the join, so a multi-kill run records every dead rank
-    /// instead of racing on first-poison-wins.
-    faults: Mutex<Vec<CommError>>,
+    /// Fatal failures observed anywhere in the group.
+    poison: PoisonState,
     /// Watchdog deadline for blocking receives. `None` = park forever (the
     /// classic substrate; poison notifications still wake parked PEs).
     deadline: Option<Duration>,
@@ -238,9 +225,7 @@ impl Universe {
         }
         Arc::new(Self {
             mailboxes: (0..size).map(|_| Mailbox::new(size)).collect(),
-            poisoned: AtomicBool::new(false),
-            poison: Mutex::new(None),
-            faults: Mutex::new(Vec::new()),
+            poison: PoisonState::default(),
             deadline,
             hook,
             obs,
@@ -284,21 +269,7 @@ impl Universe {
     /// Message payload visibility is unaffected — this only gates the
     /// blocking paths.
     pub fn poison(&self, err: CommError) {
-        {
-            let mut ledger = self.faults.lock();
-            if !ledger.contains(&err) {
-                ledger.push(err.clone());
-            }
-        }
-        {
-            let mut slot = self.poison.lock();
-            if slot.is_none() {
-                *slot = Some(err);
-                // Release pairs with the Acquire load in `poison_error`:
-                // whoever sees the flag also sees the recorded error.
-                self.poisoned.store(true, Ordering::Release);
-            }
-        }
+        self.poison.record(err);
         for mb in &self.mailboxes {
             mb.notify_all();
         }
@@ -310,21 +281,17 @@ impl Universe {
     /// to the supervisor's failure consensus. Call after the PE threads
     /// have joined for a complete picture.
     pub fn fault_ledger(&self) -> Vec<CommError> {
-        self.faults.lock().clone()
+        self.poison.ledger()
     }
 
-    /// The recorded poison error, if the universe is poisoned. The fast
-    /// flag avoids the mutex on the (overwhelmingly common) healthy path.
+    /// The recorded poison error, if the universe is poisoned.
     pub fn poison_error(&self) -> Option<CommError> {
-        if !self.poisoned.load(Ordering::Acquire) {
-            return None;
-        }
-        self.poison.lock().clone()
+        self.poison.error()
     }
 
     /// True iff [`Universe::poison`] has been called.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+        self.poison.is_poisoned()
     }
 }
 
@@ -340,7 +307,7 @@ struct LimboQueue {
 
 /// A per-PE communicator: rank, group size, and the message endpoint.
 /// Everything here is backend-neutral; the [`Transport`] it wraps decides
-/// whether payloads move as pointers or as socket frames.
+/// whether payloads are handed through a shared mailbox or a socket.
 pub struct Comm {
     transport: Arc<dyn Transport>,
     rank: usize,
@@ -349,9 +316,6 @@ pub struct Comm {
     deadline: Option<Duration>,
     /// Fault-injection oracle (copied from the group configuration).
     hook: Option<Arc<dyn FaultHook>>,
-    /// Cached [`Transport::encoded`]: one branch picks typed-pointer or
-    /// wire-encoded packing per send.
-    encoded: bool,
     /// Sequence number for collective operations (same on all PEs because
     /// collectives are called SPMD-style in the same order everywhere).
     seq: AtomicU64,
@@ -395,13 +359,11 @@ impl Comm {
         hook: Option<Arc<dyn FaultHook>>,
         recorder: Recorder,
     ) -> Self {
-        let encoded = transport.encoded();
         Comm {
             transport,
             rank,
             deadline,
             hook,
-            encoded,
             seq: AtomicU64::new(0),
             send_seq: AtomicU64::new(0),
             limbo: Mutex::new(Vec::new()),
@@ -431,11 +393,7 @@ impl Comm {
     /// Sends `msg` to PE `dst` with `tag`. Never blocks.
     pub fn send<T: Wire>(&self, dst: usize, tag: Tag, msg: T) {
         self.check_poison();
-        let payload = if self.encoded {
-            pack_encoded(&msg)
-        } else {
-            pack(msg)
-        };
+        let payload = pack(&msg);
         if self.recorder.is_enabled() {
             self.recorder.on_send(dst, tag, payload.wire_bytes());
         }
@@ -653,7 +611,6 @@ impl Comm {
 mod tests {
 
     use crate::run;
-    use pgp_graph::Node;
 
     #[test]
     fn ping_pong() {
@@ -703,28 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn typed_fast_path_roundtrip() {
-        // The dominant payload types travel unboxed; this exercises both
-        // fast-path variants plus the boxed fallback through one mailbox.
-        let results = run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, vec![(3 as Node, 4 as Node), (5, 6)]);
-                comm.send(1, 2, vec![7u64, 8, 9]);
-                comm.send(1, 3, ("boxed".to_string(), 10u32));
-                0
-            } else {
-                let pairs: Vec<(Node, Node)> = comm.recv(0, 1);
-                let words: Vec<u64> = comm.recv(0, 2);
-                let (s, x): (String, u32) = comm.recv(0, 3);
-                assert_eq!(pairs, vec![(3, 4), (5, 6)]);
-                assert_eq!(s, "boxed");
-                words.iter().sum::<u64>() + u64::from(x)
-            }
-        });
-        assert_eq!(results[1], 34);
-    }
-
-    #[test]
     fn many_tags_one_sender_fifo_per_tag() {
         // Force slot collisions (more live tags than direct slots) and check
         // FIFO order within each tag while receiving tags out of order.
@@ -754,7 +689,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "got Vec<u64> (typed fast path)")]
+    #[should_panic(expected = "expected alloc::string::String, got alloc::vec::Vec<u64>")]
     fn type_mismatch_names_expected_and_actual() {
         run(2, |comm| {
             if comm.rank() == 0 {

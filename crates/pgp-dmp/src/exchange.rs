@@ -9,13 +9,6 @@
 //! delivery of the current one. Once the algorithm converges, buffers are
 //! empty and the communication volume is negligible, as the paper notes.
 //!
-//! Buffers are recycled through a free-list: a sent buffer's allocation
-//! travels to the receiver inside the message, and the receiver parks it in
-//! its own pool after applying the updates. Since exchange traffic is
-//! symmetric (every adjacent pair sends both ways each phase), each PE's
-//! pool refills at the same rate its send buffers drain, and steady-state
-//! phases allocate nothing (see DESIGN.md "Hot-path memory layout").
-//!
 //! # Fault model (DESIGN.md §9)
 //!
 //! The exchange is chaos-safe by construction: every phase uses a fresh
@@ -40,10 +33,6 @@ pub struct LabelExchange {
     buffers: Vec<Vec<(Node, Node)>>,
     /// Dense rank → buffer index, `u32::MAX` when not adjacent.
     buffer_of_rank: Vec<u32>,
-    /// Free-list of spent update vectors (cleared, capacity retained);
-    /// refilled by [`LabelExchange::receive_and_apply`], drained when send
-    /// buffers are handed off at a phase boundary.
-    pool: Vec<Vec<(Node, Node)>>,
     /// Tag used for the previous phase's sends (to receive them later).
     prev_tag: Option<Tag>,
     /// Number of updates recorded over the lifetime of the exchange
@@ -61,7 +50,6 @@ impl LabelExchange {
         Self {
             buffers: vec![Vec::new(); graph.adjacent_pes().len()],
             buffer_of_rank,
-            pool: Vec::new(),
             prev_tag: None,
             updates_recorded: 0,
         }
@@ -150,12 +138,10 @@ impl LabelExchange {
         }
     }
 
-    /// Hands every send buffer to its adjacent PE for `tag`, replacing it
-    /// with a recycled vector from the pool (or an empty one early on).
+    /// Hands every send buffer to its adjacent PE for `tag`.
     fn send_buffers(&mut self, comm: &Comm, graph: &DistGraph, tag: Tag) {
         for (i, &pe) in graph.adjacent_pes().iter().enumerate() {
-            let replacement = self.pool.pop().unwrap_or_default();
-            let buf = std::mem::replace(&mut self.buffers[i], replacement);
+            let buf = std::mem::take(&mut self.buffers[i]);
             // Explicit payload type: the `tags::GHOST_LABELS` protocol
             // contract `cargo xtask analyze` checks against the recv side.
             comm.send::<Vec<(Node, Node)>>(ids::pe_index(pe), tag, buf);
@@ -170,11 +156,8 @@ impl LabelExchange {
         tag: Tag,
         mut on_update: impl FnMut(Node, Node, Node),
     ) {
-        // One send + one in-flight overlap phase per adjacent PE bounds the
-        // number of vectors ever usefully parked.
-        let pool_cap = 2 * self.buffers.len();
         for &pe in graph.adjacent_pes() {
-            let mut updates: Vec<(Node, Node)> = comm.recv(ids::pe_index(pe), tag);
+            let updates: Vec<(Node, Node)> = comm.recv(ids::pe_index(pe), tag);
             for &(global, label) in &updates {
                 let l = graph.global_to_local(global);
                 debug_assert!(graph.is_ghost(l), "update for non-ghost node {global}");
@@ -183,10 +166,6 @@ impl LabelExchange {
                 if old != label {
                     on_update(l, old, label);
                 }
-            }
-            if self.pool.len() < pool_cap {
-                updates.clear();
-                self.pool.push(updates);
             }
         }
     }
@@ -322,6 +301,11 @@ mod tests {
             }
         }
         assert_eq!(msgs, 20, "one message per adjacent PE per phase");
-        assert_eq!(bytes, 0, "converged phases must carry no payload");
+        let empty = crate::transport::pack(&Vec::<(Node, Node)>::new()).wire_bytes();
+        assert_eq!(
+            bytes,
+            msgs * empty,
+            "converged phases carry only the encoded empty vector"
+        );
     }
 }

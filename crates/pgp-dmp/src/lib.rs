@@ -19,9 +19,9 @@
 //! * [`tags`] — the tag-protocol constants (every named tag offset and its
 //!   payload type; the ground truth for `cargo xtask analyze`).
 //! * [`transport`] — the pluggable comm backends (DESIGN.md §15): thread
-//!   mailboxes, Unix-domain socket frames, and the multi-process mode.
-//! * [`wire`] — the byte codec every message payload implements so it can
-//!   cross a socket ([`Wire`]).
+//!   mailboxes and Unix-domain socket frames.
+//! * [`wire`] — the byte codec every message payload implements; a
+//!   message crosses either backend as its [`Wire`] bytes.
 
 pub mod collectives;
 pub mod comm;
@@ -35,10 +35,6 @@ pub mod wire;
 pub use comm::{Comm, CommError, FaultHook, SendFault, Tag, Universe};
 pub use dgraph::{DistGraph, GhostRows};
 pub use exchange::LabelExchange;
-pub use transport::process::{
-    maybe_run_worker, run_multiprocess, run_multiprocess_supervised, ProcessConfig, WorkerCtx,
-    WorkerFn,
-};
 pub use transport::BackendKind;
 pub use wire::{Wire, WireError, WireReader};
 // Re-exported so `RunConfig { obs, .. }` can be built without a direct

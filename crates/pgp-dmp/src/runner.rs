@@ -292,14 +292,13 @@ impl FaultHook for DisarmedKills {
 const MAX_WIDEN_EXP: u32 = 5;
 
 /// What one launched attempt hands back to [`supervise`]: the per-rank
-/// outcomes plus every distinct fault the group observed (the thread and
-/// socket groups keep a ledger; worker processes report through their
-/// result files only, so theirs is empty).
+/// outcomes plus every distinct fault the group observed (its ledger).
 type AttemptOutcome<R> = (Vec<Result<R, CommError>>, Vec<CommError>);
 
-/// The one attempt loop behind both supervised launchers (DESIGN.md §14).
-/// `launch` runs a single attempt — it is told the history so far and the
-/// watchdog deadline to arm (`base_deadline`, doubled per transient retry
+/// The supervised attempt loop (DESIGN.md §14) behind
+/// [`run_config_supervised`]; the budget-table test scripts a fake
+/// launch through the same seam. `launch` runs a single attempt — it is
+/// told the history so far and the watchdog deadline to arm (`base_deadline`, doubled per transient retry
 /// up to ×32) — and every failed attempt is classified by
 /// [`FailureVerdict`]: uncorroborated timeouts are retried after a seeded
 /// backoff until `limits.max_retries` is spent, new deaths (or spent

@@ -77,7 +77,7 @@ pub const OP_SCAN: Tag = 7 << 8;
 
 /// Phase-overlapped ghost-label exchange (`exchange.rs`, §IV-A). Payload:
 /// `Vec<(Node, Node)>` — `(global ID, new label)` updates for the
-/// receiver's ghost copies. Rides the typed fast path.
+/// receiver's ghost copies. The bulk of a run's message bytes.
 pub const GHOST_LABELS: Tag = 0x01;
 
 /// Randomized rumor spreading (`pgp-evo`, KaFFPaE's exchange protocol).

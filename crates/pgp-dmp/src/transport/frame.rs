@@ -14,10 +14,9 @@
 //!
 //! The reserved tag [`CONTROL_TAG`] carries link control payloads
 //! ([`control`]): a one-byte kind followed by kind-specific data. `POISON`
-//! broadcasts a structured [`CommError`](crate::CommError) to all peers;
-//! `BYE` announces an orderly shutdown, so a subsequent EOF is a clean
-//! close — EOF *without* a preceding `BYE` is an unannounced death and is
-//! mapped to `CommError::PeerDead` by the reader.
+//! broadcasts a structured [`CommError`](crate::CommError) to all peers.
+//! An EOF outside group teardown is a dead peer and is mapped to
+//! `CommError::PeerDead` by the reader.
 //!
 //! Reads go through [`read_frame`], which tolerates arbitrarily split
 //! delivery (`Read::read_exact` loops over partial reads); the proptest
@@ -40,9 +39,6 @@ pub mod control {
     /// A structured fault follows ([`CommError`](crate::CommError) wire
     /// encoding): the sender poisoned the group.
     pub const POISON: u8 = 0;
-    /// Orderly shutdown: the sender is closing its end on purpose, so the
-    /// EOF that follows is clean, not a death.
-    pub const BYE: u8 = 1;
 }
 
 /// One decoded frame.
@@ -52,7 +48,7 @@ pub struct Frame {
     pub tag: Tag,
     /// Per-`(src, dst, tag)` sequence number.
     pub seq: u64,
-    /// Payload bytes (a `pack_encoded` buffer, or control data).
+    /// Payload bytes (a packed message, or control data).
     pub payload: Vec<u8>,
 }
 
@@ -138,7 +134,7 @@ mod tests {
             Frame {
                 tag: CONTROL_TAG,
                 seq: 3,
-                payload: vec![control::BYE],
+                payload: vec![control::POISON],
             },
             Frame {
                 tag: 1 << 48,

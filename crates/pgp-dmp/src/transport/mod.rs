@@ -1,20 +1,18 @@
 //! Pluggable comm transports (DESIGN.md §15).
 //!
 //! The [`Comm`](crate::Comm) API — typed selective send/receive plus the
-//! collectives built on it — is backend-neutral. Everything that actually
-//! *moves* a message lives behind the crate-internal [`Transport`] trait,
-//! with two implementations:
+//! collectives built on it — is backend-neutral. Every message crosses
+//! either backend in one form, its [`Payload`]: the [`Wire`] bytes of the
+//! value behind its type name, so both backends carry and count the same
+//! bytes. Everything that actually *moves* a payload lives behind the
+//! crate-internal [`Transport`] trait, with two implementations:
 //!
 //! * [`thread`] — the classic substrate: PEs are OS threads of one
-//!   process, payloads move as pointers through per-`(src, tag)` bucketed
-//!   mailboxes. Zero serialization, zero syscalls; the fast path.
-//! * [`socket`] — PEs talk over Unix-domain stream sockets carrying
-//!   length-prefixed frames ([`frame`]) with per-`(src, dst, tag)`
-//!   sequence numbers. Used in two modes: *in-process* (PE threads wired
-//!   through real socketpairs — every byte crosses the kernel, which is
-//!   what the conformance and golden suites exercise) and *multi-process*
-//!   ([`process`] — one OS process per PE, where a SIGKILL is a real
-//!   death the supervisor must survive).
+//!   process, payloads are handed through per-`(src, tag)` bucketed
+//!   mailboxes. No syscalls.
+//! * [`socket`] — PEs (still threads) talk over Unix-domain socketpairs
+//!   carrying length-prefixed frames ([`frame`]) with per-`(src, dst,
+//!   tag)` sequence numbers, so every byte crosses the kernel.
 //!
 //! The backend is selected by [`BackendKind`] on
 //! [`RunConfig`](crate::RunConfig); algorithms never observe which one
@@ -22,26 +20,25 @@
 //! partitions for identical seeds.
 
 pub mod frame;
-pub mod process;
 pub(crate) mod socket;
 pub(crate) mod thread;
 
 use crate::comm::{Comm, CommError, FaultHook, Tag, Universe};
 use crate::wire::{Wire, WireReader};
-use pgp_graph::{ids, Node};
+use parking_lot::Mutex;
+use pgp_graph::ids;
 use pgp_obs::Obs;
-use std::any::Any;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which comm transport a run uses. The default is the thread mailbox —
-/// the zero-regression fast path; `Sockets` routes every message through
-/// a real Unix-domain socketpair (PEs remain threads, so the same SPMD
-/// closures run unchanged while every payload is framed, encoded, and
-/// sequence-checked exactly as in the multi-process mode).
+/// Which comm transport a run uses. The default is the thread mailbox;
+/// `Sockets` routes every payload through a real Unix-domain socketpair
+/// (PEs remain threads, so the same SPMD closures run unchanged while
+/// every payload is also framed and sequence-checked).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// In-process typed-payload mailboxes (pointer-move delivery).
+    /// In-process mailboxes shared by the PE threads.
     #[default]
     Threads,
     /// Unix-domain socket frames between PE endpoints.
@@ -72,81 +69,41 @@ impl std::str::FromStr for BackendKind {
     }
 }
 
-/// A message payload in flight. The two variants before `Other` are the
-/// dominant payload types on the thread-backend hot path (ghost-label
-/// updates and reduction vectors); they move as plain enum variants with
-/// no heap indirection beyond the `Vec` itself. Everything else is boxed
-/// as `dyn Any`. `Bytes` is the socket backend's only variant: the
-/// [`Wire`]-encoded value prefixed with its type name, so a protocol
-/// mismatch panics with the same diagnostics as the typed fast path.
-pub(crate) enum Payload {
-    /// Ghost-label / assignment updates: the `LabelExchange` wire format.
-    Pairs(Vec<(Node, Node)>),
-    /// Reduction and gather vectors used by the collectives.
-    U64s(Vec<u64>),
-    /// Fallback for all other message types (thread backend only).
-    Other(Box<dyn Any + Send>),
-    /// `[u16 name-len][type name][Wire encoding]` (socket backend only).
-    Bytes(Vec<u8>),
-}
+/// A message payload in flight on either backend:
+/// `[u16 name-len][type name][Wire encoding]`. The type-name prefix lets
+/// the receiver detect a protocol mismatch precisely — every PE runs the
+/// same binary, so `type_name` is a stable identifier.
+pub(crate) struct Payload(pub(crate) Vec<u8>);
 
 impl Payload {
     /// Payload size in wire bytes. Computed from the same value on the
     /// send and the receive side of a message, so the per-tag totals the
     /// recorder accumulates satisfy Σ sent − Σ dropped == Σ received
-    /// *exactly* (the conservation tests assert this). Thread-backend
-    /// payloads report their in-memory size; socket payloads report the
-    /// actual framed byte count — the two backends agree on message and
-    /// element counts but legitimately differ in bytes (DESIGN.md §15).
+    /// *exactly* (the conservation tests assert this), and both backends
+    /// count the same bytes for the same run.
     pub(crate) fn wire_bytes(&self) -> u64 {
-        match self {
-            Payload::Pairs(v) => ids::count_global(v.len() * std::mem::size_of::<(Node, Node)>()),
-            Payload::U64s(v) => ids::count_global(v.len() * std::mem::size_of::<u64>()),
-            Payload::Other(b) => ids::count_global(std::mem::size_of_val(&**b)),
-            Payload::Bytes(b) => ids::count_global(b.len()),
-        }
+        ids::count_global(self.0.len())
     }
 }
 
-/// Wraps `msg` into a [`Payload`] for pointer-move delivery, routing the
-/// dominant types into their unboxed variants. The `Option` dance moves
-/// the value out through a `&mut dyn Any` without `unsafe` and without
-/// boxing on the fast path.
-pub(crate) fn pack<T: Wire>(msg: T) -> Payload {
-    let mut slot = Some(msg);
-    let any: &mut dyn Any = &mut slot;
-    if let Some(v) = any.downcast_mut::<Option<Vec<(Node, Node)>>>() {
-        return Payload::Pairs(v.take().expect("freshly wrapped"));
-    }
-    if let Some(v) = any.downcast_mut::<Option<Vec<u64>>>() {
-        return Payload::U64s(v.take().expect("freshly wrapped"));
-    }
-    Payload::Other(Box::new(slot.take().expect("freshly wrapped")))
-}
-
-/// Encodes `msg` into the socket wire form: the payload type's name (so
-/// the receiving side can detect protocol mismatches precisely — both
-/// sides run the same binary, making `type_name` a stable identifier)
-/// followed by the [`Wire`] encoding of the value.
-pub(crate) fn pack_encoded<T: Wire>(msg: &T) -> Payload {
+/// Encodes `msg` into its [`Payload`]: the type name, then the [`Wire`]
+/// encoding of the value.
+pub(crate) fn pack<T: Wire>(msg: &T) -> Payload {
     let name = std::any::type_name::<T>();
     let name_len = u16::try_from(name.len()).expect("type name length fits u16");
     let mut buf = Vec::with_capacity(2 + name.len() + 16);
     buf.extend_from_slice(&name_len.to_le_bytes());
     buf.extend_from_slice(name.as_bytes());
     msg.encode(&mut buf);
-    Payload::Bytes(buf)
+    Payload(buf)
 }
 
-/// Unwraps a [`Payload`] back into `T`, symmetric to [`pack`] /
-/// [`pack_encoded`].
+/// Decodes a [`Payload`] back into `T`, symmetric to [`pack`].
 ///
 /// # Panics
 /// Panics if the payload's type does not match `T` — that is a protocol
 /// bug, not a runtime condition. The message names the expected type and
-/// the actual payload type (for the typed fast-path variants and encoded
-/// socket frames the actual type is known; for boxed payloads only its
-/// `TypeId` is recoverable through `dyn Any`).
+/// the type the sender packed.
 pub(crate) fn unpack<T: Wire>(payload: Payload, src: usize, tag: Tag) -> T {
     fn mismatch<T>(src: usize, tag: Tag, actual: &str) -> ! {
         // `tags::describe` names the offset constant (OP_BCAST,
@@ -158,51 +115,77 @@ pub(crate) fn unpack<T: Wire>(payload: Payload, src: usize, tag: Tag) -> T {
             std::any::type_name::<T>()
         )
     }
-    match payload {
-        Payload::Pairs(v) => {
-            let mut slot = Some(v);
-            let any: &mut dyn Any = &mut slot;
-            match any.downcast_mut::<Option<T>>() {
-                Some(out) => out.take().expect("freshly wrapped"),
-                None => mismatch::<T>(src, tag, "Vec<(Node, Node)> (typed fast path)"),
+    let mut r = WireReader::new(&payload.0);
+    let fail =
+        |what: &str| -> ! { mismatch::<T>(src, tag, &format!("an undecodable payload ({what})")) };
+    let Ok(name_len) = r.take(2).map(|b| u16::from_le_bytes([b[0], b[1]])) else {
+        fail("truncated type-name header")
+    };
+    let Ok(name) = r.take(usize::from(name_len)).map(String::from_utf8_lossy) else {
+        fail("truncated type name")
+    };
+    if name != std::any::type_name::<T>() {
+        mismatch::<T>(src, tag, &name);
+    }
+    match T::decode(&mut r) {
+        Ok(v) if r.remaining() == 0 => v,
+        Ok(_) => fail("trailing bytes"),
+        Err(e) => fail(&e.to_string()),
+    }
+}
+
+/// A group's poison state, shared by both backends: a fast flag, the
+/// first fatal failure (first wins; it drives the unwind) and the ledger
+/// of every *distinct* failure in arrival order (what failure consensus
+/// reads after the join, so a multi-kill run records every dead rank
+/// instead of racing on first-poison-wins). Waking parked PEs is the
+/// owner's job: all mailboxes for the thread universe, its own mailbox
+/// for a socket endpoint.
+#[derive(Default)]
+pub(crate) struct PoisonState {
+    /// Fast flag, checked on every blocking-path entry; the
+    /// authoritative record is `first`.
+    poisoned: AtomicBool,
+    first: Mutex<Option<CommError>>,
+    ledger: Mutex<Vec<CommError>>,
+}
+
+impl PoisonState {
+    /// Records `err` in the ledger (once per distinct error) and, if it is
+    /// the first, in the poison slot.
+    pub(crate) fn record(&self, err: CommError) {
+        {
+            let mut ledger = self.ledger.lock();
+            if !ledger.contains(&err) {
+                ledger.push(err.clone());
             }
         }
-        Payload::U64s(v) => {
-            let mut slot = Some(v);
-            let any: &mut dyn Any = &mut slot;
-            match any.downcast_mut::<Option<T>>() {
-                Some(out) => out.take().expect("freshly wrapped"),
-                None => mismatch::<T>(src, tag, "Vec<u64> (typed fast path)"),
-            }
+        let mut first = self.first.lock();
+        if first.is_none() {
+            *first = Some(err);
+            // Release pairs with the Acquire load in `error`: whoever
+            // sees the flag also sees the recorded error.
+            self.poisoned.store(true, Ordering::Release);
         }
-        Payload::Other(b) => match b.downcast::<T>() {
-            Ok(v) => *v,
-            Err(b) => mismatch::<T>(
-                src,
-                tag,
-                &format!("a boxed payload with {:?}", (*b).type_id()),
-            ),
-        },
-        Payload::Bytes(buf) => {
-            let mut r = WireReader::new(&buf);
-            let fail = |what: &str| -> ! {
-                mismatch::<T>(src, tag, &format!("an undecodable socket frame ({what})"))
-            };
-            let Ok(name_len) = r.take(2).map(|b| u16::from_le_bytes([b[0], b[1]])) else {
-                fail("truncated type-name header")
-            };
-            let Ok(name) = r.take(usize::from(name_len)).map(String::from_utf8_lossy) else {
-                fail("truncated type name")
-            };
-            if name != std::any::type_name::<T>() {
-                mismatch::<T>(src, tag, &format!("{name} (socket frame)"));
-            }
-            match T::decode(&mut r) {
-                Ok(v) if r.remaining() == 0 => v,
-                Ok(_) => fail("trailing bytes"),
-                Err(e) => fail(&e.to_string()),
-            }
+    }
+
+    /// The first recorded error, if any. The flag keeps the mutex off the
+    /// (overwhelmingly common) healthy path.
+    pub(crate) fn error(&self) -> Option<CommError> {
+        if !self.is_poisoned() {
+            return None;
         }
+        self.first.lock().clone()
+    }
+
+    /// True iff an error has been recorded.
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Acquire)
+    }
+
+    /// Every distinct recorded error, in arrival order.
+    pub(crate) fn ledger(&self) -> Vec<CommError> {
+        self.ledger.lock().clone()
     }
 }
 
@@ -223,10 +206,6 @@ pub(crate) enum RecvOutcome {
 pub(crate) trait Transport: Send + Sync {
     /// Number of PEs in the group.
     fn size(&self) -> usize;
-
-    /// True when payloads must travel as encoded bytes
-    /// ([`Payload::Bytes`]) because they cross an OS socket.
-    fn encoded(&self) -> bool;
 
     /// Enqueues `payload` for PE `dst` (from this endpoint's own rank).
     /// Never blocks on the receiver.

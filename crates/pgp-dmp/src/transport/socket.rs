@@ -8,26 +8,22 @@
 //! FIFO-per-`(src, tag)`, and the parking protocol are shared code, and
 //! only the delivery path differs.
 //!
-//! Failure mapping (the whole point of the exercise):
+//! Failure mapping:
 //!
 //! * a structured local fault (watchdog timeout, injected kill) is
 //!   broadcast to all peers as a `POISON` control frame carrying the
 //!   [`CommError`];
-//! * an orderly shutdown announces itself with a `BYE` control frame, so
-//!   the EOF that follows is clean;
-//! * EOF or a read error *without* `BYE` — the peer process was
-//!   SIGKILLed, crashed, or its connection reset — becomes
-//!   [`CommError::PeerDead`] naming the silent peer, which is exactly the
-//!   evidence the PR 8 recovery supervisor consumes.
+//! * EOF or a read error while the group is not tearing down — the link
+//!   was reset under a live peer — becomes [`CommError::PeerDead`] naming
+//!   the silent peer, the evidence the recovery supervisor consumes.
 //!
-//! The same endpoint serves two modes: *in-process* ([`SocketGroup`] —
-//! PE threads wired through `UnixStream::pair`, used by `run_config` with
-//! [`BackendKind::Sockets`](super::BackendKind)) and *multi-process*
-//! (one endpoint per OS process, wired by [`process`](super::process)).
+//! The endpoints are wired by [`SocketGroup`]: PE threads connected
+//! through `UnixStream::pair`, used by `run_config` with
+//! [`BackendKind::Sockets`](super::BackendKind).
 
 use super::frame::{control, read_frame, write_frame, CONTROL_TAG};
 use super::thread::Mailbox;
-use super::{Payload, RecvOutcome, Transport};
+use super::{Payload, PoisonState, RecvOutcome, Transport};
 use crate::comm::{Comm, CommError, FaultHook, Tag};
 use crate::wire::Wire;
 use parking_lot::Mutex;
@@ -52,8 +48,7 @@ struct SendLink {
 /// by this endpoint's reader threads, and the (endpoint-local copy of the)
 /// group poison state. Unlike the thread backend there is no shared
 /// `Universe` — poison propagates through `POISON` frames like any other
-/// message, which is what makes the failure protocol honest enough to
-/// survive real process boundaries.
+/// message.
 pub(crate) struct SocketEndpoint {
     rank: usize,
     size: usize,
@@ -61,21 +56,17 @@ pub(crate) struct SocketEndpoint {
     /// `links[peer]`; `None` at `peer == rank` (self-sends short-circuit
     /// into the local mailbox, matching the thread backend).
     links: Vec<Option<Mutex<SendLink>>>,
-    /// Fast poison flag; the authoritative record is `poison`.
-    poisoned: AtomicBool,
-    /// First fatal failure observed (locally or via a `POISON` frame).
-    poison: Mutex<Option<CommError>>,
-    /// Every distinct fault observed, in arrival order (consensus input).
-    faults: Mutex<Vec<CommError>>,
+    /// Faults observed locally or via a `POISON` frame.
+    poison: PoisonState,
     /// Set before an orderly teardown: readers treat subsequent EOFs as
-    /// clean even without a `BYE` (in-process mode closes by dropping).
+    /// clean.
     closing: AtomicBool,
 }
 
 impl SocketEndpoint {
     /// An endpoint for PE `rank` of `size`, with `links[peer]` carrying
     /// the connected stream for each peer (`None` at own rank).
-    pub(crate) fn new(rank: usize, size: usize, links: Vec<Option<UnixStream>>) -> Arc<Self> {
+    fn new(rank: usize, size: usize, links: Vec<Option<UnixStream>>) -> Arc<Self> {
         assert_eq!(links.len(), size, "one link slot per peer");
         Arc::new(SocketEndpoint {
             rank,
@@ -92,33 +83,17 @@ impl SocketEndpoint {
                     })
                 })
                 .collect(),
-            poisoned: AtomicBool::new(false),
-            poison: Mutex::new(None),
-            faults: Mutex::new(Vec::new()),
+            poison: PoisonState::default(),
             closing: AtomicBool::new(false),
         })
     }
 
-    /// Records `err` locally (ledger + first-wins poison slot) and wakes
-    /// the owner thread if it is parked. Does *not* notify peers — used
-    /// for faults that arrived FROM a peer, or that peers will observe on
-    /// their own (an EOF is seen by every process independently).
-    pub(crate) fn poison_local(&self, err: CommError) {
-        {
-            let mut ledger = self.faults.lock();
-            if !ledger.contains(&err) {
-                ledger.push(err.clone());
-            }
-        }
-        {
-            let mut slot = self.poison.lock();
-            if slot.is_none() {
-                *slot = Some(err);
-                // Release pairs with the Acquire load in `poison_error`:
-                // whoever sees the flag also sees the recorded error.
-                self.poisoned.store(true, Ordering::Release);
-            }
-        }
+    /// Records `err` locally and wakes the owner thread if it is parked.
+    /// Does *not* notify peers — used for faults that arrived FROM a
+    /// peer, or that peers will observe on their own (an EOF is seen by
+    /// every endpoint independently).
+    fn poison_local(&self, err: CommError) {
+        self.poison.record(err);
         self.mailbox.notify_all();
     }
 
@@ -131,37 +106,29 @@ impl SocketEndpoint {
         }
     }
 
-    /// Announces an orderly shutdown (`BYE` on every link) and marks the
-    /// endpoint closing, so peers — and this endpoint's own readers —
-    /// treat the following EOFs as clean.
-    pub(crate) fn shutdown_clean(&self) {
-        self.closing.store(true, Ordering::Release);
-        self.broadcast_control(&[control::BYE]);
-        self.shutdown_links();
-    }
-
-    /// Half-closes every link (both directions), unblocking reader
+    /// Shuts every link down (both directions), unblocking reader
     /// threads on this side and delivering EOF to peers.
-    pub(crate) fn shutdown_links(&self) {
+    fn shutdown_links(&self) {
         self.closing.store(true, Ordering::Release);
         for link in self.links.iter().flatten() {
             let _ = link.lock().stream.shutdown(std::net::Shutdown::Both);
         }
     }
+}
 
-    /// This endpoint's fault ledger (arrival order, distinct errors).
-    pub(crate) fn fault_ledger(&self) -> Vec<CommError> {
-        self.faults.lock().clone()
+impl Transport for SocketEndpoint {
+    fn size(&self) -> usize {
+        self.size
     }
 
-    /// Frames `bytes` and writes them on the link to `dst`. A write
-    /// failure (EPIPE / ECONNRESET: the peer's socket is gone) is mapped
-    /// to [`CommError::PeerDead`] and poisons this endpoint; the send
-    /// itself stays infallible, like every transport delivery.
-    fn send_frame(&self, dst: usize, tag: Tag, bytes: &[u8]) {
+    /// Frames `payload` and writes it on the link to `dst`; a self-send
+    /// moves it straight into the local mailbox. A write failure (EPIPE /
+    /// ECONNRESET: the peer's socket is gone) is mapped to
+    /// [`CommError::PeerDead`] and poisons this endpoint; the send itself
+    /// stays infallible, like every transport delivery.
+    fn deliver(&self, dst: usize, tag: Tag, payload: Payload) {
         if dst == self.rank {
-            self.mailbox
-                .push(self.rank, tag, Payload::Bytes(bytes.to_vec()));
+            self.mailbox.push(self.rank, tag, payload);
             return;
         }
         let link = self.links[dst]
@@ -174,39 +141,12 @@ impl SocketEndpoint {
             *counter += 1;
             s
         };
-        if write_frame(&mut link.stream, tag, seq, bytes).is_err() {
+        if write_frame(&mut link.stream, tag, seq, &payload.0).is_err() {
             drop(link);
             self.poison_local(CommError::PeerDead {
                 rank: self.rank,
                 dead: dst,
             });
-        }
-    }
-
-    /// The poison check readers and the blocking path share.
-    fn poison_error_raw(&self) -> Option<CommError> {
-        if !self.poisoned.load(Ordering::Acquire) {
-            return None;
-        }
-        self.poison.lock().clone()
-    }
-}
-
-impl Transport for SocketEndpoint {
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn encoded(&self) -> bool {
-        true
-    }
-
-    fn deliver(&self, dst: usize, tag: Tag, payload: Payload) {
-        match payload {
-            Payload::Bytes(bytes) => self.send_frame(dst, tag, &bytes),
-            // `Comm` packs with `pack_encoded` whenever `encoded()` is
-            // true, so a non-Bytes payload here is a comm-layer bug.
-            _ => unreachable!("socket transport delivers encoded payloads only"),
         }
     }
 
@@ -220,7 +160,7 @@ impl Transport for SocketEndpoint {
 
     fn recv_blocking(&self, src: usize, tag: Tag, deadline: Option<Duration>) -> RecvOutcome {
         self.mailbox
-            .recv_blocking(src, tag, deadline, &|| self.poison_error_raw())
+            .recv_blocking(src, tag, deadline, &|| self.poison.error())
     }
 
     fn poison(&self, err: CommError) {
@@ -231,11 +171,11 @@ impl Transport for SocketEndpoint {
     }
 
     fn poison_error(&self) -> Option<CommError> {
-        self.poison_error_raw()
+        self.poison.error()
     }
 
     fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+        self.poison.is_poisoned()
     }
 }
 
@@ -243,20 +183,15 @@ impl Transport for SocketEndpoint {
 /// (a clone of the link's stream; the writer half stays with the
 /// endpoint). Decodes frames into the endpoint's mailbox, verifies
 /// per-`(src, tag)` seqnos gapless, handles control frames, and maps an
-/// unannounced EOF/reset to [`CommError::PeerDead`].
-pub(crate) fn spawn_reader(
-    endpoint: Arc<SocketEndpoint>,
-    src: usize,
-    stream: UnixStream,
-) -> JoinHandle<()> {
+/// EOF/reset outside teardown to [`CommError::PeerDead`].
+fn spawn_reader(endpoint: Arc<SocketEndpoint>, src: usize, stream: UnixStream) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let mut r = BufReader::new(stream);
         let mut expected: FxHashMap<Tag, u64> = FxHashMap::default();
-        let mut saw_bye = false;
         loop {
             match read_frame(&mut r) {
-                Ok(Some(frame)) if frame.tag == CONTROL_TAG => match frame.payload.first() {
-                    Some(&control::POISON) => {
+                Ok(Some(frame)) if frame.tag == CONTROL_TAG => {
+                    if frame.payload.first() == Some(&control::POISON) {
                         // Propagated fault: record as-is (the receiving
                         // Comm localizes at observation time, exactly like
                         // the thread backend's shared poison slot).
@@ -264,9 +199,7 @@ pub(crate) fn spawn_reader(
                             endpoint.poison_local(err);
                         }
                     }
-                    Some(&control::BYE) => saw_bye = true,
-                    _ => {}
-                },
+                }
                 Ok(Some(frame)) => {
                     let want = expected.entry(frame.tag).or_insert(0);
                     if frame.seq != *want {
@@ -287,13 +220,12 @@ pub(crate) fn spawn_reader(
                     *want += 1;
                     endpoint
                         .mailbox
-                        .push(src, frame.tag, Payload::Bytes(frame.payload));
+                        .push(src, frame.tag, Payload(frame.payload));
                 }
                 Ok(None) | Err(_) => {
-                    // EOF or reset. Clean iff announced (BYE) or we are
-                    // tearing the group down ourselves; anything else is
-                    // an unannounced peer death.
-                    if !saw_bye && !endpoint.closing.load(Ordering::Acquire) {
+                    // EOF or reset. Clean iff we are tearing the group
+                    // down ourselves; anything else is a peer death.
+                    if !endpoint.closing.load(Ordering::Acquire) {
                         endpoint.poison_local(CommError::PeerDead {
                             rank: endpoint.rank,
                             dead: src,
@@ -308,11 +240,10 @@ pub(crate) fn spawn_reader(
 
 /// The in-process socket group: every PE is still a thread (so the SPMD
 /// closures run unchanged and the runner's join/panic protocol applies),
-/// but all of them talk through real kernel socketpairs — each message is
-/// encoded, framed, sequence-checked and decoded exactly as in the
-/// multi-process mode. This is the backend `RunConfig { backend:
-/// BackendKind::Sockets, .. }` selects, and the one the conformance and
-/// cross-backend golden suites drive.
+/// but all of them talk through real kernel socketpairs — each payload is
+/// framed, written, read back and sequence-checked. This is the backend
+/// `RunConfig { backend: BackendKind::Sockets, .. }` selects, and the one
+/// the conformance and cross-backend golden suites drive.
 pub(crate) struct SocketGroup {
     endpoints: Vec<Arc<SocketEndpoint>>,
     readers: Vec<JoinHandle<()>>,
@@ -406,7 +337,7 @@ impl SocketGroup {
     pub(crate) fn fault_ledger(&self) -> Vec<CommError> {
         let mut out: Vec<CommError> = Vec::new();
         for ep in &self.endpoints {
-            for err in ep.fault_ledger() {
+            for err in ep.poison.ledger() {
                 if !out.contains(&err) {
                     out.push(err);
                 }

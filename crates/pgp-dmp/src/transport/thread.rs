@@ -4,8 +4,8 @@
 //! slot array indexed by a hash of the tag, with a small overflow list for
 //! slot collisions. Selective receive is an O(1) bucket lookup instead of
 //! an O(queue) scan, so deep tag backlogs (phase-overlapped exchanges,
-//! pipelined collectives) stay cheap. Payloads move between threads of one
-//! process, so "serialization" is a pointer move.
+//! pipelined collectives) stay cheap. A payload is its `Wire` bytes here
+//! too, so the mailbox holds exactly what a socket link would carry.
 //!
 //! The socket transport reuses the same [`Mailbox`] for its *local* inbox
 //! (reader threads push decoded frames into it), so FIFO-per-`(src, tag)`
@@ -238,10 +238,6 @@ impl ThreadTransport {
 impl Transport for ThreadTransport {
     fn size(&self) -> usize {
         self.universe.size()
-    }
-
-    fn encoded(&self) -> bool {
-        false
     }
 
     fn deliver(&self, dst: usize, tag: Tag, payload: Payload) {

@@ -1,13 +1,11 @@
-//! Byte-level payload codec for the socket transport.
+//! Byte-level payload codec: every message crosses either comm backend as
+//! its encoding, as between MPI processes.
 //!
-//! The thread backend moves payloads as pointers, so it needs no
-//! serialization at all. The socket backend moves payloads across OS
-//! process boundaries, where every message must become bytes. This module
-//! defines that encoding: a small, hand-rolled, schema-free codec (the
-//! workspace vendors no serde) with one non-negotiable property —
-//! **decode(encode(x)) == x, bit for bit, on every implementing type** —
-//! because the cross-backend golden tests assert that a partition computed
-//! over sockets is byte-identical to one computed over the thread mailbox.
+//! This module defines that encoding: a small, hand-rolled, schema-free
+//! codec (the workspace vendors no serde) with one non-negotiable property
+//! — **decode(encode(x)) == x, bit for bit, on every implementing type** —
+//! because a partition must not depend on whether its messages were ever
+//! decoded, and the cross-backend golden tests hold both backends to it.
 //!
 //! Layout rules (all integers little-endian, no alignment, no padding):
 //! * fixed-width integers encode as their LE bytes; `usize` always travels
@@ -16,8 +14,8 @@
 //!   so NaN payloads and signed zeros round-trip exactly;
 //! * sequences (`Vec<T>`, `String`) encode a `u64` element count followed
 //!   by the elements;
-//! * sums (`Option`, `Result`) encode a one-byte discriminant followed by
-//!   the active variant.
+//! * `Option` encodes a one-byte discriminant followed by the value, if
+//!   any.
 //!
 //! Decoding is total: corrupt or truncated input yields a [`WireError`],
 //! never a panic and never an unbounded allocation (sequence decoders
@@ -110,12 +108,9 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// A type that can cross a socket: encodes itself to bytes and decodes
-/// back, with `decode(encode(x)) == x` exactly.
-///
-/// This bound is required of every message payload (the thread backend
-/// ignores it at runtime — payloads move as pointers — but requiring it
-/// uniformly keeps every protocol socket-clean by construction).
+/// A message payload: encodes itself to bytes and decodes back, with
+/// `decode(encode(x)) == x` exactly. Both backends send the encoding, so
+/// the bytes a run counts are the bytes an MPI program would send.
 pub trait Wire: Send + Sized + 'static {
     /// Appends this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -213,6 +208,9 @@ impl Wire for String {
 
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
+        // Every send encodes into a fresh buffer; size it once instead of
+        // regrowing it element by element.
+        out.reserve(8 + self.len() * std::mem::size_of::<T>());
         pgp_graph::ids::count_global(self.len()).encode(out);
         for x in self {
             x.encode(out);
@@ -247,28 +245,6 @@ impl<T: Wire> Wire for Option<T> {
             0 => Ok(None),
             1 => Ok(Some(T::decode(r)?)),
             _ => Err(WireError::Invalid("Option discriminant")),
-        }
-    }
-}
-
-impl<T: Wire, E: Wire> Wire for Result<T, E> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Ok(v) => {
-                out.push(0);
-                v.encode(out);
-            }
-            Err(e) => {
-                out.push(1);
-                e.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(Ok(T::decode(r)?)),
-            1 => Ok(Err(E::decode(r)?)),
-            _ => Err(WireError::Invalid("Result discriminant")),
         }
     }
 }
@@ -326,8 +302,6 @@ mod tests {
         roundtrip(vec!["a".to_string(), String::new(), "ccc".to_string()]);
         roundtrip(Some(vec![9u64]));
         roundtrip(Option::<u64>::None);
-        roundtrip(Ok::<u64, String>(7));
-        roundtrip(Err::<u64, String>("boom".to_string()));
         roundtrip(("pair".to_string(), 10u32));
         roundtrip((1u64, 2usize, vec![3u32]));
         roundtrip((1u8, 2u16, 3u32, 4u64));

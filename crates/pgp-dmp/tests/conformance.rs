@@ -88,7 +88,7 @@ fn selective_receive_by_source(backend: BackendKind) {
 
 fn typed_payload_roundtrip(backend: BackendKind) {
     // The payload inventory every algorithm in the workspace sends:
-    // the two fast-path vector types, tuples, strings, options, floats.
+    // label-update pairs, word vectors, tuples, strings, options, floats.
     let results = run_on(backend, 2, |comm| {
         if comm.rank() == 0 {
             comm.send(1, 1, vec![(3 as Node, 4 as Node), (5, 6)]);

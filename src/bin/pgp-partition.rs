@@ -12,9 +12,9 @@
 //! (DESIGN.md §15): `threads` (default) runs the PEs as OS threads over
 //! in-process mailboxes; `sockets` moves every message through
 //! length-prefixed frames on Unix-domain socketpairs. The partition is
-//! bit-identical either way (the cross-backend golden tests enforce it);
-//! `sockets` exists to exercise the real wire path and is the transport
-//! the multi-process runner uses.
+//! bit-identical either way, and so are the message and byte counts in
+//! the report (the cross-backend golden tests enforce both); `sockets`
+//! exists to exercise the real wire path.
 //!
 //! `report=<file.json>` (or `--report <file.json>`) runs with the
 //! observability recorder enabled and writes the schema-versioned JSON

@@ -2,7 +2,7 @@
 //! instance, at every PE count, a plain run, a recorded run, a traced
 //! run, a run over the socket backend, a checkpointed run, a resume from
 //! the final snapshot and a fault-free supervised run produce the identical
-//! assignment (the two backends also count the same messages and
+//! assignment (the two backends also count the same messages, bytes and
 //! collectives) — and a prepartitioned run is valid and no worse than what
 //! it was given.
 
@@ -75,13 +75,15 @@ fn every_option_yields_the_plain_partition() {
         assert_eq!(
             (
                 sockets.aggregate.messages,
+                sockets.aggregate.bytes,
                 sockets.aggregate.collective_calls
             ),
             (
                 threads.aggregate.messages,
+                threads.aggregate.bytes,
                 threads.aggregate.collective_calls
             ),
-            "p={p}: both transports count the same sends and collectives"
+            "p={p}: both transports count the same sends, bytes and collectives"
         );
         assert_eq!(threads.aggregate.messages == 0, p == 1, "p={p}");
 
