@@ -23,13 +23,15 @@
 use crate::coarsen::{coarsen_borrowed, BorrowedHierarchy};
 use crate::config::ParhipConfig;
 use crate::contract::{parallel_project_blocks, query_owner_values};
-use pgp_dmp::collectives::allgatherv;
+use pgp_dmp::collectives::{allgatherv, allreduce_sum, allreduce_sum_vec};
 use pgp_dmp::{AttemptInfo, Comm, CommError, DistGraph, RecoveryLimits, RunConfig};
 use pgp_evo::{Budget, EvoConfig};
 use pgp_graph::ids;
-use pgp_graph::{lmax, CsrGraph, Node, Partition};
+use pgp_graph::io::{RowSegment, SegmentedGraph};
+use pgp_graph::{lmax, CsrGraph, Node, Partition, Weight};
 use pgp_lp::par::{parallel_sclp_refine_with_scratch, SclpScratch};
 use pgp_obs::RefineMetrics;
+use std::sync::{Mutex, PoisonError};
 
 /// Per-phase timings and structural statistics of one run (as reported by
 /// rank 0; all PEs see the same structure).
@@ -57,6 +59,8 @@ pub struct ParhipStats {
     pub coarsest_m: u64,
     /// Final edge cut.
     pub cut: u64,
+    /// Final imbalance, as [`Partition::imbalance`] defines it.
+    pub imbalance: f64,
 }
 
 /// Shape of one hierarchy level captured in a [`VCycleCheckpoint`].
@@ -249,12 +253,96 @@ impl From<CommError> for PartitionError {
 pub struct Partitioned {
     /// The assembled global partition (identical to what rank 0 holds).
     pub partition: Partition,
-    /// The run's statistics, `cut` filled in.
+    /// The run's statistics, `cut` and `imbalance` filled in.
     pub stats: ParhipStats,
     /// The supervisor's counters (attempts, retries, recoveries, dead
     /// ranks, lost V-cycles); `Some` iff the run was
     /// [`Partitioner::supervised`].
     pub recovery: Option<pgp_obs::RecoveryReport>,
+    /// Why the result fails the closing check — a block above
+    /// `Lmax(eps)`, or what `pgp_check::validate_dist_partition` found —
+    /// or `None` when it passes.
+    pub violation: Option<String>,
+}
+
+/// What [`Partitioner::partition`] partitions: a whole graph, or the same
+/// graph read straight into one row segment per PE. Both feed the same run;
+/// only where a PE's rows come from differs.
+#[derive(Debug)]
+pub enum GraphInput<'g> {
+    /// A global graph, borrowed: every PE copies its rows out of it
+    /// ([`DistGraph::from_global`]).
+    Global(&'g CsrGraph),
+    /// One segment per PE at the first IDs of the run's block distribution
+    /// (`pgp_graph::io::read_metis_file_segments`); every PE takes its own
+    /// ([`DistGraph::from_segment`]) and no global graph exists.
+    Segments(SegmentedGraph),
+}
+
+impl<'g> From<&'g CsrGraph> for GraphInput<'g> {
+    fn from(graph: &'g CsrGraph) -> Self {
+        Self::Global(graph)
+    }
+}
+
+impl From<SegmentedGraph> for GraphInput<'_> {
+    fn from(graph: SegmentedGraph) -> Self {
+        Self::Segments(graph)
+    }
+}
+
+/// Where the PEs of a run get their rows.
+enum Rows<'g> {
+    Global(&'g CsrGraph),
+    /// One slot per PE. A plain run moves the segment out; a supervised run
+    /// copies it, because a re-attempt needs the rows again.
+    Segments {
+        n: u64,
+        slots: Vec<Mutex<Option<RowSegment>>>,
+        keep: bool,
+    },
+}
+
+impl Rows<'_> {
+    /// PE `comm.rank()`'s view of the graph.
+    fn distribute(&self, comm: &Comm) -> DistGraph {
+        match self {
+            Rows::Global(graph) => DistGraph::from_global(comm, graph),
+            Rows::Segments { n, slots, keep } => {
+                let mut slot = slots[comm.rank()]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                let rows = if *keep { slot.clone() } else { slot.take() };
+                drop(slot);
+                let rows = rows.expect("a plain run takes each PE's rows once");
+                DistGraph::from_segment(comm, *n, rows)
+            }
+        }
+    }
+}
+
+/// The closing evaluation of a run on one PE, from the final owned + ghost
+/// blocks.
+struct Closing {
+    cut: u64,
+    block_weights: Vec<Weight>,
+    total_node_weight: Weight,
+    errors: Vec<String>,
+}
+
+/// [`Closing`] for `blocks` on `graph`: one allreduce of the cut, one of
+/// the `k` block weights, then `pgp_check::validate_dist_partition`.
+fn close_run(comm: &Comm, graph: &DistGraph, blocks: &[Node], k: usize) -> Closing {
+    let (cut, block_weights) = cut_and_block_weights(comm, graph, blocks, k);
+    let errors = pgp_check::validate_dist_partition(comm, graph, blocks, k, Some(&block_weights))
+        .err()
+        .unwrap_or_default();
+    Closing {
+        cut,
+        block_weights,
+        total_node_weight: graph.total_node_weight(),
+        errors,
+    }
 }
 
 /// The one way to call the partitioner: a borrowed [`ParhipConfig`] plus
@@ -262,8 +350,9 @@ pub struct Partitioned {
 /// carries the run (backend, watchdog deadline, fault hook, and the `Obs`
 /// registry a report or trace is later read from), a
 /// [`CheckpointStore`] with resume-from-latest, and supervision — and two
-/// verbs: [`partition`](Self::partition) on a global graph,
-/// [`partition_distributed`](Self::partition_distributed) per PE.
+/// verbs: [`partition`](Self::partition) on a global graph or its per-PE
+/// row segments, [`partition_distributed`](Self::partition_distributed)
+/// per PE.
 ///
 /// ```no_run
 /// use parhip::{GraphClass, ParhipConfig, Partitioner};
@@ -357,14 +446,27 @@ impl<'a> Partitioner<'a> {
         self
     }
 
-    /// Partitions `graph` into `cfg.k` blocks on `p` PEs and assembles the
-    /// global result. Outside input is checked here, once: `k ≥ 1`,
-    /// `p ≥ 1`, a finite `ε ≥ 0`, a prepartition that matches `k` and the
-    /// graph, a snapshot to resume from. A structured comm failure comes
-    /// back as [`PartitionError::Comm`] — under supervision only once the
-    /// recovery budget is exhausted.
-    pub fn partition(&self, graph: &CsrGraph, p: usize) -> Result<Partitioned, PartitionError> {
+    /// Partitions `graph` — a `&CsrGraph`, or a [`SegmentedGraph`] read
+    /// with one segment per PE ([`GraphInput`]) — into `cfg.k` blocks on
+    /// `p` PEs and assembles the global result. Outside input is checked
+    /// here, once: `k ≥ 1`, `p ≥ 1`, a finite `ε ≥ 0`, a prepartition that
+    /// matches `k` and the graph, a snapshot to resume from. A structured
+    /// comm failure comes back as [`PartitionError::Comm`] — under
+    /// supervision only once the recovery budget is exhausted.
+    ///
+    /// The cut, the imbalance and the closing check
+    /// ([`Partitioned::violation`]) are computed on the PEs; only the
+    /// assignment is gathered.
+    ///
+    /// # Panics
+    /// Panics if a [`SegmentedGraph`] does not have `p` segments.
+    pub fn partition<'g>(
+        &self,
+        graph: impl Into<GraphInput<'g>>,
+        p: usize,
+    ) -> Result<Partitioned, PartitionError> {
         let cfg = self.cfg;
+        let graph = graph.into();
         if cfg.k == 0 {
             return Err(PartitionError::InvalidK);
         }
@@ -374,9 +476,13 @@ impl<'a> Partitioner<'a> {
         if !(cfg.eps.is_finite() && cfg.eps >= 0.0) {
             return Err(PartitionError::InvalidEps(cfg.eps));
         }
+        let n_global = match &graph {
+            GraphInput::Global(g) => ids::count_global(g.n()),
+            GraphInput::Segments(g) => g.n,
+        };
         if let Some(input) = self.prepartition {
             let (k, n) = (input.k(), input.assignment().len());
-            if k != cfg.k || n != graph.n() {
+            if k != cfg.k || ids::count_global(n) != n_global {
                 return Err(PartitionError::PrepartitionMismatch { k, n });
             }
         }
@@ -387,10 +493,29 @@ impl<'a> Partitioner<'a> {
         let own_store = CheckpointStore::new();
         let store = self.store.or(self.supervised.map(|_| &own_store));
         let started_before = store.map_or(0, CheckpointStore::cycles_started);
+        let rows = match graph {
+            GraphInput::Global(g) => Rows::Global(g),
+            GraphInput::Segments(g) => {
+                assert_eq!(g.segments.len(), p, "one row segment per PE");
+                Rows::Segments {
+                    n: g.n,
+                    slots: g
+                        .segments
+                        .into_iter()
+                        .map(|s| Mutex::new(Some(s)))
+                        .collect(),
+                    keep: self.supervised.is_some(),
+                }
+            }
+        };
         let on_pe = |comm: &Comm, attempt: Option<&AttemptInfo>| {
-            let dg = DistGraph::from_global(comm, graph);
-            let (local, stats) = self.run_on_pe(comm, &dg, store, attempt);
-            (allgatherv(comm, local), stats)
+            let dg = rows.distribute(comm);
+            let (blocks, mut stats) = self.run_on_pe(comm, &dg, store, attempt);
+            let closing = close_run(comm, &dg, &blocks, cfg.k);
+            stats.cut = closing.cut;
+            let local = blocks[..dg.n_local()].to_vec();
+            drop((blocks, dg));
+            (allgatherv(comm, local), stats, closing)
         };
         let (values, recovery) = match self.supervised {
             None => {
@@ -418,13 +543,24 @@ impl<'a> Partitioner<'a> {
                 (values, Some(recovery))
             }
         };
-        let (assignment, mut stats) = values.into_iter().next().expect("p >= 1 was checked");
-        let partition = Partition::from_assignment(graph, cfg.k, assignment);
-        stats.cut = partition.edge_cut(graph);
+        let (assignment, mut stats, closing) =
+            values.into_iter().next().expect("p >= 1 was checked");
+        let total = closing.total_node_weight;
+        let partition = Partition::from_block_weights(cfg.k, assignment, closing.block_weights);
+        stats.imbalance = partition.imbalance_of(total);
+        let violation = if closing.errors.is_empty() {
+            partition
+                .check_balance(total, cfg.eps)
+                .err()
+                .map(|e| e.to_string())
+        } else {
+            Some(closing.errors.join("; "))
+        };
         Ok(Partitioned {
             partition,
             stats,
             recovery,
+            violation,
         })
     }
 
@@ -443,10 +579,13 @@ impl<'a> Partitioner<'a> {
         comm: &Comm,
         graph: &DistGraph,
     ) -> (Vec<Node>, ParhipStats) {
-        self.run_on_pe(comm, graph, self.store, None)
+        let (mut blocks, stats) = self.run_on_pe(comm, graph, self.store, None);
+        blocks.truncate(graph.n_local());
+        (blocks, stats)
     }
 
-    /// One attempt on one PE. `attempt` is `Some` under supervision: a
+    /// One attempt on one PE: the blocks of the owned and ghost nodes, and
+    /// the stats. `attempt` is `Some` under supervision: a
     /// re-attempt resumes from the store's latest *usable* snapshot and
     /// otherwise starts over. That choice is SPMD-uniform — `attempt`
     /// comes from the supervisor (identical on every PE) and the store is
@@ -505,7 +644,9 @@ pub fn parhip_distributed(
     graph: &DistGraph,
     cfg: &ParhipConfig,
 ) -> (Vec<Node>, ParhipStats) {
-    parhip_cycles(comm, graph, cfg, None, 0, None)
+    let (mut blocks, stats) = parhip_cycles(comm, graph, cfg, None, 0, None);
+    blocks.truncate(graph.n_local());
+    (blocks, stats)
 }
 
 /// Replays cycles `checkpoint.cycle + 1` onward from `checkpoint` after
@@ -550,7 +691,8 @@ fn resume_cycles(
 
 /// The shared V-cycle engine: runs cycles `start_cycle..cfg.vcycles` from
 /// an optional carried-in assignment, optionally checkpointing each cycle
-/// boundary into `store`. Both verbs funnel here.
+/// boundary into `store`, and returns the blocks of the owned and ghost
+/// nodes. Both verbs funnel here.
 fn parhip_cycles(
     comm: &Comm,
     graph: &DistGraph,
@@ -751,14 +893,32 @@ fn parhip_cycles(
         stats.uncoarsening_s = rec.phase_seconds("uncoarsen");
     }
 
-    let final_blocks = blocks.expect("at least one cycle ran");
-    (final_blocks[..graph.n_local()].to_vec(), stats)
+    (blocks.expect("at least one cycle ran"), stats)
 }
 
-/// Global edge cut and imbalance of `blocks` (owned + ghost) on `graph`:
-/// one scalar allreduce for the directed cut, one vector allreduce for the
-/// block weights. Only called while observation is enabled.
+/// Global edge cut and imbalance of `blocks` (owned + ghost) on `graph`,
+/// from [`cut_and_block_weights`]. Only called while observation is
+/// enabled.
 fn observed_quality(comm: &Comm, graph: &DistGraph, blocks: &[Node], k: usize) -> (u64, f64) {
+    let (cut, weights) = cut_and_block_weights(comm, graph, blocks, k);
+    let total: u64 = weights.iter().sum();
+    let max_w = weights.iter().copied().max().unwrap_or(0);
+    let target = total.div_ceil(ids::count_global(k)).max(1);
+    // Integer weights in, deterministic f64 out — safe to compare across
+    // runs byte-for-byte (the golden-report tests rely on this).
+    let imbalance = max_w as f64 / target as f64 - 1.0; // lint:cast-ok: exact small integers
+    (cut, imbalance)
+}
+
+/// Global edge cut and block weights of `blocks` (owned + ghost) on
+/// `graph`: one scalar allreduce for the directed cut, one vector
+/// allreduce for the block weights.
+fn cut_and_block_weights(
+    comm: &Comm,
+    graph: &DistGraph,
+    blocks: &[Node],
+    k: usize,
+) -> (u64, Vec<Weight>) {
     let mut cut2 = 0u64;
     for l in 0..graph.n_local() {
         let v = ids::node_of_index(l);
@@ -769,20 +929,13 @@ fn observed_quality(comm: &Comm, graph: &DistGraph, blocks: &[Node], k: usize) -
             }
         }
     }
-    let cut = pgp_dmp::collectives::allreduce_sum(comm, cut2) / 2;
+    let cut = allreduce_sum(comm, cut2) / 2;
     let mut weights = vec![0u64; k];
     for l in 0..graph.n_local() {
         let v = ids::node_of_index(l);
         weights[ids::node_index(blocks[l])] += graph.node_weight(v);
     }
-    let weights = pgp_dmp::collectives::allreduce_sum_vec(comm, weights);
-    let total: u64 = weights.iter().sum();
-    let max_w = weights.iter().copied().max().unwrap_or(0);
-    let target = total.div_ceil(ids::count_global(k)).max(1);
-    // Integer weights in, deterministic f64 out — safe to compare across
-    // runs byte-for-byte (the golden-report tests rely on this).
-    let imbalance = max_w as f64 / target as f64 - 1.0; // lint:cast-ok: exact small integers
-    (cut, imbalance)
+    (cut, allreduce_sum_vec(comm, weights))
 }
 
 /// Projects the current fine blocks (owned part) down the hierarchy to the

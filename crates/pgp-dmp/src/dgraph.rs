@@ -10,6 +10,7 @@
 use crate::collectives::{allgatherv, allreduce_sum_vec, alltoallv};
 use crate::comm::Comm;
 use pgp_graph::ids;
+use pgp_graph::io::RowSegment;
 use pgp_graph::{CsrGraph, Node, Weight, INVALID_NODE};
 use rustc_hash::FxHashMap;
 
@@ -149,6 +150,42 @@ pub struct DistGraph {
     degree_fingerprint: u64,
 }
 
+/// The weights of `ghosts` (global IDs), asked of their owners: one
+/// query / answer pair of `alltoallv`s, each PE answering from `owned`,
+/// its owned node weights. Ghosts are asked in ascending ID order; a block
+/// distribution's owner is monotone in the ID, so the answers concatenated
+/// by PE come back in exactly that order.
+fn fetch_ghost_weights(
+    comm: &Comm,
+    dist: BlockDist,
+    ghosts: &[Node],
+    owned: &[Weight],
+) -> Vec<Weight> {
+    let first = dist.first(comm.rank());
+    let mut order: Vec<usize> = (0..ghosts.len()).collect();
+    order.sort_unstable_by_key(|&i| ghosts[i]);
+    let mut queries: Vec<Vec<Node>> = vec![Vec::new(); comm.size()];
+    for &i in &order {
+        queries[dist.owner(ghosts[i])].push(ghosts[i]);
+    }
+    let answers: Vec<Vec<Weight>> = alltoallv(comm, queries)
+        .into_iter()
+        .map(|q| {
+            q.into_iter()
+                .map(|g| owned[ids::global_index(ids::node_global(g) - first)])
+                .collect()
+        })
+        .collect();
+    let mut weights = vec![0; ghosts.len()];
+    for (&i, w) in order
+        .iter()
+        .zip(alltoallv(comm, answers).into_iter().flatten())
+    {
+        weights[i] = w;
+    }
+    weights
+}
+
 impl DistGraph {
     /// Builds PE `comm.rank()`'s local view from a globally shared graph.
     ///
@@ -224,34 +261,46 @@ impl DistGraph {
             adjncy,
             adjwgt,
             owned_weights,
-            |ghosts, owned| {
-                // Ask every ghost's owner for its weight, ghosts in ascending
-                // ID order. A block distribution's owner is monotone in the
-                // ID, so the replies concatenated by PE come back in exactly
-                // that order.
-                let mut order: Vec<usize> = (0..ghosts.len()).collect();
-                order.sort_unstable_by_key(|&i| ghosts[i]);
-                let mut queries: Vec<Vec<Node>> = vec![Vec::new(); comm.size()];
-                for &i in &order {
-                    queries[dist.owner(ghosts[i])].push(ghosts[i]);
-                }
-                let answers: Vec<Vec<Weight>> = alltoallv(comm, queries)
-                    .into_iter()
-                    .map(|q| {
-                        q.into_iter()
-                            .map(|g| owned[ids::global_index(ids::node_global(g) - first)])
-                            .collect()
-                    })
-                    .collect();
-                let mut weights = vec![0; ghosts.len()];
-                for (&i, w) in order
-                    .iter()
-                    .zip(alltoallv(comm, answers).into_iter().flatten())
-                {
-                    weights[i] = w;
-                }
-                weights
-            },
+            |ghosts, owned| fetch_ghost_weights(comm, dist, ghosts, owned),
+        )
+    }
+
+    /// Fully distributed construction from this PE's own rows, global IDs
+    /// — its segment of a file read by
+    /// `pgp_graph::io::read_metis_file_segments` at the first IDs of
+    /// `BlockDist::new(n_global, comm.size())`. The segment's arrays become
+    /// the view's, rewritten in place, so assembly copies no arc; ghost
+    /// node weights are fetched from their owners as in
+    /// [`DistGraph::from_arcs`].
+    ///
+    /// # Panics
+    /// Panics if the segment does not hold exactly the rows this PE owns.
+    pub fn from_segment(comm: &Comm, n_global: u64, rows: RowSegment) -> Self {
+        let dist = BlockDist::new(n_global, comm.size());
+        let rank = comm.rank();
+        assert!(
+            rows.first == dist.first(rank) && rows.rows() == dist.count(rank),
+            "PE {rank} owns rows {}..{}, was handed {} from {}",
+            dist.first(rank),
+            dist.last_excl(rank),
+            rows.rows(),
+            rows.first
+        );
+        let RowSegment {
+            xadj,
+            adjncy,
+            adjwgt,
+            node_weight,
+            ..
+        } = rows;
+        Self::from_rows(
+            comm,
+            dist,
+            xadj,
+            adjncy,
+            adjwgt,
+            node_weight,
+            |ghosts, owned| fetch_ghost_weights(comm, dist, ghosts, owned),
         )
     }
 

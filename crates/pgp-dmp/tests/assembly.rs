@@ -1,11 +1,16 @@
-//! The two `DistGraph` constructors end in one row-wise assembly core:
+//! The three `DistGraph` constructors end in one row-wise assembly core:
 //! given the same rows they must build the same graph, and that graph must
 //! pass the distributed validator.
 
 use pgp_check::validate_dist_graph;
+use pgp_dmp::dgraph::BlockDist;
 use pgp_dmp::{run, DistGraph};
-use pgp_gen::{sbm, webgraph};
+use pgp_gen::{delaunay, sbm, webgraph};
+use pgp_graph::io::{read_metis, read_metis_file_segments, read_metis_segments, write_metis};
+use pgp_graph::io::{RowSegment, SegmentedGraph};
 use pgp_graph::{CsrGraph, Node, Weight};
+use std::io::Read;
+use std::sync::Mutex;
 
 /// Everything observable about one PE's view.
 #[derive(Debug, PartialEq)]
@@ -130,4 +135,108 @@ fn unsorted_rows_are_sorted_per_row() {
             assert_eq!(view(&a), view(&b), "p={p}, PE {}", comm.rank());
         });
     }
+}
+
+/// A reader that hands out at most three bytes per call: the parser's
+/// buffer never holds more than the line it is on, so every row straddles
+/// a refill and is carried to the front of the buffer at least once.
+struct Trickle<'a>(&'a [u8]);
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let k = self.0.len().min(out.len()).min(3);
+        out[..k].copy_from_slice(&self.0[..k]);
+        self.0 = &self.0[k..];
+        Ok(k)
+    }
+}
+
+/// The first IDs of a `p`-PE block distribution of `n` nodes.
+fn block_starts(n: u64, p: usize) -> Vec<u64> {
+    let dist = BlockDist::new(n, p);
+    (0..p).map(|r| dist.first(r)).collect()
+}
+
+/// Every PE of a `p`-PE group builds its view from its own streamed
+/// segment of `graph` and from `from_global`: the two views are equal,
+/// ghost tables and heap bytes included.
+fn streamed_rows_agree(graph: &CsrGraph, streamed: SegmentedGraph, p: usize, what: &str) {
+    assert_eq!(streamed.segments.len(), p);
+    let n = streamed.n;
+    let slots: Vec<Mutex<Option<RowSegment>>> = streamed
+        .segments
+        .into_iter()
+        .map(|s| Mutex::new(Some(s)))
+        .collect();
+    run(p, |comm| {
+        let a = DistGraph::from_global(comm, graph);
+        let mut slot = slots[comm.rank()]
+            .lock()
+            .expect("no PE panicked holding a slot");
+        let rows = slot.take().expect("each PE takes its segment once");
+        drop(slot);
+        let b = DistGraph::from_segment(comm, n, rows);
+        validate_dist_graph(comm, &b).unwrap_or_else(|e| panic!("{what}, p={p}: {e:?}"));
+        let pe = comm.rank();
+        assert_eq!(view(&a), view(&b), "{what}, p={p}, PE {pe}");
+        assert_eq!(a.ghost_owners(), b.ghost_owners(), "{what}, p={p}, PE {pe}");
+        assert_eq!(a.ghost_map(), b.ghost_map(), "{what}, p={p}, PE {pe}");
+        assert_eq!(a.heap_bytes(), b.heap_bytes(), "{what}, p={p}, PE {pe}");
+    });
+}
+
+/// Comments between rows, unsorted / repeated / self-loop neighbours,
+/// `fmt 011` weights, CR/LF line ends and a node without neighbours.
+const HAND_WRITTEN: &str = "% made by hand\r\n\r\n6 4 011\r\n\
+    % row 1 follows\r\n\
+    2 2 1 4 1 2 2 1 5\r\n\
+    1 4 2 1 3\r\n\
+    % nothing but a comment\r\n\
+    7 5 9\r\n\
+    1 2 2 1 1\r\n\
+    3 5 4 3 9\r\n\
+    4\r\n\
+    % trailing\r\n";
+
+/// Blank rows, a comment among them, blank lines after the last row.
+const BLANK_ROWS: &str = "6 1\n\n3\n% c\n2\n\n\n\n \n\n";
+
+#[test]
+fn streamed_segments_build_the_from_global_graph() {
+    let web = webgraph::web_graph(
+        1 << 9,
+        webgraph::WebGraphParams {
+            intra_degree: 12.0,
+            inter_degree: 4.0,
+            ..Default::default()
+        },
+        7,
+    )
+    .0;
+    assert!(web.has_arc_weights(), "the web instance must be weighted");
+    let sbm = sbm::sbm(1 << 9, sbm::SbmParams::default(), 7).0;
+    let mesh = delaunay::delaunay_x(9, 7);
+    let mut files: Vec<(&str, Vec<u8>)> = vec![
+        ("hand-written", HAND_WRITTEN.into()),
+        ("blank-rows", BLANK_ROWS.into()),
+    ];
+    for (what, graph) in [("web", &web), ("sbm", &sbm), ("delaunay", &mesh)] {
+        let mut text = Vec::new();
+        write_metis(graph, &mut text).unwrap();
+        files.push((what, text));
+    }
+    let dir = std::env::temp_dir().join(format!("pgp-assembly-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (what, text) in &files {
+        let graph = read_metis(&text[..]).unwrap();
+        let path = dir.join(format!("{what}.metis"));
+        std::fs::write(&path, text).unwrap();
+        for p in [1, 2, 3, 4, 8] {
+            let trickled = read_metis_segments(Trickle(text), |n| block_starts(n, p)).unwrap();
+            streamed_rows_agree(&graph, trickled, p, what);
+            let from_file = read_metis_file_segments(&path, |n| block_starts(n, p)).unwrap();
+            streamed_rows_agree(&graph, from_file, p, what);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -83,6 +83,25 @@ impl Partition {
         }
     }
 
+    /// Builds a partition from an assignment vector and its block weights,
+    /// computed by the caller — summed over PEs by a distributed run, which
+    /// holds no global graph to compute them from.
+    ///
+    /// # Panics
+    /// Panics if `block_weights` does not have `k` entries.
+    pub fn from_block_weights(
+        k: usize,
+        assignment: Vec<BlockId>,
+        block_weights: Vec<Weight>,
+    ) -> Self {
+        assert_eq!(block_weights.len(), k, "one weight per block");
+        Self {
+            k,
+            assignment,
+            block_weights,
+        }
+    }
+
     /// The all-in-one-block partition (k may still be > 1; blocks other than
     /// 0 are empty).
     pub fn trivial(graph: &CsrGraph, k: usize) -> Self {
@@ -144,7 +163,12 @@ impl Partition {
 
     /// Imbalance `max_b c(V_b) / (c(V)/k) − 1` (0 means perfectly balanced).
     pub fn imbalance(&self, graph: &CsrGraph) -> f64 {
-        let total = graph.total_node_weight();
+        self.imbalance_of(graph.total_node_weight())
+    }
+
+    /// [`Partition::imbalance`] of a graph whose node weights sum to
+    /// `total`.
+    pub fn imbalance_of(&self, total: Weight) -> f64 {
         if total == 0 {
             return 0.0;
         }
@@ -205,7 +229,13 @@ impl Partition {
                 return Err(PartitionError::BlockOutOfRange { node: v, block: b });
             }
         }
-        let l = lmax(graph.total_node_weight(), self.k, eps);
+        self.check_balance(graph.total_node_weight(), eps)
+    }
+
+    /// The balance half of [`Partition::validate`]: every block within
+    /// `Lmax(eps)` of a graph whose node weights sum to `total`.
+    pub fn check_balance(&self, total: Weight, eps: f64) -> Result<(), PartitionError> {
+        let l = lmax(total, self.k, eps);
         for (b, &w) in self.block_weights.iter().enumerate() {
             if w > l {
                 return Err(PartitionError::Overloaded {

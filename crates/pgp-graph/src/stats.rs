@@ -40,7 +40,7 @@ impl GraphStats {
             m: graph.m(),
             avg_degree: avg,
             max_degree: max,
-            degree_skew: if avg > 0.0 { max as f64 / avg } else { 0.0 },
+            degree_skew: degree_skew(n, graph.num_arcs(), max),
             low_degree_fraction: low,
             clustering_coefficient: sampled_clustering_coefficient(graph, samples),
         }
@@ -48,8 +48,25 @@ impl GraphStats {
 
     /// Heuristic Table-I-style classification: heavy skew ⇒ social/web.
     pub fn looks_like_complex_network(&self) -> bool {
-        self.degree_skew > 5.0
+        skew_looks_like_complex_network(self.degree_skew)
     }
+}
+
+/// Degree skew `max / avg` of a graph with `n` nodes, `arcs` stored arcs
+/// and largest degree `max_degree` (0 without arcs): what
+/// [`GraphStats::compute`] reports, from the degree sequence alone.
+pub fn degree_skew(n: usize, arcs: usize, max_degree: usize) -> f64 {
+    let avg = if n == 0 { 0.0 } else { arcs as f64 / n as f64 };
+    if avg > 0.0 {
+        max_degree as f64 / avg
+    } else {
+        0.0
+    }
+}
+
+/// [`GraphStats::looks_like_complex_network`] for a degree skew.
+pub fn skew_looks_like_complex_network(skew: f64) -> bool {
+    skew > 5.0
 }
 
 /// Degree histogram as `(degree, count)` pairs, ascending, skipping zero

@@ -24,20 +24,35 @@ fn run_cli(tag: &str, extra: &[&str]) -> (Option<i32>, String) {
 
 /// Runs the built CLI on a graph file holding `text`.
 fn run_cli_on(tag: &str, text: &str, extra: &[&str]) -> (Option<i32>, String) {
+    let (code, stderr, _) = run_cli_written(tag, text.as_bytes(), extra);
+    (code, stderr)
+}
+
+/// [`run_cli_on`], plus the partition file the run wrote (empty if none).
+fn run_cli_written(tag: &str, text: &[u8], extra: &[&str]) -> (Option<i32>, String, String) {
     let dir = temp_dir(tag);
     let graph = dir.join("graph.metis");
+    let part = dir.join("out.part");
     std::fs::write(&graph, text).expect("write graph");
     let out = Command::new(env!("CARGO_BIN_EXE_pgp-partition"))
         .arg(&graph)
         .args(extra)
-        .arg(format!("output={}", dir.join("out.part").display()))
+        .arg(format!("output={}", part.display()))
         .output()
         .expect("spawn pgp-partition");
+    let written = std::fs::read_to_string(&part).unwrap_or_default();
     let _ = std::fs::remove_dir_all(&dir);
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
+        written,
     )
+}
+
+/// The `cut = <c>` the closing stderr line reports.
+fn reported_cut(stderr: &str) -> Option<u64> {
+    let rest = stderr.split("cut = ").nth(1)?;
+    rest.split(',').next()?.parse().ok()
 }
 
 #[test]
@@ -188,4 +203,95 @@ fn hostile_graph_files_exit_1_naming_the_line() {
             "{tag} panicked or aborted:\n{stderr}"
         );
     }
+}
+
+#[test]
+fn the_graph_file_is_not_held_in_memory() {
+    // A six-node graph behind a 64 MiB comment: a reader that holds the
+    // file peaks above 64 MiB, one that streams it stays far below.
+    let mut text = vec![b'%'; 64 << 20];
+    text.push(b'\n');
+    text.extend_from_slice(TWO_TRIANGLES.as_bytes());
+    let (code, stderr, written) = run_cli_written("comment-prefix", &text, &["k=2", "p=2"]);
+    drop(text);
+    assert_eq!(code, Some(0), "stderr:\n{stderr}");
+    assert_eq!(written.lines().count(), 6);
+    let last = stderr.lines().last().unwrap_or_default();
+    let mib: f64 = last
+        .rsplit("peak RSS ")
+        .next()
+        .and_then(|r| r.strip_suffix(" MiB"))
+        .and_then(|x| x.parse().ok())
+        .unwrap_or_else(|| panic!("no peak RSS on the closing line: {last}"));
+    assert!(
+        mib < 32.0,
+        "peak RSS {mib} MiB for a 64 MiB comment:\n{stderr}"
+    );
+}
+
+#[test]
+fn hostile_but_valid_graphs_exit_0_with_a_full_partition() {
+    const PATH3: &str = "3 2\n2\n1 3\n2\n";
+    let isolated = format!("100 0\n{}", "\n".repeat(100));
+    let cases: [(&str, &str, &[&str]); 4] = [
+        ("empty", "0 0\n", &["k=2", "p=2"]),
+        ("p-above-n", PATH3, &["k=2", "p=8"]),
+        ("k-above-n", PATH3, &["k=5", "p=2"]),
+        ("isolated-p3", &isolated, &["k=2", "p=3"]),
+    ];
+    for (tag, text, args) in cases {
+        let n: usize = text.split_whitespace().next().unwrap().parse().unwrap();
+        let (code, stderr, written) = run_cli_written(tag, text.as_bytes(), args);
+        assert_eq!(code, Some(0), "{tag} must exit 0, stderr:\n{stderr}");
+        assert!(!stderr.contains("panicked at"), "{tag} panicked:\n{stderr}");
+        assert_eq!(written.lines().count(), n, "{tag}: one line per node");
+    }
+
+    // A supervised run reads the same rows and writes the same partition.
+    let grid = grid_graph(12);
+    let plain = run_cli_written("plain", grid.as_bytes(), &["k=4", "p=3"]);
+    let recover = run_cli_written("recover", grid.as_bytes(), &["k=4", "p=3", "--recover"]);
+    for (code, stderr, written) in [&plain, &recover] {
+        assert_eq!(*code, Some(0), "stderr:\n{stderr}");
+        assert!(!stderr.contains("panicked at"), "panicked:\n{stderr}");
+        assert_eq!(written.lines().count(), 144);
+    }
+    assert_eq!(plain.2, recover.2, "--recover changed the partition");
+    assert_eq!(reported_cut(&plain.1), reported_cut(&recover.1));
+    assert!(reported_cut(&plain.1).is_some(), "no cut in:\n{}", plain.1);
+}
+
+/// A `side × side` grid graph as a METIS file.
+fn grid_graph(side: usize) -> String {
+    let mut rows = Vec::new();
+    for i in 0..side {
+        for j in 0..side {
+            let v = i * side + j + 1;
+            let mut row = Vec::new();
+            if i > 0 {
+                row.push(v - side);
+            }
+            if j > 0 {
+                row.push(v - 1);
+            }
+            if j + 1 < side {
+                row.push(v + 1);
+            }
+            if i + 1 < side {
+                row.push(v + side);
+            }
+            rows.push(
+                row.iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join(" "),
+            );
+        }
+    }
+    format!(
+        "{} {}\n{}\n",
+        side * side,
+        2 * side * (side - 1),
+        rows.join("\n")
+    )
 }
