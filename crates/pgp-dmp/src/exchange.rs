@@ -143,7 +143,7 @@ impl LabelExchange {
         for (i, &pe) in graph.adjacent_pes().iter().enumerate() {
             let buf = std::mem::take(&mut self.buffers[i]);
             // Explicit payload type: the `tags::GHOST_LABELS` protocol
-            // contract `cargo xtask analyze` checks against the recv side.
+            // contract `unpack` checks on the recv side.
             comm.send::<Vec<(Node, Node)>>(ids::pe_index(pe), tag, buf);
         }
     }

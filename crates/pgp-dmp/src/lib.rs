@@ -17,7 +17,7 @@
 //!   ranges, ghost nodes, global↔local ID maps, per-adjacent-PE buffers.
 //! * [`exchange`] — the phase-overlapped ghost-label exchange of §IV-A.
 //! * [`tags`] — the tag-protocol constants (every named tag offset and its
-//!   payload type; the ground truth for `cargo xtask analyze`).
+//!   payload type; the names the runtime type-mismatch panic reports).
 //! * [`transport`] — the pluggable comm backends (DESIGN.md §15): thread
 //!   mailboxes and Unix-domain socket frames.
 //! * [`wire`] — the byte codec every message payload implements; a

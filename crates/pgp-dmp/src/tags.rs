@@ -14,12 +14,12 @@
 //!   higher-level endpoints (ghost exchange, rumor spreading). They must
 //!   stay below `1 << 8` so they can never alias a collective op code.
 //!
-//! Each constant documents the *payload type* that travels on its tags —
-//! that contract is machine-checked: `cargo xtask analyze` (the
-//! `pgp-analyze` crate) resolves these constants in every `send`/`recv`
-//! call site and cross-checks the payload types, and the runtime `unpack`
-//! mismatch panic names the same constants via [`describe`], so static and
-//! dynamic diagnostics agree.
+//! Each constant documents the *payload type* that travels on its tags.
+//! That contract is checked on every message: each payload carries its
+//! type name, and the runtime `unpack` mismatch panic names the expected
+//! and actual types together with the offset constant via [`describe`].
+//! The layout itself (user offsets below the op range, distinct op codes)
+//! is pinned by this module's unit tests.
 //!
 //! [`Comm::fresh_tag_block`]: crate::comm::Comm::fresh_tag_block
 
@@ -28,8 +28,7 @@ use crate::comm::Tag;
 /// Tags below this bound are free for ad-hoc user messages (tests use
 /// small literals). Tag *blocks* handed out by
 /// [`crate::comm::Comm::fresh_tag_block`] start here; a user-level literal
-/// at or above this bound would collide with a collective block
-/// (`pgp-analyze` rule `protocol-collective-collision`).
+/// at or above this bound would collide with a collective block.
 pub const COLLECTIVE_TAG_BASE: Tag = 1 << 48;
 
 /// Width of one tag block from
@@ -109,9 +108,8 @@ fn offset_name(offset: Tag) -> Option<&'static str> {
 
 /// Renders `tag` for diagnostics: the raw value plus, when the tag belongs
 /// to a [`crate::comm::Comm::fresh_tag_block`] block, the block number and
-/// the symbolic offset constant. Used by the `unpack` mismatch panic so
-/// runtime errors and `cargo xtask analyze` findings name the same
-/// constants.
+/// the symbolic offset constant. Used by the `unpack` mismatch panic so a
+/// protocol bug names its protocol entry.
 ///
 /// ```
 /// use pgp_dmp::tags;
@@ -144,8 +142,12 @@ mod tests {
 
     #[test]
     fn user_offsets_stay_below_the_op_range() {
-        for off in [GHOST_LABELS, RUMOR] {
+        let user = [GHOST_LABELS, RUMOR];
+        for (i, &off) in user.iter().enumerate() {
             assert!(off < 1 << 8, "user offset {off:#x} aliases an op code");
+            for &other in &user[i + 1..] {
+                assert_ne!(off, other, "two user endpoints share offset {off:#x}");
+            }
         }
     }
 

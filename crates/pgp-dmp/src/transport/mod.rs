@@ -107,8 +107,7 @@ pub(crate) fn pack<T: Wire>(msg: &T) -> Payload {
 pub(crate) fn unpack<T: Wire>(payload: Payload, src: usize, tag: Tag) -> T {
     fn mismatch<T>(src: usize, tag: Tag, actual: &str) -> ! {
         // `tags::describe` names the offset constant (OP_BCAST,
-        // GHOST_LABELS, ...) so the runtime panic and the static
-        // `cargo xtask analyze` finding point at the same protocol entry.
+        // GHOST_LABELS, ...) so the panic points at the protocol entry.
         panic!(
             "type mismatch on {} from {src}: expected {}, got {actual}",
             crate::tags::describe(tag),

@@ -8,7 +8,8 @@
 //!
 //! The suite is the gate for adding a transport: a backend that passes
 //! it supports typed selective receive, per-(src, tag) FIFO, every
-//! collective, the poison protocol (timeout + peer death), chaos fault
+//! collective, the poison protocol (timeout + peer death, including a
+//! collective one rank skipped), chaos fault
 //! injection, supervised recovery, and exact send/receive conservation
 //! in the observation layer.
 
@@ -240,6 +241,29 @@ fn timeout_is_structural(backend: BackendKind) {
     );
 }
 
+fn collective_under_a_rank_guard_fails_structurally(backend: BackendKind) {
+    // SPMD divergence: rank 1 skips a barrier the others enter, so every
+    // later collective's tag block is off by one on rank 1. No rank can
+    // complete; each must unwind with a Timeout instead of hanging.
+    let cfg = RunConfig {
+        backend,
+        deadline: Some(Duration::from_millis(80)),
+        ..RunConfig::default()
+    };
+    let results = run_config(3, cfg, |comm| {
+        if comm.rank() != 1 {
+            barrier(comm);
+        }
+        allreduce_sum(comm, 1u64)
+    });
+    assert!(
+        results
+            .iter()
+            .all(|r| matches!(r, Err(CommError::Timeout { .. }))),
+        "every rank must time out, got {results:?}"
+    );
+}
+
 /// Drops one specific (src, dst, tag) message (chaos conformance).
 struct DropOne {
     src: usize,
@@ -467,6 +491,7 @@ for_each_backend!(
     drain_groups_by_source,
     collectives_agree,
     timeout_is_structural,
+    collective_under_a_rank_guard_fails_structurally,
     chaos_drop_times_out,
     chaos_delay_preserves_fifo,
     chaos_kill_poisons_group,

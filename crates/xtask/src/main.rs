@@ -19,11 +19,13 @@
 //!    arithmetic in one audited place.
 //! 4. **lints-opt-in** — every workspace crate manifest must contain
 //!    `[lints] workspace = true` so the workspace lint gate applies.
-//! 5. **mailbox-internals** — the bucketed-mailbox types (`MailboxInner`,
-//!    `SrcState`, `TagQueue`, `Payload`) may only be named in
-//!    `crates/pgp-dmp/src/comm.rs`. The single-consumer invariant that
-//!    makes `notify_one` and the per-(src, tag) FIFO guarantee sound is
-//!    local to that file; code elsewhere must stay behind the `Comm` API.
+//! 5. **mailbox-internals** — the transport vocabulary (mailbox machinery,
+//!    socket endpoint / group / link, the frame codec, raw OS stream types)
+//!    may only be named in `crates/pgp-dmp/src/comm.rs` and the transport
+//!    modules. The single-consumer invariant that makes `notify_one` and
+//!    the per-(src, tag) FIFO guarantee sound is local to those files, and
+//!    the two backends are interchangeable only while nothing else can tell
+//!    them apart; code elsewhere must stay behind the `Comm` API.
 //! 6. **chaos-hooks** — the fault-injection seam (`FaultHook`, `SendFault`)
 //!    may only be named in the comm layer (`comm.rs`, `runner.rs`, the
 //!    `pgp-dmp` re-export) and the `pgp-chaos` crate (ISSUE 3). Algorithm
@@ -41,17 +43,19 @@
 //!    recorder/epoch sites inside `pgp-obs` itself (ISSUE 5 trace
 //!    timestamps) are the sanctioned exceptions, marked
 //!    `// lint:instant-ok: <reason>`.
+//! 8. **std-hash** — `std` `HashMap` / `HashSet` are forbidden in the
+//!    determinism-critical crates
+//!    (`crates/{core,pgp-lp,pgp-dmp,pgp-obs,pgp-graph,pgp-seq}/src`): their
+//!    per-process random seed makes iteration order (and any float sum fed
+//!    by it) differ between runs, which breaks the bit-identical partitions
+//!    promised across runs, backends and resume. Use `FxHashMap`, a
+//!    `BTreeMap` or a sorted `Vec`; the rule has no escape.
 //!
 //! The scanner is line-based with comment/string stripping and skips
 //! `#[cfg(test)]` modules (test code may take shortcuts).
 //!
 //! `cargo xtask validate-trace <trace.json>` runs the Perfetto structural
 //! validator over an exported trace.
-//!
-//! `cargo xtask analyze [--json <path>]` runs the pgp-analyze static
-//! analyzer (message-protocol conformance, SPMD divergence, determinism
-//! hazards — DESIGN.md §12) over the workspace and exits nonzero on any
-//! unsuppressed finding.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -88,18 +92,45 @@ const CSR_OWNER_FILES: &[&str] = &[
 /// CSR array names whose direct indexing is restricted (rule 3).
 const CSR_ARRAYS: &[&str] = &["xadj[", "adjncy[", "adjwgt["];
 
-/// The only files allowed to name the mailbox-internal types (rule 5):
-/// the Comm facade plus the transport backends behind it (DESIGN.md §15).
+/// The only files allowed to name the transport internals (rule 5): the
+/// Comm facade plus the transport backends and frame codec behind it
+/// (DESIGN.md §15).
 const MAILBOX_OWNER_FILES: &[&str] = &[
     "crates/pgp-dmp/src/comm.rs",
     "crates/pgp-dmp/src/transport/mod.rs",
     "crates/pgp-dmp/src/transport/thread.rs",
     "crates/pgp-dmp/src/transport/socket.rs",
+    "crates/pgp-dmp/src/transport/frame.rs",
 ];
 
-/// Mailbox-internal type names restricted to [`MAILBOX_OWNER_FILES`]
+/// Transport-internal names restricted to [`MAILBOX_OWNER_FILES`]
 /// (rule 5).
-const MAILBOX_INTERNALS: &[&str] = &["MailboxInner", "SrcState", "TagQueue", "Payload"];
+const MAILBOX_INTERNALS: &[&str] = &[
+    // Thread-backend mailboxes and the payload envelope.
+    "Mailbox",
+    "MailboxInner",
+    "SrcState",
+    "TagQueue",
+    "Payload",
+    "RecvOutcome",
+    "ThreadTransport",
+    // Socket backend.
+    "SocketEndpoint",
+    "SocketGroup",
+    "SendLink",
+    "spawn_reader",
+    // Frame codec.
+    "Frame",
+    "read_frame",
+    "write_frame",
+    "HEADER_BYTES",
+    "CONTROL_TAG",
+    // Raw OS streams.
+    "UnixStream",
+    "UnixListener",
+    "TcpStream",
+    "TcpListener",
+];
 
 /// Files allowed to name the fault-injection seam (rule 6).
 const CHAOS_HOOK_FILES: &[&str] = &[
@@ -126,83 +157,36 @@ const INSTANT_RESTRICTED_PREFIXES: &[&str] = &[
     "crates/pgp-obs/src/",
 ];
 
+/// Determinism-critical source trees where `std` hash containers are
+/// banned (rule 8).
+const HASH_RESTRICTED_PREFIXES: &[&str] = &[
+    "crates/core/src/",
+    "crates/pgp-lp/src/",
+    "crates/pgp-dmp/src/",
+    "crates/pgp-obs/src/",
+    "crates/pgp-graph/src/",
+    "crates/pgp-seq/src/",
+];
+
+/// `std` hash containers restricted by rule 8 (whole words, so
+/// `FxHashMap` passes).
+const STD_HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
-        Some("analyze") => analyze(&args[1..]),
         Some("validate-trace") => validate_trace(&args[1..]),
         Some(other) => {
             eprintln!("unknown xtask command: {other}");
-            eprintln!("available commands: lint, analyze, validate-trace");
+            eprintln!("available commands: lint, validate-trace");
             ExitCode::FAILURE
         }
         None => {
             eprintln!("usage: cargo xtask <command>");
-            eprintln!("available commands: lint, analyze, validate-trace");
+            eprintln!("available commands: lint, validate-trace");
             ExitCode::FAILURE
         }
-    }
-}
-
-/// `cargo xtask analyze [--json <path>]`: runs the AST-level workspace
-/// analysis (message-protocol conformance, SPMD divergence, determinism —
-/// see the `pgp-analyze` crate and DESIGN.md §12). Exits nonzero when any
-/// unsuppressed finding remains; `--json` additionally writes the stable
-/// `pgp-analyze/v1` report for CI artifacts.
-fn analyze(args: &[String]) -> ExitCode {
-    let mut json_path: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                i += 1;
-                let Some(p) = args.get(i) else {
-                    eprintln!("analyze: --json requires a path");
-                    return ExitCode::FAILURE;
-                };
-                json_path = Some(PathBuf::from(p));
-            }
-            other => {
-                eprintln!("analyze: unknown flag {other} (usage: analyze [--json <path>])");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-    let root = workspace_root();
-    let analysis = match pgp_analyze::analyze_workspace(&root) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("analyze: cannot read workspace sources: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(path) = json_path {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("analyze: cannot create {}: {e}", parent.display());
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Err(e) = std::fs::write(&path, analysis.to_json()) {
-            eprintln!("analyze: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    for f in &analysis.findings {
-        eprintln!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
-    }
-    eprintln!(
-        "analyze: {} file(s) scanned, {} finding(s), {} suppressed",
-        analysis.files_scanned,
-        analysis.findings.len(),
-        analysis.suppressed
-    );
-    if analysis.findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 
@@ -276,23 +260,83 @@ fn lint() -> ExitCode {
     }
 }
 
-/// The repo root: xtask always runs from somewhere inside the workspace.
-// File walking is shared with the analyzer: one definition of "first-party
-// sources" (vendor/, fixtures/, and target/ excluded) keeps `lint` and
-// `analyze` scanning the same tree.
-use pgp_analyze::{rust_sources, workspace_root};
+/// The repo root: walks up from the current directory until a
+/// `Cargo.toml` with a `crates/` sibling appears.
+///
+/// # Panics
+///
+/// Panics when invoked outside the workspace.
+fn workspace_root() -> PathBuf {
+    let mut dir = std::env::current_dir().unwrap_or_else(|e| panic!("cannot read cwd: {e}"));
+    loop {
+        if dir.join("Cargo.toml").is_file() && dir.join("crates").is_dir() {
+            return dir;
+        }
+        if !dir.pop() {
+            panic!("not inside the workspace (no Cargo.toml with crates/ found)");
+        }
+    }
+}
+
+/// All first-party `.rs` files (crates/* plus top-level src/, tests/ and
+/// examples/), excluding the vendored stand-in crates and build output.
+fn rust_sources(root: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for top in ["crates", "src", "tests", "examples"] {
+        collect_rs(&root.join(top), &mut out);
+    }
+    out.retain(|p| !p.components().any(|c| c.as_os_str() == "vendor"));
+    out.sort();
+    out
+}
+
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n == "target") {
+                continue;
+            }
+            collect_rs(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Which rules apply to one file, decided by its repo-relative path.
+struct Scope {
+    id_domain: bool,
+    comm_layer: bool,
+    csr_restricted: bool,
+    mailbox_restricted: bool,
+    chaos_restricted: bool,
+    instant_restricted: bool,
+    hash_restricted: bool,
+}
+
+impl Scope {
+    fn of(rel: &str) -> Self {
+        let under = |prefixes: &[&str]| prefixes.iter().any(|p| rel.starts_with(p));
+        Scope {
+            id_domain: ID_DOMAIN_FILES.contains(&rel),
+            comm_layer: rel.starts_with("crates/pgp-dmp/src/"),
+            csr_restricted: !CSR_OWNER_FILES.contains(&rel),
+            mailbox_restricted: !MAILBOX_OWNER_FILES.contains(&rel),
+            chaos_restricted: !CHAOS_HOOK_FILES.contains(&rel),
+            instant_restricted: under(INSTANT_RESTRICTED_PREFIXES),
+            hash_restricted: under(HASH_RESTRICTED_PREFIXES),
+        }
+    }
+}
 
 /// Per-file scan state: strips comments/strings, tracks `#[cfg(test)]`
 /// module extents by brace depth, applies the rules.
 fn scan_file(file: &Path, rel: &str, text: &str, violations: &mut Vec<Violation>) {
-    let id_domain = ID_DOMAIN_FILES.contains(&rel);
-    let comm_layer = rel.starts_with("crates/pgp-dmp/src/");
-    let csr_restricted = !CSR_OWNER_FILES.contains(&rel);
-    let mailbox_restricted = !MAILBOX_OWNER_FILES.contains(&rel);
-    let chaos_restricted = !CHAOS_HOOK_FILES.contains(&rel);
-    let instant_restricted = INSTANT_RESTRICTED_PREFIXES
-        .iter()
-        .any(|p| rel.starts_with(p));
+    let scope = Scope::of(rel);
     let is_test_file = rel.starts_with("tests/") || rel.contains("/tests/");
 
     let mut depth: i32 = 0;
@@ -326,20 +370,7 @@ fn scan_file(file: &Path, rel: &str, text: &str, violations: &mut Vec<Violation>
         let in_test = is_test_file || test_region.is_some() || pending_test_attr;
 
         if !in_test {
-            apply_rules(
-                file,
-                rel,
-                lineno,
-                raw_line,
-                &code,
-                id_domain,
-                comm_layer,
-                csr_restricted,
-                mailbox_restricted,
-                chaos_restricted,
-                instant_restricted,
-                violations,
-            );
+            apply_rules(file, rel, lineno, raw_line, &code, &scope, violations);
         }
 
         depth += opens - closes;
@@ -351,23 +382,17 @@ fn scan_file(file: &Path, rel: &str, text: &str, violations: &mut Vec<Violation>
     }
 }
 
-#[allow(clippy::too_many_arguments)] // internal plumbing, clearer flat than bundled
 fn apply_rules(
     file: &Path,
     rel: &str,
     lineno: usize,
     raw_line: &str,
     code: &str,
-    id_domain: bool,
-    comm_layer: bool,
-    csr_restricted: bool,
-    mailbox_restricted: bool,
-    chaos_restricted: bool,
-    instant_restricted: bool,
+    scope: &Scope,
     violations: &mut Vec<Violation>,
 ) {
     // Rule 1: id-cast.
-    if id_domain && !raw_line.contains("lint:cast-ok") {
+    if scope.id_domain && !raw_line.contains("lint:cast-ok") {
         for target in ID_CAST_TARGETS {
             if let Some(pos) = find_cast(code, target) {
                 violations.push(Violation {
@@ -386,7 +411,10 @@ fn apply_rules(
     }
 
     // Rule 2: relaxed-ordering in the comm layer.
-    if comm_layer && code.contains("Ordering::Relaxed") && !raw_line.contains("lint:relaxed-ok") {
+    if scope.comm_layer
+        && code.contains("Ordering::Relaxed")
+        && !raw_line.contains("lint:relaxed-ok")
+    {
         violations.push(Violation {
             file: file.to_path_buf(),
             line: lineno,
@@ -399,7 +427,7 @@ fn apply_rules(
     }
 
     // Rule 3: raw CSR indexing outside the owning modules.
-    if csr_restricted && !raw_line.contains("lint:csr-ok") {
+    if scope.csr_restricted && !raw_line.contains("lint:csr-ok") {
         for arr in CSR_ARRAYS {
             if let Some(pos) = find_ident_use(code, arr) {
                 violations.push(Violation {
@@ -417,8 +445,8 @@ fn apply_rules(
         }
     }
 
-    // Rule 5: mailbox internals outside comm.rs.
-    if mailbox_restricted {
+    // Rule 5: transport internals outside comm.rs and transport/.
+    if scope.mailbox_restricted {
         for name in MAILBOX_INTERNALS {
             if let Some(pos) = find_word(code, name) {
                 violations.push(Violation {
@@ -426,8 +454,9 @@ fn apply_rules(
                     line: lineno,
                     rule: "mailbox-internals",
                     message: format!(
-                        "mailbox-internal type `{name}` named outside the comm/transport \
-                         layer (col {pos}); go through the Comm API instead"
+                        "transport internal `{name}` named outside the comm/transport \
+                         layer (col {pos}); go through the Comm API so the backend stays \
+                         swappable"
                     ),
                 });
                 break;
@@ -436,7 +465,7 @@ fn apply_rules(
     }
 
     // Rule 6: the fault-injection seam outside the comm layer / pgp-chaos.
-    if chaos_restricted {
+    if scope.chaos_restricted {
         for name in CHAOS_HOOK_TYPES {
             if let Some(pos) = find_word(code, name) {
                 violations.push(Violation {
@@ -459,7 +488,7 @@ fn apply_rules(
     // wall-clock stamp in a report field or trace event breaks replay
     // determinism outright (events are stamped from the registry's
     // monotonic epoch instead).
-    if instant_restricted
+    if scope.instant_restricted
         && (code.contains("Instant::now") || code.contains("SystemTime::now"))
         && !raw_line.contains("lint:instant-ok")
     {
@@ -473,6 +502,25 @@ fn apply_rules(
                       with `// lint:instant-ok: <reason>`)"
                 .to_string(),
         });
+    }
+
+    // Rule 8: std hash containers in the determinism-critical crates.
+    if scope.hash_restricted {
+        for name in STD_HASH_TYPES {
+            if let Some(pos) = find_word(code, name) {
+                violations.push(Violation {
+                    file: file.to_path_buf(),
+                    line: lineno,
+                    rule: "std-hash",
+                    message: format!(
+                        "std `{name}` in a determinism-critical crate (col {pos}); its \
+                         per-process seed reorders iteration between runs — use FxHashMap, \
+                         a BTreeMap or a sorted Vec"
+                    ),
+                });
+                break;
+            }
+        }
     }
 }
 
@@ -689,6 +737,68 @@ mod tests {
             &mut v,
         );
         assert!(v.iter().all(|x| x.rule != "chaos-hooks"), "must pass");
+    }
+
+    #[test]
+    fn transport_internals_confined_to_owner_files() {
+        let src = "fn f(p: Payload) {}\n\
+                   fn g() { let s = std::os::unix::net::UnixStream::connect(x); }\n\
+                   fn h(frame: &[u8]) -> usize { frame.len() }\n";
+        // Outside the comm/transport layer: the mailbox type and the raw
+        // stream are flagged; a lowercase `frame` binding is not a name.
+        let mut v = Vec::new();
+        scan_file(
+            Path::new("crates/pgp-lp/src/par.rs"),
+            "crates/pgp-lp/src/par.rs",
+            src,
+            &mut v,
+        );
+        let hits: Vec<_> = v
+            .iter()
+            .filter(|x| x.rule == "mailbox-internals")
+            .map(|x| x.line)
+            .collect();
+        assert_eq!(hits, vec![1, 2]);
+        // The frame codec is an owner file: clean.
+        let mut v = Vec::new();
+        scan_file(
+            Path::new("crates/pgp-dmp/src/transport/frame.rs"),
+            "crates/pgp-dmp/src/transport/frame.rs",
+            src,
+            &mut v,
+        );
+        assert!(v.iter().all(|x| x.rule != "mailbox-internals"), "must pass");
+    }
+
+    #[test]
+    fn std_hash_confined_to_determinism_crates() {
+        let src = "use std::collections::HashMap;\n\
+                   fn f(s: &FxHashMap<u32, u32>) -> usize { s.len() }\n\
+                   fn g() -> HashSet<u32> { HashSet::new() }\n";
+        // Inside a determinism-critical crate: both std containers are
+        // flagged, `FxHashMap` is not.
+        let mut v = Vec::new();
+        scan_file(
+            Path::new("crates/pgp-seq/src/fm.rs"),
+            "crates/pgp-seq/src/fm.rs",
+            src,
+            &mut v,
+        );
+        let hits: Vec<_> = v
+            .iter()
+            .filter(|x| x.rule == "std-hash")
+            .map(|x| x.line)
+            .collect();
+        assert_eq!(hits, vec![1, 3], "exactly the std lines");
+        // Tooling crates may hash freely.
+        let mut v = Vec::new();
+        scan_file(
+            Path::new("crates/bench/src/main.rs"),
+            "crates/bench/src/main.rs",
+            src,
+            &mut v,
+        );
+        assert!(v.iter().all(|x| x.rule != "std-hash"), "must pass");
     }
 
     #[test]

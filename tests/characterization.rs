@@ -13,7 +13,9 @@
 //! the algorithm re-pins it with one paste.
 
 use pgp::parhip::{GraphClass, ParhipConfig, Partitioner, Preset};
+use pgp::pgp_dmp::RunConfig;
 use pgp::pgp_graph::{CsrGraph, GraphBuilder, Node, Weight};
+use std::time::Duration;
 
 #[derive(Clone, Copy, Debug)]
 enum Gen {
@@ -139,7 +141,14 @@ fn assignment_hash(&(gen, n, weights, k, p, eps, seed, preset, _): &Case) -> u64
     cfg.deterministic = true;
     // Several levels even at these sizes.
     cfg.coarsest_nodes_per_block = 10;
+    // A watchdog deadline: a PE that skips a collective the others enter
+    // fails the row with a `Timeout` instead of hanging the suite.
+    let run = RunConfig {
+        deadline: Some(Duration::from_secs(60)),
+        ..Default::default()
+    };
     let out = Partitioner::new(&cfg)
+        .run(run)
         .partition(&g, p)
         .expect("valid input");
     let assignment = out.partition.assignment();

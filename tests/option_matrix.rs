@@ -5,16 +5,28 @@
 //! assignment (the two backends also count the same messages, bytes and
 //! collectives) — and a prepartitioned run is valid and no worse than what
 //! it was given.
+//!
+//! Every run carries a watchdog deadline, so a PE that skips a collective
+//! the others enter fails this test with a `Timeout` instead of hanging it.
 
 use pgp::parhip::{CheckpointStore, GraphClass, ParhipConfig, Partitioner, RecoveryLimits};
 use pgp::pgp_dmp::{BackendKind, Obs, RunConfig};
 use pgp::pgp_obs::DEFAULT_TRACE_CAPACITY;
 use std::sync::Arc;
+use std::time::Duration;
+
+/// The plain run configuration plus a watchdog deadline.
+fn watched() -> RunConfig {
+    RunConfig {
+        deadline: Some(Duration::from_secs(60)),
+        ..Default::default()
+    }
+}
 
 fn recording(obs: &Arc<Obs>) -> RunConfig {
     RunConfig {
         obs: Some(Arc::clone(obs)),
-        ..Default::default()
+        ..watched()
     }
 }
 
@@ -24,7 +36,7 @@ fn every_option_yields_the_plain_partition() {
     let mut cfg = ParhipConfig::fast(4, GraphClass::Social, 41);
     cfg.coarsest_nodes_per_block = 50;
     cfg.deterministic = true;
-    let door = Partitioner::new(&cfg);
+    let door = Partitioner::new(&cfg).run(watched());
 
     for p in [1, 2, 3] {
         let plain = door.partition(&g, p).expect("valid input");
@@ -39,7 +51,7 @@ fn every_option_yields_the_plain_partition() {
         for threads_per_pe in [0, 1, 4] {
             let run = RunConfig {
                 threads_per_pe,
-                ..Default::default()
+                ..watched()
             };
             let out = door.clone().run(run).partition(&g, p);
             assert_eq!(
