@@ -19,7 +19,7 @@ pub struct Contraction {
 }
 
 /// Contracts `graph` according to `clustering` (arbitrary labels in
-/// `0..n`). Runs in `O(n + m log m)`.
+/// `0..n`). Runs in `O(n + m + Σ d' log d')`, `d'` the coarse degrees.
 pub fn contract_clustering(graph: &CsrGraph, clustering: &[Node]) -> Contraction {
     assert_eq!(clustering.len(), graph.n(), "clustering length mismatch");
     let n = graph.n();
@@ -29,42 +29,54 @@ pub fn contract_clustering(graph: &CsrGraph, clustering: &[Node]) -> Contraction
     let mut mapping = vec![0 as Node; n];
     let n_coarse = dense_renumber(clustering, &mut mapping);
 
-    // Coarse node weights.
-    let mut node_weight = vec![0 as Weight; n_coarse];
-    for v in 0..n {
-        node_weight[mapping[v] as usize] += graph.node_weight(v as Node);
+    // The members of every coarse node, by a counting sort on `mapping`.
+    let mut first = vec![0usize; n_coarse + 1];
+    for &c in &mapping {
+        first[c as usize + 1] += 1;
+    }
+    for c in 0..n_coarse {
+        first[c + 1] += first[c];
+    }
+    let mut members = vec![0 as Node; n];
+    let mut fill = first.clone();
+    for (v, &c) in mapping.iter().enumerate() {
+        members[fill[c as usize]] = v as Node;
+        fill[c as usize] += 1;
     }
 
-    // Aggregate coarse edges: collect (cu, cv, w) arcs with cu != cv, sort,
-    // merge. Both directions are collected, so the result stays symmetric.
-    let mut arcs: Vec<(Node, Node, Weight)> = Vec::with_capacity(graph.num_arcs());
-    for u in graph.nodes() {
-        let cu = mapping[u as usize];
-        for (v, w) in graph.neighbors_weighted(u) {
-            let cv = mapping[v as usize];
-            if cu != cv {
-                arcs.push((cu, cv, w));
-            }
-        }
-    }
-    arcs.sort_unstable();
-    let mut xadj = vec![0u64; n_coarse + 1];
+    // One coarse row at a time: the members' arcs to other coarse nodes go
+    // into a dense accumulator, the coarse neighbours in first-touch order
+    // (a flag per coarse node: a zero-weight arc still makes an edge), and
+    // the short neighbour list is sorted so rows come out by coarse ID.
+    let mut node_weight = vec![0 as Weight; n_coarse];
+    let mut acc = vec![0 as Weight; n_coarse];
+    let mut seen = vec![false; n_coarse];
+    let mut touched: Vec<Node> = Vec::new();
+    let mut xadj = Vec::with_capacity(n_coarse + 1);
+    xadj.push(0u64);
     let mut adjncy = Vec::new();
     let mut adjwgt = Vec::new();
-    let mut i = 0;
-    while i < arcs.len() {
-        let (cu, cv, mut w) = arcs[i];
-        i += 1;
-        while i < arcs.len() && arcs[i].0 == cu && arcs[i].1 == cv {
-            w += arcs[i].2;
-            i += 1;
+    for cu in 0..n_coarse {
+        for &u in &members[first[cu]..first[cu + 1]] {
+            node_weight[cu] += graph.node_weight(u);
+            for (v, w) in graph.neighbors_weighted(u) {
+                let cv = mapping[v as usize];
+                if cv as usize != cu {
+                    if !seen[cv as usize] {
+                        seen[cv as usize] = true;
+                        touched.push(cv);
+                    }
+                    acc[cv as usize] += w;
+                }
+            }
         }
-        adjncy.push(cv);
-        adjwgt.push(w);
-        xadj[cu as usize + 1] += 1;
-    }
-    for i in 0..n_coarse {
-        xadj[i + 1] += xadj[i];
+        touched.sort_unstable();
+        for cv in touched.drain(..) {
+            seen[cv as usize] = false;
+            adjncy.push(cv);
+            adjwgt.push(std::mem::take(&mut acc[cv as usize]));
+        }
+        xadj.push(adjncy.len() as u64);
     }
     let coarse = CsrGraph::from_parts(xadj, adjncy, adjwgt, node_weight);
     Contraction { coarse, mapping }
@@ -178,6 +190,51 @@ mod tests {
     }
 }
 
+/// The contraction before the counting sort: every inter-cluster arc
+/// collected, sorted and merged. Kept as the oracle the differential
+/// proptest compares [`contract_clustering`] against.
+#[cfg(test)]
+fn reference_contract(graph: &CsrGraph, clustering: &[Node]) -> Contraction {
+    let n = graph.n();
+    let mut mapping = vec![0 as Node; n];
+    let n_coarse = dense_renumber(clustering, &mut mapping);
+    let mut node_weight = vec![0 as Weight; n_coarse];
+    for v in 0..n {
+        node_weight[mapping[v] as usize] += graph.node_weight(v as Node);
+    }
+    let mut arcs: Vec<(Node, Node, Weight)> = Vec::new();
+    for u in graph.nodes() {
+        let cu = mapping[u as usize];
+        for (v, w) in graph.neighbors_weighted(u) {
+            let cv = mapping[v as usize];
+            if cu != cv {
+                arcs.push((cu, cv, w));
+            }
+        }
+    }
+    arcs.sort_unstable();
+    let mut xadj = vec![0u64; n_coarse + 1];
+    let mut adjncy = Vec::new();
+    let mut adjwgt = Vec::new();
+    let mut i = 0;
+    while i < arcs.len() {
+        let (cu, cv, mut w) = arcs[i];
+        i += 1;
+        while i < arcs.len() && arcs[i].0 == cu && arcs[i].1 == cv {
+            w += arcs[i].2;
+            i += 1;
+        }
+        adjncy.push(cv);
+        adjwgt.push(w);
+        xadj[cu as usize + 1] += 1;
+    }
+    for i in 0..n_coarse {
+        xadj[i + 1] += xadj[i];
+    }
+    let coarse = CsrGraph::from_parts(xadj, adjncy, adjwgt, node_weight);
+    Contraction { coarse, mapping }
+}
+
 #[cfg(test)]
 mod proptests {
     use super::*;
@@ -199,6 +256,40 @@ mod proptests {
                 }
                 (b.build(), clusters)
             })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The counting-sort contraction builds the graph and mapping the
+        /// sort-and-merge one builds: arbitrary labels (gaps, one cluster
+        /// holding everything when `one_cluster` is set), zero-weight arcs,
+        /// isolated nodes, weighted nodes.
+        #[test]
+        fn contraction_matches_the_reference(
+            n in 1usize..30,
+            edges in proptest::collection::vec((0u32..36, 0u32..36, 0u64..4), 0..100),
+            node_weights in proptest::collection::vec(1u64..5, 30),
+            labels in proptest::collection::vec(0u32..30, 30),
+            one_cluster in 0u32..4,
+        ) {
+            let mut b = GraphBuilder::new(n);
+            for (u, v, w) in edges {
+                if (u as usize) < n && (v as usize) < n {
+                    b.push_edge(u, v, w);
+                }
+            }
+            let g = b.node_weights(node_weights[..n].to_vec()).build();
+            let clustering: Vec<Node> = if one_cluster == 0 {
+                vec![labels[0] % n as Node; n]
+            } else {
+                labels[..n].iter().map(|&l| l % n as Node).collect()
+            };
+            let got = contract_clustering(&g, &clustering);
+            let want = reference_contract(&g, &clustering);
+            prop_assert_eq!(&got.mapping, &want.mapping);
+            prop_assert_eq!(&got.coarse, &want.coarse);
+        }
     }
 
     proptest! {

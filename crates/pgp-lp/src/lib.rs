@@ -18,4 +18,4 @@ pub use par::{
     parallel_sclp_cluster, parallel_sclp_cluster_with_scratch, parallel_sclp_refine,
     parallel_sclp_refine_with_scratch, singleton_labels, SclpScratch,
 };
-pub use seq::{sclp, sclp_active, sclp_cluster, sclp_refine, Mode, Order, SclpConfig, SclpStats};
+pub use seq::{sclp, sclp_cluster, sclp_refine, Mode, Order, SclpConfig, SclpStats};

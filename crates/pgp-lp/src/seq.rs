@@ -9,8 +9,21 @@
 //!   partition; the constraint is the partition's own `U = Lmax`; random
 //!   visiting order; a node in an *overloaded* block must leave it if any
 //!   eligible target exists (improves balance at the cost of cut).
+//!
+//! The kernel is the one `par.rs` runs (DESIGN.md §8): the visited node's
+//! connections go into a dense table over the label space, walked in
+//! first-touch order — the order ties draw random numbers in. Refine mode
+//! visits only *active* nodes. A node goes **quiet** when an evaluation
+//! leaves it where it is and either no neighbour is in another block, or its
+//! block is not overloaded and its connection to it is strictly larger than
+//! to every other adjacent block. Evaluating a quiet node again changes
+//! nothing and draws no random number: every candidate has `w < best_w`, so
+//! neither the `>` nor the `==` branch can fire, and a move never pushes a
+//! block past `U`, so a block that is not overloaded never becomes so. Its
+//! connections change only when a neighbour changes block, and a mover wakes
+//! its neighbours. So the skipping is exact: same moves, same random stream,
+//! same labels as a full sweep.
 
-use crate::cluster_map::ClusterMap;
 use pgp_graph::ordering::{degree_order, random_order};
 use pgp_graph::{CsrGraph, Node, Weight};
 use rand::rngs::SmallRng;
@@ -51,7 +64,9 @@ pub struct SclpConfig {
 
 /// Outcome statistics — the unified pass-metric type from `pgp-obs`
 /// (`rounds` = rounds actually executed with early exit on convergence,
-/// `moves` = total node moves, `gain` stays 0 for SCLP).
+/// `moves` = total node moves, `gain` stays 0 for SCLP, `edges_scanned` =
+/// arcs read: evaluated rows, plus a refine-mode mover's row once more to
+/// wake its neighbours).
 pub type SclpStats = pgp_obs::PassStats;
 
 /// Runs size-constrained label propagation in place.
@@ -84,7 +99,18 @@ pub fn sclp(
         weights[labels[v as usize] as usize] += graph.node_weight(v);
     }
 
-    let mut map = ClusterMap::with_max_degree(graph.max_degree());
+    let refine = cfg.mode == Mode::Refine;
+    // The visited node's connection to every label, the labels it touches
+    // in first-touch order (the order ties are drawn in, as
+    // `ClusterMap::iter`'s insertion order was), and the flags that tell a
+    // touched label from an untouched one — a zero-weight arc touches a label
+    // without raising its connection.
+    let mut conn: Vec<Weight> = vec![0; weights.len()];
+    let mut seen: Vec<bool> = vec![false; weights.len()];
+    let mut touched: Vec<Node> = Vec::new();
+    // The active set (module docs): everything starts active; only refine
+    // mode ever quiets a node.
+    let mut quiet = vec![false; n];
     let mut order = match cfg.order {
         Order::Degree => degree_order(graph),
         Order::Random => random_order(n, &mut rng),
@@ -97,35 +123,51 @@ pub fn sclp(
         }
         let mut moved = 0u64;
         for &v in &order {
-            if graph.degree(v) == 0 {
+            let degree = graph.degree(v);
+            if degree == 0 || quiet[v as usize] {
                 continue;
             }
             let cur = labels[v as usize];
-            map.clear();
+            let mut touch = |c: Node, w: Weight| {
+                if !seen[c as usize] {
+                    seen[c as usize] = true;
+                    touched.push(c);
+                }
+                conn[c as usize] += w;
+            };
             match constraint {
                 None => {
                     for (u, w) in graph.neighbors_weighted(v) {
-                        map.add(labels[u as usize], w);
+                        touch(labels[u as usize], w);
                     }
                 }
                 Some(cons) => {
                     let cv = cons[v as usize];
                     for (u, w) in graph.neighbors_weighted(v) {
                         if cons[u as usize] == cv {
-                            map.add(labels[u as usize], w);
+                            touch(labels[u as usize], w);
                         }
                     }
                 }
             }
+            stats.edges_scanned += degree as u64;
             let cv_weight = graph.node_weight(v);
-            let overloaded = cfg.mode == Mode::Refine && weights[cur as usize] > cfg.u_bound;
+            let overloaded = refine && weights[cur as usize] > cfg.u_bound;
+            let own = conn[cur as usize];
+            let interior = touched.len() == usize::from(seen[cur as usize]);
             let mut best: Node = if overloaded { Node::MAX } else { cur };
-            let mut best_w: Weight = if overloaded { 0 } else { map.get(cur) };
+            let mut best_w: Weight = if overloaded { 0 } else { own };
             let mut ties = 1u32;
-            for (c, w) in map.iter() {
+            // Whether `cur` beats every other reached label outright,
+            // eligibility aside.
+            let mut strict = true;
+            for c in touched.drain(..) {
+                let w = std::mem::take(&mut conn[c as usize]);
+                seen[c as usize] = false;
                 if c == cur {
                     continue;
                 }
+                strict &= w < own;
                 if weights[c as usize] + cv_weight > cfg.u_bound {
                     continue; // not eligible: target would overload
                 }
@@ -146,6 +188,15 @@ pub fn sclp(
                 weights[best as usize] += cv_weight;
                 labels[v as usize] = best;
                 moved += 1;
+                if refine {
+                    // The mover stays active; its neighbours wake.
+                    for u in graph.neighbors(v) {
+                        quiet[u as usize] = false;
+                    }
+                    stats.edges_scanned += degree as u64;
+                }
+            } else if refine {
+                quiet[v as usize] = interior || (!overloaded && strict);
             }
         }
         stats.rounds += 1;
@@ -155,110 +206,6 @@ pub fn sclp(
         }
     }
     stats
-}
-
-/// Active-set variant of [`sclp`]: after one full sweep, only nodes whose
-/// neighbourhood changed are revisited (a work queue instead of full
-/// rounds). Converges to the same kind of local optimum with considerably
-/// fewer node visits on large sparse graphs — the standard engineering of
-/// "near linear-time" label propagation. `max_visits` bounds total work
-/// (use `iterations * n` for parity with the round-based variant).
-///
-/// Returns the stats (with `rounds` = visits/n rounded up) and the exact
-/// number of node visits.
-pub fn sclp_active(
-    graph: &CsrGraph,
-    cfg: &SclpConfig,
-    labels: &mut [Node],
-    constraint: Option<&[Node]>,
-    max_visits: usize,
-) -> (SclpStats, u64) {
-    assert_eq!(labels.len(), graph.n(), "label vector length mismatch");
-    let n = graph.n();
-    if n == 0 {
-        return (SclpStats::default(), 0);
-    }
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let max_label = labels.iter().copied().max().unwrap_or(0) as usize;
-    let mut weights = vec![0 as Weight; max_label.max(n - 1) + 1];
-    for v in graph.nodes() {
-        weights[labels[v as usize] as usize] += graph.node_weight(v);
-    }
-    let mut map = ClusterMap::with_max_degree(graph.max_degree());
-    let seed_order = match cfg.order {
-        Order::Degree => degree_order(graph),
-        Order::Random => random_order(n, &mut rng),
-    };
-    let mut queue: std::collections::VecDeque<Node> = seed_order.into_iter().collect();
-    let mut queued = vec![true; n];
-    let mut stats = SclpStats::default();
-    let mut visits = 0u64;
-
-    while let Some(v) = queue.pop_front() {
-        queued[v as usize] = false;
-        if visits >= max_visits as u64 {
-            break;
-        }
-        visits += 1;
-        if graph.degree(v) == 0 {
-            continue;
-        }
-        let cur = labels[v as usize];
-        map.clear();
-        match constraint {
-            None => {
-                for (u, w) in graph.neighbors_weighted(v) {
-                    map.add(labels[u as usize], w);
-                }
-            }
-            Some(cons) => {
-                let cv = cons[v as usize];
-                for (u, w) in graph.neighbors_weighted(v) {
-                    if cons[u as usize] == cv {
-                        map.add(labels[u as usize], w);
-                    }
-                }
-            }
-        }
-        let cv_weight = graph.node_weight(v);
-        let overloaded = cfg.mode == Mode::Refine && weights[cur as usize] > cfg.u_bound;
-        let mut best: Node = if overloaded { Node::MAX } else { cur };
-        let mut best_w: Weight = if overloaded { 0 } else { map.get(cur) };
-        let mut ties = 1u32;
-        for (c, w) in map.iter() {
-            if c == cur {
-                continue;
-            }
-            if weights[c as usize] + cv_weight > cfg.u_bound {
-                continue;
-            }
-            if best == Node::MAX || w > best_w {
-                best = c;
-                best_w = w;
-                ties = 1;
-            } else if w == best_w {
-                ties += 1;
-                if rng.gen_range(0..ties) == 0 {
-                    best = c;
-                }
-            }
-        }
-        if best != cur && best != Node::MAX {
-            weights[cur as usize] -= cv_weight;
-            weights[best as usize] += cv_weight;
-            labels[v as usize] = best;
-            stats.moves += 1;
-            // Reactivate the neighbourhood: its best choices may change.
-            for u in graph.neighbors(v) {
-                if !queued[u as usize] {
-                    queued[u as usize] = true;
-                    queue.push_back(u);
-                }
-            }
-        }
-    }
-    stats.rounds = (visits as usize).div_ceil(n.max(1));
-    (stats, visits)
 }
 
 /// Convenience: clustering from singletons with degree ordering.
@@ -441,54 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn active_set_matches_round_based_quality_with_less_work() {
-        let (g, _) = pgp_gen::sbm::sbm(2000, pgp_gen::sbm::SbmParams::default(), 7);
-        let cfg = SclpConfig {
-            u_bound: 200,
-            iterations: 8,
-            mode: Mode::Cluster,
-            order: Order::Degree,
-            seed: 3,
-        };
-        let mut round_labels: Vec<Node> = g.nodes().collect();
-        sclp(&g, &cfg, &mut round_labels, None);
-        let mut active_labels: Vec<Node> = g.nodes().collect();
-        let (_, visits) = sclp_active(&g, &cfg, &mut active_labels, None, 8 * g.n());
-        let round_cov = pgp_graph::metrics::coverage(&g, &round_labels);
-        let active_cov = pgp_graph::metrics::coverage(&g, &active_labels);
-        assert!(
-            active_cov > round_cov - 0.1,
-            "active {active_cov:.3} vs rounds {round_cov:.3}"
-        );
-        // The work queue converges well below the round-based budget.
-        assert!(
-            (visits as usize) < 8 * g.n(),
-            "no early convergence: {visits} visits"
-        );
-    }
-
-    #[test]
-    fn active_set_respects_bound_and_constraint() {
-        let g = pgp_gen::mesh::grid2d(12, 12);
-        let cons: Vec<Node> = g.nodes().map(|v| v % 3).collect();
-        let cfg = SclpConfig {
-            u_bound: 9,
-            iterations: 6,
-            mode: Mode::Cluster,
-            order: Order::Degree,
-            seed: 1,
-        };
-        let mut labels: Vec<Node> = g.nodes().collect();
-        sclp_active(&g, &cfg, &mut labels, Some(&cons), 6 * g.n());
-        let mut w = vec![0u64; g.n()];
-        for v in g.nodes() {
-            w[labels[v as usize] as usize] += 1;
-            assert_eq!(cons[labels[v as usize] as usize], cons[v as usize]);
-        }
-        assert!(w.iter().all(|&x| x <= 9));
-    }
-
-    #[test]
     fn refine_never_moves_into_overloaded_block() {
         let g = pgp_gen::mesh::grid2d(6, 6);
         let assign: Vec<u32> = (0..36).map(|i| if i < 18 { 0 } else { 1 }).collect();
@@ -498,12 +397,210 @@ mod tests {
         assert_eq!(p.block_weight(0), 18);
         assert_eq!(p.block_weight(1), 18);
     }
+
+    #[test]
+    fn cluster_mode_scans_every_arc_every_round() {
+        let g = pgp_gen::ba::barabasi_albert(400, 3, 2);
+        let mut labels: Vec<Node> = g.nodes().collect();
+        let cfg = SclpConfig {
+            u_bound: 50,
+            iterations: 4,
+            mode: Mode::Cluster,
+            order: Order::Degree,
+            seed: 5,
+        };
+        let stats = sclp(&g, &cfg, &mut labels, None);
+        assert!(stats.rounds > 1);
+        assert_eq!(
+            stats.edges_scanned,
+            g.num_arcs() as u64 * stats.rounds as u64
+        );
+    }
+
+    #[test]
+    fn refining_a_refined_mesh_scans_the_boundary_only() {
+        let g = pgp_gen::mesh::grid2d(48, 48);
+        let max_degree = 4u64;
+        let arcs = g.num_arcs() as u64;
+        let cfg = |iterations, seed| SclpConfig {
+            u_bound: pgp_graph::lmax(g.total_node_weight(), 2, 0.03),
+            iterations,
+            mode: Mode::Refine,
+            order: Order::Random,
+            seed,
+        };
+        // Split along the diagonal, where a grid node has two neighbours on
+        // either side and ties keep a few nodes moving for ever; refined once
+        // before anything is counted.
+        let mut labels: Vec<Node> = g
+            .nodes()
+            .map(|v| Node::from(v % 48 + v / 48 >= 47))
+            .collect();
+        sclp(&g, &cfg(10, 3), &mut labels, None);
+        let boundary_arcs: u64 = g
+            .nodes()
+            .filter(|&v| {
+                g.neighbors(v)
+                    .any(|u| labels[u as usize] != labels[v as usize])
+            })
+            .map(|v| g.degree(v) as u64)
+            .sum();
+        // Round 0 reads every arc once, and a mover's row once more to wake
+        // its neighbours.
+        let one = sclp(&g, &cfg(1, 4), &mut labels.clone(), None);
+        assert!(one.edges_scanned >= arcs);
+        assert!(one.edges_scanned <= arcs + one.moves * max_degree);
+        // Later rounds read only the rows of nodes that are not their block's
+        // outright: the boundary at entry, and movers with their neighbours.
+        let six = sclp(&g, &cfg(6, 4), &mut labels, None);
+        let later_rounds = six.rounds as u64 - 1;
+        assert!(later_rounds >= 1, "the instance converged in one round");
+        let per_round = boundary_arcs + six.moves * (max_degree + 1) * max_degree;
+        assert!(
+            six.edges_scanned <= arcs + later_rounds * per_round + six.moves * max_degree,
+            "{} arcs scanned, {arcs} per full sweep, boundary {boundary_arcs}, {} moves",
+            six.edges_scanned,
+            six.moves
+        );
+        assert!(six.edges_scanned * 2 < arcs * (later_rounds + 1), "{six:?}");
+    }
+}
+
+/// The kernel before the dense table and the active set: every round
+/// re-aggregates every row through the linear-probing `ClusterMap`. Kept as
+/// the oracle the differential proptest compares [`sclp`] against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::cluster_map::ClusterMap;
+
+    pub(super) fn sclp(
+        graph: &CsrGraph,
+        cfg: &SclpConfig,
+        labels: &mut [Node],
+        constraint: Option<&[Node]>,
+    ) -> SclpStats {
+        let n = graph.n();
+        if n == 0 {
+            return SclpStats::default();
+        }
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let max_label = labels.iter().copied().max().unwrap_or(0) as usize;
+        let mut weights = vec![0 as Weight; max_label.max(n - 1) + 1];
+        for v in graph.nodes() {
+            weights[labels[v as usize] as usize] += graph.node_weight(v);
+        }
+        let mut map = ClusterMap::with_max_degree(graph.max_degree());
+        let mut order = match cfg.order {
+            Order::Degree => degree_order(graph),
+            Order::Random => random_order(n, &mut rng),
+        };
+        let mut stats = SclpStats::default();
+        for _round in 0..cfg.iterations {
+            if cfg.order == Order::Random && stats.rounds > 0 {
+                order = random_order(n, &mut rng);
+            }
+            let mut moved = 0u64;
+            for &v in &order {
+                if graph.degree(v) == 0 {
+                    continue;
+                }
+                let cur = labels[v as usize];
+                map.clear();
+                for (u, w) in graph.neighbors_weighted(v) {
+                    if constraint.is_none_or(|cons| cons[u as usize] == cons[v as usize]) {
+                        map.add(labels[u as usize], w);
+                    }
+                }
+                let cv_weight = graph.node_weight(v);
+                let overloaded = cfg.mode == Mode::Refine && weights[cur as usize] > cfg.u_bound;
+                let mut best: Node = if overloaded { Node::MAX } else { cur };
+                let mut best_w: Weight = if overloaded { 0 } else { map.get(cur) };
+                let mut ties = 1u32;
+                for (c, w) in map.iter() {
+                    if c == cur || weights[c as usize] + cv_weight > cfg.u_bound {
+                        continue;
+                    }
+                    if best == Node::MAX || w > best_w {
+                        best = c;
+                        best_w = w;
+                        ties = 1;
+                    } else if w == best_w {
+                        ties += 1;
+                        if rng.gen_range(0..ties) == 0 {
+                            best = c;
+                        }
+                    }
+                }
+                if best != cur && best != Node::MAX {
+                    weights[cur as usize] -= cv_weight;
+                    weights[best as usize] += cv_weight;
+                    labels[v as usize] = best;
+                    moved += 1;
+                }
+            }
+            stats.rounds += 1;
+            stats.moves += moved;
+            if moved == 0 {
+                break;
+            }
+        }
+        stats
+    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use pgp_graph::GraphBuilder;
     use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense table and the active set make the moves the
+        /// `ClusterMap` kernel makes, in both modes, with and without a
+        /// constraint: weighted nodes, zero-weight arcs, isolated nodes
+        /// (indices past every edge's end), refine blocks that start
+        /// overloaded.
+        #[test]
+        fn sclp_matches_the_reference_kernel(
+            n in 1usize..40,
+            edges in proptest::collection::vec((0u32..48, 0u32..48, 0u64..4), 0..120),
+            node_weights in proptest::collection::vec(1u64..6, 40),
+            blocks in proptest::collection::vec(0u32..4, 40),
+            classes in proptest::collection::vec(0u32..3, 40),
+            flags in 0u8..8,
+            (u_bound, iterations, seed) in (1u64..40, 1usize..8, 0u64..1000),
+        ) {
+            let mut b = GraphBuilder::new(n);
+            for (u, v, w) in edges {
+                if (u as usize) < n && (v as usize) < n {
+                    b.push_edge(u, v, w);
+                }
+            }
+            let g = b.node_weights(node_weights[..n].to_vec()).build();
+            let (refine, constrained, random_order) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            let cfg = SclpConfig {
+                u_bound,
+                iterations,
+                mode: if refine { Mode::Refine } else { Mode::Cluster },
+                order: if random_order { Order::Random } else { Order::Degree },
+                seed,
+            };
+            let start: Vec<Node> = if refine { blocks[..n].to_vec() } else { g.nodes().collect() };
+            let constraint = constrained.then(|| classes[..n].to_vec());
+            let mut got = start.clone();
+            let mut want = start;
+            let got_stats = sclp(&g, &cfg, &mut got, constraint.as_deref());
+            let want_stats = reference::sclp(&g, &cfg, &mut want, constraint.as_deref());
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(
+                (got_stats.rounds, got_stats.moves),
+                (want_stats.rounds, want_stats.moves)
+            );
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]

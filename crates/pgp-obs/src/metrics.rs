@@ -118,12 +118,13 @@ pub struct PassStats {
     pub moves: u64,
     /// Total cut gain achieved (FM only; SCLP reports 0).
     pub gain: i64,
-    /// Arcs read by the sweeps, counted where they are read (parallel SCLP
-    /// and sequential FM; sequential SCLP reports 0). In cluster mode this
-    /// is the local arc count times the rounds; in refine mode the active
-    /// set makes it far smaller than that. Two-way FM reads every arc once
-    /// per pass plus the row of every applied move; k-way FM reads the row
-    /// of every node it evaluates.
+    /// Arcs read by the sweeps, counted where they are read (SCLP, parallel
+    /// and sequential, and sequential FM). In cluster mode this is the
+    /// (local) arc count times the rounds; in refine mode the active set
+    /// makes it far smaller than that. Two-way FM reads every arc once per
+    /// call plus the row of every applied move, and that row again if the
+    /// move is rolled back; k-way FM reads the row of every node it
+    /// evaluates.
     pub edges_scanned: u64,
 }
 

@@ -11,8 +11,9 @@
 //! arcs gives and draw the same random numbers, so the heap, the moves and
 //! the rollbacks do not depend on which one runs:
 //! * k = 2: `TwoWay` caches every node's connection to both blocks once per
-//!   pass and updates the rows of a mover's neighbours, so a candidate costs
-//!   O(1) instead of a re-scan;
+//!   call and updates the rows of a mover's neighbours — rollbacks included —
+//!   so a candidate costs O(1) instead of a re-scan, and the rows carry the
+//!   cut along;
 //! * k ≥ 3: `Dense` re-scans `v`'s arcs into a dense `conn[k]` table and
 //!   walks the blocks in first-touch order, the order ties are drawn in.
 
@@ -53,17 +54,31 @@ pub fn kway_fm(graph: &CsrGraph, k: usize, labels: &mut [Node], cfg: &FmConfig) 
         return FmStats::default();
     }
     if k == 2 {
-        run(graph, labels, cfg, &mut TwoWay::new(graph.n()))
+        two_way_fm(graph, labels, cfg).0
     } else {
         run(graph, labels, cfg, &mut Dense::new(k))
     }
 }
 
+/// Two-way FM on `labels` (sides 0 / 1, in place): [`kway_fm`] at k = 2,
+/// also returning the cut of the result, which the gain rows keep current,
+/// so a caller needs no recount.
+pub(crate) fn two_way_fm(
+    graph: &CsrGraph,
+    labels: &mut [Node],
+    cfg: &FmConfig,
+) -> (FmStats, Weight) {
+    assert_eq!(labels.len(), graph.n());
+    assert_eq!(cfg.block_caps.len(), 2);
+    let mut built = 0;
+    let mut gains = TwoWay::new(graph, labels, &mut built);
+    let mut stats = run(graph, labels, cfg, &mut gains);
+    stats.edges_scanned += built;
+    (stats, gains.cut)
+}
+
 /// Where a pass gets a node's best move from.
 trait Gains {
-    /// Called at the start of every pass, on the labels the pass starts from.
-    fn start_pass(&mut self, graph: &CsrGraph, labels: &[Node], scanned: &mut u64);
-
     /// The best move for `v`: `(gain, target)` over eligible blocks, or
     /// `None` when no other block is adjacent/eligible. Ties between blocks
     /// of equal gain are broken by `rng`, in first-touch order.
@@ -79,7 +94,8 @@ trait Gains {
         scanned: &mut u64,
     ) -> Option<(i64, Node)>;
 
-    /// `v` has just moved from block `from` to block `to`.
+    /// `v` has just moved from block `from` to block `to` — applied, or
+    /// rolled back with `from` and `to` swapped.
     fn moved(&mut self, graph: &CsrGraph, v: Node, from: Node, to: Node, scanned: &mut u64);
 }
 
@@ -105,8 +121,6 @@ impl Dense {
 }
 
 impl Gains for Dense {
-    fn start_pass(&mut self, _: &CsrGraph, _: &[Node], _: &mut u64) {}
-
     fn best_move(
         &mut self,
         graph: &CsrGraph,
@@ -159,28 +173,28 @@ impl Gains for Dense {
     fn moved(&mut self, _: &CsrGraph, _: Node, _: Node, _: Node, _: &mut u64) {}
 }
 
-/// k = 2: every node's connection to both blocks, built once per pass and
-/// kept current as nodes move. With one other block there is one candidate,
-/// so no tie is ever drawn.
+/// k = 2: every node's connection to both blocks, built once per call and
+/// kept current as nodes move and as rollbacks move them back. With one
+/// other block there is one candidate, so no tie is ever drawn.
 struct TwoWay {
     /// Per node, the summed weight of its arcs into block 0 and block 1.
     conn: Vec<[Weight; 2]>,
     /// Per node, the number of its arcs into each block: a zero-weight arc
     /// still makes the block adjacent.
     arcs: Vec<[u32; 2]>,
+    /// The cut of the current labels.
+    cut: Weight,
 }
 
 impl TwoWay {
-    fn new(n: usize) -> Self {
-        Self {
-            conn: vec![[0; 2]; n],
-            arcs: vec![[0; 2]; n],
-        }
-    }
-}
-
-impl Gains for TwoWay {
-    fn start_pass(&mut self, graph: &CsrGraph, labels: &[Node], scanned: &mut u64) {
+    /// Builds the rows of `labels`, reading every arc once.
+    fn new(graph: &CsrGraph, labels: &[Node], scanned: &mut u64) -> Self {
+        let mut rows = Self {
+            conn: Vec::with_capacity(graph.n()),
+            arcs: Vec::with_capacity(graph.n()),
+            cut: 0,
+        };
+        let mut doubled_cut = 0;
         for v in graph.nodes() {
             let (mut conn, mut arcs) = ([0; 2], [0; 2]);
             for (u, w) in graph.neighbors_weighted(v) {
@@ -188,12 +202,17 @@ impl Gains for TwoWay {
                 conn[b] += w;
                 arcs[b] += 1;
             }
-            self.conn[v as usize] = conn;
-            self.arcs[v as usize] = arcs;
+            doubled_cut += conn[labels[v as usize] as usize ^ 1];
+            rows.conn.push(conn);
+            rows.arcs.push(arcs);
         }
+        rows.cut = doubled_cut / 2;
         *scanned += graph.num_arcs() as u64;
+        rows
     }
+}
 
+impl Gains for TwoWay {
     fn best_move(
         &mut self,
         graph: &CsrGraph,
@@ -216,6 +235,9 @@ impl Gains for TwoWay {
 
     fn moved(&mut self, graph: &CsrGraph, v: Node, from: Node, to: Node, scanned: &mut u64) {
         let (from, to) = (from as usize, to as usize);
+        // `v`'s arcs into `from` become cut, those into `to` stop being cut.
+        let own = self.conn[v as usize];
+        self.cut = self.cut + own[from] - own[to];
         for (u, w) in graph.neighbors_weighted(v) {
             let (conn, arcs) = (&mut self.conn[u as usize], &mut self.arcs[u as usize]);
             conn[from] -= w;
@@ -272,7 +294,6 @@ fn fm_pass(
     let mut heap: BinaryHeap<(i64, Reverse<u64>, Node, Node, u32)> = BinaryHeap::new();
 
     // Seed with boundary nodes (an interior node has no candidate).
-    gains.start_pass(graph, labels, scanned);
     for v in graph.nodes() {
         if let Some((gain, target)) = gains.best_move(graph, labels, weights, caps, v, rng, scanned)
         {
@@ -336,6 +357,7 @@ fn fm_pass(
         weights[to as usize] -= cw;
         weights[from as usize] += cw;
         labels[v as usize] = from;
+        gains.moved(graph, v, to, from, scanned);
     }
     stats.moves += best_len as u64;
     best_gain
@@ -521,17 +543,14 @@ mod tests {
         assert!(p.max_block_weight() <= 7);
     }
 
-    /// Wraps a candidate source and records every applied move.
+    /// Wraps a candidate source and records the node of every move it is
+    /// told of, applied ones and rolled-back ones.
     struct Recording<G> {
         inner: G,
         moved: Vec<Node>,
     }
 
     impl<G: Gains> Gains for Recording<G> {
-        fn start_pass(&mut self, graph: &CsrGraph, labels: &[Node], scanned: &mut u64) {
-            self.inner.start_pass(graph, labels, scanned);
-        }
-
         fn best_move(
             &mut self,
             graph: &CsrGraph,
@@ -553,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn two_way_pass_reads_each_arc_once_per_pass_plus_the_movers_rows() {
+    fn two_way_fm_reads_each_arc_once_per_call_plus_the_movers_rows() {
         let g = pgp_gen::mesh::grid2d(9, 7);
         let start: Vec<Node> = (0..63).map(|v| Node::from(v * 7 % 5 < 2)).collect();
         let cfg = FmConfig {
@@ -563,25 +582,35 @@ mod tests {
             patience: 6,
         };
         let mut labels = start.clone();
+        let mut built = 0;
         let mut rec = Recording {
-            inner: TwoWay::new(g.n()),
+            inner: TwoWay::new(&g, &labels, &mut built),
             moved: Vec::new(),
         };
         let stats = run(&g, &mut labels, &cfg, &mut rec);
-        let movers: u64 = rec.moved.iter().map(|&v| g.degree(v) as u64).sum();
-        assert_eq!(
-            stats.edges_scanned,
-            stats.rounds as u64 * g.num_arcs() as u64 + movers
-        );
+        assert_eq!(built, g.num_arcs() as u64);
+        // Each applied move reads the mover's row, and each rolled-back one
+        // reads it once more on the way back.
+        let rows: u64 = rec.moved.iter().map(|&v| g.degree(v) as u64).sum();
+        assert_eq!(stats.edges_scanned, rows);
         assert!(stats.rounds > 1 && stats.moves > 0);
-        assert!(
-            rec.moved.len() as u64 > stats.moves,
-            "no move was rolled back"
+        let rolled_back = (rec.moved.len() as u64 - stats.moves) / 2;
+        assert!(rolled_back > 0, "no move was rolled back");
+        // The rows carry the cut along.
+        let cut = Partition::from_assignment(&g, 2, labels.clone()).edge_cut(&g);
+        assert_eq!(rec.inner.cut, cut);
+        // The entry points run this very call.
+        let mut again = start.clone();
+        let (two_way, two_way_cut) = two_way_fm(&g, &mut again, &cfg);
+        assert_eq!((&again, two_way_cut), (&labels, cut));
+        assert_eq!(
+            two_way,
+            FmStats {
+                edges_scanned: built + rows,
+                ..stats
+            }
         );
-        // The entry point runs this very pass.
-        let mut again = start;
-        assert_eq!(kway_fm(&g, 2, &mut again, &cfg), stats);
-        assert_eq!(again, labels);
+        assert_eq!(kway_fm(&g, 2, &mut start.clone(), &cfg), two_way);
     }
 }
 
@@ -632,8 +661,9 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The cached two-way pass makes the moves the generic dense pass
-        /// makes at k = 2 (the oracle): zero-weight arcs, weighted nodes,
-        /// caps tight enough that a side can start overloaded.
+        /// makes at k = 2 (the oracle), and its cut is a recount's:
+        /// zero-weight arcs, weighted nodes, caps tight enough that a side
+        /// can start overloaded.
         #[test]
         fn two_way_pass_matches_the_dense_pass(
             n in 2usize..40,
@@ -657,13 +687,14 @@ mod proptests {
             };
             let mut cached = sides[..n].to_vec();
             let mut dense = cached.clone();
-            let got = run(&g, &mut cached, &cfg, &mut TwoWay::new(n));
+            let (got, cut) = two_way_fm(&g, &mut cached, &cfg);
             let want = run(&g, &mut dense, &cfg, &mut Dense::new(2));
             prop_assert_eq!(&cached, &dense);
             prop_assert_eq!(
                 (got.rounds, got.moves, got.gain),
                 (want.rounds, want.moves, want.gain)
             );
+            prop_assert_eq!(cut, Partition::from_assignment(&g, 2, dense).edge_cut(&g));
         }
     }
 }

@@ -2,13 +2,12 @@
 //! FM, wrapped in recursive bisection for general `k`, with multiple
 //! attempts keeping the best.
 
-use crate::fm::{kway_fm, FmConfig};
+use crate::fm::{two_way_fm, FmConfig};
 use pgp_graph::subgraph::induced_by_nodes;
 use pgp_graph::{BlockId, CsrGraph, Node, Partition, Weight};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Configuration for initial partitioning.
 #[derive(Clone, Debug)]
@@ -125,7 +124,7 @@ fn recurse(
 
 /// Bisects `graph` into sides 0/1 with side-0 target weight `target0`,
 /// using `attempts` greedy-growing starts each followed by 2-way FM; the
-/// best resulting cut wins.
+/// best resulting cut — as FM's gain rows report it — wins.
 pub fn bisect(graph: &CsrGraph, target0: Weight, cfg: &InitialConfig, seed: u64) -> Vec<Node> {
     let n = graph.n();
     let total = graph.total_node_weight();
@@ -137,9 +136,8 @@ pub fn bisect(graph: &CsrGraph, target0: Weight, cfg: &InitialConfig, seed: u64)
     let mut best: Option<(u64, Vec<Node>)> = None;
     for _ in 0..cfg.attempts.max(1) {
         let mut side = grow(graph, target0, &mut rng);
-        kway_fm(
+        let (_, cut) = two_way_fm(
             graph,
-            2,
             &mut side,
             &FmConfig {
                 max_passes: cfg.fm_passes,
@@ -148,7 +146,6 @@ pub fn bisect(graph: &CsrGraph, target0: Weight, cfg: &InitialConfig, seed: u64)
                 patience: 32,
             },
         );
-        let cut = Partition::from_assignment(graph, 2, side.clone()).edge_cut(graph);
         if best.as_ref().is_none_or(|(bc, _)| cut < *bc) {
             best = Some((cut, side));
         }
@@ -159,6 +156,14 @@ pub fn bisect(graph: &CsrGraph, target0: Weight, cfg: &InitialConfig, seed: u64)
 /// Greedy graph growing: start from a random seed node, repeatedly absorb
 /// the frontier node with the strongest connection to the growing side,
 /// until the side-0 target weight is reached. Everything else is side 1.
+///
+/// Every offer of a frontier node draws one random tie-break, and the heap
+/// keeps the node once, at the largest `(connection, tie-break)` offered.
+/// That pops nodes in the order a heap of every offer would: a node's first
+/// pop is at its largest entry either way, and whatever such a heap pops of
+/// it afterwards changes nothing — an absorbed node is never offered again,
+/// and the skip rule `2 · grown + w > 2 · target0` only gets truer as
+/// `grown` rises, so a skipped node stays skipped.
 fn grow(graph: &CsrGraph, target0: Weight, rng: &mut SmallRng) -> Vec<Node> {
     let n = graph.n();
     let mut side = vec![1 as Node; n];
@@ -168,8 +173,8 @@ fn grow(graph: &CsrGraph, target0: Weight, rng: &mut SmallRng) -> Vec<Node> {
     let start = rng.gen_range(0..n as Node);
     let mut grown: Weight = 0;
     // Max-heap on (connection strength, random tiebreak).
-    let mut heap: BinaryHeap<(Weight, Reverse<u64>, Node)> = BinaryHeap::new();
-    heap.push((0, Reverse(rng.gen()), start));
+    let mut heap = NodeHeap::new(n);
+    heap.offer((0, Reverse(rng.gen()), start));
     let mut in_heap_or_grown = vec![false; n];
     in_heap_or_grown[start as usize] = true;
     // Restart candidates: no node below the cursor is untouched (flags are
@@ -182,15 +187,12 @@ fn grow(graph: &CsrGraph, target0: Weight, rng: &mut SmallRng) -> Vec<Node> {
                 Some(v) => {
                     untouched = v + 1;
                     in_heap_or_grown[v as usize] = true;
-                    heap.push((0, Reverse(rng.gen()), v));
+                    heap.offer((0, Reverse(rng.gen()), v));
                     continue;
                 }
                 None => break,
             }
         };
-        if side[v as usize] == 0 {
-            continue; // stale entry
-        }
         let w = graph.node_weight(v);
         // Don't absorb a node that moves us further from the target than
         // stopping here would (heavy nodes near the end of growth).
@@ -202,11 +204,100 @@ fn grow(graph: &CsrGraph, target0: Weight, rng: &mut SmallRng) -> Vec<Node> {
         for (u, w) in graph.neighbors_weighted(v) {
             if side[u as usize] == 1 {
                 in_heap_or_grown[u as usize] = true;
-                heap.push((w, Reverse(rng.gen()), u));
+                heap.offer((w, Reverse(rng.gen()), u));
             }
         }
     }
     side
+}
+
+/// A growing-heap entry: connection strength, random tie-break, node.
+type Entry = (Weight, Reverse<u64>, Node);
+
+/// A binary max-heap of [`Entry`]s holding each node at most once, at the
+/// largest entry offered since the node was last popped.
+struct NodeHeap {
+    entries: Vec<Entry>,
+    /// Each node's index in `entries`, or `ABSENT`.
+    pos: Vec<u32>,
+}
+
+const ABSENT: u32 = u32::MAX;
+
+impl NodeHeap {
+    fn new(n: usize) -> Self {
+        Self {
+            entries: Vec::new(),
+            pos: vec![ABSENT; n],
+        }
+    }
+
+    /// Inserts `e`'s node at `e`, or raises it to `e` if `e` is larger.
+    fn offer(&mut self, e: Entry) {
+        match self.pos[e.2 as usize] {
+            ABSENT => {
+                self.entries.push(e);
+                self.sift_up(self.entries.len() - 1);
+            }
+            i if e > self.entries[i as usize] => {
+                self.entries[i as usize] = e;
+                self.sift_up(i as usize);
+            }
+            _ => {}
+        }
+    }
+
+    fn pop(&mut self) -> Option<Entry> {
+        let top = *self.entries.first()?;
+        let last = self.entries.pop().expect("non-empty");
+        self.pos[top.2 as usize] = ABSENT;
+        if !self.entries.is_empty() {
+            self.entries[0] = last;
+            self.sift_down(0);
+        }
+        Some(top)
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let e = self.entries[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.entries[parent] >= e {
+                break;
+            }
+            self.place(i, self.entries[parent]);
+            i = parent;
+        }
+        self.place(i, e);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let e = self.entries[i];
+        let len = self.entries.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.entries[right] > self.entries[left] {
+                right
+            } else {
+                left
+            };
+            if self.entries[child] <= e {
+                break;
+            }
+            self.place(i, self.entries[child]);
+            i = child;
+        }
+        self.place(i, e);
+    }
+
+    fn place(&mut self, i: usize, e: Entry) {
+        self.entries[i] = e;
+        self.pos[e.2 as usize] = i as u32;
+    }
 }
 
 #[cfg(test)]
@@ -316,5 +407,106 @@ mod tests {
             .map(|v| g.node_weight(v))
             .sum();
         assert!((8..=12).contains(&w0), "side-0 weight {w0}");
+    }
+
+    /// Growing before the indexed heap: a lazy heap of every offer, stale
+    /// entries skipped at the pop. The oracle for [`grow`]; also counts the
+    /// restarts and the pops the skip rule turns away.
+    fn reference_grow(
+        graph: &CsrGraph,
+        target0: Weight,
+        rng: &mut SmallRng,
+        (restarts, skips): (&mut usize, &mut usize),
+    ) -> Vec<Node> {
+        use std::collections::BinaryHeap;
+        let n = graph.n();
+        let mut side = vec![1 as Node; n];
+        if n == 0 || target0 == 0 {
+            return side;
+        }
+        let start = rng.gen_range(0..n as Node);
+        let mut grown: Weight = 0;
+        let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
+        heap.push((0, Reverse(rng.gen()), start));
+        let mut in_heap_or_grown = vec![false; n];
+        in_heap_or_grown[start as usize] = true;
+        let mut untouched = 0 as Node;
+        while grown < target0 {
+            let Some((_, _, v)) = heap.pop() else {
+                match (untouched..n as Node).find(|&v| !in_heap_or_grown[v as usize]) {
+                    Some(v) => {
+                        untouched = v + 1;
+                        in_heap_or_grown[v as usize] = true;
+                        heap.push((0, Reverse(rng.gen()), v));
+                        *restarts += 1;
+                        continue;
+                    }
+                    None => break,
+                }
+            };
+            if side[v as usize] == 0 {
+                continue;
+            }
+            let w = graph.node_weight(v);
+            if grown + w > target0 && (grown + w - target0) > (target0 - grown) {
+                *skips += 1;
+                continue;
+            }
+            side[v as usize] = 0;
+            grown += w;
+            for (u, w) in graph.neighbors_weighted(v) {
+                if side[u as usize] == 1 {
+                    in_heap_or_grown[u as usize] = true;
+                    heap.push((w, Reverse(rng.gen()), u));
+                }
+            }
+        }
+        side
+    }
+
+    /// Components of different sizes, isolated nodes and heavy nodes (so
+    /// growing restarts, and skips nodes that would overshoot), arcs of
+    /// weight 0..=2: the indexed heap grows the side the lazy heap grows and
+    /// leaves the random stream where the lazy heap leaves it.
+    #[test]
+    fn grow_matches_the_lazy_heap_on_disconnected_heavy_graphs() {
+        let (mut restarts, mut skips) = (0, 0);
+        for case in 0..40u64 {
+            let mut b = pgp_graph::GraphBuilder::new(60);
+            let mut base = 0;
+            for (i, size) in [11u32, 3, 17, 1, 8, 6].into_iter().enumerate() {
+                for j in 1..size {
+                    let w = (case + u64::from(j)) % 3;
+                    b.push_edge(base + j, base + (j * 7 + case as u32) % j, w);
+                    if (i as u32 + j).is_multiple_of(3) {
+                        b.push_edge(base + j, base + (j + 1) % size, 1);
+                    }
+                }
+                base += size;
+            }
+            let weights = (0..60u64)
+                .map(|v| {
+                    if (v + case).is_multiple_of(9) {
+                        12
+                    } else {
+                        1 + v % 3
+                    }
+                })
+                .collect();
+            let g = b.node_weights(weights).build();
+            let total = g.total_node_weight();
+            for target0 in [total / 2, total / 3, 13, 1] {
+                let mut rng = SmallRng::seed_from_u64(case);
+                let mut want_rng = rng.clone();
+                let got = grow(&g, target0, &mut rng);
+                let want = reference_grow(&g, target0, &mut want_rng, (&mut restarts, &mut skips));
+                assert_eq!(got, want, "case {case}, target {target0}");
+                assert_eq!(rng.gen::<u64>(), want_rng.gen::<u64>());
+            }
+        }
+        assert!(
+            restarts > 0 && skips > 0,
+            "{restarts} restarts, {skips} skips"
+        );
     }
 }
