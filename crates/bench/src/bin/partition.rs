@@ -10,8 +10,7 @@
 //!     [graph=amazon] [tier=small] [k=4] [p=4] [seed=1] [preset=fast] \
 //!     [backend=threads] \
 //!     [report=results/run_report.json] \
-//!     [trace=results/trace.json] [recover=1] [max_retries=3] \
-//!     [checkpoint_every=1]
+//!     [trace=results/trace.json]
 //! ```
 //!
 //! `backend=threads|sockets` (or `--backend <b>`) selects the comm
@@ -23,18 +22,13 @@
 //! the trace schema in DESIGN.md §11; per-level tables can be regenerated
 //! from the JSON (see EXPERIMENTS.md). Open a trace at
 //! <https://ui.perfetto.dev> or `chrome://tracing`.
-//!
-//! `recover=1` (or `--recover`) runs under the automatic-recovery
-//! supervisor (DESIGN.md §14) with V-cycle checkpoints every
-//! `checkpoint_every` cycles and up to `max_retries` transient retries;
-//! the report's `recovery` block carries the supervisor counters.
 
 use bench::harness::parse_tier;
 use bench::{
     arg, arg_usize, bad_arg, report_level_table, report_phase_table, report_refine_table,
     report_straggler_table,
 };
-use parhip::{GraphClass, ParhipConfig, PartitionError, Partitioner, Preset, RecoveryLimits};
+use parhip::{GraphClass, ParhipConfig, PartitionError, Partitioner, Preset};
 use pgp_gen::benchmark_set;
 
 fn main() {
@@ -47,9 +41,6 @@ fn main() {
             let path = args.remove(i + 1);
             args[i] = format!("{flag}={path}");
         }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--recover") {
-        args[i] = "recover=1".to_string();
     }
     let name = arg(&args, "graph").unwrap_or_else(|| "amazon".to_string());
     let tier = parse_tier(arg(&args, "tier"));
@@ -65,16 +56,13 @@ fn main() {
     let backend: pgp_dmp::BackendKind = arg(&args, "backend")
         .map(|v| v.parse().unwrap_or_else(|_| bad_arg("backend", &v)))
         .unwrap_or_default();
-    let max_retries = arg_usize(&args, "max_retries", 3) as u32;
-    let checkpoint_every = arg_usize(&args, "checkpoint_every", 1);
 
     let inst = benchmark_set::instance(&name, tier, seed);
     let class = match inst.class {
         benchmark_set::GraphClass::Social => GraphClass::Social,
         benchmark_set::GraphClass::Mesh => GraphClass::Mesh,
     };
-    let mut cfg = ParhipConfig::preset(preset, k, class, seed);
-    cfg.checkpoint = parhip::CheckpointPolicy::every(checkpoint_every);
+    let cfg = ParhipConfig::preset(preset, k, class, seed);
     let graph = &inst.graph;
     println!(
         "partition: {} (n = {}, m = {}), k = {k}, p = {p}, preset = {preset:?}, seed = {seed}, \
@@ -92,17 +80,11 @@ fn main() {
     };
     let session = outputs.open(p);
     let obs = session.obs.clone();
-    let mut partitioner = Partitioner::new(&cfg).run(pgp_dmp::RunConfig {
+    let partitioner = Partitioner::new(&cfg).run(pgp_dmp::RunConfig {
         backend,
         obs: Some(obs.clone()),
         ..Default::default()
     });
-    if arg(&args, "recover").is_some_and(|v| v != "0") {
-        partitioner = partitioner.supervised(RecoveryLimits {
-            max_retries,
-            ..RecoveryLimits::default()
-        });
-    }
     let out = partitioner.partition(graph, p).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         // 2 — the front door turned the input away; 1 — the run failed.
@@ -112,17 +94,6 @@ fn main() {
             2
         })
     });
-    if let Some(recovery) = &out.recovery {
-        println!(
-            "recovery: {} attempt(s), {} transient retries, {} full recoveries, \
-             dead ranks {:?}, {} lost V-cycle(s)",
-            recovery.attempts,
-            recovery.retries,
-            recovery.recoveries,
-            recovery.dead_ranks,
-            recovery.lost_cycles
-        );
-    }
     session
         .finish()
         .unwrap_or_else(|e| fail(&format!("writing {e}")));

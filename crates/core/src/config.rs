@@ -27,40 +27,6 @@ pub enum Preset {
     Minimal,
 }
 
-/// When the partitioner snapshots a [`crate::VCycleCheckpoint`]
-/// (DESIGN.md §14). The default takes one at every V-cycle boundary —
-/// the PR 3 behaviour; larger cadences trade checkpoint cost against
-/// the work a recovery loses. Cadence affects *only* when snapshots are
-/// taken, never the partition, so it is deliberately excluded from
-/// [`ParhipConfig::fingerprint`]: a checkpoint written under one policy
-/// may resume under another.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// Snapshot after every `every_cycles`-th V-cycle (1 = every cycle).
-    /// The final cycle is always snapshotted regardless, so a finished
-    /// store holds the complete result. `0` is normalized to 1.
-    pub every_cycles: usize,
-}
-
-impl Default for CheckpointPolicy {
-    fn default() -> Self {
-        Self { every_cycles: 1 }
-    }
-}
-
-impl CheckpointPolicy {
-    /// A policy snapshotting every `every_cycles`-th cycle boundary.
-    pub fn every(every_cycles: usize) -> Self {
-        Self { every_cycles }
-    }
-
-    /// Whether the boundary after 0-based `cycle` (of a run whose last
-    /// cycle is `last_cycle`) takes a snapshot.
-    pub fn take_at(&self, cycle: usize, last_cycle: usize) -> bool {
-        cycle == last_cycle || (cycle + 1).is_multiple_of(self.every_cycles.max(1))
-    }
-}
-
 /// What to compute: the algorithmic configuration a [`crate::Partitioner`]
 /// borrows. How the run is carried — comm backend, watchdog, recorder — is
 /// `pgp_dmp::RunConfig`'s business, not this struct's.
@@ -101,10 +67,6 @@ pub struct ParhipConfig {
     /// falls below one node and freezes coarsening, so we keep the paper's
     /// *cluster size* rather than its constant (see DESIGN.md §2).
     pub mesh_first_cluster_weight: Weight,
-    /// Checkpoint cadence for runs with a [`crate::CheckpointStore`]
-    /// (DESIGN.md §14). Not part of the fingerprint: it never affects
-    /// the partition.
-    pub checkpoint: CheckpointPolicy,
 }
 
 impl ParhipConfig {
@@ -124,7 +86,6 @@ impl ParhipConfig {
             deterministic: false,
             social_first_factor: 14.0,
             mesh_first_cluster_weight: 32,
-            checkpoint: CheckpointPolicy::default(),
         };
         match preset {
             Preset::Fast => base,
@@ -185,8 +146,7 @@ impl ParhipConfig {
         (self.coarsest_nodes_per_block * self.k) as u64
     }
 
-    /// 64-bit fingerprint of every result-affecting value: all fields but
-    /// `checkpoint`. Checkpoint/restart refuses to resume a snapshot under
+    /// 64-bit fingerprint of every field. Checkpoint/restart refuses to resume a snapshot under
     /// a different fingerprint (a changed seed or iteration count would
     /// silently break the bit-identical replay guarantee — see DESIGN.md
     /// §9).
@@ -209,9 +169,6 @@ impl ParhipConfig {
         mix(u64::from(self.deterministic));
         mix(self.social_first_factor.to_bits());
         mix(self.mesh_first_cluster_weight);
-        // `checkpoint` is deliberately NOT mixed: cadence decides when
-        // snapshots happen, never what the partition is, and recovery
-        // must be free to resume a checkpoint under a different cadence.
         h
     }
 }
@@ -254,29 +211,6 @@ mod tests {
         }
         // Deterministic per (seed, cycle).
         assert_eq!(c.cluster_factor(3), c.cluster_factor(3));
-    }
-
-    #[test]
-    fn checkpoint_cadence_is_excluded_from_fingerprint() {
-        let base = ParhipConfig::fast(4, GraphClass::Social, 9);
-        let every3 = ParhipConfig {
-            checkpoint: CheckpointPolicy::every(3),
-            ..base.clone()
-        };
-        // A snapshot written at cadence 1 must resume at cadence 3.
-        assert_eq!(base.fingerprint(), every3.fingerprint());
-    }
-
-    #[test]
-    fn checkpoint_policy_takes_cadence_and_last_cycle() {
-        let every2 = CheckpointPolicy::every(2);
-        // 5 cycles (last = 4): boundaries after cycles 1, 3, and — always
-        // — the final cycle.
-        let taken: Vec<usize> = (0..5).filter(|&c| every2.take_at(c, 4)).collect();
-        assert_eq!(taken, vec![1, 3, 4]);
-        // Default = every cycle (the PR 3 behaviour), 0 normalizes to 1.
-        assert!((0..5).all(|c| CheckpointPolicy::default().take_at(c, 4)));
-        assert!((0..5).all(|c| CheckpointPolicy::every(0).take_at(c, 4)));
     }
 
     #[test]

@@ -43,10 +43,9 @@ pub mod partitioner;
 pub mod validate;
 
 pub use coarsen::{parallel_coarsen, ParHierarchy, ParLevel};
-pub use config::{CheckpointPolicy, GraphClass, ParhipConfig, Preset};
+pub use config::{GraphClass, ParhipConfig, Preset};
 pub use contract::{parallel_contract, parallel_project_blocks, ParContraction};
 pub use partitioner::{
     parhip_distributed, CheckpointStore, LevelSummary, ParhipStats, PartitionError, Partitioned,
     Partitioner, VCycleCheckpoint,
 };
-pub use pgp_dmp::RecoveryLimits;

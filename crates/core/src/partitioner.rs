@@ -24,7 +24,7 @@ use crate::coarsen::{coarsen_borrowed, BorrowedHierarchy};
 use crate::config::ParhipConfig;
 use crate::contract::{parallel_project_blocks, query_owner_values};
 use pgp_dmp::collectives::{allgatherv, allreduce_sum, allreduce_sum_vec};
-use pgp_dmp::{AttemptInfo, Comm, CommError, DistGraph, RecoveryLimits, RunConfig};
+use pgp_dmp::{Comm, CommError, DistGraph, RunConfig};
 use pgp_evo::{Budget, EvoConfig};
 use pgp_graph::ids;
 use pgp_graph::io::{RowSegment, SegmentedGraph};
@@ -111,30 +111,12 @@ pub struct VCycleCheckpoint {
 #[derive(Default)]
 pub struct CheckpointStore {
     latest: std::sync::Mutex<Option<VCycleCheckpoint>>,
-    /// Total V-cycle *starts* recorded against this store (rank 0 marks
-    /// one per cycle entry, across all attempts). A fault-free run starts
-    /// exactly `vcycles` cycles, so anything beyond that is work a fault
-    /// destroyed — a supervised run reports the difference as
-    /// `lost_cycles`.
-    cycles_started: std::sync::atomic::AtomicU64,
 }
 
 impl CheckpointStore {
     /// An empty store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Records one V-cycle start (called by rank 0 at each cycle entry).
-    pub fn note_cycle_started(&self) {
-        self.cycles_started
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed); // lint:relaxed-ok: monotonic diagnostic counter
-    }
-
-    /// Total V-cycle starts recorded so far (see the field docs).
-    pub fn cycles_started(&self) -> u64 {
-        self.cycles_started
-            .load(std::sync::atomic::Ordering::Relaxed) // lint:relaxed-ok: monotonic diagnostic counter
     }
 
     /// Replaces the stored checkpoint (later cycles win).
@@ -218,7 +200,8 @@ pub enum PartitionError {
     /// [`Partitioner::resume`] without a store, or with an empty one.
     NoCheckpoint,
     /// A structured comm failure (watchdog timeout, dead peer) ended the
-    /// run — under supervision, after the recovery budget was spent.
+    /// run. A run given a [`Partitioner::store`] may be continued from its
+    /// latest snapshot with [`Partitioner::resume`].
     Comm(CommError),
 }
 
@@ -255,10 +238,6 @@ pub struct Partitioned {
     pub partition: Partition,
     /// The run's statistics, `cut` and `imbalance` filled in.
     pub stats: ParhipStats,
-    /// The supervisor's counters (attempts, retries, recoveries, dead
-    /// ranks, lost V-cycles); `Some` iff the run was
-    /// [`Partitioner::supervised`].
-    pub recovery: Option<pgp_obs::RecoveryReport>,
     /// Why the result fails the closing check — a block above
     /// `Lmax(eps)`, or what `pgp_check::validate_dist_partition` found —
     /// or `None` when it passes.
@@ -294,12 +273,10 @@ impl From<SegmentedGraph> for GraphInput<'_> {
 /// Where the PEs of a run get their rows.
 enum Rows<'g> {
     Global(&'g CsrGraph),
-    /// One slot per PE. A plain run moves the segment out; a supervised run
-    /// copies it, because a re-attempt needs the rows again.
+    /// One slot per PE; each PE moves its segment out.
     Segments {
         n: u64,
         slots: Vec<Mutex<Option<RowSegment>>>,
-        keep: bool,
     },
 }
 
@@ -308,13 +285,12 @@ impl Rows<'_> {
     fn distribute(&self, comm: &Comm) -> DistGraph {
         match self {
             Rows::Global(graph) => DistGraph::from_global(comm, graph),
-            Rows::Segments { n, slots, keep } => {
-                let mut slot = slots[comm.rank()]
+            Rows::Segments { n, slots } => {
+                let rows = slots[comm.rank()]
                     .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let rows = if *keep { slot.clone() } else { slot.take() };
-                drop(slot);
-                let rows = rows.expect("a plain run takes each PE's rows once");
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take()
+                    .expect("a run takes each PE's rows once");
                 DistGraph::from_segment(comm, *n, rows)
             }
         }
@@ -346,13 +322,12 @@ fn close_run(comm: &Comm, graph: &DistGraph, blocks: &[Node], k: usize) -> Closi
 }
 
 /// The one way to call the partitioner: a borrowed [`ParhipConfig`] plus
-/// the four orthogonal options — a prepartition, the [`RunConfig`] that
+/// the three orthogonal options — a prepartition, the [`RunConfig`] that
 /// carries the run (backend, watchdog deadline, fault hook, and the `Obs`
-/// registry a report or trace is later read from), a
-/// [`CheckpointStore`] with resume-from-latest, and supervision — and two
-/// verbs: [`partition`](Self::partition) on a global graph or its per-PE
-/// row segments, [`partition_distributed`](Self::partition_distributed)
-/// per PE.
+/// registry a report or trace is later read from), and a
+/// [`CheckpointStore`] with resume-from-latest — and two verbs:
+/// [`partition`](Self::partition) on a global graph or its per-PE row
+/// segments, [`partition_distributed`](Self::partition_distributed) per PE.
 ///
 /// ```no_run
 /// use parhip::{GraphClass, ParhipConfig, Partitioner};
@@ -369,12 +344,10 @@ pub struct Partitioner<'a> {
     prepartition: Option<&'a Partition>,
     store: Option<&'a CheckpointStore>,
     resume: bool,
-    supervised: Option<RecoveryLimits>,
 }
 
 impl<'a> Partitioner<'a> {
-    /// A plain run of `cfg`: threads backend, no recorder, no checkpoints,
-    /// no supervision.
+    /// A plain run of `cfg`: threads backend, no recorder, no checkpoints.
     pub fn new(cfg: &'a ParhipConfig) -> Self {
         Self {
             cfg,
@@ -382,7 +355,6 @@ impl<'a> Partitioner<'a> {
             prepartition: None,
             store: None,
             resume: false,
-            supervised: None,
         }
     }
 
@@ -409,9 +381,8 @@ impl<'a> Partitioner<'a> {
         self
     }
 
-    /// Saves a [`VCycleCheckpoint`] into `store` at the V-cycle boundaries
-    /// `cfg.checkpoint` selects (rank 0 writes; the snapshot itself is
-    /// assembled collectively).
+    /// Saves a [`VCycleCheckpoint`] into `store` at every V-cycle boundary
+    /// (rank 0 writes; the snapshot itself is assembled collectively).
     pub fn store(mut self, store: &'a CheckpointStore) -> Self {
         self.store = Some(store);
         self
@@ -432,27 +403,13 @@ impl<'a> Partitioner<'a> {
         self
     }
 
-    /// Runs [`partition`](Self::partition) under the automatic-recovery
-    /// supervisor (DESIGN.md §14): every V-cycle boundary is checkpointed
-    /// at the cadence in `cfg.checkpoint` (into the [`store`](Self::store)
-    /// if one was given), and when a PE dies mid-run the survivors'
-    /// failure consensus picks the dead ranks, the supervisor respawns a
-    /// fresh universe, and the run resumes from the latest validated
-    /// snapshot — bit-identical to the fault-free partition.
-    /// Uncorroborated timeouts are retried with exponential backoff
-    /// (jitter seeded from `cfg.seed`) before escalating to full recovery.
-    pub fn supervised(mut self, limits: RecoveryLimits) -> Self {
-        self.supervised = Some(limits);
-        self
-    }
-
     /// Partitions `graph` — a `&CsrGraph`, or a [`SegmentedGraph`] read
     /// with one segment per PE ([`GraphInput`]) — into `cfg.k` blocks on
     /// `p` PEs and assembles the global result. Outside input is checked
     /// here, once: `k ≥ 1`, `p ≥ 1`, a finite `ε ≥ 0`, a prepartition that
     /// matches `k` and the graph, a snapshot to resume from. A structured
-    /// comm failure comes back as [`PartitionError::Comm`] — under
-    /// supervision only once the recovery budget is exhausted.
+    /// comm failure comes back as [`PartitionError::Comm`]; the caller may
+    /// then [`resume`](Self::resume) from the run's store.
     ///
     /// The cut, the imbalance and the closing check
     /// ([`Partitioned::violation`]) are computed on the PEs; only the
@@ -489,10 +446,6 @@ impl<'a> Partitioner<'a> {
         if self.resume && self.store.and_then(CheckpointStore::latest_cycle).is_none() {
             return Err(PartitionError::NoCheckpoint);
         }
-        // A supervised run always checkpoints — recovery resumes from it.
-        let own_store = CheckpointStore::new();
-        let store = self.store.or(self.supervised.map(|_| &own_store));
-        let started_before = store.map_or(0, CheckpointStore::cycles_started);
         let rows = match graph {
             GraphInput::Global(g) => Rows::Global(g),
             GraphInput::Segments(g) => {
@@ -504,45 +457,20 @@ impl<'a> Partitioner<'a> {
                         .into_iter()
                         .map(|s| Mutex::new(Some(s)))
                         .collect(),
-                    keep: self.supervised.is_some(),
                 }
             }
         };
-        let on_pe = |comm: &Comm, attempt: Option<&AttemptInfo>| {
+        let values = pgp_dmp::run_config(p, self.run.clone(), |comm| {
             let dg = rows.distribute(comm);
-            let (blocks, mut stats) = self.run_on_pe(comm, &dg, store, attempt);
+            let (blocks, mut stats) = self.run_on_pe(comm, &dg);
             let closing = close_run(comm, &dg, &blocks, cfg.k);
             stats.cut = closing.cut;
             let local = blocks[..dg.n_local()].to_vec();
             drop((blocks, dg));
             (allgatherv(comm, local), stats, closing)
-        };
-        let (values, recovery) = match self.supervised {
-            None => {
-                let values = pgp_dmp::run_config(p, self.run.clone(), |comm| on_pe(comm, None))
-                    .into_iter()
-                    .collect::<Result<Vec<_>, CommError>>()?;
-                (values, None)
-            }
-            Some(limits) => {
-                let sup = pgp_dmp::SupervisorConfig {
-                    base: self.run.clone(),
-                    limits,
-                    seed: cfg.seed,
-                };
-                let (values, mut recovery) =
-                    pgp_dmp::run_config_supervised(p, sup, |comm, info| on_pe(comm, Some(info)))?;
-                // Work destroyed by faults: cycle starts beyond the
-                // fault-free count.
-                let started = store.map_or(0, CheckpointStore::cycles_started) - started_before;
-                let lost = started.saturating_sub(cfg.vcycles.max(1) as u64); // lint:cast-ok: small cycle count
-                recovery.lost_cycles = lost;
-                if let Some(obs) = &self.run.obs {
-                    obs.record_recovery(|r| r.lost_cycles = lost);
-                }
-                (values, Some(recovery))
-            }
-        };
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, CommError>>()?;
         let (assignment, mut stats, closing) =
             values.into_iter().next().expect("p >= 1 was checked");
         let total = closing.total_node_weight;
@@ -559,7 +487,6 @@ impl<'a> Partitioner<'a> {
         Ok(Partitioned {
             partition,
             stats,
-            recovery,
             violation,
         })
     }
@@ -568,8 +495,8 @@ impl<'a> Partitioner<'a> {
     /// closure: runs the full system on an already-distributed graph and
     /// returns this PE's local block assignment (owned nodes) plus stats.
     /// The prepartition, store and resume options apply; the group `comm`
-    /// belongs to was built by the caller, so [`run`](Self::run) and
-    /// [`supervised`](Self::supervised) have nothing to act on here.
+    /// belongs to was built by the caller, so [`run`](Self::run) has nothing
+    /// to act on here.
     ///
     /// # Panics
     /// Panics on what [`partition`](Self::partition) rejects with an
@@ -579,50 +506,20 @@ impl<'a> Partitioner<'a> {
         comm: &Comm,
         graph: &DistGraph,
     ) -> (Vec<Node>, ParhipStats) {
-        let (mut blocks, stats) = self.run_on_pe(comm, graph, self.store, None);
+        let (mut blocks, stats) = self.run_on_pe(comm, graph);
         blocks.truncate(graph.n_local());
         (blocks, stats)
     }
 
-    /// One attempt on one PE: the blocks of the owned and ghost nodes, and
-    /// the stats. `attempt` is `Some` under supervision: a
-    /// re-attempt resumes from the store's latest *usable* snapshot and
-    /// otherwise starts over. That choice is SPMD-uniform — `attempt`
-    /// comes from the supervisor (identical on every PE) and the store is
-    /// only written at collective V-cycle boundaries, so all PEs observe
-    /// the same latest snapshot between attempts.
-    fn run_on_pe(
-        &self,
-        comm: &Comm,
-        graph: &DistGraph,
-        store: Option<&CheckpointStore>,
-        attempt: Option<&AttemptInfo>,
-    ) -> (Vec<Node>, ParhipStats) {
+    /// One run on one PE: the blocks of the owned and ghost nodes, and the
+    /// stats.
+    fn run_on_pe(&self, comm: &Comm, graph: &DistGraph) -> (Vec<Node>, ParhipStats) {
         let cfg = self.cfg;
-        let latest = || store.and_then(CheckpointStore::latest);
-        if attempt.is_some_and(|a| a.attempt > 0) {
-            #[cfg(feature = "validate")]
-            crate::validate::assert_recovery_agreed(
-                comm,
-                attempt.map_or(&[], |a| &a.dead_ranks),
-                store.and_then(CheckpointStore::latest_cycle),
-                "supervised attempt entry",
-            );
-            let rec = comm.recorder();
-            rec.enter("restore");
-            // Fingerprint checks are collective (group_graph_fingerprint is an
-            // allreduce) and must run unconditionally on this branch.
-            let group_fp = group_graph_fingerprint(comm, graph);
-            let config_fp = cfg.fingerprint();
-            let usable = latest().filter(|cp| {
-                cp.graph_fingerprint == group_fp && cp.config_fingerprint == config_fp
-            });
-            rec.exit("restore");
-            if let Some(cp) = usable {
-                return resume_cycles(comm, graph, cfg, &cp, store);
-            }
-        } else if self.resume {
-            let cp = latest().expect("resume: the checkpoint store holds no snapshot");
+        let store = self.store;
+        if self.resume {
+            let cp = store
+                .and_then(CheckpointStore::latest)
+                .expect("resume: the checkpoint store holds no snapshot");
             return resume_cycles(comm, graph, cfg, &cp, store);
         }
         let input: Option<Vec<Node>> = self.prepartition.map(|ip| {
@@ -723,17 +620,9 @@ fn parhip_cycles(
     // cycle, so its degree order is computed once and reused.
     let mut scratch = SclpScratch::new();
 
-    let last_cycle = cfg.vcycles.max(1) - 1;
     for cycle in start_cycle..cfg.vcycles.max(1) {
         let rec = comm.recorder();
         rec.enter("vcycle");
-        // Cycle-start accounting for the recovery layer: one mark per
-        // entered cycle (rank 0 only — the counter is global, not per-PE).
-        if let Some(store) = store {
-            if comm.rank() == 0 {
-                store.note_cycle_started();
-            }
-        }
         // ---- Parallel coarsening -------------------------------------
         rec.enter("coarsen");
         // Level 0 of the hierarchy is `graph` itself, borrowed.
@@ -850,10 +739,7 @@ fn parhip_cycles(
         blocks = Some(full);
 
         // ---- V-cycle boundary checkpoint -------------------------------
-        // The cadence gate is SPMD-uniform (pure function of cycle index
-        // and config), so skipping a boundary cannot desynchronize the
-        // group. The last cycle is always taken.
-        if let Some(store) = store.filter(|_| cfg.checkpoint.take_at(cycle, last_cycle)) {
+        if let Some(store) = store {
             let assignment = allgatherv(comm, level_blocks.clone());
             let fine_to_coarsest = allgatherv(comm, compose_to_coarsest(comm, &hierarchy));
             let checkpoint = VCycleCheckpoint {

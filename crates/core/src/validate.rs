@@ -78,27 +78,6 @@ pub fn assert_checkpoint_valid(
     }
 }
 
-/// Panics if the failure-consensus verdict or resume point a respawned
-/// group is about to act on is malformed or divergent across PEs
-/// (`pgp_check::validate_recovery`). Collective: every PE of a recovery
-/// attempt reaches this at the same point.
-pub fn assert_recovery_agreed(
-    comm: &Comm,
-    dead_ranks: &[usize],
-    resume_cycle: Option<usize>,
-    context: &str,
-) {
-    if !enabled() {
-        return;
-    }
-    if let Err(errs) = pgp_check::validate_recovery(comm, dead_ranks, resume_cycle) {
-        panic!(
-            "recovery consensus violation ({context}):\n{}",
-            errs.join("\n")
-        );
-    }
-}
-
 /// Panics if the fine→coarse `mapping` is not surjective and
 /// weight-preserving onto `coarse`.
 pub fn assert_contraction_valid(

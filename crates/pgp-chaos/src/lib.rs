@@ -107,12 +107,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// The configured `(rank, phase)` kills — recovery tests compare the
-    /// supervisor's dead-rank verdict and recovery count against this.
-    pub fn kills(&self) -> &[(usize, u64)] {
-        &self.kills
-    }
-
     /// A [`RunConfig`] installing this plan plus a watchdog `deadline`.
     /// Plans with drops or kills should always run under a deadline — the
     /// watchdog is what turns the induced hang into a structured error.
@@ -234,7 +228,6 @@ mod tests {
         let plan = FaultPlan::new(0).kill(3, 17);
         assert_eq!(plan.kill_at_phase(3), Some(17));
         assert_eq!(plan.kill_at_phase(2), None);
-        assert_eq!(plan.kills(), &[(3, 17)]);
     }
 
     #[test]

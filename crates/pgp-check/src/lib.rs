@@ -33,9 +33,6 @@
 //!   recount.
 //! * **Contraction** — the fine→coarse map is surjective onto the coarse
 //!   node set and node-weight preserving per coarse node.
-//! * **Recovery consensus** — after a supervised recovery, every PE holds
-//!   the same dead-rank verdict and resume point, and the verdict is
-//!   sorted, in range, and leaves survivors.
 
 use pgp_dmp::collectives::{allgatherv, allreduce_sum, allreduce_sum_vec, alltoallv};
 use pgp_dmp::{Comm, DistGraph};
@@ -422,58 +419,6 @@ pub fn validate_contraction(
     finish(comm, errs)
 }
 
-/// Validates the recovery state a respawned group resumes under: the
-/// failure-consensus verdict (`dead_ranks`, the ranks of the *previous*
-/// universe declared dead) and the resume point (`resume_cycle`, the
-/// checkpointed V-cycle being resumed from, `None` when restarting from
-/// scratch).
-///
-/// Local checks: ranks in `0..p`, strictly ascending (sorted, no
-/// duplicates), and fewer dead than group members. A verdict naming the
-/// calling PE's own rank is fine — the respawned replacement occupies the
-/// rank index of the PE it replaces. Collective check: every PE's
-/// (verdict, resume point) view is allgathered and compared — recovery
-/// must not proceed from divergent views, or the resumed run forks.
-/// Collective over `comm`.
-pub fn validate_recovery(
-    comm: &Comm,
-    dead_ranks: &[usize],
-    resume_cycle: Option<usize>,
-) -> Result<(), Vec<String>> {
-    let mut errs: Vec<String> = Vec::new();
-    let p = comm.size();
-
-    for &d in dead_ranks {
-        if d >= p {
-            errs.push(format!("dead rank {d} out of group range 0..{p}"));
-        }
-    }
-    if dead_ranks.windows(2).any(|w| w[0] >= w[1]) {
-        errs.push(format!(
-            "dead-rank verdict {dead_ranks:?} is not strictly ascending"
-        ));
-    }
-    if dead_ranks.len() >= p {
-        errs.push(format!(
-            "verdict declares {} dead of {p} PEs — no survivors to resume",
-            dead_ranks.len()
-        ));
-    }
-
-    // Group agreement: one canonical line per PE, gathered in rank order.
-    let view = format!("dead={dead_ranks:?} resume={resume_cycle:?}");
-    let all_views = allgatherv(comm, vec![view.clone()]);
-    for (r, theirs) in all_views.iter().enumerate() {
-        if *theirs != view {
-            errs.push(format!(
-                "recovery view disagrees with PE {r}: ours [{view}], theirs [{theirs}]"
-            ));
-        }
-    }
-
-    finish(comm, errs)
-}
-
 /// Validates the internal consistency of a V-cycle checkpoint snapshot:
 /// both assignments stay inside `0..k`, the coarsest assignment covers the
 /// coarsest graph exactly, the fine→coarsest map covers the fine
@@ -732,43 +677,6 @@ mod tests {
         });
         for r in reports {
             assert!(r.is_err(), "out-of-range block must be detected");
-        }
-    }
-
-    #[test]
-    fn agreed_recovery_verdict_passes() {
-        run(4, |comm| {
-            validate_recovery(comm, &[2], Some(1)).unwrap();
-            validate_recovery(comm, &[], None).unwrap();
-        });
-    }
-
-    #[test]
-    fn divergent_recovery_view_is_detected() {
-        let reports = run(3, |comm| {
-            let dead: &[usize] = if comm.rank() == 1 { &[0] } else { &[2] };
-            validate_recovery(comm, dead, Some(0))
-        });
-        for r in reports {
-            let errs = r.expect_err("divergent views must be detected");
-            assert!(errs.iter().any(|e| e.contains("disagrees")), "{errs:?}");
-        }
-    }
-
-    #[test]
-    fn malformed_local_verdict_is_detected() {
-        let reports = run(2, |comm| {
-            // Out of range, unsorted, and no survivors — all at once.
-            validate_recovery(comm, &[1, 1, 9], None)
-        });
-        for r in reports {
-            let errs = r.expect_err("malformed verdict must be detected");
-            assert!(
-                errs.iter().any(|e| e.contains("out of group range")),
-                "{errs:?}"
-            );
-            assert!(errs.iter().any(|e| e.contains("ascending")), "{errs:?}");
-            assert!(errs.iter().any(|e| e.contains("no survivors")), "{errs:?}");
         }
     }
 

@@ -263,25 +263,13 @@ impl Universe {
     /// and wakes every parked PE so the failure propagates promptly.
     ///
     /// Safe to call from any thread, any number of times; later calls keep
-    /// the original error in the `poison` slot but still accumulate into
-    /// the fault ledger (see [`Universe::fault_ledger`]), so a run with
-    /// several concurrent failures records all of them for consensus.
-    /// Message payload visibility is unaffected — this only gates the
-    /// blocking paths.
+    /// the original error in the `poison` slot. Message payload visibility
+    /// is unaffected — this only gates the blocking paths.
     pub fn poison(&self, err: CommError) {
         self.poison.record(err);
         for mb in &self.mailboxes {
             mb.notify_all();
         }
-    }
-
-    /// Every distinct error ever passed to [`Universe::poison`], in
-    /// arrival order. Unlike [`Universe::poison_error`] (first fault
-    /// only), this sees *all* failures of a multi-fault run — the input
-    /// to the supervisor's failure consensus. Call after the PE threads
-    /// have joined for a complete picture.
-    pub fn fault_ledger(&self) -> Vec<CommError> {
-        self.poison.ledger()
     }
 
     /// The recorded poison error, if the universe is poisoned.
@@ -787,22 +775,6 @@ mod chaos_tests {
         fn kill_at_phase(&self, rank: usize) -> Option<u64> {
             (rank == self.rank).then_some(self.phase)
         }
-    }
-
-    #[test]
-    fn poison_ledger_accumulates_distinct_faults() {
-        let u = Universe::with_config(2, None, None, None);
-        let e1 = CommError::PeerDead { rank: 0, dead: 0 };
-        let e2 = CommError::PeerDead { rank: 1, dead: 1 };
-        u.poison(e1.clone());
-        u.poison(e2.clone());
-        u.poison(e1.clone()); // duplicate: recorded once
-        assert_eq!(u.poison_error(), Some(e1.clone()), "first poison wins");
-        assert_eq!(
-            u.fault_ledger(),
-            vec![e1, e2],
-            "ledger must see every distinct fault, not just the first"
-        );
     }
 
     #[test]

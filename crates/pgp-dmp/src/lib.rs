@@ -9,8 +9,7 @@
 //!
 //! Contents:
 //! * [`comm`] — mailboxes, tags, selective receive ([`Comm`]).
-//! * [`runner`] — SPMD execution ([`run`], [`run_config`],
-//!   [`run_config_supervised`]).
+//! * [`runner`] — SPMD execution ([`run`], [`run_config`]).
 //! * [`collectives`] — barrier, broadcast, reduce, allreduce, exscan,
 //!   gather, allgather(v), alltoallv.
 //! * [`dgraph`] — the distributed graph of Section IV-A: contiguous node
@@ -39,8 +38,5 @@ pub use transport::BackendKind;
 pub use wire::{Wire, WireError, WireReader};
 // Re-exported so `RunConfig { obs, .. }` can be built without a direct
 // pgp-obs dependency.
-pub use pgp_obs::{Obs, Recorder, RecoveryReport, RunTrace};
-pub use runner::{
-    mix_seed, run, run_config, run_config_supervised, thread_cpu_seconds, AttemptInfo,
-    FailureVerdict, RecoveryLimits, RunConfig, SupervisorConfig,
-};
+pub use pgp_obs::{Obs, Recorder, RunTrace};
+pub use runner::{mix_seed, run, run_config, thread_cpu_seconds, RunConfig};

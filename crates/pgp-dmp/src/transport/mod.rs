@@ -133,32 +133,21 @@ pub(crate) fn unpack<T: Wire>(payload: Payload, src: usize, tag: Tag) -> T {
     }
 }
 
-/// A group's poison state, shared by both backends: a fast flag, the
-/// first fatal failure (first wins; it drives the unwind) and the ledger
-/// of every *distinct* failure in arrival order (what failure consensus
-/// reads after the join, so a multi-kill run records every dead rank
-/// instead of racing on first-poison-wins). Waking parked PEs is the
-/// owner's job: all mailboxes for the thread universe, its own mailbox
-/// for a socket endpoint.
+/// A group's poison state, shared by both backends: a fast flag and the
+/// first fatal failure (first wins; it drives the unwind). Waking parked
+/// PEs is the owner's job: all mailboxes for the thread universe, its own
+/// mailbox for a socket endpoint.
 #[derive(Default)]
 pub(crate) struct PoisonState {
     /// Fast flag, checked on every blocking-path entry; the
     /// authoritative record is `first`.
     poisoned: AtomicBool,
     first: Mutex<Option<CommError>>,
-    ledger: Mutex<Vec<CommError>>,
 }
 
 impl PoisonState {
-    /// Records `err` in the ledger (once per distinct error) and, if it is
-    /// the first, in the poison slot.
+    /// Records `err` in the poison slot if it is the first.
     pub(crate) fn record(&self, err: CommError) {
-        {
-            let mut ledger = self.ledger.lock();
-            if !ledger.contains(&err) {
-                ledger.push(err.clone());
-            }
-        }
         let mut first = self.first.lock();
         if first.is_none() {
             *first = Some(err);
@@ -180,11 +169,6 @@ impl PoisonState {
     /// True iff an error has been recorded.
     pub(crate) fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
-    }
-
-    /// Every distinct recorded error, in arrival order.
-    pub(crate) fn ledger(&self) -> Vec<CommError> {
-        self.ledger.lock().clone()
     }
 }
 
@@ -237,7 +221,7 @@ pub(crate) trait Transport: Send + Sync {
 }
 
 /// A running PE group of either backend: the runner's seam. Owns the
-/// backend state for one attempt (the thread universe, or the socket
+/// backend state for one run (the thread universe, or the socket
 /// endpoints plus their reader threads) and hands out per-rank [`Comm`]s.
 pub(crate) enum Group {
     /// Thread-mailbox backend.
@@ -247,7 +231,7 @@ pub(crate) enum Group {
 }
 
 impl Group {
-    /// Builds the backend state for one run attempt.
+    /// Builds the backend state for one run.
     pub(crate) fn build(
         size: usize,
         backend: BackendKind,
@@ -268,14 +252,6 @@ impl Group {
         }
     }
 
-    /// Number of PEs in the group.
-    pub(crate) fn size(&self) -> usize {
-        match self {
-            Group::Threads(u) => u.size(),
-            Group::Sockets(g) => g.size(),
-        }
-    }
-
     /// A communicator handle for PE `rank`.
     pub(crate) fn comm(&self, rank: usize) -> Comm {
         match self {
@@ -290,15 +266,6 @@ impl Group {
         match self {
             Group::Threads(u) => u.poison(err),
             Group::Sockets(g) => g.poison(rank, err),
-        }
-    }
-
-    /// Every distinct error observed by the group, in arrival order —
-    /// the input to the supervisor's failure consensus.
-    pub(crate) fn fault_ledger(&self) -> Vec<CommError> {
-        match self {
-            Group::Threads(u) => u.fault_ledger(),
-            Group::Sockets(g) => g.fault_ledger(),
         }
     }
 }

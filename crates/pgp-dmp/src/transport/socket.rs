@@ -15,7 +15,7 @@
 //!   [`CommError`];
 //! * EOF or a read error while the group is not tearing down — the link
 //!   was reset under a live peer — becomes [`CommError::PeerDead`] naming
-//!   the silent peer, the evidence the recovery supervisor consumes.
+//!   the silent peer.
 //!
 //! The endpoints are wired by [`SocketGroup`]: PE threads connected
 //! through `UnixStream::pair`, used by `run_config` with
@@ -307,11 +307,6 @@ impl SocketGroup {
         }
     }
 
-    /// Number of PEs in the group.
-    pub(crate) fn size(&self) -> usize {
-        self.endpoints.len()
-    }
-
     /// A communicator handle for PE `rank`.
     pub(crate) fn comm(&self, rank: usize) -> Comm {
         assert!(rank < self.endpoints.len());
@@ -331,19 +326,6 @@ impl SocketGroup {
     /// Poisons the group on behalf of `rank` (broadcasts to all peers).
     pub(crate) fn poison(&self, rank: usize, err: CommError) {
         self.endpoints[rank].poison(err);
-    }
-
-    /// The union of every endpoint's fault ledger, rank order, distinct.
-    pub(crate) fn fault_ledger(&self) -> Vec<CommError> {
-        let mut out: Vec<CommError> = Vec::new();
-        for ep in &self.endpoints {
-            for err in ep.poison.ledger() {
-                if !out.contains(&err) {
-                    out.push(err);
-                }
-            }
-        }
-        out
     }
 }
 

@@ -9,17 +9,15 @@
 //! The suite is the gate for adding a transport: a backend that passes
 //! it supports typed selective receive, per-(src, tag) FIFO, every
 //! collective, the poison protocol (timeout + peer death, including a
-//! collective one rank skipped), chaos fault
-//! injection, supervised recovery, and exact send/receive conservation
-//! in the observation layer.
+//! collective one rank skipped), chaos fault injection, and exact
+//! send/receive conservation in the observation layer.
 
 use pgp_dmp::collectives::{
     allgather, allgatherv, allreduce, allreduce_min_with_rank, allreduce_sum, allreduce_sum_vec,
     alltoallv, barrier, broadcast, exscan_sum, gather, reduce,
 };
 use pgp_dmp::{
-    run_config, run_config_supervised, BackendKind, Comm, CommError, FaultHook, Obs, RunConfig,
-    SendFault, SupervisorConfig, Tag,
+    run_config, BackendKind, Comm, CommError, FaultHook, Obs, RunConfig, SendFault, Tag,
 };
 use pgp_graph::Node;
 use std::sync::Arc;
@@ -406,34 +404,6 @@ fn chaos_kill_poisons_group(backend: BackendKind) {
     );
 }
 
-fn supervised_recovery(backend: BackendKind) {
-    // The PR 8 supervisor must recover from a chaos kill on either
-    // backend: consensus declares rank 1 dead, the group respawns with
-    // the kill disarmed, and attempt 1 completes.
-    let sup = SupervisorConfig {
-        base: RunConfig {
-            backend,
-            deadline: Some(Duration::from_secs(10)),
-            fault_hook: Some(Arc::new(KillAt { rank: 1, phase: 0 })),
-            ..RunConfig::default()
-        },
-        ..SupervisorConfig::default()
-    };
-    let (values, report) = run_config_supervised(3, sup, |comm, info| {
-        barrier(comm);
-        (comm.rank(), info.attempt, info.dead_ranks.clone())
-    })
-    .expect("supervisor must recover from a single kill");
-    for (rank, (r, attempt, dead)) in values.into_iter().enumerate() {
-        assert_eq!(r, rank);
-        assert_eq!(attempt, 1);
-        assert_eq!(dead, vec![1]);
-    }
-    assert_eq!(report.attempts, 2);
-    assert_eq!(report.recoveries, 1);
-    assert_eq!(report.dead_ranks, vec![1]);
-}
-
 fn obs_conservation_and_backend_field(backend: BackendKind) {
     // Whatever the transport does to a payload, the recorder's per-tag
     // totals must balance exactly: Σ sent − Σ dropped == Σ received.
@@ -495,6 +465,5 @@ for_each_backend!(
     chaos_drop_times_out,
     chaos_delay_preserves_fifo,
     chaos_kill_poisons_group,
-    supervised_recovery,
     obs_conservation_and_backend_field,
 );

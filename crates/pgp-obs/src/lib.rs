@@ -68,7 +68,7 @@ pub use perfetto::{to_perfetto_json, validate_perfetto};
 pub use recorder::{CollectiveGuard, Obs, Recorder, SpanGuard, WaitToken, DEFAULT_TRACE_CAPACITY};
 pub use report::{
     Aggregate, CollectiveEntry, CommReport, HistBucketEntry, PeReport, PeerWaitEntry, PhaseEntry,
-    RecoveryReport, RunReport, TagEntry, SCHEMA_VERSION,
+    RunReport, TagEntry, SCHEMA_VERSION,
 };
 pub use resources::{read_rss_kb, thread_cpu_seconds, ResourceSample};
 pub use trace::{

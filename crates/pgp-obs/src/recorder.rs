@@ -22,7 +22,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use crate::metrics::{LevelMetrics, PhaseStat, RefineMetrics, TagCounter, WaitHistogram};
-use crate::report::{Aggregate, PeReport, RecoveryReport, RunReport, TagEntry, SCHEMA_VERSION};
+use crate::report::{Aggregate, PeReport, RunReport, TagEntry, SCHEMA_VERSION};
 use crate::resources::ResourceSample;
 use crate::trace::{FaultKind, PeTrace, RunTrace, TraceEventKind, TraceRing};
 
@@ -49,10 +49,6 @@ pub struct Obs {
     /// Whether per-PE trace rings exist (uniform across PEs, so trace
     /// bookkeeping like sequence numbers cannot desync between peers).
     traced: bool,
-    /// Recovery-supervisor counters, written by the supervisor between
-    /// universe launches (no PE threads alive) and between the final
-    /// join and [`Obs::report`]. All-zero for unsupervised runs.
-    recovery: Mutex<RecoveryReport>,
     /// Comm-backend name ("threads" unless a group build overrides it),
     /// surfaced in the report so run artifacts record which transport ran.
     backend: Mutex<&'static str>,
@@ -148,7 +144,6 @@ impl Obs {
             epoch_origin: Mutex::new(Instant::now()), // lint:instant-ok: trace epoch origin
             epoch_offset_ns: AtomicU64::new(0),
             traced: trace_capacity.is_some(),
-            recovery: Mutex::new(RecoveryReport::default()),
             backend: Mutex::new("threads"),
         })
     }
@@ -212,15 +207,7 @@ impl Obs {
             backend: (*self.backend.lock()).to_string(),
             per_pe,
             aggregate,
-            recovery: self.recovery.lock().clone(),
         }
-    }
-
-    /// Mutates the recovery counters in place. Called by the recovery
-    /// supervisor between universe launches and by the partitioner's
-    /// supervised wrapper to fill in `lost_cycles` after the run.
-    pub fn record_recovery(&self, f: impl FnOnce(&mut RecoveryReport)) {
-        f(&mut self.recovery.lock());
     }
 
     /// Assembles the event timelines, or `None` when the registry was

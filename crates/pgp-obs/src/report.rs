@@ -21,10 +21,9 @@ use crate::resources::ResourceSample;
 /// count and per-peer blame per PE, and the aggregate gained
 /// `recv_wait_max_s` (+ owning PE) and parse-time-derived p50/p95/p99.
 ///
-/// v3: top-level `recovery` block — supervisor counters (attempts,
-/// transient retries, full recoveries, dead ranks, lost V-cycles) from
-/// the automatic-recovery layer (DESIGN.md §14). All-zero for
-/// unsupervised runs.
+/// v3: top-level `recovery` block — attempts, transient retries, full
+/// recoveries, dead ranks and lost V-cycles from the automatic-recovery
+/// layer.
 ///
 /// v4: top-level `backend` string naming the comm transport that carried
 /// the run ("threads" or "sockets", DESIGN.md §15). Cross-backend golden
@@ -38,7 +37,9 @@ use crate::resources::ResourceSample;
 /// v6: the top-level `alerts` array went with the live telemetry plane,
 /// and `resources.allocs` / `resources.alloc_bytes` with the
 /// allocation-counting Cargo feature that no build enabled.
-pub const SCHEMA_VERSION: u32 = 6;
+///
+/// v7: the top-level `recovery` block went with the automatic-recovery layer.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// A complete observed run: per-PE detail plus cross-PE aggregates.
 #[derive(Clone, Debug, PartialEq)]
@@ -55,73 +56,6 @@ pub struct RunReport {
     pub per_pe: Vec<PeReport>,
     /// Cross-PE aggregates.
     pub aggregate: Aggregate,
-    /// Recovery-supervisor counters (all-zero when no supervisor ran).
-    pub recovery: RecoveryReport,
-}
-
-/// Counters from the recovery supervisor (`run_config_supervised`): how
-/// many universe launches a run took and why. Deterministic for a fixed
-/// fault plan — unlike wall-clock timings these survive `to_json(true)`
-/// so the chaos soak tests can assert on them byte-for-byte.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Universe launches, including the first (a fault-free run is 1).
-    pub attempts: u64,
-    /// Transient-fault retries: attempts re-run in place because the
-    /// failure was an uncorroborated `Timeout` (no rank self-reported
-    /// dead), with seeded backoff and a widened watchdog deadline.
-    pub retries: u64,
-    /// Full recoveries: failure consensus declared ranks dead (or the
-    /// transient retry budget escalated) and the group was respawned and
-    /// resumed from the latest validated checkpoint.
-    pub recoveries: u64,
-    /// Every rank ever declared dead by failure consensus, ascending.
-    pub dead_ranks: Vec<usize>,
-    /// V-cycles started beyond the fault-free count — work that faults
-    /// destroyed and the restored group re-did from a checkpoint.
-    pub lost_cycles: u64,
-}
-
-impl RecoveryReport {
-    fn push_json(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"attempts\": {}, \"retries\": {}, \"recoveries\": {}, \"dead_ranks\": [",
-            self.attempts, self.retries, self.recoveries
-        ));
-        for (i, r) in self.dead_ranks.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&r.to_string());
-        }
-        out.push_str(&format!("], \"lost_cycles\": {}}}", self.lost_cycles));
-    }
-
-    fn from_json(v: &JsonValue) -> Result<RecoveryReport, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or(format!("missing recovery.{name}"))
-        };
-        let dead_ranks = v
-            .get("dead_ranks")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing recovery.dead_ranks")?
-            .iter()
-            .map(|r| {
-                r.as_u64()
-                    .and_then(|x| usize::try_from(x).ok())
-                    .ok_or("bad recovery.dead_ranks entry")
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(RecoveryReport {
-            attempts: field("attempts")?,
-            retries: field("retries")?,
-            recoveries: field("recoveries")?,
-            dead_ranks,
-            lost_cycles: field("lost_cycles")?,
-        })
-    }
 }
 
 /// Everything one PE observed.
@@ -406,8 +340,6 @@ impl RunReport {
         o.push_str("\n  ],\n");
         o.push_str("  \"aggregate\": ");
         self.aggregate.push_json(&mut o, z);
-        o.push_str(",\n  \"recovery\": ");
-        self.recovery.push_json(&mut o);
         o.push_str("\n}\n");
         o
     }
@@ -484,14 +416,12 @@ impl RunReport {
         // A zero-timings report legitimately disagrees with re-derived
         // (also zero) timings; keep whichever was serialized.
         aggregate.recv_wait_s = claimed_recv_wait;
-        let recovery = RecoveryReport::from_json(v.get("recovery").ok_or("missing recovery")?)?;
         Ok(RunReport {
             schema_version: sv32,
             p: usize::try_from(p).map_err(|_| "p out of range")?,
             backend,
             per_pe,
             aggregate,
-            recovery,
         })
     }
 
@@ -579,13 +509,6 @@ impl RunReport {
             backend: "threads".to_string(),
             aggregate: Aggregate::from_per_pe(&per_pe),
             per_pe,
-            recovery: RecoveryReport {
-                attempts: 1,
-                retries: 1,
-                recoveries: 1,
-                dead_ranks: vec![1],
-                lost_cycles: 1,
-            },
         };
         let json = sample.to_json(false);
         let v = JsonValue::parse(&json).expect("schema sample must parse");
@@ -1065,7 +988,7 @@ mod tests {
         let report = sample_report();
         let json = report.to_json(true);
         assert!(!json.contains("total_s\": 0."), "timings must be zeroed");
-        assert!(json.contains("\"schema_version\": 6"));
+        assert!(json.contains("\"schema_version\": 7"));
         assert!(json.contains("\"final_cut\": 42"));
         assert!(
             json.contains("\"imbalance\": 0.03"),
@@ -1099,9 +1022,9 @@ mod tests {
     #[test]
     fn parse_rejects_other_schema_versions() {
         let report = sample_report();
-        for other in ["5", "999"] {
+        for other in ["6", "999"] {
             let json = report.to_json(true).replace(
-                "\"schema_version\": 6",
+                "\"schema_version\": 7",
                 &format!("\"schema_version\": {other}"),
             );
             let err = RunReport::from_json(&json).expect_err("must reject");
@@ -1228,15 +1151,9 @@ mod tests {
             "per_pe[].resources.rss_current_kb",
             "per_pe[].resources.rss_peak_kb",
             "per_pe[].resources.thread_cpu_s",
-            "recovery",
-            "recovery.attempts",
-            "recovery.dead_ranks",
-            "recovery.lost_cycles",
-            "recovery.recoveries",
-            "recovery.retries",
             "schema_version",
         ];
-        assert_eq!(SCHEMA_VERSION, 6, "bumped version: update the golden list");
+        assert_eq!(SCHEMA_VERSION, 7, "bumped version: update the golden list");
         assert_eq!(
             RunReport::schema_fingerprint(),
             expected,

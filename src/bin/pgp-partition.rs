@@ -26,18 +26,9 @@
 //! (DESIGN.md §11) — open at <https://ui.perfetto.dev> to see one track
 //! per PE with spans, collectives, receive waits, and send→recv flows.
 //!
-//! `--recover` (or `recover=1`) runs under the automatic-recovery
-//! supervisor (DESIGN.md §14): V-cycle boundaries are checkpointed every
-//! `checkpoint-every=<n>` cycles (default 1), confirmed PE deaths trigger
-//! respawn-and-resume from the latest snapshot, and uncorroborated
-//! timeouts are retried up to `max-retries=<n>` times (default 3) with
-//! seeded exponential backoff before escalating. The partition is
-//! bit-identical to the fault-free run; recovery counters land in the
-//! run report's `recovery` block.
+//! A run in which a PE fails exits 1 with the typed comm error.
 
-use pgp::parhip::{
-    CheckpointPolicy, GraphClass, ParhipConfig, PartitionError, Partitioner, Preset, RecoveryLimits,
-};
+use pgp::parhip::{GraphClass, ParhipConfig, PartitionError, Partitioner, Preset};
 use pgp::pgp_dmp::dgraph::BlockDist;
 use pgp::pgp_dmp::{BackendKind, RunConfig};
 use pgp::pgp_graph::ids;
@@ -50,25 +41,12 @@ use std::str::FromStr;
 const USAGE: &str = "usage: pgp-partition <graph.metis> k=<blocks> [preset=fast|eco|minimal] \
     [p=<PEs>] [eps=0.03] [seed=0] [class=auto|social|mesh] \
     [backend=threads|sockets] [output=<file>] \
-    [report=<file.json>] [trace=<file.json>] [--recover] \
-    [max-retries=<n>] [checkpoint-every=<n>]";
+    [report=<file.json>] [trace=<file.json>]";
 
 /// Every `key=` the CLI understands. Anything else is rejected: a typo
 /// (`sed=3`) must not run the default experiment and exit 0.
-const KEYS: [&str; 13] = [
-    "k",
-    "p",
-    "seed",
-    "eps",
-    "preset",
-    "class",
-    "backend",
-    "output",
-    "report",
-    "trace",
-    "recover",
-    "max-retries",
-    "checkpoint-every",
+const KEYS: [&str; 10] = [
+    "k", "p", "seed", "eps", "preset", "class", "backend", "output", "report", "trace",
 ];
 
 /// Why the run stopped: the exit code (2 — the invocation is wrong, 1 —
@@ -100,10 +78,6 @@ fn parsed<T: FromStr>(args: &[String], key: &str, default: T) -> Result<T, Failu
     }
 }
 
-fn flag(args: &[String], key: &str) -> bool {
-    arg(args, key).is_some_and(|v| v != "0")
-}
-
 fn main() -> ExitCode {
     match run(std::env::args().skip(1).collect()) {
         Ok(()) => ExitCode::SUCCESS,
@@ -117,13 +91,7 @@ fn main() -> ExitCode {
 fn run(mut args: Vec<String>) -> Result<(), Failure> {
     // Normalize the conventional `--flag <path>` spellings into the
     // `key=value` form before positional-argument detection.
-    for key in [
-        "report",
-        "trace",
-        "backend",
-        "max-retries",
-        "checkpoint-every",
-    ] {
+    for key in ["report", "trace", "backend"] {
         if let Some(i) = args.iter().position(|a| a == &format!("--{key}")) {
             if i + 1 >= args.len() {
                 return Err(invalid(format!("error: --{key} requires a value argument")));
@@ -131,10 +99,6 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
             let value = args.remove(i + 1);
             args[i] = format!("{key}={value}");
         }
-    }
-    // `--recover` is a boolean switch, not a value flag.
-    if let Some(i) = args.iter().position(|a| a == "--recover") {
-        args[i] = "recover=1".to_string();
     }
     if let Some(unknown) = args.iter().find(|a| match a.split_once('=') {
         Some((key, _)) => !KEYS.contains(&key),
@@ -153,8 +117,6 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
     let seed: u64 = parsed(&args, "seed", 0)?;
     let eps: f64 = parsed(&args, "eps", 0.03)?;
     let backend: BackendKind = parsed(&args, "backend", BackendKind::Threads)?;
-    let max_retries: u32 = parsed(&args, "max-retries", RecoveryLimits::default().max_retries)?;
-    let checkpoint_every: usize = parsed(&args, "checkpoint-every", 1)?;
     let preset = match arg(&args, "preset").as_deref() {
         Some("eco") => Preset::Eco,
         Some("minimal") => Preset::Minimal,
@@ -200,40 +162,22 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
 
     let mut cfg = ParhipConfig::preset(preset, k, class, seed);
     cfg.eps = eps;
-    cfg.checkpoint = CheckpointPolicy::every(checkpoint_every);
     let outputs = ObsOutputs {
         report: arg(&args, "report"),
         trace: arg(&args, "trace"),
     };
     // No recorder unless an output needs one: the plain run pays nothing.
     let session = outputs.any().then(|| outputs.open(p));
-    let mut partitioner = Partitioner::new(&cfg).run(RunConfig {
+    let partitioner = Partitioner::new(&cfg).run(RunConfig {
         backend,
         obs: session.as_ref().map(|s| s.obs.clone()),
         ..Default::default()
     });
-    if flag(&args, "recover") {
-        partitioner = partitioner.supervised(RecoveryLimits {
-            max_retries,
-            ..RecoveryLimits::default()
-        });
-    }
     let t0 = std::time::Instant::now();
     let out = partitioner.partition(graph, p).map_err(|e| match e {
         PartitionError::Comm(_) => failed(format!("error: {e}")),
         _ => invalid(format!("error: {e}")),
     })?;
-    if let Some(recovery) = &out.recovery {
-        eprintln!(
-            "recovery: {} attempt(s), {} transient retries, {} full recoveries, \
-             dead ranks {:?}, {} lost V-cycle(s)",
-            recovery.attempts,
-            recovery.retries,
-            recovery.recoveries,
-            recovery.dead_ranks,
-            recovery.lost_cycles
-        );
-    }
     if let Some(session) = session {
         session
             .finish()

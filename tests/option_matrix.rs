@@ -1,15 +1,14 @@
 //! The front door's options are orthogonal to the result: on one seeded
 //! instance, at every PE count, a plain run, a recorded run, a traced
-//! run, a run over the socket backend, a checkpointed run, a resume from
-//! the final snapshot and a fault-free supervised run produce the identical
-//! assignment (the two backends also count the same messages, bytes and
-//! collectives) — and a prepartitioned run is valid and no worse than what
-//! it was given.
+//! run, a run over the socket backend, a checkpointed run and a resume from
+//! the final snapshot produce the identical assignment (the two backends
+//! also count the same messages, bytes and collectives) — and a
+//! prepartitioned run is valid and no worse than what it was given.
 //!
 //! Every run carries a watchdog deadline, so a PE that skips a collective
 //! the others enter fails this test with a `Timeout` instead of hanging it.
 
-use pgp::parhip::{CheckpointStore, GraphClass, ParhipConfig, Partitioner, RecoveryLimits};
+use pgp::parhip::{CheckpointStore, GraphClass, ParhipConfig, Partitioner};
 use pgp::pgp_dmp::{BackendKind, Obs, RunConfig};
 use pgp::pgp_obs::DEFAULT_TRACE_CAPACITY;
 use std::sync::Arc;
@@ -39,12 +38,7 @@ fn every_option_yields_the_plain_partition() {
     let door = Partitioner::new(&cfg).run(watched());
 
     for p in [1, 2, 3] {
-        let plain = door.partition(&g, p).expect("valid input");
-        assert!(
-            plain.recovery.is_none(),
-            "p={p}: nobody asked for supervision"
-        );
-        let plain = plain.partition;
+        let plain = door.partition(&g, p).expect("valid input").partition;
         plain.validate(&g, cfg.eps).expect("plain run is balanced");
 
         // The one ignored field: there is a single SCLP path, whatever it says.
@@ -122,17 +116,6 @@ fn every_option_yields_the_plain_partition() {
         // Resuming from the final snapshot replays zero cycles.
         let resumed = door.clone().store(&store).resume().partition(&g, p);
         assert_eq!(resumed.expect("snapshot").partition, plain, "p={p}: resume");
-
-        let supervised = door
-            .clone()
-            .supervised(RecoveryLimits::default())
-            .partition(&g, p)
-            .expect("a fault-free run needs no recovery budget");
-        assert_eq!(supervised.partition, plain, "p={p}: supervised");
-        let recovery = supervised
-            .recovery
-            .expect("supervised runs report recovery");
-        assert_eq!((recovery.attempts, recovery.lost_cycles), (1, 0), "p={p}");
 
         let input = pgp::pgp_baselines::hash_partition(&g, cfg.k, 3);
         let improved = door.clone().prepartition(&input).partition(&g, p);
