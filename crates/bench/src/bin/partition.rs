@@ -8,14 +8,9 @@
 //! ```text
 //! cargo run -p bench --release --bin partition -- \
 //!     [graph=amazon] [tier=small] [k=4] [p=4] [seed=1] [preset=fast] \
-//!     [backend=threads] \
 //!     [report=results/run_report.json] \
 //!     [trace=results/trace.json]
 //! ```
-//!
-//! `backend=threads|sockets` (or `--backend <b>`) selects the comm
-//! transport (DESIGN.md §15); the report's `backend` field records which
-//! one carried the run, and the partition is bit-identical either way.
 //!
 //! `--report <path>` / `--trace <path>` are accepted as aliases for the
 //! `key=value` forms. The report format is documented in DESIGN.md §10,
@@ -35,7 +30,7 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // Normalize the conventional `--flag <path>` spellings into the
     // harness `key=value` form.
-    for flag in ["report", "trace", "backend"] {
+    for flag in ["report", "trace"] {
         if let Some(i) = args.iter().position(|a| a == &format!("--{flag}")) {
             assert!(i + 1 < args.len(), "--{flag} requires a path argument");
             let path = args.remove(i + 1);
@@ -53,9 +48,6 @@ fn main() {
         Some("minimal") => Preset::Minimal,
         Some(other) => bad_arg("preset", other),
     };
-    let backend: pgp_dmp::BackendKind = arg(&args, "backend")
-        .map(|v| v.parse().unwrap_or_else(|_| bad_arg("backend", &v)))
-        .unwrap_or_default();
 
     let inst = benchmark_set::instance(&name, tier, seed);
     let class = match inst.class {
@@ -65,12 +57,10 @@ fn main() {
     let cfg = ParhipConfig::preset(preset, k, class, seed);
     let graph = &inst.graph;
     println!(
-        "partition: {} (n = {}, m = {}), k = {k}, p = {p}, preset = {preset:?}, seed = {seed}, \
-         backend = {}",
+        "partition: {} (n = {}, m = {}), k = {k}, p = {p}, preset = {preset:?}, seed = {seed}",
         inst.name,
         graph.n(),
-        graph.m(),
-        backend.name()
+        graph.m()
     );
 
     // This binary always records — its tables are read off the report.
@@ -81,7 +71,6 @@ fn main() {
     let session = outputs.open(p);
     let obs = session.obs.clone();
     let partitioner = Partitioner::new(&cfg).run(pgp_dmp::RunConfig {
-        backend,
         obs: Some(obs.clone()),
         ..Default::default()
     });

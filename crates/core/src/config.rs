@@ -28,7 +28,7 @@ pub enum Preset {
 }
 
 /// What to compute: the algorithmic configuration a [`crate::Partitioner`]
-/// borrows. How the run is carried — comm backend, watchdog, recorder — is
+/// borrows. How the run is carried — watchdog, fault hook, recorder — is
 /// `pgp_dmp::RunConfig`'s business, not this struct's.
 #[derive(Clone, Debug)]
 pub struct ParhipConfig {

@@ -323,7 +323,7 @@ fn close_run(comm: &Comm, graph: &DistGraph, blocks: &[Node], k: usize) -> Closi
 
 /// The one way to call the partitioner: a borrowed [`ParhipConfig`] plus
 /// the three orthogonal options — a prepartition, the [`RunConfig`] that
-/// carries the run (backend, watchdog deadline, fault hook, and the `Obs`
+/// carries the run (watchdog deadline, fault hook, and the `Obs`
 /// registry a report or trace is later read from), and a
 /// [`CheckpointStore`] with resume-from-latest — and two verbs:
 /// [`partition`](Self::partition) on a global graph or its per-PE row
@@ -347,7 +347,7 @@ pub struct Partitioner<'a> {
 }
 
 impl<'a> Partitioner<'a> {
-    /// A plain run of `cfg`: threads backend, no recorder, no checkpoints.
+    /// A plain run of `cfg`: no watchdog, no recorder, no checkpoints.
     pub fn new(cfg: &'a ParhipConfig) -> Self {
         Self {
             cfg,
@@ -358,8 +358,8 @@ impl<'a> Partitioner<'a> {
         }
     }
 
-    /// How [`partition`](Self::partition) carries the run: comm backend,
-    /// watchdog deadline, fault hook (`pgp-chaos` builds one from a
+    /// How [`partition`](Self::partition) carries the run: watchdog
+    /// deadline, fault hook (`pgp-chaos` builds one from a
     /// `FaultPlan`) and the `Obs` registry. Recording adds two
     /// allreduces per refinement pass and never changes the partition;
     /// read `obs.report()` / `obs.trace()` after the run. The registry

@@ -5,42 +5,32 @@
 //! programming model as MPI's `MPI_Send`/`MPI_Recv` with tags, which is
 //! what the paper's implementation uses.
 //!
-//! Since PR 9 the layer is split (DESIGN.md §15): everything
-//! transport-agnostic — packing a message into its [`Wire`] bytes and
-//! back, fault-injection limbo queues, observability recording, poison
-//! *reaction* — lives here, while message *movement* sits behind the
-//! crate-internal [`Transport`](crate::transport) trait with two
-//! implementations:
-//!
-//! * the **thread backend** ([`Universe`] + per-`(src, tag)` bucketed
-//!   mailboxes): the encoded payload is handed between threads of one
-//!   process;
-//! * the **socket backend**: the same encoded payload is framed and
-//!   crosses a Unix-domain socketpair between PE threads.
-//!
-//! A message is its bytes on both, as between MPI processes, so the
-//! *communication pattern and volume* the recorder counts are the MPI
-//! program's (DESIGN.md §2) and equal across backends.
+//! A [`Universe`] holds one mailbox per PE (per-`(src, tag)` buckets, see
+//! `mailbox.rs`) and the group-wide poison state; each [`Comm`] is one
+//! PE's handle onto it. A send packs the message into its [`Wire`] bytes
+//! and pushes them into the receiver's mailbox; a receive takes them out
+//! and decodes them. A message is its bytes, as between MPI processes, so
+//! the *communication pattern and volume* the recorder counts are the MPI
+//! program's (DESIGN.md §2).
 //!
 //! # Fault model (DESIGN.md §9)
 //!
 //! A [`Universe`] can be built with a [`FaultHook`] (fault injection) and a
 //! watchdog deadline (fault *tolerance*). The hook is a pure decision
 //! oracle — it only ever sees `(src, dst, tag, seq)` integers and returns a
-//! [`SendFault`]; the transport internals, including delayed payloads parked
+//! [`SendFault`]; the mailbox internals, including delayed payloads parked
 //! in per-`(dst, tag)` limbo queues, never leave the comm layer. Failures
 //! are reported as [`CommError`] through the *poison* protocol: the first PE
 //! to observe a fatal condition (deadline expiry, a dead peer, a panic)
 //! poisons the group, and every other PE unwinds with a structured error at
 //! its next blocking operation instead of parking forever.
 
-use crate::transport::thread::{Mailbox, ThreadTransport};
-use crate::transport::{pack, unpack, Payload, PoisonState, RecvOutcome, Transport};
-use crate::wire::{Wire, WireError, WireReader};
+use crate::mailbox::{pack, unpack, Mailbox, Payload, RecvOutcome};
+use crate::wire::Wire;
 use parking_lot::Mutex;
 use pgp_obs::{Obs, Recorder};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -64,9 +54,8 @@ pub enum CommError {
         /// The tag it was waiting for.
         tag: Tag,
     },
-    /// A peer PE died (was killed by fault injection, panicked, or — on
-    /// the socket backend — its process terminated or its connection
-    /// reset) while `rank` still depended on it.
+    /// A peer PE died (was killed by fault injection or panicked) while
+    /// `rank` still depended on it.
     PeerDead {
         /// The PE reporting the failure.
         rank: usize,
@@ -90,41 +79,6 @@ impl std::fmt::Display for CommError {
 }
 
 impl std::error::Error for CommError {}
-
-/// `CommError` crosses socket links in `POISON` control frames, so it
-/// needs a wire form of its own.
-impl Wire for CommError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CommError::Timeout { rank, src, tag } => {
-                out.push(0);
-                rank.encode(out);
-                src.encode(out);
-                tag.encode(out);
-            }
-            CommError::PeerDead { rank, dead } => {
-                out.push(1);
-                rank.encode(out);
-                dead.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(CommError::Timeout {
-                rank: usize::decode(r)?,
-                src: usize::decode(r)?,
-                tag: Tag::decode(r)?,
-            }),
-            1 => Ok(CommError::PeerDead {
-                rank: usize::decode(r)?,
-                dead: usize::decode(r)?,
-            }),
-            _ => Err(WireError::Invalid("CommError discriminant")),
-        }
-    }
-}
 
 /// Crate-internal unwind sentinel: infallible comm APIs abort a poisoned
 /// PE by panicking with this payload. The runner recognizes it and converts
@@ -169,8 +123,8 @@ pub enum SendFault {
 /// trait (and [`SendFault`]) to the comm layer and the `pgp-chaos` crate so
 /// algorithm code can never grow a dependency on fault injection.
 ///
-/// The limbo queues live in [`Comm`] — *above* the transport seam — so the
-/// same chaos plans drive both the thread and the socket backend.
+/// The limbo queues live in [`Comm`], in front of the mailboxes, so a
+/// delayed payload never reaches its receiver early.
 pub trait FaultHook: Send + Sync {
     /// Decision for send event `seq` (a per-sender counter) from `src` to
     /// `dst` with `tag`.
@@ -185,15 +139,16 @@ pub trait FaultHook: Send + Sync {
     }
 }
 
-/// The shared state of a thread-backend PE group: the per-PE mailboxes
-/// and the group-wide poison state. (The socket backend has no shared
-/// state by design — its poison propagates through control frames — so
-/// this type is thread-backend-only; [`Comm`]s of either backend are
-/// otherwise indistinguishable.)
+/// The shared state of a PE group: the per-PE mailboxes and the
+/// group-wide poison state.
 pub struct Universe {
     mailboxes: Vec<Mailbox>,
-    /// Fatal failures observed anywhere in the group.
-    poison: PoisonState,
+    /// Fast poison flag, checked on every blocking-path entry; the
+    /// authoritative record is `first_poison`.
+    poisoned: AtomicBool,
+    /// The first fatal failure observed anywhere in the group (first
+    /// wins; it drives the unwind).
+    first_poison: Mutex<Option<CommError>>,
     /// Watchdog deadline for blocking receives. `None` = park forever (the
     /// classic substrate; poison notifications still wake parked PEs).
     deadline: Option<Duration>,
@@ -225,7 +180,8 @@ impl Universe {
         }
         Arc::new(Self {
             mailboxes: (0..size).map(|_| Mailbox::new(size)).collect(),
-            poison: PoisonState::default(),
+            poisoned: AtomicBool::new(false),
+            first_poison: Mutex::new(None),
             deadline,
             hook,
             obs,
@@ -239,19 +195,14 @@ impl Universe {
             .obs
             .as_ref()
             .map_or_else(Recorder::disabled, |o| o.recorder(rank));
-        Comm::from_parts(
-            Arc::new(ThreadTransport::new(Arc::clone(self), rank)),
+        Comm {
+            universe: Arc::clone(self),
             rank,
-            self.deadline,
-            self.hook.clone(),
+            seq: AtomicU64::new(0),
+            send_seq: AtomicU64::new(0),
+            limbo: Mutex::new(Vec::new()),
             recorder,
-        )
-    }
-
-    /// PE `rank`'s mailbox (the thread transport's delivery target; the
-    /// socket transport reuses the same structure for its local inbox).
-    pub(crate) fn mailbox(&self, rank: usize) -> &Mailbox {
-        &self.mailboxes[rank]
+        }
     }
 
     /// Number of PEs in the group.
@@ -266,20 +217,32 @@ impl Universe {
     /// the original error in the `poison` slot. Message payload visibility
     /// is unaffected — this only gates the blocking paths.
     pub fn poison(&self, err: CommError) {
-        self.poison.record(err);
+        {
+            let mut first = self.first_poison.lock();
+            if first.is_none() {
+                *first = Some(err);
+                // Release pairs with the Acquire load in `is_poisoned`:
+                // whoever sees the flag also sees the recorded error.
+                self.poisoned.store(true, Ordering::Release);
+            }
+        }
         for mb in &self.mailboxes {
             mb.notify_all();
         }
     }
 
-    /// The recorded poison error, if the universe is poisoned.
+    /// The recorded poison error, if the universe is poisoned. The flag
+    /// keeps the mutex off the (overwhelmingly common) healthy path.
     pub fn poison_error(&self) -> Option<CommError> {
-        self.poison.error()
+        if !self.is_poisoned() {
+            return None;
+        }
+        self.first_poison.lock().clone()
     }
 
     /// True iff [`Universe::poison`] has been called.
     pub fn is_poisoned(&self) -> bool {
-        self.poison.is_poisoned()
+        self.poisoned.load(Ordering::Acquire)
     }
 }
 
@@ -293,17 +256,11 @@ struct LimboQueue {
     msgs: VecDeque<Payload>,
 }
 
-/// A per-PE communicator: rank, group size, and the message endpoint.
-/// Everything here is backend-neutral; the [`Transport`] it wraps decides
-/// whether payloads are handed through a shared mailbox or a socket.
+/// A per-PE communicator: its rank and the [`Universe`] whose mailboxes
+/// it sends into and receives from.
 pub struct Comm {
-    transport: Arc<dyn Transport>,
+    universe: Arc<Universe>,
     rank: usize,
-    /// Watchdog deadline for blocking receives (copied from the group
-    /// configuration at construction).
-    deadline: Option<Duration>,
-    /// Fault-injection oracle (copied from the group configuration).
-    hook: Option<Arc<dyn FaultHook>>,
     /// Sequence number for collective operations (same on all PEs because
     /// collectives are called SPMD-style in the same order everywhere).
     seq: AtomicU64,
@@ -324,7 +281,7 @@ impl Drop for Comm {
     /// group) keep their limbo: their messages are lost, like a crashed
     /// MPI rank's send buffers.
     fn drop(&mut self) {
-        if self.hook.is_none() || std::thread::panicking() || self.transport.is_poisoned() {
+        if self.universe.hook.is_none() || std::thread::panicking() || self.universe.is_poisoned() {
             return;
         }
         self.flush_limbo();
@@ -338,27 +295,6 @@ impl Drop for Comm {
 pub use crate::tags::COLLECTIVE_TAG_BASE;
 
 impl Comm {
-    /// Assembles a communicator from its backend parts (crate-internal:
-    /// called by [`Universe::comm`] and the socket groups).
-    pub(crate) fn from_parts(
-        transport: Arc<dyn Transport>,
-        rank: usize,
-        deadline: Option<Duration>,
-        hook: Option<Arc<dyn FaultHook>>,
-        recorder: Recorder,
-    ) -> Self {
-        Comm {
-            transport,
-            rank,
-            deadline,
-            hook,
-            seq: AtomicU64::new(0),
-            send_seq: AtomicU64::new(0),
-            limbo: Mutex::new(Vec::new()),
-            recorder,
-        }
-    }
-
     /// This PE's rank in `0..size`.
     #[inline]
     pub fn rank(&self) -> usize {
@@ -368,7 +304,7 @@ impl Comm {
     /// Number of PEs.
     #[inline]
     pub fn size(&self) -> usize {
-        self.transport.size()
+        self.universe.size()
     }
 
     /// This PE's observation recorder. Disabled (every hook one branch)
@@ -385,11 +321,24 @@ impl Comm {
         if self.recorder.is_enabled() {
             self.recorder.on_send(dst, tag, payload.wire_bytes());
         }
-        if let Some(hook) = self.hook.clone() {
-            self.chaos_send(&*hook, dst, tag, payload);
+        if let Some(hook) = &self.universe.hook {
+            self.chaos_send(&**hook, dst, tag, payload);
         } else {
-            self.transport.deliver(dst, tag, payload);
+            self.deliver(dst, tag, payload);
         }
+    }
+
+    /// Enqueues `payload` in PE `dst`'s mailbox. Never blocks on the
+    /// receiver.
+    #[inline]
+    fn deliver(&self, dst: usize, tag: Tag, payload: Payload) {
+        self.universe.mailboxes[dst].push(self.rank, tag, payload);
+    }
+
+    /// This PE's own mailbox: every receive and drain takes from it.
+    #[inline]
+    fn inbox(&self) -> &Mailbox {
+        &self.universe.mailboxes[self.rank]
     }
 
     /// The fault-injected send path: consults the hook, parks delayed
@@ -408,7 +357,7 @@ impl Comm {
             if limbo[i].holds == 0 {
                 let q = limbo.swap_remove(i);
                 for p in q.msgs {
-                    self.transport.deliver(q.dst, q.tag, p);
+                    self.deliver(q.dst, q.tag, p);
                 }
             } else {
                 i += 1;
@@ -421,7 +370,7 @@ impl Comm {
             q.msgs.push_back(payload);
         } else {
             match hook.on_send(self.rank, dst, tag, seq) {
-                SendFault::Deliver => self.transport.deliver(dst, tag, payload),
+                SendFault::Deliver => self.deliver(dst, tag, payload),
                 SendFault::Drop => {
                     // Drops are accounted per tag by the recorder (the
                     // conservation tests subtract them); the payload is
@@ -443,7 +392,7 @@ impl Comm {
                     self.recorder
                         .on_fault_stall(dst, tag, micros.saturating_mul(1_000));
                     std::thread::sleep(Duration::from_micros(micros));
-                    self.transport.deliver(dst, tag, payload);
+                    self.deliver(dst, tag, payload);
                 }
             }
         }
@@ -457,7 +406,7 @@ impl Comm {
         let mut limbo = self.limbo.lock();
         for q in limbo.drain(..) {
             for p in q.msgs {
-                self.transport.deliver(q.dst, q.tag, p);
+                self.deliver(q.dst, q.tag, p);
             }
         }
     }
@@ -466,7 +415,7 @@ impl Comm {
     /// branch) on the fault-free path; called at every receive entry.
     #[inline]
     fn pre_block(&self) {
-        if self.hook.is_some() {
+        if self.universe.hook.is_some() {
             self.flush_limbo();
         }
     }
@@ -476,7 +425,7 @@ impl Comm {
     /// a structured `Err` (or re-raises the originating panic).
     #[inline]
     fn check_poison(&self) {
-        if let Some(err) = self.transport.poison_error() {
+        if let Some(err) = self.universe.poison_error() {
             let err = self.localize(err);
             std::panic::panic_any(CommAbort(err));
         }
@@ -507,13 +456,13 @@ impl Comm {
     /// `tag` and returns its payload.
     ///
     /// Flushes this PE's limbo first (it is about to park and can produce
-    /// no further send events), then parks in the transport — bounded by
+    /// no further send events), then parks on its mailbox — bounded by
     /// the group's watchdog deadline when one is set. If the deadline
     /// expires the group is poisoned (it is wedged — a lone timeout cannot
     /// be recovered locally), and on expiry or on poison while parked this
     /// unwinds with the comm-abort sentinel (the runner surfaces it as
     /// `Err(CommError)`). An available message wins over poison (the
-    /// transports guarantee it), so already-delivered traffic stays
+    /// mailbox guarantees it), so already-delivered traffic stays
     /// receivable during an unwind.
     ///
     /// # Panics
@@ -522,11 +471,12 @@ impl Comm {
     pub fn recv<T: Wire>(&self, src: usize, tag: Tag) -> T {
         self.pre_block();
         // Fast path: already queued — no wait accounting.
-        if let Some(payload) = self.transport.try_take(src, tag) {
+        if let Some(payload) = self.inbox().try_take(src, tag) {
             return self.finish_recv(src, tag, payload);
         }
         let wait_tok = self.recorder.start_wait(src, tag);
-        let err = match self.transport.recv_blocking(src, tag, self.deadline) {
+        let u = &self.universe;
+        let err = match self.inbox().recv_blocking(src, tag, u.deadline, u) {
             RecvOutcome::Msg(payload) => {
                 self.recorder.end_wait(wait_tok);
                 return self.finish_recv(src, tag, payload);
@@ -541,7 +491,7 @@ impl Comm {
                 // Poison first, then unwind: peers parked on us must
                 // unwind too, or the join loop would hang on them even
                 // though we failed cleanly.
-                self.transport.poison(err.clone());
+                self.universe.poison(err.clone());
                 err
             }
         };
@@ -554,7 +504,7 @@ impl Comm {
     pub fn drain<T: Wire>(&self, tag: Tag) -> Vec<(usize, T)> {
         self.check_poison();
         self.pre_block();
-        let raw = self.transport.drain_tag(tag);
+        let raw = self.inbox().drain_tag(tag);
         if self.recorder.is_enabled() {
             for (src, payload) in &raw {
                 self.recorder.on_recv(*src, tag, payload.wire_bytes());
@@ -574,13 +524,13 @@ impl Comm {
         // `seq` is per-Comm and each Comm is owned by one PE thread, so
         // there is no cross-thread ordering to establish.
         let s = self.seq.fetch_add(1, Ordering::Relaxed); // lint:relaxed-ok: single-owner counter
-        if let Some(hook) = &self.hook {
+        if let Some(hook) = &self.universe.hook {
             if hook.kill_at_phase(self.rank) == Some(s) {
                 let err = CommError::PeerDead {
                     rank: self.rank,
                     dead: self.rank,
                 };
-                self.transport.poison(err.clone());
+                self.universe.poison(err.clone());
                 std::panic::panic_any(CommAbort(err));
             }
         }
@@ -689,27 +639,10 @@ mod tests {
     }
 
     #[test]
-    fn comm_error_wire_roundtrip() {
-        use crate::comm::CommError;
-        use crate::wire::Wire;
-        for err in [
-            CommError::Timeout {
-                rank: 3,
-                src: 1,
-                tag: (1 << 48) + 7,
-            },
-            CommError::PeerDead { rank: 0, dead: 2 },
-        ] {
-            let bytes = err.encode_to_vec();
-            assert_eq!(CommError::decode_all(&bytes), Ok(err));
-        }
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "leaked tag block")]
     fn overflow_growth_past_soft_cap_is_caught() {
-        use crate::transport::thread::OVERFLOW_SOFT_CAP;
+        use crate::mailbox::OVERFLOW_SOFT_CAP;
         run(2, |comm| {
             if comm.rank() == 0 {
                 // More simultaneously live tags than slots + soft cap, none

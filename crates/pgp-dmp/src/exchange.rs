@@ -301,7 +301,7 @@ mod tests {
             }
         }
         assert_eq!(msgs, 20, "one message per adjacent PE per phase");
-        let empty = crate::transport::pack(&Vec::<(Node, Node)>::new()).wire_bytes();
+        let empty = crate::mailbox::pack(&Vec::<(Node, Node)>::new()).wire_bytes();
         assert_eq!(
             bytes,
             msgs * empty,

@@ -8,7 +8,8 @@
 //! the communication structure is the MPI program's (see DESIGN.md §2).
 //!
 //! Contents:
-//! * [`comm`] — mailboxes, tags, selective receive ([`Comm`]).
+//! * [`comm`] — the PE group ([`Universe`]), tags, selective receive
+//!   ([`Comm`]) over one mailbox per PE.
 //! * [`runner`] — SPMD execution ([`run`], [`run_config`]).
 //! * [`collectives`] — barrier, broadcast, reduce, allreduce, exscan,
 //!   gather, allgather(v), alltoallv.
@@ -17,24 +18,21 @@
 //! * [`exchange`] — the phase-overlapped ghost-label exchange of §IV-A.
 //! * [`tags`] — the tag-protocol constants (every named tag offset and its
 //!   payload type; the names the runtime type-mismatch panic reports).
-//! * [`transport`] — the pluggable comm backends (DESIGN.md §15): thread
-//!   mailboxes and Unix-domain socket frames.
 //! * [`wire`] — the byte codec every message payload implements; a
-//!   message crosses either backend as its [`Wire`] bytes.
+//!   message crosses the mailbox as its [`Wire`] bytes.
 
 pub mod collectives;
 pub mod comm;
 pub mod dgraph;
 pub mod exchange;
+mod mailbox;
 pub mod runner;
 pub mod tags;
-pub mod transport;
 pub mod wire;
 
 pub use comm::{Comm, CommError, FaultHook, SendFault, Tag, Universe};
 pub use dgraph::{DistGraph, GhostRows};
 pub use exchange::LabelExchange;
-pub use transport::BackendKind;
 pub use wire::{Wire, WireError, WireReader};
 // Re-exported so `RunConfig { obs, .. }` can be built without a direct
 // pgp-obs dependency.

@@ -1,16 +1,14 @@
-//! The thread-mailbox transport: the classic in-process substrate.
+//! The per-PE mailbox: where every message waits for its receiver.
+//!
+//! Every message crosses the mailbox in one form, its [`Payload`]: the
+//! [`Wire`] bytes of the value behind its type name, so the bytes a run
+//! counts are the bytes an MPI program would send (DESIGN.md §2).
 //!
 //! Each PE owns a [`Mailbox`] bucketed by `(source, tag)`: a per-sender
 //! slot array indexed by a hash of the tag, with a small overflow list for
 //! slot collisions. Selective receive is an O(1) bucket lookup instead of
 //! an O(queue) scan, so deep tag backlogs (phase-overlapped exchanges,
-//! pipelined collectives) stay cheap. A payload is its `Wire` bytes here
-//! too, so the mailbox holds exactly what a socket link would carry.
-//!
-//! The socket transport reuses the same [`Mailbox`] for its *local* inbox
-//! (reader threads push decoded frames into it), so FIFO-per-`(src, tag)`
-//! semantics and the parking protocol are literally shared code across
-//! backends — the conformance suite checks the behaviour anyway.
+//! pipelined collectives) stay cheap.
 //!
 //! # Single-consumer invariant
 //!
@@ -21,12 +19,85 @@
 //! second waiter a wakeup could be lost to. The loom model in
 //! `tests/concurrency.rs` checks this handshake.
 
-use super::{Payload, RecvOutcome, Transport};
 use crate::comm::{CommError, Tag, Universe};
+use crate::wire::{Wire, WireReader};
 use parking_lot::{Condvar, Mutex};
+use pgp_graph::ids;
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A message payload in flight: `[u16 name-len][type name][Wire
+/// encoding]`. The type-name prefix lets the receiver detect a protocol
+/// mismatch precisely — every PE runs the same binary, so `type_name` is a
+/// stable identifier.
+pub(crate) struct Payload(pub(crate) Vec<u8>);
+
+impl Payload {
+    /// Payload size in wire bytes. Computed from the same value on the
+    /// send and the receive side of a message, so the per-tag totals the
+    /// recorder accumulates satisfy Σ sent − Σ dropped == Σ received
+    /// *exactly* (the conservation tests assert this).
+    pub(crate) fn wire_bytes(&self) -> u64 {
+        ids::count_global(self.0.len())
+    }
+}
+
+/// Encodes `msg` into its [`Payload`]: the type name, then the [`Wire`]
+/// encoding of the value.
+pub(crate) fn pack<T: Wire>(msg: &T) -> Payload {
+    let name = std::any::type_name::<T>();
+    let name_len = u16::try_from(name.len()).expect("type name length fits u16");
+    let mut buf = Vec::with_capacity(2 + name.len() + 16);
+    buf.extend_from_slice(&name_len.to_le_bytes());
+    buf.extend_from_slice(name.as_bytes());
+    msg.encode(&mut buf);
+    Payload(buf)
+}
+
+/// Decodes a [`Payload`] back into `T`, symmetric to [`pack`].
+///
+/// # Panics
+/// Panics if the payload's type does not match `T` — that is a protocol
+/// bug, not a runtime condition. The message names the expected type and
+/// the type the sender packed.
+pub(crate) fn unpack<T: Wire>(payload: Payload, src: usize, tag: Tag) -> T {
+    fn mismatch<T>(src: usize, tag: Tag, actual: &str) -> ! {
+        // `tags::describe` names the offset constant (OP_BCAST,
+        // GHOST_LABELS, ...) so the panic points at the protocol entry.
+        panic!(
+            "type mismatch on {} from {src}: expected {}, got {actual}",
+            crate::tags::describe(tag),
+            std::any::type_name::<T>()
+        )
+    }
+    let mut r = WireReader::new(&payload.0);
+    let fail =
+        |what: &str| -> ! { mismatch::<T>(src, tag, &format!("an undecodable payload ({what})")) };
+    let Ok(name_len) = r.take(2).map(|b| u16::from_le_bytes([b[0], b[1]])) else {
+        fail("truncated type-name header")
+    };
+    let Ok(name) = r.take(usize::from(name_len)).map(String::from_utf8_lossy) else {
+        fail("truncated type name")
+    };
+    if name != std::any::type_name::<T>() {
+        mismatch::<T>(src, tag, &name);
+    }
+    match T::decode(&mut r) {
+        Ok(v) if r.remaining() == 0 => v,
+        Ok(_) => fail("trailing bytes"),
+        Err(e) => fail(&e.to_string()),
+    }
+}
+
+/// Outcome of one blocking receive.
+pub(crate) enum RecvOutcome {
+    /// The awaited message arrived.
+    Msg(Payload),
+    /// The group is poisoned; no message can be expected.
+    Poisoned(CommError),
+    /// The deadline elapsed with no message and no poison.
+    TimedOut,
+}
 
 /// Direct-mapped tag slots per sender; collisions spill to the overflow
 /// list. Eight covers the tags simultaneously in flight from one sender in
@@ -186,8 +257,8 @@ impl Mailbox {
         out
     }
 
-    /// The shared blocking-receive core, used by both transports: parks —
-    /// bounded by `deadline` when one is set — re-checking `poison` on
+    /// Parks until a message from `src` with `tag` arrives, `universe` is
+    /// poisoned, or `deadline` elapses, re-checking the poison state on
     /// every wakeup. An available message wins over poison (traffic that
     /// already arrived stays receivable during an unwind); expiry is
     /// reported as [`RecvOutcome::TimedOut`] for the caller to escalate.
@@ -196,7 +267,7 @@ impl Mailbox {
         src: usize,
         tag: Tag,
         deadline: Option<Duration>,
-        poison: &dyn Fn() -> Option<CommError>,
+        universe: &Universe,
     ) -> RecvOutcome {
         let start = deadline.map(|_| Instant::now()); // lint:instant-ok: watchdog deadline
         let mut inner = self.inner.lock();
@@ -204,7 +275,7 @@ impl Mailbox {
             if let Some(payload) = inner.by_src[src].take(tag) {
                 return RecvOutcome::Msg(payload);
             }
-            if let Some(err) = poison() {
+            if let Some(err) = universe.poison_error() {
                 return RecvOutcome::Poisoned(err);
             }
             match (deadline, start) {
@@ -218,55 +289,5 @@ impl Mailbox {
                 _ => self.signal.wait(&mut inner),
             }
         }
-    }
-}
-
-/// The thread-backend [`Transport`]: one endpoint per rank over the shared
-/// [`Universe`] (which owns the mailboxes and the group-wide poison state).
-pub(crate) struct ThreadTransport {
-    universe: Arc<Universe>,
-    rank: usize,
-}
-
-impl ThreadTransport {
-    /// The endpoint for PE `rank` of `universe`.
-    pub(crate) fn new(universe: Arc<Universe>, rank: usize) -> Self {
-        ThreadTransport { universe, rank }
-    }
-}
-
-impl Transport for ThreadTransport {
-    fn size(&self) -> usize {
-        self.universe.size()
-    }
-
-    fn deliver(&self, dst: usize, tag: Tag, payload: Payload) {
-        self.universe.mailbox(dst).push(self.rank, tag, payload);
-    }
-
-    fn try_take(&self, src: usize, tag: Tag) -> Option<Payload> {
-        self.universe.mailbox(self.rank).try_take(src, tag)
-    }
-
-    fn drain_tag(&self, tag: Tag) -> Vec<(usize, Payload)> {
-        self.universe.mailbox(self.rank).drain_tag(tag)
-    }
-
-    fn recv_blocking(&self, src: usize, tag: Tag, deadline: Option<Duration>) -> RecvOutcome {
-        self.universe
-            .mailbox(self.rank)
-            .recv_blocking(src, tag, deadline, &|| self.universe.poison_error())
-    }
-
-    fn poison(&self, err: CommError) {
-        self.universe.poison(err);
-    }
-
-    fn poison_error(&self) -> Option<CommError> {
-        self.universe.poison_error()
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.universe.is_poisoned()
     }
 }

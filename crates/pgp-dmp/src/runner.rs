@@ -8,8 +8,7 @@
 //! peers — unwind with a crate-internal sentinel that [`run_config`]
 //! surfaces as `Err(CommError)` per PE instead of a crash.
 
-use crate::comm::{Comm, CommAbort, CommError, FaultHook};
-use crate::transport::{BackendKind, Group};
+use crate::comm::{Comm, CommAbort, CommError, FaultHook, Universe};
 use pgp_obs::Obs;
 use std::any::Any;
 use std::sync::Arc;
@@ -19,12 +18,6 @@ use std::time::Duration;
 /// substrate into a chaos-hardened one.
 #[derive(Default, Clone)]
 pub struct RunConfig {
-    /// Which comm transport carries the messages (DESIGN.md §15). The
-    /// default, [`BackendKind::Threads`], is the zero-regression fast
-    /// path; [`BackendKind::Sockets`] routes every payload through real
-    /// Unix-domain socketpairs. Algorithms cannot observe the choice —
-    /// the cross-backend golden tests assert identical partitions.
-    pub backend: BackendKind,
     /// Deadlock-watchdog deadline applied to every blocking receive. The
     /// first PE whose wait exceeds it poisons the universe with
     /// [`CommError::Timeout`] and the whole group fails structurally.
@@ -56,7 +49,7 @@ enum PeOutcome<R> {
 /// the deadlock watchdog, a peer killed by the fault plan — come back as
 /// `Err(CommError)` so chaos tests can assert on them.
 ///
-/// Spawns one thread per PE over the configured backend, joins them all,
+/// Spawns one thread per PE over one [`Universe`], joins them all,
 /// converts comm-abort sentinels into `Err`, and re-raises the first
 /// genuine panic (in rank order) after every thread has exited.
 pub fn run_config<R, F>(p: usize, cfg: RunConfig, f: F) -> Vec<Result<R, CommError>>
@@ -64,11 +57,11 @@ where
     R: Send,
     F: Fn(&Comm) -> R + Sync,
 {
-    let group = &Group::build(p, cfg.backend, cfg.deadline, cfg.fault_hook, cfg.obs);
+    let universe = &Universe::with_config(p, cfg.deadline, cfg.fault_hook, cfg.obs);
     let outcomes: Vec<PeOutcome<R>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
         for rank in 0..p {
-            let comm = group.comm(rank);
+            let comm = universe.comm(rank);
             let f = &f;
             handles.push(scope.spawn(move || {
                 // The closure only crosses the unwind boundary to be
@@ -89,7 +82,7 @@ where
                             // Genuine panic: poison so peers parked in
                             // recv/collectives unwind instead of waiting
                             // for a message that will never come.
-                            group.poison(rank, CommError::PeerDead { rank, dead: rank });
+                            universe.poison(CommError::PeerDead { rank, dead: rank });
                             PeOutcome::Panicked(payload)
                         }
                     },

@@ -1,11 +1,11 @@
-//! Byte-level payload codec: every message crosses either comm backend as
-//! its encoding, as between MPI processes.
+//! Byte-level payload codec: every message crosses the mailbox as its
+//! encoding, as between MPI processes.
 //!
 //! This module defines that encoding: a small, hand-rolled, schema-free
 //! codec (the workspace vendors no serde) with one non-negotiable property
 //! — **decode(encode(x)) == x, bit for bit, on every implementing type** —
 //! because a partition must not depend on whether its messages were ever
-//! decoded, and the cross-backend golden tests hold both backends to it.
+//! decoded.
 //!
 //! Layout rules (all integers little-endian, no alignment, no padding):
 //! * fixed-width integers encode as their LE bytes; `usize` always travels
@@ -22,7 +22,7 @@
 //! grow incrementally instead of trusting the declared length).
 
 /// Decode-side failure: the bytes do not describe a value of the requested
-/// type. Socket readers treat this as a protocol bug on the peer.
+/// type. The receiving `Comm` treats this as a protocol bug on the sender.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
     /// The input ended before the value was complete.
@@ -109,7 +109,7 @@ impl<'a> WireReader<'a> {
 }
 
 /// A message payload: encodes itself to bytes and decodes back, with
-/// `decode(encode(x)) == x` exactly. Both backends send the encoding, so
+/// `decode(encode(x)) == x` exactly. Every send carries the encoding, so
 /// the bytes a run counts are the bytes an MPI program would send.
 pub trait Wire: Send + Sized + 'static {
     /// Appends this value's encoding to `out`.

@@ -1,4 +1,4 @@
-//! Concurrency tests for the mailbox handshake in `comm.rs`.
+//! Concurrency tests for the mailbox handshake in `mailbox.rs`.
 //!
 //! Two layers:
 //!
@@ -13,7 +13,7 @@
 //!    protocol — producer pushes under a mutex then notifies, consumer
 //!    waits on the condvar and selectively removes. The model replicates
 //!    the `Mailbox` structure with loom types rather than instrumenting
-//!    `comm.rs` itself, which is standard loom practice (loom's sync types
+//!    `mailbox.rs` itself, which is standard loom practice (loom's sync types
 //!    must replace the real ones at compile time). The `loom` crate is not
 //!    vendored in the offline build image, so this module only compiles
 //!    once `loom` is added as a dev-dependency and tests run with
@@ -176,7 +176,7 @@ fn repeated_collectives_do_not_interfere() {
 }
 
 /// Exhaustive loom model of the *bucketed* mailbox handshake (see module
-/// docs for how to enable). The model mirrors `comm.rs`: messages land in
+/// docs for how to enable). The model mirrors `mailbox.rs`: messages land in
 /// per-tag FIFO queues (fixed slots plus an overflow list, claimed in the
 /// same order as the real `SrcState::push`), the producer notifies with
 /// `notify_one`, and a *single* consumer waits then selectively removes —
@@ -210,7 +210,7 @@ mod loom_model {
     }
 
     impl SrcState {
-        // Same claim order as `comm.rs`: live slot match, live overflow
+        // Same claim order as `mailbox.rs`: live slot match, live overflow
         // match, empty-slot claim, empty-overflow claim, append.
         fn push(&mut self, tag: u64, val: u64) {
             let s = slot_of(tag);

@@ -1,160 +1,64 @@
-//! Property tests for the socket wire codec (DESIGN.md §15).
+//! Property tests for the wire codec.
 //!
-//! Arbitrary typed payloads must survive `encode → frame → split-read →
-//! decode` exactly: the [`Wire`] codec round-trips every payload type the
-//! partition protocols send, and the length-prefixed frame layer delivers
-//! the identical bytes (with tag and seqno headers intact) no matter how
-//! the kernel fragments the stream.
+//! Arbitrary typed payloads must survive `encode → decode` exactly: the
+//! [`Wire`] codec round-trips every payload type the partition protocols
+//! send, and corrupt or truncated input is an error, never a panic.
 
-use pgp_dmp::transport::frame::{read_frame, write_frame, HEADER_BYTES};
 use pgp_dmp::{Wire, WireError};
 use pgp_graph::{Node, Weight};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::io::{self, Read};
 
-/// A reader handing out at most `chunk` bytes per call — models a socket
-/// delivering partial frames (header split from payload, multi-byte ints
-/// split mid-value).
-struct Chunked<'a> {
-    data: &'a [u8],
-    pos: usize,
-    chunk: usize,
-}
-
-impl Read for Chunked<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = (self.data.len() - self.pos).min(self.chunk).min(buf.len());
-        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-/// Asserts `encode(v)` framed under `(tag, seq)` and read back through a
-/// `chunk`-byte reader decodes to exactly `v` with the headers intact.
-fn assert_frame_roundtrip<T: Wire + Clone + PartialEq + std::fmt::Debug>(
-    v: &T,
-    tag: u64,
-    seq: u64,
-    chunk: usize,
-) {
-    let payload = v.encode_to_vec();
-    let mut stream = Vec::new();
-    write_frame(&mut stream, tag, seq, &payload).expect("Vec write cannot fail");
-    assert_eq!(stream.len(), HEADER_BYTES + payload.len());
-
-    let mut r = Chunked {
-        data: &stream,
-        pos: 0,
-        chunk: chunk.max(1),
-    };
-    let frame = read_frame(&mut r)
-        .expect("framed bytes must parse")
-        .expect("one frame was written");
-    assert_eq!(frame.tag, tag, "tag header survives framing");
-    assert_eq!(frame.seq, seq, "seqno header survives framing");
-    assert_eq!(frame.payload, payload, "payload bytes survive framing");
-    assert_eq!(
-        &T::decode_all(&frame.payload),
-        &Ok(v.clone()),
-        "decode(encode(v)) == v"
-    );
-    let eof = read_frame(&mut r).expect("EOF at a boundary is clean");
-    assert!(eof.is_none(), "no trailing frame");
+/// Asserts `decode_all(encode(v)) == v`.
+fn assert_roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
+    let bytes = v.encode_to_vec();
+    assert_eq!(T::decode_all(&bytes), Ok(v), "decode(encode(v)) == v");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn u64_vectors_roundtrip(
-        v in vec(0u64..=u64::MAX, 0..64),
-        tag in 0u64..u64::MAX,
-        seq in 0u64..1000,
-        chunk in 1usize..32,
-    ) {
-        assert_frame_roundtrip(&v, tag, seq, chunk);
+    fn u64_vectors_roundtrip(v in vec(0u64..=u64::MAX, 0..64)) {
+        assert_roundtrip(v);
     }
 
     #[test]
-    fn node_pair_vectors_roundtrip(
-        raw in vec((0u64..1 << 48, 0u64..1 << 48), 0..64),
-        tag in 0u64..u64::MAX,
-        seq in 0u64..1000,
-        chunk in 1usize..32,
-    ) {
+    fn node_pair_vectors_roundtrip(raw in vec((0u64..1 << 48, 0u64..1 << 48), 0..64)) {
         let v: Vec<(Node, Node)> = raw
             .into_iter()
             .map(|(a, b)| (a as Node, b as Node))
             .collect();
-        assert_frame_roundtrip(&v, tag, seq, chunk);
+        assert_roundtrip(v);
     }
 
     #[test]
     fn weighted_edge_vectors_roundtrip(
         raw in vec((0u64..1 << 32, 0u64..1 << 32, 1u64..1 << 20), 0..48),
-        chunk in 1usize..24,
     ) {
         let v: Vec<(Node, Node, Weight)> = raw
             .into_iter()
             .map(|(a, b, w)| (a as Node, b as Node, w as Weight))
             .collect();
-        assert_frame_roundtrip(&v, 7, 0, chunk);
+        assert_roundtrip(v);
     }
 
     #[test]
-    fn float_options_roundtrip(
-        bits in 0u64..=u64::MAX,
-        some in 0u8..2,
-        chunk in 1usize..16,
-    ) {
+    fn float_options_roundtrip(bits in 0u64..=u64::MAX, some in 0u8..2) {
         // Arbitrary bit patterns — NaNs and subnormals included — must
-        // survive bit-exactly (`f64::to_bits` framing).
+        // survive bit-exactly (`f64::to_bits` encoding).
         let v: Option<f64> = (some == 1).then(|| f64::from_bits(bits));
-        let payload = v.encode_to_vec();
-        let mut stream = Vec::new();
-        write_frame(&mut stream, 1, 2, &payload).expect("Vec write cannot fail");
-        let mut r = Chunked { data: &stream, pos: 0, chunk };
-        let frame = read_frame(&mut r)
-            .expect("framed bytes must parse")
-            .expect("one frame was written");
-        let back = Option::<f64>::decode_all(&frame.payload).expect("decodes");
+        let back = Option::<f64>::decode_all(&v.encode_to_vec()).expect("decodes");
         prop_assert_eq!(back.map(f64::to_bits), v.map(f64::to_bits));
     }
 
     #[test]
-    fn strings_and_tuples_roundtrip(
-        codes in vec(0u32..0xD800, 0..24),
-        x in 0u32..=u32::MAX,
-        chunk in 1usize..16,
-    ) {
+    fn strings_and_tuples_roundtrip(codes in vec(0u32..0xD800, 0..24), x in 0u32..=u32::MAX) {
         let s: String = codes
             .into_iter()
             .filter_map(char::from_u32)
             .collect();
-        assert_frame_roundtrip(&(s, x), 3, 9, chunk);
-    }
-
-    #[test]
-    fn back_to_back_frames_split_at_any_chunk(
-        a in vec(0u64..=u64::MAX, 0..16),
-        b in vec(0u64..=u64::MAX, 0..16),
-        chunk in 1usize..8,
-    ) {
-        // Two frames on one stream: the reader must find the second frame
-        // boundary exactly, regardless of read fragmentation.
-        let mut stream = Vec::new();
-        write_frame(&mut stream, 10, 0, &a.encode_to_vec()).expect("Vec write");
-        write_frame(&mut stream, 11, 1, &b.encode_to_vec()).expect("Vec write");
-        let mut r = Chunked { data: &stream, pos: 0, chunk };
-        let f1 = read_frame(&mut r).expect("parses").expect("frame 1");
-        let f2 = read_frame(&mut r).expect("parses").expect("frame 2");
-        prop_assert_eq!((f1.tag, f1.seq), (10, 0));
-        prop_assert_eq!((f2.tag, f2.seq), (11, 1));
-        prop_assert_eq!(Vec::<u64>::decode_all(&f1.payload), Ok(a));
-        prop_assert_eq!(Vec::<u64>::decode_all(&f2.payload), Ok(b));
-        prop_assert!(read_frame(&mut r).expect("clean EOF").is_none());
+        assert_roundtrip((s, x));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Minimal JSON reader/writer helpers.
 //!
 //! The offline vendor set has no serde, so the report serializes by hand
-//! (precedent: `crates/bench`'s hotpath JSON) and parses through this
-//! small recursive-descent parser. Numbers keep their raw token so that
+//! and parses through this small recursive-descent parser. Numbers keep their raw token so that
 //! `u64` tags (up to 2^48 + collective blocks) survive a round trip
 //! without going through `f64`.
 

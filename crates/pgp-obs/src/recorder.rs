@@ -49,9 +49,6 @@ pub struct Obs {
     /// Whether per-PE trace rings exist (uniform across PEs, so trace
     /// bookkeeping like sequence numbers cannot desync between peers).
     traced: bool,
-    /// Comm-backend name ("threads" unless a group build overrides it),
-    /// surfaced in the report so run artifacts record which transport ran.
-    backend: Mutex<&'static str>,
 }
 
 /// All observations of one PE. Single-writer by the owning thread.
@@ -144,14 +141,7 @@ impl Obs {
             epoch_origin: Mutex::new(Instant::now()), // lint:instant-ok: trace epoch origin
             epoch_offset_ns: AtomicU64::new(0),
             traced: trace_capacity.is_some(),
-            backend: Mutex::new("threads"),
         })
-    }
-
-    /// Records which comm backend drives this run ("threads", "sockets").
-    /// The group build calls this once before any PE spawns.
-    pub fn set_backend(&self, name: &'static str) {
-        *self.backend.lock() = name;
     }
 
     /// Number of PEs this registry observes.
@@ -204,7 +194,6 @@ impl Obs {
         RunReport {
             schema_version: SCHEMA_VERSION,
             p: self.cells.len(),
-            backend: (*self.backend.lock()).to_string(),
             per_pe,
             aggregate,
         }

@@ -26,8 +26,7 @@ use crate::resources::ResourceSample;
 /// layer.
 ///
 /// v4: top-level `backend` string naming the comm transport that carried
-/// the run ("threads" or "sockets", DESIGN.md §15). Cross-backend golden
-/// tests compare reports after normalizing this one field.
+/// the run ("threads" or "sockets").
 ///
 /// v5: per-PE `resources` block (current/peak RSS, thread-CPU seconds)
 /// and aggregate `rss_peak_max_kb`/`thread_cpu_total_s`. These are
@@ -39,7 +38,10 @@ use crate::resources::ResourceSample;
 /// allocation-counting Cargo feature that no build enabled.
 ///
 /// v7: the top-level `recovery` block went with the automatic-recovery layer.
-pub const SCHEMA_VERSION: u32 = 7;
+///
+/// v8: the top-level `backend` string went with the socket transport; one
+/// mailbox carries every run.
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// A complete observed run: per-PE detail plus cross-PE aggregates.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,10 +50,6 @@ pub struct RunReport {
     pub schema_version: u32,
     /// Number of PEs in the run.
     pub p: usize,
-    /// Name of the comm transport that carried the run ("threads",
-    /// "sockets"). The only report field allowed to differ between the
-    /// backends of a cross-backend golden comparison.
-    pub backend: String,
     /// Per-PE reports, rank ascending.
     pub per_pe: Vec<PeReport>,
     /// Cross-PE aggregates.
@@ -192,10 +190,8 @@ pub struct Aggregate {
     /// Maximum imbalance over all recorded refinement passes (rank 0).
     pub max_imbalance: f64,
     /// Largest per-PE peak RSS (KiB) — the number a semi-external run's
-    /// memory-budget proof cares about. On the threads backend all PEs
-    /// share one address space, so this is the process peak; on the
-    /// process backend it is a true per-PE maximum. Zeroed by
-    /// `to_json(true)`.
+    /// memory-budget proof cares about. All PEs share one address space,
+    /// so this is the process peak. Zeroed by `to_json(true)`.
     pub rss_peak_max_kb: u64,
     /// Total thread-CPU seconds across the PE threads; zeroed by
     /// `to_json(true)`.
@@ -331,7 +327,6 @@ impl RunReport {
         o.push_str("{\n");
         o.push_str(&format!("  \"schema_version\": {},\n", self.schema_version));
         o.push_str(&format!("  \"p\": {},\n", self.p));
-        o.push_str(&format!("  \"backend\": \"{}\",\n", self.backend));
         o.push_str("  \"per_pe\": [");
         for (i, pe) in self.per_pe.iter().enumerate() {
             o.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -360,11 +355,6 @@ impl RunReport {
             ));
         }
         let p = v.get("p").and_then(JsonValue::as_u64).ok_or("missing p")?;
-        let backend = v
-            .get("backend")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing backend")?
-            .to_string();
         let per_pe_json = v
             .get("per_pe")
             .and_then(JsonValue::as_arr)
@@ -419,7 +409,6 @@ impl RunReport {
         Ok(RunReport {
             schema_version: sv32,
             p: usize::try_from(p).map_err(|_| "p out of range")?,
-            backend,
             per_pe,
             aggregate,
         })
@@ -506,7 +495,6 @@ impl RunReport {
         let sample = RunReport {
             schema_version: SCHEMA_VERSION,
             p: 1,
-            backend: "threads".to_string(),
             aggregate: Aggregate::from_per_pe(&per_pe),
             per_pe,
         };
@@ -988,7 +976,7 @@ mod tests {
         let report = sample_report();
         let json = report.to_json(true);
         assert!(!json.contains("total_s\": 0."), "timings must be zeroed");
-        assert!(json.contains("\"schema_version\": 7"));
+        assert!(json.contains("\"schema_version\": 8"));
         assert!(json.contains("\"final_cut\": 42"));
         assert!(
             json.contains("\"imbalance\": 0.03"),
@@ -1022,9 +1010,9 @@ mod tests {
     #[test]
     fn parse_rejects_other_schema_versions() {
         let report = sample_report();
-        for other in ["6", "999"] {
+        for other in ["7", "999"] {
             let json = report.to_json(true).replace(
-                "\"schema_version\": 7",
+                "\"schema_version\": 8",
                 &format!("\"schema_version\": {other}"),
             );
             let err = RunReport::from_json(&json).expect_err("must reject");
@@ -1100,7 +1088,6 @@ mod tests {
             "aggregate.recv_wait_s",
             "aggregate.rss_peak_max_kb",
             "aggregate.thread_cpu_total_s",
-            "backend",
             "p",
             "per_pe",
             "per_pe[].comm",
@@ -1153,7 +1140,7 @@ mod tests {
             "per_pe[].resources.thread_cpu_s",
             "schema_version",
         ];
-        assert_eq!(SCHEMA_VERSION, 7, "bumped version: update the golden list");
+        assert_eq!(SCHEMA_VERSION, 8, "bumped version: update the golden list");
         assert_eq!(
             RunReport::schema_fingerprint(),
             expected,

@@ -7,9 +7,8 @@
 //! type the report embeds:
 //!
 //! - current/peak RSS from `/proc/self/status` (`VmRSS`/`VmHWM`) —
-//!   process-wide on the threads backend (PEs share one address space;
-//!   the per-PE value is an upper bound), per-process on the
-//!   one-OS-process-per-PE backend where it is exact;
+//!   process-wide, because the PEs are threads sharing one address space
+//!   (the per-PE value is an upper bound);
 //! - thread-CPU seconds from `/proc/thread-self/stat` (utime+stime),
 //!   moved here from `pgp-dmp::runner` so resource observation lives
 //!   with the rest of the observability layer (`pgp-dmp` re-exports it

@@ -19,13 +19,13 @@
 //!    arithmetic in one audited place.
 //! 4. **lints-opt-in** — every workspace crate manifest must contain
 //!    `[lints] workspace = true` so the workspace lint gate applies.
-//! 5. **mailbox-internals** — the transport vocabulary (mailbox machinery,
-//!    socket endpoint / group / link, the frame codec, raw OS stream types)
-//!    may only be named in `crates/pgp-dmp/src/comm.rs` and the transport
-//!    modules. The single-consumer invariant that makes `notify_one` and
-//!    the per-(src, tag) FIFO guarantee sound is local to those files, and
-//!    the two backends are interchangeable only while nothing else can tell
-//!    them apart; code elsewhere must stay behind the `Comm` API.
+//! 5. **mailbox-internals** — the mailbox machinery and the payload
+//!    envelope, plus raw OS stream types, may only be named in
+//!    `crates/pgp-dmp/src/comm.rs` and `mailbox.rs`. The single-consumer
+//!    invariant that makes `notify_one` and the per-(src, tag) FIFO
+//!    guarantee sound is local to those files, and every message must be
+//!    counted and type-checked on its way through; code elsewhere must
+//!    stay behind the `Comm` API.
 //! 6. **chaos-hooks** — the fault-injection seam (`FaultHook`, `SendFault`)
 //!    may only be named in the comm layer (`comm.rs`, `runner.rs`, the
 //!    `pgp-dmp` re-export) and the `pgp-chaos` crate (ISSUE 3). Algorithm
@@ -48,7 +48,7 @@
 //!    (`crates/{core,pgp-lp,pgp-dmp,pgp-obs,pgp-graph,pgp-seq}/src`): their
 //!    per-process random seed makes iteration order (and any float sum fed
 //!    by it) differ between runs, which breaks the bit-identical partitions
-//!    promised across runs, backends and resume. Use `FxHashMap`, a
+//!    promised across runs, PE counts and resume. Use `FxHashMap`, a
 //!    `BTreeMap` or a sorted `Vec`; the rule has no escape.
 //!
 //! The scanner is line-based with comment/string stripping and skips
@@ -92,39 +92,23 @@ const CSR_OWNER_FILES: &[&str] = &[
 /// CSR array names whose direct indexing is restricted (rule 3).
 const CSR_ARRAYS: &[&str] = &["xadj[", "adjncy[", "adjwgt["];
 
-/// The only files allowed to name the transport internals (rule 5): the
-/// Comm facade plus the transport backends and frame codec behind it
-/// (DESIGN.md §15).
+/// The only files allowed to name the mailbox internals (rule 5): the
+/// Comm facade and the mailbox behind it (DESIGN.md §15).
 const MAILBOX_OWNER_FILES: &[&str] = &[
     "crates/pgp-dmp/src/comm.rs",
-    "crates/pgp-dmp/src/transport/mod.rs",
-    "crates/pgp-dmp/src/transport/thread.rs",
-    "crates/pgp-dmp/src/transport/socket.rs",
-    "crates/pgp-dmp/src/transport/frame.rs",
+    "crates/pgp-dmp/src/mailbox.rs",
 ];
 
-/// Transport-internal names restricted to [`MAILBOX_OWNER_FILES`]
+/// Mailbox-internal names restricted to [`MAILBOX_OWNER_FILES`]
 /// (rule 5).
 const MAILBOX_INTERNALS: &[&str] = &[
-    // Thread-backend mailboxes and the payload envelope.
+    // The mailbox and the payload envelope.
     "Mailbox",
     "MailboxInner",
     "SrcState",
     "TagQueue",
     "Payload",
     "RecvOutcome",
-    "ThreadTransport",
-    // Socket backend.
-    "SocketEndpoint",
-    "SocketGroup",
-    "SendLink",
-    "spawn_reader",
-    // Frame codec.
-    "Frame",
-    "read_frame",
-    "write_frame",
-    "HEADER_BYTES",
-    "CONTROL_TAG",
     // Raw OS streams.
     "UnixStream",
     "UnixListener",
@@ -138,9 +122,6 @@ const CHAOS_HOOK_FILES: &[&str] = &[
     "crates/pgp-dmp/src/runner.rs",
     "crates/pgp-dmp/src/lib.rs",
     "crates/pgp-chaos/src/lib.rs",
-    // Group construction threads the hook down to each backend's Comm.
-    "crates/pgp-dmp/src/transport/mod.rs",
-    "crates/pgp-dmp/src/transport/socket.rs",
 ];
 
 /// Fault-injection seam names restricted to [`CHAOS_HOOK_FILES`] (rule 6).
@@ -445,7 +426,7 @@ fn apply_rules(
         }
     }
 
-    // Rule 5: transport internals outside comm.rs and transport/.
+    // Rule 5: mailbox internals outside comm.rs and mailbox.rs.
     if scope.mailbox_restricted {
         for name in MAILBOX_INTERNALS {
             if let Some(pos) = find_word(code, name) {
@@ -454,9 +435,9 @@ fn apply_rules(
                     line: lineno,
                     rule: "mailbox-internals",
                     message: format!(
-                        "transport internal `{name}` named outside the comm/transport \
-                         layer (col {pos}); go through the Comm API so the backend stays \
-                         swappable"
+                        "mailbox internal `{name}` named outside comm.rs / mailbox.rs \
+                         (col {pos}); go through the Comm API so every message is counted \
+                         and type-checked"
                     ),
                 });
                 break;
@@ -740,12 +721,12 @@ mod tests {
     }
 
     #[test]
-    fn transport_internals_confined_to_owner_files() {
+    fn mailbox_internals_confined_to_owner_files() {
         let src = "fn f(p: Payload) {}\n\
                    fn g() { let s = std::os::unix::net::UnixStream::connect(x); }\n\
-                   fn h(frame: &[u8]) -> usize { frame.len() }\n";
-        // Outside the comm/transport layer: the mailbox type and the raw
-        // stream are flagged; a lowercase `frame` binding is not a name.
+                   fn h(mailbox: &[u8]) -> usize { mailbox.len() }\n";
+        // Outside comm.rs / mailbox.rs: the payload type and the raw
+        // stream are flagged; a lowercase `mailbox` binding is not a name.
         let mut v = Vec::new();
         scan_file(
             Path::new("crates/pgp-lp/src/par.rs"),
@@ -759,11 +740,11 @@ mod tests {
             .map(|x| x.line)
             .collect();
         assert_eq!(hits, vec![1, 2]);
-        // The frame codec is an owner file: clean.
+        // The mailbox is an owner file: clean.
         let mut v = Vec::new();
         scan_file(
-            Path::new("crates/pgp-dmp/src/transport/frame.rs"),
-            "crates/pgp-dmp/src/transport/frame.rs",
+            Path::new("crates/pgp-dmp/src/mailbox.rs"),
+            "crates/pgp-dmp/src/mailbox.rs",
             src,
             &mut v,
         );

@@ -4,17 +4,12 @@
 //! ```text
 //! pgp-partition <graph.metis> k=8 [preset=fast|eco|minimal] [p=4]
 //!               [eps=0.03] [seed=0] [class=auto|social|mesh]
-//!               [backend=threads|sockets] [output=<graph>.part.<k>]
+//!               [output=<graph>.part.<k>]
 //!               [report=<file.json>] [trace=<file.json>]
 //! ```
 //!
-//! `backend=<b>` (or `--backend <b>`) selects the comm transport
-//! (DESIGN.md §15): `threads` (default) runs the PEs as OS threads over
-//! in-process mailboxes; `sockets` moves every message through
-//! length-prefixed frames on Unix-domain socketpairs. The partition is
-//! bit-identical either way, and so are the message and byte counts in
-//! the report (the cross-backend golden tests enforce both); `sockets`
-//! exists to exercise the real wire path.
+//! The `p` PEs run as OS threads of this process that exchange
+//! `Wire`-encoded messages through per-PE mailboxes (DESIGN.md §2).
 //!
 //! `report=<file.json>` (or `--report <file.json>`) runs with the
 //! observability recorder enabled and writes the schema-versioned JSON
@@ -30,7 +25,7 @@
 
 use pgp::parhip::{GraphClass, ParhipConfig, PartitionError, Partitioner, Preset};
 use pgp::pgp_dmp::dgraph::BlockDist;
-use pgp::pgp_dmp::{BackendKind, RunConfig};
+use pgp::pgp_dmp::RunConfig;
 use pgp::pgp_graph::ids;
 use pgp::pgp_graph::io::{read_metis_file_segments, write_partition};
 use pgp::pgp_graph::stats::{degree_skew, skew_looks_like_complex_network};
@@ -40,13 +35,13 @@ use std::str::FromStr;
 
 const USAGE: &str = "usage: pgp-partition <graph.metis> k=<blocks> [preset=fast|eco|minimal] \
     [p=<PEs>] [eps=0.03] [seed=0] [class=auto|social|mesh] \
-    [backend=threads|sockets] [output=<file>] \
+    [output=<file>] \
     [report=<file.json>] [trace=<file.json>]";
 
 /// Every `key=` the CLI understands. Anything else is rejected: a typo
 /// (`sed=3`) must not run the default experiment and exit 0.
-const KEYS: [&str; 10] = [
-    "k", "p", "seed", "eps", "preset", "class", "backend", "output", "report", "trace",
+const KEYS: [&str; 9] = [
+    "k", "p", "seed", "eps", "preset", "class", "output", "report", "trace",
 ];
 
 /// Why the run stopped: the exit code (2 — the invocation is wrong, 1 —
@@ -91,7 +86,7 @@ fn main() -> ExitCode {
 fn run(mut args: Vec<String>) -> Result<(), Failure> {
     // Normalize the conventional `--flag <path>` spellings into the
     // `key=value` form before positional-argument detection.
-    for key in ["report", "trace", "backend"] {
+    for key in ["report", "trace"] {
         if let Some(i) = args.iter().position(|a| a == &format!("--{key}")) {
             if i + 1 >= args.len() {
                 return Err(invalid(format!("error: --{key} requires a value argument")));
@@ -116,7 +111,6 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
     let p: usize = parsed(&args, "p", 4)?;
     let seed: u64 = parsed(&args, "seed", 0)?;
     let eps: f64 = parsed(&args, "eps", 0.03)?;
-    let backend: BackendKind = parsed(&args, "backend", BackendKind::Threads)?;
     let preset = match arg(&args, "preset").as_deref() {
         Some("eco") => Preset::Eco,
         Some("minimal") => Preset::Minimal,
@@ -169,7 +163,6 @@ fn run(mut args: Vec<String>) -> Result<(), Failure> {
     // No recorder unless an output needs one: the plain run pays nothing.
     let session = outputs.any().then(|| outputs.open(p));
     let partitioner = Partitioner::new(&cfg).run(RunConfig {
-        backend,
         obs: session.as_ref().map(|s| s.obs.clone()),
         ..Default::default()
     });

@@ -52,7 +52,7 @@ fn run_cli_written(tag: &str, text: &[u8], extra: &[&str]) -> (Option<i32>, Stri
 #[test]
 fn bad_values_exit_2_naming_the_key() {
     // (how the last stderr line starts, arguments)
-    let cases: [(&str, &[&str]); 17] = [
+    let cases: [(&str, &[&str]); 20] = [
         ("error: invalid k=", &["k=0"]),
         ("error: invalid p=", &["k=2", "p=0"]),
         ("error: invalid eps=", &["k=2", "eps=-1"]),
@@ -89,6 +89,18 @@ fn bad_values_exit_2_naming_the_key() {
         (
             "error: unknown argument checkpoint-every=2",
             &["k=2", "checkpoint-every=2"],
+        ),
+        (
+            "error: unknown argument backend=sockets",
+            &["k=2", "backend=sockets"],
+        ),
+        (
+            "error: unknown argument backend=threads",
+            &["k=2", "backend=threads"],
+        ),
+        (
+            "error: unknown argument --backend",
+            &["k=2", "--backend", "sockets"],
         ),
     ];
     for (i, (want, args)) in cases.iter().enumerate() {
@@ -130,10 +142,13 @@ fn a_good_invocation_still_exits_0() {
         stderr.contains("cut = 1"),
         "two triangles, one bridge:\n{stderr}"
     );
-    let parsed = RunReport::from_json(&std::fs::read_to_string(&report).expect("report written"))
-        .expect("report parses");
-    assert_eq!(parsed.schema_version, 7);
-    assert_eq!((parsed.p, parsed.backend.as_str()), (2, "threads"));
+    let text = std::fs::read_to_string(&report).expect("report written");
+    let parsed = RunReport::from_json(&text).expect("report parses");
+    assert_eq!((parsed.schema_version, parsed.p), (8, 2));
+    assert!(
+        !text.contains("\"backend\""),
+        "one transport, no backend key"
+    );
     validate_perfetto(&std::fs::read_to_string(&trace).expect("trace written"))
         .expect("trace validates");
     let _ = std::fs::remove_dir_all(&obs_dir);
