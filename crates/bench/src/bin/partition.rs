@@ -14,8 +14,8 @@
 //!
 //! `--report <path>` / `--trace <path>` are accepted as aliases for the
 //! `key=value` forms. The report format is documented in DESIGN.md §10,
-//! the trace schema in DESIGN.md §11; per-level tables can be regenerated
-//! from the JSON (see EXPERIMENTS.md). Open a trace at
+//! the trace schema in DESIGN.md §11; re-running the binary regenerates
+//! the per-level tables (see EXPERIMENTS.md). Open a trace at
 //! <https://ui.perfetto.dev> or `chrome://tracing`.
 
 use bench::harness::parse_tier;

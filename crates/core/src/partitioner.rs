@@ -787,13 +787,10 @@ fn parhip_cycles(
 /// enabled.
 fn observed_quality(comm: &Comm, graph: &DistGraph, blocks: &[Node], k: usize) -> (u64, f64) {
     let (cut, weights) = cut_and_block_weights(comm, graph, blocks, k);
-    let total: u64 = weights.iter().sum();
     let max_w = weights.iter().copied().max().unwrap_or(0);
-    let target = total.div_ceil(ids::count_global(k)).max(1);
     // Integer weights in, deterministic f64 out — safe to compare across
     // runs byte-for-byte (the golden-report tests rely on this).
-    let imbalance = max_w as f64 / target as f64 - 1.0; // lint:cast-ok: exact small integers
-    (cut, imbalance)
+    (cut, pgp_graph::imbalance(max_w, weights.iter().sum(), k))
 }
 
 /// Global edge cut and block weights of `blocks` (owned + ghost) on

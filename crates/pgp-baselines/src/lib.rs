@@ -1,6 +1,6 @@
 //! Baseline partitioners the paper compares against.
 //!
-//! * [`parmetis_like`] — matching-based parallel multilevel partitioning
+//! * [`parmetis_like`](mod@parmetis_like) — matching-based parallel multilevel partitioning
 //!   on the same `pgp-dmp` substrate as ParHIP, including ParMetis's
 //!   coarsening-stall and out-of-memory failure modes on complex networks.
 //! * [`matching`] — the parallel heavy-edge matching it coarsens with.

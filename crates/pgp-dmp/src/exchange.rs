@@ -15,7 +15,7 @@
 //! tag from [`Comm::fresh_tag_block`] and every receive names its source
 //! PE, so injected cross-tag reordering (a delayed phase-`κ−1` message
 //! arriving after phase-`κ` traffic) cannot be mis-applied — delivery
-//! stays FIFO per `(src, tag)` and [`LabelExchange::receive_and_apply`]
+//! stays FIFO per `(src, tag)` and `LabelExchange::receive_and_apply`
 //! only drains the tag it is asked for. Dropped or killed peers surface
 //! through the watchdog as structured [`crate::CommError`]s at the next
 //! blocking receive rather than a hang.

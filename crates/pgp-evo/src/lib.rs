@@ -3,7 +3,7 @@
 //! (Sections II-C and IV-E).
 //!
 //! * [`population`] — per-PE populations with replace-the-worst insertion.
-//! * [`kaffpae`] — the evolutionary driver: initial population, combine
+//! * [`kaffpae`](mod@kaffpae) — the evolutionary driver: initial population, combine
 //!   operations (non-worsening by construction), mutation, budgets.
 //! * [`rumor`] — randomized rumor spreading of the best individual.
 

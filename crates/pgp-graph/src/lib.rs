@@ -55,6 +55,20 @@ pub fn lmax(total_weight: Weight, k: usize, eps: f64) -> Weight {
     ((1.0 + eps) * avg as f64).floor() as Weight
 }
 
+/// The imbalance `max_b c(V_b) / ⌈c(V)/k⌉ − 1` of a `k`-way partition whose
+/// heaviest block weighs `max_block_weight` (0 means perfectly balanced;
+/// 0 for an empty graph). It divides by the same `⌈c(V)/k⌉` as [`lmax`], so
+/// a partition within `Lmax(ε)` never reports more than ε (up to float
+/// rounding). Every imbalance the program prints or records is this one.
+pub fn imbalance(max_block_weight: Weight, total_weight: Weight, k: usize) -> f64 {
+    assert!(k > 0, "k must be positive");
+    if total_weight == 0 {
+        return 0.0;
+    }
+    let avg = total_weight.div_ceil(k as Weight);
+    max_block_weight as f64 / avg as f64 - 1.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -161,7 +161,8 @@ impl Partition {
         self.block_weights.iter().copied().max().unwrap_or(0)
     }
 
-    /// Imbalance `max_b c(V_b) / (c(V)/k) − 1` (0 means perfectly balanced).
+    /// Imbalance `max_b c(V_b) / ⌈c(V)/k⌉ − 1` (0 means perfectly
+    /// balanced), as [`crate::imbalance`] defines it.
     pub fn imbalance(&self, graph: &CsrGraph) -> f64 {
         self.imbalance_of(graph.total_node_weight())
     }
@@ -169,11 +170,7 @@ impl Partition {
     /// [`Partition::imbalance`] of a graph whose node weights sum to
     /// `total`.
     pub fn imbalance_of(&self, total: Weight) -> f64 {
-        if total == 0 {
-            return 0.0;
-        }
-        let avg = total as f64 / self.k as f64;
-        self.max_block_weight() as f64 / avg - 1.0
+        crate::imbalance(self.max_block_weight(), total, self.k)
     }
 
     /// True iff every block obeys `Lmax(eps)`.
@@ -318,7 +315,25 @@ mod tests {
             .node_weights(vec![10, 1])
             .build();
         let p = Partition::from_assignment(&g, 2, vec![0, 1]);
-        // avg = 5.5, max = 10 -> imbalance ~ 0.818
-        assert!((p.imbalance(&g) - (10.0 / 5.5 - 1.0)).abs() < 1e-12);
+        // ⌈11 / 2⌉ = 6, max = 10 -> imbalance ~ 0.667
+        assert!((p.imbalance(&g) - (10.0 / 6.0 - 1.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_balanced_partition_reports_at_most_eps() {
+        // 601 unit nodes, k = 4: Lmax(0.03) = ⌊1.03 · ⌈601 / 4⌉⌋ = 155.
+        let g = crate::GraphBuilder::new(601).build();
+        let assignment = (0..601u32)
+            .map(|v| match v {
+                0..155 => 0,
+                155..305 => 1,
+                305..453 => 2,
+                _ => 3,
+            })
+            .collect();
+        let p = Partition::from_assignment(&g, 4, assignment);
+        assert_eq!(p.block_weights(), &[155, 150, 148, 148]);
+        assert!(p.is_balanced(&g, 0.03));
+        assert!(p.imbalance(&g) <= 0.03, "imbalance {}", p.imbalance(&g));
     }
 }

@@ -1,11 +1,11 @@
-//! Minimal JSON reader/writer helpers.
-//!
-//! The offline vendor set has no serde, so the report serializes by hand
-//! and parses through this small recursive-descent parser. Numbers keep their raw token so that
-//! `u64` tags (up to 2^48 + collective blocks) survive a round trip
-//! without going through `f64`.
+//! The one JSON model: every document the program writes — the run
+//! report and the Perfetto trace — is built as a [`JsonValue`] and
+//! printed by [`JsonValue::write`]; [`JsonValue::parse`] reads documents
+//! back where a check needs them. The offline vendor set has no serde.
+//! Numbers keep their raw token so that `u64` tags (up to 2^48 +
+//! collective blocks) survive a round trip without going through `f64`.
 
-/// A parsed JSON value.
+/// A JSON value, built to be printed or parsed from text.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -23,6 +23,101 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// An object from `(key, value)` pairs, in the order given.
+    pub(crate) fn obj<const N: usize>(fields: [(&str, JsonValue); N]) -> JsonValue {
+        JsonValue::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
+    }
+
+    /// Prints the value as JSON text at nesting depth `depth`.
+    ///
+    /// Layout: a value prints on one line iff it holds no non-empty
+    /// array; otherwise each field or element goes on its own line,
+    /// indented two spaces per level. One-line containers separate with
+    /// `", "` and `": "`. Numbers print their token as is. Strings escape
+    /// `"`, `\` and control characters and keep all other text verbatim.
+    pub(crate) fn write(&self, out: &mut String, depth: usize) {
+        let flat = self.is_flat();
+        let next = |out: &mut String, i: usize| {
+            if i > 0 {
+                out.push(',');
+            }
+            if !flat {
+                out.push('\n');
+                push_indent(out, depth + 1);
+            } else if i > 0 {
+                out.push(' ');
+            }
+        };
+        let close = match self {
+            JsonValue::Null => return out.push_str("null"),
+            JsonValue::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Num(raw) => return out.push_str(raw),
+            JsonValue::Str(s) => return write_str(out, s),
+            JsonValue::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    next(out, i);
+                    item.write(out, depth + 1);
+                }
+                ']'
+            }
+            JsonValue::Obj(fields) => {
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    next(out, i);
+                    write_str(out, key);
+                    out.push_str(": ");
+                    value.write(out, depth + 1);
+                }
+                '}'
+            }
+        };
+        if !flat {
+            out.push('\n');
+            push_indent(out, depth);
+        }
+        out.push(close);
+    }
+
+    /// True iff the value holds no non-empty array (the one-line rule).
+    fn is_flat(&self) -> bool {
+        match self {
+            JsonValue::Arr(items) => items.is_empty(),
+            JsonValue::Obj(fields) => fields.iter().all(|(_, v)| v.is_flat()),
+            _ => true,
+        }
+    }
+
+    /// Every key path in the value, sorted and without repeats: `a.b` for
+    /// a field of a field, `a[].b` for a field of an array's elements.
+    pub fn key_paths(&self) -> Vec<String> {
+        fn walk(v: &JsonValue, prefix: &str, out: &mut Vec<String>) {
+            match v {
+                JsonValue::Obj(fields) => {
+                    for (key, child) in fields {
+                        let path = match prefix {
+                            "" => key.clone(),
+                            _ => format!("{prefix}.{key}"),
+                        };
+                        walk(child, &path, out);
+                        out.push(path);
+                    }
+                }
+                JsonValue::Arr(items) => {
+                    for item in items {
+                        walk(item, &format!("{prefix}[]"), out);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut paths = Vec::new();
+        walk(self, "", &mut paths);
+        paths.sort();
+        paths.dedup();
+        paths
+    }
+
     /// Parses a complete JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
@@ -76,6 +171,56 @@ impl JsonValue {
             JsonValue::Arr(items) => Some(items),
             _ => None,
         }
+    }
+}
+
+/// What the program writes as JSON: numbers, strings, options, lists and
+/// the report blocks (whose impls come from their field lists).
+pub(crate) trait ToValue {
+    /// The value in the JSON model.
+    fn to_value(&self) -> JsonValue;
+}
+
+macro_rules! int_to_value {
+    ($($t:ty),*) => {$(
+        impl ToValue for $t {
+            fn to_value(&self) -> JsonValue {
+                JsonValue::Num(self.to_string())
+            }
+        }
+    )*};
+}
+int_to_value!(u32, u64, usize);
+
+impl ToValue for f64 {
+    /// The shortest round-trip form; zero prints as `0`, and a non-finite
+    /// value (which JSON cannot spell) as `null`.
+    fn to_value(&self) -> JsonValue {
+        if *self == 0.0 {
+            JsonValue::Num("0".to_string())
+        } else if self.is_finite() {
+            JsonValue::Num(format!("{self}"))
+        } else {
+            JsonValue::Null
+        }
+    }
+}
+
+impl ToValue for str {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Str(self.to_string())
+    }
+}
+
+impl<T: ToValue> ToValue for Option<T> {
+    fn to_value(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, ToValue::to_value)
+    }
+}
+
+impl<T: ToValue> ToValue for [T] {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Arr(self.iter().map(ToValue::to_value).collect())
     }
 }
 
@@ -272,8 +417,14 @@ impl Parser<'_> {
     }
 }
 
+fn push_indent(out: &mut String, depth: usize) {
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+}
+
 /// Appends `s` to `out` as a quoted, escaped JSON string.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
+fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -294,6 +445,8 @@ pub(crate) fn push_json_str(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     #[test]
     fn parses_nested_document() {
@@ -324,11 +477,70 @@ mod tests {
         assert!(JsonValue::parse("{} x").is_err());
     }
 
-    #[test]
-    fn escapes_round_trip() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\u{1}");
-        let v = JsonValue::parse(&out).expect("parse");
-        assert_eq!(v.as_str(), Some("a\"b\\c\nd\u{1}"));
+    /// Random trees of every kind of value, at most `depth` containers deep.
+    struct Trees {
+        depth: u32,
+    }
+
+    /// Characters a printer can get wrong, plus a random code point.
+    fn char_of(rng: &mut TestRng) -> char {
+        const HARD: [char; 12] = [
+            '"', '\\', '\n', '\t', '\r', '\u{0}', '\u{1f}', '\u{7f}', '/', 'é', '日', '🦀',
+        ];
+        match rng.below(3) {
+            0 => HARD[rng.below(HARD.len() as u64) as usize],
+            1 => char::from(b'a' + rng.below(26) as u8),
+            _ => char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('?'),
+        }
+    }
+
+    fn string_of(rng: &mut TestRng) -> String {
+        (0..rng.below(8)).map(|_| char_of(rng)).collect()
+    }
+
+    impl Strategy for Trees {
+        type Value = JsonValue;
+
+        fn generate(&self, rng: &mut TestRng) -> JsonValue {
+            let kind = rng.below(if self.depth == 0 { 5 } else { 7 });
+            let inner = Trees {
+                depth: self.depth.saturating_sub(1),
+            };
+            match kind {
+                0 => JsonValue::Null,
+                1 => JsonValue::Bool(rng.below(2) == 1),
+                2 => JsonValue::Num(match rng.below(3) {
+                    0 => (u64::MAX - rng.below(3)).to_string(),
+                    1 => rng.below(1000).to_string(),
+                    _ => rng.next_u64().to_string(),
+                }),
+                3 => match rng.below(3) {
+                    0 => f64::from_bits(rng.next_u64()),
+                    1 => rng.below(1 << 20) as f64 / 1024.0 - 512.0,
+                    _ => rng.below(1000) as f64 * 1e-9,
+                }
+                .to_value(),
+                4 => JsonValue::Str(string_of(rng)),
+                5 => JsonValue::Arr((0..rng.below(4)).map(|_| inner.generate(rng)).collect()),
+                _ => JsonValue::Obj(
+                    (0..rng.below(4))
+                        .map(|_| (string_of(rng), inner.generate(rng)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one printer against the parser: any tree prints to text
+        /// that parses back to the same tree, at any starting depth.
+        #[test]
+        fn printing_then_parsing_is_the_identity(v in Trees { depth: 4 }, depth in 0usize..3) {
+            let mut text = String::new();
+            v.write(&mut text, depth);
+            prop_assert_eq!(JsonValue::parse(&text), Ok(v));
+        }
     }
 }

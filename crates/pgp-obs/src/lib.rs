@@ -23,10 +23,13 @@
 //!   per-level quantities the SEA'14 companion paper (arXiv:1402.3281)
 //!   uses to diagnose quality — nodes/edges/ghosts after each contraction,
 //!   cut and imbalance after each refinement pass.
-//! - [`RunReport`]: a schema-versioned, hand-rolled JSON report (no serde
-//!   in the offline vendor set) with fully deterministic field ordering;
-//!   `to_json(true)` zeroes every timing field so reports from runs with
-//!   the same seed and config compare byte-for-byte.
+//! - [`RunReport`]: a schema-versioned JSON report with fully
+//!   deterministic field ordering; [`RunReport::zeroed`] zeroes every
+//!   timing and racy field so reports from runs with the same seed and
+//!   config compare byte-for-byte.
+//! - [`JsonValue`]: the one JSON model. The report and the trace export
+//!   are built as values and printed by its one printer (no serde in the
+//!   offline vendor set); its parser is the check on what we write.
 //! - [`PassStats`]: the unified local-search outcome type that replaces
 //!   the previously duplicated `SclpStats`/`FmStats`.
 //! - Trace timelines ([`RunTrace`], via [`Obs::with_trace`]): bounded
@@ -38,8 +41,8 @@
 //!   analyzable in-process (`RunTrace::phase_blame`,
 //!   `RunTrace::collective_skews`) for straggler attribution.
 //! - [`WaitHistogram`]: √2-log-bucket latency histogram behind the
-//!   report's receive-wait distribution fields (p50/p95/p99 are
-//!   re-derived from the buckets at parse time).
+//!   report's receive-wait distribution fields (the aggregate's
+//!   p50/p95/p99 are derived from the buckets).
 //! - Front-end plumbing ([`ObsOutputs`], [`ObsSession`]): which of
 //!   report / trace a CLI was asked for, opened before the run and
 //!   written after the PEs have joined.
@@ -62,6 +65,7 @@ mod report;
 mod resources;
 mod trace;
 
+pub use json::JsonValue;
 pub use metrics::{LevelMetrics, PassStats, PhaseStat, RefineMetrics, TagCounter, WaitHistogram};
 pub use outputs::{ObsOutputs, ObsSession};
 pub use perfetto::{to_perfetto_json, validate_perfetto};

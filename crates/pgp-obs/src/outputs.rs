@@ -61,7 +61,7 @@ impl ObsSession {
             eprintln!("wrote trace {path}");
         }
         if let Some(path) = &self.outputs.report {
-            create(path)?.write_all(self.obs.report().to_json(false).as_bytes())?;
+            create(path)?.write_all(self.obs.report().to_json().as_bytes())?;
             eprintln!("wrote run report {path}");
         }
         Ok(())

@@ -13,59 +13,85 @@
 //! Timestamps are microseconds (the format's unit) with nanosecond
 //! fraction, measured from the run's shared monotonic epoch.
 
-use crate::json::{push_json_str, JsonValue};
+use crate::json::{JsonValue, ToValue};
 use crate::trace::{FaultKind, RunTrace, TraceEventKind};
 
-/// Microsecond timestamp with nanosecond fraction, as the JSON token.
-fn push_ts_us(out: &mut String, ts_ns: u64) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{}.{:03}", ts_ns / 1000, ts_ns % 1000);
-}
-
-/// One event line. `extra` lands verbatim after the common fields.
-fn push_event(out: &mut String, ph: char, tid: usize, ts_ns: u64, name: &str, extra: &str) {
-    out.push_str("    {\"ph\": \"");
-    out.push(ph);
-    out.push_str("\", \"pid\": 0, \"tid\": ");
-    out.push_str(&tid.to_string());
-    out.push_str(", \"ts\": ");
-    push_ts_us(out, ts_ns);
-    out.push_str(", \"name\": ");
-    push_json_str(out, name);
-    out.push_str(extra);
-    out.push_str("},\n");
+/// Microsecond timestamp with nanosecond fraction, as a JSON number.
+fn us(ns: u64) -> JsonValue {
+    JsonValue::Num(format!("{}.{:03}", ns / 1000, ns % 1000))
 }
 
 /// Flow id shared by a send and its matching receive.
-fn flow_id(src: usize, dst: usize, tag: u64, seq: u64) -> String {
-    format!("{src}-{dst}-{tag}-{seq}")
+fn flow_id(src: usize, dst: usize, tag: u64, seq: u64) -> JsonValue {
+    format!("{src}-{dst}-{tag}-{seq}").to_value()
 }
 
-/// Serializes a trace to Chrome-trace/Perfetto JSON.
+/// One trace event: the common fields, then `rest` in order.
+fn event<const N: usize>(
+    ph: &str,
+    tid: usize,
+    ts_ns: u64,
+    name: &str,
+    cat: &str,
+    rest: [(&str, JsonValue); N],
+) -> JsonValue {
+    let common = [
+        ("ph", ph.to_value()),
+        ("pid", 0usize.to_value()),
+        ("tid", tid.to_value()),
+        ("ts", us(ts_ns)),
+        ("name", name.to_value()),
+        ("cat", cat.to_value()),
+    ];
+    let fields = common.into_iter().chain(rest);
+    JsonValue::Obj(fields.map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// An event's `args` field.
+fn args<const N: usize>(fields: [(&str, &dyn ToValue); N]) -> (&'static str, JsonValue) {
+    (
+        "args",
+        JsonValue::obj(fields.map(|(k, v)| (k, v.to_value()))),
+    )
+}
+
+/// Serializes a trace to Chrome-trace/Perfetto JSON. Each event is built
+/// and printed on its own, so the trace is never held as one tree.
 pub fn to_perfetto_json(trace: &RunTrace) -> String {
     let mut o = String::with_capacity(1 << 16);
-    o.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n");
+    o.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [");
+    // The frame ends in `[` until the first event is printed.
+    let mut print = |ev: JsonValue| {
+        o.push_str(if o.ends_with('[') {
+            "\n    "
+        } else {
+            ",\n    "
+        });
+        ev.write(&mut o, 2);
+    };
     for pe in &trace.per_pe {
         let r = pe.rank;
         // Track metadata: name the thread after the PE.
-        o.push_str("    {\"ph\": \"M\", \"pid\": 0, \"tid\": ");
-        o.push_str(&r.to_string());
-        o.push_str(", \"name\": \"thread_name\", \"args\": {\"name\": ");
-        push_json_str(&mut o, &format!("PE {r}"));
-        o.push_str("}},\n");
+        print(JsonValue::obj([
+            ("ph", "M".to_value()),
+            ("pid", 0usize.to_value()),
+            ("tid", r.to_value()),
+            ("name", "thread_name".to_value()),
+            (
+                "args",
+                JsonValue::obj([("name", format!("PE {r}").to_value())]),
+            ),
+        ]));
         for ev in &pe.events {
-            match &ev.kind {
-                TraceEventKind::SpanOpen { path } => {
-                    push_event(&mut o, 'B', r, ev.ts_ns, path, ", \"cat\": \"phase\"");
-                }
-                TraceEventKind::SpanClose { path } => {
-                    push_event(&mut o, 'E', r, ev.ts_ns, path, ", \"cat\": \"phase\"");
-                }
+            let ts = ev.ts_ns;
+            print(match ev.kind {
+                TraceEventKind::SpanOpen { ref path } => event("B", r, ts, path, "phase", []),
+                TraceEventKind::SpanClose { ref path } => event("E", r, ts, path, "phase", []),
                 TraceEventKind::CollectiveEnter { name } => {
-                    push_event(&mut o, 'B', r, ev.ts_ns, name, ", \"cat\": \"collective\"");
+                    event("B", r, ts, name, "collective", [])
                 }
                 TraceEventKind::CollectiveExit { name } => {
-                    push_event(&mut o, 'E', r, ev.ts_ns, name, ", \"cat\": \"collective\"");
+                    event("E", r, ts, name, "collective", [])
                 }
                 TraceEventKind::Send {
                     dst,
@@ -73,12 +99,9 @@ pub fn to_perfetto_json(trace: &RunTrace) -> String {
                     seq,
                     bytes,
                 } => {
-                    let extra = format!(
-                        ", \"cat\": \"comm\", \"id\": \"{}\", \
-                         \"args\": {{\"dst\": {dst}, \"tag\": {tag}, \"bytes\": {bytes}}}",
-                        flow_id(r, *dst, *tag, *seq)
-                    );
-                    push_event(&mut o, 's', r, ev.ts_ns, "msg", &extra);
+                    let id = ("id", flow_id(r, dst, tag, seq));
+                    let args = args([("dst", &dst), ("tag", &tag), ("bytes", &bytes)]);
+                    event("s", r, ts, "msg", "comm", [id, args])
                 }
                 TraceEventKind::Recv {
                     src,
@@ -86,21 +109,24 @@ pub fn to_perfetto_json(trace: &RunTrace) -> String {
                     seq,
                     bytes,
                 } => {
-                    let extra = format!(
-                        ", \"cat\": \"comm\", \"id\": \"{}\", \"bp\": \"e\", \
-                         \"args\": {{\"src\": {src}, \"tag\": {tag}, \"bytes\": {bytes}}}",
-                        flow_id(*src, r, *tag, *seq)
-                    );
-                    push_event(&mut o, 'f', r, ev.ts_ns, "msg", &extra);
+                    let id = ("id", flow_id(src, r, tag, seq));
+                    let args = args([("src", &src), ("tag", &tag), ("bytes", &bytes)]);
+                    event(
+                        "f",
+                        r,
+                        ts,
+                        "msg",
+                        "comm",
+                        [id, ("bp", "e".to_value()), args],
+                    )
                 }
+                // The event is stamped at the wait's end; draw the slice
+                // backwards so it covers the blocked interval.
                 TraceEventKind::RecvWait { src, tag, wait_ns } => {
-                    // The event is stamped at the wait's end; draw the
-                    // slice backwards so it covers the blocked interval.
-                    let start = ev.ts_ns.saturating_sub(*wait_ns);
-                    let mut extra = String::from(", \"cat\": \"wait\", \"dur\": ");
-                    push_ts_us(&mut extra, *wait_ns);
-                    extra.push_str(&format!(", \"args\": {{\"src\": {src}, \"tag\": {tag}}}"));
-                    push_event(&mut o, 'X', r, start, &format!("wait PE {src}"), &extra);
+                    let name = format!("wait PE {src}");
+                    let args = args([("src", &src), ("tag", &tag)]);
+                    let start = ts.saturating_sub(wait_ns);
+                    event("X", r, start, &name, "wait", [("dur", us(wait_ns)), args])
                 }
                 TraceEventKind::Fault {
                     kind,
@@ -109,27 +135,21 @@ pub fn to_perfetto_json(trace: &RunTrace) -> String {
                     dur_ns,
                 } => {
                     let name = format!("fault:{}", kind.label());
-                    let args = format!(", \"args\": {{\"peer\": {peer}, \"tag\": {tag}}}");
-                    if *kind == FaultKind::Stall {
-                        let mut extra = String::from(", \"cat\": \"fault\", \"dur\": ");
-                        push_ts_us(&mut extra, *dur_ns);
-                        extra.push_str(&args);
-                        push_event(&mut o, 'X', r, ev.ts_ns, &name, &extra);
+                    let args = args([("peer", &peer), ("tag", &tag)]);
+                    if kind == FaultKind::Stall {
+                        event("X", r, ts, &name, "fault", [("dur", us(dur_ns)), args])
                     } else {
-                        let extra = format!(", \"cat\": \"fault\", \"s\": \"t\"{args}");
-                        push_event(&mut o, 'i', r, ev.ts_ns, &name, &extra);
+                        event("i", r, ts, &name, "fault", [("s", "t".to_value()), args])
                     }
                 }
-            }
+            });
         }
     }
-    // Strip the trailing ",\n" left by the last event (the metadata
-    // event guarantees at least one line per PE; a 0-PE trace has none).
-    if o.ends_with(",\n") {
-        o.truncate(o.len() - 2);
-        o.push('\n');
-    }
-    o.push_str("  ]\n}\n");
+    o.push_str(if o.ends_with('[') {
+        "]\n}\n"
+    } else {
+        "\n  ]\n}\n"
+    });
     o
 }
 
@@ -357,8 +377,6 @@ mod tests {
 
     #[test]
     fn timestamps_are_microseconds_with_ns_fraction() {
-        let mut out = String::new();
-        push_ts_us(&mut out, 1_234_567);
-        assert_eq!(out, "1234.567");
+        assert_eq!(us(1_234_567), JsonValue::Num("1234.567".to_string()));
     }
 }

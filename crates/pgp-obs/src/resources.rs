@@ -19,9 +19,9 @@
 
 /// One point-in-time resource measurement for one PE.
 ///
-/// All fields are wall-clock/racy observations: the report serializer
-/// zeroes them under `to_json(true)` exactly like span timings, so the
-/// golden determinism tests are unaffected.
+/// All fields are wall-clock/racy observations: `RunReport::zeroed`
+/// zeroes them exactly like span timings, so the golden determinism tests
+/// are unaffected.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ResourceSample {
     /// Current resident set size in KiB (`VmRSS`), 0 if unavailable.

@@ -3,13 +3,13 @@
 //! evolutionary algorithm's combine operator and the coarsest-level
 //! partitioner of the overall parallel system.
 //!
-//! * [`coarsen`] — cluster-contraction (paper) and heavy-edge-matching
+//! * [`coarsen`](mod@coarsen) — cluster-contraction (paper) and heavy-edge-matching
 //!   (baseline) hierarchies, with the constraint mechanism that keeps cut
 //!   edges of input partitions alive.
 //! * [`initial`] — greedy graph growing + recursive bisection.
 //! * [`fm`] — k-way FM local search with hill climbing and rollback
 //!   (never worsens the cut).
-//! * [`kaffpa`] — the multilevel driver, including combine inputs.
+//! * [`kaffpa`](mod@kaffpa) — the multilevel driver, including combine inputs.
 //! * [`vcycle`] — iterated V-cycles.
 //! * [`modularity`] — multilevel modularity clustering (the paper's §VI
 //!   future-work generalization).

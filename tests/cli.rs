@@ -3,7 +3,7 @@
 //! exits 1 with a message naming the line — never a panic, never an abort
 //! and never a silently substituted default.
 
-use pgp::pgp_obs::{validate_perfetto, RunReport};
+use pgp::pgp_obs::{validate_perfetto, JsonValue};
 use std::process::Command;
 
 /// Two triangles joined by one bridge.
@@ -143,8 +143,9 @@ fn a_good_invocation_still_exits_0() {
         "two triangles, one bridge:\n{stderr}"
     );
     let text = std::fs::read_to_string(&report).expect("report written");
-    let parsed = RunReport::from_json(&text).expect("report parses");
-    assert_eq!((parsed.schema_version, parsed.p), (8, 2));
+    let parsed = JsonValue::parse(&text).expect("report parses");
+    let field = |key| parsed.get(key).and_then(JsonValue::as_u64);
+    assert_eq!((field("schema_version"), field("p")), (Some(8), Some(2)));
     assert!(
         !text.contains("\"backend\""),
         "one transport, no backend key"

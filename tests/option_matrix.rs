@@ -1,8 +1,8 @@
 //! The front door's options are orthogonal to the result: on one seeded
 //! instance, at every PE count, a plain run, a recorded run, a traced
 //! run, a checkpointed run and a resume from the final snapshot produce
-//! the identical assignment — and a prepartitioned run is valid and no
-//! worse than what it was given.
+//! the identical assignment — a traced run also the identical report —
+//! and a prepartitioned run is valid and no worse than what it was given.
 //!
 //! Every run carries a watchdog deadline, so a PE that skips a collective
 //! the others enter fails this test with a `Timeout` instead of hanging it.
@@ -73,6 +73,11 @@ fn every_option_yields_the_plain_partition() {
             "p={p}: trace"
         );
         assert!(obs.trace().is_some_and(|t| t.per_pe.len() == p));
+        assert_eq!(
+            obs.report().zeroed(),
+            report.zeroed(),
+            "p={p}: tracing changed the report"
+        );
 
         let store = CheckpointStore::new();
         let stored = door.clone().store(&store).partition(&g, p);
