@@ -46,6 +46,6 @@ pub use coarsen::{parallel_coarsen, ParHierarchy, ParLevel};
 pub use config::{GraphClass, ParhipConfig, Preset};
 pub use contract::{parallel_contract, parallel_project_blocks, ParContraction};
 pub use partitioner::{
-    parhip_distributed, CheckpointStore, LevelSummary, ParhipStats, PartitionError, Partitioned,
-    Partitioner, VCycleCheckpoint,
+    parhip_distributed, CheckpointStore, ParhipStats, PartitionError, Partitioned, Partitioner,
+    VCycleCheckpoint,
 };

@@ -14,15 +14,14 @@
 //! replaying cycles `c+1..` from cycle `c`'s assignment is bit-identical
 //! to a run that never stopped. A [`Partitioner`] with a
 //! [`Partitioner::store`] saves a [`VCycleCheckpoint`] into the
-//! [`CheckpointStore`] at each V-cycle boundary (assignment, the cycle's
-//! replicated coarsest graph + its initial partition, the composite
-//! fine→coarsest map, level shapes, and graph/config fingerprints); with
-//! [`Partitioner::resume`] it verifies the fingerprints of the store's
-//! latest snapshot and replays the remaining cycles.
+//! [`CheckpointStore`] at each V-cycle boundary: that assignment, plus the
+//! graph and config fingerprints that say whether a run may continue from
+//! it. With [`Partitioner::resume`] it checks both fingerprints against
+//! the store's latest snapshot and replays the remaining cycles.
 
 use crate::coarsen::{coarsen_borrowed, BorrowedHierarchy};
 use crate::config::ParhipConfig;
-use crate::contract::{parallel_project_blocks, query_owner_values};
+use crate::contract::parallel_project_blocks;
 use pgp_dmp::collectives::{allgatherv, allreduce_sum, allreduce_sum_vec};
 use pgp_dmp::{Comm, CommError, DistGraph, RunConfig};
 use pgp_evo::{Budget, EvoConfig};
@@ -33,66 +32,31 @@ use pgp_lp::par::{parallel_sclp_refine_with_scratch, SclpScratch};
 use pgp_obs::RefineMetrics;
 use std::sync::{Mutex, PoisonError};
 
-/// Per-phase timings and structural statistics of one run (as reported by
-/// rank 0; all PEs see the same structure).
-///
-/// The `*_s` timing fields are filled from the observation recorder and
-/// are therefore 0.0 unless the run carries an `Obs` registry (see
-/// `pgp_dmp::RunConfig::obs`) — per-phase timing now lives in the
-/// [`pgp_obs::RunReport`], not in ad-hoc stopwatches.
+/// Structural statistics of one run (as reported by rank 0; all PEs see
+/// the same structure). Per-phase timing lives in the
+/// [`pgp_obs::RunReport`] of a run that carries an `Obs` registry (see
+/// `pgp_dmp::RunConfig::obs`).
 #[derive(Clone, Debug, Default)]
 pub struct ParhipStats {
-    /// Seconds spent in parallel coarsening (all cycles; 0.0 when
-    /// observation is disabled).
-    pub coarsening_s: f64,
-    /// Seconds spent in the evolutionary initial partitioning (0.0 when
-    /// observation is disabled).
-    pub initial_s: f64,
-    /// Seconds spent in uncoarsening + refinement (0.0 when observation is
-    /// disabled).
-    pub uncoarsening_s: f64,
     /// Hierarchy depth of the first cycle.
     pub levels: usize,
     /// Global node count of the first cycle's coarsest graph.
     pub coarsest_n: u64,
-    /// Global edge count of the first cycle's coarsest graph.
-    pub coarsest_m: u64,
     /// Final edge cut.
     pub cut: u64,
     /// Final imbalance, as [`Partition::imbalance`] defines it.
     pub imbalance: f64,
 }
 
-/// Shape of one hierarchy level captured in a [`VCycleCheckpoint`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LevelSummary {
-    /// Global node count of the level.
-    pub n_global: u64,
-    /// Global edge count of the level.
-    pub m_global: u64,
-}
-
-/// A V-cycle boundary snapshot: everything needed to replay the remaining
-/// cycles bit-identically, plus the cycle's coarse state for inspection
-/// and validation (`pgp_check::validate_checkpoint`).
+/// A V-cycle boundary snapshot: the block assignment the next cycle
+/// starts from, and the fingerprints that say whether a run may resume
+/// from it.
 #[derive(Clone, Debug)]
 pub struct VCycleCheckpoint {
     /// The completed V-cycle this snapshot was taken after (0-based).
     pub cycle: usize,
-    /// Block count of the run.
-    pub k: usize,
     /// Global block assignment after the cycle (indexed by global node ID).
     pub assignment: Vec<Node>,
-    /// The cycle's replicated coarsest graph.
-    pub coarsest: CsrGraph,
-    /// The evolutionary initial partition of `coarsest` (before
-    /// uncoarsening refinement).
-    pub coarsest_assignment: Vec<Node>,
-    /// Composite fine→coarsest map: global fine node ID → global coarsest
-    /// node ID (the chain of per-level cluster mappings, collapsed).
-    pub fine_to_coarsest: Vec<Node>,
-    /// Shape of every hierarchy level, finest first.
-    pub levels: Vec<LevelSummary>,
     /// Group-wide graph fingerprint (see [`DistGraph::fingerprint_local`]).
     pub graph_fingerprint: u64,
     /// [`ParhipConfig::fingerprint`] of the run's configuration.
@@ -157,29 +121,6 @@ fn group_graph_fingerprint(comm: &Comm, graph: &DistGraph) -> u64 {
     pgp_dmp::collectives::allreduce(comm, local, |a, b| a.wrapping_add(b))
 }
 
-/// Collapses the hierarchy's per-level cluster mappings into one map from
-/// this PE's owned *finest* nodes to global *coarsest* node IDs. Each step
-/// resolves the current coarse IDs through their owners' next-level
-/// mapping (an alltoallv round trip via [`query_owner_values`]).
-fn compose_to_coarsest(comm: &Comm, hierarchy: &BorrowedHierarchy<'_>) -> Vec<Node> {
-    let depth = hierarchy.depth();
-    let finest = hierarchy.graph(0);
-    if depth == 1 {
-        return (0..finest.n_local())
-            .map(|l| finest.local_to_global(ids::node_of_index(l)))
-            .collect();
-    }
-    // Level mappings cover owned + ghost nodes; the composite map covers
-    // owned finest nodes only (it is allgathered into global node order).
-    let mut cur: Vec<Node> = hierarchy.mapping(0)[..finest.n_local()].to_vec();
-    for li in 1..depth - 1 {
-        let level_graph = hierarchy.graph(li);
-        let mapping = hierarchy.mapping(li);
-        cur = query_owner_values(comm, level_graph.dist(), &cur, |idx| mapping[idx]);
-    }
-    cur
-}
-
 /// Why the front door turned a run away, or why the run it started failed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PartitionError {
@@ -199,6 +140,13 @@ pub enum PartitionError {
     },
     /// [`Partitioner::resume`] without a store, or with an empty one.
     NoCheckpoint,
+    /// [`Partitioner::resume`] from a snapshot taken under a different
+    /// configuration, on a different graph or on a different PE count:
+    /// replaying it would silently produce a different partition.
+    CheckpointMismatch {
+        /// The V-cycle the snapshot was taken after.
+        cycle: usize,
+    },
     /// A structured comm failure (watchdog timeout, dead peer) ended the
     /// run. A run given a [`Partitioner::store`] may be continued from its
     /// latest snapshot with [`Partitioner::resume`].
@@ -218,6 +166,11 @@ impl std::fmt::Display for PartitionError {
                 "prepartition ({k} blocks over {n} nodes) does not match the run's k and graph"
             ),
             Self::NoCheckpoint => write!(f, "resume: the checkpoint store holds no snapshot"),
+            Self::CheckpointMismatch { cycle } => write!(
+                f,
+                "resume: the snapshot of cycle {cycle} was taken under a different \
+                 configuration, graph or PE count"
+            ),
             Self::Comm(e) => write!(f, "run failed: {e}"),
         }
     }
@@ -394,10 +347,11 @@ impl<'a> Partitioner<'a> {
     /// from the absolute cycle index, the result is bit-identical to the
     /// uninterrupted run.
     ///
-    /// The run panics if the snapshot was taken on a different graph, PE
-    /// count, or configuration (fingerprint mismatch) — resuming would
-    /// silently produce a different partition, which is worse than
-    /// failing loudly.
+    /// A snapshot taken under a different configuration, on a different
+    /// graph or on a different PE count fails the run with
+    /// [`PartitionError::CheckpointMismatch`]: resuming would silently
+    /// produce a different partition. The configuration is checked before
+    /// any PE starts, the graph by one allreduce on the PEs.
     pub fn resume(mut self) -> Self {
         self.resume = true;
         self
@@ -407,7 +361,8 @@ impl<'a> Partitioner<'a> {
     /// with one segment per PE ([`GraphInput`]) — into `cfg.k` blocks on
     /// `p` PEs and assembles the global result. Outside input is checked
     /// here, once: `k ≥ 1`, `p ≥ 1`, a finite `ε ≥ 0`, a prepartition that
-    /// matches `k` and the graph, a snapshot to resume from. A structured
+    /// matches `k` and the graph, a snapshot to resume from that was taken
+    /// under `cfg` (its graph is checked on the PEs). A structured
     /// comm failure comes back as [`PartitionError::Comm`]; the caller may
     /// then [`resume`](Self::resume) from the run's store.
     ///
@@ -443,9 +398,7 @@ impl<'a> Partitioner<'a> {
                 return Err(PartitionError::PrepartitionMismatch { k, n });
             }
         }
-        if self.resume && self.store.and_then(CheckpointStore::latest_cycle).is_none() {
-            return Err(PartitionError::NoCheckpoint);
-        }
+        let snapshot = self.snapshot()?;
         let rows = match graph {
             GraphInput::Global(g) => Rows::Global(g),
             GraphInput::Segments(g) => {
@@ -460,19 +413,22 @@ impl<'a> Partitioner<'a> {
                 }
             }
         };
-        let values = pgp_dmp::run_config(p, self.run.clone(), |comm| {
-            let dg = rows.distribute(comm);
-            let (blocks, mut stats) = self.run_on_pe(comm, &dg);
-            let closing = close_run(comm, &dg, &blocks, cfg.k);
-            stats.cut = closing.cut;
-            let local = blocks[..dg.n_local()].to_vec();
-            drop((blocks, dg));
-            (allgatherv(comm, local), stats, closing)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, CommError>>()?;
+        let values =
+            pgp_dmp::run_config(p, self.run.clone(), |comm| -> Result<_, PartitionError> {
+                let dg = rows.distribute(comm);
+                let (blocks, mut stats) = self.run_on_pe(comm, &dg, snapshot.as_ref())?;
+                let closing = close_run(comm, &dg, &blocks, cfg.k);
+                stats.cut = closing.cut;
+                let local = blocks[..dg.n_local()].to_vec();
+                drop((blocks, dg));
+                Ok((allgatherv(comm, local), stats, closing))
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, CommError>>()?;
+        // Every PE compared the same allreduced fingerprint, so all took the
+        // same branch; rank 0 speaks for the group.
         let (assignment, mut stats, closing) =
-            values.into_iter().next().expect("p >= 1 was checked");
+            values.into_iter().next().expect("p >= 1 was checked")?;
         let total = closing.total_node_weight;
         let partition = Partition::from_block_weights(cfg.k, assignment, closing.block_weights);
         stats.imbalance = partition.imbalance_of(total);
@@ -506,29 +462,80 @@ impl<'a> Partitioner<'a> {
         comm: &Comm,
         graph: &DistGraph,
     ) -> (Vec<Node>, ParhipStats) {
-        let (mut blocks, stats) = self.run_on_pe(comm, graph);
+        let (mut blocks, stats) = self
+            .snapshot()
+            .and_then(|snapshot| self.run_on_pe(comm, graph, snapshot.as_ref()))
+            .unwrap_or_else(|e| panic!("{e}"));
         blocks.truncate(graph.n_local());
         (blocks, stats)
     }
 
-    /// One run on one PE: the blocks of the owned and ghost nodes, and the
-    /// stats.
-    fn run_on_pe(&self, comm: &Comm, graph: &DistGraph) -> (Vec<Node>, ParhipStats) {
-        let cfg = self.cfg;
-        let store = self.store;
-        if self.resume {
-            let cp = store
-                .and_then(CheckpointStore::latest)
-                .expect("resume: the checkpoint store holds no snapshot");
-            return resume_cycles(comm, graph, cfg, &cp, store);
+    /// The snapshot a [`resume`](Self::resume) run starts from, its config
+    /// fingerprint checked; `None` for a run that starts over.
+    fn snapshot(&self) -> Result<Option<VCycleCheckpoint>, PartitionError> {
+        if !self.resume {
+            return Ok(None);
         }
-        let input: Option<Vec<Node>> = self.prepartition.map(|ip| {
-            assert_eq!(ip.k(), cfg.k, "prepartition block count mismatch");
+        let cp = self
+            .store
+            .and_then(CheckpointStore::latest)
+            .ok_or(PartitionError::NoCheckpoint)?;
+        if cp.config_fingerprint != self.cfg.fingerprint() {
+            return Err(PartitionError::CheckpointMismatch { cycle: cp.cycle });
+        }
+        Ok(Some(cp))
+    }
+
+    /// One run on one PE, from `snapshot` when resuming: the blocks of the
+    /// owned and ghost nodes, and the stats.
+    fn run_on_pe(
+        &self,
+        comm: &Comm,
+        graph: &DistGraph,
+        snapshot: Option<&VCycleCheckpoint>,
+    ) -> Result<(Vec<Node>, ParhipStats), PartitionError> {
+        let cfg = self.cfg;
+        // The graph does not change between cycles: one allreduce per run,
+        // taken only when a snapshot is written or read.
+        let graph_fingerprint = (self.store.is_some() || snapshot.is_some())
+            .then(|| group_graph_fingerprint(comm, graph));
+        let owned_and_ghost = |block_of: &dyn Fn(Node) -> Node| -> Vec<Node> {
             (0..ids::node_of_index(graph.n_local() + graph.n_ghost()))
-                .map(|l| ip.block(graph.local_to_global(l)))
+                .map(|l| block_of(graph.local_to_global(l)))
                 .collect()
-        });
-        parhip_cycles(comm, graph, cfg, input.as_deref(), 0, store)
+        };
+        let (input, start_cycle) = match snapshot {
+            Some(cp) => {
+                // Every PE holds the same allreduced fingerprint, so every PE
+                // takes the same branch and none waits in a collective.
+                if graph_fingerprint != Some(cp.graph_fingerprint)
+                    || ids::count_global(cp.assignment.len()) != graph.n_global()
+                {
+                    return Err(PartitionError::CheckpointMismatch { cycle: cp.cycle });
+                }
+                // Continue the original run's trace clock: resumed events
+                // start where the snapshot left off instead of at 0.
+                comm.recorder().resume_epoch(cp.elapsed_ns);
+                let blocks = owned_and_ghost(&|g| cp.assignment[ids::node_index(g)]);
+                (Some(blocks), cp.cycle + 1)
+            }
+            None => {
+                let blocks = self.prepartition.map(|ip| {
+                    assert_eq!(ip.k(), cfg.k, "prepartition block count mismatch");
+                    owned_and_ghost(&|g| ip.block(g))
+                });
+                (blocks, 0)
+            }
+        };
+        let checkpoints = self.store.zip(graph_fingerprint);
+        Ok(parhip_cycles(
+            comm,
+            graph,
+            cfg,
+            input,
+            start_cycle,
+            checkpoints,
+        ))
     }
 }
 
@@ -546,73 +553,21 @@ pub fn parhip_distributed(
     (blocks, stats)
 }
 
-/// Replays cycles `checkpoint.cycle + 1` onward from `checkpoint` after
-/// verifying its fingerprints, rebuilding this PE's owned + ghost
-/// assignment from the snapshot's global assignment.
-fn resume_cycles(
-    comm: &Comm,
-    graph: &DistGraph,
-    cfg: &ParhipConfig,
-    checkpoint: &VCycleCheckpoint,
-    store: Option<&CheckpointStore>,
-) -> (Vec<Node>, ParhipStats) {
-    assert_eq!(
-        checkpoint.graph_fingerprint,
-        group_graph_fingerprint(comm, graph),
-        "checkpoint/graph mismatch: snapshot of cycle {} was taken on a different graph or PE count",
-        checkpoint.cycle
-    );
-    assert_eq!(
-        checkpoint.config_fingerprint,
-        cfg.fingerprint(),
-        "checkpoint/config mismatch: snapshot of cycle {} was taken under a different configuration",
-        checkpoint.cycle
-    );
-    assert_eq!(
-        ids::count_global(checkpoint.assignment.len()),
-        graph.n_global(),
-        "checkpoint assignment must cover every global node"
-    );
-    // Continue the original run's trace clock: resumed events start where
-    // the snapshot left off instead of restarting at 0.
-    comm.recorder().resume_epoch(checkpoint.elapsed_ns);
-    let n_all = graph.n_local() + graph.n_ghost();
-    let blocks: Vec<Node> = (0..n_all)
-        .map(|l| {
-            let g = graph.local_to_global(ids::node_of_index(l));
-            checkpoint.assignment[ids::node_index(g)]
-        })
-        .collect();
-    parhip_cycles(comm, graph, cfg, Some(&blocks), checkpoint.cycle + 1, store)
-}
-
 /// The shared V-cycle engine: runs cycles `start_cycle..cfg.vcycles` from
-/// an optional carried-in assignment, optionally checkpointing each cycle
-/// boundary into `store`, and returns the blocks of the owned and ghost
-/// nodes. Both verbs funnel here.
+/// an optional carried-in assignment `blocks` of the owned and ghost nodes
+/// — the one state a V-cycle hands the next — and returns that vector
+/// after the last cycle. With `checkpoints` (a store, and the group graph
+/// fingerprint its snapshots carry) it saves each cycle boundary. Both
+/// verbs funnel here.
 fn parhip_cycles(
     comm: &Comm,
     graph: &DistGraph,
     cfg: &ParhipConfig,
-    input: Option<&[Node]>,
+    mut blocks: Option<Vec<Node>>,
     start_cycle: usize,
-    store: Option<&CheckpointStore>,
+    checkpoints: Option<(&CheckpointStore, u64)>,
 ) -> (Vec<Node>, ParhipStats) {
     let mut stats = ParhipStats::default();
-    let n_all = graph.n_local() + graph.n_ghost();
-    // blocks: owned + ghost, maintained across cycles.
-    let mut blocks: Option<Vec<Node>> = input.map(|b| {
-        assert_eq!(
-            b.len(),
-            n_all,
-            "prepartition must cover owned + ghost nodes"
-        );
-        b.to_vec()
-    });
-    assert!(
-        start_cycle == 0 || blocks.is_some(),
-        "resuming past cycle 0 requires a carried-in assignment"
-    );
     #[cfg(feature = "validate")]
     crate::validate::assert_graph_valid(comm, graph, "parhip input graph");
 
@@ -628,10 +583,10 @@ fn parhip_cycles(
         // Level 0 of the hierarchy is `graph` itself, borrowed.
         let hierarchy = coarsen_borrowed(comm, graph, cfg, cycle, blocks.as_deref(), &mut scratch);
         rec.exit("coarsen");
+        let depth = hierarchy.depth();
         if cycle == 0 {
-            stats.levels = hierarchy.depth();
+            stats.levels = depth;
             stats.coarsest_n = hierarchy.coarsest().n_global();
-            stats.coarsest_m = hierarchy.coarsest().m_global();
         }
 
         // ---- Initial partitioning on the replicated coarsest graph ----
@@ -663,120 +618,71 @@ fn parhip_cycles(
         // ---- Parallel uncoarsening + refinement ------------------------
         rec.enter("uncoarsen");
         let lmax_v = lmax(graph.total_node_weight(), cfg.k, cfg.eps);
-        // Blocks of this PE's *owned coarsest* nodes from the replicated
-        // solution.
-        let first = coarsest.first_global();
-        let mut level_blocks: Vec<Node> = (0..coarsest.n_local())
-            .map(|l| coarse_partition.block(ids::global_node(first + ids::count_global(l))))
+        // Owned + ghost blocks of the coarsest level, read off the
+        // replicated solution.
+        let mut cur: Vec<Node> = (0..ids::node_of_index(coarsest.n_local() + coarsest.n_ghost()))
+            .map(|l| coarse_partition.block(coarsest.local_to_global(l)))
             .collect();
-        // Walk levels coarse→fine.
-        for li in (0..hierarchy.depth() - 1).rev() {
+        // Walk levels coarse→fine: project onto the finer level, refine it.
+        // A single-level hierarchy has nothing to project and refines its
+        // one level.
+        for li in (0..(depth - 1).max(1)).rev() {
             let fine = hierarchy.graph(li);
-            let coarse = hierarchy.graph(li + 1);
-            let mapping = hierarchy.mapping(li);
-            let mut fine_blocks = parallel_project_blocks(comm, coarse, mapping, &level_blocks);
+            if li + 1 < depth {
+                let coarse = hierarchy.graph(li + 1);
+                cur = parallel_project_blocks(
+                    comm,
+                    coarse,
+                    hierarchy.mapping(li),
+                    &cur[..coarse.n_local()],
+                );
+            }
+            let seed = if depth == 1 {
+                ids::count_global(cycle) * 7919
+            } else {
+                ids::count_global(cycle * 1000 + li)
+            };
+            // Ends in a label flush, so the ghost entries of `cur` leave
+            // exact.
             parallel_sclp_refine_with_scratch(
                 comm,
                 fine,
                 cfg.k,
                 lmax_v,
                 cfg.refine_iterations,
-                cfg.seed.wrapping_add(ids::count_global(cycle * 1000 + li)),
-                &mut fine_blocks,
+                cfg.seed.wrapping_add(seed),
+                &mut cur,
                 &mut scratch,
             );
             // Quality after the pass — two extra allreduces, taken only
             // when recording (enabledness is SPMD-uniform, so the gate
             // cannot desynchronize the group).
             if rec.is_enabled() {
-                let (cut, imbalance) = observed_quality(comm, fine, &fine_blocks, cfg.k);
+                let (cut, imbalance) = observed_quality(comm, fine, &cur, cfg.k);
                 rec.record_refine(RefineMetrics::at(cycle, li, cut, imbalance));
             }
-            level_blocks = fine_blocks[..fine.n_local()].to_vec();
-        }
-        // When the hierarchy is a single level, refine directly on it.
-        if hierarchy.depth() == 1 {
-            let fine = hierarchy.graph(0);
-            let mut fb: Vec<Node> = vec![0; fine.n_local() + fine.n_ghost()];
-            fb[..fine.n_local()].copy_from_slice(&level_blocks);
-            // Ghost blocks from the replicated coarse partition (coarsest ==
-            // finest here).
-            #[allow(clippy::needless_range_loop)] // l is a local node id
-            for l in fine.n_local()..fine.n_local() + fine.n_ghost() {
-                fb[l] = coarse_partition.block(fine.local_to_global(ids::node_of_index(l)));
-            }
-            parallel_sclp_refine_with_scratch(
-                comm,
-                fine,
-                cfg.k,
-                lmax_v,
-                cfg.refine_iterations,
-                cfg.seed.wrapping_add(ids::count_global(cycle) * 7919),
-                &mut fb,
-                &mut scratch,
-            );
-            if rec.is_enabled() {
-                let (cut, imbalance) = observed_quality(comm, fine, &fb, cfg.k);
-                rec.record_refine(RefineMetrics::at(cycle, 0, cut, imbalance));
-            }
-            level_blocks = fb[..fine.n_local()].to_vec();
         }
         rec.exit("uncoarsen");
-
-        // Refresh ghost blocks for the next cycle's constraint.
-        let mut full: Vec<Node> = vec![0; n_all];
-        full[..graph.n_local()].copy_from_slice(&level_blocks);
-        let ghost_ids: Vec<Node> = (graph.n_local()..n_all)
-            .map(|l| graph.local_to_global(ids::node_of_index(l)))
-            .collect();
-        let ghost_blocks =
-            crate::contract::query_owner_values(comm, graph.dist(), &ghost_ids, |idx| {
-                level_blocks[idx]
-            });
-        full[graph.n_local()..].copy_from_slice(&ghost_blocks);
         #[cfg(feature = "validate")]
-        crate::validate::assert_partition_valid(comm, graph, &full, cfg.k, "end of V-cycle");
-        blocks = Some(full);
+        crate::validate::assert_partition_valid(comm, graph, &cur, cfg.k, "end of V-cycle");
 
         // ---- V-cycle boundary checkpoint -------------------------------
-        if let Some(store) = store {
-            let assignment = allgatherv(comm, level_blocks.clone());
-            let fine_to_coarsest = allgatherv(comm, compose_to_coarsest(comm, &hierarchy));
+        if let Some((store, graph_fingerprint)) = checkpoints {
             let checkpoint = VCycleCheckpoint {
                 cycle,
-                k: cfg.k,
-                assignment,
-                coarsest: coarsest_global.clone(),
-                coarsest_assignment: coarse_partition.assignment().to_vec(),
-                fine_to_coarsest,
-                levels: (0..hierarchy.depth())
-                    .map(|li| LevelSummary {
-                        n_global: hierarchy.graph(li).n_global(),
-                        m_global: hierarchy.graph(li).m_global(),
-                    })
-                    .collect(),
-                graph_fingerprint: group_graph_fingerprint(comm, graph),
+                assignment: allgatherv(comm, cur[..graph.n_local()].to_vec()),
+                graph_fingerprint,
                 config_fingerprint: cfg.fingerprint(),
                 elapsed_ns: rec.epoch_elapsed_ns(),
             };
-            #[cfg(feature = "validate")]
-            crate::validate::assert_checkpoint_valid(comm, &checkpoint, "V-cycle checkpoint");
             // The snapshot is assembled collectively (identical on every
             // PE); one writer suffices for the shared store.
             if comm.rank() == 0 {
                 store.save(checkpoint);
             }
         }
+        blocks = Some(cur);
         rec.exit("vcycle");
-    }
-
-    // Phase timings come from the recorder (summed over all span paths
-    // ending in the phase name); zero when observation is disabled.
-    let rec = comm.recorder();
-    if rec.is_enabled() {
-        stats.coarsening_s = rec.phase_seconds("coarsen");
-        stats.initial_s = rec.phase_seconds("initial_partition");
-        stats.uncoarsening_s = rec.phase_seconds("uncoarsen");
     }
 
     (blocks.expect("at least one cycle ran"), stats)
@@ -1004,7 +910,6 @@ mod tests {
     fn stats_are_populated() {
         let (g, _) = pgp_gen::sbm::sbm(600, pgp_gen::sbm::SbmParams::default(), 2);
         let stats = run(&g, 2, &small_cfg(2, GraphClass::Social, 17)).stats;
-        assert!(stats.coarsening_s >= 0.0);
         assert!(stats.coarsest_n > 0);
         assert!(stats.levels >= 1);
     }
@@ -1018,12 +923,17 @@ mod tests {
     }
 
     fn resumed(g: &CsrGraph, cfg: &ParhipConfig, store: &CheckpointStore) -> Partition {
-        Partitioner::new(cfg)
-            .store(store)
-            .resume()
-            .partition(g, 2)
+        resume(g, cfg, store)
             .expect("the store holds a snapshot")
             .partition
+    }
+
+    fn resume(
+        g: &CsrGraph,
+        cfg: &ParhipConfig,
+        store: &CheckpointStore,
+    ) -> Result<Partitioned, PartitionError> {
+        Partitioner::new(cfg).store(store).resume().partition(g, 2)
     }
 
     #[test]
@@ -1037,9 +947,6 @@ mod tests {
         assert_eq!(cp.cycle, cfg.vcycles - 1, "last V-cycle wins");
         assert_eq!(cp.assignment, stored.assignment());
         assert_eq!(cp.assignment.len(), g.n());
-        assert!(cp.coarsest.n() > 0);
-        assert_eq!(cp.fine_to_coarsest.len(), g.n());
-        assert!(!cp.levels.is_empty());
         assert_eq!(cp.config_fingerprint, cfg.fingerprint());
     }
 
@@ -1076,25 +983,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different configuration")]
     fn resume_rejects_config_mismatch() {
         let (g, _) = pgp_gen::sbm::sbm(400, pgp_gen::sbm::SbmParams::default(), 31);
         let cfg = small_cfg(2, GraphClass::Social, 47);
         let store = CheckpointStore::new();
         let _ = stored(&g, &cfg, &store);
-        let mut other = cfg;
+        let mut other = cfg.clone();
         other.seed = 48;
-        let _ = resumed(&g, &other, &store);
+        let cycle = cfg.vcycles - 1;
+        assert_eq!(
+            resume(&g, &other, &store).err(),
+            Some(PartitionError::CheckpointMismatch { cycle })
+        );
     }
 
     #[test]
-    #[should_panic(expected = "different graph or PE count")]
     fn resume_rejects_graph_mismatch() {
         let (g, _) = pgp_gen::sbm::sbm(400, pgp_gen::sbm::SbmParams::default(), 31);
         let cfg = small_cfg(2, GraphClass::Social, 53);
         let store = CheckpointStore::new();
         let _ = stored(&g, &cfg, &store);
         let (h, _) = pgp_gen::sbm::sbm(400, pgp_gen::sbm::SbmParams::default(), 32);
-        let _ = resumed(&h, &cfg, &store);
+        let cycle = cfg.vcycles - 1;
+        assert_eq!(
+            resume(&h, &cfg, &store).err(),
+            Some(PartitionError::CheckpointMismatch { cycle })
+        );
     }
 }

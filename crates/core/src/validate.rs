@@ -50,34 +50,6 @@ pub fn assert_partition_valid(
     }
 }
 
-/// Panics if a freshly assembled V-cycle checkpoint is not internally
-/// consistent (coverage, block ranges, map targets — see
-/// `pgp_check::validate_checkpoint`). Non-collective in its checks (the
-/// snapshot is replicated), but called at a collective site so the panic
-/// is symmetric.
-pub fn assert_checkpoint_valid(
-    comm: &Comm,
-    cp: &crate::partitioner::VCycleCheckpoint,
-    context: &str,
-) {
-    if !enabled() {
-        return;
-    }
-    let _ = comm;
-    if let Err(errs) = pgp_check::validate_checkpoint(
-        cp.k,
-        &cp.assignment,
-        &cp.coarsest,
-        &cp.coarsest_assignment,
-        &cp.fine_to_coarsest,
-    ) {
-        panic!(
-            "checkpoint invariant violation ({context}):\n{}",
-            errs.join("\n")
-        );
-    }
-}
-
 /// Panics if the fine→coarse `mapping` is not surjective and
 /// weight-preserving onto `coarse`.
 pub fn assert_contraction_valid(

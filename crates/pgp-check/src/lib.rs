@@ -419,81 +419,6 @@ pub fn validate_contraction(
     finish(comm, errs)
 }
 
-/// Validates the internal consistency of a V-cycle checkpoint snapshot:
-/// both assignments stay inside `0..k`, the coarsest assignment covers the
-/// coarsest graph exactly, the fine→coarsest map covers the fine
-/// assignment and targets real coarsest nodes, and the coarsest graph
-/// itself is structurally well-formed.
-///
-/// Deliberately **not** checked: `assignment[v] ==
-/// coarsest_assignment[fine_to_coarsest[v]]`. The snapshot's fine
-/// assignment is taken *after* uncoarsening refinement, which legitimately
-/// moves nodes away from the block their coarsest ancestor was given by
-/// the evolutionary partitioner.
-///
-/// Unlike the other validators this one is **non-collective**: the
-/// checkpoint is a replicated snapshot (every PE assembles identical
-/// bytes), so each PE can validate its copy locally without a group
-/// verdict exchange.
-pub fn validate_checkpoint(
-    k: usize,
-    assignment: &[Node],
-    coarsest: &pgp_graph::CsrGraph,
-    coarsest_assignment: &[Node],
-    fine_to_coarsest: &[Node],
-) -> Result<(), Vec<String>> {
-    let mut errs: Vec<String> = Vec::new();
-
-    for (v, &b) in assignment.iter().enumerate() {
-        if ids::node_index(b) >= k {
-            errs.push(format!("assignment[{v}] = {b} out of block range 0..{k}"));
-            break;
-        }
-    }
-
-    let n_coarse = coarsest.n();
-    if coarsest_assignment.len() != n_coarse {
-        errs.push(format!(
-            "coarsest assignment covers {} nodes, coarsest graph has {n_coarse}",
-            coarsest_assignment.len()
-        ));
-    }
-    for (c, &b) in coarsest_assignment.iter().enumerate() {
-        if ids::node_index(b) >= k {
-            errs.push(format!(
-                "coarsest_assignment[{c}] = {b} out of block range 0..{k}"
-            ));
-            break;
-        }
-    }
-
-    if fine_to_coarsest.len() != assignment.len() {
-        errs.push(format!(
-            "fine_to_coarsest covers {} nodes, assignment covers {}",
-            fine_to_coarsest.len(),
-            assignment.len()
-        ));
-    }
-    for (v, &c) in fine_to_coarsest.iter().enumerate() {
-        if ids::node_index(c) >= n_coarse {
-            errs.push(format!(
-                "fine_to_coarsest[{v}] = {c} out of coarsest range 0..{n_coarse}"
-            ));
-            break;
-        }
-    }
-
-    if let Err(e) = coarsest.validate() {
-        errs.push(format!("coarsest graph malformed: {e}"));
-    }
-
-    if errs.is_empty() {
-        Ok(())
-    } else {
-        Err(errs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -678,68 +603,5 @@ mod tests {
         for r in reports {
             assert!(r.is_err(), "out-of-range block must be detected");
         }
-    }
-
-    /// A tiny healthy checkpoint: 8 fine nodes contracted onto a
-    /// 4-node ring, 2 blocks, fine nodes map pairwise to coarsest nodes.
-    fn healthy_checkpoint() -> (usize, Vec<Node>, CsrGraph, Vec<Node>, Vec<Node>) {
-        let coarsest = ring(4);
-        let assignment: Vec<Node> = (0..8).map(|v| (v / 4) as Node).collect();
-        let coarsest_assignment: Vec<Node> = (0..4).map(|c| (c / 2) as Node).collect();
-        let fine_to_coarsest: Vec<Node> = (0..8).map(|v| (v / 2) as Node).collect();
-        (
-            2,
-            assignment,
-            coarsest,
-            coarsest_assignment,
-            fine_to_coarsest,
-        )
-    }
-
-    #[test]
-    fn healthy_checkpoint_validates() {
-        let (k, a, g, ca, f2c) = healthy_checkpoint();
-        validate_checkpoint(k, &a, &g, &ca, &f2c).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_block_out_of_range_fails() {
-        let (k, mut a, g, ca, f2c) = healthy_checkpoint();
-        a[3] = 9;
-        let errs = validate_checkpoint(k, &a, &g, &ca, &f2c).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("block range")), "{errs:?}");
-    }
-
-    #[test]
-    fn checkpoint_coarsest_coverage_mismatch_fails() {
-        let (k, a, g, mut ca, f2c) = healthy_checkpoint();
-        ca.pop();
-        let errs = validate_checkpoint(k, &a, &g, &ca, &f2c).unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("coarsest graph has")),
-            "{errs:?}"
-        );
-    }
-
-    #[test]
-    fn checkpoint_map_target_out_of_range_fails() {
-        let (k, a, g, ca, mut f2c) = healthy_checkpoint();
-        f2c[5] = 4; // coarsest has nodes 0..4
-        let errs = validate_checkpoint(k, &a, &g, &ca, &f2c).unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("coarsest range")),
-            "{errs:?}"
-        );
-    }
-
-    #[test]
-    fn checkpoint_map_length_mismatch_fails() {
-        let (k, a, g, ca, mut f2c) = healthy_checkpoint();
-        f2c.truncate(6);
-        let errs = validate_checkpoint(k, &a, &g, &ca, &f2c).unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("fine_to_coarsest covers")),
-            "{errs:?}"
-        );
     }
 }

@@ -38,8 +38,8 @@
 //!   entry/exit, and fault-injection incidents — all on one run-wide
 //!   monotonic epoch. Exportable as Chrome-trace/Perfetto JSON
 //!   ([`to_perfetto_json`], checked by [`validate_perfetto`]) and
-//!   analyzable in-process (`RunTrace::phase_blame`,
-//!   `RunTrace::collective_skews`) for straggler attribution.
+//!   analyzable in-process (`RunTrace::phase_blame`) for straggler
+//!   attribution.
 //! - [`WaitHistogram`]: √2-log-bucket latency histogram behind the
 //!   report's receive-wait distribution fields (the aggregate's
 //!   p50/p95/p99 are derived from the buckets).
@@ -75,6 +75,4 @@ pub use report::{
     RunReport, TagEntry, SCHEMA_VERSION,
 };
 pub use resources::{read_rss_kb, thread_cpu_seconds, ResourceSample};
-pub use trace::{
-    CollectiveSkew, FaultKind, PeTrace, PhaseBlame, RunTrace, TraceEvent, TraceEventKind,
-};
+pub use trace::{FaultKind, PeTrace, PhaseBlame, RunTrace, TraceEvent, TraceEventKind};

@@ -221,20 +221,6 @@ pub struct PhaseBlame {
     pub by_peer: BTreeMap<usize, u64>,
 }
 
-/// Arrival skew of one collective invocation across PEs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CollectiveSkew {
-    /// Collective name.
-    pub name: String,
-    /// 0-based invocation ordinal of this name (per PE; collectives are
-    /// SPMD-uniform, so ordinals line up across PEs).
-    pub ordinal: u64,
-    /// Last arrival minus first arrival, nanoseconds.
-    pub skew_ns: u64,
-    /// The last PE to arrive — the one the others waited for.
-    pub last_pe: usize,
-}
-
 impl RunTrace {
     /// Deterministic fingerprint of the run's event structure, used by
     /// the trace golden tests: kinds, span paths, peers, tags, seqnos
@@ -326,41 +312,6 @@ impl RunTrace {
             }
         }
         blame
-    }
-
-    /// Computes per-invocation arrival skew for every collective that
-    /// all PEs entered. PEs share one process clock, so the deltas are
-    /// directly comparable; the responsible (last-arriving) PE is named.
-    pub fn collective_skews(&self) -> Vec<CollectiveSkew> {
-        // (name, ordinal) -> arrivals as (ts_ns, rank).
-        let mut arrivals: BTreeMap<(&'static str, u64), Vec<(u64, usize)>> = BTreeMap::new();
-        for pe in &self.per_pe {
-            let mut ordinals: BTreeMap<&'static str, u64> = BTreeMap::new();
-            for ev in &pe.events {
-                if let TraceEventKind::CollectiveEnter { name } = &ev.kind {
-                    let ord = ordinals.entry(name).or_insert(0);
-                    arrivals
-                        .entry((name, *ord))
-                        .or_default()
-                        .push((ev.ts_ns, pe.rank));
-                    *ord += 1;
-                }
-            }
-        }
-        arrivals
-            .into_iter()
-            .filter(|(_, arr)| arr.len() == self.p)
-            .map(|((name, ordinal), arr)| {
-                let &(first, _) = arr.iter().min().expect("p >= 1 arrivals");
-                let &(last, last_pe) = arr.iter().max().expect("p >= 1 arrivals");
-                CollectiveSkew {
-                    name: name.to_string(),
-                    ordinal,
-                    skew_ns: last - first,
-                    last_pe,
-                }
-            })
-            .collect()
     }
 
     /// Total receive-wait nanoseconds blamed on each peer, across all
@@ -533,30 +484,5 @@ mod tests {
         assert_eq!(blame["vcycle/coarsen"].by_peer[&1], 40);
         assert_eq!(blame["(root)"].by_peer[&0], 10);
         assert_eq!(trace.blame_by_peer()[&1], 40);
-    }
-
-    #[test]
-    fn collective_skew_names_last_arrival() {
-        let enter = |ts, name| ev(ts, TraceEventKind::CollectiveEnter { name });
-        let trace = RunTrace {
-            p: 2,
-            per_pe: vec![
-                PeTrace {
-                    rank: 0,
-                    events: vec![enter(10, "barrier"), enter(100, "barrier")],
-                    dropped: 0,
-                },
-                PeTrace {
-                    rank: 1,
-                    events: vec![enter(40, "barrier"), enter(90, "barrier")],
-                    dropped: 0,
-                },
-            ],
-        };
-        let skews = trace.collective_skews();
-        assert_eq!(skews.len(), 2);
-        assert_eq!((skews[0].skew_ns, skews[0].last_pe), (30, 1));
-        assert_eq!((skews[1].skew_ns, skews[1].last_pe), (10, 0));
-        assert_eq!(skews[0].name, "barrier");
     }
 }

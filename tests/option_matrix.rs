@@ -3,12 +3,17 @@
 //! run, a checkpointed run and a resume from the final snapshot produce
 //! the identical assignment — a traced run also the identical report —
 //! and a prepartitioned run is valid and no worse than what it was given.
+//! Every run passes the closing check, so the owned + ghost blocks the
+//! V-cycles carry agree with their owners.
 //!
 //! Every run carries a watchdog deadline, so a PE that skips a collective
 //! the others enter fails this test with a `Timeout` instead of hanging it.
 
-use pgp::parhip::{CheckpointStore, GraphClass, ParhipConfig, Partitioner};
+use pgp::parhip::{
+    CheckpointStore, GraphClass, ParhipConfig, PartitionError, Partitioned, Partitioner,
+};
 use pgp::pgp_dmp::{Obs, RunConfig};
+use pgp::pgp_graph::Partition;
 use pgp::pgp_obs::DEFAULT_TRACE_CAPACITY;
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,6 +33,13 @@ fn recording(obs: &Arc<Obs>) -> RunConfig {
     }
 }
 
+/// The partition of a run that must succeed and pass its closing check.
+fn passed(out: Result<Partitioned, PartitionError>, what: &str) -> Partition {
+    let out = out.unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(out.violation, None, "{what}");
+    out.partition
+}
+
 #[test]
 fn every_option_yields_the_plain_partition() {
     let (g, _) = pgp::pgp_gen::sbm::sbm(600, Default::default(), 31);
@@ -37,7 +49,7 @@ fn every_option_yields_the_plain_partition() {
     let door = Partitioner::new(&cfg).run(watched());
 
     for p in [1, 2, 3] {
-        let plain = door.partition(&g, p).expect("valid input").partition;
+        let plain = passed(door.partition(&g, p), &format!("p={p}: plain"));
         plain.validate(&g, cfg.eps).expect("plain run is balanced");
 
         // The one ignored field: there is a single SCLP path, whatever it says.
@@ -46,32 +58,21 @@ fn every_option_yields_the_plain_partition() {
                 threads_per_pe,
                 ..watched()
             };
+            let what = format!("p={p}: threads_per_pe={threads_per_pe}");
             let out = door.clone().run(run).partition(&g, p);
-            assert_eq!(
-                out.expect("valid input").partition,
-                plain,
-                "p={p}: threads_per_pe={threads_per_pe}"
-            );
+            assert_eq!(passed(out, &what), plain, "{what}");
         }
 
         let obs = Obs::new(p);
         let observed = door.clone().run(recording(&obs)).partition(&g, p);
-        assert_eq!(
-            observed.expect("valid input").partition,
-            plain,
-            "p={p}: Obs"
-        );
+        assert_eq!(passed(observed, &format!("p={p}: Obs")), plain);
         let report = obs.report();
         assert_eq!(report.p, p);
         assert_eq!(report.aggregate.messages == 0, p == 1, "p={p}");
 
         let obs = Obs::with_trace(p, DEFAULT_TRACE_CAPACITY);
         let traced = door.clone().run(recording(&obs)).partition(&g, p);
-        assert_eq!(
-            traced.expect("valid input").partition,
-            plain,
-            "p={p}: trace"
-        );
+        assert_eq!(passed(traced, &format!("p={p}: trace")), plain);
         assert!(obs.trace().is_some_and(|t| t.per_pe.len() == p));
         assert_eq!(
             obs.report().zeroed(),
@@ -81,22 +82,18 @@ fn every_option_yields_the_plain_partition() {
 
         let store = CheckpointStore::new();
         let stored = door.clone().store(&store).partition(&g, p);
-        assert_eq!(
-            stored.expect("valid input").partition,
-            plain,
-            "p={p}: store"
-        );
+        assert_eq!(passed(stored, &format!("p={p}: store")), plain);
         let last = store.latest().expect("a finished store holds the result");
         assert_eq!(last.cycle, cfg.vcycles - 1, "p={p}: last V-cycle wins");
         assert_eq!(last.assignment, plain.assignment());
 
         // Resuming from the final snapshot replays zero cycles.
         let resumed = door.clone().store(&store).resume().partition(&g, p);
-        assert_eq!(resumed.expect("snapshot").partition, plain, "p={p}: resume");
+        assert_eq!(passed(resumed, &format!("p={p}: resume")), plain);
 
         let input = pgp::pgp_baselines::hash_partition(&g, cfg.k, 3);
         let improved = door.clone().prepartition(&input).partition(&g, p);
-        let improved = improved.expect("valid input").partition;
+        let improved = passed(improved, &format!("p={p}: prepartition"));
         improved
             .validate(&g, cfg.eps)
             .expect("prepartitioned run is balanced");
