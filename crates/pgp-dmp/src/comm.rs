@@ -7,11 +7,11 @@
 //!
 //! A [`Universe`] holds one mailbox per PE (per-`(src, tag)` buckets, see
 //! `mailbox.rs`) and the group-wide poison state; each [`Comm`] is one
-//! PE's handle onto it. A send packs the message into its [`Wire`] bytes
-//! and pushes them into the receiver's mailbox; a receive takes them out
-//! and decodes them. A message is its bytes, as between MPI processes, so
-//! the *communication pattern and volume* the recorder counts are the MPI
-//! program's (DESIGN.md §2).
+//! PE's handle onto it. A send moves the typed message into the
+//! receiver's mailbox; a receive takes it out and checks its type. Each
+//! message counts its [`Wire`] size, the bytes an MPI process would send,
+//! so the *communication pattern and volume* the recorder counts are the
+//! MPI program's (DESIGN.md §12).
 //!
 //! # Fault model (DESIGN.md §9)
 //!
@@ -317,9 +317,9 @@ impl Comm {
     /// Sends `msg` to PE `dst` with `tag`. Never blocks.
     pub fn send<T: Wire>(&self, dst: usize, tag: Tag, msg: T) {
         self.check_poison();
-        let payload = pack(&msg);
+        let payload = pack(msg);
         if self.recorder.is_enabled() {
-            self.recorder.on_send(dst, tag, payload.wire_bytes());
+            self.recorder.on_send(dst, tag, payload.bytes);
         }
         if let Some(hook) = &self.universe.hook {
             self.chaos_send(&**hook, dst, tag, payload);
@@ -376,7 +376,7 @@ impl Comm {
                     // conservation tests subtract them); the payload is
                     // simply discarded here.
                     if self.recorder.is_enabled() {
-                        self.recorder.on_fault_drop(dst, tag, payload.wire_bytes());
+                        self.recorder.on_fault_drop(dst, tag, payload.bytes);
                     }
                 }
                 SendFault::Delay { holds } => {
@@ -447,7 +447,7 @@ impl Comm {
     /// Records one received payload and unpacks it.
     fn finish_recv<T: Wire>(&self, src: usize, tag: Tag, payload: Payload) -> T {
         if self.recorder.is_enabled() {
-            self.recorder.on_recv(src, tag, payload.wire_bytes());
+            self.recorder.on_recv(src, tag, payload.bytes);
         }
         unpack(payload, src, tag)
     }
@@ -507,7 +507,7 @@ impl Comm {
         let raw = self.inbox().drain_tag(tag);
         if self.recorder.is_enabled() {
             for (src, payload) in &raw {
-                self.recorder.on_recv(*src, tag, payload.wire_bytes());
+                self.recorder.on_recv(*src, tag, payload.bytes);
             }
         }
         raw.into_iter()
@@ -634,6 +634,22 @@ mod tests {
                 comm.send(1, 5, vec![1u64, 2, 3]);
             } else {
                 let _: String = comm.recv(0, 5);
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "expected alloc::string::String, got alloc::vec::Vec<u64>")]
+    fn drain_type_mismatch_names_expected_and_actual() {
+        run(2, |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 5, vec![1u64]);
+            }
+            // The send is queued before rank 0 enters the barrier, so the
+            // drain below sees it.
+            crate::collectives::barrier(comm);
+            if comm.rank() == 1 {
+                let _ = comm.drain::<String>(5);
             }
         });
     }

@@ -18,8 +18,9 @@
 //! * [`exchange`] — the phase-overlapped ghost-label exchange of §IV-A.
 //! * [`tags`] — the tag-protocol constants (every named tag offset and its
 //!   payload type; the names the runtime type-mismatch panic reports).
-//! * [`wire`] — the byte codec every message payload implements; a
-//!   message crosses the mailbox as its [`Wire`] bytes.
+//! * [`wire`] — the size rule every message payload implements; a
+//!   message crosses the mailbox as its typed value and counts its
+//!   [`Wire`] bytes.
 
 pub mod collectives;
 pub mod comm;
@@ -33,7 +34,7 @@ pub mod wire;
 pub use comm::{Comm, CommError, FaultHook, SendFault, Tag, Universe};
 pub use dgraph::{DistGraph, GhostRows};
 pub use exchange::LabelExchange;
-pub use wire::{Wire, WireError, WireReader};
+pub use wire::Wire;
 // Re-exported so `RunConfig { obs, .. }` can be built without a direct
 // pgp-obs dependency.
 pub use pgp_obs::{Obs, Recorder, RunTrace};

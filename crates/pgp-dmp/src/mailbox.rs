@@ -1,8 +1,10 @@
 //! The per-PE mailbox: where every message waits for its receiver.
 //!
 //! Every message crosses the mailbox in one form, its [`Payload`]: the
-//! [`Wire`] bytes of the value behind its type name, so the bytes a run
-//! counts are the bytes an MPI program would send (DESIGN.md §2).
+//! typed value itself behind its type name, as MPI hands over a typed
+//! buffer with no per-message header. The bytes a run counts are the
+//! value's [`Wire::wire_bytes`], the bytes an MPI program would send
+//! (DESIGN.md §12, "One payload form").
 //!
 //! Each PE owns a [`Mailbox`] bucketed by `(source, tag)`: a per-sender
 //! slot array indexed by a hash of the tag, with a small overflow list for
@@ -20,72 +22,51 @@
 //! `tests/concurrency.rs` checks this handshake.
 
 use crate::comm::{CommError, Tag, Universe};
-use crate::wire::{Wire, WireReader};
+use crate::wire::Wire;
 use parking_lot::{Condvar, Mutex};
-use pgp_graph::ids;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// A message payload in flight: `[u16 name-len][type name][Wire
-/// encoding]`. The type-name prefix lets the receiver detect a protocol
-/// mismatch precisely — every PE runs the same binary, so `type_name` is a
-/// stable identifier.
-pub(crate) struct Payload(pub(crate) Vec<u8>);
-
-impl Payload {
-    /// Payload size in wire bytes. Computed from the same value on the
-    /// send and the receive side of a message, so the per-tag totals the
-    /// recorder accumulates satisfy Σ sent − Σ dropped == Σ received
+/// A message payload in flight: the sent value, its type name and its size.
+/// The type name lets the receiver name a protocol mismatch precisely —
+/// every PE runs the same code, so `type_name` is a stable identifier.
+pub(crate) struct Payload {
+    value: Box<dyn Any + Send>,
+    type_name: &'static str,
+    /// The value's [`Wire::wire_bytes`], computed once at [`pack`]. Send,
+    /// drop and receive all count this one field, so the per-tag totals
+    /// the recorder accumulates satisfy Σ sent − Σ dropped == Σ received
     /// *exactly* (the conservation tests assert this).
-    pub(crate) fn wire_bytes(&self) -> u64 {
-        ids::count_global(self.0.len())
+    pub(crate) bytes: u64,
+}
+
+/// Moves `msg` into its [`Payload`].
+pub(crate) fn pack<T: Wire>(msg: T) -> Payload {
+    Payload {
+        bytes: msg.wire_bytes(),
+        type_name: std::any::type_name::<T>(),
+        value: Box::new(msg),
     }
 }
 
-/// Encodes `msg` into its [`Payload`]: the type name, then the [`Wire`]
-/// encoding of the value.
-pub(crate) fn pack<T: Wire>(msg: &T) -> Payload {
-    let name = std::any::type_name::<T>();
-    let name_len = u16::try_from(name.len()).expect("type name length fits u16");
-    let mut buf = Vec::with_capacity(2 + name.len() + 16);
-    buf.extend_from_slice(&name_len.to_le_bytes());
-    buf.extend_from_slice(name.as_bytes());
-    msg.encode(&mut buf);
-    Payload(buf)
-}
-
-/// Decodes a [`Payload`] back into `T`, symmetric to [`pack`].
+/// Takes the value back out of a [`Payload`], symmetric to [`pack`].
 ///
 /// # Panics
 /// Panics if the payload's type does not match `T` — that is a protocol
 /// bug, not a runtime condition. The message names the expected type and
 /// the type the sender packed.
 pub(crate) fn unpack<T: Wire>(payload: Payload, src: usize, tag: Tag) -> T {
-    fn mismatch<T>(src: usize, tag: Tag, actual: &str) -> ! {
+    match payload.value.downcast::<T>() {
+        Ok(v) => *v,
         // `tags::describe` names the offset constant (OP_BCAST,
         // GHOST_LABELS, ...) so the panic points at the protocol entry.
-        panic!(
-            "type mismatch on {} from {src}: expected {}, got {actual}",
+        Err(_) => panic!(
+            "type mismatch on {} from {src}: expected {}, got {}",
             crate::tags::describe(tag),
-            std::any::type_name::<T>()
-        )
-    }
-    let mut r = WireReader::new(&payload.0);
-    let fail =
-        |what: &str| -> ! { mismatch::<T>(src, tag, &format!("an undecodable payload ({what})")) };
-    let Ok(name_len) = r.take(2).map(|b| u16::from_le_bytes([b[0], b[1]])) else {
-        fail("truncated type-name header")
-    };
-    let Ok(name) = r.take(usize::from(name_len)).map(String::from_utf8_lossy) else {
-        fail("truncated type name")
-    };
-    if name != std::any::type_name::<T>() {
-        mismatch::<T>(src, tag, &name);
-    }
-    match T::decode(&mut r) {
-        Ok(v) if r.remaining() == 0 => v,
-        Ok(_) => fail("trailing bytes"),
-        Err(e) => fail(&e.to_string()),
+            std::any::type_name::<T>(),
+            payload.type_name
+        ),
     }
 }
 

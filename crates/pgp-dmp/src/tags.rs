@@ -15,9 +15,10 @@
 //!   stay below `1 << 8` so they can never alias a collective op code.
 //!
 //! Each constant documents the *payload type* that travels on its tags.
-//! That contract is checked on every message: each payload carries its
-//! type name, and the runtime `unpack` mismatch panic names the expected
-//! and actual types together with the offset constant via [`describe`].
+//! That contract is checked on every message: each payload is the sent
+//! value behind its type name, and when the receiver's downcast fails the
+//! runtime `unpack` panic names the expected and actual types together
+//! with the offset constant via [`describe`].
 //! The layout itself (user offsets below the op range, distinct op codes)
 //! is pinned by this module's unit tests.
 //!

@@ -207,4 +207,7 @@ fn obs_conservation() {
     assert!(report.total_dropped_per_tag().is_empty(), "no chaos here");
     assert_eq!(sent, recvd, "conservation: every sent byte was received");
     assert_eq!(sent.get(&11).map(|c| c.msgs), Some(3));
+    // Each message counts its 8-byte length plus five 8-byte words, and no
+    // header.
+    assert_eq!(sent.get(&11).map(|c| c.bytes), Some(3 * (8 + 5 * 8)));
 }

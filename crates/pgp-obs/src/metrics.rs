@@ -133,9 +133,11 @@ pub struct PassStats {
 pub struct TagCounter {
     /// Number of messages.
     pub msgs: u64,
-    /// Payload wire bytes (element count × element size; identical on the
-    /// send and receive side of the same message, which is what makes the
-    /// conservation assertion exact).
+    /// Payload bytes: the bytes each message would occupy between MPI
+    /// processes, with no header (an 8-byte length plus the elements for a
+    /// sequence). Computed once per message when it is sent, so identical
+    /// on the send and receive side, which is what makes the conservation
+    /// assertion exact.
     pub bytes: u64,
 }
 

@@ -93,7 +93,7 @@ const CSR_OWNER_FILES: &[&str] = &[
 const CSR_ARRAYS: &[&str] = &["xadj[", "adjncy[", "adjwgt["];
 
 /// The only files allowed to name the mailbox internals (rule 5): the
-/// Comm facade and the mailbox behind it (DESIGN.md §15).
+/// Comm facade and the mailbox behind it (DESIGN.md §12).
 const MAILBOX_OWNER_FILES: &[&str] = &[
     "crates/pgp-dmp/src/comm.rs",
     "crates/pgp-dmp/src/mailbox.rs",

@@ -8,8 +8,8 @@
 //!               [report=<file.json>] [trace=<file.json>]
 //! ```
 //!
-//! The `p` PEs run as OS threads of this process that exchange
-//! `Wire`-encoded messages through per-PE mailboxes (DESIGN.md §2).
+//! The `p` PEs run as OS threads of this process that exchange typed
+//! messages through per-PE mailboxes (DESIGN.md §12).
 //!
 //! `report=<file.json>` (or `--report <file.json>`) runs with the
 //! observability recorder enabled and writes the schema-versioned JSON
