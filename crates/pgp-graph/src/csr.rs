@@ -185,6 +185,60 @@ impl CsrGraph {
         &self.adjncy[lo..hi]
     }
 
+    /// For every arc, in `adjncy` order, the offset of its reverse arc within
+    /// the row of the arc's target: the arc at offset `i` of `v`'s row points
+    /// to `u`, and `u`'s row holds `v` at offset `twin_offsets()[lo + i]`,
+    /// where `lo` is the number of arcs in rows before `v`'s. Parallel arcs
+    /// pair up in row order: the t-th arc `v → u` of `v`'s row with the t-th
+    /// arc `u → v` of `u`'s row.
+    ///
+    /// `O(m)` when every row is sorted by target: walking the rows in node
+    /// order meets each row's sources in that row's own order, so a count
+    /// per row of the arcs paired so far is the next twin. Otherwise each
+    /// row is first ranked by `(target, offset)` and walked in that order.
+    pub fn twin_offsets(&self) -> Vec<u32> {
+        let n = self.n();
+        let sorted = self.nodes().all(|v| {
+            let row = self.neighbor_slice(v);
+            row.windows(2).all(|w| w[0] <= w[1])
+        });
+        // `rank[lo + j]`: the offset of the j-th arc of the row starting at
+        // arc `lo` in `(target, offset)` order; not built for sorted rows.
+        let rank: Vec<u32> = if sorted {
+            Vec::new()
+        } else {
+            let mut rank = Vec::with_capacity(self.num_arcs());
+            for v in self.nodes() {
+                let row = self.neighbor_slice(v);
+                let start = rank.len();
+                rank.extend(0..row.len() as u32);
+                rank[start..].sort_by_key(|&i| row[i as usize]);
+            }
+            rank
+        };
+        // The offset of the j-th arc, in `(target, offset)` order, of the
+        // row starting at arc `lo`.
+        let at = |lo: usize, j: u32| if sorted { j } else { rank[lo + j as usize] };
+        // Per row, how many of its arcs have been paired so far.
+        let mut paired = vec![0u32; n];
+        let mut twin = vec![0u32; self.num_arcs()];
+        for v in 0..n {
+            let lo = self.xadj[v] as usize;
+            for j in 0..(self.xadj[v + 1] as usize - lo) as u32 {
+                let arc = lo + at(lo, j) as usize;
+                let u = self.adjncy[arc] as usize;
+                twin[arc] = at(self.xadj[u] as usize, paired[u]);
+                paired[u] += 1;
+                debug_assert_eq!(
+                    self.adjncy[self.xadj[u] as usize + twin[arc] as usize] as usize,
+                    v,
+                    "the adjacency is not symmetric"
+                );
+            }
+        }
+        twin
+    }
+
     /// Iterates over all nodes.
     #[inline]
     pub fn nodes(&self) -> impl Iterator<Item = Node> {
@@ -460,6 +514,31 @@ mod tests {
             .build();
         assert_eq!(star.max_degree(), 4);
         assert!((star.avg_degree() - 8.0 / 5.0).abs() < 1e-12);
+    }
+
+    /// Every arc's twin points back at it, sorted rows or not; parallel
+    /// arcs pair in row order.
+    #[test]
+    fn twin_offsets_pair_each_arc_with_its_reverse() {
+        let check = |g: &CsrGraph| {
+            let twin = g.twin_offsets();
+            let start = |v: Node| g.xadj()[v as usize] as usize;
+            for v in g.nodes() {
+                for (i, &u) in g.neighbor_slice(v).iter().enumerate() {
+                    let r = twin[start(v) + i] as usize;
+                    assert_eq!(g.neighbor_slice(u)[r], v, "arc {v} -> {u}");
+                    assert_eq!(twin[start(u) + r] as usize, i, "arc {v} -> {u}");
+                }
+            }
+            twin
+        };
+        check(&triangle());
+        // 0 – 1 twice, 1 – 2, 0 – 2; rows sorted (parallel arcs adjacent),
+        // then the same graph with rows permuted.
+        let sorted = CsrGraph::unweighted(vec![0, 3, 6, 8], vec![1, 1, 2, 0, 0, 2, 0, 1]);
+        assert_eq!(check(&sorted), vec![0, 1, 0, 0, 1, 1, 2, 2]);
+        let shuffled = CsrGraph::unweighted(vec![0, 3, 6, 8], vec![1, 2, 1, 2, 0, 0, 1, 0]);
+        assert_eq!(check(&shuffled), vec![1, 1, 2, 0, 0, 2, 0, 1]);
     }
 }
 

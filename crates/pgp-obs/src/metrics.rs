@@ -124,7 +124,10 @@ pub struct PassStats {
     /// makes it far smaller than that. Two-way FM reads every arc once per
     /// call plus the row of every applied move, and that row again if the
     /// move is rolled back; k-way FM reads the row of every node it
-    /// evaluates.
+    /// evaluates, or, with its gain table, builds it from every arc once
+    /// and then reads movers' rows, forward scans for new first arcs and
+    /// one entry per adjacent block of an evaluated node (pgp-seq's
+    /// `FmStats`).
     pub edges_scanned: u64,
 }
 

@@ -6,22 +6,31 @@
 //! (possibly through negative-gain territory), then rolls back to the best
 //! prefix, so the cut never increases.
 //!
-//! One pass loop, two ways to answer "the best move for `v`" (DESIGN.md §8,
-//! *Sequential FM*). Both give exactly the answer a fresh scan of `v`'s
-//! arcs gives and draw the same random numbers, so the heap, the moves and
+//! One pass loop, three ways to answer "the best move for `v`" (DESIGN.md §8,
+//! *Sequential FM*). Each gives exactly the answer a fresh scan of `v`'s
+//! arcs gives and draws the same random numbers, so the heap, the moves and
 //! the rollbacks do not depend on which one runs:
 //! * k = 2: `TwoWay` caches every node's connection to both blocks once per
 //!   call and updates the rows of a mover's neighbours — rollbacks included —
 //!   so a candidate costs O(1) instead of a re-scan, and the rows carry the
 //!   cut along;
-//! * k ≥ 3: `Dense` re-scans `v`'s arcs into a dense `conn[k]` table and
-//!   walks the blocks in first-touch order, the order ties are drawn in.
+//! * k ≥ 3 with `n · k ≤ 2 · arcs`: `Table` caches every node's connection
+//!   to every block and the offset of its first arc into each, and marks
+//!   those first arcs in a bit per arc; a candidate walks the marked arcs of
+//!   `v`'s row, which are the blocks in first-touch order, the order ties
+//!   are drawn in;
+//! * k ≥ 3 otherwise (k close to n, where the table would take n² entries):
+//!   `Dense` re-scans `v`'s arcs into a dense `conn[k]` table and walks the
+//!   blocks in first-touch order.
+//!
+//! The pass keeps each unlocked node's latest candidate once, in an indexed
+//! max-heap keyed by node.
 
+use crate::heap::NodeHeap;
 use pgp_graph::{CsrGraph, Node, Weight};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Configuration for a k-way FM run.
 #[derive(Clone, Debug)]
@@ -39,8 +48,17 @@ pub struct FmConfig {
 
 /// Result of an FM run — the unified pass-metric type from `pgp-obs`
 /// (`rounds` = passes executed, `moves` = moves kept after rollbacks,
-/// `gain` = total cut improvement across all passes, `edges_scanned` = arcs
-/// read to evaluate moves).
+/// `gain` = total cut improvement across all passes).
+///
+/// `edges_scanned` counts the arc entries FM reads, by gain source:
+/// * k = 2 (cached rows): every arc once per call, plus the mover's row for
+///   every applied move and once more for every rolled-back one;
+/// * k ≥ 3, table: every arc once per call to build it, plus the mover's row
+///   for every applied or rolled-back move, plus the arcs a forward scan for
+///   a neighbour's new first arc into the mover's old block reads, plus, per
+///   evaluated node, the first-arc entries of its row (one per adjacent
+///   block, its own included);
+/// * k ≥ 3, dense: the row of every evaluated node.
 pub type FmStats = pgp_obs::PassStats;
 
 /// Runs k-way FM on `labels` (block IDs, in place). Returns statistics;
@@ -55,9 +73,26 @@ pub fn kway_fm(graph: &CsrGraph, k: usize, labels: &mut [Node], cfg: &FmConfig) 
     }
     if k == 2 {
         two_way_fm(graph, labels, cfg).0
+    } else if takes_table(graph, k) {
+        let mut built = 0;
+        let mut stats = run(
+            graph,
+            labels,
+            cfg,
+            &mut Table::new(graph, k, labels, &mut built),
+        );
+        stats.edges_scanned += built;
+        stats
     } else {
         run(graph, labels, cfg, &mut Dense::new(k))
     }
+}
+
+/// Whether k-way FM keeps the per-(node, block) table: when `n · k ≤ 2 ·
+/// arcs` its 12 bytes per entry come to at most 24 per arc, O(m) like the
+/// graph. Beyond that (k close to n) only `Dense` is safe.
+fn takes_table(graph: &CsrGraph, k: usize) -> bool {
+    graph.n() as u128 * k as u128 <= 2 * graph.num_arcs() as u128
 }
 
 /// Two-way FM on `labels` (sides 0 / 1, in place): [`kway_fm`] at k = 2,
@@ -95,11 +130,48 @@ trait Gains {
     ) -> Option<(i64, Node)>;
 
     /// `v` has just moved from block `from` to block `to` — applied, or
-    /// rolled back with `from` and `to` swapped.
-    fn moved(&mut self, graph: &CsrGraph, v: Node, from: Node, to: Node, scanned: &mut u64);
+    /// rolled back with `from` and `to` swapped; `labels` already holds `to`
+    /// for `v`.
+    fn moved(
+        &mut self,
+        graph: &CsrGraph,
+        labels: &[Node],
+        v: Node,
+        from: Node,
+        to: Node,
+        scanned: &mut u64,
+    );
 }
 
-/// k ≥ 3: every candidate re-scans the node's arcs into a dense table.
+/// The best of the candidate blocks offered in first-touch order: a larger
+/// gain wins, and the i-th block of equal gain replaces the pick with
+/// probability 1/i.
+#[derive(Default)]
+struct Pick {
+    best: Option<(i64, Node)>,
+    ties: u32,
+}
+
+impl Pick {
+    fn offer(&mut self, gain: i64, b: Node, rng: &mut SmallRng) {
+        match self.best {
+            Some((bg, _)) if gain < bg => {}
+            Some((bg, _)) if gain == bg => {
+                self.ties += 1;
+                if rng.gen_range(0..self.ties) == 0 {
+                    self.best = Some((gain, b));
+                }
+            }
+            _ => {
+                self.best = Some((gain, b));
+                self.ties = 1;
+            }
+        }
+    }
+}
+
+/// k ≥ 3, k close to n: every candidate re-scans the node's arcs into a
+/// dense table.
 struct Dense {
     /// Connection of the scanned node to each block.
     conn: Vec<Weight>,
@@ -143,34 +215,182 @@ impl Gains for Dense {
         *scanned += graph.degree(v) as u64;
         let internal = self.conn[cur as usize] as i64;
         let cw = graph.node_weight(v);
-        let mut best: Option<(i64, Node)> = None;
-        let mut ties = 1u32;
+        let mut pick = Pick::default();
         for b in self.touched.drain(..) {
             let w = std::mem::take(&mut self.conn[b as usize]);
             self.seen[b as usize] = false;
             if b == cur || weights[b as usize] + cw > caps[b as usize] {
                 continue;
             }
-            let gain = w as i64 - internal;
-            match best {
-                None => best = Some((gain, b)),
-                Some((bg, _)) if gain > bg => {
-                    best = Some((gain, b));
-                    ties = 1;
-                }
-                Some((bg, _)) if gain == bg => {
-                    ties += 1;
-                    if rng.gen_range(0..ties) == 0 {
-                        best = Some((gain, b));
-                    }
-                }
-                _ => {}
-            }
+            pick.offer(w as i64 - internal, b, rng);
         }
-        best
+        pick.best
     }
 
-    fn moved(&mut self, _: &CsrGraph, _: Node, _: Node, _: Node, _: &mut u64) {}
+    fn moved(&mut self, _: &CsrGraph, _: &[Node], _: Node, _: Node, _: Node, _: &mut u64) {}
+}
+
+/// Offset of "no arc into this block" in [`Table::first`].
+const NONE: u32 = u32::MAX;
+
+/// k ≥ 3 with `n · k ≤ 2 · arcs`: every node's connection to every block
+/// and the offset of its first arc into each, built once per call and kept
+/// current as nodes move and as rollbacks move them back.
+///
+/// A fresh scan of `v`'s row meets the blocks in the order of their first
+/// arcs, so walking the marked first arcs in position order is the scan's
+/// first-touch order, and ties draw as they do in `Dense`. A zero-weight arc
+/// has a first-arc offset like any other, so it still makes its block
+/// adjacent.
+struct Table {
+    k: usize,
+    /// Per node, the index of its row's first arc (`n + 1` entries).
+    row_start: Vec<usize>,
+    /// Per arc, the offset of its reverse arc in its target's row.
+    twin: Vec<u32>,
+    /// One bit per arc, set iff the arc is its row's first into its
+    /// target's block.
+    first_arcs: Vec<u64>,
+    /// `conn[v · k + b]`: the summed weight of `v`'s arcs into block `b`.
+    conn: Vec<Weight>,
+    /// `first[v · k + b]`: the offset in `v`'s row of its first arc into
+    /// block `b`, or `NONE`.
+    first: Vec<u32>,
+}
+
+impl Table {
+    /// Builds the table of `labels`, reading every arc once.
+    fn new(graph: &CsrGraph, k: usize, labels: &[Node], scanned: &mut u64) -> Self {
+        let mut row_start = Vec::with_capacity(graph.n() + 1);
+        row_start.push(0);
+        for v in graph.nodes() {
+            row_start.push(row_start[v as usize] + graph.degree(v));
+        }
+        let mut table = Self {
+            k,
+            row_start,
+            twin: graph.twin_offsets(),
+            first_arcs: vec![0; graph.num_arcs().div_ceil(64)],
+            conn: vec![0; graph.n() * k],
+            first: vec![NONE; graph.n() * k],
+        };
+        for v in graph.nodes() {
+            let (base, lo) = (v as usize * k, table.row_start[v as usize]);
+            for (i, (u, w)) in graph.neighbors_weighted(v).enumerate() {
+                let entry = base + labels[u as usize] as usize;
+                table.conn[entry] += w;
+                if table.first[entry] == NONE {
+                    table.first[entry] = i as u32;
+                    table.mark(lo + i, true);
+                }
+            }
+        }
+        *scanned += graph.num_arcs() as u64;
+        table
+    }
+
+    fn mark(&mut self, arc: usize, first: bool) {
+        let bit = 1u64 << (arc % 64);
+        if first {
+            self.first_arcs[arc / 64] |= bit;
+        } else {
+            self.first_arcs[arc / 64] &= !bit;
+        }
+    }
+
+    /// The marked arcs in `lo..hi`, in position order.
+    fn first_arcs_in(&self, lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
+        (lo / 64..hi.div_ceil(64)).flat_map(move |w| {
+            let mut word = self.first_arcs[w];
+            if w * 64 < lo {
+                word &= !0 << (lo % 64);
+            }
+            if (w + 1) * 64 > hi {
+                word &= (1 << (hi % 64)) - 1;
+            }
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let bit = word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+}
+
+impl Gains for Table {
+    fn best_move(
+        &mut self,
+        graph: &CsrGraph,
+        labels: &[Node],
+        weights: &[Weight],
+        caps: &[Weight],
+        v: Node,
+        rng: &mut SmallRng,
+        scanned: &mut u64,
+    ) -> Option<(i64, Node)> {
+        let cur = labels[v as usize];
+        let base = v as usize * self.k;
+        let internal = self.conn[base + cur as usize] as i64;
+        let cw = graph.node_weight(v);
+        let row = graph.neighbor_slice(v);
+        let (lo, hi) = (self.row_start[v as usize], self.row_start[v as usize + 1]);
+        let mut pick = Pick::default();
+        for arc in self.first_arcs_in(lo, hi) {
+            *scanned += 1;
+            let b = labels[row[arc - lo] as usize];
+            if b == cur || weights[b as usize] + cw > caps[b as usize] {
+                continue;
+            }
+            pick.offer(self.conn[base + b as usize] as i64 - internal, b, rng);
+        }
+        pick.best
+    }
+
+    fn moved(
+        &mut self,
+        graph: &CsrGraph,
+        labels: &[Node],
+        v: Node,
+        from: Node,
+        to: Node,
+        scanned: &mut u64,
+    ) {
+        let lo = self.row_start[v as usize];
+        for (i, (u, w)) in graph.neighbors_weighted(v).enumerate() {
+            // `u`'s arc at offset `r` now points into `to` instead of `from`.
+            let r = self.twin[lo + i];
+            let (base, start) = (u as usize * self.k, self.row_start[u as usize]);
+            let (from_entry, to_entry) = (base + from as usize, base + to as usize);
+            self.conn[from_entry] -= w;
+            self.conn[to_entry] += w;
+            if self.first[from_entry] == r {
+                self.mark(start + r as usize, false);
+                let rest = &graph.neighbor_slice(u)[r as usize + 1..];
+                match rest.iter().position(|&y| labels[y as usize] == from) {
+                    Some(s) => {
+                        *scanned += s as u64 + 1;
+                        self.first[from_entry] = r + 1 + s as u32;
+                        self.mark(start + r as usize + 1 + s, true);
+                    }
+                    None => {
+                        *scanned += rest.len() as u64;
+                        self.first[from_entry] = NONE;
+                    }
+                }
+            }
+            let first_to = self.first[to_entry];
+            if r < first_to {
+                if first_to != NONE {
+                    self.mark(start + first_to as usize, false);
+                }
+                self.first[to_entry] = r;
+                self.mark(start + r as usize, true);
+            }
+        }
+        *scanned += graph.degree(v) as u64;
+    }
 }
 
 /// k = 2: every node's connection to both blocks, built once per call and
@@ -233,7 +453,15 @@ impl Gains for TwoWay {
         Some((conn[other] as i64 - conn[cur] as i64, other as Node))
     }
 
-    fn moved(&mut self, graph: &CsrGraph, v: Node, from: Node, to: Node, scanned: &mut u64) {
+    fn moved(
+        &mut self,
+        graph: &CsrGraph,
+        _: &[Node],
+        v: Node,
+        from: Node,
+        to: Node,
+        scanned: &mut u64,
+    ) {
         let (from, to) = (from as usize, to as usize);
         // `v`'s arcs into `from` become cut, those into `to` stop being cut.
         let own = self.conn[v as usize];
@@ -276,6 +504,11 @@ fn run(graph: &CsrGraph, labels: &mut [Node], cfg: &FmConfig, gains: &mut impl G
     stats
 }
 
+/// One pass. The heap holds every unlocked node with a candidate once, at
+/// its latest `(gain, tie-break, node, target)`; each evaluation draws one
+/// tie-break. That pops the moves a heap of every evaluation would, skipping
+/// the entries of locked nodes and all but each node's latest: such a skip
+/// changes nothing and draws nothing, and no two live entries compare equal.
 fn fm_pass(
     graph: &CsrGraph,
     labels: &mut [Node],
@@ -285,19 +518,16 @@ fn fm_pass(
     gains: &mut impl Gains,
     stats: &mut FmStats,
 ) -> i64 {
-    let n = graph.n();
     let caps = &cfg.block_caps[..];
     let scanned = &mut stats.edges_scanned;
-    // Lazy-invalidation heap of candidate moves.
-    let mut version = vec![0u32; n];
-    let mut locked = vec![false; n];
-    let mut heap: BinaryHeap<(i64, Reverse<u64>, Node, Node, u32)> = BinaryHeap::new();
+    let mut locked = vec![false; graph.n()];
+    let mut heap = NodeHeap::new(graph.n());
 
     // Seed with boundary nodes (an interior node has no candidate).
     for v in graph.nodes() {
         if let Some((gain, target)) = gains.best_move(graph, labels, weights, caps, v, rng, scanned)
         {
-            heap.push((gain, Reverse(rng.gen()), v, target, 0));
+            heap.set((gain, Reverse(rng.gen()), v, target));
         }
     }
 
@@ -307,18 +537,14 @@ fn fm_pass(
     let mut best_gain = 0i64;
     let mut best_len = 0usize;
     let mut since_best = 0usize;
-    while let Some((gain, _, v, target, ver)) = heap.pop() {
-        if locked[v as usize] || ver != version[v as usize] {
-            continue;
-        }
-        // Re-validate: weights may have changed since the entry was pushed.
+    while let Some((gain, _, v, target)) = heap.pop() {
+        // Re-validate: weights may have changed since the entry was set.
         let cur = labels[v as usize];
         let cw = graph.node_weight(v);
         if weights[target as usize] + cw > caps[target as usize] {
             // Try to recompute a fresh candidate.
-            version[v as usize] += 1;
             if let Some((g2, t2)) = gains.best_move(graph, labels, weights, caps, v, rng, scanned) {
-                heap.push((g2, Reverse(rng.gen()), v, t2, version[v as usize]));
+                heap.set((g2, Reverse(rng.gen()), v, t2));
             }
             continue;
         }
@@ -328,7 +554,7 @@ fn fm_pass(
         labels[v as usize] = target;
         locked[v as usize] = true;
         journal.push((v, cur, target));
-        gains.moved(graph, v, cur, target, scanned);
+        gains.moved(graph, labels, v, cur, target, scanned);
         cum_gain += gain;
         if cum_gain > best_gain {
             best_gain = cum_gain;
@@ -345,9 +571,9 @@ fn fm_pass(
             if locked[u as usize] {
                 continue;
             }
-            version[u as usize] += 1;
-            if let Some((g2, t2)) = gains.best_move(graph, labels, weights, caps, u, rng, scanned) {
-                heap.push((g2, Reverse(rng.gen()), u, t2, version[u as usize]));
+            match gains.best_move(graph, labels, weights, caps, u, rng, scanned) {
+                Some((g2, t2)) => heap.set((g2, Reverse(rng.gen()), u, t2)),
+                None => heap.remove(u),
             }
         }
     }
@@ -357,7 +583,7 @@ fn fm_pass(
         weights[to as usize] -= cw;
         weights[from as usize] += cw;
         labels[v as usize] = from;
-        gains.moved(graph, v, to, from, scanned);
+        gains.moved(graph, labels, v, to, from, scanned);
     }
     stats.moves += best_len as u64;
     best_gain
@@ -544,10 +770,27 @@ mod tests {
     }
 
     /// Wraps a candidate source and records the node of every move it is
-    /// told of, applied ones and rolled-back ones.
+    /// told of, applied ones and rolled-back ones. Also re-derives, from the
+    /// labels alone, what the table source reads by the `FmStats` rule: the
+    /// first-arc entries of an evaluated row (its adjacent blocks), the
+    /// mover's row, and the forward scans of the neighbours whose first arc
+    /// into the old block was an arc to the mover.
     struct Recording<G> {
         inner: G,
         moved: Vec<Node>,
+        table_reads: u64,
+        forward_scans: u64,
+    }
+
+    impl<G> Recording<G> {
+        fn new(inner: G) -> Self {
+            Self {
+                inner,
+                moved: Vec::new(),
+                table_reads: 0,
+                forward_scans: 0,
+            }
+        }
     }
 
     impl<G: Gains> Gains for Recording<G> {
@@ -561,14 +804,108 @@ mod tests {
             rng: &mut SmallRng,
             scanned: &mut u64,
         ) -> Option<(i64, Node)> {
+            let mut blocks: Vec<Node> = graph.neighbors(v).map(|u| labels[u as usize]).collect();
+            blocks.sort_unstable();
+            blocks.dedup();
+            self.table_reads += blocks.len() as u64;
             self.inner
                 .best_move(graph, labels, weights, caps, v, rng, scanned)
         }
 
-        fn moved(&mut self, graph: &CsrGraph, v: Node, from: Node, to: Node, scanned: &mut u64) {
+        fn moved(
+            &mut self,
+            graph: &CsrGraph,
+            labels: &[Node],
+            v: Node,
+            from: Node,
+            to: Node,
+            scanned: &mut u64,
+        ) {
             self.moved.push(v);
-            self.inner.moved(graph, v, from, to, scanned);
+            self.table_reads += graph.degree(v) as u64;
+            let before = |y: Node| if y == v { from } else { labels[y as usize] };
+            let mut neighbours: Vec<Node> = graph.neighbors(v).collect();
+            neighbours.sort_unstable();
+            neighbours.dedup();
+            for u in neighbours {
+                let row = graph.neighbor_slice(u);
+                let first = row.iter().position(|&y| before(y) == from);
+                if let Some(r) = first.filter(|&r| row[r] == v) {
+                    let rest = &row[r + 1..];
+                    let read = rest
+                        .iter()
+                        .position(|&y| labels[y as usize] == from)
+                        .map_or(rest.len(), |s| s + 1);
+                    self.table_reads += read as u64;
+                    self.forward_scans += 1;
+                }
+            }
+            self.inner.moved(graph, labels, v, from, to, scanned);
         }
+    }
+
+    #[test]
+    fn table_reads_each_arc_once_per_call_plus_rows_scans_and_first_arcs() {
+        let (g, _) = pgp_gen::sbm::sbm(300, Default::default(), 5);
+        let k = 5;
+        assert!(takes_table(&g, k));
+        let start: Vec<Node> = (0..g.n() as Node).map(|v| v * 7 % k as Node).collect();
+        let cfg = FmConfig {
+            max_passes: 4,
+            block_caps: vec![pgp_graph::lmax(g.total_node_weight(), k, 0.03); k],
+            seed: 8,
+            patience: 10,
+        };
+        let mut labels = start.clone();
+        let mut built = 0;
+        let mut rec = Recording::new(Table::new(&g, k, &labels, &mut built));
+        let stats = run(&g, &mut labels, &cfg, &mut rec);
+        assert_eq!(built, g.num_arcs() as u64);
+        assert_eq!(stats.edges_scanned, rec.table_reads);
+        assert!(stats.rounds > 1 && stats.moves > 0 && rec.forward_scans > 0);
+        let rolled_back = (rec.moved.len() as u64 - stats.moves) / 2;
+        assert!(rolled_back > 0, "no move was rolled back");
+        // The entry point runs this very call.
+        let mut again = start.clone();
+        let stats_again = kway_fm(&g, k, &mut again, &cfg);
+        assert_eq!(again, labels);
+        assert_eq!(
+            stats_again,
+            FmStats {
+                edges_scanned: built + rec.table_reads,
+                ..stats
+            }
+        );
+    }
+
+    /// At k = n on a path the table would take n² entries: `kway_fm` takes
+    /// `Dense` there, and the table only while `n · k ≤ 2 · arcs`.
+    #[test]
+    fn k_close_to_n_on_a_sparse_graph_takes_the_dense_source() {
+        let n = 20_000;
+        let edges: Vec<(Node, Node)> = (1..n as Node).map(|v| (v - 1, v)).collect();
+        let g = pgp_graph::builder::from_edges(n, &edges);
+        // 2 · arcs = 4 (n − 1): the path keeps the table up to k = 3.
+        assert!(!takes_table(&g, n));
+        assert!(!takes_table(&g, 4));
+        assert!(takes_table(&g, 3));
+        // Every node in a block of its own: FM runs through `Dense` (a
+        // table would be 20 000² entries) and nothing moves into an
+        // occupied block of cap 1.
+        let mut labels: Vec<Node> = (0..n as Node).collect();
+        let stats = kway_fm(
+            &g,
+            n,
+            &mut labels,
+            &FmConfig {
+                max_passes: 2,
+                block_caps: vec![1; n],
+                seed: 1,
+                patience: 4,
+            },
+        );
+        assert_eq!(stats.edges_scanned, g.num_arcs() as u64);
+        assert!(labels.iter().enumerate().all(|(v, &b)| b == v as Node));
     }
 
     #[test]
@@ -583,10 +920,7 @@ mod tests {
         };
         let mut labels = start.clone();
         let mut built = 0;
-        let mut rec = Recording {
-            inner: TwoWay::new(&g, &labels, &mut built),
-            moved: Vec::new(),
-        };
+        let mut rec = Recording::new(TwoWay::new(&g, &labels, &mut built));
         let stats = run(&g, &mut labels, &cfg, &mut rec);
         assert_eq!(built, g.num_arcs() as u64);
         // Each applied move reads the mover's row, and each rolled-back one
@@ -695,6 +1029,243 @@ mod proptests {
                 (want.rounds, want.moves, want.gain)
             );
             prop_assert_eq!(cut, Partition::from_assignment(&g, 2, dense).edge_cut(&g));
+        }
+    }
+
+    /// The pass before the indexed heap: a lazy heap of every evaluation,
+    /// with a version per node, stale entries skipped at the pop. The oracle
+    /// for [`fm_pass`].
+    fn reference_fm_pass(
+        graph: &CsrGraph,
+        labels: &mut [Node],
+        weights: &mut [Weight],
+        cfg: &FmConfig,
+        rng: &mut SmallRng,
+        gains: &mut impl Gains,
+        stats: &mut FmStats,
+    ) -> i64 {
+        use std::collections::BinaryHeap;
+        let caps = &cfg.block_caps[..];
+        let scanned = &mut stats.edges_scanned;
+        let mut version = vec![0u32; graph.n()];
+        let mut locked = vec![false; graph.n()];
+        let mut heap: BinaryHeap<(i64, Reverse<u64>, Node, Node, u32)> = BinaryHeap::new();
+        for v in graph.nodes() {
+            if let Some((gain, target)) =
+                gains.best_move(graph, labels, weights, caps, v, rng, scanned)
+            {
+                heap.push((gain, Reverse(rng.gen()), v, target, 0));
+            }
+        }
+        let mut journal: Vec<(Node, Node, Node)> = Vec::new();
+        let (mut cum_gain, mut best_gain, mut best_len, mut since_best) = (0i64, 0i64, 0, 0);
+        while let Some((gain, _, v, target, ver)) = heap.pop() {
+            if locked[v as usize] || ver != version[v as usize] {
+                continue;
+            }
+            let cur = labels[v as usize];
+            let cw = graph.node_weight(v);
+            if weights[target as usize] + cw > caps[target as usize] {
+                version[v as usize] += 1;
+                if let Some((g2, t2)) =
+                    gains.best_move(graph, labels, weights, caps, v, rng, scanned)
+                {
+                    heap.push((g2, Reverse(rng.gen()), v, t2, version[v as usize]));
+                }
+                continue;
+            }
+            weights[cur as usize] -= cw;
+            weights[target as usize] += cw;
+            labels[v as usize] = target;
+            locked[v as usize] = true;
+            journal.push((v, cur, target));
+            gains.moved(graph, labels, v, cur, target, scanned);
+            cum_gain += gain;
+            if cum_gain > best_gain {
+                best_gain = cum_gain;
+                best_len = journal.len();
+                since_best = 0;
+            } else {
+                since_best += 1;
+                if since_best > cfg.patience {
+                    break;
+                }
+            }
+            for u in graph.neighbors(v) {
+                if locked[u as usize] {
+                    continue;
+                }
+                version[u as usize] += 1;
+                if let Some((g2, t2)) =
+                    gains.best_move(graph, labels, weights, caps, u, rng, scanned)
+                {
+                    heap.push((g2, Reverse(rng.gen()), u, t2, version[u as usize]));
+                }
+            }
+        }
+        for &(v, from, to) in journal[best_len..].iter().rev() {
+            let cw = graph.node_weight(v);
+            weights[to as usize] -= cw;
+            weights[from as usize] += cw;
+            labels[v as usize] = from;
+            gains.moved(graph, labels, v, to, from, scanned);
+        }
+        stats.moves += best_len as u64;
+        best_gain
+    }
+
+    /// [`run`] over [`reference_fm_pass`].
+    fn reference_run(
+        graph: &CsrGraph,
+        labels: &mut [Node],
+        cfg: &FmConfig,
+        gains: &mut impl Gains,
+    ) -> FmStats {
+        let mut stats = FmStats::default();
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let mut weights = vec![0 as Weight; cfg.block_caps.len()];
+        for v in graph.nodes() {
+            weights[labels[v as usize] as usize] += graph.node_weight(v);
+        }
+        for _pass in 0..cfg.max_passes {
+            stats.rounds += 1;
+            let gain = reference_fm_pass(
+                graph,
+                labels,
+                &mut weights,
+                cfg,
+                &mut rng,
+                gains,
+                &mut stats,
+            );
+            if gain <= 0 {
+                break;
+            }
+            stats.gain += gain;
+        }
+        stats
+    }
+
+    /// A graph on `n` nodes from `edges` (endpoints taken mod `n`, weights
+    /// 0..): built by `GraphBuilder` (sorted rows, parallel edges merged),
+    /// or — `raw` — straight from CSR parts, each edge stored as given
+    /// (repeats become parallel arcs) and each row shuffled by `shuffle`.
+    fn test_graph(
+        n: usize,
+        edges: &[(u32, u32, u64)],
+        node_weights: &[Weight],
+        raw: bool,
+        shuffle: u64,
+    ) -> CsrGraph {
+        let node_weights = node_weights[..n].to_vec();
+        if !raw {
+            let mut b = GraphBuilder::new(n);
+            for &(u, v, w) in edges {
+                b.push_edge(u % n as u32, v % n as u32, w);
+            }
+            return b.node_weights(node_weights).build();
+        }
+        let mut rows: Vec<Vec<(Node, Weight)>> = vec![Vec::new(); n];
+        for &(u, v, w) in edges {
+            let (u, v) = (u % n as u32, v % n as u32);
+            if u != v {
+                rows[u as usize].push((v, w));
+                rows[v as usize].push((u, w));
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(shuffle);
+        let (mut xadj, mut adjncy, mut adjwgt) = (vec![0u64], Vec::new(), Vec::new());
+        for row in &mut rows {
+            for i in (1..row.len()).rev() {
+                row.swap(i, rng.gen_range(0..i + 1));
+            }
+            adjncy.extend(row.iter().map(|&(u, _)| u));
+            adjwgt.extend(row.iter().map(|&(_, w)| w));
+            xadj.push(adjncy.len() as u64);
+        }
+        CsrGraph::from_parts(xadj, adjncy, adjwgt, node_weights)
+    }
+
+    /// Per-block caps around `total / k`, `slack[b]` above it: tight enough
+    /// that a block can start overloaded.
+    fn tight_caps(g: &CsrGraph, k: usize, slack: &[u64]) -> Vec<Weight> {
+        let share = g.total_node_weight() / k as Weight;
+        slack[..k].iter().map(|&s| share + s).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The table source makes the moves the dense source makes (the
+        /// reference), with the same rounds, moves and gain: zero-weight
+        /// arcs, weighted nodes, tight caps, and CSR rows that are unsorted
+        /// and repeat neighbours (the twin-offset fallback, parallel arcs).
+        #[test]
+        fn table_pass_matches_the_dense_pass(
+            n in 2usize..40,
+            edges in proptest::collection::vec((0u32..40, 0u32..40, 0u64..4), 0..160),
+            node_weights in proptest::collection::vec(1u64..6, 40),
+            blocks in proptest::collection::vec(0u32..6, 40),
+            k in 3usize..=6,
+            slack in proptest::collection::vec(0u64..4, 6),
+            (raw, shuffle) in (0u32..2, 0u64..1000),
+            (seed, patience) in (0u64..1000, 0usize..12),
+        ) {
+            let g = test_graph(n, &edges, &node_weights, raw == 1, shuffle);
+            let cfg = FmConfig {
+                max_passes: 3,
+                block_caps: tight_caps(&g, k, &slack),
+                seed,
+                patience,
+            };
+            let start: Vec<Node> = blocks[..n].iter().map(|&b| b % k as Node).collect();
+            let (mut table, mut dense) = (start.clone(), start.clone());
+            let mut built = 0;
+            let got = run(&g, &mut table, &cfg, &mut Table::new(&g, k, &start, &mut built));
+            let want = run(&g, &mut dense, &cfg, &mut Dense::new(k));
+            prop_assert_eq!(&table, &dense);
+            prop_assert_eq!(
+                (got.rounds, got.moves, got.gain),
+                (want.rounds, want.moves, want.gain)
+            );
+        }
+
+        /// The indexed-heap pass makes the lazy-heap pass's moves, with the
+        /// same stats down to the arcs scanned, through the dense source and
+        /// (k ≥ 3) the table.
+        #[test]
+        fn indexed_heap_pass_matches_the_lazy_heap_pass(
+            n in 2usize..40,
+            edges in proptest::collection::vec((0u32..40, 0u32..40, 0u64..4), 0..160),
+            node_weights in proptest::collection::vec(1u64..6, 40),
+            blocks in proptest::collection::vec(0u32..6, 40),
+            k in 2usize..=6,
+            slack in proptest::collection::vec(0u64..4, 6),
+            (raw, shuffle) in (0u32..2, 0u64..1000),
+            (seed, patience) in (0u64..1000, 0usize..12),
+        ) {
+            let g = test_graph(n, &edges, &node_weights, raw == 1, shuffle);
+            let cfg = FmConfig {
+                max_passes: 3,
+                block_caps: tight_caps(&g, k, &slack),
+                seed,
+                patience,
+            };
+            let start: Vec<Node> = blocks[..n].iter().map(|&b| b % k as Node).collect();
+            let (mut got, mut want) = (start.clone(), start.clone());
+            let got_stats = run(&g, &mut got, &cfg, &mut Dense::new(k));
+            let want_stats = reference_run(&g, &mut want, &cfg, &mut Dense::new(k));
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(got_stats, want_stats);
+            if k >= 3 {
+                let (mut got, mut want) = (start.clone(), start.clone());
+                let mut built = 0;
+                let got_stats = run(&g, &mut got, &cfg, &mut Table::new(&g, k, &start, &mut built));
+                let want_stats =
+                    reference_run(&g, &mut want, &cfg, &mut Table::new(&g, k, &start, &mut built));
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(got_stats, want_stats);
+            }
         }
     }
 }

@@ -3,6 +3,7 @@
 //! attempts keeping the best.
 
 use crate::fm::{two_way_fm, FmConfig};
+use crate::heap::NodeHeap;
 use pgp_graph::subgraph::induced_by_nodes;
 use pgp_graph::{BlockId, CsrGraph, Node, Partition, Weight};
 use rand::rngs::SmallRng;
@@ -211,95 +212,6 @@ fn grow(graph: &CsrGraph, target0: Weight, rng: &mut SmallRng) -> Vec<Node> {
     side
 }
 
-/// A growing-heap entry: connection strength, random tie-break, node.
-type Entry = (Weight, Reverse<u64>, Node);
-
-/// A binary max-heap of [`Entry`]s holding each node at most once, at the
-/// largest entry offered since the node was last popped.
-struct NodeHeap {
-    entries: Vec<Entry>,
-    /// Each node's index in `entries`, or `ABSENT`.
-    pos: Vec<u32>,
-}
-
-const ABSENT: u32 = u32::MAX;
-
-impl NodeHeap {
-    fn new(n: usize) -> Self {
-        Self {
-            entries: Vec::new(),
-            pos: vec![ABSENT; n],
-        }
-    }
-
-    /// Inserts `e`'s node at `e`, or raises it to `e` if `e` is larger.
-    fn offer(&mut self, e: Entry) {
-        match self.pos[e.2 as usize] {
-            ABSENT => {
-                self.entries.push(e);
-                self.sift_up(self.entries.len() - 1);
-            }
-            i if e > self.entries[i as usize] => {
-                self.entries[i as usize] = e;
-                self.sift_up(i as usize);
-            }
-            _ => {}
-        }
-    }
-
-    fn pop(&mut self) -> Option<Entry> {
-        let top = *self.entries.first()?;
-        let last = self.entries.pop().expect("non-empty");
-        self.pos[top.2 as usize] = ABSENT;
-        if !self.entries.is_empty() {
-            self.entries[0] = last;
-            self.sift_down(0);
-        }
-        Some(top)
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        let e = self.entries[i];
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.entries[parent] >= e {
-                break;
-            }
-            self.place(i, self.entries[parent]);
-            i = parent;
-        }
-        self.place(i, e);
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let e = self.entries[i];
-        let len = self.entries.len();
-        loop {
-            let left = 2 * i + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < len && self.entries[right] > self.entries[left] {
-                right
-            } else {
-                left
-            };
-            if self.entries[child] <= e {
-                break;
-            }
-            self.place(i, self.entries[child]);
-            i = child;
-        }
-        self.place(i, e);
-    }
-
-    fn place(&mut self, i: usize, e: Entry) {
-        self.entries[i] = e;
-        self.pos[e.2 as usize] = i as u32;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,7 +338,7 @@ mod tests {
         }
         let start = rng.gen_range(0..n as Node);
         let mut grown: Weight = 0;
-        let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
+        let mut heap: BinaryHeap<crate::heap::GrowEntry> = BinaryHeap::new();
         heap.push((0, Reverse(rng.gen()), start));
         let mut in_heap_or_grown = vec![false; n];
         in_heap_or_grown[start as usize] = true;

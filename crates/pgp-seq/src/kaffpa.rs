@@ -85,24 +85,7 @@ pub fn kaffpa_with_inputs(
 
     // Constraint: the combined block signature of all inputs; clusters never
     // straddle a signature boundary, so no input cut edge is contracted.
-    let constraint: Option<Vec<Node>> = match inputs.len() {
-        0 => None,
-        1 => Some(inputs[0].assignment().to_vec()),
-        _ => {
-            let k = cfg.k as u64;
-            Some(
-                (0..graph.n())
-                    .map(|v| {
-                        let mut sig = 0u64;
-                        for p in inputs {
-                            sig = sig * k + p.assignment()[v] as u64;
-                        }
-                        sig as Node
-                    })
-                    .collect(),
-            )
-        }
-    };
+    let constraint = (!inputs.is_empty()).then(|| combined_signature(inputs));
 
     let coarsen_cfg = CoarsenConfig {
         scheme: cfg.scheme,
@@ -146,6 +129,30 @@ pub fn kaffpa_with_inputs(
     }
 
     uncoarsen(&hierarchy, coarse_p, cfg)
+}
+
+/// Per node, a signature equal for two nodes iff every input puts them in
+/// the same block: the first input's block, then, input by input, the dense
+/// rank of the pair (signature so far, block). Ranks stay below `n`, so no
+/// two block tuples share a signature, whatever `k` and the number of
+/// inputs; the signature is only ever compared for equality.
+fn combined_signature(inputs: &[&Partition]) -> Vec<Node> {
+    let mut sig = inputs[0].assignment().to_vec();
+    for p in &inputs[1..] {
+        let pairs: Vec<u64> = sig
+            .iter()
+            .zip(p.assignment())
+            .map(|(&s, &b)| u64::from(s) << 32 | u64::from(b))
+            .collect();
+        let mut distinct = pairs.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        sig = pairs
+            .iter()
+            .map(|pair| distinct.binary_search(pair).expect("a listed pair") as Node)
+            .collect();
+    }
+    sig
 }
 
 /// Pushes a partition of the finest graph down to the coarsest level of a
@@ -294,6 +301,25 @@ mod tests {
         let g = pgp_gen::ba::barabasi_albert(300, 3, 4);
         let cfg = KaffpaConfig::new(4, 42);
         assert_eq!(kaffpa(&g, &cfg).assignment(), kaffpa(&g, &cfg).assignment());
+    }
+
+    /// At k = 70 000, `61 356 · k + 47 296 = 2³²`: folding the blocks into
+    /// one number gave the pair (61 356, 47 296) the signature of (0, 0).
+    #[test]
+    fn combined_signature_separates_every_block_tuple() {
+        let g = pgp_graph::builder::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let k = 70_000;
+        let p1 = Partition::from_assignment(&g, k, vec![61_356, 0, 0, 61_356]);
+        let p2 = Partition::from_assignment(&g, k, vec![47_296, 0, 1, 47_296]);
+        let p3 = Partition::from_assignment(&g, k, vec![5, 5, 5, 6]);
+        let sig = combined_signature(&[&p1, &p2]);
+        assert_ne!(sig[0], sig[1]);
+        assert_ne!(sig[1], sig[2]);
+        assert_eq!(sig[0], sig[3]);
+        let sig = combined_signature(&[&p1, &p2, &p3]);
+        let classes: std::collections::BTreeSet<Node> = sig.iter().copied().collect();
+        assert_eq!(classes.len(), 4, "{sig:?}");
+        assert!(sig.iter().all(|&s| (s as usize) < g.n()));
     }
 
     #[test]

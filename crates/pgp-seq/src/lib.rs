@@ -16,6 +16,7 @@
 
 pub mod coarsen;
 pub mod fm;
+mod heap;
 pub mod initial;
 pub mod kaffpa;
 pub mod modularity;

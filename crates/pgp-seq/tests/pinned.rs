@@ -6,7 +6,10 @@
 //! rollbacks delicate: k = 32 on an SBM graph (the `evo_k32` shape), a grid
 //! whose arcs weigh 0..=3 (a zero-weight arc still makes a block adjacent) at
 //! k = 2 and k = 5, a bisection that starts overloaded (weighted nodes,
-//! `eps = 0`) and a disconnected graph with isolated nodes.
+//! `eps = 0`) and a disconnected graph with isolated nodes. The two dense-SBM
+//! rows at k = 32, taken on the commit before k-way FM got its gain table,
+//! are the k = 32 rows dense enough for FM to take its gains from that table
+//! (the k = 5 grid rows and the k = 3 heavy-grid row reach it too).
 //!
 //! A mismatch prints the whole recomputed table, so a deliberate change of
 //! the algorithm re-pins it with one paste.
@@ -76,6 +79,17 @@ fn sbm() -> CsrGraph {
     pgp_gen::sbm::sbm(2000, Default::default(), 1).0
 }
 
+/// Dense communities (average degree ≈ 72): at k = 32, `n · k ≤ 2 · arcs`,
+/// so FM takes its gains from the per-(node, block) table.
+fn dense_sbm() -> CsrGraph {
+    let params = pgp_gen::sbm::SbmParams {
+        intra_degree: 60.0,
+        inter_degree: 12.0,
+        ..Default::default()
+    };
+    pgp_gen::sbm::sbm(1200, params, 2).0
+}
+
 fn fm(graph: &CsrGraph, k: usize, eps: f64, seed: u64) -> u64 {
     let cap = pgp_graph::lmax(graph.total_node_weight(), k, eps);
     let mut labels: Vec<Node> = (0..graph.n() as u64)
@@ -135,6 +149,8 @@ const CASES: &[Case] = &[
     ("fm heavy eps=0 k=2",        || fm(&heavy_grid(), 2, 0.0, 9),           0x70368b49eb7035fb),
     ("initial disconnected k=4",  || initial(&disconnected(), 4, 0.03, 10),  0x4129de93b67218e1),
     ("kaffpa disconnected k=4",   || kaffpa_hash(&disconnected(), 4, 11),    0x15b21d2e2582fca3),
+    ("fm dense sbm k=32",         || fm(&dense_sbm(), 32, 0.03, 12),         0x45760dcca2fc1647),
+    ("kaffpa dense sbm k=32",     || kaffpa_hash(&dense_sbm(), 32, 13),      0x68ac4bd05dd55bb7),
 ];
 
 #[test]
