@@ -794,7 +794,7 @@ mod tests {
             assert_eq!(g.fingerprint(), csr);
             let per_pe = pgp_dmp::run(3, |comm| {
                 let dg = DistGraph::from_global(comm, g);
-                let stored = !dg.adjwgt_raw().is_empty();
+                let stored = dg.has_arc_weights();
                 (group_graph_fingerprint(comm, &dg), stored)
             });
             assert!(per_pe.iter().all(|&(fp, _)| fp == group));
@@ -904,6 +904,36 @@ mod tests {
         } = run(&g, 4, &small_cfg(4, GraphClass::Social, 9));
         p.validate(&g, 0.03).unwrap();
         assert!(stats.cut > 0);
+    }
+
+    /// Zero-weight arcs are valid input: the METIS reader takes them and
+    /// every kernel handles them. With the `validate` feature, the input
+    /// graph and every level must pass the invariant wall too.
+    #[test]
+    fn zero_weight_arcs_pass_the_invariant_wall() {
+        let text = "4 4 1\n2 0 4 1\n1 0 3 1\n2 1 4 0\n1 1 3 0\n";
+        let g = pgp_graph::io::read_metis(text.as_bytes()).expect("the reader takes zero weights");
+        for p in [1, 2] {
+            let part = run(&g, p, &small_cfg(2, GraphClass::Social, 3)).partition;
+            part.validate(&g, 0.03)
+                .unwrap_or_else(|e| panic!("p = {p}: {e}"));
+        }
+    }
+
+    /// A star keeps every arc in one row (stored in degree order on every
+    /// PE); two nodes on up to eight PEs leave some PEs without rows.
+    #[test]
+    fn a_star_and_empty_pes_partition_validly() {
+        let star =
+            pgp_graph::builder::from_edges(100, &(1..100).map(|v| (0, v)).collect::<Vec<_>>());
+        let pair = pgp_graph::builder::from_edges(2, &[(0, 1)]);
+        for (what, g) in [("star", &star), ("p > n", &pair)] {
+            for p in [1, 2, 3, 8] {
+                let part = run(g, p, &small_cfg(2, GraphClass::Social, 5)).partition;
+                part.validate(g, 0.03)
+                    .unwrap_or_else(|e| panic!("{what}, p = {p}: {e}"));
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!
 //! Checked invariants (see DESIGN.md "Invariants & verification"):
 //!
-//! * **CSR well-formedness** — `xadj` monotone and bounded, targets in
-//!   `0..n_local+n_ghost`, weight array lengths agree, positive arc
-//!   weights.
+//! * **Row layout** — the owned nodes' arc ranges tile the arc arrays
+//!   exactly once, each range as long as its node's degree, targets in
+//!   `0..n_local+n_ghost`; `degree_order` is the owned nodes by ascending
+//!   degree, ties by ID. Arc weights may be zero: the reader accepts them
+//!   and every kernel handles them.
 //! * **Ghost tables** — `ghost_map` ⇄ `ghost_global` is a bijection onto
 //!   `n_local..n_local+n_ghost`; `ghost_owner` agrees with the `BlockDist`
 //!   arithmetic and never names the local PE; no ghost global ID lies in
@@ -68,9 +70,7 @@ pub fn validate_dist_graph(comm: &Comm, g: &DistGraph) -> Result<(), Vec<String>
     let n_local = g.n_local();
     let n_ghost = g.n_ghost();
     let n_all = n_local + n_ghost;
-    let xadj = g.xadj_raw();
-    let adjncy = g.adjncy_raw();
-    let adjwgt = g.adjwgt_raw();
+    let owned = 0..ids::node_of_index(n_local);
 
     // ---- Ownership arithmetic --------------------------------------------
     if dist.count(rank) != n_local {
@@ -81,44 +81,47 @@ pub fn validate_dist_graph(comm: &Comm, g: &DistGraph) -> Result<(), Vec<String>
         ));
     }
 
-    // ---- CSR well-formedness ---------------------------------------------
-    if xadj.len() != n_local + 1 {
+    // ---- Row layout ---------------------------------------------------------
+    // The non-empty ranges, by start, must follow each other from arc 0 to
+    // the last arc; an empty one may sit anywhere inside the arrays.
+    let arcs = ids::global_index(g.local_arc_count());
+    let ranges: Vec<_> = owned.clone().map(|u| g.arc_range(u)).collect();
+    let mut tiles: Vec<_> = ranges.iter().filter(|r| r.start < r.end).collect();
+    tiles.sort_unstable_by_key(|r| r.start);
+    let covered = tiles
+        .iter()
+        .try_fold(0, |at, r| (r.start == at).then_some(r.end));
+    // Rows are read only once their ranges are known to be sound, but the
+    // collectives below run either way.
+    let rows_ok = covered == Some(arcs) && ranges.iter().all(|r| r.start <= r.end && r.end <= arcs);
+    if !rows_ok {
         errs.push(format!(
-            "xadj has {} entries for {n_local} owned nodes",
-            xadj.len()
+            "the arc ranges of {n_local} owned nodes do not tile the {arcs} arcs exactly once"
         ));
     }
-    if xadj.first() != Some(&0) {
-        errs.push("xadj[0] != 0".to_string());
-    }
-    if xadj.windows(2).any(|w| w[0] > w[1]) {
-        errs.push("xadj is not monotone".to_string());
-    }
-    if xadj.last().copied() != Some(ids::count_global(adjncy.len())) {
-        errs.push(format!(
-            "xadj end {:?} != adjncy length {}",
-            xadj.last(),
-            adjncy.len()
-        ));
-    }
-    // Empty stands for "every arc weighs 1" (the canonical unit form).
-    if !adjwgt.is_empty() && adjwgt.len() != adjncy.len() {
-        errs.push(format!(
-            "adjwgt length {} != adjncy length {}",
-            adjwgt.len(),
-            adjncy.len()
-        ));
-    }
-    for (i, &t) in adjncy.iter().enumerate() {
-        if ids::node_index(t) >= n_all {
-            errs.push(format!("adjncy[{i}] = {t} out of local range 0..{n_all}"));
-            break; // one report is enough; corrupt CSRs repeat
+    for u in owned.clone().filter(|_| rows_ok) {
+        let (range, degree) = (g.arc_range(u).len(), g.degree(u));
+        if range != degree || g.neighbors(u).count() != degree {
+            errs.push(format!(
+                "node {u} has degree {degree} but an arc range of {range}"
+            ));
+            break;
+        }
+        if let Some((t, _)) = g.neighbors(u).find(|&(t, _)| ids::node_index(t) >= n_all) {
+            errs.push(format!(
+                "node {u} has target {t} out of local range 0..{n_all}"
+            ));
+            break; // one report is enough; corrupt rows repeat
         }
     }
-    if let Some(i) = adjwgt.iter().position(|&w| w == 0) {
-        errs.push(format!(
-            "adjwgt[{i}] is zero (arcs must carry positive weight)"
-        ));
+    let order = g.degree_order();
+    let sorted = order.len() == n_local
+        && order.iter().all(|&v| ids::node_index(v) < n_local)
+        && order
+            .windows(2)
+            .all(|w| (g.degree(w[0]), w[0]) < (g.degree(w[1]), w[1]));
+    if !sorted {
+        errs.push("degree_order is not the owned nodes by ascending degree, ties by ID".into());
     }
 
     // ---- Ghost tables -----------------------------------------------------
@@ -185,7 +188,7 @@ pub fn validate_dist_graph(comm: &Comm, g: &DistGraph) -> Result<(), Vec<String>
     // as a multiset, so duplicated directions are caught too.
     let mut outgoing: Vec<Vec<(Node, Node, Weight)>> = vec![Vec::new(); comm.size()];
     let mut mirror: HashMap<(Node, Node), Vec<Weight>> = HashMap::new();
-    for u in 0..ids::node_of_index(n_local) {
+    for u in owned.clone().filter(|_| rows_ok) {
         let gu = g.local_to_global(u);
         for (v, w) in g.neighbors(u) {
             if g.is_ghost(v) {
@@ -232,11 +235,10 @@ pub fn validate_dist_graph(comm: &Comm, g: &DistGraph) -> Result<(), Vec<String>
             g.total_node_weight()
         ));
     }
-    let local_aw: Weight = if adjwgt.is_empty() {
-        g.local_arc_count()
-    } else {
-        adjwgt.iter().sum()
-    };
+    let local_aw: Weight = owned
+        .filter(|_| rows_ok)
+        .flat_map(|u| g.neighbors(u).map(|(_, w)| w))
+        .sum();
     let recount_ew = allreduce_sum(comm, local_aw) / 2;
     if recount_ew != g.total_edge_weight() {
         errs.push(format!(
@@ -436,7 +438,7 @@ mod tests {
         run(4, |comm| {
             let dg = DistGraph::from_global(comm, &g);
             // The ring is unweighted: the audit sees the unit form.
-            assert!(dg.adjwgt_raw().is_empty());
+            assert!(!dg.has_arc_weights());
             validate_dist_graph(comm, &dg).unwrap();
         });
     }
@@ -497,11 +499,11 @@ mod tests {
             if comm.rank() == 0 {
                 // Tamper with the weight of the first cut arc on this side
                 // only: the mirror no longer matches.
-                let nl = dg.n_local();
-                let pos = dg
-                    .adjncy_raw()
-                    .iter()
-                    .position(|&t| (t as usize) >= nl)
+                let pos = (0..dg.n_local() as Node)
+                    .find_map(|u| {
+                        let cut = dg.neighbors(u).position(|(t, _)| dg.is_ghost(t))?;
+                        Some(dg.arc_range(u).start + cut)
+                    })
                     .expect("ring PE has cut arcs");
                 dg.adjwgt_mut_for_test()[pos] = 7;
             }
@@ -510,6 +512,38 @@ mod tests {
         for r in reports {
             let errs = r.expect_err("asymmetry must be detected");
             assert!(errs.iter().any(|e| e.contains("mirror")), "{errs:?}");
+        }
+    }
+
+    /// One row's range pointed at another's: the ranges no longer tile the
+    /// arc arrays. Two entries of the visit order swapped: it is no longer
+    /// the degree sort. The R-MAT graph stores its rows in degree order.
+    #[test]
+    fn corrupted_row_layout_is_detected() {
+        let g = pgp_gen::rmat::rmat_web(9, 8, 3);
+        let reports = run(2, |comm| {
+            let mut dg = DistGraph::from_global(comm, &g);
+            let order = dg.degree_order().to_vec();
+            let (low, high) = (order[0] as usize, order[order.len() - 1] as usize);
+            if comm.rank() == 0 {
+                dg.ranges_mut_for_test()[low] = dg.ranges_mut_for_test()[high];
+            } else {
+                dg.degree_order_mut_for_test().swap(0, order.len() - 1);
+            }
+            validate_dist_graph(comm, &dg)
+        });
+        for r in reports {
+            let errs = r.expect_err("corruption must be detected");
+            assert!(
+                errs.iter()
+                    .any(|e| e.contains("[PE 0]") && e.contains("tile")),
+                "{errs:?}"
+            );
+            assert!(
+                errs.iter()
+                    .any(|e| e.contains("[PE 1]") && e.contains("degree_order")),
+                "{errs:?}"
+            );
         }
     }
 

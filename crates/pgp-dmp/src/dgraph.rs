@@ -11,8 +11,10 @@ use crate::collectives::{allgatherv, allreduce_sum_vec, alltoallv};
 use crate::comm::Comm;
 use pgp_graph::ids;
 use pgp_graph::io::RowSegment;
+use pgp_graph::stats::{degree_skew, skew_looks_like_complex_network};
 use pgp_graph::{CsrGraph, Node, Weight, INVALID_NODE};
 use rustc_hash::FxHashMap;
+use std::ops::Range;
 
 /// Block distribution of `n` global nodes over `p` PEs: PE `r` owns the
 /// global IDs `r·⌈n/p⌉ .. min((r+1)·⌈n/p⌉, n)`.
@@ -87,6 +89,90 @@ fn sort_row(adjncy: &mut [Node], adjwgt: &mut [Weight]) {
     }
 }
 
+/// Where a PE's rows are stored, decided from their degrees alone.
+struct RowLayout {
+    /// One `(start, end)` arc range per owned node.
+    ranges: Vec<(usize, usize)>,
+    /// The owned nodes by ascending degree, ties by local ID.
+    degree_order: Vec<Node>,
+    /// Whether the ranges follow `degree_order` (else they follow IDs).
+    by_degree: bool,
+}
+
+impl RowLayout {
+    /// The layout of rows whose ID-order offsets are `offsets` (any base).
+    /// Rows are stored in degree order when this PE's own degree skew
+    /// passes the `class=auto` test for a complex network, so a cluster
+    /// round reads the arc arrays front to back; otherwise they stay in ID
+    /// order, in which a mesh's contraction and refinement read them.
+    fn new(offsets: &[u64]) -> Self {
+        let n = offsets.len() - 1;
+        let degree = |u: usize| ids::global_index(offsets[u + 1] - offsets[u]);
+        let max_degree = (0..n).map(degree).max().unwrap_or(0);
+        // A counting sort: stable, so equal degrees keep ID order.
+        let mut next = vec![0usize; max_degree + 1];
+        for u in 0..n {
+            next[degree(u)] += 1;
+        }
+        let mut at = 0;
+        for slot in &mut next {
+            (*slot, at) = (at, at + *slot);
+        }
+        let mut degree_order = vec![0; n];
+        for u in 0..n {
+            let slot = &mut next[degree(u)];
+            degree_order[*slot] = ids::node_of_index(u);
+            *slot += 1;
+        }
+        let arcs = ids::global_index(offsets[n] - offsets[0]);
+        let by_degree = skew_looks_like_complex_network(degree_skew(n, arcs, max_degree));
+        let ranges = if by_degree {
+            let mut ranges = vec![(0, 0); n];
+            let mut start = 0;
+            for &v in &degree_order {
+                let u = ids::node_index(v);
+                ranges[u] = (start, start + degree(u));
+                start = ranges[u].1;
+            }
+            ranges
+        } else {
+            let at = |u: usize| ids::global_index(offsets[u] - offsets[0]);
+            (0..n).map(|u| (at(u), at(u + 1))).collect()
+        };
+        Self {
+            ranges,
+            degree_order,
+            by_degree,
+        }
+    }
+
+    /// Per owned node in ID order: its arcs' positions in rows stored
+    /// back to back in ID order, and its place in this layout.
+    fn segment_rows(&self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
+        self.ranges.iter().scan(0, |at, &(lo, hi)| {
+            let row = *at..*at + hi - lo;
+            *at = row.end;
+            Some((row, lo..hi))
+        })
+    }
+
+    /// A copy of `src`, rows stored back to back in ID order, with every
+    /// row at its place in this layout. A whole-array copy in ID order; in
+    /// degree order each row is written to its place first and read again
+    /// by the assembly pass, which measured faster than placing and
+    /// rewriting each row in one go.
+    fn copy_rows<T: Copy + Default>(&self, src: &[T]) -> Vec<T> {
+        if !self.by_degree {
+            return src.to_vec();
+        }
+        let mut placed = vec![T::default(); src.len()];
+        for (row, place) in self.segment_rows() {
+            placed[place].copy_from_slice(&src[row]);
+        }
+        placed
+    }
+}
+
 /// For every ghost of a [`DistGraph`], the owned nodes with an arc to it
 /// (CSR over ghosts; see [`DistGraph::ghost_rows`]).
 #[derive(Clone, Debug)]
@@ -110,6 +196,12 @@ impl GhostRows {
 /// ghost nodes `n_local..n_local+n_ghost` (ghosts have weights and labels
 /// but no stored adjacency).
 ///
+/// Each owned node's arcs are one `(start, end)` range of the arc arrays.
+/// On a PE whose rows look like a complex network the ranges follow
+/// [`DistGraph::degree_order`], the order a cluster round visits them in;
+/// otherwise they follow local IDs. Either way a row holds the same arcs
+/// in the same order (DESIGN.md §8, "Rows in visit order").
+///
 /// As in [`CsrGraph`], unit arc weights are not stored per arc: when every
 /// arc of this PE weighs 1, `adjwgt` holds one run of ones as long as the
 /// longest row (`adjwgt_mask == 0`). Assembly drops an all-ones vector, and
@@ -118,8 +210,9 @@ impl GhostRows {
 pub struct DistGraph {
     rank: usize,
     dist: BlockDist,
-    /// CSR over owned nodes; targets are local IDs (owned or ghost).
-    xadj: Vec<u64>,
+    /// Per owned node, its arcs' range in `adjncy`; targets are local IDs
+    /// (owned or ghost).
+    ranges: Vec<(usize, usize)>,
     adjncy: Vec<Node>,
     /// One weight per arc (`adjwgt_mask == usize::MAX`), or — every arc
     /// weighs 1, `adjwgt_mask == 0` — as many ones as the longest row has
@@ -127,6 +220,8 @@ pub struct DistGraph {
     /// `adjwgt[lo & adjwgt_mask]`.
     adjwgt: Vec<Weight>,
     adjwgt_mask: usize,
+    /// The owned nodes by ascending degree, ties by local ID.
+    degree_order: Vec<Node>,
     /// Weights of owned nodes followed by ghost nodes.
     node_weight: Vec<Weight>,
     /// Ghost local index → global ID.
@@ -145,9 +240,6 @@ pub struct DistGraph {
     total_node_weight: Weight,
     total_edge_weight: Weight,
     global_m: u64,
-    /// Cached hash of the degree sequence + distribution coordinates,
-    /// computed once at assembly (see [`DistGraph::degree_fingerprint`]).
-    degree_fingerprint: u64,
 }
 
 /// The weights of `ghosts` (global IDs), asked of their owners: one
@@ -190,7 +282,7 @@ impl DistGraph {
     /// Builds PE `comm.rank()`'s local view from a globally shared graph.
     ///
     /// This is the test/benchmark "scatter": the global graph is only read
-    /// during construction (this PE's rows are sliced out of it, no
+    /// during construction (this PE's rows are copied out of it, no
     /// messages); all algorithms afterwards touch local state and messages
     /// exclusively.
     pub fn from_global(comm: &Comm, global: &CsrGraph) -> Self {
@@ -198,20 +290,22 @@ impl DistGraph {
         let rank = comm.rank();
         let nodes = ids::global_index(dist.first(rank))..ids::global_index(dist.last_excl(rank));
         let offsets = &global.xadj()[nodes.start..=nodes.end];
-        let base = offsets[0];
-        let arcs = ids::global_index(base)..ids::global_index(offsets[nodes.len()]);
+        let arcs = ids::global_index(offsets[0])..ids::global_index(offsets[nodes.len()]);
+        let layout = RowLayout::new(offsets);
+        let adjncy = layout.copy_rows(&global.adjncy()[arcs.clone()]);
+        let adjwgt = if global.has_arc_weights() {
+            layout.copy_rows(&global.adjwgt()[arcs])
+        } else {
+            Vec::new()
+        };
         // Ghost weights can be read straight off the shared input here; the
         // fully distributed constructor fetches them by message instead.
         Self::from_rows(
             comm,
             dist,
-            offsets.iter().map(|&x| x - base).collect(),
-            global.adjncy()[arcs.clone()].to_vec(),
-            if global.has_arc_weights() {
-                global.adjwgt()[arcs].to_vec()
-            } else {
-                Vec::new()
-            },
+            layout,
+            adjncy,
+            adjwgt,
             global.node_weights()[nodes].to_vec(),
             |ghosts, _| ghosts.iter().map(|&g| global.node_weight(g)).collect(),
         )
@@ -239,25 +333,31 @@ impl DistGraph {
             arcs.sort_by_key(|a| a.0);
         }
         let mut xadj = vec![0u64; n_local + 1];
-        let mut adjncy = Vec::with_capacity(arcs.len());
-        let mut adjwgt = Vec::with_capacity(arcs.len());
-        for (u, v, w) in arcs {
+        for &(u, _, _) in &arcs {
             assert!(
                 ids::node_global(u) >= first && ids::node_global(u) < dist.last_excl(rank),
                 "arc source {u} not owned by PE {rank}"
             );
             xadj[ids::global_index(ids::node_global(u) - first) + 1] += 1;
-            adjncy.push(v);
-            adjwgt.push(w);
         }
         for i in 0..n_local {
             xadj[i + 1] += xadj[i];
         }
+        let layout = RowLayout::new(&xadj);
+        let mut adjncy = vec![0; arcs.len()];
+        let mut adjwgt = vec![0; arcs.len()];
+        for (row, place) in layout.segment_rows() {
+            for (i, &(_, v, w)) in place.zip(&arcs[row]) {
+                adjncy[i] = v;
+                adjwgt[i] = w;
+            }
+        }
+        drop(arcs);
 
         Self::from_rows(
             comm,
             dist,
-            xadj,
+            layout,
             adjncy,
             adjwgt,
             owned_weights,
@@ -268,8 +368,10 @@ impl DistGraph {
     /// Fully distributed construction from this PE's own rows, global IDs
     /// — its segment of a file read by
     /// `pgp_graph::io::read_metis_file_segments` at the first IDs of
-    /// `BlockDist::new(n_global, comm.size())`. The segment's arrays become
-    /// the view's, rewritten in place, so assembly copies no arc; ghost
+    /// `BlockDist::new(n_global, comm.size())`. In ID order the segment's
+    /// arrays become the view's, rewritten in place, so assembly copies no
+    /// arc; in degree order the targets and then the weights are copied to
+    /// their places, each source array freed before the next copy. Ghost
     /// node weights are fetched from their owners as in
     /// [`DistGraph::from_arcs`].
     ///
@@ -288,15 +390,23 @@ impl DistGraph {
         );
         let RowSegment {
             xadj,
-            adjncy,
-            adjwgt,
+            mut adjncy,
+            mut adjwgt,
             node_weight,
             ..
         } = rows;
+        let layout = RowLayout::new(&xadj);
+        drop(xadj);
+        if layout.by_degree {
+            adjncy = layout.copy_rows(&adjncy);
+            if !adjwgt.is_empty() {
+                adjwgt = layout.copy_rows(&adjwgt);
+            }
+        }
         Self::from_rows(
             comm,
             dist,
-            xadj,
+            layout,
             adjncy,
             adjwgt,
             node_weight,
@@ -304,18 +414,19 @@ impl DistGraph {
         )
     }
 
-    /// The one assembly path, row by row: this PE's CSR with `adjncy` still
-    /// in global IDs and `adjwgt` either parallel to it or empty (all ones;
-    /// an all-ones vector is dropped). Rewrites `adjncy` to local IDs in place — ghosts are
-    /// numbered in first-appearance order, rows in order, each row's arcs
-    /// ascending by `(target, weight)` — and builds the ghost tables and
-    /// the interface structure in the same pass. `ghost_weights(ghosts,
+    /// The one assembly path, row by row in ID order: this PE's rows at
+    /// their places in `layout`, `adjncy` still in global IDs and `adjwgt`
+    /// either parallel to it or empty (all ones; an all-ones vector is
+    /// dropped). Rewrites `adjncy` to local IDs in place — ghosts are
+    /// numbered in first-appearance order, rows in ID order, each row's
+    /// arcs ascending by `(target, weight)` — and builds the ghost tables
+    /// and the interface structure in the same pass. `ghost_weights(ghosts,
     /// owned_weights)` resolves the weights of the discovered ghosts (global
     /// IDs, in ghost-local order).
     fn from_rows(
         comm: &Comm,
         dist: BlockDist,
-        xadj: Vec<u64>,
+        layout: RowLayout,
         mut adjncy: Vec<Node>,
         mut adjwgt: Vec<Weight>,
         owned_weights: Vec<Weight>,
@@ -324,7 +435,12 @@ impl DistGraph {
         let rank = comm.rank();
         let first = dist.first(rank);
         let last = dist.last_excl(rank);
-        let n_local = xadj.len() - 1;
+        let RowLayout {
+            ranges,
+            degree_order,
+            ..
+        } = layout;
+        let n_local = ranges.len();
         if adjwgt.iter().all(|&w| w == 1) {
             adjwgt = Vec::new();
         }
@@ -336,14 +452,13 @@ impl DistGraph {
         let mut iface_xadj = vec![0u32; n_local + 1];
         let mut iface_pes: Vec<u32> = Vec::new();
         let mut scratch: Vec<u32> = Vec::new();
-        for u in 0..n_local {
-            let row = ids::global_index(xadj[u])..ids::global_index(xadj[u + 1]);
+        for (u, &(lo, hi)) in ranges.iter().enumerate() {
             sort_row(
-                &mut adjncy[row.clone()],
-                adjwgt.get_mut(row.clone()).unwrap_or(&mut []),
+                &mut adjncy[lo..hi],
+                adjwgt.get_mut(lo..hi).unwrap_or(&mut []),
             );
             scratch.clear();
-            for t in &mut adjncy[row] {
+            for t in &mut adjncy[lo..hi] {
                 let g = ids::node_global(*t);
                 *t = if g >= first && g < last {
                     ids::global_node(g - first)
@@ -387,25 +502,10 @@ impl DistGraph {
         let (total_node_weight, total_edge_weight, global_m) =
             (totals[0], totals[1] / 2, totals[2] / 2);
 
-        // Degree fingerprint, cached here so per-call consumers (the SCLP
-        // scratch guard) pay O(1) instead of re-hashing the offset array.
-        let degree_fingerprint = {
-            use std::hash::Hasher;
-            let mut h = rustc_hash::FxHasher::default();
-            h.write_u64(ids::count_global(n_local));
-            h.write_u64(ids::count_global(ghost_global.len()));
-            h.write_u64(dist.n_global);
-            h.write_u64(first);
-            for &x in &xadj {
-                h.write_u64(x);
-            }
-            h.finish()
-        };
-
         // From "none or one per arc" to the stored form.
         let (adjwgt, adjwgt_mask) = if adjwgt.is_empty() {
-            let max_degree = xadj.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-            (vec![1; ids::global_index(max_degree)], 0)
+            let max_degree = ranges.iter().map(|&(lo, hi)| hi - lo).max().unwrap_or(0);
+            (vec![1; max_degree], 0)
         } else {
             (adjwgt, usize::MAX)
         };
@@ -413,10 +513,11 @@ impl DistGraph {
         Self {
             rank,
             dist,
-            xadj,
+            ranges,
             adjncy,
             adjwgt,
             adjwgt_mask,
+            degree_order,
             node_weight,
             ghost_global,
             ghost_owner,
@@ -427,7 +528,6 @@ impl DistGraph {
             total_node_weight,
             total_edge_weight,
             global_m,
-            degree_fingerprint,
         }
     }
 
@@ -446,7 +546,7 @@ impl DistGraph {
     /// Number of owned (local) nodes.
     #[inline]
     pub fn n_local(&self) -> usize {
-        self.xadj.len() - 1
+        self.ranges.len()
     }
 
     /// Number of ghost nodes.
@@ -491,14 +591,11 @@ impl DistGraph {
         ids::node_index(l) >= self.n_local()
     }
 
-    /// Cheap identity of exactly the inputs a degree-derived cache (the
-    /// SCLP scratch's visit order) consumes: the local CSR offset array
-    /// plus the distribution coordinates, hashed **once at assembly**. A collision could only perturb a visit order, never
-    /// correctness. Distinct from [`DistGraph::fingerprint_local`], the
-    /// heavier checkpoint identity that also covers targets and weights.
+    /// The owned nodes by ascending degree, ties by local ID: the order a
+    /// cluster round visits them in (§IV-A), computed once at assembly.
     #[inline]
-    pub fn degree_fingerprint(&self) -> u64 {
-        self.degree_fingerprint
+    pub fn degree_order(&self) -> &[Node] {
+        &self.degree_order
     }
 
     /// Order-sensitive 64-bit fingerprint of this PE's local view (CSR over
@@ -514,13 +611,21 @@ impl DistGraph {
         mix(self.dist.n_global);
         mix(ids::count_global(self.dist.p));
         mix(self.first_global());
-        for &x in &self.xadj {
-            mix(x);
+        // The ID-order row offsets and targets, whatever order the rows
+        // are stored in: checkpoints carry this value.
+        let owned = 0..ids::node_of_index(self.n_local());
+        let mut offset = 0;
+        mix(offset);
+        for u in owned.clone() {
+            offset += ids::count_global(self.degree(u));
+            mix(offset);
         }
         // Targets via global IDs: ghost local numbering is an artifact of
         // arrival order, the global ID is the portable identity.
-        for &t in &self.adjncy {
-            mix(ids::node_global(self.local_to_global(t)));
+        for u in owned {
+            for (t, _) in self.neighbors(u) {
+                mix(ids::node_global(self.local_to_global(t)));
+            }
         }
         // A unit weight is mixed although it is not stored: checkpoints
         // carry this value, so it must not depend on the representation.
@@ -574,16 +679,14 @@ impl DistGraph {
     /// Degree of owned node `l`.
     #[inline]
     pub fn degree(&self, l: Node) -> usize {
-        let u = ids::node_index(l);
-        ids::global_index(self.xadj[u + 1] - self.xadj[u])
+        let (lo, hi) = self.ranges[ids::node_index(l)];
+        hi - lo
     }
 
     /// Iterates `(target_local, weight)` over the arcs of owned node `l`.
     #[inline]
     pub fn neighbors(&self, l: Node) -> impl Iterator<Item = (Node, Weight)> + '_ {
-        let u = ids::node_index(l);
-        let lo = ids::global_index(self.xadj[u]);
-        let hi = ids::global_index(self.xadj[u + 1]);
+        let (lo, hi) = self.ranges[ids::node_index(l)];
         // One array, one masked offset: a branch between two slicings here
         // cost the SCLP cluster sweep a quarter of its time on `web_p1`
         // (DESIGN.md §5, "Bytes per arc").
@@ -672,8 +775,9 @@ impl DistGraph {
     /// capacity.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.xadj.capacity() * size_of::<u64>()
-            + (self.adjncy.capacity() + self.ghost_global.capacity()) * size_of::<Node>()
+        self.ranges.capacity() * size_of::<(usize, usize)>()
+            + (self.adjncy.capacity() + self.degree_order.capacity() + self.ghost_global.capacity())
+                * size_of::<Node>()
             + (self.adjwgt.capacity() + self.node_weight.capacity()) * size_of::<Weight>()
             + (self.ghost_owner.capacity()
                 + self.iface_xadj.capacity()
@@ -688,24 +792,18 @@ impl DistGraph {
         &self.node_weight[..self.n_local()]
     }
 
-    /// Raw `xadj` offsets (validator access; algorithms use the accessors).
-    pub fn xadj_raw(&self) -> &[u64] {
-        &self.xadj
+    /// Where owned node `l`'s arcs are stored, as positions `0..`
+    /// [`local_arc_count`](Self::local_arc_count) of the arc arrays
+    /// (validator access; algorithms use [`neighbors`](Self::neighbors)).
+    pub fn arc_range(&self, l: Node) -> Range<usize> {
+        let (lo, hi) = self.ranges[ids::node_index(l)];
+        lo..hi
     }
 
-    /// Raw adjacency targets (validator access).
-    pub fn adjncy_raw(&self) -> &[Node] {
-        &self.adjncy
-    }
-
-    /// Raw arc weights (validator access): one per arc, or empty when every
-    /// arc weighs 1.
-    pub fn adjwgt_raw(&self) -> &[Weight] {
-        if self.adjwgt_mask == 0 {
-            &[]
-        } else {
-            &self.adjwgt
-        }
+    /// Whether arc weights are stored per arc: false when every arc of this
+    /// PE weighs 1.
+    pub fn has_arc_weights(&self) -> bool {
+        self.adjwgt_mask != 0
     }
 
     /// Ghost global IDs in ghost-local order (validator access).
@@ -744,6 +842,18 @@ impl DistGraph {
             self.adjwgt_mask = usize::MAX;
         }
         &mut self.adjwgt
+    }
+
+    /// Mutable arc ranges, for seeding corruptions in validator tests.
+    #[doc(hidden)]
+    pub fn ranges_mut_for_test(&mut self) -> &mut Vec<(usize, usize)> {
+        &mut self.ranges
+    }
+
+    /// Mutable visit order, for seeding corruptions in validator tests.
+    #[doc(hidden)]
+    pub fn degree_order_mut_for_test(&mut self) -> &mut Vec<Node> {
+        &mut self.degree_order
     }
 
     /// Mutable ghost owners, for seeding corruptions in validator tests.
@@ -960,7 +1070,7 @@ mod tests {
             let u = DistGraph::from_global(comm, &unit);
             let w = DistGraph::from_global(comm, &weighted);
             let arc_weights = u.local_arc_count() as usize * std::mem::size_of::<Weight>();
-            assert!(u.adjwgt_raw().is_empty());
+            assert!(!u.has_arc_weights());
             assert!(u.heap_bytes() < arc_weights);
             // What the unit form holds instead: one row of 31 ones.
             let unit_row = 31 * std::mem::size_of::<Weight>();
@@ -974,9 +1084,40 @@ mod tests {
                 arcs.extend(u.neighbors(l).map(|(t, x)| (gl, u.local_to_global(t), x)));
             }
             let again = DistGraph::from_arcs(comm, 32, u.owned_weights().to_vec(), arcs);
-            assert!(again.adjwgt_raw().is_empty());
+            assert!(!again.has_arc_weights());
             assert_eq!(again.fingerprint_local(), u.fingerprint_local());
         });
+    }
+
+    /// Rows are stored back to back in visit order exactly where the PE's
+    /// own degrees look like a complex network: on every PE of the R-MAT
+    /// web graph `tests/assembly.rs` weights (per-PE skew 10–21), on none
+    /// of its Delaunay mesh's.
+    #[test]
+    fn rows_follow_the_degree_order_on_a_web_graph_only() {
+        let web = pgp_gen::rmat::rmat_web(9, 8, 3);
+        let mesh = pgp_gen::delaunay::delaunay_x(9, 7);
+        for p in 1..=4 {
+            for (g, by_degree) in [(&web, true), (&mesh, false)] {
+                run(p, |comm| {
+                    let dg = DistGraph::from_global(comm, g);
+                    let back_to_back = |order: &[Node]| {
+                        let mut at = 0;
+                        for &v in order {
+                            if dg.ranges[v as usize].0 != at {
+                                return false;
+                            }
+                            at = dg.ranges[v as usize].1;
+                        }
+                        at == dg.adjncy.len()
+                    };
+                    let ids: Vec<Node> = (0..dg.n_local() as Node).collect();
+                    let what = format!("by degree {by_degree}, p={p}, PE {}", comm.rank());
+                    assert_eq!(back_to_back(dg.degree_order()), by_degree, "{what}");
+                    assert_eq!(back_to_back(&ids), !by_degree, "{what}");
+                });
+            }
+        }
     }
 
     #[test]

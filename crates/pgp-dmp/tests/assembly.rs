@@ -5,11 +5,12 @@
 use pgp_check::validate_dist_graph;
 use pgp_dmp::dgraph::BlockDist;
 use pgp_dmp::{run, DistGraph};
-use pgp_gen::{delaunay, sbm, webgraph};
+use pgp_gen::{delaunay, rmat, sbm, webgraph};
 use pgp_graph::io::{read_metis, read_metis_file_segments, read_metis_segments, write_metis};
 use pgp_graph::io::{RowSegment, SegmentedGraph};
-use pgp_graph::{CsrGraph, Node, Weight};
+use pgp_graph::{CsrGraph, GraphBuilder, Node, Weight};
 use std::io::Read;
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// Everything observable about one PE's view.
@@ -22,7 +23,8 @@ struct View {
     rows: Vec<Vec<(Node, Weight)>>,
     interface: Vec<Vec<u32>>,
     adjacent_pes: Vec<u32>,
-    degree_fingerprint: u64,
+    degree_order: Vec<Node>,
+    arc_ranges: Vec<Range<usize>>,
     fingerprint_local: u64,
     totals: (Weight, Weight, u64, u64),
 }
@@ -36,9 +38,10 @@ fn view(g: &DistGraph) -> View {
         globals: all.clone().map(|l| g.local_to_global(l)).collect(),
         node_weights: all.map(|l| g.node_weight(l)).collect(),
         rows: owned.clone().map(|u| g.neighbors(u).collect()).collect(),
-        interface: owned.map(|u| g.interface_pes(u).to_vec()).collect(),
+        interface: owned.clone().map(|u| g.interface_pes(u).to_vec()).collect(),
+        arc_ranges: owned.map(|u| g.arc_range(u)).collect(),
         adjacent_pes: g.adjacent_pes().to_vec(),
-        degree_fingerprint: g.degree_fingerprint(),
+        degree_order: g.degree_order().to_vec(),
         fingerprint_local: g.fingerprint_local(),
         totals: (
             g.total_node_weight(),
@@ -79,6 +82,37 @@ fn constructors_agree(graph: &CsrGraph, p: usize) {
         assert_eq!(a.total_edge_weight(), graph.total_edge_weight());
         assert_eq!(a.m_global(), graph.m() as u64);
     });
+}
+
+/// R-MAT's web graph with arc weights 1..=3: skewed enough that every PE
+/// of up to four stores its rows in degree order, where the other
+/// instances here keep ID order.
+fn weighted_rmat() -> CsrGraph {
+    let g = rmat::rmat_web(9, 8, 3);
+    let mut b = GraphBuilder::new(g.n());
+    for u in g.nodes() {
+        for v in g.neighbors(u).filter(|&v| u < v) {
+            b.push_edge(u, v, 1 + Weight::from((u + v) % 3));
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn constructors_agree_on_a_weighted_rmat_graph() {
+    let graph = weighted_rmat();
+    assert!(graph.has_arc_weights());
+    for p in 1..=4 {
+        constructors_agree(&graph, p);
+        run(p, |comm| {
+            let g = DistGraph::from_global(comm, &graph);
+            let mut at = 0;
+            for &v in g.degree_order() {
+                assert_eq!(g.arc_range(v).start, at, "p={p}, PE {}", comm.rank());
+                at = g.arc_range(v).end;
+            }
+        });
+    }
 }
 
 #[test]
@@ -220,7 +254,13 @@ fn streamed_segments_build_the_from_global_graph() {
         ("hand-written", HAND_WRITTEN.into()),
         ("blank-rows", BLANK_ROWS.into()),
     ];
-    for (what, graph) in [("web", &web), ("sbm", &sbm), ("delaunay", &mesh)] {
+    let rmat = weighted_rmat();
+    for (what, graph) in [
+        ("web", &web),
+        ("sbm", &sbm),
+        ("delaunay", &mesh),
+        ("rmat", &rmat),
+    ] {
         let mut text = Vec::new();
         write_metis(graph, &mut text).unwrap();
         files.push((what, text));

@@ -35,9 +35,10 @@
 //! mover's owned neighbours, a ghost update the ghost's). So the skipping is
 //! exact: same moves, same random stream, same partition as a full sweep.
 //!
-//! Both modes draw their visit order from a [`SclpScratch`], which caches the
-//! degree order per graph so repeated invocations on the same graph
-//! (V-cycles, multiple refinement levels) skip the O(n log n) re-sort.
+//! Cluster mode visits the owned nodes in [`DistGraph::degree_order`], which
+//! the graph computes once at assembly and, on a complex network, also
+//! stores its rows in; refine mode shuffles the owned nodes in the buffer of
+//! a [`SclpScratch`].
 
 use crate::cluster_map::ClusterMap;
 use crate::seq::SclpStats;
@@ -50,21 +51,12 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rustc_hash::FxHashMap;
 
-/// Reusable SCLP working memory: visit orders and the neighbour-cluster
-/// aggregation map, cached per graph.
-///
-/// The degree order and map capacity only depend on the graph, so one
-/// scratch threaded through a whole V-cycle run recomputes them once per
-/// distinct level instead of once per SCLP call ([`prepare`](Self) is a
-/// fingerprint-guarded no-op when the graph is unchanged).
+/// Reusable SCLP working memory: the neighbour-cluster aggregation map and
+/// the refine-mode shuffle buffer, kept across the calls of a V-cycle run.
 pub struct SclpScratch {
-    /// Fingerprint of the graph the cached fields belong to.
-    fingerprint: Option<u64>,
-    /// Local nodes in degree-increasing order (cluster-mode visit order).
-    degree_order: Vec<Node>,
     /// Refine-mode shuffle buffer (reset to identity at each call).
     index_order: Vec<Node>,
-    /// Neighbour-cluster aggregation map, regrown at graph boundaries.
+    /// Neighbour-cluster aggregation map, grown to the largest degree seen.
     map: ClusterMap,
 }
 
@@ -72,34 +64,15 @@ impl SclpScratch {
     /// Creates an empty scratch; the first SCLP call fills it.
     pub fn new() -> Self {
         Self {
-            fingerprint: None,
-            degree_order: Vec::new(),
             index_order: Vec::new(),
             map: ClusterMap::with_max_degree(1),
         }
     }
 
-    /// Points the scratch at `graph`: recomputes the degree order and the
-    /// map capacity when the graph changed since the last call; a no-op
-    /// when it did not (the same finest graph recurs once per V-cycle). The
-    /// guard compares [`DistGraph`]'s cached degree fingerprint — O(1),
-    /// computed once at graph assembly — instead of re-hashing the offset
-    /// array on every SCLP call.
+    /// Points the scratch at `graph`: empties the map and grows it to the
+    /// graph's largest degree.
     fn prepare(&mut self, graph: &DistGraph) {
-        let fp = graph.degree_fingerprint();
-        if self.fingerprint == Some(fp) {
-            return;
-        }
-        self.fingerprint = Some(fp);
-        self.degree_order.clear();
-        self.degree_order
-            .extend(0..ids::node_of_index(graph.n_local()));
-        self.degree_order.sort_by_key(|&v| graph.degree(v));
-        let max_degree = self
-            .degree_order
-            .last()
-            .map(|&v| graph.degree(v))
-            .unwrap_or(0);
+        let max_degree = graph.degree_order().last().map_or(0, |&v| graph.degree(v));
         self.map.clear();
         self.map.ensure_degree(max_degree.max(1));
     }
@@ -218,9 +191,8 @@ pub fn parallel_sclp_cluster(
     )
 }
 
-/// As [`parallel_sclp_cluster`], drawing visit order and aggregation map
-/// from `scratch` (recomputed only when `graph` differs from the scratch's
-/// last graph).
+/// As [`parallel_sclp_cluster`], drawing the aggregation map from
+/// `scratch`.
 #[allow(clippy::too_many_arguments)] // the scratch-threading variant of an already-wide API
 pub fn parallel_sclp_cluster_with_scratch(
     comm: &Comm,
@@ -279,17 +251,13 @@ fn cluster_rounds(
 
     let mut exchange = LabelExchange::new(comm, graph);
     scratch.prepare(graph);
-    let SclpScratch {
-        degree_order: order,
-        map,
-        ..
-    } = scratch;
+    let map = &mut scratch.map;
 
     let mut stats = SclpStats::default();
     for _ in 0..iterations {
         let _round_span = comm.recorder().span("sclp_round");
         let mut moved = 0u64;
-        for &v in order.iter() {
+        for &v in graph.degree_order() {
             let degree = graph.degree(v);
             if degree == 0 {
                 continue;
@@ -419,7 +387,6 @@ pub fn parallel_sclp_refine_with_scratch(
     let SclpScratch {
         index_order: order,
         map,
-        ..
     } = scratch;
     // Identity order at entry; within a call the shuffles compound.
     order.clear();
