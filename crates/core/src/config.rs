@@ -145,32 +145,6 @@ impl ParhipConfig {
     pub fn stop_size(&self) -> u64 {
         (self.coarsest_nodes_per_block * self.k) as u64
     }
-
-    /// 64-bit fingerprint of every field. Checkpoint/restart refuses to resume a snapshot under
-    /// a different fingerprint (a changed seed or iteration count would
-    /// silently break the bit-identical replay guarantee — see DESIGN.md
-    /// §9).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut mix = |x: u64| h = pgp_dmp::mix_seed(h, x);
-        mix(self.k as u64);
-        mix(self.eps.to_bits());
-        mix(match self.class {
-            GraphClass::Social => 1,
-            GraphClass::Mesh => 2,
-        });
-        mix(self.coarsen_iterations as u64);
-        mix(self.refine_iterations as u64);
-        mix(self.vcycles as u64);
-        mix(self.coarsest_nodes_per_block as u64);
-        mix(self.evo_operations as u64);
-        mix(self.population_size as u64);
-        mix(self.seed);
-        mix(u64::from(self.deterministic));
-        mix(self.social_first_factor.to_bits());
-        mix(self.mesh_first_cluster_weight);
-        h
-    }
 }
 
 #[cfg(test)]

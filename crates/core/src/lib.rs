@@ -45,7 +45,4 @@ pub mod validate;
 pub use coarsen::{parallel_coarsen, ParHierarchy, ParLevel};
 pub use config::{GraphClass, ParhipConfig, Preset};
 pub use contract::{parallel_contract, parallel_project_blocks, ParContraction};
-pub use partitioner::{
-    parhip_distributed, CheckpointStore, ParhipStats, PartitionError, Partitioned, Partitioner,
-    VCycleCheckpoint,
-};
+pub use partitioner::{parhip_distributed, ParhipStats, PartitionError, Partitioned, Partitioner};

@@ -6,18 +6,6 @@
 //! first cycle) → the best solution is broadcast and carried up by the
 //! parallel uncoarsening, with `r` iterations of parallel SCLP refinement
 //! per level.
-//!
-//! # Checkpoint/restart (DESIGN.md §9)
-//!
-//! The only state a V-cycle carries into the next one is the block
-//! assignment — every seed is derived from the *absolute* cycle index, so
-//! replaying cycles `c+1..` from cycle `c`'s assignment is bit-identical
-//! to a run that never stopped. A [`Partitioner`] with a
-//! [`Partitioner::store`] saves a [`VCycleCheckpoint`] into the
-//! [`CheckpointStore`] at each V-cycle boundary: that assignment, plus the
-//! graph and config fingerprints that say whether a run may continue from
-//! it. With [`Partitioner::resume`] it checks both fingerprints against
-//! the store's latest snapshot and replays the remaining cycles.
 
 use crate::coarsen::{coarsen_borrowed, BorrowedHierarchy};
 use crate::config::ParhipConfig;
@@ -48,79 +36,6 @@ pub struct ParhipStats {
     pub imbalance: f64,
 }
 
-/// A V-cycle boundary snapshot: the block assignment the next cycle
-/// starts from, and the fingerprints that say whether a run may resume
-/// from it.
-#[derive(Clone, Debug)]
-pub struct VCycleCheckpoint {
-    /// The completed V-cycle this snapshot was taken after (0-based).
-    pub cycle: usize,
-    /// Global block assignment after the cycle (indexed by global node ID).
-    pub assignment: Vec<Node>,
-    /// Group-wide graph fingerprint (see [`DistGraph::fingerprint_local`]).
-    pub graph_fingerprint: u64,
-    /// [`ParhipConfig::fingerprint`] of the run's configuration.
-    pub config_fingerprint: u64,
-    /// Nanoseconds elapsed on the run's trace epoch when the snapshot was
-    /// taken (0 when observation is disabled). A resumed run offsets its
-    /// trace clock by this amount so the stitched timeline of
-    /// original + resumed segments stays monotone.
-    pub elapsed_ns: u64,
-}
-
-/// In-memory store holding the latest [`VCycleCheckpoint`] of a run.
-/// Shared between the driver and the PE group (rank 0 writes it at each
-/// V-cycle boundary); after a faulted run, hand it to a
-/// [`Partitioner::resume`] run.
-#[derive(Default)]
-pub struct CheckpointStore {
-    latest: std::sync::Mutex<Option<VCycleCheckpoint>>,
-}
-
-impl CheckpointStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replaces the stored checkpoint (later cycles win).
-    pub fn save(&self, cp: VCycleCheckpoint) {
-        // A panicking writer cannot leave a half-written checkpoint: the
-        // value is moved in whole, so poisoning is safe to swallow.
-        let mut slot = self.latest.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(cp);
-    }
-
-    /// The latest checkpoint, if any.
-    pub fn latest(&self) -> Option<VCycleCheckpoint> {
-        self.latest
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    /// The cycle index of the latest checkpoint, if any.
-    pub fn latest_cycle(&self) -> Option<usize> {
-        self.latest
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|cp| cp.cycle)
-    }
-}
-
-/// Group-wide graph identity: every PE's local fingerprint bound to its
-/// rank, combined with a wrapping-sum allreduce (commutative, so the
-/// reduction tree's shape cannot matter). Identical graph + identical PE
-/// count ⇔ identical value on every PE.
-fn group_graph_fingerprint(comm: &Comm, graph: &DistGraph) -> u64 {
-    let local = pgp_dmp::mix_seed(
-        graph.fingerprint_local(),
-        ids::count_global(comm.rank()).wrapping_add(1),
-    );
-    pgp_dmp::collectives::allreduce(comm, local, |a, b| a.wrapping_add(b))
-}
-
 /// Why the front door turned a run away, or why the run it started failed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PartitionError {
@@ -138,18 +53,14 @@ pub enum PartitionError {
         /// Nodes the prepartition covers.
         n: usize,
     },
-    /// [`Partitioner::resume`] without a store, or with an empty one.
-    NoCheckpoint,
-    /// [`Partitioner::resume`] from a snapshot taken under a different
-    /// configuration, on a different graph or on a different PE count:
-    /// replaying it would silently produce a different partition.
-    CheckpointMismatch {
-        /// The V-cycle the snapshot was taken after.
-        cycle: usize,
+    /// The node weights sum past `i64::MAX`: SCLP keeps block weights and
+    /// their deltas in `i64`, so such a graph cannot be partitioned.
+    NodeWeightOverflow {
+        /// The sum of the node weights.
+        total: u128,
     },
-    /// A structured comm failure (watchdog timeout, dead peer) ended the
-    /// run. A run given a [`Partitioner::store`] may be continued from its
-    /// latest snapshot with [`Partitioner::resume`].
+    /// A structured comm failure (a watchdog timeout, a PE that panicked)
+    /// ended the run.
     Comm(CommError),
 }
 
@@ -165,11 +76,10 @@ impl std::fmt::Display for PartitionError {
                 f,
                 "prepartition ({k} blocks over {n} nodes) does not match the run's k and graph"
             ),
-            Self::NoCheckpoint => write!(f, "resume: the checkpoint store holds no snapshot"),
-            Self::CheckpointMismatch { cycle } => write!(
+            Self::NodeWeightOverflow { total } => write!(
                 f,
-                "resume: the snapshot of cycle {cycle} was taken under a different \
-                 configuration, graph or PE count"
+                "node weights sum to {total}, past the {} a block weight can hold",
+                i64::MAX
             ),
             Self::Comm(e) => write!(f, "run failed: {e}"),
         }
@@ -275,10 +185,9 @@ fn close_run(comm: &Comm, graph: &DistGraph, blocks: &[Node], k: usize) -> Closi
 }
 
 /// The one way to call the partitioner: a borrowed [`ParhipConfig`] plus
-/// the three orthogonal options — a prepartition, the [`RunConfig`] that
-/// carries the run (watchdog deadline, fault hook, and the `Obs`
-/// registry a report or trace is later read from), and a
-/// [`CheckpointStore`] with resume-from-latest — and two verbs:
+/// two orthogonal options — a prepartition, and the [`RunConfig`] that
+/// carries the run (watchdog deadline, delay plan, and the `Obs` registry
+/// a report or trace is later read from) — and two verbs:
 /// [`partition`](Self::partition) on a global graph or its per-PE row
 /// segments, [`partition_distributed`](Self::partition_distributed) per PE.
 ///
@@ -295,25 +204,21 @@ pub struct Partitioner<'a> {
     cfg: &'a ParhipConfig,
     run: RunConfig,
     prepartition: Option<&'a Partition>,
-    store: Option<&'a CheckpointStore>,
-    resume: bool,
 }
 
 impl<'a> Partitioner<'a> {
-    /// A plain run of `cfg`: no watchdog, no recorder, no checkpoints.
+    /// A plain run of `cfg`: no watchdog, no recorder, no prepartition.
     pub fn new(cfg: &'a ParhipConfig) -> Self {
         Self {
             cfg,
             run: RunConfig::default(),
             prepartition: None,
-            store: None,
-            resume: false,
         }
     }
 
     /// How [`partition`](Self::partition) carries the run: watchdog
-    /// deadline, fault hook (`pgp-chaos` builds one from a
-    /// `FaultPlan`) and the `Obs` registry. Recording adds two
+    /// deadline, delay plan (a test hook, `pgp_dmp::DelayPlan`) and the
+    /// `Obs` registry. Recording adds two
     /// allreduces per refinement pass and never changes the partition;
     /// read `obs.report()` / `obs.trace()` after the run. The registry
     /// must be sized for exactly `p` PEs.
@@ -334,37 +239,13 @@ impl<'a> Partitioner<'a> {
         self
     }
 
-    /// Saves a [`VCycleCheckpoint`] into `store` at every V-cycle boundary
-    /// (rank 0 writes; the snapshot itself is assembled collectively).
-    pub fn store(mut self, store: &'a CheckpointStore) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Resumes from the store's latest snapshot instead of starting over:
-    /// verifies the graph and config fingerprints and replays cycles
-    /// `snapshot.cycle + 1` onward. Because every cycle's seeds derive
-    /// from the absolute cycle index, the result is bit-identical to the
-    /// uninterrupted run.
-    ///
-    /// A snapshot taken under a different configuration, on a different
-    /// graph or on a different PE count fails the run with
-    /// [`PartitionError::CheckpointMismatch`]: resuming would silently
-    /// produce a different partition. The configuration is checked before
-    /// any PE starts, the graph by one allreduce on the PEs.
-    pub fn resume(mut self) -> Self {
-        self.resume = true;
-        self
-    }
-
     /// Partitions `graph` — a `&CsrGraph`, or a [`SegmentedGraph`] read
     /// with one segment per PE ([`GraphInput`]) — into `cfg.k` blocks on
     /// `p` PEs and assembles the global result. Outside input is checked
-    /// here, once: `k ≥ 1`, `p ≥ 1`, a finite `ε ≥ 0`, a prepartition that
-    /// matches `k` and the graph, a snapshot to resume from that was taken
-    /// under `cfg` (its graph is checked on the PEs). A structured
-    /// comm failure comes back as [`PartitionError::Comm`]; the caller may
-    /// then [`resume`](Self::resume) from the run's store.
+    /// here, once, before any PE starts: `k ≥ 1`, `p ≥ 1`, a finite
+    /// `ε ≥ 0`, node weights that sum to at most `i64::MAX`, a
+    /// prepartition that matches `k` and the graph. A structured comm
+    /// failure comes back as [`PartitionError::Comm`].
     ///
     /// The cut, the imbalance and the closing check
     /// ([`Partitioned::violation`]) are computed on the PEs; only the
@@ -388,17 +269,22 @@ impl<'a> Partitioner<'a> {
         if !(cfg.eps.is_finite() && cfg.eps >= 0.0) {
             return Err(PartitionError::InvalidEps(cfg.eps));
         }
-        let n_global = match &graph {
-            GraphInput::Global(g) => ids::count_global(g.n()),
-            GraphInput::Segments(g) => g.n,
+        let (n_global, total) = match &graph {
+            GraphInput::Global(g) => (ids::count_global(g.n()), weight_sum(g.node_weights())),
+            GraphInput::Segments(g) => (
+                g.n,
+                g.segments.iter().map(|s| weight_sum(&s.node_weight)).sum(),
+            ),
         };
+        if total > i64::MAX as u128 {
+            return Err(PartitionError::NodeWeightOverflow { total });
+        }
         if let Some(input) = self.prepartition {
             let (k, n) = (input.k(), input.assignment().len());
             if k != cfg.k || ids::count_global(n) != n_global {
                 return Err(PartitionError::PrepartitionMismatch { k, n });
             }
         }
-        let snapshot = self.snapshot()?;
         let rows = match graph {
             GraphInput::Global(g) => Rows::Global(g),
             GraphInput::Segments(g) => {
@@ -413,22 +299,20 @@ impl<'a> Partitioner<'a> {
                 }
             }
         };
-        let values =
-            pgp_dmp::run_config(p, self.run.clone(), |comm| -> Result<_, PartitionError> {
-                let dg = rows.distribute(comm);
-                let (blocks, mut stats) = self.run_on_pe(comm, &dg, snapshot.as_ref())?;
-                let closing = close_run(comm, &dg, &blocks, cfg.k);
-                stats.cut = closing.cut;
-                let local = blocks[..dg.n_local()].to_vec();
-                drop((blocks, dg));
-                Ok((allgatherv(comm, local), stats, closing))
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, CommError>>()?;
-        // Every PE compared the same allreduced fingerprint, so all took the
-        // same branch; rank 0 speaks for the group.
+        let values = pgp_dmp::run_config(p, self.run.clone(), |comm| {
+            let dg = rows.distribute(comm);
+            let (blocks, mut stats) = self.run_on_pe(comm, &dg);
+            let closing = close_run(comm, &dg, &blocks, cfg.k);
+            stats.cut = closing.cut;
+            let local = blocks[..dg.n_local()].to_vec();
+            drop((blocks, dg));
+            (allgatherv(comm, local), stats, closing)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, CommError>>()?;
+        // Every PE holds the same result; rank 0 speaks for the group.
         let (assignment, mut stats, closing) =
-            values.into_iter().next().expect("p >= 1 was checked")?;
+            values.into_iter().next().expect("p >= 1 was checked");
         let total = closing.total_node_weight;
         let partition = Partition::from_block_weights(cfg.k, assignment, closing.block_weights);
         stats.imbalance = partition.imbalance_of(total);
@@ -450,9 +334,8 @@ impl<'a> Partitioner<'a> {
     /// The per-PE verb, for callers already inside a `pgp_dmp::run*`
     /// closure: runs the full system on an already-distributed graph and
     /// returns this PE's local block assignment (owned nodes) plus stats.
-    /// The prepartition, store and resume options apply; the group `comm`
-    /// belongs to was built by the caller, so [`run`](Self::run) has nothing
-    /// to act on here.
+    /// The prepartition applies; the group `comm` belongs to was built by
+    /// the caller, so [`run`](Self::run) has nothing to act on here.
     ///
     /// # Panics
     /// Panics on what [`partition`](Self::partition) rejects with an
@@ -462,81 +345,28 @@ impl<'a> Partitioner<'a> {
         comm: &Comm,
         graph: &DistGraph,
     ) -> (Vec<Node>, ParhipStats) {
-        let (mut blocks, stats) = self
-            .snapshot()
-            .and_then(|snapshot| self.run_on_pe(comm, graph, snapshot.as_ref()))
-            .unwrap_or_else(|e| panic!("{e}"));
+        let (mut blocks, stats) = self.run_on_pe(comm, graph);
         blocks.truncate(graph.n_local());
         (blocks, stats)
     }
 
-    /// The snapshot a [`resume`](Self::resume) run starts from, its config
-    /// fingerprint checked; `None` for a run that starts over.
-    fn snapshot(&self) -> Result<Option<VCycleCheckpoint>, PartitionError> {
-        if !self.resume {
-            return Ok(None);
-        }
-        let cp = self
-            .store
-            .and_then(CheckpointStore::latest)
-            .ok_or(PartitionError::NoCheckpoint)?;
-        if cp.config_fingerprint != self.cfg.fingerprint() {
-            return Err(PartitionError::CheckpointMismatch { cycle: cp.cycle });
-        }
-        Ok(Some(cp))
-    }
-
-    /// One run on one PE, from `snapshot` when resuming: the blocks of the
-    /// owned and ghost nodes, and the stats.
-    fn run_on_pe(
-        &self,
-        comm: &Comm,
-        graph: &DistGraph,
-        snapshot: Option<&VCycleCheckpoint>,
-    ) -> Result<(Vec<Node>, ParhipStats), PartitionError> {
+    /// One run on one PE: the blocks of the owned and ghost nodes, and the
+    /// stats.
+    fn run_on_pe(&self, comm: &Comm, graph: &DistGraph) -> (Vec<Node>, ParhipStats) {
         let cfg = self.cfg;
-        // The graph does not change between cycles: one allreduce per run,
-        // taken only when a snapshot is written or read.
-        let graph_fingerprint = (self.store.is_some() || snapshot.is_some())
-            .then(|| group_graph_fingerprint(comm, graph));
-        let owned_and_ghost = |block_of: &dyn Fn(Node) -> Node| -> Vec<Node> {
+        let input = self.prepartition.map(|ip| {
+            assert_eq!(ip.k(), cfg.k, "prepartition block count mismatch");
             (0..ids::node_of_index(graph.n_local() + graph.n_ghost()))
-                .map(|l| block_of(graph.local_to_global(l)))
+                .map(|l| ip.block(graph.local_to_global(l)))
                 .collect()
-        };
-        let (input, start_cycle) = match snapshot {
-            Some(cp) => {
-                // Every PE holds the same allreduced fingerprint, so every PE
-                // takes the same branch and none waits in a collective.
-                if graph_fingerprint != Some(cp.graph_fingerprint)
-                    || ids::count_global(cp.assignment.len()) != graph.n_global()
-                {
-                    return Err(PartitionError::CheckpointMismatch { cycle: cp.cycle });
-                }
-                // Continue the original run's trace clock: resumed events
-                // start where the snapshot left off instead of at 0.
-                comm.recorder().resume_epoch(cp.elapsed_ns);
-                let blocks = owned_and_ghost(&|g| cp.assignment[ids::node_index(g)]);
-                (Some(blocks), cp.cycle + 1)
-            }
-            None => {
-                let blocks = self.prepartition.map(|ip| {
-                    assert_eq!(ip.k(), cfg.k, "prepartition block count mismatch");
-                    owned_and_ghost(&|g| ip.block(g))
-                });
-                (blocks, 0)
-            }
-        };
-        let checkpoints = self.store.zip(graph_fingerprint);
-        Ok(parhip_cycles(
-            comm,
-            graph,
-            cfg,
-            input,
-            start_cycle,
-            checkpoints,
-        ))
+        });
+        parhip_cycles(comm, graph, cfg, input)
     }
+}
+
+/// The sum of `weights`, exact whatever it is.
+fn weight_sum(weights: &[Weight]) -> u128 {
+    weights.iter().map(|&w| u128::from(w)).sum()
 }
 
 /// The bare distributed verb, in the shape of KaHIP's
@@ -548,24 +378,20 @@ pub fn parhip_distributed(
     graph: &DistGraph,
     cfg: &ParhipConfig,
 ) -> (Vec<Node>, ParhipStats) {
-    let (mut blocks, stats) = parhip_cycles(comm, graph, cfg, None, 0, None);
+    let (mut blocks, stats) = parhip_cycles(comm, graph, cfg, None);
     blocks.truncate(graph.n_local());
     (blocks, stats)
 }
 
-/// The shared V-cycle engine: runs cycles `start_cycle..cfg.vcycles` from
-/// an optional carried-in assignment `blocks` of the owned and ghost nodes
-/// — the one state a V-cycle hands the next — and returns that vector
-/// after the last cycle. With `checkpoints` (a store, and the group graph
-/// fingerprint its snapshots carry) it saves each cycle boundary. Both
-/// verbs funnel here.
+/// The shared V-cycle engine: runs `cfg.vcycles` cycles from an optional
+/// carried-in assignment `blocks` of the owned and ghost nodes — the one
+/// state a V-cycle hands the next — and returns that vector after the last
+/// cycle. Both verbs funnel here.
 fn parhip_cycles(
     comm: &Comm,
     graph: &DistGraph,
     cfg: &ParhipConfig,
     mut blocks: Option<Vec<Node>>,
-    start_cycle: usize,
-    checkpoints: Option<(&CheckpointStore, u64)>,
 ) -> (Vec<Node>, ParhipStats) {
     let mut stats = ParhipStats::default();
     #[cfg(feature = "validate")]
@@ -575,7 +401,7 @@ fn parhip_cycles(
     // cycle, so its degree order is computed once and reused.
     let mut scratch = SclpScratch::new();
 
-    for cycle in start_cycle..cfg.vcycles.max(1) {
+    for cycle in 0..cfg.vcycles.max(1) {
         let rec = comm.recorder();
         rec.enter("vcycle");
         // ---- Parallel coarsening -------------------------------------
@@ -665,22 +491,6 @@ fn parhip_cycles(
         rec.exit("uncoarsen");
         #[cfg(feature = "validate")]
         crate::validate::assert_partition_valid(comm, graph, &cur, cfg.k, "end of V-cycle");
-
-        // ---- V-cycle boundary checkpoint -------------------------------
-        if let Some((store, graph_fingerprint)) = checkpoints {
-            let checkpoint = VCycleCheckpoint {
-                cycle,
-                assignment: allgatherv(comm, cur[..graph.n_local()].to_vec()),
-                graph_fingerprint,
-                config_fingerprint: cfg.fingerprint(),
-                elapsed_ns: rec.epoch_elapsed_ns(),
-            };
-            // The snapshot is assembled collectively (identical on every
-            // PE); one writer suffices for the shared store.
-            if comm.rank() == 0 {
-                store.save(checkpoint);
-            }
-        }
         blocks = Some(cur);
         rec.exit("vcycle");
     }
@@ -769,38 +579,6 @@ mod tests {
 
     fn run(g: &CsrGraph, p: usize, cfg: &ParhipConfig) -> Partitioned {
         Partitioner::new(cfg).partition(g, p).expect("valid input")
-    }
-
-    /// Checkpoints written before unit arc weights stopped being stored
-    /// must still match: both fingerprints mix a 1 per unit arc. The
-    /// constants are what the commit before that change printed.
-    #[test]
-    fn graph_fingerprints_do_not_depend_on_the_weight_representation() {
-        let unit = pgp_gen::mesh::grid2d(6, 5);
-        let weighted = pgp_graph::GraphBuilder::new(5)
-            .add_weighted_edge(0, 1, 1)
-            .add_weighted_edge(1, 2, 3)
-            .add_weighted_edge(2, 3, 2)
-            .add_weighted_edge(3, 4, 1)
-            .add_weighted_edge(4, 0, 1)
-            .node_weights(vec![1, 2, 1, 4, 1])
-            .build();
-        assert!(!unit.has_arc_weights() && weighted.has_arc_weights());
-        // PE 2 of 3 owns node 4 alone: a unit slice of the weighted graph.
-        for (g, csr, group) in [
-            (&unit, 0x5834_4af9_24e6_ec5a, 0x5155_bc02_31ff_c4d1),
-            (&weighted, 0x2253_51ee_1484_898f, 0x98db_ccbd_7ae9_3198),
-        ] {
-            assert_eq!(g.fingerprint(), csr);
-            let per_pe = pgp_dmp::run(3, |comm| {
-                let dg = DistGraph::from_global(comm, g);
-                let stored = dg.has_arc_weights();
-                (group_graph_fingerprint(comm, &dg), stored)
-            });
-            assert!(per_pe.iter().all(|&(fp, _)| fp == group));
-            let stored: Vec<bool> = per_pe.iter().map(|&(_, stored)| stored).collect();
-            assert_eq!(stored, [g.has_arc_weights(), g.has_arc_weights(), false]);
-        }
     }
 
     #[test]
@@ -944,100 +722,37 @@ mod tests {
         assert!(stats.levels >= 1);
     }
 
-    fn stored(g: &CsrGraph, cfg: &ParhipConfig, store: &CheckpointStore) -> Partition {
-        Partitioner::new(cfg)
-            .store(store)
-            .partition(g, 2)
-            .expect("valid input")
-            .partition
-    }
-
-    fn resumed(g: &CsrGraph, cfg: &ParhipConfig, store: &CheckpointStore) -> Partition {
-        resume(g, cfg, store)
-            .expect("the store holds a snapshot")
-            .partition
-    }
-
-    fn resume(
-        g: &CsrGraph,
-        cfg: &ParhipConfig,
-        store: &CheckpointStore,
-    ) -> Result<Partitioned, PartitionError> {
-        Partitioner::new(cfg).store(store).resume().partition(g, 2)
-    }
-
+    /// Node weights that the reader accepts (their sum fits `u64`) but
+    /// that sum past `i64::MAX` are turned away before any PE starts; a
+    /// sum just below it partitions.
     #[test]
-    fn checkpointed_run_fills_store() {
-        let (g, _) = pgp_gen::sbm::sbm(600, pgp_gen::sbm::SbmParams::default(), 31);
-        let mut cfg = small_cfg(2, GraphClass::Social, 41);
-        cfg.vcycles = 3;
-        let store = CheckpointStore::new();
-        let stored = stored(&g, &cfg, &store);
-        let cp = store.latest().expect("store must hold a snapshot");
-        assert_eq!(cp.cycle, cfg.vcycles - 1, "last V-cycle wins");
-        assert_eq!(cp.assignment, stored.assignment());
-        assert_eq!(cp.assignment.len(), g.n());
-        assert_eq!(cp.config_fingerprint, cfg.fingerprint());
-    }
-
-    /// Resume from the cycle-`c` snapshot must replay cycles `c+1..` to a
-    /// bit-identical final assignment: the only inter-cycle state is the
-    /// block assignment, and every seed derives from the absolute cycle
-    /// index (see the module docs). The "crashed after cycle 0" snapshot is
-    /// forged from a 1-cycle run of the same config: `vcycles` is only the
-    /// loop bound, so cycle 0 computes identical state either way; only the
-    /// config fingerprint differs, which the forgery patches.
-    #[test]
-    fn resume_replays_bit_identically() {
-        let (g, _) = pgp_gen::sbm::sbm(600, pgp_gen::sbm::SbmParams::default(), 31);
-        let mut cfg = small_cfg(2, GraphClass::Social, 43);
-        cfg.vcycles = 3;
-        let full_store = CheckpointStore::new();
-        let full = stored(&g, &cfg, &full_store);
-        // The run a fault would have truncated after its first V-cycle.
-        let mut one = cfg.clone();
-        one.vcycles = 1;
-        let early_store = CheckpointStore::new();
-        let _ = stored(&g, &one, &early_store);
-        let mut cycle0 = early_store.latest().expect("cycle-0 snapshot");
-        assert_eq!(cycle0.cycle, 0);
-        cycle0.config_fingerprint = cfg.fingerprint();
-        let store = CheckpointStore::new();
-        store.save(cycle0);
-        // Replays cycles 1 and 2 from the snapshot.
-        let resumed = resumed(&g, &cfg, &store);
-        assert_eq!(full.assignment(), resumed.assignment());
-        // Resume also keeps checkpointing: the store's latest snapshot must
-        // now be the final cycle's.
-        assert_eq!(store.latest_cycle(), Some(cfg.vcycles - 1));
-    }
-
-    #[test]
-    fn resume_rejects_config_mismatch() {
-        let (g, _) = pgp_gen::sbm::sbm(400, pgp_gen::sbm::SbmParams::default(), 31);
-        let cfg = small_cfg(2, GraphClass::Social, 47);
-        let store = CheckpointStore::new();
-        let _ = stored(&g, &cfg, &store);
-        let mut other = cfg.clone();
-        other.seed = 48;
-        let cycle = cfg.vcycles - 1;
-        assert_eq!(
-            resume(&g, &other, &store).err(),
-            Some(PartitionError::CheckpointMismatch { cycle })
-        );
-    }
-
-    #[test]
-    fn resume_rejects_graph_mismatch() {
-        let (g, _) = pgp_gen::sbm::sbm(400, pgp_gen::sbm::SbmParams::default(), 31);
-        let cfg = small_cfg(2, GraphClass::Social, 53);
-        let store = CheckpointStore::new();
-        let _ = stored(&g, &cfg, &store);
-        let (h, _) = pgp_gen::sbm::sbm(400, pgp_gen::sbm::SbmParams::default(), 32);
-        let cycle = cfg.vcycles - 1;
-        assert_eq!(
-            resume(&h, &cfg, &store).err(),
-            Some(PartitionError::CheckpointMismatch { cycle })
-        );
+    fn node_weights_past_i64_are_rejected_before_any_pe_starts() {
+        let path = |w: Weight| {
+            pgp_graph::GraphBuilder::new(3)
+                .add_edge(0, 1)
+                .add_edge(1, 2)
+                .node_weights(vec![w; 3])
+                .build()
+        };
+        let heavy = path(6_000_000_000_000_000_000);
+        let total = 18_000_000_000_000_000_000;
+        for p in [1, 2] {
+            for cfg in [
+                small_cfg(2, GraphClass::Social, 3),
+                ParhipConfig::eco(2, GraphClass::Social, 3),
+            ] {
+                let out = Partitioner::new(&cfg).partition(&heavy, p);
+                assert_eq!(
+                    out.err(),
+                    Some(PartitionError::NodeWeightOverflow { total }),
+                    "p = {p}"
+                );
+            }
+        }
+        let light = path(3_000_000_000_000_000_000);
+        for p in [1, 2] {
+            let part = run(&light, p, &small_cfg(2, GraphClass::Social, 3)).partition;
+            assert_eq!(part.assignment().len(), 3, "p = {p}");
+        }
     }
 }

@@ -15,19 +15,20 @@
 //!
 //! # Fault model (DESIGN.md §9)
 //!
-//! A [`Universe`] can be built with a [`FaultHook`] (fault injection) and a
-//! watchdog deadline (fault *tolerance*). The hook is a pure decision
-//! oracle — it only ever sees `(src, dst, tag, seq)` integers and returns a
-//! [`SendFault`]; the mailbox internals, including delayed payloads parked
-//! in per-`(dst, tag)` limbo queues, never leave the comm layer. Failures
-//! are reported as [`CommError`] through the *poison* protocol: the first PE
-//! to observe a fatal condition (deadline expiry, a dead peer, a panic)
-//! poisons the group, and every other PE unwinds with a structured error at
-//! its next blocking operation instead of parking forever.
+//! A [`Universe`] can be built with a watchdog deadline and a
+//! [`DelayPlan`]. Failures are reported as [`CommError`] through the
+//! *poison* protocol: the first PE to observe a fatal condition (deadline
+//! expiry, a panic) poisons the group, and every other PE unwinds with a
+//! structured error at its next blocking operation instead of parking
+//! forever. The delay plan is a test hook: it holds seeded sends back in
+//! per-`(dst, tag)` limbo queues, reordering them across tags, and a
+//! correct protocol returns bit-identical results under it.
 
 use crate::mailbox::{pack, unpack, Mailbox, Payload, RecvOutcome};
+use crate::runner::mix_seed;
 use crate::wire::Wire;
 use parking_lot::Mutex;
+use pgp_graph::ids;
 use pgp_obs::{Obs, Recorder};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,8 +55,7 @@ pub enum CommError {
         /// The tag it was waiting for.
         tag: Tag,
     },
-    /// A peer PE died (was killed by fault injection or panicked) while
-    /// `rank` still depended on it.
+    /// A peer PE panicked while `rank` still depended on it.
     PeerDead {
         /// The PE reporting the failure.
         rank: usize,
@@ -86,56 +86,50 @@ impl std::error::Error for CommError {}
 /// structured failures never masquerade as crashes.
 pub(crate) struct CommAbort(pub(crate) CommError);
 
-/// The fault-injection decision for one send, returned by
-/// [`FaultHook::on_send`]. Payloads themselves never reach the hook — a
-/// delayed message is parked in a sender-side limbo queue *inside* the comm
-/// layer and released after `holds` later send events (or when the sender
-/// next blocks, which bounds the delay and keeps every plan live).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SendFault {
-    /// Deliver normally.
-    Deliver,
-    /// Silently discard the message (a lost send; the receiver will hit the
-    /// watchdog deadline unless the protocol tolerates the loss).
-    Drop,
-    /// Hold the message back across the next `holds` send events from this
-    /// PE, reordering it behind later traffic to *other* tags. FIFO order
-    /// per `(src, tag)` is preserved: follow-up messages for a tag whose
-    /// queue is already in limbo join that queue unconditionally.
-    Delay {
-        /// Number of subsequent send events to hold the message for.
-        holds: u32,
-    },
-    /// Sleep the sending thread for `micros` before delivering — a slow-PE
-    /// stall (wall-clock only; delivery order is unchanged).
-    Stall {
-        /// Stall duration in microseconds.
-        micros: u64,
-    },
+/// Per-mille probabilities are out of this many send events.
+const PER_MILLE: u64 = 1000;
+
+// Distinct salts keep the delay roll and the hold-count roll independent.
+const SALT_DELAY: u64 = 0xDE1;
+const SALT_HOLDS: u64 = 0x401D;
+
+/// A seeded cross-tag delay plan, the one injected fault (DESIGN.md §9).
+///
+/// Each send event is delayed with probability `per_mille / 1000`: it is
+/// parked in a sender-side limbo queue and released after a seeded
+/// `1..=max_holds` later send events from the same PE, or when that PE
+/// next blocks. FIFO per `(src, tag)` is kept, so only traffic on
+/// *different* tags is reordered, and every decision is a pure function of
+/// `(seed, src, dst, tag, send sequence number)`: the same plan replays
+/// the same delays.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DelayPlan {
+    /// Seed of every roll.
+    pub seed: u64,
+    /// Per mille (0..=1000) of send events that are delayed.
+    pub per_mille: u64,
+    /// Most send events a delayed message is held across.
+    pub max_holds: u32,
 }
 
-/// A deterministic fault-injection oracle (implemented by `pgp-chaos`).
-///
-/// Implementations must be pure functions of their arguments (plus their own
-/// frozen configuration): the comm layer consults the hook on every send and
-/// at every phase boundary, and replaying the same plan against the same
-/// program must yield the same decisions. The xtask lint confines this
-/// trait (and [`SendFault`]) to the comm layer and the `pgp-chaos` crate so
-/// algorithm code can never grow a dependency on fault injection.
-///
-/// The limbo queues live in [`Comm`], in front of the mailboxes, so a
-/// delayed payload never reaches its receiver early.
-pub trait FaultHook: Send + Sync {
-    /// Decision for send event `seq` (a per-sender counter) from `src` to
-    /// `dst` with `tag`.
-    fn on_send(&self, src: usize, dst: usize, tag: Tag, seq: u64) -> SendFault;
+impl DelayPlan {
+    /// The number of later send events that send `seq` from `src` to `dst`
+    /// on `tag` is held for, or `None` to deliver it now.
+    fn holds(&self, src: usize, dst: usize, tag: Tag, seq: u64) -> Option<u32> {
+        if self.roll(SALT_DELAY, src, dst, tag, seq) >= self.per_mille {
+            return None;
+        }
+        let span = u64::from(self.max_holds.max(1));
+        let holds = 1 + self.roll(SALT_HOLDS, src, dst, tag, seq) % span;
+        Some(u32::try_from(holds).expect("holds bounded by max_holds (u32)"))
+    }
 
-    /// If `Some(p)`, PE `rank` is killed (unwound, poisoning the group
-    /// with [`CommError::PeerDead`]) when it starts phase `p` — phases are
-    /// counted per PE as [`Comm::fresh_tag_block`] calls.
-    fn kill_at_phase(&self, rank: usize) -> Option<u64> {
-        let _ = rank;
-        None
+    /// The seeded roll in `0..1000` for one send event and `salt`.
+    fn roll(&self, salt: u64, src: usize, dst: usize, tag: Tag, seq: u64) -> u64 {
+        let mut h = mix_seed(self.seed, salt);
+        h = mix_seed(h, ids::count_global(src));
+        h = mix_seed(h, ids::count_global(dst).wrapping_add(tag));
+        mix_seed(h, seq) % PER_MILLE
     }
 }
 
@@ -152,8 +146,8 @@ pub struct Universe {
     /// Watchdog deadline for blocking receives. `None` = park forever (the
     /// classic substrate; poison notifications still wake parked PEs).
     deadline: Option<Duration>,
-    /// Fault-injection oracle; `None` = the zero-overhead fault-free path.
-    hook: Option<Arc<dyn FaultHook>>,
+    /// Seeded send delays; `None` = every send is delivered at once.
+    delay: Option<DelayPlan>,
     /// Observability registry; `None` = recording disabled (every recorder
     /// hook is a single branch).
     obs: Option<Arc<Obs>>,
@@ -161,14 +155,14 @@ pub struct Universe {
 
 impl Universe {
     /// Creates the shared state for `size` PEs: an optional watchdog
-    /// `deadline` for blocking receives, an optional fault-injection `hook`
-    /// (see [`FaultHook`]) and an optional observability registry `obs`
+    /// `deadline` for blocking receives, an optional [`DelayPlan`] and an
+    /// optional observability registry `obs`
     /// (see `pgp-obs`). When `obs` is set, every [`Comm`] handed out by
     /// [`Universe::comm`] records sends/receives/waits into its rank's cell.
     pub fn with_config(
         size: usize,
         deadline: Option<Duration>,
-        hook: Option<Arc<dyn FaultHook>>,
+        delay: Option<DelayPlan>,
         obs: Option<Arc<Obs>>,
     ) -> Arc<Self> {
         assert!(size > 0, "need at least one PE");
@@ -183,7 +177,7 @@ impl Universe {
             poisoned: AtomicBool::new(false),
             first_poison: Mutex::new(None),
             deadline,
-            hook,
+            delay,
             obs,
         })
     }
@@ -247,7 +241,7 @@ impl Universe {
 }
 
 /// One sender-side limbo queue: messages for `(dst, tag)` held back by
-/// fault injection, released after `holds` further send events or at the
+/// the [`DelayPlan`], released after `holds` further send events or at the
 /// sender's next blocking operation (whichever comes first).
 struct LimboQueue {
     dst: usize,
@@ -264,9 +258,9 @@ pub struct Comm {
     /// Sequence number for collective operations (same on all PEs because
     /// collectives are called SPMD-style in the same order everywhere).
     seq: AtomicU64,
-    /// Send-event counter feeding [`FaultHook::on_send`] (single-owner).
+    /// Send-event counter feeding the [`DelayPlan`] rolls (single-owner).
     send_seq: AtomicU64,
-    /// Delayed-send queues (empty unless a [`FaultHook`] is installed).
+    /// Delayed-send queues (empty unless a [`DelayPlan`] is installed).
     /// Uncontended: only this PE's thread touches it; the lock exists so
     /// `Comm` stays `Sync` for the scoped-thread runner.
     limbo: Mutex<Vec<LimboQueue>>,
@@ -281,7 +275,8 @@ impl Drop for Comm {
     /// group) keep their limbo: their messages are lost, like a crashed
     /// MPI rank's send buffers.
     fn drop(&mut self) {
-        if self.universe.hook.is_none() || std::thread::panicking() || self.universe.is_poisoned() {
+        if self.universe.delay.is_none() || std::thread::panicking() || self.universe.is_poisoned()
+        {
             return;
         }
         self.flush_limbo();
@@ -321,8 +316,8 @@ impl Comm {
         if self.recorder.is_enabled() {
             self.recorder.on_send(dst, tag, payload.bytes);
         }
-        if let Some(hook) = &self.universe.hook {
-            self.chaos_send(&**hook, dst, tag, payload);
+        if let Some(plan) = &self.universe.delay {
+            self.delay_send(plan, dst, tag, payload);
         } else {
             self.deliver(dst, tag, payload);
         }
@@ -341,16 +336,16 @@ impl Comm {
         &self.universe.mailboxes[self.rank]
     }
 
-    /// The fault-injected send path: consults the hook, parks delayed
-    /// messages in limbo, and ages existing limbo queues by one send event.
-    fn chaos_send(&self, hook: &dyn FaultHook, dst: usize, tag: Tag, payload: Payload) {
+    /// The delayed send path: ages existing limbo queues by one send
+    /// event, then rolls the plan and parks the message or delivers it.
+    fn delay_send(&self, plan: &DelayPlan, dst: usize, tag: Tag, payload: Payload) {
         // `send_seq` is per-Comm and each Comm is owned by one PE thread.
         let seq = self.send_seq.fetch_add(1, Ordering::Relaxed); // lint:relaxed-ok: single-owner counter
         let mut limbo = self.limbo.lock();
         // Age every existing limbo queue by this send event and release the
         // expired ones *before* handling the current message: a released
         // queue's messages precede the current one, so per-(src, tag) FIFO
-        // holds even when the hook delays the same tag again immediately.
+        // holds even when the plan delays the same tag again immediately.
         let mut i = 0;
         while i < limbo.len() {
             limbo[i].holds -= 1;
@@ -364,37 +359,20 @@ impl Comm {
             }
         }
         // FIFO per (src, tag): if this tag's queue is still in limbo, the
-        // message must join it regardless of the hook's fresh decision —
+        // message must join it regardless of the plan's fresh roll —
         // otherwise it would overtake its predecessors.
         if let Some(q) = limbo.iter_mut().find(|q| q.dst == dst && q.tag == tag) {
             q.msgs.push_back(payload);
+        } else if let Some(holds) = plan.holds(self.rank, dst, tag, seq) {
+            self.recorder.on_delay(dst, tag);
+            limbo.push(LimboQueue {
+                dst,
+                tag,
+                holds,
+                msgs: VecDeque::from([payload]),
+            });
         } else {
-            match hook.on_send(self.rank, dst, tag, seq) {
-                SendFault::Deliver => self.deliver(dst, tag, payload),
-                SendFault::Drop => {
-                    // Drops are accounted per tag by the recorder (the
-                    // conservation tests subtract them); the payload is
-                    // simply discarded here.
-                    if self.recorder.is_enabled() {
-                        self.recorder.on_fault_drop(dst, tag, payload.bytes);
-                    }
-                }
-                SendFault::Delay { holds } => {
-                    self.recorder.on_fault_delay(dst, tag);
-                    limbo.push(LimboQueue {
-                        dst,
-                        tag,
-                        holds: holds.max(1),
-                        msgs: VecDeque::from([payload]),
-                    });
-                }
-                SendFault::Stall { micros } => {
-                    self.recorder
-                        .on_fault_stall(dst, tag, micros.saturating_mul(1_000));
-                    std::thread::sleep(Duration::from_micros(micros));
-                    self.deliver(dst, tag, payload);
-                }
-            }
+            self.deliver(dst, tag, payload);
         }
     }
 
@@ -411,11 +389,11 @@ impl Comm {
         }
     }
 
-    /// Flushes delayed sends if fault injection is active. No-op (one
-    /// branch) on the fault-free path; called at every receive entry.
+    /// Flushes delayed sends if a [`DelayPlan`] is installed. No-op (one
+    /// branch) otherwise; called at every receive entry.
     #[inline]
     fn pre_block(&self) {
-        if self.universe.hook.is_some() {
+        if self.universe.delay.is_some() {
             self.flush_limbo();
         }
     }
@@ -524,24 +502,7 @@ impl Comm {
         // `seq` is per-Comm and each Comm is owned by one PE thread, so
         // there is no cross-thread ordering to establish.
         let s = self.seq.fetch_add(1, Ordering::Relaxed); // lint:relaxed-ok: single-owner counter
-        if let Some(hook) = &self.universe.hook {
-            if hook.kill_at_phase(self.rank) == Some(s) {
-                let err = CommError::PeerDead {
-                    rank: self.rank,
-                    dead: self.rank,
-                };
-                self.universe.poison(err.clone());
-                std::panic::panic_any(CommAbort(err));
-            }
-        }
         COLLECTIVE_TAG_BASE + s * (1 << 16)
-    }
-
-    /// Number of phases (tag blocks) this PE has started so far. Chaos
-    /// tests measure a fault-free run with this to pick a kill phase.
-    pub fn phases_started(&self) -> u64 {
-        // Single-owner counter (see `fresh_tag_block`).
-        self.seq.load(Ordering::Relaxed) // lint:relaxed-ok: single-owner counter
     }
 }
 
@@ -672,68 +633,23 @@ mod tests {
 }
 
 #[cfg(test)]
-mod chaos_tests {
+mod delay_tests {
     use super::*;
     use crate::runner::{run_config, RunConfig};
-    use std::time::Instant;
-
-    /// Delays every `n`-th send event by `holds` send events.
-    struct DelayEveryNth {
-        n: u64,
-        holds: u32,
-    }
-
-    impl FaultHook for DelayEveryNth {
-        fn on_send(&self, _src: usize, _dst: usize, _tag: Tag, seq: u64) -> SendFault {
-            if seq.is_multiple_of(self.n) {
-                SendFault::Delay { holds: self.holds }
-            } else {
-                SendFault::Deliver
-            }
-        }
-    }
-
-    /// Drops one specific (src, dst, tag) message.
-    struct DropOne {
-        src: usize,
-        dst: usize,
-        tag: Tag,
-    }
-
-    impl FaultHook for DropOne {
-        fn on_send(&self, src: usize, dst: usize, tag: Tag, _seq: u64) -> SendFault {
-            if (src, dst, tag) == (self.src, self.dst, self.tag) {
-                SendFault::Drop
-            } else {
-                SendFault::Deliver
-            }
-        }
-    }
-
-    /// Kills `rank` when it starts phase `phase` (fresh_tag_block call).
-    struct KillAt {
-        rank: usize,
-        phase: u64,
-    }
-
-    impl FaultHook for KillAt {
-        fn on_send(&self, _src: usize, _dst: usize, _tag: Tag, _seq: u64) -> SendFault {
-            SendFault::Deliver
-        }
-
-        fn kill_at_phase(&self, rank: usize) -> Option<u64> {
-            (rank == self.rank).then_some(self.phase)
-        }
-    }
 
     #[test]
     fn delayed_sends_preserve_per_tag_fifo() {
         // Delay injection reorders across tags but must never reorder
         // within a (src, tag) stream — receivers see identical payloads.
+        let obs = Obs::new(2);
         let cfg = RunConfig {
-            obs: None,
+            obs: Some(Arc::clone(&obs)),
             deadline: Some(Duration::from_secs(5)),
-            fault_hook: Some(Arc::new(DelayEveryNth { n: 3, holds: 2 })),
+            delay: Some(DelayPlan {
+                seed: 3,
+                per_mille: 300,
+                max_holds: 2,
+            }),
             ..RunConfig::default()
         };
         let results = run_config(2, cfg, |comm| {
@@ -759,106 +675,7 @@ mod chaos_tests {
             .flat_map(|t| (0..10u64).map(move |i| t * 100 + i))
             .collect();
         assert_eq!(got, &want, "delay injection must not break per-tag FIFO");
-    }
-
-    #[test]
-    fn dropped_message_times_out_structurally() {
-        let cfg = RunConfig {
-            obs: None,
-            deadline: Some(Duration::from_millis(60)),
-            fault_hook: Some(Arc::new(DropOne {
-                src: 0,
-                dst: 1,
-                tag: 7,
-            })),
-            ..RunConfig::default()
-        };
-        let results = run_config(2, cfg, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 7, 42u64);
-                0
-            } else {
-                comm.recv::<u64>(0, 7) as usize
-            }
-        });
-        assert!(
-            matches!(
-                results[1],
-                Err(CommError::Timeout {
-                    rank: 1,
-                    src: 0,
-                    tag: 7
-                })
-            ),
-            "expected a structured timeout, got {:?}",
-            results[1]
-        );
-    }
-
-    #[test]
-    fn killed_pe_poisons_the_group() {
-        // Rank 1 dies at its first phase; rank 0 parks in a receive that
-        // can never complete and must unwind with PeerDead promptly.
-        let cfg = RunConfig {
-            obs: None,
-            deadline: Some(Duration::from_secs(5)),
-            fault_hook: Some(Arc::new(KillAt { rank: 1, phase: 0 })),
-            ..RunConfig::default()
-        };
-        let t0 = Instant::now(); // lint:instant-ok: test wall-clock bound
-        let results = run_config(2, cfg, |comm| {
-            if comm.rank() == 0 {
-                comm.recv::<u64>(1, 3)
-            } else {
-                let _ = comm.fresh_tag_block(); // killed here
-                comm.send(0, 3, 9u64);
-                9
-            }
-        });
-        assert!(
-            matches!(results[0], Err(CommError::PeerDead { rank: 0, dead: 1 })),
-            "rank 0 should observe rank 1's death, got {:?}",
-            results[0]
-        );
-        assert!(
-            matches!(results[1], Err(CommError::PeerDead { rank: 1, dead: 1 })),
-            "rank 1 should report its own death, got {:?}",
-            results[1]
-        );
-        assert!(
-            t0.elapsed() < Duration::from_secs(4),
-            "poison propagation must beat the watchdog deadline"
-        );
-    }
-
-    #[test]
-    fn drop_counter_tracks_injected_drops() {
-        let obs = Obs::new(2);
-        let cfg = RunConfig {
-            obs: Some(Arc::clone(&obs)),
-            deadline: None,
-            fault_hook: Some(Arc::new(DropOne {
-                src: 0,
-                dst: 1,
-                tag: 99,
-            })),
-            ..RunConfig::default()
-        };
-        let results = run_config(2, cfg, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 99, 1u64); // dropped
-                comm.send(1, 100, 2u64); // delivered
-            } else {
-                assert_eq!(comm.recv::<u64>(0, 100), 2);
-                assert!(comm.drain::<u64>(99).is_empty());
-            }
-        });
-        for r in results {
-            r.expect("run succeeds");
-        }
-        let report = obs.report();
-        let dropped = report.total_dropped_per_tag();
-        assert_eq!(dropped.get(&99).map(|c| c.msgs), Some(1));
-        assert!(!dropped.contains_key(&100), "delivered tag must not count");
+        let delayed = obs.report().per_pe[0].comm.delayed;
+        assert!(delayed > 0, "the plan never delayed a send");
     }
 }

@@ -11,14 +11,12 @@
 //!
 //! # Fault model (DESIGN.md §9)
 //!
-//! The exchange is chaos-safe by construction: every phase uses a fresh
-//! tag from [`Comm::fresh_tag_block`] and every receive names its source
-//! PE, so injected cross-tag reordering (a delayed phase-`κ−1` message
-//! arriving after phase-`κ` traffic) cannot be mis-applied — delivery
-//! stays FIFO per `(src, tag)` and `LabelExchange::receive_and_apply`
-//! only drains the tag it is asked for. Dropped or killed peers surface
-//! through the watchdog as structured [`crate::CommError`]s at the next
-//! blocking receive rather than a hang.
+//! The exchange is safe under cross-tag reordering by construction: every
+//! phase uses a fresh tag from [`Comm::fresh_tag_block`] and every receive
+//! names its source PE, so a delayed phase-`κ−1` message arriving after
+//! phase-`κ` traffic (a [`crate::DelayPlan`]) cannot be mis-applied —
+//! delivery stays FIFO per `(src, tag)` and
+//! `LabelExchange::receive_and_apply` only drains the tag it is asked for.
 
 use crate::comm::{Comm, Tag};
 use crate::dgraph::DistGraph;

@@ -31,7 +31,7 @@ pub mod runner;
 pub mod tags;
 pub mod wire;
 
-pub use comm::{Comm, CommError, FaultHook, SendFault, Tag, Universe};
+pub use comm::{Comm, CommError, DelayPlan, Tag, Universe};
 pub use dgraph::{DistGraph, GhostRows};
 pub use exchange::LabelExchange;
 pub use wire::Wire;

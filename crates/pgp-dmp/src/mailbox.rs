@@ -34,10 +34,10 @@ use std::time::{Duration, Instant};
 pub(crate) struct Payload {
     value: Box<dyn Any + Send>,
     type_name: &'static str,
-    /// The value's [`Wire::wire_bytes`], computed once at [`pack`]. Send,
-    /// drop and receive all count this one field, so the per-tag totals
-    /// the recorder accumulates satisfy Σ sent − Σ dropped == Σ received
-    /// *exactly* (the conservation tests assert this).
+    /// The value's [`Wire::wire_bytes`], computed once at [`pack`]. Send
+    /// and receive both count this one field, so the per-tag totals the
+    /// recorder accumulates satisfy Σ sent == Σ received *exactly* (the
+    /// conservation tests assert this).
     pub(crate) bytes: u64,
 }
 

@@ -4,18 +4,18 @@
 //! poisons the universe (see `comm`), which wakes all peers parked in
 //! blocking receives so the whole group unwinds promptly instead of
 //! deadlocking the join loop; the first genuine panic is then re-raised
-//! (first panic wins). Structured failures — watchdog timeouts, killed
-//! peers — unwind with a crate-internal sentinel that [`run_config`]
-//! surfaces as `Err(CommError)` per PE instead of a crash.
+//! (first panic wins). A watchdog timeout unwinds with a crate-internal
+//! sentinel that [`run_config`] surfaces as `Err(CommError)` per PE
+//! instead of a crash.
 
-use crate::comm::{Comm, CommAbort, CommError, FaultHook, Universe};
+use crate::comm::{Comm, CommAbort, CommError, DelayPlan, Universe};
 use pgp_obs::Obs;
 use std::any::Any;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Configuration for [`run_config`]: the knobs that turn the fault-free
-/// substrate into a chaos-hardened one.
+/// Configuration for [`run_config`]: a watchdog, a delay plan and an
+/// observability registry, each off by default.
 #[derive(Default, Clone)]
 pub struct RunConfig {
     /// Deadlock-watchdog deadline applied to every blocking receive. The
@@ -23,9 +23,10 @@ pub struct RunConfig {
     /// [`CommError::Timeout`] and the whole group fails structurally.
     /// `None` parks forever (the classic substrate).
     pub deadline: Option<Duration>,
-    /// Fault-injection oracle (see [`FaultHook`] and the `pgp-chaos`
-    /// crate). `None` is the zero-overhead fault-free path.
-    pub fault_hook: Option<Arc<dyn FaultHook>>,
+    /// Seeded cross-tag send delays (see [`DelayPlan`]), a test hook under
+    /// which results must stay bit-identical. `None` delivers every send
+    /// at once.
+    pub delay: Option<DelayPlan>,
     /// Observability registry (see `pgp-obs`). When set, every PE's comm
     /// traffic and phase spans are recorded into it; `None` keeps every
     /// recorder hook to a single branch. Must be sized for exactly `p` PEs.
@@ -43,11 +44,10 @@ enum PeOutcome<R> {
     Panicked(Box<dyn Any + Send>),
 }
 
-/// Runs `f` on `p` PEs under `cfg` (watchdog deadline and/or fault
-/// injection); returns each PE's outcome as a value. Genuine panics still
-/// propagate as panics (first wins); structured failures — a timeout from
-/// the deadlock watchdog, a peer killed by the fault plan — come back as
-/// `Err(CommError)` so chaos tests can assert on them.
+/// Runs `f` on `p` PEs under `cfg` (watchdog deadline, delay plan,
+/// registry); returns each PE's outcome as a value. Genuine panics still
+/// propagate as panics (first wins); a timeout from the deadlock watchdog
+/// comes back as `Err(CommError)` so tests can assert on it.
 ///
 /// Spawns one thread per PE over one [`Universe`], joins them all,
 /// converts comm-abort sentinels into `Err`, and re-raises the first
@@ -57,7 +57,7 @@ where
     R: Send,
     F: Fn(&Comm) -> R + Sync,
 {
-    let universe = &Universe::with_config(p, cfg.deadline, cfg.fault_hook, cfg.obs);
+    let universe = &Universe::with_config(p, cfg.deadline, cfg.delay, cfg.obs);
     let outcomes: Vec<PeOutcome<R>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
         for rank in 0..p {
@@ -126,8 +126,8 @@ where
 ///
 /// # Panics
 /// Re-raises the first PE panic. Also panics if a PE fails with a
-/// structured [`CommError`] (only possible when a watchdog or fault hook
-/// is installed — use [`run_config`] to observe those as values).
+/// structured [`CommError`] (only possible when a watchdog is installed —
+/// use [`run_config`] to observe those as values).
 ///
 /// ```
 /// let sums = pgp_dmp::run(4, |comm| {

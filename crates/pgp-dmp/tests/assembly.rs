@@ -25,7 +25,6 @@ struct View {
     adjacent_pes: Vec<u32>,
     degree_order: Vec<Node>,
     arc_ranges: Vec<Range<usize>>,
-    fingerprint_local: u64,
     totals: (Weight, Weight, u64, u64),
 }
 
@@ -42,7 +41,6 @@ fn view(g: &DistGraph) -> View {
         arc_ranges: owned.map(|u| g.arc_range(u)).collect(),
         adjacent_pes: g.adjacent_pes().to_vec(),
         degree_order: g.degree_order().to_vec(),
-        fingerprint_local: g.fingerprint_local(),
         totals: (
             g.total_node_weight(),
             g.total_edge_weight(),

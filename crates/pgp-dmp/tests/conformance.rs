@@ -2,7 +2,7 @@
 //! API — every payload type the algorithms send, drain order, every
 //! collective, the poison protocol (a timeout, and a collective one rank
 //! skipped) and exact send/receive conservation in the observation layer.
-//! Point-to-point basics and the chaos hooks are unit-tested in `comm.rs`.
+//! Point-to-point basics and the delay plan are unit-tested in `comm.rs`.
 
 use pgp_dmp::collectives::{
     allgather, allgatherv, allreduce, allreduce_min_with_rank, allreduce_sum, allreduce_sum_vec,
@@ -185,7 +185,7 @@ fn collective_under_a_rank_guard_fails_structurally() {
 #[test]
 fn obs_conservation() {
     // Whatever the mailbox does with a payload, the recorder's per-tag
-    // totals must balance exactly: Σ sent − Σ dropped == Σ received.
+    // totals must balance exactly: Σ sent == Σ received.
     let obs = Obs::new(3);
     let cfg = RunConfig {
         deadline: Some(Duration::from_secs(30)),
@@ -204,7 +204,6 @@ fn obs_conservation() {
     let report = obs.report();
     let sent = report.total_sent_per_tag();
     let recvd = report.total_recvd_per_tag();
-    assert!(report.total_dropped_per_tag().is_empty(), "no chaos here");
     assert_eq!(sent, recvd, "conservation: every sent byte was received");
     assert_eq!(sent.get(&11).map(|c| c.msgs), Some(3));
     // Each message counts its 8-byte length plus five 8-byte words, and no

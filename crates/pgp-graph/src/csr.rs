@@ -8,7 +8,7 @@
 //! `adjwgt` holds one run of ones as long as the longest row and every row
 //! reads its weights from the start of it (`adjwgt_mask == 0`). That is the
 //! canonical form — the constructors drop an all-ones vector — so two equal
-//! graphs always compare and fingerprint equal.
+//! graphs always compare equal.
 //! [`CsrGraph::neighbors_weighted`] is the one reader that knows, and both
 //! forms iterate as the same slice zip at the same cost per arc.
 
@@ -299,34 +299,6 @@ impl CsrGraph {
         &self.node_weight
     }
 
-    /// Order-sensitive 64-bit structural fingerprint over the CSR arrays
-    /// and weights. Used by checkpoint/restart to verify that a snapshot is
-    /// replayed against the same graph (DESIGN.md §9); FNV-style, not
-    /// cryptographic.
-    pub fn fingerprint(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut mix = |x: u64| h = (h ^ x).wrapping_mul(PRIME).rotate_left(29);
-        mix(self.xadj.len() as u64);
-        for &x in &self.xadj {
-            mix(x);
-        }
-        for &v in &self.adjncy {
-            mix(u64::from(v));
-        }
-        // A unit weight is mixed although it is not stored: the value must
-        // not depend on the representation (checkpoints carry it).
-        for u in self.nodes() {
-            for (_, w) in self.neighbors_weighted(u) {
-                mix(w);
-            }
-        }
-        for &w in &self.node_weight {
-            mix(w);
-        }
-        h
-    }
-
     /// Average degree `2m / n` (0 for the empty graph).
     pub fn avg_degree(&self) -> f64 {
         if self.n() == 0 {
@@ -553,7 +525,7 @@ mod proptests {
 
         /// The unit form is canonical: all-ones weights handed to
         /// `from_parts` give the graph `unweighted` gives, bit for bit in
-        /// `==` and in `fingerprint()`; one other weight gives neither.
+        /// `==`; one other weight does not.
         #[test]
         fn all_ones_is_the_unweighted_graph(
             n in 1usize..24,
@@ -572,7 +544,6 @@ mod proptests {
             let unit = CsrGraph::unweighted(xadj.clone(), adjncy.clone());
             let ones = CsrGraph::from_parts(xadj.clone(), adjncy.clone(), vec![1; arcs], vec![1; n]);
             prop_assert_eq!(&ones, &unit);
-            prop_assert_eq!(ones.fingerprint(), unit.fingerprint());
             prop_assert_eq!(ones.heap_bytes(), unit.heap_bytes());
             prop_assert_eq!(unit.total_edge_weight(), unit.m() as Weight);
             if arcs > 0 {
@@ -580,7 +551,6 @@ mod proptests {
                 w[heavy % arcs] = 2;
                 let other = CsrGraph::from_parts(xadj, adjncy, w, vec![1; n]);
                 prop_assert_ne!(&other, &unit);
-                prop_assert_ne!(other.fingerprint(), unit.fingerprint());
             }
         }
     }

@@ -1101,7 +1101,6 @@ mod tests {
         let spelled = read_metis("3 2 1\n2 1 3 1\n1 1\n1 1\n".as_bytes()).unwrap();
         assert!(!spelled.has_arc_weights());
         assert_eq!(spelled, plain);
-        assert_eq!(spelled.fingerprint(), plain.fingerprint());
         // No `fmt`, but rows 1 and 2 list each other twice: that edge weighs
         // 2, the ones read before and after it stay 1, the mirror check holds.
         let merged = read_metis("4 3\n3\n3 3 4\n1 2 2\n2\n".as_bytes()).unwrap();

@@ -16,9 +16,9 @@
 //!   a mismatched exit is dropped and counted, never corrupts the stack.
 //! - Comm counters ([`Recorder::on_send`] etc.): messages/bytes per tag on
 //!   both the send and receive side, collective invocation counts,
-//!   receive-wait time, and chaos fault counters (delayed/stalled/dropped).
-//!   These enable conservation assertions (Σ sent − Σ dropped == Σ
-//!   received, per tag) that were previously unwritable.
+//!   receive-wait time, and the count of sends a delay plan held back.
+//!   These enable conservation assertions (Σ sent == Σ received, per tag)
+//!   that were previously unwritable.
 //! - Structural metrics ([`LevelMetrics`], [`RefineMetrics`]): the
 //!   per-level quantities the SEA'14 companion paper (arXiv:1402.3281)
 //!   uses to diagnose quality — nodes/edges/ghosts after each contraction,
@@ -35,7 +35,7 @@
 //! - Trace timelines ([`RunTrace`], via [`Obs::with_trace`]): bounded
 //!   per-PE event rings recording span open/close, sends/receives with
 //!   per-peer sequence numbers, per-peer receive waits, collective
-//!   entry/exit, and fault-injection incidents — all on one run-wide
+//!   entry/exit, and sends a delay plan held back — all on one run-wide
 //!   monotonic epoch. Exportable as Chrome-trace/Perfetto JSON
 //!   ([`to_perfetto_json`], checked by [`validate_perfetto`]) and
 //!   analyzable in-process (`RunTrace::phase_blame`) for straggler
@@ -50,7 +50,7 @@
 //!   thread-CPU seconds, per PE in the report.
 //!
 //! Raw `Instant::now()` in `crates/{core,pgp-dmp,pgp-lp}` is confined to
-//! this crate's seam by `cargo xtask lint` rule 7 (`instant-now`): time is
+//! this crate's seam by `cargo xtask lint` rule 6 (`instant-now`): time is
 //! taken inside [`Recorder`]/[`WaitToken`], so algorithm and comm code
 //! never handle clocks directly. The same rule covers this crate's own
 //! sources — the annotated recorder/epoch sites are the only sanctioned
@@ -75,4 +75,4 @@ pub use report::{
     RunReport, TagEntry, SCHEMA_VERSION,
 };
 pub use resources::{read_rss_kb, thread_cpu_seconds, ResourceSample};
-pub use trace::{FaultKind, PeTrace, PhaseBlame, RunTrace, TraceEvent, TraceEventKind};
+pub use trace::{PeTrace, PhaseBlame, RunTrace, TraceEvent, TraceEventKind};

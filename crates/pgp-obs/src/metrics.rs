@@ -165,7 +165,7 @@ pub struct PhaseStat {
 /// contraction that produced it (coarsen loop).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LevelMetrics {
-    /// V-cycle index (absolute, so resumed runs line up).
+    /// V-cycle index.
     pub cycle: u32,
     /// Level index within the cycle (0 = first coarse level).
     pub level: u32,

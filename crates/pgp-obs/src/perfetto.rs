@@ -4,8 +4,8 @@
 //! The export uses the Chrome trace event format (the JSON flavor
 //! Perfetto's UI and `chrome://tracing` both load): one process, one
 //! thread track per PE, `B`/`E` duration events for spans and
-//! collectives, `X` complete events for receive waits and injected
-//! stalls, instant events for drops/delays, and `s`/`f` flow events
+//! collectives, `X` complete events for receive waits, instant events
+//! for sends a delay plan held back, and `s`/`f` flow events
 //! connecting each send to its matching receive. Flow ids are derived
 //! from `(src, dst, tag, seq)` — both endpoints can compute the id
 //! locally because mailboxes are FIFO per (src, tag).
@@ -14,7 +14,7 @@
 //! fraction, measured from the run's shared monotonic epoch.
 
 use crate::json::{JsonValue, ToValue};
-use crate::trace::{FaultKind, RunTrace, TraceEventKind};
+use crate::trace::{RunTrace, TraceEventKind};
 
 /// Microsecond timestamp with nanosecond fraction, as a JSON number.
 fn us(ns: u64) -> JsonValue {
@@ -128,19 +128,9 @@ pub fn to_perfetto_json(trace: &RunTrace) -> String {
                     let start = ts.saturating_sub(wait_ns);
                     event("X", r, start, &name, "wait", [("dur", us(wait_ns)), args])
                 }
-                TraceEventKind::Fault {
-                    kind,
-                    peer,
-                    tag,
-                    dur_ns,
-                } => {
-                    let name = format!("fault:{}", kind.label());
+                TraceEventKind::Delay { peer, tag } => {
                     let args = args([("peer", &peer), ("tag", &tag)]);
-                    if kind == FaultKind::Stall {
-                        event("X", r, ts, &name, "fault", [("dur", us(dur_ns)), args])
-                    } else {
-                        event("i", r, ts, &name, "fault", [("s", "t".to_value()), args])
-                    }
+                    event("i", r, ts, "delay", "comm", [("s", "t".to_value()), args])
                 }
             });
         }
@@ -161,7 +151,8 @@ pub fn to_perfetto_json(trace: &RunTrace) -> String {
 ///    names (no cross-track or misnested closes);
 /// 3. `X` events carry a `dur`;
 /// 4. every flow-finish (`f`) id resolves to some flow-start (`s`) id
-///    (sends without receives are legal — drops — but not vice versa).
+///    (sends without receives are legal — a rumour nobody drained, a
+///    ring that filled up — but not vice versa).
 ///
 /// Returns a one-line summary on success.
 pub fn validate_perfetto(text: &str) -> Result<String, String> {
@@ -290,15 +281,7 @@ mod tests {
                         ),
                         e(20, TraceEventKind::CollectiveEnter { name: "barrier" }),
                         e(30, TraceEventKind::CollectiveExit { name: "barrier" }),
-                        e(
-                            40,
-                            TraceEventKind::Fault {
-                                kind: FaultKind::Stall,
-                                peer: 1,
-                                tag: 7,
-                                dur_ns: 1000,
-                            },
-                        ),
+                        e(40, TraceEventKind::Delay { peer: 1, tag: 7 }),
                         e(
                             50,
                             TraceEventKind::SpanClose {

@@ -8,14 +8,9 @@
 //! so every PE of a run shares a single clock and cross-PE deltas
 //! (collective skew, send→recv latency) are directly comparable. Each
 //! [`Recorder`] caches the epoch origin at creation — reading a
-//! timestamp is `Instant::now()` plus an atomic offset load, no lock.
-//! On checkpoint resume the saved elapsed time is restored as the
-//! epoch *offset* ([`Obs::set_epoch_offset_ns`]), so a resumed run's
-//! timeline continues where the original left off instead of starting
-//! over at zero.
+//! timestamp is one `Instant::now()`, no lock.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -24,7 +19,7 @@ use parking_lot::Mutex;
 use crate::metrics::{LevelMetrics, PhaseStat, RefineMetrics, TagCounter, WaitHistogram};
 use crate::report::{Aggregate, PeReport, RunReport, TagEntry, SCHEMA_VERSION};
 use crate::resources::ResourceSample;
-use crate::trace::{FaultKind, PeTrace, RunTrace, TraceEventKind, TraceRing};
+use crate::trace::{PeTrace, RunTrace, TraceEventKind, TraceRing};
 
 /// Default per-PE trace ring capacity (events). Generous enough that
 /// the tiny-to-small benchmark tiers never drop (dropping is counted,
@@ -43,9 +38,6 @@ pub struct Obs {
     cells: Vec<Mutex<PeState>>,
     /// Origin of the run's monotonic epoch (see the module docs).
     epoch_origin: Mutex<Instant>,
-    /// Nanoseconds to add on top of the origin — nonzero after a
-    /// checkpoint resume restored the original run's elapsed time.
-    epoch_offset_ns: AtomicU64,
     /// Whether per-PE trace rings exist (uniform across PEs, so trace
     /// bookkeeping like sequence numbers cannot desync between peers).
     traced: bool,
@@ -64,18 +56,14 @@ pub(crate) struct PeState {
     pub(crate) sent: BTreeMap<u64, TagCounter>,
     /// Messages/bytes received, per tag.
     pub(crate) recvd: BTreeMap<u64, TagCounter>,
-    /// Messages/bytes dropped by fault injection, per tag.
-    pub(crate) dropped: BTreeMap<u64, TagCounter>,
     /// Collective invocation counts by name.
     pub(crate) collectives: BTreeMap<&'static str, u64>,
     /// Receive-wait latency distribution (√2 log buckets + exact sum).
     pub(crate) recv_wait_hist: WaitHistogram,
     /// Receive-wait nanoseconds blamed on each awaited source PE.
     pub(crate) recv_wait_by_peer: BTreeMap<usize, u64>,
-    /// Sends held in a limbo queue by fault injection.
+    /// Sends held in a limbo queue by a delay plan.
     pub(crate) delayed: u64,
-    /// Sends stalled (slept) by fault injection.
-    pub(crate) stalled: u64,
     /// Per-level structural snapshots, in recording order.
     pub(crate) levels: Vec<LevelMetrics>,
     /// Per-refinement-pass quality snapshots, in recording order.
@@ -96,12 +84,10 @@ impl PeState {
             orphan_exits: 0,
             sent: BTreeMap::new(),
             recvd: BTreeMap::new(),
-            dropped: BTreeMap::new(),
             collectives: BTreeMap::new(),
             recv_wait_hist: WaitHistogram::default(),
             recv_wait_by_peer: BTreeMap::new(),
             delayed: 0,
-            stalled: 0,
             levels: Vec::new(),
             refinements: Vec::new(),
             resources: ResourceSample::default(),
@@ -139,7 +125,6 @@ impl Obs {
                 .map(|_| Mutex::new(PeState::new(trace_capacity)))
                 .collect(),
             epoch_origin: Mutex::new(Instant::now()), // lint:instant-ok: trace epoch origin
-            epoch_offset_ns: AtomicU64::new(0),
             traced: trace_capacity.is_some(),
         })
     }
@@ -159,13 +144,6 @@ impl Obs {
     /// the rebase (all of them) share the new origin.
     pub fn rebase_epoch(&self) {
         *self.epoch_origin.lock() = Instant::now(); // lint:instant-ok: trace epoch rebase
-    }
-
-    /// Sets the epoch offset, giving resumed runs timeline continuity:
-    /// pass the elapsed nanoseconds saved in the checkpoint and the
-    /// resumed run's timestamps continue from there.
-    pub fn set_epoch_offset_ns(&self, offset_ns: u64) {
-        self.epoch_offset_ns.store(offset_ns, Ordering::Relaxed);
     }
 
     /// The recorder handle for `rank`'s cell.
@@ -256,10 +234,7 @@ impl Inner {
     /// Nanoseconds of `at` on the run epoch.
     fn ns_at(&self, at: Instant) -> u64 {
         let since = at.saturating_duration_since(self.origin);
-        self.obs
-            .epoch_offset_ns
-            .load(Ordering::Relaxed)
-            .saturating_add(u64::try_from(since.as_nanos()).unwrap_or(u64::MAX))
+        u64::try_from(since.as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// Epoch-nanoseconds of "now" when tracing, else 0 (the value is
@@ -290,26 +265,6 @@ impl Recorder {
     #[inline]
     pub fn is_traced(&self) -> bool {
         self.inner.as_ref().is_some_and(|i| i.traced)
-    }
-
-    /// Nanoseconds elapsed on the run epoch; 0 when disabled. Cheap
-    /// (no lock) — used for checkpoint epoch continuity.
-    #[inline]
-    pub fn epoch_elapsed_ns(&self) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(inner) => inner.ns_at(Instant::now()), // lint:instant-ok: trace epoch read
-        }
-    }
-
-    /// Restores the run epoch offset from a checkpoint's saved elapsed
-    /// time, so the resumed timeline continues rather than restarting
-    /// at zero. Idempotent; every PE may call it with the same value.
-    #[inline]
-    pub fn resume_epoch(&self, elapsed_ns: u64) {
-        if let Some(inner) = &self.inner {
-            inner.obs.set_epoch_offset_ns(elapsed_ns);
-        }
     }
 
     /// Opens a span; close it with the returned guard (or a matching
@@ -439,71 +394,16 @@ impl Recorder {
         }
     }
 
-    /// Records one message toward `dst` dropped by fault injection.
+    /// Records one send toward `dst` held in a limbo queue by a delay
+    /// plan.
     #[inline]
-    pub fn on_fault_drop(&self, dst: usize, tag: u64, bytes: u64) {
-        if let Some(inner) = &self.inner {
-            let ts = inner.trace_ts();
-            inner.with(|st| {
-                st.dropped.entry(tag).or_default().add(bytes);
-                if let Some(ring) = &mut st.trace {
-                    ring.push(
-                        ts,
-                        TraceEventKind::Fault {
-                            kind: FaultKind::Drop,
-                            peer: dst,
-                            tag,
-                            dur_ns: 0,
-                        },
-                    );
-                }
-            });
-        }
-    }
-
-    /// Records one send toward `dst` held in a limbo queue by fault
-    /// injection.
-    #[inline]
-    pub fn on_fault_delay(&self, dst: usize, tag: u64) {
+    pub fn on_delay(&self, dst: usize, tag: u64) {
         if let Some(inner) = &self.inner {
             let ts = inner.trace_ts();
             inner.with(|st| {
                 st.delayed += 1;
                 if let Some(ring) = &mut st.trace {
-                    ring.push(
-                        ts,
-                        TraceEventKind::Fault {
-                            kind: FaultKind::Delay,
-                            peer: dst,
-                            tag,
-                            dur_ns: 0,
-                        },
-                    );
-                }
-            });
-        }
-    }
-
-    /// Records one send toward `dst` stalled (slept `stall_ns`) by
-    /// fault injection. The injected time gets its own `fault` event
-    /// kind so chaos-run timelines show it on the *injecting* PE rather
-    /// than blaming an innocent peer.
-    #[inline]
-    pub fn on_fault_stall(&self, dst: usize, tag: u64, stall_ns: u64) {
-        if let Some(inner) = &self.inner {
-            let ts = inner.trace_ts();
-            inner.with(|st| {
-                st.stalled += 1;
-                if let Some(ring) = &mut st.trace {
-                    ring.push(
-                        ts,
-                        TraceEventKind::Fault {
-                            kind: FaultKind::Stall,
-                            peer: dst,
-                            tag,
-                            dur_ns: stall_ns,
-                        },
-                    );
+                    ring.push(ts, TraceEventKind::Delay { peer: dst, tag });
                 }
             });
         }
@@ -652,7 +552,6 @@ mod tests {
         let tok = rec.start_wait(0, 1);
         assert!(tok.is_none());
         rec.end_wait(tok);
-        assert_eq!(rec.epoch_elapsed_ns(), 0);
         drop(g);
     }
 
@@ -716,7 +615,7 @@ mod tests {
         r1.on_recv(0, 7, 16);
         r1.on_recv(0, 7, 8);
         drop(r0.collective_span("barrier"));
-        r0.on_fault_delay(1, 7);
+        r0.on_delay(1, 7);
         let report = obs.report();
         let sent = &report.per_pe[0].comm.sent;
         assert_eq!(sent.len(), 1);
@@ -805,17 +704,5 @@ mod tests {
         // Timestamps are monotone per PE (shared epoch, single thread).
         let ts: Vec<u64> = trace.per_pe[0].events.iter().map(|e| e.ts_ns).collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "{ts:?}");
-    }
-
-    #[test]
-    fn epoch_offset_shifts_timestamps() {
-        let obs = Obs::with_trace(1, 8);
-        obs.rebase_epoch();
-        let rec = obs.recorder(0);
-        rec.resume_epoch(1_000_000_000_000); // pretend 1000 s elapsed before resume
-        rec.on_send(0, 1, 8);
-        let trace = obs.trace().expect("traced");
-        assert!(trace.per_pe[0].events[0].ts_ns >= 1_000_000_000_000);
-        assert!(rec.epoch_elapsed_ns() >= 1_000_000_000_000);
     }
 }

@@ -23,7 +23,7 @@ use crate::resources::ResourceSample;
 /// blame, levels, refinements, orphan exits, resources) and the
 /// `aggregate` block derived from them. CHANGES.md records how it got
 /// here.
-pub const SCHEMA_VERSION: u32 = 8;
+pub const SCHEMA_VERSION: u32 = 9;
 
 /// A complete observed run: per-PE detail plus cross-PE aggregates.
 #[derive(Clone, Debug, PartialEq)]
@@ -77,8 +77,6 @@ pub struct CommReport {
     pub sent: Vec<TagEntry>,
     /// Received messages/bytes, tag ascending.
     pub recvd: Vec<TagEntry>,
-    /// Fault-injection drops, tag ascending.
-    pub dropped: Vec<TagEntry>,
     /// Collective invocation counts, name ascending.
     pub collectives: Vec<CollectiveEntry>,
     /// Seconds blocked in receive waits; zeroed by [`RunReport::zeroed`].
@@ -95,10 +93,8 @@ pub struct CommReport {
     /// ascending. Wildcard receives are unattributable and appear only
     /// in the histogram.
     pub recv_wait_by_peer: Vec<PeerWaitEntry>,
-    /// Sends held in limbo queues by fault injection.
+    /// Sends held in limbo queues by a delay plan.
     pub delayed: u64,
-    /// Sends stalled (slept) by fault injection.
-    pub stalled: u64,
 }
 
 /// One sparse histogram bucket.
@@ -196,7 +192,6 @@ impl PeReport {
             comm: CommReport {
                 sent: tag_entries(&st.sent),
                 recvd: tag_entries(&st.recvd),
-                dropped: tag_entries(&st.dropped),
                 collectives: st
                     .collectives
                     .iter()
@@ -222,7 +217,6 @@ impl PeReport {
                     })
                     .collect(),
                 delayed: st.delayed,
-                stalled: st.stalled,
             },
             levels: st.levels.clone(),
             refinements: st.refinements.clone(),
@@ -327,11 +321,6 @@ impl RunReport {
         Self::sum_tags(self.per_pe.iter().flat_map(|pe| pe.comm.recvd.iter()))
     }
 
-    /// Sums `dropped` counters per tag across all PEs.
-    pub fn total_dropped_per_tag(&self) -> BTreeMap<u64, TagCounter> {
-        Self::sum_tags(self.per_pe.iter().flat_map(|pe| pe.comm.dropped.iter()))
-    }
-
     fn sum_tags<'a>(entries: impl Iterator<Item = &'a TagEntry>) -> BTreeMap<u64, TagCounter> {
         let mut out: BTreeMap<u64, TagCounter> = BTreeMap::new();
         for e in entries {
@@ -364,11 +353,6 @@ impl RunReport {
                     msgs: 1,
                     bytes: 1,
                 }],
-                dropped: vec![TagEntry {
-                    tag: 1,
-                    msgs: 1,
-                    bytes: 1,
-                }],
                 collectives: vec![CollectiveEntry {
                     name: "barrier".to_string(),
                     count: 1,
@@ -384,7 +368,6 @@ impl RunReport {
                     wait_s: 1.0,
                 }],
                 delayed: 0,
-                stalled: 0,
             },
             levels: vec![LevelMetrics::default()],
             refinements: vec![RefineMetrics::default()],
@@ -423,8 +406,8 @@ field_lists! {
     PeReport { rank, phases, comm, levels, refinements, orphan_exits, resources }
     PhaseEntry { path, count, total_s }
     CommReport {
-        sent, recvd, dropped, collectives, recv_wait_s, recv_wait_count, recv_wait_hist,
-        recv_wait_by_peer, delayed, stalled,
+        sent, recvd, collectives, recv_wait_s, recv_wait_count, recv_wait_hist,
+        recv_wait_by_peer, delayed,
     }
     TagEntry { tag, msgs, bytes }
     CollectiveEntry { name, count }
@@ -482,7 +465,7 @@ mod tests {
     fn zeroed_report_keeps_only_deterministic_fields() {
         let json = sample_report().zeroed().to_json();
         assert!(!json.contains("total_s\": 0."), "timings must be zeroed");
-        assert!(json.contains("\"schema_version\": 8"));
+        assert!(json.contains("\"schema_version\": 9"));
         assert!(json.contains("\"final_cut\": 42"));
         assert!(
             json.contains("\"imbalance\": 0.03"),
@@ -510,7 +493,6 @@ mod tests {
         let recvd = report.total_recvd_per_tag();
         assert_eq!(sent, recvd);
         assert_eq!(sent[&7].bytes, 24);
-        assert!(report.total_dropped_per_tag().is_empty());
     }
 
     #[test]
@@ -554,10 +536,6 @@ mod tests {
             "per_pe[].comm.collectives[].count",
             "per_pe[].comm.collectives[].name",
             "per_pe[].comm.delayed",
-            "per_pe[].comm.dropped",
-            "per_pe[].comm.dropped[].bytes",
-            "per_pe[].comm.dropped[].msgs",
-            "per_pe[].comm.dropped[].tag",
             "per_pe[].comm.recv_wait_by_peer",
             "per_pe[].comm.recv_wait_by_peer[].peer",
             "per_pe[].comm.recv_wait_by_peer[].wait_s",
@@ -574,7 +552,6 @@ mod tests {
             "per_pe[].comm.sent[].bytes",
             "per_pe[].comm.sent[].msgs",
             "per_pe[].comm.sent[].tag",
-            "per_pe[].comm.stalled",
             "per_pe[].levels",
             "per_pe[].levels[].cycle",
             "per_pe[].levels[].level",
@@ -599,7 +576,7 @@ mod tests {
             "per_pe[].resources.thread_cpu_s",
             "schema_version",
         ];
-        assert_eq!(SCHEMA_VERSION, 8, "bumped version: update the golden list");
+        assert_eq!(SCHEMA_VERSION, 9, "bumped version: update the golden list");
         assert_eq!(
             RunReport::schema_fingerprint(),
             expected,

@@ -4,11 +4,11 @@
 //!
 //! The ring records *events* — timestamped span open/close, sends and
 //! receives with per-peer sequence numbers, per-peer receive waits,
-//! collective entry/exit, and fault-injection incidents — where the run
-//! report records only *aggregates*. Timestamps are nanoseconds since
-//! the run's monotonic epoch (captured at `Universe` setup and rebased
-//! on checkpoint resume), so events from different PEs of one run share
-//! a single clock and can be laid out on one timeline.
+//! collective entry/exit, and sends a delay plan held back — where the
+//! run report records only *aggregates*. Timestamps are nanoseconds since
+//! the run's monotonic epoch (captured at `Universe` setup), so events
+//! from different PEs of one run share a single clock and can be laid out
+//! on one timeline.
 //!
 //! Determinism: with a deterministic algorithm and a fixed seed, every
 //! event kind except [`TraceEventKind::RecvWait`] occurs at a fixed
@@ -20,28 +20,6 @@
 //! compare.
 
 use std::collections::BTreeMap;
-
-/// Which fault-injection action produced a [`TraceEventKind::Fault`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FaultKind {
-    /// The send was silently discarded.
-    Drop,
-    /// The send was held in the sender's limbo queue.
-    Delay,
-    /// The sender slept before delivering.
-    Stall,
-}
-
-impl FaultKind {
-    /// Short lowercase label (`drop` / `delay` / `stall`).
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Delay => "delay",
-            FaultKind::Stall => "stall",
-        }
-    }
-}
 
 /// One recorded event kind.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,10 +48,9 @@ pub enum TraceEventKind {
     },
     /// A point-to-point receive. `seq` is the 0-based sequence number
     /// among all receives on this PE from `src` on `tag`; mailboxes are
-    /// FIFO per (src, tag), so in fault-free runs the i-th receive
-    /// matches the i-th send and flow arrows connect them. Fault
-    /// injection (drops, reordered limbo flushes) can shift the
-    /// correspondence — a documented limitation.
+    /// FIFO per (src, tag), so the i-th receive matches the i-th send
+    /// and flow arrows connect them, also under a delay plan (limbo
+    /// queues keep FIFO per (src, tag)).
     Recv {
         /// Source PE.
         src: usize,
@@ -104,20 +81,12 @@ pub enum TraceEventKind {
         /// Collective name.
         name: &'static str,
     },
-    /// Fault injection acted on a send from this PE. Keeping injected
-    /// time in its own event kind (rather than letting it surface as
-    /// peer wait) keeps chaos-run timelines interpretable: the stalled
-    /// PE shows `fault` time, its peers show waits *on* it.
-    Fault {
-        /// What the injector did.
-        kind: FaultKind,
+    /// A delay plan held a send from this PE back in its limbo queue.
+    Delay {
         /// The send's destination PE.
         peer: usize,
         /// The send's tag.
         tag: u64,
-        /// Injected duration in nanoseconds (0 for drops and delays,
-        /// whose cost is borne elsewhere).
-        dur_ns: u64,
     },
 }
 
@@ -266,17 +235,8 @@ impl RunTrace {
                     TraceEventKind::CollectiveExit { name } => {
                         let _ = writeln!(out, "  coll- {name}");
                     }
-                    TraceEventKind::Fault {
-                        kind,
-                        peer,
-                        tag,
-                        dur_ns,
-                    } => {
-                        let _ = writeln!(
-                            out,
-                            "  fault {} peer={peer} tag={tag} dur_ns={dur_ns}",
-                            kind.label()
-                        );
+                    TraceEventKind::Delay { peer, tag } => {
+                        let _ = writeln!(out, "  delay peer={peer} tag={tag}");
                     }
                 }
             }
@@ -312,18 +272,6 @@ impl RunTrace {
             }
         }
         blame
-    }
-
-    /// Total receive-wait nanoseconds blamed on each peer, across all
-    /// PEs and phases. Convenience over [`RunTrace::phase_blame`].
-    pub fn blame_by_peer(&self) -> BTreeMap<usize, u64> {
-        let mut out: BTreeMap<usize, u64> = BTreeMap::new();
-        for b in self.phase_blame().values() {
-            for (&peer, &ns) in &b.by_peer {
-                *out.entry(peer).or_insert(0) += ns;
-            }
-        }
-        out
     }
 }
 
@@ -483,6 +431,5 @@ mod tests {
         assert_eq!(blame["vcycle/coarsen"].total_wait_ns, 40);
         assert_eq!(blame["vcycle/coarsen"].by_peer[&1], 40);
         assert_eq!(blame["(root)"].by_peer[&0], 10);
-        assert_eq!(trace.blame_by_peer()[&1], 40);
     }
 }

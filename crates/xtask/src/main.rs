@@ -26,13 +26,7 @@
 //!    guarantee sound is local to those files, and every message must be
 //!    counted and type-checked on its way through; code elsewhere must
 //!    stay behind the `Comm` API.
-//! 6. **chaos-hooks** — the fault-injection seam (`FaultHook`, `SendFault`)
-//!    may only be named in the comm layer (`comm.rs`, `runner.rs`, the
-//!    `pgp-dmp` re-export) and the `pgp-chaos` crate (ISSUE 3). Algorithm
-//!    code consulting the fault oracle would let injected faults leak into
-//!    program logic, silently turning chaos tests into self-fulfilling
-//!    prophecies.
-//! 7. **instant-now** — raw `Instant::now()` and `SystemTime::now()` in
+//! 6. **instant-now** — raw `Instant::now()` and `SystemTime::now()` in
 //!    the instrumented crates (`crates/{core,pgp-dmp,pgp-lp,pgp-obs}/src`)
 //!    are forbidden (ISSUE 4): phase timing must go through the `pgp-obs`
 //!    Recorder spans so every timer lands in the run report and is
@@ -43,12 +37,12 @@
 //!    recorder/epoch sites inside `pgp-obs` itself (ISSUE 5 trace
 //!    timestamps) are the sanctioned exceptions, marked
 //!    `// lint:instant-ok: <reason>`.
-//! 8. **std-hash** — `std` `HashMap` / `HashSet` are forbidden in the
+//! 7. **std-hash** — `std` `HashMap` / `HashSet` are forbidden in the
 //!    determinism-critical crates
 //!    (`crates/{core,pgp-lp,pgp-dmp,pgp-obs,pgp-graph,pgp-seq}/src`): their
 //!    per-process random seed makes iteration order (and any float sum fed
 //!    by it) differ between runs, which breaks the bit-identical partitions
-//!    promised across runs, PE counts and resume. Use `FxHashMap`, a
+//!    promised across runs and PE counts. Use `FxHashMap`, a
 //!    `BTreeMap` or a sorted `Vec`; the rule has no escape.
 //!
 //! The scanner is line-based with comment/string stripping and skips
@@ -116,19 +110,8 @@ const MAILBOX_INTERNALS: &[&str] = &[
     "TcpListener",
 ];
 
-/// Files allowed to name the fault-injection seam (rule 6).
-const CHAOS_HOOK_FILES: &[&str] = &[
-    "crates/pgp-dmp/src/comm.rs",
-    "crates/pgp-dmp/src/runner.rs",
-    "crates/pgp-dmp/src/lib.rs",
-    "crates/pgp-chaos/src/lib.rs",
-];
-
-/// Fault-injection seam names restricted to [`CHAOS_HOOK_FILES`] (rule 6).
-const CHAOS_HOOK_TYPES: &[&str] = &["FaultHook", "SendFault"];
-
 /// Source trees where raw `Instant::now()` is confined to the pgp-obs seam
-/// (rule 7).
+/// (rule 6).
 const INSTANT_RESTRICTED_PREFIXES: &[&str] = &[
     "crates/core/src/",
     "crates/pgp-dmp/src/",
@@ -139,7 +122,7 @@ const INSTANT_RESTRICTED_PREFIXES: &[&str] = &[
 ];
 
 /// Determinism-critical source trees where `std` hash containers are
-/// banned (rule 8).
+/// banned (rule 7).
 const HASH_RESTRICTED_PREFIXES: &[&str] = &[
     "crates/core/src/",
     "crates/pgp-lp/src/",
@@ -149,7 +132,7 @@ const HASH_RESTRICTED_PREFIXES: &[&str] = &[
     "crates/pgp-seq/src/",
 ];
 
-/// `std` hash containers restricted by rule 8 (whole words, so
+/// `std` hash containers restricted by rule 7 (whole words, so
 /// `FxHashMap` passes).
 const STD_HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
 
@@ -294,7 +277,6 @@ struct Scope {
     comm_layer: bool,
     csr_restricted: bool,
     mailbox_restricted: bool,
-    chaos_restricted: bool,
     instant_restricted: bool,
     hash_restricted: bool,
 }
@@ -307,7 +289,6 @@ impl Scope {
             comm_layer: rel.starts_with("crates/pgp-dmp/src/"),
             csr_restricted: !CSR_OWNER_FILES.contains(&rel),
             mailbox_restricted: !MAILBOX_OWNER_FILES.contains(&rel),
-            chaos_restricted: !CHAOS_HOOK_FILES.contains(&rel),
             instant_restricted: under(INSTANT_RESTRICTED_PREFIXES),
             hash_restricted: under(HASH_RESTRICTED_PREFIXES),
         }
@@ -445,26 +426,7 @@ fn apply_rules(
         }
     }
 
-    // Rule 6: the fault-injection seam outside the comm layer / pgp-chaos.
-    if scope.chaos_restricted {
-        for name in CHAOS_HOOK_TYPES {
-            if let Some(pos) = find_word(code, name) {
-                violations.push(Violation {
-                    file: file.to_path_buf(),
-                    line: lineno,
-                    rule: "chaos-hooks",
-                    message: format!(
-                        "fault-injection type `{name}` named outside the comm layer and \
-                         pgp-chaos (col {pos}); algorithm code must not consult the fault \
-                         oracle"
-                    ),
-                });
-                break;
-            }
-        }
-    }
-
-    // Rule 7: raw clock reads in the instrumented crates. Instant::now()
+    // Rule 6: raw clock reads in the instrumented crates. Instant::now()
     // bypasses the Recorder span seam; SystemTime::now() is worse — a
     // wall-clock stamp in a report field or trace event breaks replay
     // determinism outright (events are stamped from the registry's
@@ -485,7 +447,7 @@ fn apply_rules(
         });
     }
 
-    // Rule 8: std hash containers in the determinism-critical crates.
+    // Rule 7: std hash containers in the determinism-critical crates.
     if scope.hash_restricted {
         for name in STD_HASH_TYPES {
             if let Some(pos) = find_word(code, name) {
@@ -697,30 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_hooks_confined_to_allowlist() {
-        let src = "fn f(h: &dyn FaultHook) -> SendFault { h.on_send(0, 1, 2, 3) }\n";
-        // Outside the allowlist: two lines of one violation each is too
-        // strict — one violation for the single line.
-        let mut v = Vec::new();
-        scan_file(
-            Path::new("crates/core/src/partitioner.rs"),
-            "crates/core/src/partitioner.rs",
-            src,
-            &mut v,
-        );
-        assert!(v.iter().any(|x| x.rule == "chaos-hooks"), "must flag");
-        // Inside the allowlist: clean.
-        let mut v = Vec::new();
-        scan_file(
-            Path::new("crates/pgp-chaos/src/lib.rs"),
-            "crates/pgp-chaos/src/lib.rs",
-            src,
-            &mut v,
-        );
-        assert!(v.iter().all(|x| x.rule != "chaos-hooks"), "must pass");
-    }
-
-    #[test]
     fn mailbox_internals_confined_to_owner_files() {
         let src = "fn f(p: Payload) {}\n\
                    fn g() { let s = std::os::unix::net::UnixStream::connect(x); }\n\
@@ -813,7 +751,7 @@ mod tests {
     fn wall_clock_reads_flagged_in_obs_code() {
         // Trace events must be stamped from the registry's monotonic
         // epoch; a SystemTime read in pgp-obs (or any instrumented
-        // crate) trips rule 7 like a raw Instant.
+        // crate) trips rule 6 like a raw Instant.
         let src = "fn f() -> u64 { stamp(SystemTime::now()) }\n\
                    fn g() { let t = SystemTime::now(); } // lint:instant-ok: output file mtime\n";
         let mut v = Vec::new();

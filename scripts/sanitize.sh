@@ -37,25 +37,14 @@ run_tsan() {
     fi
     local host
     host="$(rustc -vV | sed -n 's/^host: //p')"
+    # `--tests` includes the delay-plan suite, so the limbo release, the
+    # poison broadcast and the watchdog timeout run instrumented too.
     if RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -Zbuild-std --target "$host" \
         -p pgp-dmp --tests -- --test-threads=1; then
         echo "tsan: clean"
     else
         echo "tsan: FAILURES (see above)"
-        failures=$((failures + 1))
-    fi
-    # The chaos suite exercises the fault-injection paths (limbo release,
-    # poison broadcast, watchdog timeout) — exactly the lock/condvar
-    # choreography TSan is good at: a racy release of a delayed message or
-    # an unsynchronized poison read shows up here first.
-    echo "== ThreadSanitizer: pgp-chaos fault-injection suite =="
-    if RUSTFLAGS="-Zsanitizer=thread" \
-        cargo +nightly test -Zbuild-std --target "$host" \
-        -p pgp-chaos --tests -- --test-threads=1; then
-        echo "tsan (chaos): clean"
-    else
-        echo "tsan (chaos): FAILURES (see above)"
         failures=$((failures + 1))
     fi
     # The observability layer is cross-thread choreography: per-PE

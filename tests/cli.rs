@@ -145,7 +145,7 @@ fn a_good_invocation_still_exits_0() {
     let text = std::fs::read_to_string(&report).expect("report written");
     let parsed = JsonValue::parse(&text).expect("report parses");
     let field = |key| parsed.get(key).and_then(JsonValue::as_u64);
-    assert_eq!((field("schema_version"), field("p")), (Some(8), Some(2)));
+    assert_eq!((field("schema_version"), field("p")), (Some(9), Some(2)));
     assert!(
         !text.contains("\"backend\""),
         "one transport, no backend key"
@@ -218,6 +218,31 @@ fn hostile_graph_files_exit_1_naming_the_line() {
             "{tag} panicked or aborted:\n{stderr}"
         );
     }
+}
+
+#[test]
+fn node_weights_past_i64_exit_2_before_the_run() {
+    // Three weights of 6e18 sum to 1.8e19: the reader takes it (the sum
+    // fits `u64`), but block weights live in `i64`.
+    let heavy = "3 2 10\n6000000000000000000 2\n6000000000000000000 1 3\n6000000000000000000 2\n";
+    for p in ["p=1", "p=2"] {
+        for preset in ["preset=fast", "preset=eco"] {
+            let args = ["k=2", p, preset];
+            let (code, stderr) = run_cli_on("heavy", heavy, &args);
+            assert_eq!(code, Some(2), "{args:?} must exit 2, stderr:\n{stderr}");
+            let last = stderr.lines().last().unwrap_or_default();
+            assert!(
+                last.starts_with("error: node weights sum to 18000000000000000000"),
+                "{args:?}: {last}"
+            );
+            assert!(!stderr.contains("panicked at"), "{args:?}:\n{stderr}");
+        }
+    }
+    // Three weights of 3e18 sum to 9e18, below `i64::MAX`: a partition.
+    let light = "3 2 10\n3000000000000000000 2\n3000000000000000000 1 3\n3000000000000000000 2\n";
+    let (code, stderr, written) = run_cli_written("light", light.as_bytes(), &["k=2", "p=2"]);
+    assert_eq!(code, Some(0), "stderr:\n{stderr}");
+    assert_eq!(written.lines().count(), 3);
 }
 
 #[test]

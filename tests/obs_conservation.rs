@@ -1,13 +1,11 @@
 //! Conservation laws of the observability comm counters (the test oracle
 //! the recorder buys us): for every message tag, the messages and wire
 //! bytes sent across the PE group equal the messages and bytes received —
-//! exactly, both fault-free and under a chaos delay/reorder plan. Injected
-//! drops are accounted on their own counter and excluded from the balance.
+//! exactly, both without and under a seeded delay/reorder plan.
 
 use pgp::parhip::{GraphClass, ParhipConfig, Partitioner};
-use pgp::pgp_dmp::{Obs, RunConfig};
+use pgp::pgp_dmp::{DelayPlan, Obs, RunConfig};
 use pgp::pgp_obs::RunReport;
-use pgp_chaos::FaultPlan;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,37 +16,24 @@ fn cfg(k: usize, seed: u64) -> ParhipConfig {
     c
 }
 
-/// Per tag: sent − dropped == received, in messages and in bytes.
+/// Per tag: sent == received, in messages and in bytes.
 fn assert_conservation(report: &RunReport) {
     let sent = report.total_sent_per_tag();
     let recvd = report.total_recvd_per_tag();
-    let dropped = report.total_dropped_per_tag();
-    let tags: std::collections::BTreeSet<u64> = sent
-        .keys()
-        .chain(recvd.keys())
-        .chain(dropped.keys())
-        .copied()
-        .collect();
+    let tags: std::collections::BTreeSet<u64> = sent.keys().chain(recvd.keys()).copied().collect();
     assert!(!tags.is_empty(), "the run produced no traffic at all");
     for tag in tags {
         let s = sent.get(&tag).copied().unwrap_or_default();
-        let d = dropped.get(&tag).copied().unwrap_or_default();
         let r = recvd.get(&tag).copied().unwrap_or_default();
         assert_eq!(
-            s.msgs - d.msgs,
-            r.msgs,
-            "tag {tag}: {} sent − {} dropped != {} received (messages)",
-            s.msgs,
-            d.msgs,
-            r.msgs
+            s.msgs, r.msgs,
+            "tag {tag}: {} sent != {} received (messages)",
+            s.msgs, r.msgs
         );
         assert_eq!(
-            s.bytes - d.bytes,
-            r.bytes,
-            "tag {tag}: byte conservation violated ({} sent − {} dropped != {} received)",
-            s.bytes,
-            d.bytes,
-            r.bytes
+            s.bytes, r.bytes,
+            "tag {tag}: byte conservation violated ({} sent != {} received)",
+            s.bytes, r.bytes
         );
     }
 }
@@ -76,11 +61,9 @@ fn conservation_fault_free() {
     let report = observed_run(rc, obs, p, 11);
     assert_eq!(report.p, p);
     assert_conservation(&report);
-    // Fault-free: nothing dropped, delayed, or stalled.
-    assert!(report.total_dropped_per_tag().is_empty());
+    // No delay plan: nothing delayed.
     for pe in &report.per_pe {
         assert_eq!(pe.comm.delayed, 0);
-        assert_eq!(pe.comm.stalled, 0);
         assert_eq!(pe.orphan_exits, 0, "PE {} had orphan span exits", pe.rank);
         // The runner's closing resource sample: nonzero on Linux,
         // peak-dominant, and rolled up into the aggregate.
@@ -97,16 +80,21 @@ fn conservation_under_chaos_delay_reorder() {
     let obs = Obs::new(p);
     // 10% of sends held in limbo for 1–4 phase boundaries: messages are
     // reordered across tags but never lost, so the balance stays exact.
-    let plan = FaultPlan::new(0xDE1A).delay(100, 4);
-    let mut rc = plan.into_config(Some(Duration::from_secs(60)));
-    rc.obs = Some(Arc::clone(&obs));
+    let rc = RunConfig {
+        deadline: Some(Duration::from_secs(60)),
+        delay: Some(DelayPlan {
+            seed: 0xDE1A,
+            per_mille: 100,
+            max_holds: 4,
+        }),
+        obs: Some(Arc::clone(&obs)),
+        ..Default::default()
+    };
     let report = observed_run(rc, obs, p, 13);
     assert_conservation(&report);
     // The plan must actually have fired for this test to mean anything.
     let delayed: u64 = report.per_pe.iter().map(|pe| pe.comm.delayed).sum();
     assert!(delayed > 0, "delay plan never fired; weaken the roll?");
-    // Delay-only plan: the dropped ledger stays empty.
-    assert!(report.total_dropped_per_tag().is_empty());
 }
 
 #[test]

@@ -1,18 +1,16 @@
 //! The front door's options are orthogonal to the result: on one seeded
-//! instance, at every PE count, a plain run, a recorded run, a traced
-//! run, a checkpointed run and a resume from the final snapshot produce
-//! the identical assignment — a traced run also the identical report —
-//! and a prepartitioned run is valid and no worse than what it was given.
+//! instance, at every PE count, a plain run, a recorded run, a traced run
+//! and a run under a cross-tag delay plan produce the identical assignment
+//! — a traced run also the identical report — and a prepartitioned run is
+//! valid and no worse than what it was given.
 //! Every run passes the closing check, so the owned + ghost blocks the
 //! V-cycles carry agree with their owners.
 //!
 //! Every run carries a watchdog deadline, so a PE that skips a collective
 //! the others enter fails this test with a `Timeout` instead of hanging it.
 
-use pgp::parhip::{
-    CheckpointStore, GraphClass, ParhipConfig, PartitionError, Partitioned, Partitioner,
-};
-use pgp::pgp_dmp::{Obs, RunConfig};
+use pgp::parhip::{GraphClass, ParhipConfig, PartitionError, Partitioned, Partitioner};
+use pgp::pgp_dmp::{DelayPlan, Obs, RunConfig};
 use pgp::pgp_graph::Partition;
 use pgp::pgp_obs::DEFAULT_TRACE_CAPACITY;
 use std::sync::Arc;
@@ -80,16 +78,17 @@ fn every_option_yields_the_plain_partition() {
             "p={p}: tracing changed the report"
         );
 
-        let store = CheckpointStore::new();
-        let stored = door.clone().store(&store).partition(&g, p);
-        assert_eq!(passed(stored, &format!("p={p}: store")), plain);
-        let last = store.latest().expect("a finished store holds the result");
-        assert_eq!(last.cycle, cfg.vcycles - 1, "p={p}: last V-cycle wins");
-        assert_eq!(last.assignment, plain.assignment());
-
-        // Resuming from the final snapshot replays zero cycles.
-        let resumed = door.clone().store(&store).resume().partition(&g, p);
-        assert_eq!(passed(resumed, &format!("p={p}: resume")), plain);
+        // Sends held back and reordered across tags change nothing.
+        let delayed = RunConfig {
+            delay: Some(DelayPlan {
+                seed: 7,
+                per_mille: 400,
+                max_holds: 5,
+            }),
+            ..watched()
+        };
+        let out = door.clone().run(delayed).partition(&g, p);
+        assert_eq!(passed(out, &format!("p={p}: delay")), plain);
 
         let input = pgp::pgp_baselines::hash_partition(&g, cfg.k, 3);
         let improved = door.clone().prepartition(&input).partition(&g, p);
