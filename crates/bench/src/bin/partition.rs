@@ -15,13 +15,12 @@
 //! `--report <path>` / `--trace <path>` are accepted as aliases for the
 //! `key=value` forms. The report format is documented in DESIGN.md §10,
 //! the trace schema in DESIGN.md §11; re-running the binary regenerates
-//! the per-level tables (see EXPERIMENTS.md). Open a trace at
+//! the phase and work tables (see EXPERIMENTS.md). Open a trace at
 //! <https://ui.perfetto.dev> or `chrome://tracing`.
 
 use bench::harness::parse_tier;
 use bench::{
-    arg, arg_usize, bad_arg, report_level_table, report_phase_table, report_refine_table,
-    report_straggler_table,
+    arg, arg_usize, bad_arg, report_phase_table, report_straggler_table, report_work_table,
 };
 use parhip::{GraphClass, ParhipConfig, PartitionError, Partitioner, Preset};
 use pgp_gen::benchmark_set;
@@ -95,8 +94,7 @@ fn main() {
         out.stats.coarsest_n
     );
     println!("\n{}", report_phase_table(&report).render());
-    println!("{}", report_level_table(&report).render());
-    println!("{}", report_refine_table(&report).render());
+    println!("{}", report_work_table(&report).render());
     if let Some(trace) = obs.trace() {
         println!("{}", report_straggler_table(&report, &trace).render());
     }

@@ -188,58 +188,50 @@ pub fn fnum(v: f64) -> String {
     }
 }
 
-/// Per-level structural table from an observability [`pgp_obs::RunReport`]:
-/// one row per contraction level with the group-agreed global sizes plus
-/// the worst per-PE local/ghost counts (rank 0's global view; locals/ghosts
-/// maxed across PEs). See EXPERIMENTS.md for the recipe.
-pub fn report_level_table(report: &pgp_obs::RunReport) -> Table {
+/// Per-level work table from an observability [`pgp_obs::RunReport`]: one
+/// row per recorded kernel call (SCLP cluster, initial partitioning, SCLP
+/// refine) with the group-agreed global sizes and rounds, the worst per-PE
+/// owned / ghost counts, moves and arcs scanned summed over PEs, and the
+/// cut and imbalance after a refine call. Every PE records the same calls
+/// in the same order, so the `i`-th records of all PEs describe one call.
+/// See EXPERIMENTS.md for the recipe.
+pub fn report_work_table(report: &pgp_obs::RunReport) -> Table {
     let mut t = Table::new(&[
         "cycle",
         "level",
+        "stage",
         "n_global",
         "m_global",
         "max_local",
         "max_ghost",
+        "rounds",
+        "moves",
+        "edges_scanned",
+        "cut",
+        "imbalance",
     ]);
     let Some(pe0) = report.per_pe.first() else {
         return t;
     };
-    for lv in &pe0.levels {
-        let mut max_local = 0u64;
-        let mut max_ghost = 0u64;
-        for pe in &report.per_pe {
-            for other in &pe.levels {
-                if other.cycle == lv.cycle && other.level == lv.level {
-                    max_local = max_local.max(other.n_local);
-                    max_ghost = max_ghost.max(other.n_ghost);
-                }
-            }
-        }
+    for (i, w) in pe0.work.iter().enumerate() {
+        let calls = report.per_pe.iter().filter_map(|pe| pe.work.get(i));
+        let max_local = calls.clone().map(|c| c.n_local).max().unwrap_or(0);
+        let max_ghost = calls.clone().map(|c| c.n_ghost).max().unwrap_or(0);
+        let moves: u64 = calls.clone().map(|c| c.moves).sum();
+        let edges: u64 = calls.map(|c| c.edges_scanned).sum();
         t.row(vec![
-            lv.cycle.to_string(),
-            lv.level.to_string(),
-            lv.n_global.to_string(),
-            lv.m_global.to_string(),
+            w.cycle.to_string(),
+            w.level.to_string(),
+            w.stage.to_string(),
+            w.n_global.to_string(),
+            w.m_global.to_string(),
             max_local.to_string(),
             max_ghost.to_string(),
-        ]);
-    }
-    t
-}
-
-/// Per-refinement-pass quality table from a [`pgp_obs::RunReport`]: cut and
-/// imbalance after each recorded pass (rank 0's view; values are global).
-pub fn report_refine_table(report: &pgp_obs::RunReport) -> Table {
-    let mut t = Table::new(&["cycle", "level", "cut", "imbalance"]);
-    let Some(pe0) = report.per_pe.first() else {
-        return t;
-    };
-    for r in &pe0.refinements {
-        t.row(vec![
-            r.cycle.to_string(),
-            r.level.to_string(),
-            r.cut.to_string(),
-            fnum(r.imbalance),
+            w.rounds.to_string(),
+            moves.to_string(),
+            edges.to_string(),
+            w.cut.map_or_else(|| "-".into(), |c| c.to_string()),
+            w.imbalance.map_or_else(|| "-".into(), fnum),
         ]);
     }
     t

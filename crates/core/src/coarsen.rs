@@ -9,7 +9,7 @@ use pgp_dmp::{Comm, DistGraph};
 use pgp_graph::ids;
 use pgp_graph::Node;
 use pgp_lp::par::{parallel_sclp_cluster_with_scratch, singleton_labels, SclpScratch};
-use pgp_obs::LevelMetrics;
+use pgp_obs::{LevelWork, PassStats};
 
 /// One level of the distributed hierarchy.
 pub struct ParLevel {
@@ -115,6 +115,32 @@ pub fn parallel_coarsen_with_scratch(
     ParHierarchy { levels }
 }
 
+/// The work record of one kernel call (`stage` names the span it runs
+/// under) on `graph`, level `level` of V-cycle `cycle`. No collectives:
+/// the global counts are already group-agreed in the [`DistGraph`].
+pub(crate) fn level_work(
+    stage: &'static str,
+    cycle: usize,
+    level: usize,
+    graph: &DistGraph,
+    pass: PassStats,
+) -> LevelWork {
+    LevelWork {
+        cycle,
+        level,
+        stage,
+        n_global: graph.n_global(),
+        m_global: graph.m_global(),
+        n_local: ids::count_global(graph.n_local()),
+        n_ghost: ids::count_global(graph.n_ghost()),
+        rounds: pass.rounds,
+        moves: pass.moves,
+        edges_scanned: pass.edges_scanned,
+        cut: None,
+        imbalance: None,
+    }
+}
+
 /// The coarsening loop itself, over a borrowed finest graph.
 pub(crate) fn coarsen_borrowed<'a>(
     comm: &Comm,
@@ -147,7 +173,7 @@ pub(crate) fn coarsen_borrowed<'a>(
         let u = cfg.u_bound(current.total_node_weight(), max_w, cycle);
 
         let mut labels = singleton_labels(current);
-        {
+        let pass = {
             let _span = comm.recorder().span("cluster");
             parallel_sclp_cluster_with_scratch(
                 comm,
@@ -159,8 +185,10 @@ pub(crate) fn coarsen_borrowed<'a>(
                 &mut labels,
                 cur_constraint.as_deref(),
                 scratch,
-            );
-        }
+            )
+        };
+        comm.recorder()
+            .record_work(level_work("cluster", cycle, level, current, pass));
         let c = parallel_contract(comm, current, &labels);
 
         // Stall detection (the paper stops when contraction is no longer
@@ -169,17 +197,6 @@ pub(crate) fn coarsen_borrowed<'a>(
         if c.coarse.n_global() * 20 > current.n_global() * 19 {
             break;
         }
-
-        // Shape of the level this contraction produced (no collectives:
-        // the global counts are already group-agreed in the DistGraph).
-        comm.recorder().record_level(LevelMetrics::at(
-            cycle,
-            level,
-            c.coarse.n_global(),
-            c.coarse.m_global(),
-            ids::count_global(c.coarse.n_local()),
-            ids::count_global(c.coarse.n_ghost()),
-        ));
 
         // Project the constraint: the coarse node inherits its members'
         // shared block. Resolve for owned + ghost coarse nodes via owners.

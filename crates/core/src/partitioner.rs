@@ -7,17 +7,17 @@
 //! parallel uncoarsening, with `r` iterations of parallel SCLP refinement
 //! per level.
 
-use crate::coarsen::{coarsen_borrowed, BorrowedHierarchy};
+use crate::coarsen::{coarsen_borrowed, level_work, BorrowedHierarchy};
 use crate::config::ParhipConfig;
 use crate::contract::parallel_project_blocks;
-use pgp_dmp::collectives::{allgatherv, allreduce_sum, allreduce_sum_vec};
+use pgp_dmp::collectives::{allgatherv, allreduce_sum_vec};
 use pgp_dmp::{Comm, CommError, DistGraph, RunConfig};
 use pgp_evo::{Budget, EvoConfig};
 use pgp_graph::ids;
 use pgp_graph::io::{RowSegment, SegmentedGraph};
 use pgp_graph::{lmax, CsrGraph, Node, Partition, Weight};
 use pgp_lp::par::{parallel_sclp_refine_with_scratch, SclpScratch};
-use pgp_obs::RefineMetrics;
+use pgp_obs::{LevelWork, PassStats};
 use std::sync::{Mutex, PoisonError};
 
 /// Structural statistics of one run (as reported by rank 0; all PEs see
@@ -218,8 +218,8 @@ impl<'a> Partitioner<'a> {
 
     /// How [`partition`](Self::partition) carries the run: watchdog
     /// deadline, delay plan (a test hook, `pgp_dmp::DelayPlan`) and the
-    /// `Obs` registry. Recording adds two
-    /// allreduces per refinement pass and never changes the partition;
+    /// `Obs` registry. Recording adds one
+    /// allreduce per refine call and never changes the partition;
     /// read `obs.report()` / `obs.trace()` after the run. The registry
     /// must be sized for exactly `p` PEs.
     pub fn run(mut self, run: RunConfig) -> Self {
@@ -439,6 +439,13 @@ fn parhip_cycles(
         };
         let coarse_partition =
             pgp_evo::kaffpae(comm, &coarsest_global, &evo_cfg, seed_partition.as_ref());
+        rec.record_work(level_work(
+            "initial_partition",
+            cycle,
+            depth - 1,
+            coarsest,
+            PassStats::default(),
+        ));
         rec.exit("initial_partition");
 
         // ---- Parallel uncoarsening + refinement ------------------------
@@ -470,7 +477,7 @@ fn parhip_cycles(
             };
             // Ends in a label flush, so the ghost entries of `cur` leave
             // exact.
-            parallel_sclp_refine_with_scratch(
+            let pass = parallel_sclp_refine_with_scratch(
                 comm,
                 fine,
                 cfg.k,
@@ -480,17 +487,30 @@ fn parhip_cycles(
                 &mut cur,
                 &mut scratch,
             );
-            // Quality after the pass — two extra allreduces, taken only
+            #[cfg(feature = "validate")]
+            crate::validate::assert_partition_valid(
+                comm,
+                fine,
+                &cur,
+                cfg.k,
+                &format!("V-cycle {cycle}, level {li} refined"),
+            );
+            // Quality after the pass — one extra allreduce, taken only
             // when recording (enabledness is SPMD-uniform, so the gate
-            // cannot desynchronize the group).
+            // cannot desynchronize the group). Integer weights in, a
+            // deterministic f64 out: reports compare byte-for-byte.
             if rec.is_enabled() {
-                let (cut, imbalance) = observed_quality(comm, fine, &cur, cfg.k);
-                rec.record_refine(RefineMetrics::at(cycle, li, cut, imbalance));
+                let (cut, weights) = cut_and_block_weights(comm, fine, &cur, cfg.k);
+                let max_w = weights.iter().copied().max().unwrap_or(0);
+                let imbalance = pgp_graph::imbalance(max_w, weights.iter().sum(), cfg.k);
+                rec.record_work(LevelWork {
+                    cut: Some(cut),
+                    imbalance: Some(imbalance),
+                    ..level_work("refine", cycle, li, fine, pass)
+                });
             }
         }
         rec.exit("uncoarsen");
-        #[cfg(feature = "validate")]
-        crate::validate::assert_partition_valid(comm, graph, &cur, cfg.k, "end of V-cycle");
         blocks = Some(cur);
         rec.exit("vcycle");
     }
@@ -498,43 +518,29 @@ fn parhip_cycles(
     (blocks.expect("at least one cycle ran"), stats)
 }
 
-/// Global edge cut and imbalance of `blocks` (owned + ghost) on `graph`,
-/// from [`cut_and_block_weights`]. Only called while observation is
-/// enabled.
-fn observed_quality(comm: &Comm, graph: &DistGraph, blocks: &[Node], k: usize) -> (u64, f64) {
-    let (cut, weights) = cut_and_block_weights(comm, graph, blocks, k);
-    let max_w = weights.iter().copied().max().unwrap_or(0);
-    // Integer weights in, deterministic f64 out — safe to compare across
-    // runs byte-for-byte (the golden-report tests rely on this).
-    (cut, pgp_graph::imbalance(max_w, weights.iter().sum(), k))
-}
-
 /// Global edge cut and block weights of `blocks` (owned + ghost) on
-/// `graph`: one scalar allreduce for the directed cut, one vector
-/// allreduce for the block weights.
+/// `graph`, from one vector allreduce: slots `0..k` hold the block
+/// weights, slot `k` the directed cut.
 fn cut_and_block_weights(
     comm: &Comm,
     graph: &DistGraph,
     blocks: &[Node],
     k: usize,
 ) -> (u64, Vec<Weight>) {
-    let mut cut2 = 0u64;
+    let mut sums = vec![0u64; k + 1];
     for l in 0..graph.n_local() {
         let v = ids::node_of_index(l);
         let bv = blocks[l];
+        sums[ids::node_index(bv)] += graph.node_weight(v);
         for (u, w) in graph.neighbors(v) {
             if blocks[ids::node_index(u)] != bv {
-                cut2 += w;
+                sums[k] += w;
             }
         }
     }
-    let cut = allreduce_sum(comm, cut2) / 2;
-    let mut weights = vec![0u64; k];
-    for l in 0..graph.n_local() {
-        let v = ids::node_of_index(l);
-        weights[ids::node_index(blocks[l])] += graph.node_weight(v);
-    }
-    (cut, allreduce_sum_vec(comm, weights))
+    let mut weights = allreduce_sum_vec(comm, sums);
+    let cut2 = weights.pop().expect("slot k holds the cut");
+    (cut2 / 2, weights)
 }
 
 /// Projects the current fine blocks (owned part) down the hierarchy to the

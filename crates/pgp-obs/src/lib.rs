@@ -19,10 +19,12 @@
 //!   receive-wait time, and the count of sends a delay plan held back.
 //!   These enable conservation assertions (Σ sent == Σ received, per tag)
 //!   that were previously unwritable.
-//! - Structural metrics ([`LevelMetrics`], [`RefineMetrics`]): the
-//!   per-level quantities the SEA'14 companion paper (arXiv:1402.3281)
-//!   uses to diagnose quality — nodes/edges/ghosts after each contraction,
-//!   cut and imbalance after each refinement pass.
+//! - Per-level work ([`LevelWork`]): one record per SCLP cluster call,
+//!   initial partitioning and SCLP refine call — the shape of the graph
+//!   it ran on (nodes, edges, owned and ghost nodes), its rounds, moves
+//!   and arcs scanned, and after a refine call the cut and imbalance: the
+//!   level-by-level quantities the SEA'14 companion paper
+//!   (arXiv:1402.3281) uses to explain quality and time.
 //! - [`RunReport`]: a schema-versioned JSON report with fully
 //!   deterministic field ordering; [`RunReport::zeroed`] zeroes every
 //!   timing and racy field so reports from runs with the same seed and
@@ -66,7 +68,7 @@ mod resources;
 mod trace;
 
 pub use json::JsonValue;
-pub use metrics::{LevelMetrics, PassStats, PhaseStat, RefineMetrics, TagCounter, WaitHistogram};
+pub use metrics::{LevelWork, PassStats, PhaseStat, TagCounter, WaitHistogram};
 pub use outputs::{ObsOutputs, ObsSession};
 pub use perfetto::{to_perfetto_json, validate_perfetto};
 pub use recorder::{CollectiveGuard, Obs, Recorder, SpanGuard, WaitToken, DEFAULT_TRACE_CAPACITY};

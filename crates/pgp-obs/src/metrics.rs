@@ -161,71 +161,38 @@ pub struct PhaseStat {
     pub total_ns: u64,
 }
 
-/// Structural snapshot of one hierarchy level, recorded after the
-/// contraction that produced it (coarsen loop).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LevelMetrics {
-    /// V-cycle index.
-    pub cycle: u32,
-    /// Level index within the cycle (0 = first coarse level).
-    pub level: u32,
-    /// Global node count of the coarse graph.
-    pub n_global: u64,
-    /// Global (undirected) edge count of the coarse graph.
-    pub m_global: u64,
-    /// Nodes owned by this PE.
-    pub n_local: u64,
-    /// Ghost (halo) nodes replicated on this PE.
-    pub n_ghost: u64,
-}
-
-impl LevelMetrics {
-    /// Builds a snapshot from loop indices. `cycle` and `level` are tiny
-    /// (V-cycle and hierarchy-depth counters); values beyond `u32::MAX`
-    /// saturate rather than panic.
-    pub fn at(
-        cycle: usize,
-        level: usize,
-        n_global: u64,
-        m_global: u64,
-        n_local: u64,
-        n_ghost: u64,
-    ) -> Self {
-        Self {
-            cycle: u32::try_from(cycle).unwrap_or(u32::MAX),
-            level: u32::try_from(level).unwrap_or(u32::MAX),
-            n_global,
-            m_global,
-            n_local,
-            n_ghost,
-        }
-    }
-}
-
-/// Quality snapshot after one refinement pass during uncoarsening.
+/// What one kernel call did at one hierarchy level of one V-cycle, and
+/// the shape of the graph it ran on. `stage` is the name of the span the
+/// call runs under: `"cluster"` (one SCLP cluster call while coarsening),
+/// `"initial_partition"` (KaFFPaE on the coarsest graph; its counts stay 0)
+/// or `"refine"` (one SCLP refine call while uncoarsening, which alone
+/// carries `cut` and `imbalance`).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RefineMetrics {
-    /// V-cycle index (absolute).
-    pub cycle: u32,
-    /// Hierarchy level the pass refined (0 = finest).
-    pub level: u32,
-    /// Global edge cut after the pass.
-    pub cut: u64,
-    /// Imbalance ε′ = max_b w(b) / ⌈w(V)/k⌉ − 1 after the pass.
-    pub imbalance: f64,
-}
-
-impl RefineMetrics {
-    /// Builds a snapshot from loop indices (saturating, as
-    /// [`LevelMetrics::at`]).
-    pub fn at(cycle: usize, level: usize, cut: u64, imbalance: f64) -> Self {
-        Self {
-            cycle: u32::try_from(cycle).unwrap_or(u32::MAX),
-            level: u32::try_from(level).unwrap_or(u32::MAX),
-            cut,
-            imbalance,
-        }
-    }
+pub struct LevelWork {
+    /// V-cycle index.
+    pub cycle: usize,
+    /// Hierarchy index of the graph the call ran on (0 = finest).
+    pub level: usize,
+    /// The span the call runs under.
+    pub stage: &'static str,
+    /// Global node count of the graph.
+    pub n_global: u64,
+    /// Global (undirected) edge count of the graph.
+    pub m_global: u64,
+    /// Nodes of the graph owned by this PE.
+    pub n_local: u64,
+    /// Ghost (halo) nodes of the graph replicated on this PE.
+    pub n_ghost: u64,
+    /// Rounds the call ran ([`PassStats::rounds`]).
+    pub rounds: usize,
+    /// Moves this PE applied ([`PassStats::moves`]).
+    pub moves: u64,
+    /// Arcs this PE read ([`PassStats::edges_scanned`]).
+    pub edges_scanned: u64,
+    /// Global edge cut after a refine call.
+    pub cut: Option<u64>,
+    /// Imbalance ε′ = max_b w(b) / ⌈w(V)/k⌉ − 1 after a refine call.
+    pub imbalance: Option<f64>,
 }
 
 #[cfg(test)]

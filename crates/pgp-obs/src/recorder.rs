@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::metrics::{LevelMetrics, PhaseStat, RefineMetrics, TagCounter, WaitHistogram};
+use crate::metrics::{LevelWork, PhaseStat, TagCounter, WaitHistogram};
 use crate::report::{Aggregate, PeReport, RunReport, TagEntry, SCHEMA_VERSION};
 use crate::resources::ResourceSample;
 use crate::trace::{PeTrace, RunTrace, TraceEventKind, TraceRing};
@@ -64,10 +64,8 @@ pub(crate) struct PeState {
     pub(crate) recv_wait_by_peer: BTreeMap<usize, u64>,
     /// Sends held in a limbo queue by a delay plan.
     pub(crate) delayed: u64,
-    /// Per-level structural snapshots, in recording order.
-    pub(crate) levels: Vec<LevelMetrics>,
-    /// Per-refinement-pass quality snapshots, in recording order.
-    pub(crate) refinements: Vec<RefineMetrics>,
+    /// Per-level work records, in recording order.
+    pub(crate) work: Vec<LevelWork>,
     /// Most recent resource sample ([`Recorder::sample_resources`]);
     /// embedded in the report's per-PE block.
     pub(crate) resources: ResourceSample,
@@ -88,8 +86,7 @@ impl PeState {
             recv_wait_hist: WaitHistogram::default(),
             recv_wait_by_peer: BTreeMap::new(),
             delayed: 0,
-            levels: Vec::new(),
-            refinements: Vec::new(),
+            work: Vec::new(),
             resources: ResourceSample::default(),
             trace: trace_capacity.map(TraceRing::new),
         }
@@ -447,19 +444,11 @@ impl Recorder {
         }
     }
 
-    /// Records a per-level structural snapshot.
+    /// Records what one kernel call did at one level.
     #[inline]
-    pub fn record_level(&self, level: LevelMetrics) {
+    pub fn record_work(&self, work: LevelWork) {
         if let Some(inner) = &self.inner {
-            inner.with(|st| st.levels.push(level));
-        }
-    }
-
-    /// Records a per-refinement-pass quality snapshot.
-    #[inline]
-    pub fn record_refine(&self, refine: RefineMetrics) {
-        if let Some(inner) = &self.inner {
-            inner.with(|st| st.refinements.push(refine));
+            inner.with(|st| st.work.push(work));
         }
     }
 

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use crate::json::{JsonValue, ToValue};
-use crate::metrics::{LevelMetrics, RefineMetrics, TagCounter, WaitHistogram};
+use crate::metrics::{LevelWork, TagCounter, WaitHistogram};
 use crate::recorder::PeState;
 use crate::resources::ResourceSample;
 
@@ -20,10 +20,10 @@ use crate::resources::ResourceSample;
 /// added, removed or renamed); the `schema_fingerprint` test guards this.
 /// The shape is: `schema_version`, `p`, one `per_pe` entry per rank
 /// (phases, comm counters with the receive-wait histogram and per-peer
-/// blame, levels, refinements, orphan exits, resources) and the
+/// blame, per-level work, orphan exits, resources) and the
 /// `aggregate` block derived from them. CHANGES.md records how it got
 /// here.
-pub const SCHEMA_VERSION: u32 = 9;
+pub const SCHEMA_VERSION: u32 = 10;
 
 /// A complete observed run: per-PE detail plus cross-PE aggregates.
 #[derive(Clone, Debug, PartialEq)]
@@ -47,10 +47,9 @@ pub struct PeReport {
     pub phases: Vec<PhaseEntry>,
     /// Communication counters.
     pub comm: CommReport,
-    /// Per-level structural snapshots, recording order.
-    pub levels: Vec<LevelMetrics>,
-    /// Per-refinement-pass quality snapshots, recording order.
-    pub refinements: Vec<RefineMetrics>,
+    /// One record per SCLP cluster call, initial partitioning and SCLP
+    /// refine call, recording order.
+    pub work: Vec<LevelWork>,
     /// Span exits dropped because their name did not match the innermost
     /// open span. Always 0 for RAII-guarded instrumentation.
     pub orphan_exits: u64,
@@ -159,10 +158,10 @@ pub struct Aggregate {
     pub recv_wait_p95_s: f64,
     /// 99th-percentile single-wait latency (as `recv_wait_p50_s`).
     pub recv_wait_p99_s: f64,
-    /// Edge cut after the last recorded refinement pass (rank 0's view;
-    /// the value is global). `None` when no refinement was recorded.
+    /// Edge cut after the last recorded refine call (rank 0's view; the
+    /// value is global). `None` when no refine call was recorded.
     pub final_cut: Option<u64>,
-    /// Maximum imbalance over all recorded refinement passes (rank 0).
+    /// Maximum imbalance over all recorded refine calls (rank 0).
     pub max_imbalance: f64,
     /// Largest per-PE peak RSS (KiB) — the number a semi-external run's
     /// memory-budget proof cares about. All PEs share one address space,
@@ -218,8 +217,7 @@ impl PeReport {
                     .collect(),
                 delayed: st.delayed,
             },
-            levels: st.levels.clone(),
-            refinements: st.refinements.clone(),
+            work: st.work.clone(),
             orphan_exits: st.orphan_exits,
             resources: st.resources,
         }
@@ -261,11 +259,11 @@ impl Aggregate {
         agg.recv_wait_p95_s = merged_hist.quantile_ns(0.95) as f64 / 1e9;
         agg.recv_wait_p99_s = merged_hist.quantile_ns(0.99) as f64 / 1e9;
         if let Some(pe0) = per_pe.first() {
-            agg.final_cut = pe0.refinements.last().map(|r| r.cut);
+            agg.final_cut = pe0.work.iter().rev().find_map(|w| w.cut);
             agg.max_imbalance = pe0
-                .refinements
+                .work
                 .iter()
-                .map(|r| r.imbalance)
+                .filter_map(|w| w.imbalance)
                 .fold(0.0, f64::max);
         }
         agg.phases = phase_sums
@@ -335,56 +333,16 @@ impl RunReport {
     /// guard test pins this against a golden list: changing the shape
     /// without bumping [`SCHEMA_VERSION`] fails that test.
     pub fn schema_fingerprint() -> Vec<String> {
-        let per_pe = vec![PeReport {
-            rank: 0,
-            phases: vec![PhaseEntry {
-                path: "a".to_string(),
-                count: 1,
-                total_s: 1.0,
-            }],
-            comm: CommReport {
-                sent: vec![TagEntry {
-                    tag: 1,
-                    msgs: 1,
-                    bytes: 1,
-                }],
-                recvd: vec![TagEntry {
-                    tag: 1,
-                    msgs: 1,
-                    bytes: 1,
-                }],
-                collectives: vec![CollectiveEntry {
-                    name: "barrier".to_string(),
-                    count: 1,
-                }],
-                recv_wait_s: 1.0,
-                recv_wait_count: 1,
-                recv_wait_hist: vec![HistBucketEntry {
-                    bucket: 1,
-                    count: 1,
-                }],
-                recv_wait_by_peer: vec![PeerWaitEntry {
-                    peer: 1,
-                    wait_s: 1.0,
-                }],
-                delayed: 0,
-            },
-            levels: vec![LevelMetrics::default()],
-            refinements: vec![RefineMetrics::default()],
-            orphan_exits: 0,
-            resources: ResourceSample {
-                rss_current_kb: 1,
-                rss_peak_kb: 1,
-                thread_cpu_s: 1.0,
-            },
-        }];
-        let sample = RunReport {
-            schema_version: SCHEMA_VERSION,
-            p: 1,
-            aggregate: Aggregate::from_per_pe(&per_pe),
-            per_pe,
-        };
-        sample.to_value().key_paths()
+        // One observation of each kind, so every array has an element.
+        let obs = crate::recorder::Obs::new(1);
+        let rec = obs.recorder(0);
+        drop(rec.span("a"));
+        rec.on_send(0, 1, 1);
+        rec.on_recv(0, 1, 1);
+        drop(rec.collective_span("barrier"));
+        rec.end_wait(rec.start_wait(0, 1));
+        rec.record_work(LevelWork::default());
+        obs.report().to_value().key_paths()
     }
 }
 
@@ -403,7 +361,7 @@ macro_rules! field_lists {
 
 field_lists! {
     RunReport { schema_version, p, per_pe, aggregate }
-    PeReport { rank, phases, comm, levels, refinements, orphan_exits, resources }
+    PeReport { rank, phases, comm, work, orphan_exits, resources }
     PhaseEntry { path, count, total_s }
     CommReport {
         sent, recvd, collectives, recv_wait_s, recv_wait_count, recv_wait_hist,
@@ -413,8 +371,10 @@ field_lists! {
     CollectiveEntry { name, count }
     HistBucketEntry { bucket, count }
     PeerWaitEntry { peer, wait_s }
-    LevelMetrics { cycle, level, n_global, m_global, n_local, n_ghost }
-    RefineMetrics { cycle, level, cut, imbalance }
+    LevelWork {
+        cycle, level, stage, n_global, m_global, n_local, n_ghost, rounds, moves,
+        edges_scanned, cut, imbalance,
+    }
     ResourceSample { rss_current_kb, rss_peak_kb, thread_cpu_s }
     Aggregate {
         messages, bytes, collective_calls, recv_wait_s, recv_wait_max_s, recv_wait_max_pe,
@@ -443,19 +403,15 @@ mod tests {
         r1.on_recv(0, 1 << 48, 8);
         drop(r1.collective_span("barrier"));
         r1.end_wait(r1.start_wait(0, 7));
-        r0.record_level(LevelMetrics {
-            cycle: 0,
-            level: 0,
+        r0.record_work(LevelWork {
+            stage: "refine",
             n_global: 100,
             m_global: 400,
-            n_local: 50,
-            n_ghost: 10,
-        });
-        r0.record_refine(RefineMetrics {
-            cycle: 0,
-            level: 0,
-            cut: 42,
-            imbalance: 0.03,
+            rounds: 1,
+            edges_scanned: 90,
+            cut: Some(42),
+            imbalance: Some(0.03),
+            ..LevelWork::default()
         });
         r0.sample_resources();
         obs.report()
@@ -465,7 +421,7 @@ mod tests {
     fn zeroed_report_keeps_only_deterministic_fields() {
         let json = sample_report().zeroed().to_json();
         assert!(!json.contains("total_s\": 0."), "timings must be zeroed");
-        assert!(json.contains("\"schema_version\": 9"));
+        assert!(json.contains("\"schema_version\": 10"));
         assert!(json.contains("\"final_cut\": 42"));
         assert!(
             json.contains("\"imbalance\": 0.03"),
@@ -552,31 +508,32 @@ mod tests {
             "per_pe[].comm.sent[].bytes",
             "per_pe[].comm.sent[].msgs",
             "per_pe[].comm.sent[].tag",
-            "per_pe[].levels",
-            "per_pe[].levels[].cycle",
-            "per_pe[].levels[].level",
-            "per_pe[].levels[].m_global",
-            "per_pe[].levels[].n_ghost",
-            "per_pe[].levels[].n_global",
-            "per_pe[].levels[].n_local",
             "per_pe[].orphan_exits",
             "per_pe[].phases",
             "per_pe[].phases[].count",
             "per_pe[].phases[].path",
             "per_pe[].phases[].total_s",
             "per_pe[].rank",
-            "per_pe[].refinements",
-            "per_pe[].refinements[].cut",
-            "per_pe[].refinements[].cycle",
-            "per_pe[].refinements[].imbalance",
-            "per_pe[].refinements[].level",
             "per_pe[].resources",
             "per_pe[].resources.rss_current_kb",
             "per_pe[].resources.rss_peak_kb",
             "per_pe[].resources.thread_cpu_s",
+            "per_pe[].work",
+            "per_pe[].work[].cut",
+            "per_pe[].work[].cycle",
+            "per_pe[].work[].edges_scanned",
+            "per_pe[].work[].imbalance",
+            "per_pe[].work[].level",
+            "per_pe[].work[].m_global",
+            "per_pe[].work[].moves",
+            "per_pe[].work[].n_ghost",
+            "per_pe[].work[].n_global",
+            "per_pe[].work[].n_local",
+            "per_pe[].work[].rounds",
+            "per_pe[].work[].stage",
             "schema_version",
         ];
-        assert_eq!(SCHEMA_VERSION, 9, "bumped version: update the golden list");
+        assert_eq!(SCHEMA_VERSION, 10, "bumped version: update the golden list");
         assert_eq!(
             RunReport::schema_fingerprint(),
             expected,

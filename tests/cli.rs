@@ -145,7 +145,16 @@ fn a_good_invocation_still_exits_0() {
     let text = std::fs::read_to_string(&report).expect("report written");
     let parsed = JsonValue::parse(&text).expect("report parses");
     let field = |key| parsed.get(key).and_then(JsonValue::as_u64);
-    assert_eq!((field("schema_version"), field("p")), (Some(9), Some(2)));
+    assert_eq!((field("schema_version"), field("p")), (Some(10), Some(2)));
+    let pe0 = &parsed
+        .get("per_pe")
+        .and_then(JsonValue::as_arr)
+        .expect("per_pe")[0];
+    let work = pe0.get("work").and_then(JsonValue::as_arr).expect("work");
+    let is_refine = |w: &&JsonValue| w.get("stage").and_then(JsonValue::as_str) == Some("refine");
+    let last_refine = work.iter().rfind(is_refine).expect("a refine record");
+    // The last refine record's cut is the cut the CLI prints.
+    assert_eq!(last_refine.get("cut").and_then(JsonValue::as_u64), Some(1));
     assert!(
         !text.contains("\"backend\""),
         "one transport, no backend key"

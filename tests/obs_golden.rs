@@ -1,13 +1,15 @@
 //! Golden-report determinism: the same seed and configuration must yield
 //! the *identical* `RunReport` — byte-for-byte once wall-clock fields are
 //! zeroed (`zeroed().to_json()`) — across repeated runs. Any
-//! nondeterminism in message counts, span structure, level metrics, or
-//! refinement quality shows up here as a one-byte diff.
+//! nondeterminism in message counts, span structure, or the per-level
+//! `work` records (shapes, SCLP rounds / moves / arcs scanned, refine
+//! quality) shows up here as a one-byte diff. The `work` block's order
+//! and its `level` meaning are pinned here too.
 
 use pgp::parhip::{GraphClass, ParhipConfig, Partitioned, Partitioner};
-use pgp::pgp_dmp::{Obs, RunConfig};
+use pgp::pgp_dmp::{run_config, DistGraph, Obs, RunConfig};
 use pgp::pgp_graph::CsrGraph;
-use pgp::pgp_obs::{JsonValue, RunReport, SCHEMA_VERSION};
+use pgp::pgp_obs::{JsonValue, LevelWork, RunReport, SCHEMA_VERSION};
 use std::sync::Arc;
 
 fn cfg(k: usize, seed: u64) -> ParhipConfig {
@@ -66,15 +68,63 @@ fn report_json_roundtrips_on_a_real_run() {
 }
 
 /// The report's quality snapshots use the partition's own imbalance: with
-/// a node count `k` does not divide, the last refinement pass records the
+/// a node count `k` does not divide, the last refine record carries the
 /// imbalance the run returns.
 #[test]
 fn report_imbalance_is_the_run_imbalance() {
     let (g, _) = pgp::pgp_gen::sbm::sbm(601, Default::default(), 11);
     assert_ne!(g.total_node_weight() % 4, 0);
     let (out, report) = observed(&g, 2, &cfg(4, 37));
-    let last = report.per_pe[0].refinements.last().expect("refinements");
-    assert_eq!(last.imbalance, out.stats.imbalance);
-    assert_eq!(last.imbalance, out.partition.imbalance(&g));
+    let last = report.per_pe[0].work.last().expect("work records");
+    assert_eq!(last.stage, "refine");
+    assert_eq!(last.imbalance, Some(out.stats.imbalance));
+    assert_eq!(last.imbalance, Some(out.partition.imbalance(&g)));
     assert_eq!(report.aggregate.final_cut, Some(out.stats.cut));
+}
+
+/// Per PE and per V-cycle of a depth-`d` hierarchy, the `work` block holds
+/// `cluster` records at levels 0..d−2 (finest first), one
+/// `initial_partition` record at the coarsest level d−1, then `refine`
+/// records from d−2 back to 0; only refine records carry a cut and an
+/// imbalance. A cluster call reads each of its PE's arcs once a round.
+#[test]
+fn work_records_follow_the_v_cycle() {
+    let (g, _) = pgp::pgp_gen::sbm::sbm(1500, Default::default(), 13);
+    let c = cfg(4, 41);
+    for p in [1, 2] {
+        let obs = Obs::new(p);
+        let per_pe = run_config(p, recording(&obs), |comm| {
+            let dg = DistGraph::from_global(comm, &g);
+            let (_, stats) = Partitioner::new(&c).partition_distributed(comm, &dg);
+            (dg.local_arc_count(), stats.coarsest_n)
+        });
+        for (pe, outcome) in obs.report().per_pe.iter().zip(per_pe) {
+            let (arcs, coarsest_n) = outcome.expect("the run succeeds");
+            let mut rest = &pe.work[..];
+            for cycle in 0..c.vcycles {
+                let ip = rest.iter().position(|w| w.stage == "initial_partition");
+                let d = ip.expect("one initial partitioning per cycle") + 1;
+                assert!(d >= 2, "p = {p}, cycle {cycle}: nothing coarsened");
+                let (records, tail) = rest.split_at(2 * d - 1);
+                rest = tail;
+                let shape = |w: &LevelWork| (w.cycle, w.stage, w.level, w.cut.is_some());
+                let expected: Vec<_> = (0..d - 1)
+                    .map(|l| (cycle, "cluster", l, false))
+                    .chain([(cycle, "initial_partition", d - 1, false)])
+                    .chain((0..d - 1).rev().map(|l| (cycle, "refine", l, true)))
+                    .collect();
+                assert_eq!(records.iter().map(shape).collect::<Vec<_>>(), expected);
+                assert!(records
+                    .iter()
+                    .all(|w| w.cut.is_some() == w.imbalance.is_some()));
+                if cycle == 0 {
+                    let finest = records[0];
+                    assert!(finest.rounds > 0);
+                    assert_eq!(finest.edges_scanned, finest.rounds as u64 * arcs);
+                    assert_eq!(records[d - 1].n_global, coarsest_n);
+                }
+            }
+            assert!(rest.is_empty(), "records past the last cycle");
+        }
+    }
 }
