@@ -48,16 +48,18 @@ pub struct ParhipConfig {
     /// The paper uses 10 000; the laptop-scale default is 100 (same role,
     /// scaled with the inputs — see DESIGN.md).
     pub coarsest_nodes_per_block: usize,
-    /// Evolutionary operations per PE after the initial population
+    /// Evolutionary operations after the initial population, for the
+    /// whole PE group: each of p PEs runs `⌈evo_operations / p⌉` of them
     /// (0 = fast behaviour: initial population only).
     pub evo_operations: usize,
     /// Per-PE population size for KaFFPaE.
     pub population_size: usize,
-    /// RNG seed; fixed seed + fixed `p` ⇒ deterministic result (rumor
-    /// spreading is disabled when determinism matters — see
-    /// `deterministic`).
+    /// RNG seed; fixed seed + fixed `p` ⇒ deterministic result, KaFFPaE's
+    /// ring exchange included.
     pub seed: u64,
-    /// Disables wall-clock/rumor nondeterminism (rumor fanout 0).
+    /// Turns KaFFPaE's ring exchange of best individuals off. Not needed
+    /// for reproducibility: runs with the exchange on are deterministic
+    /// too.
     pub deterministic: bool,
     /// First-cycle size-constraint factor on social/web inputs (paper: 14).
     pub social_first_factor: f64,

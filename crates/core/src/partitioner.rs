@@ -426,6 +426,8 @@ fn parhip_cycles(
             let all = allgatherv(comm, coarse_local);
             Partition::from_assignment(&coarsest_global, cfg.k, all)
         });
+        // The budget is the group's: each PE runs `⌈evo_operations / p⌉`
+        // operations (the paper's `t_p = t_1 / p`).
         let evo_cfg = EvoConfig {
             k: cfg.k,
             eps: cfg.eps,

@@ -1,6 +1,7 @@
 //! The full ParHIP pipeline under a seeded cross-tag delay plan: the
 //! partition is *bit-identical* to the run without one, because the comm
-//! substrate keeps FIFO per `(src, tag)` and every receive is selective.
+//! substrate keeps FIFO per `(src, tag)` and every receive is selective —
+//! KaFFPaE's ring exchange included.
 
 use parhip::{GraphClass, ParhipConfig, Partitioner};
 use pgp_dmp::collectives::allgatherv;
@@ -24,11 +25,10 @@ fn fault_free(g: &CsrGraph, p: usize, cfg: &ParhipConfig) -> Partition {
         .partition
 }
 
-#[test]
-fn rmat_partition_is_bit_identical_under_delay_reorder() {
-    let g = pgp_gen::rmat::rmat_web(9, 8, 5);
-    let cfg = small_cfg(4, 11);
-    let reference = fault_free(&g, 4, &cfg);
+/// Runs `cfg` on `g` at `p` PEs under three delay plans and asserts every
+/// PE returns the fault-free partition.
+fn assert_bit_identical_under_delay(g: &CsrGraph, p: usize, cfg: &ParhipConfig) {
+    let reference = fault_free(g, p, cfg);
     for plan_seed in [1u64, 42, 777] {
         let plan = RunConfig {
             deadline: Some(DEADLINE),
@@ -39,9 +39,9 @@ fn rmat_partition_is_bit_identical_under_delay_reorder() {
             }),
             ..RunConfig::default()
         };
-        let results = run_config(4, plan, |comm| {
-            let dg = DistGraph::from_global(comm, &g);
-            let (local, _) = parhip::parhip_distributed(comm, &dg, &cfg);
+        let results = run_config(p, plan, |comm| {
+            let dg = DistGraph::from_global(comm, g);
+            let (local, _) = parhip::parhip_distributed(comm, &dg, cfg);
             allgatherv(comm, local)
         });
         for r in results {
@@ -53,4 +53,22 @@ fn rmat_partition_is_bit_identical_under_delay_reorder() {
             );
         }
     }
+}
+
+#[test]
+fn rmat_partition_is_bit_identical_under_delay_reorder() {
+    let g = pgp_gen::rmat::rmat_web(9, 8, 5);
+    assert_bit_identical_under_delay(&g, 4, &small_cfg(4, 11));
+}
+
+/// Eco with KaFFPaE's ring exchange on (`deterministic` is the preset's
+/// `false`): the exchange's receives are selective too, so delays cannot
+/// change which individual a PE folds in.
+#[test]
+fn eco_rmat_partition_is_bit_identical_under_delay_reorder() {
+    let g = pgp_gen::rmat::rmat_web(9, 8, 5);
+    let mut cfg = ParhipConfig::eco(4, GraphClass::Social, 11);
+    cfg.coarsest_nodes_per_block = 50;
+    assert!(!cfg.deterministic && cfg.evo_operations > 0);
+    assert_bit_identical_under_delay(&g, 3, &cfg);
 }

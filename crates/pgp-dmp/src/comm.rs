@@ -477,8 +477,7 @@ impl Comm {
     }
 
     /// Drains all currently queued messages with `tag` (any source) without
-    /// blocking — used by the rumor-spreading protocol, which is fire-and-
-    /// forget. Results are grouped by source rank, FIFO within a source.
+    /// blocking. Results are grouped by source rank, FIFO within a source.
     pub fn drain<T: Wire>(&self, tag: Tag) -> Vec<(usize, T)> {
         self.check_poison();
         self.pre_block();

@@ -11,7 +11,7 @@
 //!   `collectives` module. The low byte is the caller's round counter, so
 //!   an op code must leave bits 0..8 free.
 //! * **User-level offsets** (bits 0..8, no round structure): added by
-//!   higher-level endpoints (ghost exchange, rumor spreading). They must
+//!   higher-level endpoints (ghost exchange, KaFFPaE's ring exchange). They must
 //!   stay below `1 << 8` so they can never alias a collective op code.
 //!
 //! Each constant documents the *payload type* that travels on its tags.
@@ -80,7 +80,7 @@ pub const OP_SCAN: Tag = 7 << 8;
 /// receiver's ghost copies. The bulk of a run's message bytes.
 pub const GHOST_LABELS: Tag = 0x01;
 
-/// Randomized rumor spreading (`pgp-evo`, KaFFPaE's exchange protocol).
+/// KaFFPaE's ring exchange of best individuals (`pgp-evo`).
 /// Payload: `(Weight, Vec<BlockId>)` — an individual's score and block
 /// assignment.
 pub const RUMOR: Tag = 0x52;

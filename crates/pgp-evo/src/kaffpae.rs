@@ -2,30 +2,30 @@
 //! (Section II-C, used at the coarsest level of the parallel system).
 //!
 //! Every PE holds a copy of the (coarsest) graph and its own population.
-//! PEs run combine/mutation operations locally; from time to time the best
-//! local individual is sent to a random selection of other PEs (randomized
-//! rumor spreading); incoming individuals are drained opportunistically and
-//! inserted. At the end the globally best partition is selected with one
-//! `allreduce` and broadcast.
+//! The p PEs share one operation budget, as the paper's `t_p = t_1 / p`
+//! shares time: each runs `⌈n / p⌉` combine/mutation operations. Every
+//! `rumor_interval`-th operation the PEs exchange in a ring: PE r sends its
+//! best individual to `(r + s) mod p` and receives one from
+//! `(r − s) mod p`, with the shift `s ∈ [1, p)` drawn from an RNG seeded by
+//! the configuration's seed alone, so every PE draws the same `s` and the
+//! run is a pure function of its inputs and p. At the end the globally best
+//! partition is selected with one `allreduce` and broadcast.
 
 use crate::population::Population;
-use crate::rumor::Rumor;
 use pgp_dmp::collectives::{allreduce_min_with_rank, broadcast};
-use pgp_dmp::Comm;
-use pgp_graph::{BlockId, CsrGraph, Partition};
+use pgp_dmp::{tags, Comm};
+use pgp_graph::{BlockId, CsrGraph, Partition, Weight};
 use pgp_seq::{kaffpa, kaffpa_with_inputs, KaffpaConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
 
 /// Effort budget for the evolutionary loop (after the initial population).
 #[derive(Clone, Copy, Debug)]
 pub enum Budget {
-    /// A fixed number of combine/mutation operations per PE. Deterministic
-    /// when rumor spreading is disabled.
+    /// A fixed number of combine/mutation operations for the whole PE
+    /// group: each of p PEs runs `⌈n / p⌉` of them (the paper's
+    /// `t_p = t_1 / p`, counted in operations instead of seconds).
     Operations(usize),
-    /// Wall-clock time per PE (the paper's `t_p = t_1 / p`).
-    Time(Duration),
 }
 
 /// KaFFPaE configuration.
@@ -37,15 +37,17 @@ pub struct EvoConfig {
     pub eps: f64,
     /// Per-PE population size.
     pub population_size: usize,
-    /// Evolutionary budget after the initial population is built.
+    /// The group's evolutionary budget after the initial population is
+    /// built.
     pub budget: Budget,
     /// Probability of a mutation (fresh multilevel run with a random
     /// cluster factor) instead of a combine.
     pub mutation_rate: f64,
-    /// Send the best individual to this many random PEs every
-    /// `rumor_interval` operations (0 disables rumor spreading).
+    /// 0 turns the ring exchange off; any other value means one ring
+    /// partner every `rumor_interval` operations (the value is not a
+    /// count).
     pub rumor_fanout: usize,
-    /// Operations between rumor rounds.
+    /// Operations between ring exchanges.
     pub rumor_interval: usize,
     /// RNG seed.
     pub seed: u64,
@@ -99,15 +101,20 @@ pub fn kaffpae(
     cfg: &EvoConfig,
     seed_individual: Option<&Partition>,
 ) -> Partition {
-    let mut rng = SmallRng::seed_from_u64(pgp_dmp::mix_seed(cfg.seed, comm.rank() as u64));
+    let (rank, p) = (comm.rank(), comm.size());
+    let mut rng = SmallRng::seed_from_u64(pgp_dmp::mix_seed(cfg.seed, rank as u64));
     let mut pop = Population::new(cfg.population_size.max(1));
-    let rumor = Rumor::new(comm);
+    // SPMD: every PE allocates the block at the same point, so the tags
+    // agree group-wide and no earlier run's message can match them.
+    let ring_tag = comm.fresh_tag_block() + tags::RUMOR;
+    // Seeded by the configuration alone: every PE draws the same shifts.
+    let mut ring_rng = SmallRng::seed_from_u64(cfg.seed);
 
     // Initial population: independent multilevel runs with diversified
     // cluster factors (the paper randomizes f in later cycles).
-    let insert_scored = |pop: &mut Population, p: &Partition| {
-        let score = cfg.objective.score(graph, p);
-        pop.insert_raw(p.assignment().to_vec(), score)
+    let insert_scored = |pop: &mut Population, part: &Partition| {
+        let score = cfg.objective.score(graph, part);
+        pop.insert_raw(part.assignment().to_vec(), score)
     };
     if let Some(seed_p) = seed_individual {
         insert_scored(&mut pop, seed_p);
@@ -116,25 +123,14 @@ pub fn kaffpae(
     for i in 0..initial_runs {
         let f = rng.gen_range(10.0..25.0);
         let kc = base_kaffpa_config(cfg, rng.gen::<u64>() ^ (i as u64), f);
-        let p = kaffpa(graph, &kc);
-        insert_scored(&mut pop, &p);
-        rumor.drain_into(comm, graph, &mut pop);
+        let part = kaffpa(graph, &kc);
+        insert_scored(&mut pop, &part);
     }
 
-    // Evolutionary loop.
-    let start = Instant::now();
-    let mut op = 0usize;
-    loop {
-        let proceed = match cfg.budget {
-            Budget::Operations(n) => op < n,
-            Budget::Time(t) => start.elapsed() < t,
-        };
-        if !proceed {
-            break;
-        }
-        op += 1;
-        rumor.drain_into(comm, graph, &mut pop);
-
+    // Evolutionary loop: this PE's share of the group's operations.
+    let Budget::Operations(total) = cfg.budget;
+    let exchange = cfg.rumor_fanout > 0 && p > 1;
+    for op in 1..=total.div_ceil(p) {
         let offspring = if rng.gen::<f64>() < cfg.mutation_rate || pop.len() < 2 {
             // Mutation: fresh diversified run.
             let f = rng.gen_range(10.0..25.0);
@@ -152,14 +148,22 @@ pub fn kaffpae(
         };
         insert_scored(&mut pop, &offspring);
 
-        // Rumor spreading: push the best to a few random PEs.
-        if cfg.rumor_fanout > 0 && op.is_multiple_of(cfg.rumor_interval.max(1)) {
-            if let Some(best) = pop.best() {
-                rumor.spread(comm, &mut rng, cfg.rumor_fanout, best);
-            }
+        // Ring exchange: every PE runs the same operation count, so every
+        // PE takes part in the same rounds; per-(source, tag) FIFO pairs
+        // each receive with its round's send.
+        if exchange && op.is_multiple_of(cfg.rumor_interval.max(1)) {
+            let s = ring_rng.gen_range(1..p);
+            let best = pop.best().expect("the initial population is non-empty");
+            comm.send(
+                (rank + s) % p,
+                ring_tag,
+                (best.score, best.assignment.clone()),
+            );
+            let (score, assignment): (Weight, Vec<BlockId>) =
+                comm.recv((rank + p - s) % p, ring_tag);
+            pop.insert_raw(assignment, score);
         }
     }
-    rumor.drain_into(comm, graph, &mut pop);
 
     // Global winner: (cut, rank) min-reduction, then broadcast the winning
     // assignment.
@@ -177,7 +181,86 @@ pub fn kaffpae(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgp_dmp::run;
+    use pgp_dmp::{run, run_config, Obs, RunConfig};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    /// `with_operations(k, 6, seed)` with an exchange after every
+    /// operation, so the ring fires at p ∈ {2, 3}.
+    fn ring_cfg(k: usize, seed: u64) -> EvoConfig {
+        EvoConfig {
+            rumor_interval: 1,
+            ..EvoConfig::with_operations(k, 6, seed)
+        }
+    }
+
+    /// Runs `kaffpae` on p PEs under a watchdog deadline, so a ring whose
+    /// sends and receives do not pair fails the test instead of hanging it.
+    fn ring_run(
+        p: usize,
+        g: &CsrGraph,
+        cfg: &EvoConfig,
+        obs: Option<Arc<Obs>>,
+    ) -> Vec<Vec<BlockId>> {
+        let rc = RunConfig {
+            deadline: Some(Duration::from_secs(60)),
+            obs,
+            ..Default::default()
+        };
+        run_config(p, rc, |comm| kaffpae(comm, g, cfg, None).into_assignment())
+            .into_iter()
+            .map(|r| r.expect("no PE may fail"))
+            .collect()
+    }
+
+    #[test]
+    fn ring_exchange_is_reproducible() {
+        let (g, _) = pgp_gen::sbm::sbm(400, pgp_gen::sbm::SbmParams::default(), 17);
+        let cfg = ring_cfg(4, 5);
+        for p in [2, 3] {
+            let first = ring_run(p, &g, &cfg, None);
+            assert_eq!(
+                first,
+                ring_run(p, &g, &cfg, None),
+                "p = {p}: two runs differ"
+            );
+        }
+    }
+
+    #[test]
+    fn each_pe_sends_one_ring_message_per_interval_of_its_share() {
+        let (g, _) = pgp_gen::sbm::sbm(300, pgp_gen::sbm::SbmParams::default(), 19);
+        let cfg = ring_cfg(4, 7);
+        let Budget::Operations(ops) = cfg.budget;
+        let is_ring = |tag: u64| {
+            tag >= tags::COLLECTIVE_TAG_BASE
+                && (tag - tags::COLLECTIVE_TAG_BASE) % tags::BLOCK_SPAN == tags::RUMOR
+        };
+        for p in [2, 3] {
+            let obs = Obs::new(p);
+            ring_run(p, &g, &cfg, Some(Arc::clone(&obs)));
+            let expected = (ops.div_ceil(p) / cfg.rumor_interval) as u64;
+            assert!(expected > 0, "p = {p}: the ring must fire");
+            for pe in &obs.report().per_pe {
+                let sent: u64 = pe
+                    .comm
+                    .sent
+                    .iter()
+                    .filter(|e| is_ring(e.tag))
+                    .map(|e| e.msgs)
+                    .sum();
+                let recvd: u64 = pe
+                    .comm
+                    .recvd
+                    .iter()
+                    .filter(|e| is_ring(e.tag))
+                    .map(|e| e.msgs)
+                    .sum();
+                assert_eq!(sent, expected, "p = {p}, PE {} sent", pe.rank);
+                assert_eq!(recvd, expected, "p = {p}, PE {} received", pe.rank);
+            }
+        }
+    }
 
     #[test]
     fn all_pes_agree_on_the_result() {

@@ -4,15 +4,13 @@
 //!
 //! * [`population`] — per-PE populations with replace-the-worst insertion.
 //! * [`kaffpae`](mod@kaffpae) — the evolutionary driver: initial population, combine
-//!   operations (non-worsening by construction), mutation, budgets.
-//! * [`rumor`] — randomized rumor spreading of the best individual.
+//!   operations (non-worsening by construction), mutation, the group's
+//!   operation budget and the seeded ring exchange of best individuals.
 
 pub mod kaffpae;
 pub mod objective;
 pub mod population;
-pub mod rumor;
 
 pub use kaffpae::{kaffpae, Budget, EvoConfig};
 pub use objective::Objective;
 pub use population::{Individual, Population};
-pub use rumor::Rumor;

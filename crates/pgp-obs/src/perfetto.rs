@@ -151,7 +151,7 @@ pub fn to_perfetto_json(trace: &RunTrace) -> String {
 ///    names (no cross-track or misnested closes);
 /// 3. `X` events carry a `dur`;
 /// 4. every flow-finish (`f`) id resolves to some flow-start (`s`) id
-///    (sends without receives are legal — a rumour nobody drained, a
+///    (sends without receives are legal — a message nobody received, a
 ///    ring that filled up — but not vice versa).
 ///
 /// Returns a one-line summary on success.

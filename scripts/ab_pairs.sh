@@ -16,34 +16,18 @@
 # too. Prints every pair, each side's median and quartiles (Python's
 # exclusive method, as benchmark/src/stats.rs) of time and of peak RSS,
 # wins / ties, the median of the per-pair ratios change / parent, and a last
-# line `identical n / n` — or, for `preset=eco` at p > 1, where rumour timing
-# makes a run differ even from itself, a last line saying identity is not
-# expected. A gain needs the change to win at least nine tenths of the pairs
-# and the medians to differ by more than the parent's inter-quartile distance.
+# line `identical n / n`. A gain needs the change to win at least nine tenths
+# of the pairs and the medians to differ by more than the parent's
+# inter-quartile distance.
 
 set -euo pipefail
 
 if [ "$#" -lt 4 ]; then
-    sed -n '2,23p' "$0" >&2
+    sed -n '2,21p' "$0" >&2
     exit 2
 fi
 parent="$1" change="$2" pairs="$3" graph="$4"
 shift 4
-run_args=("$@")
-
-# The value of the first `<key>=` among the run arguments (the CLI's rule),
-# or the CLI's default $2.
-arg() {
-    local a
-    for a in "${run_args[@]}"; do
-        case "$a" in "$1="*)
-            echo "${a#*=}"
-            return
-            ;;
-        esac
-    done
-    echo "$2"
-}
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -122,10 +106,4 @@ END {
         printf "peak RSS: not printed by both binaries in every pair\n"
     }
 }' "$tmp/pairs"
-preset="$(arg preset fast)" procs="$(arg p 4)"
-if [ "$preset" = eco ] && [ "$procs" -gt 1 ]; then
-    echo "identity not expected: preset=eco at p=$procs spreads rumours on thread timing," \
-        "so a run differs even from itself ($identical / $pairs pairs matched)"
-else
-    echo "identical $identical / $pairs"
-fi
+echo "identical $identical / $pairs"

@@ -7,7 +7,8 @@
 //! repair), weighted nodes and edges, zero-weight edges (the first-touch
 //! order of neighbour blocks must not be derived from `conn == 0`),
 //! k ∈ {2, 8, 100}, p ∈ {1, 2, 3, 4}, and more than one V-cycle (cluster
-//! mode under the constraint).
+//! mode under the constraint). Each row runs its preset as the CLI does, so
+//! the eco rows at p > 1 run KaFFPaE's ring exchange.
 //!
 //! A mismatch prints the whole recomputed table, so a deliberate change of
 //! the algorithm re-pins it with one paste.
@@ -52,12 +53,12 @@ const CASES: &[Case] = &[
     // Unit weights, every p, the three k.
     (Grid,     900,  Unit,  2,   1, 0.03, 1,  Fast,    0x5c27fa64233908ef),
     (Grid,     900,  Unit,  8,   2, 0.03, 2,  Fast,    0xf91c628bf2863894),
-    (Grid,     900,  Unit,  8,   3, 0.03, 3,  Eco,     0x6ea6241fa2569ff0),
+    (Grid,     900,  Unit,  8,   3, 0.03, 3,  Eco,     0x2dd083162a58f5b7),
     (Delaunay, 1500, Unit,  8,   4, 0.03, 4,  Fast,    0x7bfe048510669ec0),
     (Delaunay, 1500, Unit,  2,   2, 0.03, 5,  Minimal, 0x8308ab818825ebde),
     (Delaunay, 4000, Unit,  100, 2, 0.03, 6,  Fast,    0xac012a2e832aa407),
     (Sbm,      1200, Unit,  8,   1, 0.03, 7,  Fast,    0x9ddb77db062b7565),
-    (Sbm,      1200, Unit,  8,   2, 0.03, 8,  Eco,     0x03f93d12d1b62a8d),
+    (Sbm,      1200, Unit,  8,   2, 0.03, 8,  Eco,     0xb923d62297e4dc6b),
     (Sbm,      1200, Unit,  2,   3, 0.03, 9,  Fast,    0x735749f66272de8e),
     (Ba,       1000, Unit,  8,   4, 0.03, 10, Fast,    0xd40a0771c9ec9692),
     (Ba,       3000, Unit,  100, 3, 0.03, 11, Fast,    0x797b4f82a663946d),
@@ -72,11 +73,11 @@ const CASES: &[Case] = &[
     // Heavy nodes: overloaded blocks at refine entry, forced repair.
     (Grid,     900,  Heavy, 8,   1, 0.0,  19, Fast,    0x722e3118e3fe93ea),
     (Grid,     900,  Heavy, 8,   2, 0.0,  20, Fast,    0x683b1670dd684327),
-    (Delaunay, 1500, Heavy, 8,   3, 0.0,  21, Eco,     0x0731e96738cad5f3),
+    (Delaunay, 1500, Heavy, 8,   3, 0.0,  21, Eco,     0x8020755b1ef30f27),
     (Sbm,      1200, Heavy, 2,   4, 0.0,  22, Fast,    0x6a5b384c1fa2626e),
     (Ba,       1000, Heavy, 8,   2, 0.001, 23, Fast,   0xf37ac8e7065531ee),
     (Web,      2048, Heavy, 100, 3, 0.0,  24, Fast,    0x7eb8d1c41e206f5d),
-    (Web,      2048, Heavy, 8,   2, 0.03, 25, Eco,     0x5b21557ba5bccd73),
+    (Web,      2048, Heavy, 8,   2, 0.03, 25, Eco,     0xc3daf8867ed55647),
     // Weighted nodes and edges, zero-weight edges among them.
     (Grid,     900,  Nodes, 8,   2, 0.03, 26, Fast,    0x9ba3a46d14e6fccf),
     (Grid,     900,  Edges, 8,   3, 0.03, 27, Fast,    0x95359554eaa58eee),
@@ -138,7 +139,6 @@ fn assignment_hash(&(gen, n, weights, k, p, eps, seed, preset, _): &Case) -> u64
     };
     let mut cfg = ParhipConfig::preset(preset, k, class, seed);
     cfg.eps = eps;
-    cfg.deterministic = true;
     // Several levels even at these sizes.
     cfg.coarsest_nodes_per_block = 10;
     // A watchdog deadline: a PE that skips a collective the others enter
