@@ -330,7 +330,7 @@ impl Comm {
         self.universe.mailboxes[dst].push(self.rank, tag, payload);
     }
 
-    /// This PE's own mailbox: every receive and drain takes from it.
+    /// This PE's own mailbox: every receive takes from it.
     #[inline]
     fn inbox(&self) -> &Mailbox {
         &self.universe.mailboxes[self.rank]
@@ -476,22 +476,6 @@ impl Comm {
         std::panic::panic_any(CommAbort(err))
     }
 
-    /// Drains all currently queued messages with `tag` (any source) without
-    /// blocking. Results are grouped by source rank, FIFO within a source.
-    pub fn drain<T: Wire>(&self, tag: Tag) -> Vec<(usize, T)> {
-        self.check_poison();
-        self.pre_block();
-        let raw = self.inbox().drain_tag(tag);
-        if self.recorder.is_enabled() {
-            for (src, payload) in &raw {
-                self.recorder.on_recv(*src, tag, payload.bytes);
-            }
-        }
-        raw.into_iter()
-            .map(|(src, payload)| (src, unpack(payload, src, tag)))
-            .collect()
-    }
-
     /// Allocates a fresh block of 2^16 tags for one collective operation or
     /// exchange phase. All PEs perform collectives/exchanges in the same
     /// SPMD order, so the block numbers agree group-wide; sub-tags within a
@@ -594,22 +578,6 @@ mod tests {
                 comm.send(1, 5, vec![1u64, 2, 3]);
             } else {
                 let _: String = comm.recv(0, 5);
-            }
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "expected alloc::string::String, got alloc::vec::Vec<u64>")]
-    fn drain_type_mismatch_names_expected_and_actual() {
-        run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 5, vec![1u64]);
-            }
-            // The send is queued before rank 0 enters the barrier, so the
-            // drain below sees it.
-            crate::collectives::barrier(comm);
-            if comm.rank() == 1 {
-                let _ = comm.drain::<String>(5);
             }
         });
     }

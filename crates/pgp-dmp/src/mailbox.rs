@@ -15,7 +15,7 @@
 //! # Single-consumer invariant
 //!
 //! Mailbox `r` is only ever *received from* by PE `r`'s own thread (every
-//! `recv`/`drain` call operates on the owning rank's mailbox). At most
+//! `recv` call operates on the owning rank's mailbox). At most
 //! one thread can therefore be parked on a mailbox's condvar at any time,
 //! which makes `notify_one` on the send path sufficient — there is no
 //! second waiter a wakeup could be lost to. The loom model in
@@ -220,22 +220,6 @@ impl Mailbox {
     /// Removes the oldest pending message from `src` with `tag`, if any.
     pub(crate) fn try_take(&self, src: usize, tag: Tag) -> Option<Payload> {
         self.inner.lock().by_src[src].take(tag)
-    }
-
-    /// Removes every pending message with `tag`, grouped by source rank
-    /// in rank order, FIFO within a source.
-    pub(crate) fn drain_tag(&self, tag: Tag) -> Vec<(usize, Payload)> {
-        let mut out = Vec::new();
-        let mut inner = self.inner.lock();
-        let size = inner.by_src.len();
-        for src in 0..size {
-            if let Some(q) = inner.by_src[src].queue_mut(tag) {
-                while let Some(payload) = q.pop_front() {
-                    out.push((src, payload));
-                }
-            }
-        }
-        out
     }
 
     /// Parks until a message from `src` with `tag` arrives, `universe` is

@@ -57,39 +57,6 @@ fn all_to_all_stress_no_loss_no_mixups() {
     }
 }
 
-/// One receiver, many senders racing on the same tag: a `drain` loop must
-/// deliver every message exactly once.
-#[test]
-fn fan_in_drain_exactly_once() {
-    const PER_SENDER: usize = 200;
-    let p = 6;
-    let results = run(p, |comm| {
-        if comm.rank() == 0 {
-            let expect = (p - 1) * PER_SENDER;
-            let mut seen = vec![0u32; p * PER_SENDER];
-            let mut got = 0;
-            while got < expect {
-                for (_, id) in comm.drain::<u64>(42) {
-                    seen[id as usize] += 1;
-                    got += 1;
-                }
-            }
-            // Rank 0 sends nothing, so its own ID range stays at zero.
-            u64::from(got == expect && seen[PER_SENDER..].iter().all(|&c| c == 1))
-        } else {
-            for i in 0..PER_SENDER {
-                let id = comm.rank() * PER_SENDER + i;
-                comm.send(0, 42, id as u64);
-            }
-            1
-        }
-    });
-    assert!(
-        results.iter().all(|&r| r == 1),
-        "a message was lost or duplicated"
-    );
-}
-
 /// Interleaved tags under contention: a receiver asking for tag B first
 /// must block until B arrives even while A-messages pile up, and still
 /// deliver the A backlog afterwards, in order per (source, tag).

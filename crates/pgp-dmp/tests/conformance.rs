@@ -1,7 +1,7 @@
 //! Comm conformance suite: the whole-group contracts of the public `Comm`
-//! API — every payload type the algorithms send, drain order, every
-//! collective, the poison protocol (a timeout, and a collective one rank
-//! skipped) and exact send/receive conservation in the observation layer.
+//! API — every payload type the algorithms send, every collective, the
+//! poison protocol (a timeout, and a collective one rank skipped) and exact
+//! send/receive conservation in the observation layer.
 //! Point-to-point basics and the delay plan are unit-tested in `comm.rs`.
 
 use pgp_dmp::collectives::{
@@ -60,32 +60,6 @@ fn typed_payload_roundtrip() {
         }
     });
     assert_eq!(results[1], 34);
-}
-
-#[test]
-fn drain_groups_by_source() {
-    let results = run_on(4, |comm| {
-        if comm.rank() == 0 {
-            assert!(comm.drain::<u8>(99).is_empty(), "tag 99 never sent");
-            // A sender's messages are queued in send order, so once the
-            // tag-4 marker is here that sender's tag-3 pair is queued too.
-            for src in (1..4).rev() {
-                comm.recv::<()>(src, 4);
-            }
-            comm.drain::<u8>(3)
-        } else {
-            let me = u8::try_from(comm.rank()).expect("small rank");
-            comm.send(0, 3, me * 10);
-            comm.send(0, 3, me * 10 + 1);
-            comm.send(0, 4, ());
-            Vec::new()
-        }
-    });
-    assert_eq!(
-        results[0],
-        vec![(1, 10), (1, 11), (2, 20), (2, 21), (3, 30), (3, 31)],
-        "drain groups by source in rank order, FIFO within a source"
-    );
 }
 
 #[test]

@@ -3,12 +3,13 @@
 //!
 //! Every PE holds a copy of the (coarsest) graph and its own population.
 //! The p PEs share one operation budget, as the paper's `t_p = t_1 / p`
-//! shares time: each runs `⌈n / p⌉` combine/mutation operations. Every
-//! `rumor_interval`-th operation the PEs exchange in a ring: PE r sends its
-//! best individual to `(r + s) mod p` and receives one from
-//! `(r − s) mod p`, with the shift `s ∈ [1, p)` drawn from an RNG seeded by
-//! the configuration's seed alone, so every PE draws the same `s` and the
-//! run is a pure function of its inputs and p. At the end the globally best
+//! shares time: each runs `⌈n / p⌉` combine/mutation operations. Before
+//! every `rumor_interval`-th operation, the first included, the PEs exchange
+//! in a ring: PE r sends its best individual to `(r + s) mod p` and receives
+//! one from `(r − s) mod p`, which the operations that follow can pick as a
+//! parent. The shift `s ∈ [1, p)` is drawn from an RNG seeded by the
+//! configuration's seed alone, so every PE draws the same `s` and the run
+//! is a pure function of its inputs and p. At the end the globally best
 //! partition is selected with one `allreduce` and broadcast.
 
 use crate::population::Population;
@@ -44,10 +45,10 @@ pub struct EvoConfig {
     /// cluster factor) instead of a combine.
     pub mutation_rate: f64,
     /// 0 turns the ring exchange off; any other value means one ring
-    /// partner every `rumor_interval` operations (the value is not a
-    /// count).
+    /// partner per exchange (the value is not a count).
     pub rumor_fanout: usize,
-    /// Operations between ring exchanges.
+    /// Operations between ring exchanges; the first exchange comes before
+    /// the first operation.
     pub rumor_interval: usize,
     /// RNG seed.
     pub seed: u64,
@@ -130,7 +131,30 @@ pub fn kaffpae(
     // Evolutionary loop: this PE's share of the group's operations.
     let Budget::Operations(total) = cfg.budget;
     let exchange = cfg.rumor_fanout > 0 && p > 1;
-    for op in 1..=total.div_ceil(p) {
+    for op in 0..total.div_ceil(p) {
+        // Ring exchange before every `rumor_interval`-th operation, the
+        // first included, so an operation can pick the received individual
+        // as a parent. Every PE runs the same operation count, so every PE
+        // takes part in the same rounds; per-(source, tag) FIFO pairs each
+        // receive with its round's send.
+        if exchange && op.is_multiple_of(cfg.rumor_interval.max(1)) {
+            let s = ring_rng.gen_range(1..p);
+            let best = pop.best().expect("the initial population is non-empty");
+            comm.send(
+                (rank + s) % p,
+                ring_tag,
+                (best.score, best.assignment.clone()),
+            );
+            let (score, assignment): (Weight, Vec<BlockId>) =
+                comm.recv((rank + p - s) % p, ring_tag);
+            assert_eq!(
+                assignment.len(),
+                graph.n(),
+                "ring individual does not match the replicated graph"
+            );
+            pop.insert_raw(assignment, score);
+        }
+
         let offspring = if rng.gen::<f64>() < cfg.mutation_rate || pop.len() < 2 {
             // Mutation: fresh diversified run.
             let f = rng.gen_range(10.0..25.0);
@@ -147,22 +171,6 @@ pub fn kaffpae(
             kaffpa_with_inputs(graph, &kc, &[&pa, &pb])
         };
         insert_scored(&mut pop, &offspring);
-
-        // Ring exchange: every PE runs the same operation count, so every
-        // PE takes part in the same rounds; per-(source, tag) FIFO pairs
-        // each receive with its round's send.
-        if exchange && op.is_multiple_of(cfg.rumor_interval.max(1)) {
-            let s = ring_rng.gen_range(1..p);
-            let best = pop.best().expect("the initial population is non-empty");
-            comm.send(
-                (rank + s) % p,
-                ring_tag,
-                (best.score, best.assignment.clone()),
-            );
-            let (score, assignment): (Weight, Vec<BlockId>) =
-                comm.recv((rank + p - s) % p, ring_tag);
-            pop.insert_raw(assignment, score);
-        }
     }
 
     // Global winner: (cut, rank) min-reduction, then broadcast the winning
@@ -185,8 +193,8 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    /// `with_operations(k, 6, seed)` with an exchange after every
-    /// operation, so the ring fires at p ∈ {2, 3}.
+    /// `with_operations(k, 6, seed)` with an exchange before every
+    /// operation, so the ring fires several times at p ∈ {2, 3}.
     fn ring_cfg(k: usize, seed: u64) -> EvoConfig {
         EvoConfig {
             rumor_interval: 1,
@@ -230,17 +238,21 @@ mod tests {
     #[test]
     fn each_pe_sends_one_ring_message_per_interval_of_its_share() {
         let (g, _) = pgp_gen::sbm::sbm(300, pgp_gen::sbm::SbmParams::default(), 19);
-        let cfg = ring_cfg(4, 7);
-        let Budget::Operations(ops) = cfg.budget;
         let is_ring = |tag: u64| {
             tag >= tags::COLLECTIVE_TAG_BASE
                 && (tag - tags::COLLECTIVE_TAG_BASE) % tags::BLOCK_SPAN == tags::RUMOR
         };
-        for p in [2, 3] {
+        // Interval 2 is the partitioner's: at p = 2 the share of 3
+        // operations still gets a second exchange before its last one.
+        for (p, rumor_interval) in [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2)] {
+            let cfg = EvoConfig {
+                rumor_interval,
+                ..ring_cfg(4, 7)
+            };
+            let Budget::Operations(ops) = cfg.budget;
             let obs = Obs::new(p);
             ring_run(p, &g, &cfg, Some(Arc::clone(&obs)));
-            let expected = (ops.div_ceil(p) / cfg.rumor_interval) as u64;
-            assert!(expected > 0, "p = {p}: the ring must fire");
+            let expected = ops.div_ceil(p).div_ceil(rumor_interval) as u64;
             for pe in &obs.report().per_pe {
                 let sent: u64 = pe
                     .comm
