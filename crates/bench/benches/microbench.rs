@@ -158,7 +158,7 @@ fn bench_end_to_end(c: &mut Criterion) {
         b.iter(|| {
             let cfg = pgp_baselines::ParmetisLikeConfig::new(2, 1);
             black_box(
-                pgp_baselines::parmetis_like(&g, 4, &cfg)
+                pgp_baselines::parmetis_like(&g, 4, &cfg, pgp_dmp::RunConfig::default())
                     .map(|(p, _)| p.edge_cut(&g))
                     .unwrap_or(0),
             )

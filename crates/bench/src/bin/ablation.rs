@@ -14,7 +14,7 @@
 //! with `which` ∈ {ordering, fsweep, iters, vcycles, all}.
 
 use bench::harness::{parse_tier, run_parhip};
-use bench::{arg, arg_usize, fnum, summarize_runs, Table};
+use bench::{arg, arg_usize, bad_arg, fnum, summarize_runs, Table};
 use parhip::{GraphClass, ParhipConfig};
 use pgp_gen::benchmark_set::{instance, Tier};
 use pgp_graph::Node;
@@ -216,6 +216,6 @@ fn main() {
             iters(tier, p, reps, seed);
             vcycles(tier, p, reps, seed);
         }
-        other => panic!("unknown ablation '{other}'"),
+        other => bad_arg("panel", other),
     }
 }

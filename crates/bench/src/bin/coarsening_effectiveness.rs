@@ -6,14 +6,15 @@
 //!
 //! For each instance class the harness performs one coarsening step with
 //! each scheme and reports node/edge shrink factors and the coarse average
-//! degree; it then runs both full coarsening loops and reports the
-//! coarsest sizes.
+//! degree. The final coarsest size and depth come, for clustering, from a
+//! ParHIP run's first V-cycle (`ParhipStats`) and, for matching, from the
+//! baseline's coarsening loop with stall detection.
 //!
 //! Usage: `cargo run -p bench --release --bin coarsening_effectiveness -- [tier=small] [p=4] [seed=1]`
 
 use bench::harness::parse_tier;
 use bench::{arg, arg_usize, fnum, Table};
-use parhip::{parallel_coarsen, GraphClass, ParhipConfig};
+use parhip::{GraphClass, ParhipConfig, Partitioner};
 use pgp_baselines::matching::parallel_hem;
 use pgp_dmp::DistGraph;
 use pgp_gen::benchmark_set::{instance, GraphClass as BClass};
@@ -47,13 +48,13 @@ fn main() {
         };
         eprintln!("[{name}] n = {}, m = {}", g.n(), g.m());
 
+        let mut cfg = ParhipConfig::fast(2, class, seed);
+        cfg.coarsest_nodes_per_block = 100;
         for scheme in ["cluster", "matching"] {
             let rows = pgp_dmp::run(p, |comm| {
                 let dg = DistGraph::from_global(comm, g);
                 // One explicit step for the shrink factors.
                 let labels = if scheme == "cluster" {
-                    let mut cfg = ParhipConfig::fast(2, class, seed);
-                    cfg.coarsest_nodes_per_block = 100;
                     let u = cfg.u_bound(dg.total_node_weight(), 1, 0);
                     let mut l = singleton_labels(&dg);
                     parallel_sclp_cluster(comm, &dg, u, 3, seed, &mut l, None);
@@ -69,14 +70,9 @@ fn main() {
                 } else {
                     2.0 * c.coarse.m_global() as f64 / c.coarse.n_global() as f64
                 };
-                // Full loop for the final coarsest size.
-                let (final_n, levels) = if scheme == "cluster" {
-                    let mut cfg = ParhipConfig::fast(2, class, seed);
-                    cfg.coarsest_nodes_per_block = 100;
-                    let h = parallel_coarsen(comm, dg, &cfg, 0, None);
-                    (h.coarsest().n_global(), h.depth())
-                } else {
-                    // Matching loop with stall detection (as the baseline).
+                // Matching: the full loop with stall detection (as the
+                // baseline) for the final coarsest size.
+                let final_level = (scheme == "matching").then(|| {
                     let mut cur = dg;
                     let mut levels = 1usize;
                     loop {
@@ -92,13 +88,21 @@ fn main() {
                         levels += 1;
                     }
                     (cur.n_global(), levels)
-                };
-                (one_n, one_m, deg, final_n, levels)
+                });
+                (one_n, one_m, deg, final_level)
             });
-            let (one_n, one_m, deg, final_n, levels) = rows
+            let (one_n, one_m, deg, final_level) = rows
                 .into_iter()
                 .next()
                 .expect("run() always yields p >= 1 results");
+            // Clustering: the ParHIP run's first V-cycle coarsens the same
+            // graph with the same configuration.
+            let (final_n, levels) = final_level.unwrap_or_else(|| {
+                let out = Partitioner::new(&cfg)
+                    .partition(g, p)
+                    .unwrap_or_else(|e| panic!("ParHIP run failed: {e}"));
+                (out.stats.coarsest_n, out.stats.levels)
+            });
             t.row(vec![
                 name.into(),
                 format!("{:?}", inst.class),

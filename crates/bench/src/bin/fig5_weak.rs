@@ -2,7 +2,8 @@
 //! families. With `p` PEs the instance has `base·p` nodes (the paper uses
 //! `2^19·p`; the laptop default is `2^12·p`), k = 16 blocks, and the
 //! reported series is *time per edge* for ParHIP fast and the
-//! ParMetis-like baseline.
+//! ParMetis-like baseline, plus ParHIP's SCLP arcs scanned on the busiest
+//! and the mean PE and its bytes on the wire (means over the reps).
 //!
 //! Usage: `cargo run -p bench --release --bin fig5_weak -- [base_log=12] [pmax=8] [reps=2] [seed=1]`
 
@@ -29,6 +30,8 @@ fn main() {
         "ParHIP cut",
         "PM t/edge [s]",
         "PM cut",
+        "ParHIP SCLP arcs max/mean PE",
+        "ParHIP bytes",
     ]);
     let mut p = 1usize;
     while p <= pmax {
@@ -40,25 +43,30 @@ fn main() {
             };
             eprintln!("[{family}{x}] p = {p}, n = {}, m = {}", g.n(), g.m());
 
-            let mut ph_time = 0.0;
-            let mut ph_cut = 0u64;
+            let (mut ph_time, mut ph_cut) = (0.0, 0u64);
+            let (mut arcs_max, mut arcs_mean, mut bytes) = (0u64, 0.0, 0u64);
             for r in 0..reps {
                 let cfg = ParhipConfig::preset(Preset::Fast, k, GraphClass::Mesh, seed + r as u64);
-                let (part, time) = run_parhip(&g, p, &cfg);
-                ph_time += time;
-                ph_cut += part.edge_cut(&g);
+                let run = run_parhip(&g, p, &cfg);
+                ph_time += run.time_s();
+                ph_cut += run.partition.edge_cut(&g);
+                let (max, mean) = run.sclp_arcs();
+                arcs_max += max;
+                arcs_mean += mean;
+                bytes += run.report.aggregate.bytes;
             }
             let (mut pm_time, mut pm_cut, mut pm_ok) = (0.0, 0u64, true);
             for r in 0..reps {
                 let cfg = ParmetisLikeConfig::new(k, seed + r as u64);
                 match run_parmetis(&g, p, &cfg) {
-                    Ok((part, time)) => {
-                        pm_time += time;
-                        pm_cut += part.edge_cut(&g);
+                    Ok(run) => {
+                        pm_time += run.time_s();
+                        pm_cut += run.partition.edge_cut(&g);
                     }
                     Err(_) => pm_ok = false,
                 }
             }
+            let reps_f = reps as f64;
             let m = g.m() as f64;
             t.row(vec![
                 family.into(),
@@ -77,6 +85,8 @@ fn main() {
                 } else {
                     "*".into()
                 },
+                format!("{:.0}/{:.0}", arcs_max as f64 / reps_f, arcs_mean / reps_f),
+                format!("{:.0}", bytes as f64 / reps_f),
             ]);
         }
         p *= 2;

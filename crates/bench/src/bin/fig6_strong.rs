@@ -2,13 +2,14 @@
 //! on (top) Delaunay graphs, (middle) random geometric graphs, (bottom)
 //! the large web stand-ins, where the ParMetis-like baseline fails due to
 //! ineffective coarsening and the *minimal* variant is additionally shown
-//! on the largest web graph.
+//! on the largest web graph. Beside each ParHIP time: SCLP arcs scanned
+//! on the busiest and the mean PE, and bytes on the wire.
 //!
 //! Usage: `cargo run -p bench --release --bin fig6_strong -- [panel] [pmax=8] [seed=1] [tier=small]`
 //! where `panel` ∈ {del, rgg, web, all} (default all).
 
-use bench::harness::{memory_budget, parse_tier, run_parhip, run_parmetis};
-use bench::{arg, arg_usize, fnum, Table};
+use bench::harness::{memory_budget, parse_tier, run_parhip, run_parmetis, Observed};
+use bench::{arg, arg_usize, bad_arg, fnum, Table};
 use parhip::{GraphClass, ParhipConfig, Preset};
 use pgp_baselines::ParmetisLikeConfig;
 use pgp_gen::benchmark_set::{instance, Tier};
@@ -38,36 +39,52 @@ fn panel(
         "ParHIP cut",
         "PM t[s]",
         "PM cut",
+        "ParHIP SCLP arcs max/mean PE",
+        "ParHIP bytes",
     ]);
+    // The ParHIP cells of one row: time, cut, arcs, bytes.
+    let parhip_cells = |run: &Observed, g: &CsrGraph| {
+        let (max, mean) = run.sclp_arcs();
+        [
+            fnum(run.time_s()),
+            run.partition.edge_cut(g).to_string(),
+            format!("{max}/{mean:.0}"),
+            run.report.aggregate.bytes.to_string(),
+        ]
+    };
     for (idx, (name, g, class)) in graphs.iter().enumerate() {
         for &p in &pe_counts(pmax) {
             let cfg = ParhipConfig::preset(Preset::Fast, 2, *class, seed);
-            let (part, time) = run_parhip(g, p, &cfg);
+            let [time, cut, arcs, bytes] = parhip_cells(&run_parhip(g, p, &cfg), g);
             let (pm_t, pm_c) = {
                 let c = ParmetisLikeConfig::new(2, seed).with_memory_budget(memory_budget(tier));
                 match run_parmetis(g, p, &c) {
-                    Ok((pp, tt)) => (fnum(tt), pp.edge_cut(g).to_string()),
+                    Ok(run) => (fnum(run.time_s()), run.partition.edge_cut(g).to_string()),
                     Err(_) => ("*".into(), "*".into()),
                 }
             };
             t.row(vec![
                 name.clone(),
                 p.to_string(),
-                fnum(time),
-                part.edge_cut(g).to_string(),
+                time,
+                cut,
                 pm_t,
                 pm_c,
+                arcs,
+                bytes,
             ]);
             if with_minimal_on_last && idx == graphs.len() - 1 {
                 let mcfg = ParhipConfig::preset(Preset::Minimal, 2, *class, seed);
-                let (mp, mt) = run_parhip(g, p, &mcfg);
+                let [time, cut, arcs, bytes] = parhip_cells(&run_parhip(g, p, &mcfg), g);
                 t.row(vec![
                     format!("{name}-minimal"),
                     p.to_string(),
-                    fnum(mt),
-                    mp.edge_cut(g).to_string(),
+                    time,
+                    cut,
                     "-".into(),
                     "-".into(),
+                    arcs,
+                    bytes,
                 ]);
             }
         }
@@ -86,6 +103,9 @@ fn main() {
         .unwrap_or_else(|| "all".into());
     let pmax = arg_usize(&args, "pmax", 8);
     let seed = arg_usize(&args, "seed", 1) as u64;
+    if !["del", "rgg", "web", "all"].contains(&which.as_str()) {
+        bad_arg("panel", &which);
+    }
     let tier = parse_tier(arg(&args, "tier"));
     let (x_small, x_large) = match tier {
         Tier::Tiny => (10, 12),

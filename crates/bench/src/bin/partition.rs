@@ -31,7 +31,9 @@ fn main() {
     // harness `key=value` form.
     for flag in ["report", "trace"] {
         if let Some(i) = args.iter().position(|a| a == &format!("--{flag}")) {
-            assert!(i + 1 < args.len(), "--{flag} requires a path argument");
+            if i + 1 == args.len() {
+                bad_arg(flag, "");
+            }
             let path = args.remove(i + 1);
             args[i] = format!("{flag}={path}");
         }

@@ -1,51 +1,77 @@
 //! Experiment drivers shared by the table/figure binaries.
 
 use crate::{fnum, geomean, summarize_runs, RunSummary, Table};
-use parhip::{GraphClass, ParhipConfig, Preset};
-use pgp_baselines::{parmetis_like_distributed, BaselineError, ParmetisLikeConfig};
-use pgp_dmp::collectives::allgatherv;
-use pgp_dmp::DistGraph;
+use parhip::{GraphClass, ParhipConfig, Partitioner, Preset};
+use pgp_baselines::{parmetis_like, BaselineError, ParmetisLikeConfig};
+use pgp_dmp::{Obs, RunConfig};
 use pgp_gen::benchmark_set::{self, Tier};
 use pgp_graph::{CsrGraph, Partition};
+use pgp_obs::RunReport;
 
-/// Like `pgp_dmp::run`, but also measures each PE's *thread CPU time* — the
-/// metric the scaling benchmarks report. On a machine with fewer cores
-/// than PEs, wall-clock time says nothing about parallel scalability; the
-/// per-PE CPU time is what each PE would spend on a dedicated core, so
-/// `max` over PEs approximates the parallel makespan (communication is
-/// in-process and therefore nearly free, akin to the paper's low-latency
-/// InfiniBand at these message sizes — see EXPERIMENTS.md).
-pub fn run_timed<R, F>(p: usize, f: F) -> (Vec<R>, Vec<f64>)
-where
-    R: Send,
-    F: Fn(&pgp_dmp::Comm) -> R + Sync,
-{
-    let pairs = pgp_dmp::run(p, |comm| {
-        let t0 = pgp_dmp::thread_cpu_seconds();
-        let r = f(comm);
-        (r, pgp_dmp::thread_cpu_seconds() - t0)
-    });
-    pairs.into_iter().unzip()
+/// One recorded run: the partition and the report of the run that made it.
+/// Every experiment reads its times and counts off the report, the same
+/// way for ParHIP and the ParMetis-like baseline (see EXPERIMENTS.md).
+pub struct Observed {
+    /// The assembled global partition.
+    pub partition: Partition,
+    /// The run's report (`Obs` sized for the run's `p`).
+    pub report: RunReport,
 }
 
-/// Runs ParHIP on `p` simulated PEs; the reported time is the *maximum
-/// per-PE CPU time* (critical path on dedicated cores; see EXPERIMENTS.md).
-pub fn run_parhip(graph: &CsrGraph, p: usize, cfg: &ParhipConfig) -> (Partition, f64) {
-    let (results, times) = run_timed(p, |comm| {
-        let dg = DistGraph::from_global(comm, graph);
-        let (local, _) = parhip::parhip_distributed(comm, &dg, cfg);
-        allgatherv(comm, local)
-    });
-    let partition = Partition::from_assignment(
-        graph,
-        cfg.k,
-        results
-            .into_iter()
-            .next()
-            .expect("run() always yields p >= 1 results"),
-    );
-    let par_time = times.into_iter().fold(0.0f64, f64::max);
-    (partition, par_time)
+impl Observed {
+    /// The *maximum per-PE thread CPU time* in seconds — each PE's compute
+    /// time as if it had a dedicated core, so the max over PEs is the
+    /// parallel makespan (critical path).
+    pub fn time_s(&self) -> f64 {
+        self.report
+            .per_pe
+            .iter()
+            .map(|pe| pe.resources.thread_cpu_s)
+            .fold(0.0, f64::max)
+    }
+
+    /// SCLP arcs scanned (cluster and refine calls, every level and
+    /// V-cycle) on the busiest PE and on the mean PE: the host-independent
+    /// work behind [`time_s`](Self::time_s).
+    pub fn sclp_arcs(&self) -> (u64, f64) {
+        let per_pe: Vec<u64> = self
+            .report
+            .per_pe
+            .iter()
+            .map(|pe| pe.work.iter().map(|w| w.edges_scanned).sum())
+            .collect();
+        let max = per_pe.iter().copied().max().unwrap_or(0);
+        let mean = per_pe.iter().sum::<u64>() as f64 / per_pe.len().max(1) as f64;
+        (max, mean)
+    }
+}
+
+/// A [`RunConfig`] recording into a fresh `Obs` for `p` PEs, and the
+/// registry to read the report from.
+fn recorded(p: usize) -> (std::sync::Arc<Obs>, RunConfig) {
+    let obs = Obs::new(p);
+    let run = RunConfig {
+        obs: Some(obs.clone()),
+        ..Default::default()
+    };
+    (obs, run)
+}
+
+/// Runs ParHIP on `p` simulated PEs through the front door, recorded.
+///
+/// # Panics
+/// Panics if the front door rejects `cfg` or the run fails — an
+/// experiment's configurations are fixed and valid.
+pub fn run_parhip(graph: &CsrGraph, p: usize, cfg: &ParhipConfig) -> Observed {
+    let (obs, run) = recorded(p);
+    let out = Partitioner::new(cfg)
+        .run(run)
+        .partition(graph, p)
+        .unwrap_or_else(|e| panic!("ParHIP run failed: {e}"));
+    Observed {
+        partition: out.partition,
+        report: obs.report(),
+    }
 }
 
 /// Runs the ParMetis-like baseline the same way. `Err` carries the
@@ -54,18 +80,13 @@ pub fn run_parmetis(
     graph: &CsrGraph,
     p: usize,
     cfg: &ParmetisLikeConfig,
-) -> Result<(Partition, f64), BaselineError> {
-    let (results, times) = run_timed(p, |comm| {
-        let dg = DistGraph::from_global(comm, graph);
-        parmetis_like_distributed(comm, &dg, cfg).map(|(local, _)| allgatherv(comm, local))
-    });
-    let assignment = results
-        .into_iter()
-        .next()
-        .expect("run() always yields p >= 1 results")?;
-    let partition = Partition::from_assignment(graph, cfg.k, assignment);
-    let par_time = times.into_iter().fold(0.0f64, f64::max);
-    Ok((partition, par_time))
+) -> Result<Observed, BaselineError> {
+    let (obs, run) = recorded(p);
+    let (partition, _) = parmetis_like(graph, p, cfg, run)?;
+    Ok(Observed {
+        partition,
+        report: obs.report(),
+    })
 }
 
 /// Per-PE memory budget (bytes) for the baseline's replication failure
@@ -85,13 +106,14 @@ pub fn memory_budget(tier: Tier) -> u64 {
     }
 }
 
-/// Parses a tier CLI value.
+/// Parses a tier CLI value; an unknown one ends the process through
+/// [`bad_arg`](crate::bad_arg).
 pub fn parse_tier(s: Option<String>) -> Tier {
     match s.as_deref() {
         None | Some("small") => Tier::Small,
         Some("tiny") => Tier::Tiny,
         Some("medium") => Tier::Medium,
-        Some(other) => panic!("unknown tier '{other}' (tiny|small|medium)"),
+        Some(other) => crate::bad_arg("tier", other),
     }
 }
 
@@ -182,14 +204,17 @@ fn summarize_checked(
     g: &CsrGraph,
     reps: usize,
     base_seed: u64,
-    mut f: impl FnMut(u64) -> Result<(Partition, f64), BaselineError>,
+    mut f: impl FnMut(u64) -> Result<Observed, BaselineError>,
 ) -> Result<RunSummary, BaselineError> {
-    // Probe once; on success run the full repetition set.
-    f(base_seed)?;
+    // The first failing seed marks the instance failed.
+    let mut runs = (0..reps)
+        .map(|i| f(base_seed + i as u64))
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter();
     Ok(summarize_runs(
         g,
         reps,
-        |s| f(s).expect("succeeded on probe seed"),
+        |_| runs.next().expect("one run per rep"),
         base_seed,
     ))
 }
@@ -269,18 +294,5 @@ pub fn render_quality_table(results: &[InstanceResult], title: &str, csv_name: &
                 );
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn run_timed_reports_per_pe_times() {
-        let (results, times) = run_timed(3, |comm| comm.rank());
-        assert_eq!(results, vec![0, 1, 2]);
-        assert_eq!(times.len(), 3);
-        assert!(times.iter().all(|&t| (0.0..10.0).contains(&t)));
     }
 }

@@ -16,9 +16,9 @@
 
 pub mod harness;
 
-use pgp_graph::{CsrGraph, Partition, Weight};
+use harness::Observed;
+use pgp_graph::{CsrGraph, Weight};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Outcome of repeated runs of one partitioner on one instance.
 #[derive(Clone, Debug)]
@@ -36,12 +36,12 @@ pub struct RunSummary {
     pub reps: usize,
 }
 
-/// Runs `f` (which returns a partition and a time in seconds) `reps` times
-/// with seeds `base_seed + i` and summarizes.
+/// Runs `f` (one recorded run) `reps` times with seeds `base_seed + i`
+/// and summarizes.
 pub fn summarize_runs(
     graph: &CsrGraph,
     reps: usize,
-    mut f: impl FnMut(u64) -> (Partition, f64),
+    mut f: impl FnMut(u64) -> Observed,
     base_seed: u64,
 ) -> RunSummary {
     assert!(reps >= 1);
@@ -49,10 +49,10 @@ pub fn summarize_runs(
     let mut times = Vec::with_capacity(reps);
     let mut max_imb = 0.0f64;
     for i in 0..reps {
-        let (p, t) = f(base_seed + i as u64);
-        cuts.push(p.edge_cut(graph));
-        times.push(t);
-        max_imb = max_imb.max(p.imbalance(graph));
+        let run = f(base_seed + i as u64);
+        cuts.push(run.partition.edge_cut(graph));
+        times.push(run.time_s());
+        max_imb = max_imb.max(run.partition.imbalance(graph));
     }
     RunSummary {
         avg_cut: cuts.iter().map(|&c| c as f64).sum::<f64>() / reps as f64,
@@ -61,13 +61,6 @@ pub fn summarize_runs(
         max_imbalance: max_imb,
         reps,
     }
-}
-
-/// Measures a closure's wall-clock runtime.
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64())
 }
 
 /// Geometric mean (the paper's cross-instance aggregate).
@@ -362,13 +355,16 @@ mod tests {
             3,
             |seed| {
                 let assign: Vec<u32> = (0..16).map(|i| ((i + seed as usize) % 2) as u32).collect();
-                (pgp_graph::Partition::from_assignment(&g, 2, assign), 0.5)
+                Observed {
+                    partition: pgp_graph::Partition::from_assignment(&g, 2, assign),
+                    report: pgp_obs::Obs::new(1).report(),
+                }
             },
             0,
         );
         assert_eq!(s.reps, 3);
         assert!(s.best_cut as f64 <= s.avg_cut);
-        assert!((s.avg_time_s - 0.5).abs() < 1e-12);
+        assert_eq!(s.avg_time_s, 0.0, "a report with no resource sample");
     }
 
     #[test]

@@ -79,23 +79,12 @@ impl BorrowedHierarchy<'_> {
     }
 }
 
-/// Runs the coarsening loop for V-cycle `cycle`. `constraint`, when given,
-/// holds the current partition's block for every owned + ghost node of the
-/// finest graph (V-cycles; §IV-D) and is projected down level by level.
-pub fn parallel_coarsen(
-    comm: &Comm,
-    finest: DistGraph,
-    cfg: &ParhipConfig,
-    cycle: usize,
-    constraint: Option<&[Node]>,
-) -> ParHierarchy {
-    let mut scratch = SclpScratch::new();
-    parallel_coarsen_with_scratch(comm, finest, cfg, cycle, constraint, &mut scratch)
-}
-
-/// As [`parallel_coarsen`], drawing SCLP working memory from `scratch`.
-/// Threading one scratch through all V-cycles lets the finest level (the
-/// same graph every cycle) reuse its cached degree order.
+/// Runs the coarsening loop for V-cycle `cycle` on a moved-in finest
+/// graph, drawing SCLP working memory from `scratch`. `constraint`, when
+/// given, holds the current partition's block for every owned + ghost node
+/// of the finest graph (V-cycles; §IV-D) and is projected down level by
+/// level. Threading one scratch through all V-cycles lets the finest level
+/// (the same graph every cycle) reuse its cached degree order.
 pub fn parallel_coarsen_with_scratch(
     comm: &Comm,
     finest: DistGraph,
@@ -261,7 +250,7 @@ mod tests {
         cfg.coarsest_nodes_per_block = 60;
         let depths = run(4, |comm| {
             let dg = DistGraph::from_global(comm, &g);
-            let h = parallel_coarsen(comm, dg, &cfg, 0, None);
+            let h = parallel_coarsen_with_scratch(comm, dg, &cfg, 0, None, &mut SclpScratch::new());
             (h.depth(), h.coarsest().n_global())
         });
         for &(depth, coarsest_n) in &depths {
@@ -290,7 +279,14 @@ mod tests {
             // The by-value wrapper builds the same levels around a moved-in
             // level 0.
             let shape = |li: usize| (h.graph(li).n_global(), h.graph(li).m_global());
-            let moved = parallel_coarsen(comm, dg.clone(), &cfg, 0, None);
+            let moved = parallel_coarsen_with_scratch(
+                comm,
+                dg.clone(),
+                &cfg,
+                0,
+                None,
+                &mut SclpScratch::new(),
+            );
             assert_eq!(moved.depth(), h.depth());
             for (li, level) in moved.levels.iter().enumerate() {
                 assert_eq!((level.graph.n_global(), level.graph.m_global()), shape(li));
@@ -307,7 +303,7 @@ mod tests {
         run(3, |comm| {
             let dg = DistGraph::from_global(comm, &g);
             let total = dg.total_node_weight();
-            let h = parallel_coarsen(comm, dg, &cfg, 0, None);
+            let h = parallel_coarsen_with_scratch(comm, dg, &cfg, 0, None, &mut SclpScratch::new());
             for level in &h.levels {
                 assert_eq!(level.graph.total_node_weight(), total);
             }
@@ -327,7 +323,7 @@ mod tests {
         cfg.coarsest_nodes_per_block = 10;
         run(2, |comm| {
             let dg = DistGraph::from_global(comm, &g);
-            let h = parallel_coarsen(comm, dg, &cfg, 0, None);
+            let h = parallel_coarsen_with_scratch(comm, dg, &cfg, 0, None, &mut SclpScratch::new());
             assert_eq!(
                 h.depth(),
                 1,
@@ -346,7 +342,7 @@ mod tests {
             let total = dg.total_node_weight();
             let u = cfg.u_bound(total, 1, 0);
             assert!(u >= 2, "scaled factor must allow clustering, U = {u}");
-            let h = parallel_coarsen(comm, dg, &cfg, 0, None);
+            let h = parallel_coarsen_with_scratch(comm, dg, &cfg, 0, None, &mut SclpScratch::new());
             assert!(h.depth() >= 2, "mesh should coarsen with the scaled factor");
         });
     }
@@ -362,7 +358,14 @@ mod tests {
             let cons: Vec<Node> = (0..(dg.n_local() + dg.n_ghost()) as Node)
                 .map(|l| dg.local_to_global(l) % 2)
                 .collect();
-            let h = parallel_coarsen(comm, dg, &cfg, 1, Some(&cons));
+            let h = parallel_coarsen_with_scratch(
+                comm,
+                dg,
+                &cfg,
+                1,
+                Some(&cons),
+                &mut SclpScratch::new(),
+            );
             // With a parity constraint no cluster mixes classes; detailed
             // purity is asserted by the sequential constraint tests — here
             // we check the parallel path still coarsens under it.

@@ -21,9 +21,9 @@
 //!    and as a seed individual for the evolutionary algorithm.
 //!
 //! Entry point: a [`Partitioner`] — [`Partitioner::partition`] on a global
-//! graph (shared-input convenience) or [`Partitioner::partition_distributed`]
-//! per PE (SPMD style, inside a `pgp_dmp::run` closure);
-//! [`parhip_distributed`] is the latter without options.
+//! graph or its per-PE row segments; [`parhip_distributed`] is the bare
+//! per-PE call without options (SPMD style, inside a `pgp_dmp::run`
+//! closure).
 //!
 //! ```
 //! use parhip::{GraphClass, ParhipConfig, Partitioner};
@@ -42,7 +42,7 @@ pub mod partitioner;
 #[cfg(feature = "validate")]
 pub mod validate;
 
-pub use coarsen::{parallel_coarsen, ParHierarchy, ParLevel};
+pub use coarsen::{ParHierarchy, ParLevel};
 pub use config::{GraphClass, ParhipConfig, Preset};
 pub use contract::{parallel_contract, parallel_project_blocks, ParContraction};
 pub use partitioner::{parhip_distributed, ParhipStats, PartitionError, Partitioned, Partitioner};

@@ -187,9 +187,9 @@ fn close_run(comm: &Comm, graph: &DistGraph, blocks: &[Node], k: usize) -> Closi
 /// The one way to call the partitioner: a borrowed [`ParhipConfig`] plus
 /// two orthogonal options — a prepartition, and the [`RunConfig`] that
 /// carries the run (watchdog deadline, delay plan, and the `Obs` registry
-/// a report or trace is later read from) — and two verbs:
-/// [`partition`](Self::partition) on a global graph or its per-PE row
-/// segments, [`partition_distributed`](Self::partition_distributed) per PE.
+/// a report or trace is later read from) — and one verb,
+/// [`partition`](Self::partition), on a global graph or its per-PE row
+/// segments.
 ///
 /// ```no_run
 /// use parhip::{GraphClass, ParhipConfig, Partitioner};
@@ -331,25 +331,6 @@ impl<'a> Partitioner<'a> {
         })
     }
 
-    /// The per-PE verb, for callers already inside a `pgp_dmp::run*`
-    /// closure: runs the full system on an already-distributed graph and
-    /// returns this PE's local block assignment (owned nodes) plus stats.
-    /// The prepartition applies; the group `comm` belongs to was built by
-    /// the caller, so [`run`](Self::run) has nothing to act on here.
-    ///
-    /// # Panics
-    /// Panics on what [`partition`](Self::partition) rejects with an
-    /// error (this verb sits behind the door).
-    pub fn partition_distributed(
-        &self,
-        comm: &Comm,
-        graph: &DistGraph,
-    ) -> (Vec<Node>, ParhipStats) {
-        let (mut blocks, stats) = self.run_on_pe(comm, graph);
-        blocks.truncate(graph.n_local());
-        (blocks, stats)
-    }
-
     /// One run on one PE: the blocks of the owned and ghost nodes, and the
     /// stats.
     fn run_on_pe(&self, comm: &Comm, graph: &DistGraph) -> (Vec<Node>, ParhipStats) {
@@ -369,10 +350,10 @@ fn weight_sum(weights: &[Weight]) -> u128 {
     weights.iter().map(|&w| u128::from(w)).sum()
 }
 
-/// The bare distributed verb, in the shape of KaHIP's
-/// `ParHIPPartitionKWay`: runs the full system on an already-distributed
-/// graph; returns this PE's local block assignment (owned nodes) plus
-/// stats. Same as `Partitioner::new(cfg).partition_distributed(comm, graph)`.
+/// The bare per-PE call, in the shape of KaHIP's `ParHIPPartitionKWay`,
+/// for code already inside a `pgp_dmp::run*` closure: runs the full system
+/// on an already-distributed graph with no options; returns this PE's
+/// local block assignment (owned nodes) plus stats.
 pub fn parhip_distributed(
     comm: &Comm,
     graph: &DistGraph,
@@ -386,7 +367,8 @@ pub fn parhip_distributed(
 /// The shared V-cycle engine: runs `cfg.vcycles` cycles from an optional
 /// carried-in assignment `blocks` of the owned and ghost nodes — the one
 /// state a V-cycle hands the next — and returns that vector after the last
-/// cycle. Both verbs funnel here.
+/// cycle. [`Partitioner::partition`] and [`parhip_distributed`] funnel
+/// here.
 fn parhip_cycles(
     comm: &Comm,
     graph: &DistGraph,

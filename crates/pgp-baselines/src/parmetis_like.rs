@@ -16,7 +16,7 @@
 
 use parhip::contract::{parallel_contract, parallel_project_blocks};
 use pgp_dmp::collectives::allgatherv;
-use pgp_dmp::{Comm, DistGraph};
+use pgp_dmp::{Comm, DistGraph, RunConfig};
 use pgp_graph::{lmax, CsrGraph, Node, Partition};
 use pgp_lp::par::parallel_sclp_refine;
 use pgp_seq::{initial_partition, InitialConfig};
@@ -247,24 +247,31 @@ pub fn parmetis_like_distributed(
     Ok((level_blocks, stats))
 }
 
-/// Convenience wrapper: shared input graph, `p` PEs, assembled partition.
+/// Shared input graph, `p` PEs carried by `run` (as
+/// `parhip::Partitioner::run` takes it: watchdog, delay plan, `Obs`
+/// registry), assembled partition.
+///
+/// # Panics
+/// Panics if a PE fails with a structured comm error (only possible under
+/// a watchdog deadline).
 pub fn parmetis_like(
     graph: &CsrGraph,
     p: usize,
     cfg: &ParmetisLikeConfig,
+    run: RunConfig,
 ) -> Result<(Partition, ParmetisLikeStats), BaselineError> {
-    let results = pgp_dmp::run(p, |comm| {
+    let results = pgp_dmp::run_config(p, run, |comm| {
         let dg = DistGraph::from_global(comm, graph);
-        match parmetis_like_distributed(comm, &dg, cfg) {
-            Ok((local, stats)) => Ok((allgatherv(comm, local), stats)),
-            Err(e) => {
-                // All PEs fail together (the memory check is on replicated
-                // state, identical everywhere).
-                Err(e)
-            }
-        }
+        // All PEs fail together (the memory check is on replicated state,
+        // identical everywhere).
+        parmetis_like_distributed(comm, &dg, cfg)
+            .map(|(local, stats)| (allgatherv(comm, local), stats))
     });
-    let (assignment, stats) = results.into_iter().next().expect("at least one PE")?;
+    let (assignment, stats) = results
+        .into_iter()
+        .next()
+        .expect("at least one PE")
+        .unwrap_or_else(|e| panic!("PE failed: {e}"))?;
     Ok((Partition::from_assignment(graph, cfg.k, assignment), stats))
 }
 
@@ -275,7 +282,8 @@ mod tests {
     #[test]
     fn partitions_mesh_well() {
         let g = pgp_gen::mesh::grid2d(24, 24);
-        let (p, stats) = parmetis_like(&g, 4, &ParmetisLikeConfig::new(2, 1)).unwrap();
+        let (p, stats) =
+            parmetis_like(&g, 4, &ParmetisLikeConfig::new(2, 1), RunConfig::default()).unwrap();
         p.validate(&g, 0.03).unwrap();
         assert!(stats.levels >= 2, "matching should coarsen a mesh");
         assert!(!stats.stalled);
@@ -287,7 +295,7 @@ mod tests {
         let g = pgp_gen::ba::barabasi_albert(3000, 2, 5);
         let mut cfg = ParmetisLikeConfig::new(2, 3);
         cfg.stop_size = 100;
-        let (_, stats) = parmetis_like(&g, 2, &cfg).unwrap();
+        let (_, stats) = parmetis_like(&g, 2, &cfg, RunConfig::default()).unwrap();
         assert!(
             stats.stalled || stats.coarsest_n > 100,
             "matching unexpectedly coarsened a BA graph to {}",
@@ -302,12 +310,12 @@ mod tests {
         let budget = 60_000; // bytes/PE — scaled-down "cluster node"
         let mut cfg = ParmetisLikeConfig::new(2, 1).with_memory_budget(budget);
         cfg.stop_size = 500;
-        let web_result = parmetis_like(&web, 2, &cfg);
+        let web_result = parmetis_like(&web, 2, &cfg, RunConfig::default());
         assert!(
             matches!(web_result, Err(BaselineError::OutOfMemory { .. })),
             "web graph should exceed the memory model: {web_result:?}"
         );
-        let mesh_result = parmetis_like(&mesh, 2, &cfg);
+        let mesh_result = parmetis_like(&mesh, 2, &cfg, RunConfig::default());
         assert!(
             mesh_result.is_ok(),
             "mesh must fit: {:?}",
@@ -319,15 +327,16 @@ mod tests {
     fn deterministic_per_seed_and_p() {
         let g = pgp_gen::mesh::grid2d(16, 16);
         let cfg = ParmetisLikeConfig::new(4, 9);
-        let (a, _) = parmetis_like(&g, 3, &cfg).unwrap();
-        let (b, _) = parmetis_like(&g, 3, &cfg).unwrap();
+        let (a, _) = parmetis_like(&g, 3, &cfg, RunConfig::default()).unwrap();
+        let (b, _) = parmetis_like(&g, 3, &cfg, RunConfig::default()).unwrap();
         assert_eq!(a.assignment(), b.assignment());
     }
 
     #[test]
     fn single_pe_works() {
         let g = pgp_gen::mesh::grid2d(12, 12);
-        let (p, _) = parmetis_like(&g, 1, &ParmetisLikeConfig::new(2, 2)).unwrap();
+        let (p, _) =
+            parmetis_like(&g, 1, &ParmetisLikeConfig::new(2, 2), RunConfig::default()).unwrap();
         p.validate(&g, 0.03).unwrap();
     }
 }

@@ -1,7 +1,7 @@
 //! MPI-style collective operations built on point-to-point messages.
 //!
 //! Broadcast and reduce use binomial trees (`O(log p)` rounds), the barrier
-//! uses the dissemination algorithm, gather/allgather/alltoallv are direct.
+//! uses the dissemination algorithm, allgatherv and alltoallv are direct.
 //! Every collective allocates a fresh group-wide tag so that back-to-back
 //! collectives never interleave (see [`crate::comm::Comm`]).
 
@@ -12,7 +12,7 @@ use crate::wire::Wire;
 // Operation codes mixed into the per-call tag block (diagnostic only; the
 // block number alone already guarantees uniqueness across calls). Defined
 // centrally in `tags` with the payload type each op carries.
-use crate::tags::{OP_ALLGATHER, OP_ALLTOALL, OP_BARRIER, OP_BCAST, OP_GATHER, OP_REDUCE, OP_SCAN};
+use crate::tags::{OP_ALLGATHER, OP_ALLTOALL, OP_BARRIER, OP_BCAST, OP_REDUCE, OP_SCAN};
 
 /// Dissemination barrier: `⌈log₂ p⌉` rounds, no central coordinator.
 pub fn barrier(comm: &Comm) {
@@ -188,50 +188,27 @@ pub fn exscan_sum(comm: &Comm, value: u64) -> u64 {
     prefix
 }
 
-/// Gather to `root`: returns `Some(values-in-rank-order)` on the root.
-pub fn gather<T: Wire>(comm: &Comm, root: usize, value: T) -> Option<Vec<T>> {
-    let _coll = comm.recorder().collective_span("gather");
-    let tag = comm.fresh_tag_block() + OP_GATHER;
-    if comm.rank() == root {
-        let mut out: Vec<Option<T>> = (0..comm.size()).map(|_| None).collect();
-        out[root] = Some(value);
-        for src in 0..comm.size() {
-            if src != root {
-                out[src] = Some(comm.recv::<T>(src, tag));
-            }
-        }
-        Some(out.into_iter().map(|x| x.expect("all received")).collect())
-    } else {
-        comm.send(root, tag, value);
-        None
-    }
-}
-
-/// Allgather: every PE receives every PE's value, in rank order.
-pub fn allgather<T: Clone + Wire>(comm: &Comm, value: T) -> Vec<T> {
+/// Concatenating allgather of vectors (allgatherv): the result is the
+/// concatenation of all PEs' vectors in rank order. Direct exchange: p−1
+/// sends + p−1 receives per PE.
+pub fn allgatherv<T: Clone + Wire>(comm: &Comm, value: Vec<T>) -> Vec<T> {
     let _coll = comm.recorder().collective_span("allgather");
     let tag = comm.fresh_tag_block() + OP_ALLGATHER;
-    // Direct exchange: p−1 sends + p−1 receives per PE.
     for dst in 0..comm.size() {
         if dst != comm.rank() {
             comm.send(dst, tag, value.clone());
         }
     }
-    let mut out: Vec<Option<T>> = (0..comm.size()).map(|_| None).collect();
+    let mut out: Vec<Option<Vec<T>>> = (0..comm.size()).map(|_| None).collect();
     out[comm.rank()] = Some(value);
     for src in 0..comm.size() {
         if src != comm.rank() {
-            out[src] = Some(comm.recv::<T>(src, tag));
+            out[src] = Some(comm.recv::<Vec<T>>(src, tag));
         }
     }
-    out.into_iter().map(|x| x.expect("all received")).collect()
-}
-
-/// Concatenating allgather of vectors (allgatherv): the result is the
-/// concatenation of all PEs' vectors in rank order.
-pub fn allgatherv<T: Clone + Wire>(comm: &Comm, value: Vec<T>) -> Vec<T> {
-    let parts = allgather(comm, value);
-    parts.into_iter().flatten().collect()
+    out.into_iter()
+        .flat_map(|x| x.expect("all received"))
+        .collect()
 }
 
 /// Personalized all-to-all (alltoallv): `sends[j]` goes to PE `j`; returns
@@ -346,22 +323,6 @@ mod tests {
     fn exscan_is_exclusive_prefix() {
         let r = run(5, |comm| exscan_sum(comm, comm.rank() as u64 + 1));
         assert_eq!(r, vec![0, 1, 3, 6, 10]);
-    }
-
-    #[test]
-    fn gather_preserves_rank_order() {
-        let r = run(4, |comm| gather(comm, 2, format!("r{}", comm.rank())));
-        assert_eq!(
-            r[2].as_ref().unwrap(),
-            &vec!["r0".to_string(), "r1".into(), "r2".into(), "r3".into()]
-        );
-        assert!(r[0].is_none());
-    }
-
-    #[test]
-    fn allgather_everywhere() {
-        let r = run(3, |comm| allgather(comm, comm.rank() as u32));
-        assert!(r.iter().all(|v| v == &vec![0, 1, 2]));
     }
 
     #[test]

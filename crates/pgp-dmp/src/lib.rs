@@ -12,7 +12,7 @@
 //!   ([`Comm`]) over one mailbox per PE.
 //! * [`runner`] — SPMD execution ([`run`], [`run_config`]).
 //! * [`collectives`] — barrier, broadcast, reduce, allreduce, exscan,
-//!   gather, allgather(v), alltoallv.
+//!   allgatherv, alltoallv.
 //! * [`dgraph`] — the distributed graph of Section IV-A: contiguous node
 //!   ranges, ghost nodes, global↔local ID maps, per-adjacent-PE buffers.
 //! * [`exchange`] — the phase-overlapped ghost-label exchange of §IV-A.
@@ -38,4 +38,4 @@ pub use wire::Wire;
 // Re-exported so `RunConfig { obs, .. }` can be built without a direct
 // pgp-obs dependency.
 pub use pgp_obs::{Obs, Recorder, RunTrace};
-pub use runner::{mix_seed, run, run_config, thread_cpu_seconds, RunConfig};
+pub use runner::{mix_seed, run, run_config, RunConfig};

@@ -146,13 +146,6 @@ where
         .collect()
 }
 
-/// CPU time consumed by the calling thread, in seconds — re-exported
-/// from `pgp-obs`, where resource observation lives alongside the rest
-/// of the observability layer ([`pgp_obs::ResourceSample`] embeds the
-/// same reading per PE). The `pgp_dmp::thread_cpu_seconds` path is kept
-/// for the benchmarks and downstream callers.
-pub use pgp_obs::thread_cpu_seconds;
-
 /// SplitMix64-style mixing of a global seed and a rank.
 pub fn mix_seed(seed: u64, rank: u64) -> u64 {
     let mut z = seed ^ rank.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -240,27 +233,4 @@ mod tests {
             .collect();
         assert_eq!(values, vec![0, 2, 4]);
     }
-}
-
-#[cfg(test)]
-mod cpu_time_tests {
-    use super::*;
-
-    #[test]
-    fn thread_cpu_time_advances_under_load() {
-        let t0 = thread_cpu_seconds();
-        // Burn ~50ms of CPU.
-        let mut acc = 0u64;
-        let start = std::time::Instant::now();
-        while start.elapsed().as_millis() < 60 {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-        }
-        std::hint::black_box(acc);
-        let t1 = thread_cpu_seconds();
-        assert!(t1 >= t0, "cpu time went backwards");
-        assert!(t1 - t0 < 10.0, "implausible cpu delta {}", t1 - t0);
-    }
-
-    // The clock-tick-rate sanity test moved to `pgp-obs::resources` with
-    // the helper itself; this module keeps the runner-facing contracts.
 }

@@ -55,12 +55,8 @@ pub const OP_BCAST: Tag = 2 << 8;
 /// every call site).
 pub const OP_REDUCE: Tag = 3 << 8;
 
-/// Direct gather to a root. Payload: one contribution `T` per non-root PE
-/// (generic at every call site).
-pub const OP_GATHER: Tag = 4 << 8;
-
-/// Direct allgather. Payload: one value `T` per (src, dst) pair (generic
-/// at every call site).
+/// Direct allgatherv. Payload: `Vec<T>` — the sender's whole vector, one
+/// per (src, dst) pair (generic at every call site).
 pub const OP_ALLGATHER: Tag = 5 << 8;
 
 /// Personalized all-to-all (alltoallv). Payload: `Vec<T>` — the vector
@@ -99,7 +95,6 @@ fn offset_name(offset: Tag) -> Option<&'static str> {
         OP_BARRIER => Some("OP_BARRIER"),
         OP_BCAST => Some("OP_BCAST"),
         OP_REDUCE => Some("OP_REDUCE"),
-        OP_GATHER => Some("OP_GATHER"),
         OP_ALLGATHER => Some("OP_ALLGATHER"),
         OP_ALLTOALL => Some("OP_ALLTOALL"),
         OP_SCAN => Some("OP_SCAN"),
@@ -158,7 +153,6 @@ mod tests {
             OP_BARRIER,
             OP_BCAST,
             OP_REDUCE,
-            OP_GATHER,
             OP_ALLGATHER,
             OP_ALLTOALL,
             OP_SCAN,

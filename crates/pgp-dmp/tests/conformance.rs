@@ -5,8 +5,8 @@
 //! Point-to-point basics and the delay plan are unit-tested in `comm.rs`.
 
 use pgp_dmp::collectives::{
-    allgather, allgatherv, allreduce, allreduce_min_with_rank, allreduce_sum, allreduce_sum_vec,
-    alltoallv, barrier, broadcast, exscan_sum, gather, reduce,
+    allgatherv, allreduce, allreduce_min_with_rank, allreduce_sum, allreduce_sum_vec, alltoallv,
+    barrier, broadcast, exscan_sum, reduce,
 };
 use pgp_dmp::{run_config, Comm, CommError, Obs, RunConfig};
 use pgp_graph::Node;
@@ -75,16 +75,12 @@ fn collectives_agree() {
         let sum_vec = allreduce_sum_vec(comm, vec![rank, 1]);
         let (min, min_rank) = allreduce_min_with_rank(comm, 100 - rank);
         let ex = exscan_sum(comm, rank);
-        let g = gather(comm, 0, rank * 2);
-        let ag = allgather(comm, rank);
         let agv = allgatherv(comm, vec![rank; comm.rank()]);
         let a2a = alltoallv(comm, (0..P).map(|d| vec![rank * 10 + d as u64]).collect());
-        (
-            b, red, red_all, sum, sum_vec, min, min_rank, ex, g, ag, agv, a2a,
-        )
+        (b, red, red_all, sum, sum_vec, min, min_rank, ex, agv, a2a)
     });
     for (rank, r) in results.iter().enumerate() {
-        let (b, red, red_all, sum, sum_vec, min, min_rank, ex, g, ag, agv, a2a) = r;
+        let (b, red, red_all, sum, sum_vec, min, min_rank, ex, agv, a2a) = r;
         assert_eq!(*b, 10, "broadcast from rank 1");
         assert_eq!(red.is_some(), rank == 2, "reduce lands only on the root");
         if rank == 2 {
@@ -95,11 +91,6 @@ fn collectives_agree() {
         assert_eq!(sum_vec, &vec![6, 4]);
         assert_eq!((*min, *min_rank), (97, 3));
         assert_eq!(*ex, (0..rank as u64).sum::<u64>(), "exclusive prefix sum");
-        assert_eq!(g.is_some(), rank == 0, "gather lands only on the root");
-        if rank == 0 {
-            assert_eq!(g.as_deref(), Some(&[0u64, 2, 4, 6][..]));
-        }
-        assert_eq!(ag, &vec![0, 1, 2, 3]);
         let want_agv: Vec<u64> = (0..P as u64).flat_map(|r| vec![r; r as usize]).collect();
         assert_eq!(agv, &want_agv, "allgatherv concatenates in rank order");
         let want_a2a: Vec<Vec<u64>> = (0..P as u64).map(|s| vec![s * 10 + rank as u64]).collect();

@@ -9,10 +9,7 @@
 //! - current/peak RSS from `/proc/self/status` (`VmRSS`/`VmHWM`) —
 //!   process-wide, because the PEs are threads sharing one address space
 //!   (the per-PE value is an upper bound);
-//! - thread-CPU seconds from `/proc/thread-self/stat` (utime+stime),
-//!   moved here from `pgp-dmp::runner` so resource observation lives
-//!   with the rest of the observability layer (`pgp-dmp` re-exports it
-//!   for compatibility).
+//! - thread-CPU seconds from `/proc/thread-self/schedstat`, in ns.
 //!
 //! Everything here degrades to zeros on platforms without `/proc`;
 //! nothing panics.
@@ -29,7 +26,8 @@ pub struct ResourceSample {
     /// Peak resident set size in KiB (`VmHWM`), 0 if unavailable.
     /// Monotone non-decreasing over a process lifetime.
     pub rss_peak_kb: u64,
-    /// CPU seconds consumed by the sampling thread (utime + stime).
+    /// CPU seconds consumed by the sampling thread
+    /// ([`thread_cpu_seconds`]).
     pub thread_cpu_s: f64,
 }
 
@@ -73,54 +71,17 @@ fn parse_kb(rest: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// CPU time consumed by the calling thread, in seconds. Linux-only
-/// (`/proc/thread-self/stat`); returns 0.0 when unavailable.
+/// CPU time consumed by the calling thread, in seconds, at nanosecond
+/// resolution: the first field of `/proc/thread-self/schedstat`, the
+/// thread's on-CPU time in ns. The kernel brings that field up to date at
+/// a scheduler tick or a reschedule, so the thread yields first to make
+/// the reading current. Linux-only; returns 0.0 when unavailable.
 pub fn thread_cpu_seconds() -> f64 {
-    let Ok(stat) = std::fs::read_to_string("/proc/thread-self/stat") else {
-        return 0.0;
-    };
-    // Fields 14 (utime) and 15 (stime) in clock ticks, counted after the
-    // parenthesized comm field (which may contain spaces).
-    let Some(rest) = stat.rsplit(')').next() else {
-        return 0.0;
-    };
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    // rest begins at field 3 ("state"), so utime/stime are at 11/12.
-    let (Some(ut), Some(st)) = (fields.get(11), fields.get(12)) else {
-        return 0.0;
-    };
-    let ticks: f64 = ut.parse::<u64>().unwrap_or(0) as f64 + st.parse::<u64>().unwrap_or(0) as f64;
-    ticks / clock_ticks_per_second()
-}
-
-/// `sysconf(_SC_CLK_TCK)`: the kernel's tick rate for `/proc` CPU-time
-/// fields. Read once via `getconf CLK_TCK` (the workspace is `#![forbid
-/// (unsafe_code)]`-adjacent in its algorithm crates and vendors no libc,
-/// so the POSIX query goes through the standard utility instead of an
-/// FFI call); falls back to 100, which is `USER_HZ` on every mainstream
-/// Linux configuration — the kernel fixes the userspace-visible rate at
-/// 100 regardless of the scheduler's internal `CONFIG_HZ`, so the
-/// fallback is almost always exact rather than approximate.
-fn clock_ticks_per_second() -> f64 {
-    static CLK_TCK: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
-    *CLK_TCK.get_or_init(|| {
-        std::process::Command::new("getconf")
-            .arg("CLK_TCK")
-            .output()
-            .ok()
-            .and_then(|out| {
-                if !out.status.success() {
-                    return None;
-                }
-                String::from_utf8(out.stdout)
-                    .ok()?
-                    .trim()
-                    .parse::<f64>()
-                    .ok()
-            })
-            .filter(|&hz| hz > 0.0)
-            .unwrap_or(100.0)
-    })
+    std::thread::yield_now();
+    std::fs::read_to_string("/proc/thread-self/schedstat")
+        .ok()
+        .and_then(|s| s.split_whitespace().next()?.parse::<u64>().ok())
+        .map_or(0.0, |ns| ns as f64 / 1e9)
 }
 
 #[cfg(test)]
@@ -169,5 +130,22 @@ mod tests {
     fn thread_cpu_seconds_is_present_and_sane() {
         let t = thread_cpu_seconds();
         assert!((0.0..3600.0).contains(&t), "implausible cpu time {t}");
+    }
+
+    /// A 2 ms busy loop is shorter than a scheduler tick; every one must
+    /// still read as CPU time spent.
+    #[test]
+    fn thread_cpu_seconds_sees_a_two_ms_loop() {
+        for i in 0..5 {
+            let t0 = thread_cpu_seconds();
+            let start = std::time::Instant::now();
+            let mut acc = 0u64;
+            while start.elapsed() < std::time::Duration::from_millis(2) {
+                acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            }
+            std::hint::black_box(acc);
+            let dt = thread_cpu_seconds() - t0;
+            assert!(dt > 0.0, "loop {i}: a 2 ms loop read {dt} s");
+        }
     }
 }

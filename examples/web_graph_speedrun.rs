@@ -12,6 +12,7 @@
 
 use pgp::parhip::{GraphClass, ParhipConfig, Partitioned, Partitioner, Preset};
 use pgp::pgp_baselines::{parmetis_like, BaselineError, ParmetisLikeConfig};
+use pgp::pgp_dmp::RunConfig;
 use pgp::pgp_gen::webgraph::{web_graph, WebGraphParams};
 use std::time::Instant;
 
@@ -61,7 +62,7 @@ fn main() {
     // reports the paper's '*' outcome.
     let budget = 4_500_000; // bytes/PE, the "cluster node" of the scaled model
     let cfg = ParmetisLikeConfig::new(k, 3).with_memory_budget(budget);
-    match parmetis_like(&graph, p, &cfg) {
+    match parmetis_like(&graph, p, &cfg, RunConfig::default()) {
         Ok((part, stats)) => println!(
             "ParMetis-like: cut = {} (coarsest {} after {} levels)",
             part.edge_cut(&graph),

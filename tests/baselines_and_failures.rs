@@ -3,6 +3,7 @@
 
 use pgp::parhip::{GraphClass, ParhipConfig, Partitioner};
 use pgp::pgp_baselines::{parmetis_like, BaselineError, ParmetisLikeConfig};
+use pgp::pgp_dmp::RunConfig;
 
 fn parhip_cfg(k: usize, class: GraphClass, seed: u64) -> ParhipConfig {
     let mut c = ParhipConfig::fast(k, class, seed);
@@ -21,7 +22,8 @@ fn parhip_beats_matching_baseline_on_social() {
         .partition(&g, 4)
         .expect("valid input")
         .partition;
-    let (pm, _) = parmetis_like(&g, 4, &ParmetisLikeConfig::new(2, 1)).expect("no memory model");
+    let (pm, _) = parmetis_like(&g, 4, &ParmetisLikeConfig::new(2, 1), RunConfig::default())
+        .expect("no memory model");
     let (a, b) = (ph.edge_cut(&g), pm.edge_cut(&g));
     assert!(
         a < b,
@@ -38,7 +40,8 @@ fn gap_narrows_on_meshes() {
         .partition(&g, 4)
         .expect("valid input")
         .partition;
-    let (pm, _) = parmetis_like(&g, 4, &ParmetisLikeConfig::new(2, 2)).expect("fits");
+    let (pm, _) =
+        parmetis_like(&g, 4, &ParmetisLikeConfig::new(2, 2), RunConfig::default()).expect("fits");
     let (a, b) = (ph.edge_cut(&g) as f64, pm.edge_cut(&g) as f64);
     assert!(
         a < b * 1.7 && b < a * 1.7,
@@ -55,7 +58,8 @@ fn coarsening_stall_mechanism() {
     // Baseline: record how far matching gets.
     let mut pm_cfg = ParmetisLikeConfig::new(2, 1);
     pm_cfg.stop_size = 200;
-    let (_, pm_stats) = parmetis_like(&g, 2, &pm_cfg).expect("no memory model");
+    let (_, pm_stats) =
+        parmetis_like(&g, 2, &pm_cfg, RunConfig::default()).expect("no memory model");
     // ParHIP: cluster contraction.
     let mut ph_cfg = parhip_cfg(2, GraphClass::Social, 1);
     ph_cfg.coarsest_nodes_per_block = 100;
@@ -78,7 +82,7 @@ fn memory_failure_is_typed_and_consistent() {
     let g = pgp::pgp_gen::ensure_connected(pgp::pgp_gen::rmat::rmat_web(12, 16, 9));
     let cfg = ParmetisLikeConfig::new(2, 1).with_memory_budget(10_000);
     for p in [1usize, 2, 4] {
-        match parmetis_like(&g, p, &cfg) {
+        match parmetis_like(&g, p, &cfg, RunConfig::default()) {
             Err(BaselineError::OutOfMemory {
                 required, budget, ..
             }) => {

@@ -6,7 +6,7 @@
 //! quality) shows up here as a one-byte diff. The `work` block's order
 //! and its `level` meaning are pinned here too.
 
-use pgp::parhip::{GraphClass, ParhipConfig, Partitioned, Partitioner};
+use pgp::parhip::{parhip_distributed, GraphClass, ParhipConfig, Partitioned, Partitioner};
 use pgp::pgp_dmp::{run_config, DistGraph, Obs, RunConfig};
 use pgp::pgp_graph::CsrGraph;
 use pgp::pgp_obs::{JsonValue, LevelWork, RunReport, SCHEMA_VERSION};
@@ -95,7 +95,7 @@ fn work_records_follow_the_v_cycle() {
         let obs = Obs::new(p);
         let per_pe = run_config(p, recording(&obs), |comm| {
             let dg = DistGraph::from_global(comm, &g);
-            let (_, stats) = Partitioner::new(&c).partition_distributed(comm, &dg);
+            let (_, stats) = parhip_distributed(comm, &dg, &c);
             (dg.local_arc_count(), stats.coarsest_n)
         });
         for (pe, outcome) in obs.report().per_pe.iter().zip(per_pe) {
