@@ -88,8 +88,7 @@ fn fsweep(tier: Tier, p: usize, reps: usize, seed: u64) {
         for f in [4.0, 10.0, 14.0, 20.0, 40.0] {
             let s = summarize_runs(
                 g,
-                reps,
-                |sd| {
+                (seed..seed + reps as u64).map(|sd| {
                     let mut cfg = ParhipConfig::fast(2, class, sd);
                     cfg.social_first_factor = f;
                     // For the mesh instance sweep the ratio path as well.
@@ -97,8 +96,7 @@ fn fsweep(tier: Tier, p: usize, reps: usize, seed: u64) {
                         ((pgp_graph::lmax(g.total_node_weight(), 2, 0.03) as f64 / f) as u64)
                             .max(2);
                     run_parhip(g, p, &cfg)
-                },
-                seed,
+                }),
             );
             t.row(vec![
                 name.into(),
@@ -122,13 +120,11 @@ fn iters(tier: Tier, p: usize, reps: usize, seed: u64) {
         for it in [1usize, 2, 3, 5, 8] {
             let s = summarize_runs(
                 &g,
-                reps,
-                |sd| {
+                (seed..seed + reps as u64).map(|sd| {
                     let mut cfg = ParhipConfig::fast(2, GraphClass::Social, sd);
                     cfg.coarsen_iterations = it;
                     run_parhip(&g, p, &cfg)
-                },
-                seed,
+                }),
             );
             t.row(vec![
                 name.clone(),
@@ -156,8 +152,7 @@ fn vcycles(tier: Tier, p: usize, reps: usize, seed: u64) {
             .map(|cycles| {
                 let s = summarize_runs(
                     g,
-                    reps,
-                    |sd| {
+                    (seed..seed + reps as u64).map(|sd| {
                         let mut cfg = ParhipConfig::fast(2, GraphClass::Social, sd);
                         cfg.vcycles = cycles;
                         if cycles == 5 {
@@ -165,8 +160,7 @@ fn vcycles(tier: Tier, p: usize, reps: usize, seed: u64) {
                             cfg.population_size = 5;
                         }
                         run_parhip(g, p, &cfg)
-                    },
-                    seed,
+                    }),
                 );
                 (cycles, s)
             })

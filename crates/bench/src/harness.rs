@@ -74,8 +74,10 @@ pub fn run_parhip(graph: &CsrGraph, p: usize, cfg: &ParhipConfig) -> Observed {
     }
 }
 
-/// Runs the ParMetis-like baseline the same way. `Err` carries the
-/// baseline's failure (the paper's `*` entries).
+/// Runs the ParMetis-like baseline, recorded the same way. It has no
+/// closing check and records no per-level cut, so its time lacks work
+/// that ParHIP's holds (EXPERIMENTS.md gives that work's share). `Err`
+/// carries the baseline's failure (the paper's `*` entries).
 pub fn run_parmetis(
     graph: &CsrGraph,
     p: usize,
@@ -161,34 +163,31 @@ pub fn run_quality_table(
         let g = &inst.graph;
         eprintln!("[{name}] n = {}, m = {} ({:?})", g.n(), g.m(), inst.class);
 
-        // ParMetis-like with the tier's memory model.
+        // ParMetis-like with the tier's memory model. The first failing
+        // seed marks the instance failed.
+        let seeds = seed..seed + reps as u64;
         let pm_cfg_base = ParmetisLikeConfig::new(k, seed).with_memory_budget(memory_budget(tier));
-        let parmetis = summarize_checked(g, reps, seed, |s| {
-            let mut c = pm_cfg_base.clone();
-            c.seed = s;
-            run_parmetis(g, p, &c)
-        });
-
-        let fast = summarize_runs(
-            g,
-            reps,
-            |s| {
-                let mut cfg = ParhipConfig::preset(Preset::Fast, k, class, s);
-                cfg.seed = s;
-                run_parhip(g, p, &cfg)
-            },
-            seed,
-        );
-        let eco = summarize_runs(
-            g,
-            reps,
-            |s| {
-                let mut cfg = ParhipConfig::preset(Preset::Eco, k, class, s);
-                cfg.seed = s;
-                run_parhip(g, p, &cfg)
-            },
-            seed,
-        );
+        let parmetis = seeds
+            .clone()
+            .map(|s| {
+                let mut c = pm_cfg_base.clone();
+                c.seed = s;
+                run_parmetis(g, p, &c)
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map(|runs| summarize_runs(g, runs));
+        let parhip = |preset| {
+            summarize_runs(
+                g,
+                seeds.clone().map(|s| {
+                    let mut cfg = ParhipConfig::preset(preset, k, class, s);
+                    cfg.seed = s;
+                    run_parhip(g, p, &cfg)
+                }),
+            )
+        };
+        let fast = parhip(Preset::Fast);
+        let eco = parhip(Preset::Eco);
         out.push(InstanceResult {
             name: name.to_string(),
             large_web,
@@ -198,25 +197,6 @@ pub fn run_quality_table(
         });
     }
     out
-}
-
-fn summarize_checked(
-    g: &CsrGraph,
-    reps: usize,
-    base_seed: u64,
-    mut f: impl FnMut(u64) -> Result<Observed, BaselineError>,
-) -> Result<RunSummary, BaselineError> {
-    // The first failing seed marks the instance failed.
-    let mut runs = (0..reps)
-        .map(|i| f(base_seed + i as u64))
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter();
-    Ok(summarize_runs(
-        g,
-        reps,
-        |_| runs.next().expect("one run per rep"),
-        base_seed,
-    ))
 }
 
 /// Renders the paper-style table plus the aggregate comparison lines from

@@ -36,24 +36,21 @@ pub struct RunSummary {
     pub reps: usize,
 }
 
-/// Runs `f` (one recorded run) `reps` times with seeds `base_seed + i`
-/// and summarizes.
-pub fn summarize_runs(
-    graph: &CsrGraph,
-    reps: usize,
-    mut f: impl FnMut(u64) -> Observed,
-    base_seed: u64,
-) -> RunSummary {
-    assert!(reps >= 1);
-    let mut cuts = Vec::with_capacity(reps);
-    let mut times = Vec::with_capacity(reps);
+/// Summarizes finished runs (one per seed, in seed order).
+///
+/// # Panics
+/// Panics if `runs` is empty.
+pub fn summarize_runs(graph: &CsrGraph, runs: impl IntoIterator<Item = Observed>) -> RunSummary {
+    let mut cuts = Vec::new();
+    let mut times = Vec::new();
     let mut max_imb = 0.0f64;
-    for i in 0..reps {
-        let run = f(base_seed + i as u64);
+    for run in runs {
         cuts.push(run.partition.edge_cut(graph));
         times.push(run.time_s());
         max_imb = max_imb.max(run.partition.imbalance(graph));
     }
+    let reps = cuts.len();
+    assert!(reps >= 1, "at least one run");
     RunSummary {
         avg_cut: cuts.iter().map(|&c| c as f64).sum::<f64>() / reps as f64,
         best_cut: *cuts.iter().min().expect("reps >= 1"),
@@ -347,24 +344,53 @@ mod tests {
         assert!(csv.starts_with("graph,cut"));
     }
 
+    /// A run of `assign` on `g` whose report has one PE per entry of
+    /// `pes`: that PE's thread CPU seconds and the arcs of its two work
+    /// records.
+    fn observed(g: &CsrGraph, assign: Vec<u32>, pes: &[(f64, [u64; 2])]) -> Observed {
+        let mut report = pgp_obs::Obs::new(pes.len()).report();
+        for (pe, &(cpu_s, arcs)) in report.per_pe.iter_mut().zip(pes) {
+            pe.resources.thread_cpu_s = cpu_s;
+            pe.work = arcs
+                .iter()
+                .map(|&edges_scanned| pgp_obs::LevelWork {
+                    edges_scanned,
+                    ..Default::default()
+                })
+                .collect();
+        }
+        Observed {
+            partition: pgp_graph::Partition::from_assignment(g, 2, assign),
+            report,
+        }
+    }
+
     #[test]
     fn summarize_collects_best_and_avg() {
         let g = pgp_gen::mesh::grid2d(4, 4);
+        let times = [0.25, 0.25, 1.0];
         let s = summarize_runs(
             &g,
-            3,
-            |seed| {
-                let assign: Vec<u32> = (0..16).map(|i| ((i + seed as usize) % 2) as u32).collect();
-                Observed {
-                    partition: pgp_graph::Partition::from_assignment(&g, 2, assign),
-                    report: pgp_obs::Obs::new(1).report(),
-                }
-            },
-            0,
+            (0..3usize).map(|seed| {
+                let assign: Vec<u32> = (0..16).map(|i| ((i + seed) % 2) as u32).collect();
+                observed(&g, assign, &[(times[seed], [0, 0])])
+            }),
         );
         assert_eq!(s.reps, 3);
         assert!(s.best_cut as f64 <= s.avg_cut);
-        assert_eq!(s.avg_time_s, 0.0, "a report with no resource sample");
+        assert!(
+            (s.avg_time_s - 0.5).abs() < 1e-12,
+            "per-rep times are averaged: {}",
+            s.avg_time_s
+        );
+    }
+
+    #[test]
+    fn observed_reads_the_busiest_and_mean_pe() {
+        let g = pgp_gen::mesh::grid2d(4, 4);
+        let run = observed(&g, vec![0; 16], &[(0.25, [10, 20]), (0.75, [5, 5])]);
+        assert_eq!(run.time_s(), 0.75, "the max over PEs, not their sum");
+        assert_eq!(run.sclp_arcs(), (30, 20.0), "(max, mean) of per-PE sums");
     }
 
     #[test]

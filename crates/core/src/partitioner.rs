@@ -218,7 +218,7 @@ impl<'a> Partitioner<'a> {
 
     /// How [`partition`](Self::partition) carries the run: watchdog
     /// deadline, delay plan (a test hook, `pgp_dmp::DelayPlan`) and the
-    /// `Obs` registry. Recording adds one
+    /// `Obs` registry. Recording adds one scan of the local arcs and one
     /// allreduce per refine call and never changes the partition;
     /// read `obs.report()` / `obs.trace()` after the run. The registry
     /// must be sized for exactly `p` PEs.
