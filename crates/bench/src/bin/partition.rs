@@ -13,9 +13,9 @@
 //! ```
 //!
 //! `--report <path>` / `--trace <path>` are accepted as aliases for the
-//! `key=value` forms. The report format is documented in DESIGN.md §10,
-//! the trace schema in DESIGN.md §11; re-running the binary regenerates
-//! the phase and work tables (see EXPERIMENTS.md). Open a trace at
+//! `key=value` forms. The report format and the trace schema are
+//! documented in DESIGN.md §10; re-running the binary regenerates the
+//! phase, work and straggler tables (see EXPERIMENTS.md). Open a trace at
 //! <https://ui.perfetto.dev> or `chrome://tracing`.
 
 use bench::harness::parse_tier;
@@ -97,9 +97,7 @@ fn main() {
     );
     println!("\n{}", report_phase_table(&report).render());
     println!("{}", report_work_table(&report).render());
-    if let Some(trace) = obs.trace() {
-        println!("{}", report_straggler_table(&report, &trace).render());
-    }
+    println!("{}", report_straggler_table(&report, &obs.trace()).render());
     println!(
         "comm: {} messages, {} bytes, {} collective calls",
         report.aggregate.messages, report.aggregate.bytes, report.aggregate.collective_calls

@@ -60,14 +60,18 @@ fn recorded(p: usize) -> (std::sync::Arc<Obs>, RunConfig) {
 /// Runs ParHIP on `p` simulated PEs through the front door, recorded.
 ///
 /// # Panics
-/// Panics if the front door rejects `cfg` or the run fails — an
-/// experiment's configurations are fixed and valid.
+/// Panics if the front door rejects `cfg`, the run fails, or its result
+/// fails the closing check (a block above `Lmax`) — an experiment's
+/// configurations are fixed and valid.
 pub fn run_parhip(graph: &CsrGraph, p: usize, cfg: &ParhipConfig) -> Observed {
     let (obs, run) = recorded(p);
     let out = Partitioner::new(cfg)
         .run(run)
         .partition(graph, p)
         .unwrap_or_else(|e| panic!("ParHIP run failed: {e}"));
+    if let Some(violation) = out.violation {
+        panic!("ParHIP result fails its closing check: {violation}");
+    }
     Observed {
         partition: out.partition,
         report: obs.report(),
@@ -200,7 +204,8 @@ pub fn run_quality_table(
 }
 
 /// Renders the paper-style table plus the aggregate comparison lines from
-/// §V-B, and saves a CSV.
+/// §V-B, and saves a CSV. The `imb` columns are each ParHIP preset's
+/// worst imbalance over the reps, to read against the paper's ε = 3 %.
 pub fn render_quality_table(results: &[InstanceResult], title: &str, csv_name: &str) {
     let mut t = Table::new(&[
         "graph",
@@ -210,9 +215,11 @@ pub fn render_quality_table(results: &[InstanceResult], title: &str, csv_name: &
         "Fast avg cut",
         "Fast best",
         "Fast t[s]",
+        "Fast imb",
         "Eco avg cut",
         "Eco best",
         "Eco t[s]",
+        "Eco imb",
     ]);
     for r in results {
         let (pm_avg, pm_best, pm_t) = match &r.parmetis {
@@ -227,9 +234,11 @@ pub fn render_quality_table(results: &[InstanceResult], title: &str, csv_name: &
             fnum(r.fast.avg_cut),
             r.fast.best_cut.to_string(),
             fnum(r.fast.avg_time_s),
+            fnum(r.fast.max_imbalance),
             fnum(r.eco.avg_cut),
             r.eco.best_cut.to_string(),
             fnum(r.eco.avg_time_s),
+            fnum(r.eco.max_imbalance),
         ]);
     }
     println!("\n== {title} ==\n{}", t.render());

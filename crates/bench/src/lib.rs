@@ -165,16 +165,22 @@ impl Table {
     }
 }
 
-/// Formats a float compactly (two decimals, or scientific when tiny).
+/// Formats a float compactly: three significant digits below 1
+/// (scientific below 0.01), two decimals up to 1000, none from there.
 pub fn fnum(v: f64) -> String {
+    let a = v.abs();
     if v == 0.0 {
         "0".into()
-    } else if v.abs() < 0.01 {
+    } else if a < 0.01 {
         format!("{v:.2e}")
-    } else if v.abs() >= 1000.0 {
-        format!("{v:.0}")
-    } else {
+    } else if a < 0.1 {
+        format!("{v:.4}")
+    } else if a < 1.0 {
+        format!("{v:.3}")
+    } else if a < 1000.0 {
         format!("{v:.2}")
+    } else {
+        format!("{v:.0}")
     }
 }
 
@@ -330,6 +336,22 @@ mod tests {
         assert!((geomean([4.0, 9.0]) - 6.0).abs() < 1e-12);
         assert!((geomean([5.0]) - 5.0).abs() < 1e-12);
         assert!(geomean(std::iter::empty::<f64>()).is_nan());
+    }
+
+    #[test]
+    fn fnum_keeps_three_significant_digits_below_one() {
+        let cases = [
+            (0.0, "0"),
+            (0.004_56, "4.56e-3"),
+            (0.0123, "0.0123"),
+            (0.0299, "0.0299"),
+            (0.123_4, "0.123"),
+            (12.3456, "12.35"),
+            (12_345.6, "12346"),
+        ];
+        for (v, text) in cases {
+            assert_eq!(fnum(v), text, "{v}");
+        }
     }
 
     #[test]

@@ -93,9 +93,12 @@ pub fn parallel_coarsen_with_scratch(
     constraint: Option<&[Node]>,
     scratch: &mut SclpScratch,
 ) -> ParHierarchy {
-    let BorrowedHierarchy {
-        mapping, coarser, ..
-    } = coarsen_borrowed(comm, &finest, cfg, cycle, constraint, scratch);
+    let (
+        BorrowedHierarchy {
+            mapping, coarser, ..
+        },
+        _,
+    ) = coarsen_borrowed(comm, &finest, cfg, cycle, constraint, scratch);
     let mut levels = vec![ParLevel {
         graph: finest,
         mapping,
@@ -130,7 +133,9 @@ pub(crate) fn level_work(
     }
 }
 
-/// The coarsening loop itself, over a borrowed finest graph.
+/// The coarsening loop itself, over a borrowed finest graph. Also returns
+/// the constraint projected to the coarsest level (its owned + ghost
+/// nodes' blocks), when one was given.
 pub(crate) fn coarsen_borrowed<'a>(
     comm: &Comm,
     finest: &'a DistGraph,
@@ -138,7 +143,7 @@ pub(crate) fn coarsen_borrowed<'a>(
     cycle: usize,
     constraint: Option<&[Node]>,
     scratch: &mut SclpScratch,
-) -> BorrowedHierarchy<'a> {
+) -> (BorrowedHierarchy<'a>, Option<Vec<Node>>) {
     let stop = cfg.stop_size();
     let mut hierarchy = BorrowedHierarchy {
         finest,
@@ -234,7 +239,9 @@ pub(crate) fn coarsen_borrowed<'a>(
             mapping: Vec::new(),
         });
     }
-    hierarchy
+    // The stall rule breaks before projecting, so the constraint belongs
+    // to the coarsest level kept.
+    (hierarchy, cur_constraint)
 }
 
 #[cfg(test)]
@@ -268,8 +275,10 @@ mod tests {
         cfg.coarsest_nodes_per_block = 60;
         run(2, |comm| {
             let dg = DistGraph::from_global(comm, &g);
-            let h = coarsen_borrowed(comm, &dg, &cfg, 0, None, &mut SclpScratch::new());
+            let (h, constraint) =
+                coarsen_borrowed(comm, &dg, &cfg, 0, None, &mut SclpScratch::new());
             assert!(h.depth() >= 2);
+            assert_eq!(constraint, None, "no constraint in, none out");
             // Level 0 is the caller's graph itself; what the hierarchy owns
             // is the coarser graphs alone, all of them smaller.
             assert!(std::ptr::eq(h.graph(0), &dg));

@@ -7,7 +7,7 @@
 //! parallel uncoarsening, with `r` iterations of parallel SCLP refinement
 //! per level.
 
-use crate::coarsen::{coarsen_borrowed, level_work, BorrowedHierarchy};
+use crate::coarsen::{coarsen_borrowed, level_work};
 use crate::config::ParhipConfig;
 use crate::contract::parallel_project_blocks;
 use pgp_dmp::collectives::{allgatherv, allreduce_sum_vec};
@@ -389,7 +389,8 @@ fn parhip_cycles(
         // ---- Parallel coarsening -------------------------------------
         rec.enter("coarsen");
         // Level 0 of the hierarchy is `graph` itself, borrowed.
-        let hierarchy = coarsen_borrowed(comm, graph, cfg, cycle, blocks.as_deref(), &mut scratch);
+        let (hierarchy, coarsest_blocks) =
+            coarsen_borrowed(comm, graph, cfg, cycle, blocks.as_deref(), &mut scratch);
         rec.exit("coarsen");
         let depth = hierarchy.depth();
         if cycle == 0 {
@@ -401,12 +402,11 @@ fn parhip_cycles(
         rec.enter("initial_partition");
         let coarsest = hierarchy.coarsest();
         let coarsest_global: CsrGraph = coarsest.gather_global(comm);
-        let seed_partition: Option<Partition> = blocks.as_ref().map(|b| {
-            // Project the current partition to the coarsest level: walk the
-            // mapping chain for the local part, then allgather.
-            let coarse_local = project_down(comm, &hierarchy, b);
-            let all = allgatherv(comm, coarse_local);
-            Partition::from_assignment(&coarsest_global, cfg.k, all)
+        // The carried partition, projected down with the coarsening: its
+        // owned part, gathered.
+        let seed_partition: Option<Partition> = coarsest_blocks.map(|mut b| {
+            b.truncate(coarsest.n_local());
+            Partition::from_assignment(&coarsest_global, cfg.k, allgatherv(comm, b))
         });
         // The budget is the group's: each PE runs `⌈evo_operations / p⌉`
         // operations (the paper's `t_p = t_1 / p`).
@@ -525,34 +525,6 @@ fn cut_and_block_weights(
     let mut weights = allreduce_sum_vec(comm, sums);
     let cut2 = weights.pop().expect("slot k holds the cut");
     (cut2 / 2, weights)
-}
-
-/// Projects the current fine blocks (owned part) down the hierarchy to the
-/// coarsest level, returning the blocks of this PE's owned coarsest nodes.
-fn project_down(comm: &Comm, hierarchy: &BorrowedHierarchy<'_>, fine_blocks: &[Node]) -> Vec<Node> {
-    // At each step: owned fine nodes vote (coarse_id, block) to the coarse
-    // owner; all members agree because the coarsening was constrained.
-    let mut cur: Vec<Node> = fine_blocks[..hierarchy.graph(0).n_local()].to_vec();
-    for li in 0..hierarchy.depth() - 1 {
-        let coarse = hierarchy.graph(li + 1);
-        let mapping = hierarchy.mapping(li);
-        let dist = coarse.dist();
-        let mut votes: Vec<Vec<(Node, Node)>> = vec![Vec::new(); comm.size()];
-        for (v, &b) in cur.iter().enumerate() {
-            let cid = mapping[v];
-            votes[dist.owner(cid)].push((cid, b));
-        }
-        let first = dist.first(comm.rank());
-        let mut next: Vec<Node> = vec![0; coarse.n_local()];
-        for (cid, b) in pgp_dmp::collectives::alltoallv(comm, votes)
-            .into_iter()
-            .flatten()
-        {
-            next[ids::global_index(ids::node_global(cid) - first)] = b;
-        }
-        cur = next;
-    }
-    cur
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! receiver's mailbox; a receive takes it out and checks its type. Each
 //! message counts its [`Wire`] size, the bytes an MPI process would send,
 //! so the *communication pattern and volume* the recorder counts are the
-//! MPI program's (DESIGN.md §12).
+//! MPI program's (DESIGN.md §11).
 //!
 //! # Fault model (DESIGN.md §9)
 //!

@@ -292,8 +292,9 @@ mod tests {
         });
         assert!(results.iter().all(Result::is_ok));
         let (mut msgs, mut bytes) = (0, 0);
-        for (tag, sent) in obs.report().total_sent_per_tag() {
-            if (tag - tags::COLLECTIVE_TAG_BASE) % tags::BLOCK_SPAN == tags::GHOST_LABELS {
+        let report = obs.report();
+        for sent in report.per_pe.iter().flat_map(|pe| &pe.comm.sent) {
+            if (sent.tag - tags::COLLECTIVE_TAG_BASE) % tags::BLOCK_SPAN == tags::GHOST_LABELS {
                 msgs += sent.msgs;
                 bytes += sent.bytes;
             }

@@ -4,7 +4,7 @@
 //! typed value itself behind its type name, as MPI hands over a typed
 //! buffer with no per-message header. The bytes a run counts are the
 //! value's [`Wire::wire_bytes`], the bytes an MPI program would send
-//! (DESIGN.md §12, "One payload form").
+//! (DESIGN.md §11, "One payload form").
 //!
 //! Each PE owns a [`Mailbox`] bucketed by `(source, tag)`: a per-sender
 //! slot array indexed by a hash of the tag, with a small overflow list for

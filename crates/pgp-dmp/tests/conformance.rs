@@ -166,12 +166,19 @@ fn obs_conservation() {
     for r in results {
         assert_eq!(r.expect("fault-free run"), 3);
     }
+    // Per tag, (messages, bytes) summed over the group.
     let report = obs.report();
-    let sent = report.total_sent_per_tag();
-    let recvd = report.total_recvd_per_tag();
-    assert_eq!(sent, recvd, "conservation: every sent byte was received");
-    assert_eq!(sent.get(&11).map(|c| c.msgs), Some(3));
+    let total = |side: fn(&pgp_obs::CommReport) -> &[pgp_obs::TagEntry]| {
+        let mut sums = std::collections::BTreeMap::new();
+        for e in report.per_pe.iter().flat_map(|pe| side(&pe.comm)) {
+            let slot = sums.entry(e.tag).or_insert((0, 0));
+            *slot = (slot.0 + e.msgs, slot.1 + e.bytes);
+        }
+        sums
+    };
+    let sent = total(|c| &c.sent);
+    assert_eq!(sent, total(|c| &c.recvd), "every sent byte was received");
     // Each message counts its 8-byte length plus five 8-byte words, and no
     // header.
-    assert_eq!(sent.get(&11).map(|c| c.bytes), Some(3 * (8 + 5 * 8)));
+    assert_eq!(sent.get(&11), Some(&(3, 3 * (8 + 5 * 8))));
 }

@@ -131,36 +131,6 @@ pub struct PassStats {
     pub edges_scanned: u64,
 }
 
-/// Messages/bytes observed for one tag on one side (send or receive).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TagCounter {
-    /// Number of messages.
-    pub msgs: u64,
-    /// Payload bytes: the bytes each message would occupy between MPI
-    /// processes, with no header (an 8-byte length plus the elements for a
-    /// sequence). Computed once per message when it is sent, so identical
-    /// on the send and receive side, which is what makes the conservation
-    /// assertion exact.
-    pub bytes: u64,
-}
-
-impl TagCounter {
-    /// Accumulates one message of `bytes` payload bytes.
-    pub fn add(&mut self, bytes: u64) {
-        self.msgs += 1;
-        self.bytes += bytes;
-    }
-}
-
-/// Aggregated timing for one span path (e.g. `vcycle/coarsen/contract`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PhaseStat {
-    /// Number of times the span closed.
-    pub count: u64,
-    /// Total nanoseconds across all closures.
-    pub total_ns: u64,
-}
-
 /// What one kernel call did at one hierarchy level of one V-cycle, and
 /// the shape of the graph it ran on. `stage` is the name of the span the
 /// call runs under: `"cluster"` (one SCLP cluster call while coarsening),

@@ -1,7 +1,7 @@
 //! What a front end writes from one run's registry — the JSON run report
 //! and the Perfetto trace — so the CLIs share one copy of it.
 
-use crate::{to_perfetto_json, Obs, DEFAULT_TRACE_CAPACITY};
+use crate::{to_perfetto_json, Obs};
 use std::io;
 use std::sync::Arc;
 
@@ -11,7 +11,7 @@ use std::sync::Arc;
 pub struct ObsOutputs {
     /// Write the schema-versioned JSON `RunReport` here.
     pub report: Option<String>,
-    /// Record per-PE event rings and write them here as Perfetto JSON.
+    /// Write the per-PE event logs here as Perfetto JSON.
     pub trace: Option<String>,
 }
 
@@ -39,14 +39,12 @@ impl ObsOutputs {
         self.report.is_some() || self.trace.is_some()
     }
 
-    /// Builds the registry for `p` PEs (event rings only when a trace was
-    /// asked for).
+    /// Builds the registry for `p` PEs.
     pub fn open(self, p: usize) -> ObsSession {
-        let obs = match self.trace {
-            Some(_) => Obs::with_trace(p, DEFAULT_TRACE_CAPACITY),
-            None => Obs::new(p),
-        };
-        ObsSession { obs, outputs: self }
+        ObsSession {
+            obs: Obs::new(p),
+            outputs: self,
+        }
     }
 }
 
@@ -56,8 +54,7 @@ impl ObsSession {
     pub fn finish(self) -> io::Result<()> {
         use io::Write;
         if let Some(path) = &self.outputs.trace {
-            let trace = self.obs.trace().expect("opened with event rings on");
-            create(path)?.write_all(to_perfetto_json(&trace).as_bytes())?;
+            create(path)?.write_all(to_perfetto_json(&self.obs.trace()).as_bytes())?;
             eprintln!("wrote trace {path}");
         }
         if let Some(path) = &self.outputs.report {

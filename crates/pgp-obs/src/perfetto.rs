@@ -151,8 +151,8 @@ pub fn to_perfetto_json(trace: &RunTrace) -> String {
 ///    names (no cross-track or misnested closes);
 /// 3. `X` events carry a `dur`;
 /// 4. every flow-finish (`f`) id resolves to some flow-start (`s`) id
-///    (sends without receives are legal — a message nobody received, a
-///    ring that filled up — but not vice versa).
+///    (sends without receives are legal — a message nobody received —
+///    but not vice versa).
 ///
 /// Returns a one-line summary on success.
 pub fn validate_perfetto(text: &str) -> Result<String, String> {
@@ -289,7 +289,6 @@ mod tests {
                             },
                         ),
                     ],
-                    dropped: 0,
                 },
                 PeTrace {
                     rank: 1,
@@ -312,7 +311,6 @@ mod tests {
                             },
                         ),
                     ],
-                    dropped: 0,
                 },
             ],
         }

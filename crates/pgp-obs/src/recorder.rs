@@ -1,8 +1,13 @@
 //! The per-PE recorder and the run-wide observation registry.
 //!
+//! Each PE keeps one record of what it did: its event log, one
+//! [`TraceEvent`] per hook call, in program order. The run report
+//! ([`Obs::report`]) and the trace ([`Obs::trace`]) are both read off
+//! that log after the PEs have joined.
+//!
 //! ## Clock model
 //!
-//! All trace timestamps are nanoseconds since one *run epoch*: a
+//! All event timestamps are nanoseconds since one *run epoch*: a
 //! monotonic [`Instant`] owned by the [`Obs`] registry, rebased by the
 //! universe right before the PE threads spawn ([`Obs::rebase_epoch`]),
 //! so every PE of a run shares a single clock and cross-PE deltas
@@ -16,81 +21,56 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::metrics::{LevelWork, PhaseStat, TagCounter, WaitHistogram};
-use crate::report::{Aggregate, PeReport, RunReport, TagEntry, SCHEMA_VERSION};
+use crate::metrics::LevelWork;
+use crate::report::{Aggregate, PeReport, RunReport, SCHEMA_VERSION};
 use crate::resources::ResourceSample;
-use crate::trace::{PeTrace, RunTrace, TraceEventKind, TraceRing};
-
-/// Default per-PE trace ring capacity (events). Generous enough that
-/// the tiny-to-small benchmark tiers never drop (dropping is counted,
-/// not silent), small enough to bound memory at ~100 MB/PE worst case.
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
+use crate::trace::{PeTrace, RunTrace, TraceEvent, TraceEventKind};
 
 /// Run-wide observation registry: one cell per PE.
 ///
-/// Created once per observed run ([`Obs::new`], or [`Obs::with_trace`]
-/// to also record event timelines); each PE thread gets a [`Recorder`]
-/// handle onto its own cell via [`Obs::recorder`]. Cells are
+/// Created once per observed run ([`Obs::new`]); each PE thread gets a
+/// [`Recorder`] handle onto its own cell via [`Obs::recorder`]. Cells are
 /// single-writer — only the owning PE thread records — so the mutexes
-/// are uncontended; [`Obs::report`] locks them after the PEs have
-/// joined.
+/// are uncontended; [`Obs::report`] and [`Obs::trace`] lock them after
+/// the PEs have joined.
 pub struct Obs {
     cells: Vec<Mutex<PeState>>,
     /// Origin of the run's monotonic epoch (see the module docs).
     epoch_origin: Mutex<Instant>,
-    /// Whether per-PE trace rings exist (uniform across PEs, so trace
-    /// bookkeeping like sequence numbers cannot desync between peers).
-    traced: bool,
 }
 
 /// All observations of one PE. Single-writer by the owning thread.
+#[derive(Default)]
 pub(crate) struct PeState {
+    /// The event log, in program order.
+    pub(crate) events: Vec<TraceEvent>,
     /// Open spans, innermost last.
     stack: Vec<OpenSpan>,
-    /// Closed-span aggregates keyed by full path (`a/b/c`).
-    pub(crate) phases: BTreeMap<String, PhaseStat>,
     /// Span exits whose name did not match the innermost open span;
-    /// dropped rather than applied, counted here for the report.
+    /// dropped rather than logged, counted here for the report.
     pub(crate) orphan_exits: u64,
-    /// Messages/bytes sent, per tag.
-    pub(crate) sent: BTreeMap<u64, TagCounter>,
-    /// Messages/bytes received, per tag.
-    pub(crate) recvd: BTreeMap<u64, TagCounter>,
-    /// Collective invocation counts by name.
-    pub(crate) collectives: BTreeMap<&'static str, u64>,
-    /// Receive-wait latency distribution (√2 log buckets + exact sum).
-    pub(crate) recv_wait_hist: WaitHistogram,
-    /// Receive-wait nanoseconds blamed on each awaited source PE.
-    pub(crate) recv_wait_by_peer: BTreeMap<usize, u64>,
-    /// Sends held in a limbo queue by a delay plan.
-    pub(crate) delayed: u64,
+    /// Next send sequence number per (dst, tag).
+    send_seq: BTreeMap<(usize, u64), u64>,
+    /// Next receive sequence number per (src, tag).
+    recv_seq: BTreeMap<(usize, u64), u64>,
     /// Per-level work records, in recording order.
     pub(crate) work: Vec<LevelWork>,
     /// Most recent resource sample ([`Recorder::sample_resources`]);
     /// embedded in the report's per-PE block.
     pub(crate) resources: ResourceSample,
-    /// Event timeline, present when the registry was built with
-    /// [`Obs::with_trace`].
-    trace: Option<TraceRing>,
 }
 
 impl PeState {
-    fn new(trace_capacity: Option<usize>) -> Self {
-        Self {
-            stack: Vec::new(),
-            phases: BTreeMap::new(),
-            orphan_exits: 0,
-            sent: BTreeMap::new(),
-            recvd: BTreeMap::new(),
-            collectives: BTreeMap::new(),
-            recv_wait_hist: WaitHistogram::default(),
-            recv_wait_by_peer: BTreeMap::new(),
-            delayed: 0,
-            work: Vec::new(),
-            resources: ResourceSample::default(),
-            trace: trace_capacity.map(TraceRing::new),
-        }
+    fn log(&mut self, ts_ns: u64, kind: TraceEventKind) {
+        self.events.push(TraceEvent { ts_ns, kind });
     }
+}
+
+/// Allocates the next sequence number of `key` in `seqs`.
+fn next_seq(seqs: &mut BTreeMap<(usize, u64), u64>, key: (usize, u64)) -> u64 {
+    let slot = seqs.entry(key).or_insert(0);
+    *slot += 1;
+    *slot - 1
 }
 
 struct OpenSpan {
@@ -98,31 +78,14 @@ struct OpenSpan {
     path: String,
     /// Last path segment, for exit matching.
     name: &'static str,
-    start: Instant,
 }
 
 impl Obs {
-    /// A registry for a `p`-PE run (aggregate report only, no event
-    /// timelines — the pre-trace behavior and cost).
+    /// A registry for a `p`-PE run.
     pub fn new(p: usize) -> Arc<Self> {
-        Self::build(p, None)
-    }
-
-    /// A registry that additionally records per-PE event timelines,
-    /// bounded at `capacity` events per PE (excess events are counted
-    /// as dropped, newest first). Use [`DEFAULT_TRACE_CAPACITY`] unless
-    /// you have a reason not to.
-    pub fn with_trace(p: usize, capacity: usize) -> Arc<Self> {
-        Self::build(p, Some(capacity))
-    }
-
-    fn build(p: usize, trace_capacity: Option<usize>) -> Arc<Self> {
         Arc::new(Self {
-            cells: (0..p)
-                .map(|_| Mutex::new(PeState::new(trace_capacity)))
-                .collect(),
-            epoch_origin: Mutex::new(Instant::now()), // lint:instant-ok: trace epoch origin
-            traced: trace_capacity.is_some(),
+            cells: (0..p).map(|_| Mutex::new(PeState::default())).collect(),
+            epoch_origin: Mutex::new(Instant::now()), // lint:instant-ok: run epoch origin
         })
     }
 
@@ -131,16 +94,11 @@ impl Obs {
         self.cells.len()
     }
 
-    /// Whether event timelines are being recorded.
-    pub fn is_traced(&self) -> bool {
-        self.traced
-    }
-
     /// Re-anchors the run epoch at "now". The universe calls this once
     /// at setup, before the PE threads spawn — recorders created after
     /// the rebase (all of them) share the new origin.
     pub fn rebase_epoch(&self) {
-        *self.epoch_origin.lock() = Instant::now(); // lint:instant-ok: trace epoch rebase
+        *self.epoch_origin.lock() = Instant::now(); // lint:instant-ok: run epoch rebase
     }
 
     /// The recorder handle for `rank`'s cell.
@@ -149,15 +107,14 @@ impl Obs {
         Recorder {
             inner: Some(Inner {
                 origin: *self.epoch_origin.lock(),
-                traced: self.traced,
                 obs: Arc::clone(self),
                 rank,
             }),
         }
     }
 
-    /// Assembles the run report. Call after the PE threads have joined
-    /// (open spans are not counted).
+    /// Assembles the run report, a fold of each PE's event log. Call after
+    /// the PE threads have joined (open spans are not counted).
     pub fn report(&self) -> RunReport {
         let per_pe: Vec<PeReport> = self
             .cells
@@ -174,28 +131,21 @@ impl Obs {
         }
     }
 
-    /// Assembles the event timelines, or `None` when the registry was
-    /// built without tracing. Call after the PE threads have joined.
-    pub fn trace(&self) -> Option<RunTrace> {
-        if !self.traced {
-            return None;
-        }
-        let per_pe: Vec<PeTrace> = self
+    /// Copies out the event logs. Call after the PE threads have joined.
+    pub fn trace(&self) -> RunTrace {
+        let per_pe = self
             .cells
             .iter()
             .enumerate()
-            .map(|(rank, cell)| {
-                cell.lock()
-                    .trace
-                    .as_ref()
-                    .expect("traced registry has rings")
-                    .snapshot(rank)
+            .map(|(rank, cell)| PeTrace {
+                rank,
+                events: cell.lock().events.clone(),
             })
             .collect();
-        Some(RunTrace {
+        RunTrace {
             p: self.cells.len(),
             per_pe,
-        })
+        }
     }
 }
 
@@ -216,9 +166,6 @@ struct Inner {
     /// Epoch origin cached at recorder creation (after the universe's
     /// rebase), so timestamps need no lock.
     origin: Instant,
-    /// Cached [`Obs::is_traced`]; gates the extra `Instant::now()` per
-    /// comm hook so report-only runs keep their pre-trace cost.
-    traced: bool,
     obs: Arc<Obs>,
     rank: usize,
 }
@@ -228,20 +175,19 @@ impl Inner {
         f(&mut self.obs.cells[self.rank].lock())
     }
 
-    /// Nanoseconds of `at` on the run epoch.
-    fn ns_at(&self, at: Instant) -> u64 {
-        let since = at.saturating_duration_since(self.origin);
-        u64::try_from(since.as_nanos()).unwrap_or(u64::MAX)
+    /// Nanoseconds since the run epoch: the timestamp of every event.
+    fn now_ns(&self) -> u64 {
+        let now = Instant::now(); // lint:instant-ok: event timestamp
+        u64::try_from(now.saturating_duration_since(self.origin).as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Epoch-nanoseconds of "now" when tracing, else 0 (the value is
-    /// only consumed by ring pushes, which are themselves trace-gated).
-    fn trace_ts(&self) -> u64 {
-        if self.traced {
-            self.ns_at(Instant::now()) // lint:instant-ok: trace event timestamp
-        } else {
-            0
-        }
+    /// Logs the event `kind` builds from the cell, stamped now.
+    fn log(&self, kind: impl FnOnce(&mut PeState) -> TraceEventKind) {
+        let ts_ns = self.now_ns();
+        self.with(|st| {
+            let kind = kind(st);
+            st.log(ts_ns, kind);
+        });
     }
 }
 
@@ -255,13 +201,6 @@ impl Recorder {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Whether event timelines are being recorded (implies
-    /// [`Recorder::is_enabled`]; uniform across a run's PEs).
-    #[inline]
-    pub fn is_traced(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.traced)
     }
 
     /// Opens a span; close it with the returned guard (or a matching
@@ -280,19 +219,16 @@ impl Recorder {
     pub fn enter(&self, name: &'static str) {
         if let Some(inner) = &self.inner {
             debug_assert!(!name.contains('/'), "span names must not contain '/'");
-            let start = Instant::now(); // lint:instant-ok: span timing
-            inner.with(|st| {
+            inner.log(|st| {
                 let path = match st.stack.last() {
                     Some(top) => format!("{}/{name}", top.path),
                     None => name.to_string(),
                 };
-                if let Some(ring) = &mut st.trace {
-                    ring.push(
-                        inner.ns_at(start),
-                        TraceEventKind::SpanOpen { path: path.clone() },
-                    );
-                }
-                st.stack.push(OpenSpan { path, name, start });
+                st.stack.push(OpenSpan {
+                    path: path.clone(),
+                    name,
+                });
+                TraceEventKind::SpanOpen { path }
             });
         }
     }
@@ -302,107 +238,58 @@ impl Recorder {
     #[inline]
     pub fn exit(&self, name: &'static str) {
         if let Some(inner) = &self.inner {
-            let now = Instant::now(); // lint:instant-ok: span timing
+            let ts_ns = inner.now_ns();
             inner.with(|st| match st.stack.last() {
                 Some(top) if top.name == name => {
-                    let span = st.stack.pop().expect("non-empty: just matched");
-                    let elapsed = now.duration_since(span.start);
-                    if let Some(ring) = &mut st.trace {
-                        ring.push(
-                            inner.ns_at(now),
-                            TraceEventKind::SpanClose {
-                                path: span.path.clone(),
-                            },
-                        );
-                    }
-                    let stat = st.phases.entry(span.path).or_default();
-                    stat.count += 1;
-                    // lint note: u128 -> u64 saturation; a span would need
-                    // to stay open ~584 years to overflow.
-                    stat.total_ns += u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+                    let path = st.stack.pop().expect("non-empty: just matched").path;
+                    st.log(ts_ns, TraceEventKind::SpanClose { path });
                 }
                 _ => st.orphan_exits += 1,
             });
         }
     }
 
-    /// Counts a collective invocation and brackets it on the event
-    /// timeline: a `CollectiveEnter` now, the matching `CollectiveExit`
-    /// when the guard drops.
+    /// Logs a collective's entry; its exit is logged when the guard drops.
     #[inline]
     pub fn collective_span<'a>(&'a self, name: &'static str) -> CollectiveGuard<'a> {
         if let Some(inner) = &self.inner {
-            let ts = inner.trace_ts();
-            inner.with(|st| {
-                *st.collectives.entry(name).or_insert(0) += 1;
-                if let Some(ring) = &mut st.trace {
-                    ring.push(ts, TraceEventKind::CollectiveEnter { name });
-                }
-            });
+            inner.log(|_| TraceEventKind::CollectiveEnter { name });
         }
         CollectiveGuard { rec: self, name }
     }
 
-    /// Records one sent message of `bytes` payload bytes to `dst` on
-    /// `tag`.
+    /// Logs one sent message of `bytes` payload bytes to `dst` on `tag`.
     #[inline]
     pub fn on_send(&self, dst: usize, tag: u64, bytes: u64) {
         if let Some(inner) = &self.inner {
-            let ts = inner.trace_ts();
-            inner.with(|st| {
-                st.sent.entry(tag).or_default().add(bytes);
-                if let Some(ring) = &mut st.trace {
-                    let seq = ring.next_send_seq(dst, tag);
-                    ring.push(
-                        ts,
-                        TraceEventKind::Send {
-                            dst,
-                            tag,
-                            seq,
-                            bytes,
-                        },
-                    );
-                }
+            inner.log(|st| TraceEventKind::Send {
+                dst,
+                tag,
+                seq: next_seq(&mut st.send_seq, (dst, tag)),
+                bytes,
             });
         }
     }
 
-    /// Records one received message of `bytes` payload bytes from
-    /// `src` on `tag`.
+    /// Logs one received message of `bytes` payload bytes from `src` on
+    /// `tag`.
     #[inline]
     pub fn on_recv(&self, src: usize, tag: u64, bytes: u64) {
         if let Some(inner) = &self.inner {
-            let ts = inner.trace_ts();
-            inner.with(|st| {
-                st.recvd.entry(tag).or_default().add(bytes);
-                if let Some(ring) = &mut st.trace {
-                    let seq = ring.next_recv_seq(src, tag);
-                    ring.push(
-                        ts,
-                        TraceEventKind::Recv {
-                            src,
-                            tag,
-                            seq,
-                            bytes,
-                        },
-                    );
-                }
+            inner.log(|st| TraceEventKind::Recv {
+                src,
+                tag,
+                seq: next_seq(&mut st.recv_seq, (src, tag)),
+                bytes,
             });
         }
     }
 
-    /// Records one send toward `dst` held in a limbo queue by a delay
-    /// plan.
+    /// Logs one send toward `dst` held in a limbo queue by a delay plan.
     #[inline]
     pub fn on_delay(&self, dst: usize, tag: u64) {
         if let Some(inner) = &self.inner {
-            let ts = inner.trace_ts();
-            inner.with(|st| {
-                st.delayed += 1;
-                if let Some(ring) = &mut st.trace {
-                    ring.push(ts, TraceEventKind::Delay { peer: dst, tag });
-                }
-            });
+            inner.log(|_| TraceEventKind::Delay { peer: dst, tag });
         }
     }
 
@@ -411,36 +298,25 @@ impl Recorder {
     /// message arrived.
     #[inline]
     pub fn start_wait(&self, src: usize, tag: u64) -> Option<WaitToken> {
-        self.inner.as_ref().map(|_| WaitToken {
-            start: Instant::now(), // lint:instant-ok: recv wait timing
+        self.inner.as_ref().map(|inner| WaitToken {
+            start_ns: inner.now_ns(),
             src,
             tag,
         })
     }
 
-    /// Ends a receive wait started by [`Recorder::start_wait`]: the
-    /// duration lands in the latency histogram, is blamed on the
-    /// awaited peer, and (when tracing) becomes a `RecvWait` event
-    /// stamped at the wait's end.
+    /// Ends a receive wait started by [`Recorder::start_wait`]: logs a
+    /// `RecvWait` event stamped at the wait's end.
     #[inline]
     pub fn end_wait(&self, token: Option<WaitToken>) {
         if let (Some(inner), Some(token)) = (&self.inner, token) {
-            let end = Instant::now(); // lint:instant-ok: recv wait timing
-            let ns = u64::try_from(end.duration_since(token.start).as_nanos()).unwrap_or(u64::MAX);
-            inner.with(|st| {
-                st.recv_wait_hist.record(ns);
-                *st.recv_wait_by_peer.entry(token.src).or_insert(0) += ns;
-                if let Some(ring) = &mut st.trace {
-                    ring.push(
-                        inner.ns_at(end),
-                        TraceEventKind::RecvWait {
-                            src: token.src,
-                            tag: token.tag,
-                            wait_ns: ns,
-                        },
-                    );
-                }
-            });
+            let end_ns = inner.now_ns();
+            let kind = TraceEventKind::RecvWait {
+                src: token.src,
+                tag: token.tag,
+                wait_ns: end_ns.saturating_sub(token.start_ns),
+            };
+            inner.with(|st| st.log(end_ns, kind));
         }
     }
 
@@ -469,21 +345,10 @@ impl Recorder {
     }
 }
 
-/// Per-tag counter map in report entry form (tag ascending — BTreeMap
-/// order).
-pub(crate) fn tag_entries(map: &BTreeMap<u64, TagCounter>) -> Vec<TagEntry> {
-    map.iter()
-        .map(|(&tag, c)| TagEntry {
-            tag,
-            msgs: c.msgs,
-            bytes: c.bytes,
-        })
-        .collect()
-}
-
 /// Times a receive wait; created by [`Recorder::start_wait`].
 pub struct WaitToken {
-    start: Instant,
+    /// When the wait started, on the run epoch.
+    start_ns: u64,
     /// The awaited source PE.
     src: usize,
     /// The awaited tag.
@@ -503,7 +368,7 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// RAII guard emitting the `CollectiveExit` event for a
+/// RAII guard logging the `CollectiveExit` event of a
 /// [`Recorder::collective_span`].
 #[must_use = "dropping the guard immediately ends the collective on the timeline"]
 pub struct CollectiveGuard<'a> {
@@ -514,13 +379,8 @@ pub struct CollectiveGuard<'a> {
 impl Drop for CollectiveGuard<'_> {
     fn drop(&mut self) {
         if let Some(inner) = &self.rec.inner {
-            let ts = inner.trace_ts();
             let name = self.name;
-            inner.with(|st| {
-                if let Some(ring) = &mut st.trace {
-                    ring.push(ts, TraceEventKind::CollectiveExit { name });
-                }
-            });
+            inner.log(|_| TraceEventKind::CollectiveExit { name });
         }
     }
 }
@@ -528,13 +388,11 @@ impl Drop for CollectiveGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceEventKind;
 
     #[test]
     fn disabled_recorder_is_inert() {
         let rec = Recorder::disabled();
         assert!(!rec.is_enabled());
-        assert!(!rec.is_traced());
         let g = rec.span("a");
         rec.on_send(0, 1, 10);
         drop(rec.collective_span("barrier"));
@@ -633,18 +491,10 @@ mod tests {
     }
 
     #[test]
-    fn untraced_registry_has_no_trace() {
-        let obs = Obs::new(1);
-        assert!(!obs.is_traced());
-        assert!(obs.trace().is_none());
-    }
-
-    #[test]
     fn trace_records_events_in_program_order() {
-        let obs = Obs::with_trace(2, 64);
+        let obs = Obs::new(2);
         let r0 = obs.recorder(0);
         let r1 = obs.recorder(1);
-        assert!(r0.is_traced());
         {
             let _s = r0.span("vcycle");
             r0.on_send(1, 7, 8);
@@ -653,7 +503,7 @@ mod tests {
         }
         r1.on_recv(0, 7, 8);
         r1.end_wait(r1.start_wait(0, 7));
-        let trace = obs.trace().expect("traced");
+        let trace = obs.trace();
         assert_eq!(trace.p, 2);
         let kinds: Vec<&TraceEventKind> = trace.per_pe[0].events.iter().map(|e| &e.kind).collect();
         assert!(matches!(kinds[0], TraceEventKind::SpanOpen { path } if path == "vcycle"));

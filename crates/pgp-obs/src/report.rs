@@ -12,9 +12,10 @@
 use std::collections::BTreeMap;
 
 use crate::json::{JsonValue, ToValue};
-use crate::metrics::{LevelWork, TagCounter, WaitHistogram};
+use crate::metrics::{LevelWork, WaitHistogram};
 use crate::recorder::PeState;
 use crate::resources::ResourceSample;
+use crate::trace::TraceEventKind;
 
 /// Report schema version. Bump whenever the JSON shape changes (fields
 /// added, removed or renamed); the `schema_fingerprint` test guards this.
@@ -89,8 +90,7 @@ pub struct CommReport {
     /// p50/p95/p99 are derived from these.
     pub recv_wait_hist: Vec<HistBucketEntry>,
     /// Receive-wait seconds blamed on each awaited source PE, peer
-    /// ascending. Wildcard receives are unattributable and appear only
-    /// in the histogram.
+    /// ascending.
     pub recv_wait_by_peer: Vec<PeerWaitEntry>,
     /// Sends held in limbo queues by a delay plan.
     pub delayed: u64,
@@ -121,7 +121,9 @@ pub struct TagEntry {
     pub tag: u64,
     /// Message count.
     pub msgs: u64,
-    /// Payload wire bytes.
+    /// Payload bytes: what the messages would occupy between MPI
+    /// processes, with no header. Computed once per message when it is
+    /// sent, so the send and receive sides agree exactly.
     pub bytes: u64,
 }
 
@@ -174,48 +176,87 @@ pub struct Aggregate {
 }
 
 impl PeReport {
-    /// Converts a finished PE cell into its report form.
+    /// Folds a finished PE cell's event log into its report form: span
+    /// counts and nanoseconds per path from open/close pairs, messages and
+    /// bytes per tag, collective counts, the receive-wait histogram and
+    /// per-peer blame, and the delayed sends.
     pub(crate) fn from_state(rank: usize, st: &PeState) -> Self {
-        let tag_entries = crate::recorder::tag_entries;
+        let mut phases: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        let mut open: Vec<u64> = Vec::new();
+        let mut sent: BTreeMap<u64, TagEntry> = BTreeMap::new();
+        let mut recvd: BTreeMap<u64, TagEntry> = BTreeMap::new();
+        let mut collectives: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut hist = WaitHistogram::default();
+        let mut by_peer: BTreeMap<usize, u64> = BTreeMap::new();
+        let mut delayed = 0;
+        let tally = |map: &mut BTreeMap<u64, TagEntry>, tag, bytes| {
+            let e = map.entry(tag).or_insert(TagEntry {
+                tag,
+                msgs: 0,
+                bytes: 0,
+            });
+            e.msgs += 1;
+            e.bytes += bytes;
+        };
+        for ev in &st.events {
+            match &ev.kind {
+                TraceEventKind::SpanOpen { .. } => open.push(ev.ts_ns),
+                TraceEventKind::SpanClose { path } => {
+                    // Only a matched exit is logged, so closes pair with
+                    // opens like brackets.
+                    let start = open.pop().expect("a span closes after it opens");
+                    let slot = phases.entry(path).or_default();
+                    slot.0 += 1;
+                    slot.1 += ev.ts_ns.saturating_sub(start);
+                }
+                TraceEventKind::Send { tag, bytes, .. } => tally(&mut sent, *tag, *bytes),
+                TraceEventKind::Recv { tag, bytes, .. } => tally(&mut recvd, *tag, *bytes),
+                TraceEventKind::RecvWait { src, wait_ns, .. } => {
+                    hist.record(*wait_ns);
+                    *by_peer.entry(*src).or_insert(0) += wait_ns;
+                }
+                TraceEventKind::CollectiveEnter { name } => {
+                    *collectives.entry(name).or_insert(0) += 1
+                }
+                TraceEventKind::CollectiveExit { .. } => {}
+                TraceEventKind::Delay { .. } => delayed += 1,
+            }
+        }
         PeReport {
             rank,
-            phases: st
-                .phases
-                .iter()
-                .map(|(path, stat)| PhaseEntry {
-                    path: path.clone(),
-                    count: stat.count,
-                    total_s: stat.total_ns as f64 / 1e9,
+            phases: phases
+                .into_iter()
+                .map(|(path, (count, ns))| PhaseEntry {
+                    path: path.to_string(),
+                    count,
+                    total_s: ns as f64 / 1e9,
                 })
                 .collect(),
             comm: CommReport {
-                sent: tag_entries(&st.sent),
-                recvd: tag_entries(&st.recvd),
-                collectives: st
-                    .collectives
-                    .iter()
-                    .map(|(&name, &count)| CollectiveEntry {
+                sent: sent.into_values().collect(),
+                recvd: recvd.into_values().collect(),
+                collectives: collectives
+                    .into_iter()
+                    .map(|(name, count)| CollectiveEntry {
                         name: name.to_string(),
                         count,
                     })
                     .collect(),
-                recv_wait_s: st.recv_wait_hist.total_ns as f64 / 1e9,
-                recv_wait_count: st.recv_wait_hist.count,
-                recv_wait_hist: st
-                    .recv_wait_hist
+                recv_wait_s: hist.total_ns as f64 / 1e9,
+                recv_wait_count: hist.count,
+                recv_wait_hist: hist
                     .buckets
-                    .iter()
-                    .map(|(&bucket, &count)| HistBucketEntry { bucket, count })
+                    .into_iter()
+                    .map(|(bucket, count)| HistBucketEntry { bucket, count })
                     .collect(),
-                recv_wait_by_peer: st
-                    .recv_wait_by_peer
-                    .iter()
-                    .map(|(&peer, &ns)| PeerWaitEntry {
+                recv_wait_by_peer: by_peer
+                    .into_iter()
+                    .map(|(peer, ns)| PeerWaitEntry {
                         peer,
                         wait_s: ns as f64 / 1e9,
                     })
                     .collect(),
-                delayed: st.delayed,
+                delayed,
             },
             work: st.work.clone(),
             orphan_exits: st.orphan_exits,
@@ -307,26 +348,6 @@ impl RunReport {
         }
         self.aggregate = Aggregate::from_per_pe(&self.per_pe);
         self
-    }
-
-    /// Sums `sent` counters per tag across all PEs.
-    pub fn total_sent_per_tag(&self) -> BTreeMap<u64, TagCounter> {
-        Self::sum_tags(self.per_pe.iter().flat_map(|pe| pe.comm.sent.iter()))
-    }
-
-    /// Sums `recvd` counters per tag across all PEs.
-    pub fn total_recvd_per_tag(&self) -> BTreeMap<u64, TagCounter> {
-        Self::sum_tags(self.per_pe.iter().flat_map(|pe| pe.comm.recvd.iter()))
-    }
-
-    fn sum_tags<'a>(entries: impl Iterator<Item = &'a TagEntry>) -> BTreeMap<u64, TagCounter> {
-        let mut out: BTreeMap<u64, TagCounter> = BTreeMap::new();
-        for e in entries {
-            let c = out.entry(e.tag).or_default();
-            c.msgs += e.msgs;
-            c.bytes += e.bytes;
-        }
-        out
     }
 
     /// The sorted set of JSON key paths this schema produces. The schema
@@ -443,12 +464,28 @@ mod tests {
     }
 
     #[test]
-    fn conservation_helpers_sum_across_pes() {
+    fn report_is_a_fold_of_the_event_log() {
         let report = sample_report();
-        let sent = report.total_sent_per_tag();
-        let recvd = report.total_recvd_per_tag();
-        assert_eq!(sent, recvd);
-        assert_eq!(sent[&7].bytes, 24);
+        let (pe0, pe1) = (&report.per_pe[0], &report.per_pe[1]);
+        let paths: Vec<(&str, u64)> = pe0
+            .phases
+            .iter()
+            .map(|p| (p.path.as_str(), p.count))
+            .collect();
+        assert_eq!(paths, [("vcycle", 1), ("vcycle/coarsen", 1)]);
+        assert_eq!(pe0.comm.sent, pe1.comm.recvd, "per tag, sent == received");
+        assert_eq!(
+            pe0.comm.sent[0],
+            TagEntry {
+                tag: 7,
+                msgs: 1,
+                bytes: 24
+            }
+        );
+        assert_eq!(pe1.comm.collectives[0].name, "barrier");
+        assert_eq!(pe1.comm.recv_wait_count, 1);
+        assert_eq!(pe1.comm.recv_wait_by_peer[0].peer, 0);
+        assert_eq!(report.aggregate.collective_calls, 2);
     }
 
     #[test]

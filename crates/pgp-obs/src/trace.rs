@@ -1,23 +1,22 @@
-//! Cross-PE event timelines: the bounded per-PE trace ring and the
-//! analyses derived from it (phase-attributed wait blame, collective
-//! skew).
+//! The event log and the analyses read off it (phase-attributed wait
+//! blame, the determinism signature).
 //!
-//! The ring records *events* — timestamped span open/close, sends and
-//! receives with per-peer sequence numbers, per-peer receive waits,
-//! collective entry/exit, and sends a delay plan held back — where the
-//! run report records only *aggregates*. Timestamps are nanoseconds since
+//! Every recorder hook logs one *event* — timestamped span open/close,
+//! sends and receives with per-peer sequence numbers, per-peer receive
+//! waits, collective entry/exit, and sends a delay plan held back. The
+//! run report is a fold of these events (`PeReport::from_state`), and
+//! the trace is the events themselves. Timestamps are nanoseconds since
 //! the run's monotonic epoch (captured at `Universe` setup), so events
-//! from different PEs of one run share a single clock and can be laid out
-//! on one timeline.
+//! from different PEs of one run share a single clock and can be laid
+//! out on one timeline.
 //!
 //! Determinism: with a deterministic algorithm and a fixed seed, every
 //! event kind except [`TraceEventKind::RecvWait`] occurs at a fixed
-//! point in each PE's program order. `RecvWait` events exist only when
-//! a receive actually blocked — a race against the sender — so
-//! [`RunTrace::event_signature`] excludes them, and reports receives in
-//! sorted rather than arrival order (polling receives drain whatever
-//! has arrived *so far*). The signature is what the trace golden tests
-//! compare.
+//! point in each PE's program order — every receive names its source
+//! and tag, so receives too are logged in program order. `RecvWait`
+//! events exist only when a receive actually blocked — a race against
+//! the sender — so [`RunTrace::event_signature`] excludes them. The
+//! signature is what the trace golden tests compare.
 
 use std::collections::BTreeMap;
 
@@ -99,76 +98,13 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// Bounded event buffer for one PE. Single-writer (the owning PE
-/// thread, under its observation cell's lock); appends are O(1) and
-/// allocation-free once at capacity. When full, *new* events are
-/// dropped (drop-newest) and counted — dropping oldest would shift
-/// which prefix survives and make truncation nondeterministic.
-pub(crate) struct TraceRing {
-    events: Vec<TraceEvent>,
-    cap: usize,
-    dropped: u64,
-    /// Next send sequence number per (dst, tag).
-    send_seq: BTreeMap<(usize, u64), u64>,
-    /// Next receive sequence number per (src, tag).
-    recv_seq: BTreeMap<(usize, u64), u64>,
-}
-
-impl TraceRing {
-    pub(crate) fn new(cap: usize) -> Self {
-        Self {
-            events: Vec::new(),
-            cap,
-            dropped: 0,
-            send_seq: BTreeMap::new(),
-            recv_seq: BTreeMap::new(),
-        }
-    }
-
-    /// Appends an event, or counts it as dropped at capacity.
-    pub(crate) fn push(&mut self, ts_ns: u64, kind: TraceEventKind) {
-        if self.events.len() < self.cap {
-            self.events.push(TraceEvent { ts_ns, kind });
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// Allocates the next send sequence number toward (`dst`, `tag`).
-    pub(crate) fn next_send_seq(&mut self, dst: usize, tag: u64) -> u64 {
-        let slot = self.send_seq.entry((dst, tag)).or_insert(0);
-        let seq = *slot;
-        *slot += 1;
-        seq
-    }
-
-    /// Allocates the next receive sequence number from (`src`, `tag`).
-    pub(crate) fn next_recv_seq(&mut self, src: usize, tag: u64) -> u64 {
-        let slot = self.recv_seq.entry((src, tag)).or_insert(0);
-        let seq = *slot;
-        *slot += 1;
-        seq
-    }
-
-    /// Non-destructive copy into the report form.
-    pub(crate) fn snapshot(&self, rank: usize) -> PeTrace {
-        PeTrace {
-            rank,
-            events: self.events.clone(),
-            dropped: self.dropped,
-        }
-    }
-}
-
 /// One PE's finished timeline.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PeTrace {
     /// The PE's rank.
     pub rank: usize,
-    /// Events in recording order.
+    /// Events in program order.
     pub events: Vec<TraceEvent>,
-    /// Events discarded because the ring was full.
-    pub dropped: u64,
 }
 
 /// A complete traced run: one timeline per PE on a shared clock.
@@ -193,17 +129,14 @@ pub struct PhaseBlame {
 impl RunTrace {
     /// Deterministic fingerprint of the run's event structure, used by
     /// the trace golden tests: kinds, span paths, peers, tags, seqnos
-    /// and byte counts — never timestamps. [`TraceEventKind::RecvWait`]
-    /// events are excluded (their existence is a race), receives are
-    /// listed sorted by (src, tag, seq) rather than in arrival order
-    /// (polling receives observe arrival timing), and the dropped
-    /// count is excluded (wait events share the ring's capacity).
+    /// and byte counts, in program order — never timestamps.
+    /// [`TraceEventKind::RecvWait`] events are excluded (their existence
+    /// is a race).
     pub fn event_signature(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         for pe in &self.per_pe {
             let _ = writeln!(out, "pe {}", pe.rank);
-            let mut recvs: Vec<(usize, u64, u64, u64)> = Vec::new();
             for ev in &pe.events {
                 match &ev.kind {
                     TraceEventKind::SpanOpen { path } => {
@@ -225,7 +158,9 @@ impl RunTrace {
                         tag,
                         seq,
                         bytes,
-                    } => recvs.push((*src, *tag, *seq, *bytes)),
+                    } => {
+                        let _ = writeln!(out, "  recv src={src} tag={tag} seq={seq} bytes={bytes}");
+                    }
                     // Waits exist only because of wall-clock races; they
                     // do not belong in a deterministic signature.
                     TraceEventKind::RecvWait { .. } => {}
@@ -239,10 +174,6 @@ impl RunTrace {
                         let _ = writeln!(out, "  delay peer={peer} tag={tag}");
                     }
                 }
-            }
-            recvs.sort_unstable();
-            for (src, tag, seq, bytes) in recvs {
-                let _ = writeln!(out, "  recv src={src} tag={tag} seq={seq} bytes={bytes}");
             }
         }
         out
@@ -284,89 +215,54 @@ mod tests {
     }
 
     #[test]
-    fn ring_drops_newest_at_capacity() {
-        let mut ring = TraceRing::new(2);
-        ring.push(1, TraceEventKind::CollectiveEnter { name: "barrier" });
-        ring.push(2, TraceEventKind::CollectiveExit { name: "barrier" });
-        ring.push(3, TraceEventKind::CollectiveEnter { name: "barrier" });
-        let pe = ring.snapshot(0);
-        assert_eq!(pe.events.len(), 2);
-        assert_eq!(pe.dropped, 1);
-        assert_eq!(pe.events[0].ts_ns, 1, "oldest events survive");
-    }
-
-    #[test]
     fn seqnos_are_per_peer_per_tag() {
-        let mut ring = TraceRing::new(8);
-        assert_eq!(ring.next_send_seq(1, 7), 0);
-        assert_eq!(ring.next_send_seq(1, 7), 1);
-        assert_eq!(ring.next_send_seq(2, 7), 0, "independent per dst");
-        assert_eq!(ring.next_send_seq(1, 8), 0, "independent per tag");
-        assert_eq!(ring.next_recv_seq(1, 7), 0, "recv side independent");
+        let obs = crate::recorder::Obs::new(3);
+        let rec = obs.recorder(0);
+        for (dst, tag) in [(1, 7), (1, 7), (2, 7), (1, 8)] {
+            rec.on_send(dst, tag, 8);
+        }
+        rec.on_recv(1, 7, 8);
+        let seqs: Vec<u64> = obs.trace().per_pe[0]
+            .events
+            .iter()
+            .map(|e| match e.kind {
+                TraceEventKind::Send { seq, .. } | TraceEventKind::Recv { seq, .. } => seq,
+                _ => unreachable!("only sends and receives were logged"),
+            })
+            .collect();
+        // Independent per destination, per tag, and per direction.
+        assert_eq!(seqs, [0, 1, 0, 0, 0]);
     }
 
     #[test]
-    fn signature_skips_waits_and_sorts_recvs() {
+    fn signature_skips_waits_and_timestamps_but_keeps_order() {
+        let recv = |src| TraceEventKind::Recv {
+            src,
+            tag: 7,
+            seq: 0,
+            bytes: 8,
+        };
+        let wait = TraceEventKind::RecvWait {
+            src: 1,
+            tag: 7,
+            wait_ns: 100,
+        };
         let mk = |events: Vec<TraceEvent>| RunTrace {
             p: 1,
-            per_pe: vec![PeTrace {
-                rank: 0,
-                events,
-                dropped: 0,
-            }],
+            per_pe: vec![PeTrace { rank: 0, events }],
         };
-        let a = mk(vec![
-            ev(
-                5,
-                TraceEventKind::Recv {
-                    src: 1,
-                    tag: 7,
-                    seq: 0,
-                    bytes: 8,
-                },
-            ),
-            ev(
-                9,
-                TraceEventKind::RecvWait {
-                    src: 2,
-                    tag: 7,
-                    wait_ns: 100,
-                },
-            ),
-            ev(
-                10,
-                TraceEventKind::Recv {
-                    src: 0,
-                    tag: 7,
-                    seq: 0,
-                    bytes: 8,
-                },
-            ),
-        ]);
-        let b = mk(vec![
-            ev(
-                1,
-                TraceEventKind::Recv {
-                    src: 0,
-                    tag: 7,
-                    seq: 0,
-                    bytes: 8,
-                },
-            ),
-            ev(
-                2,
-                TraceEventKind::Recv {
-                    src: 1,
-                    tag: 7,
-                    seq: 0,
-                    bytes: 8,
-                },
-            ),
-        ]);
+        let a = mk(vec![ev(5, recv(0)), ev(9, wait), ev(10, recv(1))]);
+        let b = mk(vec![ev(1, recv(0)), ev(2, recv(1))]);
+        let swapped = mk(vec![ev(1, recv(1)), ev(2, recv(0))]);
         assert_eq!(
             a.event_signature(),
             b.event_signature(),
-            "arrival order and waits must not affect the signature"
+            "timestamps and waits must not affect the signature"
+        );
+        assert_ne!(
+            a.event_signature(),
+            swapped.event_signature(),
+            "receives are compared in program order"
         );
     }
 
@@ -411,7 +307,6 @@ mod tests {
                             },
                         ),
                     ],
-                    dropped: 0,
                 },
                 PeTrace {
                     rank: 1,
@@ -423,7 +318,6 @@ mod tests {
                             wait_ns: 10,
                         },
                     )],
-                    dropped: 0,
                 },
             ],
         };

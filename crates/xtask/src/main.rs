@@ -33,10 +33,13 @@
 //!    zeroable for golden comparisons, and trace events are stamped from
 //!    the registry's monotonic epoch — a wall clock in a report or trace
 //!    would make them non-reproducible and skew straggler math across
-//!    PEs. The watchdog-deadline sites in `comm.rs` and the annotated
-//!    recorder/epoch sites inside `pgp-obs` itself (ISSUE 5 trace
-//!    timestamps) are the sanctioned exceptions, marked
-//!    `// lint:instant-ok: <reason>`.
+//!    PEs. The sanctioned exceptions, marked
+//!    `// lint:instant-ok: <reason>`, are the watchdog deadline in
+//!    `pgp-dmp/src/mailbox.rs` and three sites in
+//!    `pgp-obs/src/recorder.rs`: the run epoch's origin (`Obs::new`), its
+//!    rebase (`Obs::rebase_epoch`) and the one event timestamp
+//!    (`Inner::now_ns`), of which every span and wait duration is a
+//!    difference.
 //! 7. **std-hash** — `std` `HashMap` / `HashSet` are forbidden in the
 //!    determinism-critical crates
 //!    (`crates/{core,pgp-lp,pgp-dmp,pgp-obs,pgp-graph,pgp-seq}/src`): their
@@ -87,7 +90,7 @@ const CSR_OWNER_FILES: &[&str] = &[
 const CSR_ARRAYS: &[&str] = &["xadj[", "adjncy[", "adjwgt["];
 
 /// The only files allowed to name the mailbox internals (rule 5): the
-/// Comm facade and the mailbox behind it (DESIGN.md §12).
+/// Comm facade and the mailbox behind it (DESIGN.md §11).
 const MAILBOX_OWNER_FILES: &[&str] = &[
     "crates/pgp-dmp/src/comm.rs",
     "crates/pgp-dmp/src/mailbox.rs",
@@ -116,8 +119,8 @@ const INSTANT_RESTRICTED_PREFIXES: &[&str] = &[
     "crates/core/src/",
     "crates/pgp-dmp/src/",
     "crates/pgp-lp/src/",
-    // pgp-obs is the seam itself: its annotated recorder/epoch sites are
-    // the only sanctioned `Instant::now()` escapes (ISSUE 5).
+    // pgp-obs is the seam itself: its annotated epoch and event-timestamp
+    // sites are the only sanctioned `Instant::now()` escapes.
     "crates/pgp-obs/src/",
 ];
 

@@ -9,16 +9,16 @@
 //! ```
 //!
 //! The `p` PEs run as OS threads of this process that exchange typed
-//! messages through per-PE mailboxes (DESIGN.md §12).
+//! messages through per-PE mailboxes (DESIGN.md §11).
 //!
 //! `report=<file.json>` (or `--report <file.json>`) runs with the
 //! observability recorder enabled and writes the schema-versioned JSON
 //! `RunReport` — per-PE phase timings, per-tag comm counters, per-level
 //! structural metrics (DESIGN.md §10, EXPERIMENTS.md for consuming it).
 //!
-//! `trace=<file.json>` (or `--trace <file.json>`) additionally records a
-//! per-PE event timeline and writes it as Chrome-trace/Perfetto JSON
-//! (DESIGN.md §11) — open at <https://ui.perfetto.dev> to see one track
+//! `trace=<file.json>` (or `--trace <file.json>`) writes the recorder's
+//! per-PE event logs as a Chrome-trace/Perfetto timeline
+//! (DESIGN.md §10) — open at <https://ui.perfetto.dev> to see one track
 //! per PE with spans, collectives, receive waits, and send→recv flows.
 //!
 //! A run in which a PE fails exits 1 with the typed comm error.

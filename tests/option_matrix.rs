@@ -1,8 +1,7 @@
 //! The front door's options are orthogonal to the result: on one seeded
-//! instance, at every PE count, a plain run, a recorded run, a traced run
-//! and a run under a cross-tag delay plan produce the identical assignment
-//! — a traced run also the identical report — and a prepartitioned run is
-//! valid and no worse than what it was given.
+//! instance, at every PE count, a plain run, a recorded run and a run
+//! under a cross-tag delay plan produce the identical assignment, and a
+//! prepartitioned run is valid and no worse than what it was given.
 //! Every run passes the closing check, so the owned + ghost blocks the
 //! V-cycles carry agree with their owners.
 //!
@@ -12,7 +11,6 @@
 use pgp::parhip::{GraphClass, ParhipConfig, PartitionError, Partitioned, Partitioner};
 use pgp::pgp_dmp::{DelayPlan, Obs, RunConfig};
 use pgp::pgp_graph::Partition;
-use pgp::pgp_obs::DEFAULT_TRACE_CAPACITY;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -67,16 +65,7 @@ fn every_option_yields_the_plain_partition() {
         let report = obs.report();
         assert_eq!(report.p, p);
         assert_eq!(report.aggregate.messages == 0, p == 1, "p={p}");
-
-        let obs = Obs::with_trace(p, DEFAULT_TRACE_CAPACITY);
-        let traced = door.clone().run(recording(&obs)).partition(&g, p);
-        assert_eq!(passed(traced, &format!("p={p}: trace")), plain);
-        assert!(obs.trace().is_some_and(|t| t.per_pe.len() == p));
-        assert_eq!(
-            obs.report().zeroed(),
-            report.zeroed(),
-            "p={p}: tracing changed the report"
-        );
+        assert_eq!(obs.trace().per_pe.len(), p);
 
         // Sends held back and reordered across tags change nothing.
         let delayed = RunConfig {

@@ -1,15 +1,15 @@
 //! Golden-trace determinism: the same seed and configuration must record
-//! the *identical* event sequence — span opens/closes, sends with per-peer
-//! seqnos, collective entries/exits, delayed sends — across repeated
-//! runs. Timestamps and receive waits are racy by nature and are excluded
-//! from the signature (see `RunTrace::event_signature`); everything else
-//! diverging shows up here as a line diff. The Perfetto export is also
+//! the *identical* event sequence — span opens/closes, sends and receives
+//! with per-peer seqnos, collective entries/exits, delayed sends — across
+//! repeated runs. Timestamps and receive waits are racy by nature and are
+//! excluded from the signature (see `RunTrace::event_signature`);
+//! everything else diverging shows up here as a line diff. The Perfetto export is also
 //! structurally validated.
 
 use pgp::parhip::{GraphClass, ParhipConfig, Partitioner};
 use pgp::pgp_dmp::{Obs, RunConfig};
 use pgp::pgp_graph::{CsrGraph, Partition};
-use pgp::pgp_obs::{to_perfetto_json, validate_perfetto, RunTrace, DEFAULT_TRACE_CAPACITY};
+use pgp::pgp_obs::{to_perfetto_json, validate_perfetto, RunTrace};
 use std::sync::Arc;
 
 fn cfg(k: usize, seed: u64) -> ParhipConfig {
@@ -19,7 +19,7 @@ fn cfg(k: usize, seed: u64) -> ParhipConfig {
     c
 }
 
-/// A `Partitioner` for `c` recording event rings into `obs`.
+/// A `Partitioner` for `c` recording event logs into `obs`.
 fn tracing<'a>(c: &'a ParhipConfig, obs: &Arc<Obs>) -> Partitioner<'a> {
     Partitioner::new(c).run(RunConfig {
         obs: Some(Arc::clone(obs)),
@@ -29,10 +29,9 @@ fn tracing<'a>(c: &'a ParhipConfig, obs: &Arc<Obs>) -> Partitioner<'a> {
 
 /// One run under a fresh tracing recorder: the partition and its trace.
 fn traced(g: &CsrGraph, p: usize, c: &ParhipConfig) -> (Partition, RunTrace) {
-    let obs = Obs::with_trace(p, DEFAULT_TRACE_CAPACITY);
+    let obs = Obs::new(p);
     let out = tracing(c, &obs).partition(g, p).expect("valid input");
-    let trace = obs.trace().expect("registry was built with tracing on");
-    (out.partition, trace)
+    (out.partition, obs.trace())
 }
 
 #[test]
@@ -65,7 +64,6 @@ fn perfetto_export_of_a_real_run_validates() {
     // Two PE tracks, a non-trivial number of events, resolvable flows.
     assert!(summary.contains("2 tracks"), "summary: {summary}");
     for pe in &trace.per_pe {
-        assert_eq!(pe.dropped, 0, "default capacity must not drop events");
         assert!(!pe.events.is_empty(), "every PE records events");
     }
 }
