@@ -285,17 +285,9 @@ pub fn report_straggler_table(report: &pgp_obs::RunReport, trace: &pgp_obs::RunT
         } else {
             0.0
         };
-        // Top-3 blamed peers by attributed wait inside this phase.
-        let peers = blame.get(&ph.path).map_or_else(String::new, |b| {
-            let mut ranked: Vec<(usize, u64)> = b.by_peer.iter().map(|(&p, &ns)| (p, ns)).collect();
-            ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            ranked
-                .iter()
-                .take(3)
-                .map(|(p, ns)| format!("pe{}:{:.3}s", p, *ns as f64 / 1e9))
-                .collect::<Vec<_>>()
-                .join(" ")
-        });
+        let peers = blame
+            .get(&ph.path)
+            .map_or_else(String::new, |b| top_blamed_peers(&b.by_peer));
         t.row(vec![
             ph.path.clone(),
             format!("{max_s:.4}"),
@@ -306,6 +298,20 @@ pub fn report_straggler_table(report: &pgp_obs::RunReport, trace: &pgp_obs::RunT
         ]);
     }
     t
+}
+
+/// The three peers blamed for the most receive wait (ns per peer), most
+/// first, as `pe<r>:<ms>ms` with the milliseconds through [`fnum`], so a
+/// wait of microseconds still reads as a number.
+fn top_blamed_peers(by_peer: &std::collections::BTreeMap<usize, u64>) -> String {
+    let mut ranked: Vec<(usize, u64)> = by_peer.iter().map(|(&p, &ns)| (p, ns)).collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked
+        .iter()
+        .take(3)
+        .map(|&(p, ns)| format!("pe{p}:{}ms", fnum(ns as f64 / 1e6)))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// Parses harness CLI args of the form `key=value`; returns the value.
@@ -352,6 +358,19 @@ mod tests {
         for (v, text) in cases {
             assert_eq!(fnum(v), text, "{v}");
         }
+    }
+
+    #[test]
+    fn blamed_waits_read_in_milliseconds() {
+        // 0.2 ms read `0.000s` in seconds; the fourth peer is dropped.
+        let by_peer = [(3, 200_000), (1, 1_500_000_000), (2, 200_000), (0, 10)]
+            .into_iter()
+            .collect();
+        assert_eq!(
+            top_blamed_peers(&by_peer),
+            "pe1:1500ms pe2:0.200ms pe3:0.200ms"
+        );
+        assert_eq!(top_blamed_peers(&Default::default()), "");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! graph is small enough.
 
 use crate::config::ParhipConfig;
-use crate::contract::{parallel_contract, query_owner_values};
+use crate::contract::{contract_unless, query_owner_values};
 use pgp_dmp::collectives::allreduce;
 use pgp_dmp::{Comm, DistGraph};
 use pgp_graph::ids;
@@ -183,14 +183,15 @@ pub(crate) fn coarsen_borrowed<'a>(
         };
         comm.recorder()
             .record_work(level_work("cluster", cycle, level, current, pass));
-        let c = parallel_contract(comm, current, &labels);
-
         // Stall detection (the paper stops when contraction is no longer
         // effective; with cluster contraction this is rare but possible on
-        // e.g. expanders at tiny sizes).
-        if c.coarse.n_global() * 20 > current.n_global() * 19 {
+        // e.g. expanders at tiny sizes), decided from the coarse node count
+        // before any quotient row is built.
+        let Some(c) = contract_unless(comm, current, &labels, |n_coarse| {
+            n_coarse * 20 > current.n_global() * 19
+        }) else {
             break;
-        }
+        };
 
         // Project the constraint: the coarse node inherits its members'
         // shared block. Resolve for owned + ghost coarse nodes via owners.

@@ -52,7 +52,9 @@ pub struct ParhipConfig {
     /// whole PE group: each of p PEs runs `⌈evo_operations / p⌉` of them
     /// (0 = fast behaviour: initial population only).
     pub evo_operations: usize,
-    /// Per-PE population size for KaFFPaE.
+    /// KaFFPaE's population size, per PE. With `evo_operations > 0` the
+    /// group builds the initial population once, split over its PEs, and
+    /// every PE starts from it; with 0 each PE builds its own.
     pub population_size: usize,
     /// RNG seed; fixed seed + fixed `p` ⇒ deterministic result, KaFFPaE's
     /// ring exchange included.

@@ -140,6 +140,18 @@ fn query_sorted<T: pgp_dmp::Wire>(
 /// Contracts `graph` according to `labels` (global cluster IDs for owned +
 /// ghost nodes, as produced by the parallel SCLP).
 pub fn parallel_contract(comm: &Comm, graph: &DistGraph, labels: &[Node]) -> ParContraction {
+    contract_unless(comm, graph, labels, |_| false).expect("no stall rule was given")
+}
+
+/// [`parallel_contract`], given up after step 2 when `stalls(n')` holds for
+/// the coarse node count `n'` (every PE gets the same `n'`): `None` then,
+/// and no quotient row is built or sent.
+pub(crate) fn contract_unless(
+    comm: &Comm,
+    graph: &DistGraph,
+    labels: &[Node],
+    stalls: impl FnOnce(u64) -> bool,
+) -> Option<ParContraction> {
     let _span = comm.recorder().span("contract");
     let n_local = graph.n_local();
     let n_all = n_local + graph.n_ghost();
@@ -165,6 +177,9 @@ pub fn parallel_contract(comm: &Comm, graph: &DistGraph, labels: &[Node]) -> Par
     let my_count = ids::count_global(my_ids.len());
     let offset = exscan_sum(comm, my_count);
     let n_coarse = allreduce_sum(comm, my_count);
+    if stalls(n_coarse) {
+        return None;
+    }
 
     // -- Step 3: resolve C(v) = q(label(v)) for every local + ghost node.
     // (Not `query_owner_values`: q is keyed by cluster ID on the
@@ -250,7 +265,7 @@ pub fn parallel_contract(comm: &Comm, graph: &DistGraph, labels: &[Node]) -> Par
         crate::validate::assert_graph_valid(comm, &coarse, "parallel_contract coarse graph");
         crate::validate::assert_contraction_valid(comm, graph, &coarse, &mapping);
     }
-    ParContraction { coarse, mapping }
+    Some(ParContraction { coarse, mapping })
 }
 
 /// Parallel uncoarsening: every fine PE asks the owners of its coarse

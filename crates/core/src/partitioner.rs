@@ -59,6 +59,13 @@ pub enum PartitionError {
         /// The sum of the node weights.
         total: u128,
     },
+    /// The arc weights (each undirected edge counted twice) sum past
+    /// `i64::MAX`: FM keeps gains in `i64`, so such a graph cannot be
+    /// partitioned.
+    EdgeWeightOverflow {
+        /// The sum of the arc weights.
+        total: u128,
+    },
     /// A structured comm failure (a watchdog timeout, a PE that panicked)
     /// ended the run.
     Comm(CommError),
@@ -79,6 +86,11 @@ impl std::fmt::Display for PartitionError {
             Self::NodeWeightOverflow { total } => write!(
                 f,
                 "node weights sum to {total}, past the {} a block weight can hold",
+                i64::MAX
+            ),
+            Self::EdgeWeightOverflow { total } => write!(
+                f,
+                "arc weights sum to {total}, past the {} a gain can hold",
                 i64::MAX
             ),
             Self::Comm(e) => write!(f, "run failed: {e}"),
@@ -243,9 +255,9 @@ impl<'a> Partitioner<'a> {
     /// with one segment per PE ([`GraphInput`]) — into `cfg.k` blocks on
     /// `p` PEs and assembles the global result. Outside input is checked
     /// here, once, before any PE starts: `k ≥ 1`, `p ≥ 1`, a finite
-    /// `ε ≥ 0`, node weights that sum to at most `i64::MAX`, a
-    /// prepartition that matches `k` and the graph. A structured comm
-    /// failure comes back as [`PartitionError::Comm`].
+    /// `ε ≥ 0`, node weights and arc weights that each sum to at most
+    /// `i64::MAX`, a prepartition that matches `k` and the graph. A
+    /// structured comm failure comes back as [`PartitionError::Comm`].
     ///
     /// The cut, the imbalance and the closing check
     /// ([`Partitioned::violation`]) are computed on the PEs; only the
@@ -269,15 +281,33 @@ impl<'a> Partitioner<'a> {
         if !(cfg.eps.is_finite() && cfg.eps >= 0.0) {
             return Err(PartitionError::InvalidEps(cfg.eps));
         }
-        let (n_global, total) = match &graph {
-            GraphInput::Global(g) => (ids::count_global(g.n()), weight_sum(g.node_weights())),
+        let (n_global, total, arc_total) = match &graph {
+            GraphInput::Global(g) => (
+                ids::count_global(g.n()),
+                weight_sum(g.node_weights()),
+                if g.has_arc_weights() {
+                    weight_sum(&g.adjwgt())
+                } else {
+                    u128::from(ids::count_global(g.num_arcs()))
+                },
+            ),
             GraphInput::Segments(g) => (
                 g.n,
                 g.segments.iter().map(|s| weight_sum(&s.node_weight)).sum(),
+                g.segments
+                    .iter()
+                    .map(|s| match s.adjwgt.as_slice() {
+                        [] => u128::from(ids::count_global(s.adjncy.len())),
+                        w => weight_sum(w),
+                    })
+                    .sum(),
             ),
         };
         if total > i64::MAX as u128 {
             return Err(PartitionError::NodeWeightOverflow { total });
+        }
+        if arc_total > i64::MAX as u128 {
+            return Err(PartitionError::EdgeWeightOverflow { total: arc_total });
         }
         if let Some(input) = self.prepartition {
             let (k, n) = (input.k(), input.assignment().len());
@@ -409,7 +439,8 @@ fn parhip_cycles(
             Partition::from_assignment(&coarsest_global, cfg.k, allgatherv(comm, b))
         });
         // The budget is the group's: each PE runs `⌈evo_operations / p⌉`
-        // operations (the paper's `t_p = t_1 / p`).
+        // operations (the paper's `t_p = t_1 / p`), after an initial
+        // population the group builds once when there are operations.
         let evo_cfg = EvoConfig {
             k: cfg.k,
             eps: cfg.eps,
@@ -715,6 +746,56 @@ mod tests {
         for p in [1, 2] {
             let part = run(&light, p, &small_cfg(2, GraphClass::Social, 3)).partition;
             assert_eq!(part.assignment().len(), 3, "p = {p}");
+        }
+    }
+
+    /// Arc weights that fit `u64` but sum past `i64::MAX` (FM's gains) are
+    /// turned away before any PE starts, as a global graph and as row
+    /// segments; a sum just below it partitions.
+    #[test]
+    fn edge_weights_past_i64_are_rejected_before_any_pe_starts() {
+        // A weighted path 0 - 1 - 2: two edges, four arcs.
+        let global = |w: Weight| {
+            pgp_graph::GraphBuilder::new(3)
+                .add_weighted_edge(0, 1, w)
+                .add_weighted_edge(1, 2, w)
+                .build()
+        };
+        let segments = |w: Weight, p: usize| {
+            let text = format!("3 2 1\n2 {w}\n1 {w} 3 {w}\n2 {w}\n");
+            pgp_graph::io::read_metis_segments(text.as_bytes(), |n| {
+                let dist = pgp_dmp::dgraph::BlockDist::new(n, p);
+                (0..p).map(|r| dist.first(r)).collect()
+            })
+            .expect("a valid weighted path")
+        };
+        let heavy = 3_000_000_000_000_000_000;
+        let total = Some(PartitionError::EdgeWeightOverflow {
+            total: 12_000_000_000_000_000_000,
+        });
+        for p in [1, 2] {
+            for cfg in [
+                small_cfg(2, GraphClass::Social, 3),
+                ParhipConfig::eco(2, GraphClass::Social, 3),
+            ] {
+                let partitioner = Partitioner::new(&cfg);
+                let out = partitioner.partition(&global(heavy), p);
+                assert_eq!(out.err(), total, "global, p = {p}");
+                let out = partitioner.partition(segments(heavy, p), p);
+                assert_eq!(out.err(), total, "segments, p = {p}");
+            }
+        }
+        let light = 2_000_000_000_000_000_000;
+        let cfg = small_cfg(2, GraphClass::Social, 3);
+        for p in [1, 2] {
+            let part = run(&global(light), p, &cfg).partition;
+            assert_eq!(part.assignment().len(), 3, "global, p = {p}");
+            let out = Partitioner::new(&cfg).partition(segments(light, p), p);
+            assert_eq!(
+                out.expect("fits").partition.assignment().len(),
+                3,
+                "segments, p = {p}"
+            );
         }
     }
 }

@@ -62,13 +62,17 @@ fn rmat_partition_is_bit_identical_under_delay_reorder() {
 }
 
 /// Eco with KaFFPaE's ring exchange on (`deterministic` is the preset's
-/// `false`): the exchange's receives are selective too, so delays cannot
-/// change which individual a PE folds in.
+/// `false`): the shared initial population's allgather and the exchange's
+/// receives are selective too, so delays cannot change which individual a
+/// PE folds in. Nine operations give each of 3 PEs a share of 3, so the
+/// ring fires before operation 2 (the preset's 4 give shares of 2, and
+/// none).
 #[test]
 fn eco_rmat_partition_is_bit_identical_under_delay_reorder() {
     let g = pgp_gen::rmat::rmat_web(9, 8, 5);
     let mut cfg = ParhipConfig::eco(4, GraphClass::Social, 11);
     cfg.coarsest_nodes_per_block = 50;
-    assert!(!cfg.deterministic && cfg.evo_operations > 0);
+    cfg.evo_operations = 9;
+    assert!(!cfg.deterministic);
     assert_bit_identical_under_delay(&g, 3, &cfg);
 }

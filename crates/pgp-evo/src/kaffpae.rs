@@ -3,17 +3,29 @@
 //!
 //! Every PE holds a copy of the (coarsest) graph and its own population.
 //! The p PEs share one operation budget, as the paper's `t_p = t_1 / p`
-//! shares time: each runs `⌈n / p⌉` combine/mutation operations. Before
-//! every `rumor_interval`-th operation, the first included, the PEs exchange
-//! in a ring: PE r sends its best individual to `(r + s) mod p` and receives
-//! one from `(r − s) mod p`, which the operations that follow can pick as a
-//! parent. The shift `s ∈ [1, p)` is drawn from an RNG seeded by the
+//! shares time: each runs `⌈n / p⌉` combine/mutation operations.
+//!
+//! A run with operations builds its initial population once for the whole
+//! group: one stream, seeded like PE 0's, draws every individual's cluster
+//! factor and seed, PE `i mod p` builds individual `i`, and one `allgatherv`
+//! hands every PE all of them, inserted in index order after the carried
+//! individual. So every PE starts its operations from the same population,
+//! and p = 1 builds exactly what one PE always built. PE 0's operations go
+//! on drawing from that stream; PE r > 0 draws from its own. A run without
+//! operations (the fast preset's initial population only) has every PE
+//! build its own population from its own stream.
+//!
+//! Before every `rumor_interval`-th operation, the first excluded (before
+//! it every PE's best is the same), the PEs exchange in a ring: PE r sends
+//! its best individual to `(r + s) mod p` and receives one from
+//! `(r − s) mod p`, which the operations that follow can pick as a parent.
+//! The shift `s ∈ [1, p)` is drawn from an RNG seeded by the
 //! configuration's seed alone, so every PE draws the same `s` and the run
 //! is a pure function of its inputs and p. At the end the globally best
 //! partition is selected with one `allreduce` and broadcast.
 
 use crate::population::Population;
-use pgp_dmp::collectives::{allreduce_min_with_rank, broadcast};
+use pgp_dmp::collectives::{allgatherv, allreduce_min_with_rank, broadcast};
 use pgp_dmp::{tags, Comm};
 use pgp_graph::{BlockId, CsrGraph, Partition, Weight};
 use pgp_seq::{kaffpa, kaffpa_with_inputs, KaffpaConfig};
@@ -36,7 +48,9 @@ pub struct EvoConfig {
     pub k: usize,
     /// Balance slack.
     pub eps: f64,
-    /// Per-PE population size.
+    /// Individuals each PE holds. With an operation budget the group
+    /// builds the initial ones once, split over its PEs, so every PE starts
+    /// from the same population; without one each PE builds its own.
     pub population_size: usize,
     /// The group's evolutionary budget after the initial population is
     /// built.
@@ -48,7 +62,9 @@ pub struct EvoConfig {
     /// partner per exchange (the value is not a count).
     pub rumor_fanout: usize,
     /// Operations between ring exchanges; the first exchange comes before
-    /// the first operation.
+    /// operation `rumor_interval` (before operation 0 every PE holds the
+    /// same population, so there is nothing to exchange). A PE whose share
+    /// `⌈n / p⌉` is at most `rumor_interval` never exchanges.
     pub rumor_interval: usize,
     /// RNG seed.
     pub seed: u64,
@@ -92,6 +108,85 @@ fn base_kaffpa_config(cfg: &EvoConfig, seed: u64, cluster_factor: f64) -> Kaffpa
     kc
 }
 
+/// The configuration of the initial population's run `i`, drawn from
+/// `rng`: a diversified cluster factor (the paper randomizes f in later
+/// cycles) and a seed of its own.
+fn initial_config(cfg: &EvoConfig, rng: &mut SmallRng, i: usize) -> KaffpaConfig {
+    let f = rng.gen_range(10.0..25.0);
+    base_kaffpa_config(cfg, rng.gen::<u64>() ^ (i as u64), f)
+}
+
+/// PE `rank`'s share of `runs` initial multilevel runs split over `p` PEs:
+/// the assignments of runs `rank, rank + p, …`. `stream` draws every run's
+/// configuration, built here or not, so each run is configured as if one PE
+/// built them all.
+fn build_share(
+    graph: &CsrGraph,
+    cfg: &EvoConfig,
+    stream: &mut SmallRng,
+    runs: usize,
+    (rank, p): (usize, usize),
+) -> Vec<Vec<BlockId>> {
+    let mut mine = Vec::new();
+    for i in 0..runs {
+        let kc = initial_config(cfg, stream, i);
+        if i % p == rank {
+            mine.push(kaffpa(graph, &kc).into_assignment());
+        }
+    }
+    mine
+}
+
+/// Inserts `part` into `pop` under the configuration's objective.
+fn insert_scored(pop: &mut Population, graph: &CsrGraph, cfg: &EvoConfig, part: Partition) {
+    let score = cfg.objective.score(graph, &part);
+    pop.insert_raw(part.into_assignment(), score);
+}
+
+/// The population this PE's operations start from — the carried
+/// individual, then the initial runs — and the stream they draw from.
+/// With operations the group builds one population (module doc); without,
+/// every PE builds its own from its own stream.
+fn initial_population(
+    comm: &Comm,
+    graph: &CsrGraph,
+    cfg: &EvoConfig,
+    seed_individual: Option<&Partition>,
+) -> (Population, SmallRng) {
+    let (rank, p) = (comm.rank(), comm.size());
+    let stream_of = |r: usize| SmallRng::seed_from_u64(pgp_dmp::mix_seed(cfg.seed, r as u64));
+    let mut pop = Population::new(cfg.population_size.max(1));
+    if let Some(seed_p) = seed_individual {
+        insert_scored(&mut pop, graph, cfg, seed_p.clone());
+    }
+    let runs = cfg.population_size.saturating_sub(pop.len()).max(1);
+    let (built, rng) = if let Budget::Operations(0) = cfg.budget {
+        let mut own = stream_of(rank);
+        (build_share(graph, cfg, &mut own, runs, (0, 1)), own)
+    } else {
+        let mut shared = stream_of(0);
+        let mine = build_share(graph, cfg, &mut shared, runs, (rank, p));
+        // Rank order: PE r's runs r, r + p, … come r-th.
+        let mut built: Vec<(usize, Vec<BlockId>)> = (0..p)
+            .flat_map(|r| (r..runs).step_by(p))
+            .zip(allgatherv(comm, mine))
+            .collect();
+        built.sort_unstable_by_key(|&(i, _)| i);
+        let rng = if rank == 0 { shared } else { stream_of(rank) };
+        (built.into_iter().map(|(_, a)| a).collect(), rng)
+    };
+    for assignment in built {
+        assert_eq!(
+            assignment.len(),
+            graph.n(),
+            "built individual does not match the replicated graph"
+        );
+        let part = Partition::from_assignment(graph, cfg.k, assignment);
+        insert_scored(&mut pop, graph, cfg, part);
+    }
+    (pop, rng)
+}
+
 /// Runs KaFFPaE on a replicated `graph`. `seed_individual`, when given
 /// (iterated V-cycles), joins every PE's initial population, so the result
 /// is never worse than it. Returns the globally best partition (identical
@@ -103,41 +198,24 @@ pub fn kaffpae(
     seed_individual: Option<&Partition>,
 ) -> Partition {
     let (rank, p) = (comm.rank(), comm.size());
-    let mut rng = SmallRng::seed_from_u64(pgp_dmp::mix_seed(cfg.seed, rank as u64));
-    let mut pop = Population::new(cfg.population_size.max(1));
     // SPMD: every PE allocates the block at the same point, so the tags
     // agree group-wide and no earlier run's message can match them.
     let ring_tag = comm.fresh_tag_block() + tags::RUMOR;
     // Seeded by the configuration alone: every PE draws the same shifts.
     let mut ring_rng = SmallRng::seed_from_u64(cfg.seed);
-
-    // Initial population: independent multilevel runs with diversified
-    // cluster factors (the paper randomizes f in later cycles).
-    let insert_scored = |pop: &mut Population, part: &Partition| {
-        let score = cfg.objective.score(graph, part);
-        pop.insert_raw(part.assignment().to_vec(), score)
-    };
-    if let Some(seed_p) = seed_individual {
-        insert_scored(&mut pop, seed_p);
-    }
-    let initial_runs = cfg.population_size.saturating_sub(pop.len()).max(1);
-    for i in 0..initial_runs {
-        let f = rng.gen_range(10.0..25.0);
-        let kc = base_kaffpa_config(cfg, rng.gen::<u64>() ^ (i as u64), f);
-        let part = kaffpa(graph, &kc);
-        insert_scored(&mut pop, &part);
-    }
+    let (mut pop, mut rng) = initial_population(comm, graph, cfg, seed_individual);
 
     // Evolutionary loop: this PE's share of the group's operations.
     let Budget::Operations(total) = cfg.budget;
     let exchange = cfg.rumor_fanout > 0 && p > 1;
     for op in 0..total.div_ceil(p) {
-        // Ring exchange before every `rumor_interval`-th operation, the
-        // first included, so an operation can pick the received individual
-        // as a parent. Every PE runs the same operation count, so every PE
-        // takes part in the same rounds; per-(source, tag) FIFO pairs each
-        // receive with its round's send.
-        if exchange && op.is_multiple_of(cfg.rumor_interval.max(1)) {
+        // Ring exchange before every `rumor_interval`-th operation but the
+        // first (the PEs start from one population, so their bests agree),
+        // so an operation can pick the received individual as a parent.
+        // Every PE runs the same operation count, so every PE takes part in
+        // the same rounds; per-(source, tag) FIFO pairs each receive with
+        // its round's send.
+        if exchange && op > 0 && op.is_multiple_of(cfg.rumor_interval.max(1)) {
             let s = ring_rng.gen_range(1..p);
             let best = pop.best().expect("the initial population is non-empty");
             comm.send(
@@ -170,7 +248,7 @@ pub fn kaffpae(
             let kc = base_kaffpa_config(cfg, rng.gen(), f);
             kaffpa_with_inputs(graph, &kc, &[&pa, &pb])
         };
-        insert_scored(&mut pop, &offspring);
+        insert_scored(&mut pop, graph, cfg, offspring);
     }
 
     // Global winner: (cut, rank) min-reduction, then broadcast the winning
@@ -224,14 +302,129 @@ mod tests {
     #[test]
     fn ring_exchange_is_reproducible() {
         let (g, _) = pgp_gen::sbm::sbm(400, pgp_gen::sbm::SbmParams::default(), 17);
-        let cfg = ring_cfg(4, 5);
-        for p in [2, 3] {
-            let first = ring_run(p, &g, &cfg, None);
-            assert_eq!(
-                first,
-                ring_run(p, &g, &cfg, None),
-                "p = {p}: two runs differ"
-            );
+        // The ring firing at every operation, and the partitioner's eco
+        // (4 operations, interval 2: the ring never fires at p > 1).
+        let eco = EvoConfig {
+            rumor_interval: 2,
+            ..EvoConfig::with_operations(4, 4, 5)
+        };
+        for cfg in [ring_cfg(4, 5), eco] {
+            for p in [2, 3] {
+                let first = ring_run(p, &g, &cfg, None);
+                assert_eq!(
+                    first,
+                    ring_run(p, &g, &cfg, None),
+                    "p = {p}, interval {}: two runs differ",
+                    cfg.rumor_interval
+                );
+            }
+        }
+    }
+
+    /// A population as comparable values, best first.
+    fn members(pop: &Population) -> Vec<(Weight, Vec<BlockId>)> {
+        pop.members()
+            .iter()
+            .map(|m| (m.score, m.assignment.clone()))
+            .collect()
+    }
+
+    /// Every PE's population before its first operation, at p PEs.
+    fn populations(
+        p: usize,
+        g: &CsrGraph,
+        cfg: &EvoConfig,
+        carried: Option<&Partition>,
+    ) -> Vec<Vec<(Weight, Vec<BlockId>)>> {
+        run(p, |comm| {
+            members(&initial_population(comm, g, cfg, carried).0)
+        })
+    }
+
+    #[test]
+    fn an_evolving_group_starts_from_one_population() {
+        let (g, _) = pgp_gen::sbm::sbm(300, pgp_gen::sbm::SbmParams::default(), 23);
+        let cfg = EvoConfig::with_operations(4, 4, 9);
+        let carried = pgp_seq::kaffpa(&g, &KaffpaConfig::new(4, 1));
+        for seed_individual in [None, Some(&carried)] {
+            let one = populations(1, &g, &cfg, seed_individual).remove(0);
+            assert_eq!(one.len(), cfg.population_size);
+            for p in [2, 3, 4] {
+                for (rank, pop) in populations(p, &g, &cfg, seed_individual).iter().enumerate() {
+                    assert_eq!(
+                        pop,
+                        &one,
+                        "p = {p}, PE {rank}, carried {}",
+                        seed_individual.is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_pe_builds_at_most_its_share_of_the_initial_runs() {
+        let g = pgp_gen::mesh::grid2d(8, 8);
+        let cfg = EvoConfig::with_operations(2, 4, 13);
+        let stream = || SmallRng::seed_from_u64(pgp_dmp::mix_seed(cfg.seed, 0));
+        for runs in [1, 4, 5] {
+            let whole = build_share(&g, &cfg, &mut stream(), runs, (0, 1));
+            assert_eq!(whole.len(), runs);
+            for p in [2, 3, 4] {
+                let shares: Vec<_> = (0..p)
+                    .map(|rank| build_share(&g, &cfg, &mut stream(), runs, (rank, p)))
+                    .collect();
+                for (rank, share) in shares.iter().enumerate() {
+                    assert!(
+                        share.len() <= runs.div_ceil(p),
+                        "runs {runs}, p = {p}, PE {rank} built {}",
+                        share.len()
+                    );
+                }
+                // Run i is PE (i mod p)'s (i / p)-th, built as one PE builds it.
+                for (i, assignment) in whole.iter().enumerate() {
+                    assert_eq!(
+                        &shares[i % p][i / p],
+                        assignment,
+                        "runs {runs}, p = {p}, run {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// What every PE built before the group shared its population: runs
+    /// drawn from its own stream, `mix_seed(seed, rank)`, inserted in order.
+    fn per_pe_build(g: &CsrGraph, cfg: &EvoConfig, rank: usize) -> (Population, SmallRng) {
+        let mut rng = SmallRng::seed_from_u64(pgp_dmp::mix_seed(cfg.seed, rank as u64));
+        let mut pop = Population::new(cfg.population_size);
+        for i in 0..cfg.population_size {
+            let part = kaffpa(g, &initial_config(cfg, &mut rng, i));
+            insert_scored(&mut pop, g, cfg, part);
+        }
+        (pop, rng)
+    }
+
+    #[test]
+    fn one_pe_and_fast_runs_build_as_every_pe_did() {
+        let (g, _) = pgp_gen::sbm::sbm(300, pgp_gen::sbm::SbmParams::default(), 29);
+        // Eco at p = 1, and the fast preset's initial-only run at p ∈ {1, 2}.
+        let eco = EvoConfig::with_operations(4, 4, 31);
+        let fast = EvoConfig::initial_only(4, 31);
+        for (cfg, p) in [(&eco, 1), (&fast, 1), (&fast, 2)] {
+            let built = run(p, |comm| {
+                let (pop, mut rng) = initial_population(comm, &g, cfg, None);
+                (members(&pop), rng.gen::<u64>())
+            });
+            for (rank, (pop, next)) in built.into_iter().enumerate() {
+                let (old, mut old_rng) = per_pe_build(&g, cfg, rank);
+                assert_eq!(pop, members(&old), "p = {p}, PE {rank}");
+                assert_eq!(
+                    next,
+                    old_rng.gen::<u64>(),
+                    "p = {p}, PE {rank}: the operations draw from the build's stream"
+                );
+            }
         }
     }
 
@@ -242,8 +435,9 @@ mod tests {
             tag >= tags::COLLECTIVE_TAG_BASE
                 && (tag - tags::COLLECTIVE_TAG_BASE) % tags::BLOCK_SPAN == tags::RUMOR
         };
-        // Interval 2 is the partitioner's: at p = 2 the share of 3
-        // operations still gets a second exchange before its last one.
+        // No exchange before operation 0. Interval 2 is the partitioner's:
+        // at p = 2 the share of 3 operations gets one exchange, before its
+        // last; at p ∈ {3, 4} a share of 2 gets none.
         for (p, rumor_interval) in [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2)] {
             let cfg = EvoConfig {
                 rumor_interval,
@@ -252,7 +446,7 @@ mod tests {
             let Budget::Operations(ops) = cfg.budget;
             let obs = Obs::new(p);
             ring_run(p, &g, &cfg, Some(Arc::clone(&obs)));
-            let expected = ops.div_ceil(p).div_ceil(rumor_interval) as u64;
+            let expected = ((ops.div_ceil(p) - 1) / rumor_interval) as u64;
             for pe in &obs.report().per_pe {
                 let sent: u64 = pe
                     .comm

@@ -3,7 +3,8 @@
 //! (Sections II-C and IV-E).
 //!
 //! * [`population`] — per-PE populations with replace-the-worst insertion.
-//! * [`kaffpae`](mod@kaffpae) — the evolutionary driver: initial population, combine
+//! * [`kaffpae`](mod@kaffpae) — the evolutionary driver: the initial population
+//!   (built once for an evolving group, split over its PEs), combine
 //!   operations (non-worsening by construction), mutation, the group's
 //!   operation budget and the seeded ring exchange of best individuals.
 

@@ -255,6 +255,31 @@ fn node_weights_past_i64_exit_2_before_the_run() {
 }
 
 #[test]
+fn edge_weights_past_i64_exit_2_before_the_run() {
+    // A path of two edges weighing 3e18 each: four arcs sum to 1.2e19,
+    // which fits `u64` (the reader takes it) but not FM's `i64` gains.
+    let heavy = "3 2 1\n2 3000000000000000000\n1 3000000000000000000 3 3000000000000000000\n2 3000000000000000000\n";
+    for p in ["p=1", "p=2"] {
+        for preset in ["preset=fast", "preset=eco"] {
+            let args = ["k=2", p, preset];
+            let (code, stderr) = run_cli_on("heavy-arcs", heavy, &args);
+            assert_eq!(code, Some(2), "{args:?} must exit 2, stderr:\n{stderr}");
+            let last = stderr.lines().last().unwrap_or_default();
+            assert!(
+                last.starts_with("error: arc weights sum to 12000000000000000000"),
+                "{args:?}: {last}"
+            );
+            assert!(!stderr.contains("panicked at"), "{args:?}:\n{stderr}");
+        }
+    }
+    // Weights of 2e18 sum to 8e18, below `i64::MAX`: a partition.
+    let light = "3 2 1\n2 2000000000000000000\n1 2000000000000000000 3 2000000000000000000\n2 2000000000000000000\n";
+    let (code, stderr, written) = run_cli_written("light-arcs", light.as_bytes(), &["k=2", "p=2"]);
+    assert_eq!(code, Some(0), "stderr:\n{stderr}");
+    assert_eq!(written.lines().count(), 3);
+}
+
+#[test]
 fn the_graph_file_is_not_held_in_memory() {
     // A six-node graph behind a 64 MiB comment: a reader that holds the
     // file peaks above 64 MiB, one that streams it stays far below.
