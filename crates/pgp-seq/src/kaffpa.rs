@@ -3,9 +3,12 @@
 //! Coarsen (cluster contraction or matching) → initial partition → project
 //! back level by level with LP + FM refinement. Supports the evolutionary
 //! combine protocol: when input partitions are given, their cut edges are
-//! never contracted (via the constraint mechanism) and the better input
-//! seeds the coarsest level, so the output is never worse than the better
-//! input.
+//! never contracted (via the constraint mechanism) and the coarsest level
+//! is the better input itself, refined there like every finer level, so
+//! the output is never worse than the better input. A combine runs no
+//! initial partitioning unless the better input is unbalanced; then a fresh
+//! partition of the coarsest graph is the fallback, kept when its cut is no
+//! larger.
 
 use crate::coarsen::{coarsen, CoarsenConfig, Hierarchy, Scheme};
 use crate::fm::{kway_fm, FmConfig};
@@ -67,9 +70,12 @@ pub fn kaffpa(graph: &CsrGraph, cfg: &KaffpaConfig) -> Partition {
 
 /// Partitions with optional input partitions (the combine operator).
 ///
-/// Cut edges of *any* input are never contracted; the coarsest graph is
-/// seeded with the best input (projected), so the result's cut is at most
-/// the best input's cut — the KaFFPaE offspring guarantee.
+/// Cut edges of *any* input are never contracted, and the coarsest level is
+/// the input with the smallest cut, projected and refined, so no initial
+/// partitioning runs and the result's cut is at most the best input's — the
+/// KaFFPaE offspring guarantee. Only when that input is unbalanced is a
+/// fresh initial partition computed, and it replaces the projection unless
+/// the projection's cut is smaller.
 pub fn kaffpa_with_inputs(
     graph: &CsrGraph,
     cfg: &KaffpaConfig,
@@ -97,38 +103,43 @@ pub fn kaffpa_with_inputs(
     };
     let hierarchy = coarsen(graph, &coarsen_cfg, constraint.as_deref());
 
-    // Initial partition of the coarsest graph.
+    // The coarsest partition. A combine starts from the better input alone:
+    // projected, it keeps its cut (no cut edge was contracted) and its block
+    // weights, so when it is balanced no initial partitioning runs and the
+    // coarsest level is refined like the finer ones. Only an unbalanced
+    // better input falls back to a fresh partition, which wins unless the
+    // projection has the smaller cut.
     let coarsest = hierarchy.coarsest();
-    let mut coarse_p = initial_partition(
-        coarsest,
-        cfg.k,
-        &InitialConfig {
-            eps: cfg.eps,
-            attempts: cfg.initial_attempts,
-            fm_passes: cfg.fm_passes,
-            seed: cfg.seed ^ 0xABCD,
-        },
-    );
-    // Seed with the best input if one is given and better (its cut is
-    // preserved by construction: no cut edge was contracted).
-    if !inputs.is_empty() {
-        let best_input = inputs
-            .iter()
-            .min_by_key(|p| p.edge_cut(graph))
-            .expect("non-empty");
-        let projected = project_to_coarsest(&hierarchy, best_input);
-        // Take the projected input whenever it has the smaller cut — that
-        // is what the offspring guarantee rests on — and also when the
-        // fresh initial partition is unbalanced but the input is not.
-        let take_projected = projected.edge_cut(coarsest) < coarse_p.edge_cut(coarsest)
-            || (!coarse_p.is_balanced(coarsest, cfg.eps)
-                && projected.is_balanced(coarsest, cfg.eps));
-        if take_projected {
-            coarse_p = projected;
+    let fresh = || {
+        initial_partition(
+            coarsest,
+            cfg.k,
+            &InitialConfig {
+                eps: cfg.eps,
+                attempts: cfg.initial_attempts,
+                fm_passes: cfg.fm_passes,
+                seed: cfg.seed ^ 0xABCD,
+            },
+        )
+    };
+    let (coarse_p, refine_coarsest) = match inputs.iter().min_by_key(|p| p.edge_cut(graph)) {
+        None => (fresh(), false),
+        Some(best_input) => {
+            let projected = project_to_coarsest(&hierarchy, best_input);
+            if projected.is_balanced(coarsest, cfg.eps) {
+                (projected, true)
+            } else {
+                let fresh = fresh();
+                if projected.edge_cut(coarsest) < fresh.edge_cut(coarsest) {
+                    (projected, false)
+                } else {
+                    (fresh, false)
+                }
+            }
         }
-    }
+    };
 
-    uncoarsen(&hierarchy, coarse_p, cfg)
+    uncoarsen(&hierarchy, coarse_p, cfg, refine_coarsest)
 }
 
 /// Per node, a signature equal for two nodes iff every input puts them in
@@ -172,23 +183,30 @@ pub fn project_to_coarsest(hierarchy: &Hierarchy, fine: &Partition) -> Partition
 }
 
 /// Uncoarsening: project up level by level, refining with LP then FM.
-fn uncoarsen(hierarchy: &Hierarchy, coarse_p: Partition, cfg: &KaffpaConfig) -> Partition {
+/// The coarsest level itself is refined first when `refine_coarsest` is
+/// set or when there is no uncoarsening to do (single-level hierarchy); that
+/// refinement is kept only if it does not raise the cut.
+fn uncoarsen(
+    hierarchy: &Hierarchy,
+    coarse_p: Partition,
+    cfg: &KaffpaConfig,
+    refine_coarsest: bool,
+) -> Partition {
     let mut p = coarse_p;
     let l = lmax(hierarchy.graphs[0].total_node_weight(), cfg.k, cfg.eps);
-    for level in (0..hierarchy.mappings.len()).rev() {
+    let levels = hierarchy.mappings.len();
+    if refine_coarsest || levels == 0 {
+        let coarsest = hierarchy.coarsest();
+        let mut q = p.clone();
+        refine_level(coarsest, &mut q, l, cfg, levels as u64);
+        if q.edge_cut(coarsest) <= p.edge_cut(coarsest) {
+            p = q;
+        }
+    }
+    for level in (0..levels).rev() {
         let fine = &hierarchy.graphs[level];
         p = project_partition(fine, &hierarchy.mappings[level], &p);
         refine_level(fine, &mut p, l, cfg, level as u64);
-    }
-    // The coarsest level itself also gets a refinement pass when there was
-    // no uncoarsening to do (single-level hierarchy).
-    if hierarchy.mappings.is_empty() {
-        let fine = &hierarchy.graphs[0];
-        let mut q = p.clone();
-        refine_level(fine, &mut q, l, cfg, 0);
-        if q.edge_cut(fine) <= p.edge_cut(fine) {
-            p = q;
-        }
     }
     p
 }
@@ -284,6 +302,81 @@ mod tests {
         let before = p0.edge_cut(&g);
         let p1 = kaffpa_with_inputs(&g, &KaffpaConfig::new(4, 999), &[&p0]);
         assert!(p1.edge_cut(&g) <= before, "{} > {before}", p1.edge_cut(&g));
+    }
+
+    /// FNV offset folded through splitmix, as `tests/pinned.rs` hashes.
+    fn assignment_hash(p: &Partition) -> u64 {
+        p.assignment().iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            let mut z = h.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(b);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        })
+    }
+
+    /// With a balanced better parent the coarsest level is that parent, so
+    /// the initial partitioner's settings cannot reach the offspring.
+    #[test]
+    fn balanced_parents_combine_without_initial_partitioning() {
+        let (g, _) = pgp_gen::sbm::sbm(2000, pgp_gen::sbm::SbmParams::default(), 5);
+        let k = 32;
+        let p1 = kaffpa(&g, &KaffpaConfig::new(k, 100));
+        let p2 = kaffpa(&g, &KaffpaConfig::new(k, 200));
+        assert!(p1.is_balanced(&g, 0.03) && p2.is_balanced(&g, 0.03));
+        let best_parent = p1.edge_cut(&g).min(p2.edge_cut(&g));
+        let child = |attempts| {
+            let cfg = KaffpaConfig {
+                initial_attempts: attempts,
+                ..KaffpaConfig::new(k, 11)
+            };
+            kaffpa_with_inputs(&g, &cfg, &[&p1, &p2])
+        };
+        let (one, four) = (child(1), child(4));
+        assert!(
+            one.assignment() == four.assignment(),
+            "the attempts reached the child"
+        );
+        assert!(
+            four.edge_cut(&g) <= best_parent,
+            "child {} worse than best parent {best_parent}",
+            four.edge_cut(&g)
+        );
+        four.validate(&g, 0.03).unwrap();
+    }
+
+    /// An unbalanced better parent still gets a fresh initial partition and
+    /// the old choice between the two. Hashes taken before combines stopped
+    /// computing the fresh partition for a balanced parent. In the first
+    /// case the better parent, a 3 x 3 corner (cut 6), keeps the coarsest
+    /// level; in the second, three rows with teeth (cut 77) lose it to the
+    /// fresh partition.
+    #[test]
+    fn unbalanced_better_parent_combines_as_before() {
+        let g = pgp_gen::mesh::grid2d(20, 20);
+        let cfg = KaffpaConfig::new(2, 11);
+        let block = |f: &dyn Fn(usize, usize) -> bool| {
+            let labels = (0..400).map(|v| Node::from(f(v / 20, v % 20))).collect();
+            Partition::from_assignment(&g, 2, labels)
+        };
+        let corner = block(&|r, c| r < 3 && c < 3);
+        let teeth = block(&|r, c| r < 3 || (r < 6 && c % 2 == 0));
+        let balanced = kaffpa(&g, &KaffpaConfig::new(2, 100));
+        let alternating = block(&|_, c| c % 2 == 0);
+        let cases = [
+            (&corner, &balanced, 0xa985_c7c0_fc01_ef05u64),
+            (&teeth, &alternating, 0x1610_b66e_6f02_2f1e),
+        ];
+        for (better, other, pinned) in cases {
+            assert!(better.edge_cut(&g) < other.edge_cut(&g));
+            assert!(!better.is_balanced(&g, cfg.eps));
+            let child = kaffpa_with_inputs(&g, &cfg, &[better, other]);
+            assert_eq!(
+                assignment_hash(&child),
+                pinned,
+                "{:#018x}",
+                assignment_hash(&child)
+            );
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ const CASES: &[Case] = &[
     (Ba,       1000, Unit,  8,   4, 0.03, 10, Fast,    0xd40a0771c9ec9692),
     (Ba,       3000, Unit,  100, 3, 0.03, 11, Fast,    0x797b4f82a663946d),
     (Web,      2048, Unit,  8,   2, 0.03, 12, Fast,    0x7bb705ff3b9e41ce),
-    (Web,      2048, Unit,  2,   4, 0.03, 13, Eco,     0x5f260968cbb0eebc),
+    (Web,      2048, Unit,  2,   4, 0.03, 13, Eco,     0xcd4810139eef3026),
     (Web,      4096, Unit,  100, 1, 0.03, 14, Minimal, 0x498080ff18ccbd36),
     // eps = 0: every block is at or over Lmax after projection.
     (Grid,     900,  Unit,  8,   2, 0.0,  15, Fast,    0x586f4973bbccbb24),

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full parallel system on every
 //! generator family, across k and p.
 
-use pgp::parhip::{GraphClass, ParhipConfig, Partitioned, Partitioner};
+use pgp::parhip::{GraphClass, ParhipConfig, Partitioned, Partitioner, Preset};
 use pgp::pgp_graph::CsrGraph;
 
 fn cfg(k: usize, class: GraphClass, seed: u64) -> ParhipConfig {
@@ -132,31 +132,41 @@ fn quality_beats_hash_partitioning_on_social_graphs() {
 #[test]
 fn eco_at_least_as_good_as_fast_on_average() {
     // Over a few seeds, eco (more V-cycles + evolutionary budget) must not
-    // lose to fast in total cut.
-    let (g, _) = pgp::pgp_gen::sbm::sbm(1200, Default::default(), 13);
-    let mut fast_total = 0u64;
-    let mut eco_total = 0u64;
-    for seed in 0..3u64 {
-        let mut f = ParhipConfig::fast(4, GraphClass::Social, seed);
-        f.coarsest_nodes_per_block = 50;
-        f.deterministic = true;
-        let mut e = ParhipConfig::eco(4, GraphClass::Social, seed);
-        e.coarsest_nodes_per_block = 50;
-        e.deterministic = true;
-        fast_total += Partitioner::new(&f)
-            .partition(&g, 2)
-            .expect("valid input")
-            .partition
-            .edge_cut(&g);
-        eco_total += Partitioner::new(&e)
-            .partition(&g, 2)
-            .expect("valid input")
-            .partition
-            .edge_cut(&g);
+    // lose to fast in total cut: on a social graph at p = 2, and on Table
+    // II's hugebubbles stand-in (a 128 x 128 grid) at k = 2 and p = 4 with
+    // the presets as Table II runs them, where eco's PEs share one initial
+    // population and each runs one operation.
+    fn total(g: &CsrGraph, p: usize, cfgs: impl Iterator<Item = ParhipConfig>) -> u64 {
+        cfgs.map(|c| {
+            Partitioner::new(&c)
+                .partition(g, p)
+                .expect("valid input")
+                .partition
+                .edge_cut(g)
+        })
+        .sum()
     }
+    let (g, _) = pgp::pgp_gen::sbm::sbm(1200, Default::default(), 13);
+    let social = |preset, seed| {
+        let mut c = ParhipConfig::preset(preset, 4, GraphClass::Social, seed);
+        c.coarsest_nodes_per_block = 50;
+        c.deterministic = true;
+        c
+    };
+    let fast_total = total(&g, 2, (0..3).map(|s| social(Preset::Fast, s)));
+    let eco_total = total(&g, 2, (0..3).map(|s| social(Preset::Eco, s)));
     assert!(
         eco_total <= fast_total,
-        "eco {eco_total} worse than fast {fast_total}"
+        "social, p = 2: eco {eco_total} worse than fast {fast_total}"
+    );
+
+    let g = pgp::pgp_gen::mesh::grid2d(128, 128);
+    let mesh = |preset| (1..=5).map(move |s| ParhipConfig::preset(preset, 2, GraphClass::Mesh, s));
+    let fast_total = total(&g, 4, mesh(Preset::Fast));
+    let eco_total = total(&g, 4, mesh(Preset::Eco));
+    assert!(
+        eco_total <= fast_total,
+        "mesh, p = 4: eco {eco_total} worse than fast {fast_total}"
     );
 }
 
