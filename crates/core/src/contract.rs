@@ -19,12 +19,14 @@
 //!    the arcs of a cluster's owned members are summed into a dense table
 //!    indexed by the target's position (flags and a touched list reset it;
 //!    flags because a zero-weight arc is still an arc), the members' node
-//!    weights in the same pass, and each row goes out ascending — `(cu,
-//!    cv, w)` and `(cu, weight)` to the PE owning `cu` in the coarse block
-//!    distribution. `q` is monotone in the cluster ID, so every message is
-//!    a sorted run.
-//! 5. Owners merge the `p` runs they receive, add up the arcs several PEs
-//!    contributed to, and assemble their coarse subgraph.
+//!    weights in the same pass, and each row goes out ascending as `(cu,
+//!    cv, w)` to the PE owning `cu` in the coarse block distribution. The
+//!    members' weight is the row's `(cu, cu, weight)` entry — a quotient
+//!    arc never has `cu == cv` — so one `alltoallv` carries both. `q` is
+//!    monotone in the cluster ID, so every message is a sorted run.
+//! 5. Owners merge the `p` runs they receive, add up the arcs and weights
+//!    several PEs contributed to, split the `(cu, cu, weight)` entries off
+//!    as node weights, and assemble their coarse subgraph.
 //!
 //! Uncoarsening answers "which block is my coarse representative in" with
 //! one query/answer `alltoallv` round-trip, also per the paper.
@@ -197,11 +199,10 @@ pub(crate) fn contract_unless(
     });
     let mapping: Vec<Node> = pos.iter().map(|&c| q_of[ids::node_index(c)]).collect();
 
-    // -- Step 4: quotient rows + weight contributions, cluster by cluster,
-    //    to the coarse owners.
+    // -- Step 4: quotient rows, each with its `(cu, cu, weight)` entry,
+    //    cluster by cluster, to the coarse owners.
     let coarse_dist = BlockDist::new(n_coarse, p);
     let mut arc_sends: Vec<Vec<(Node, Node, Weight)>> = vec![Vec::new(); p];
-    let mut weight_sends: Vec<Vec<(Node, Weight)>> = vec![Vec::new(); p];
     let mut acc: Vec<Weight> = vec![0; want.len()];
     let mut seen = vec![false; want.len()];
     let mut touched: Vec<Node> = Vec::new();
@@ -214,9 +215,12 @@ pub(crate) fn contract_unless(
         if owned.is_empty() {
             continue;
         }
-        let mut weight: Weight = 0;
+        // The members' weight is the row's `(cu, cu)` entry, accumulated
+        // and sorted in like an arc.
+        seen[ids::node_index(c)] = true;
+        touched.push(c);
         for &u in owned {
-            weight += graph.node_weight(u);
+            acc[ids::node_index(c)] += graph.node_weight(u);
             for (v, w) in graph.neighbors(u) {
                 let t = cluster_of(v);
                 if t != c {
@@ -230,7 +234,6 @@ pub(crate) fn contract_unless(
         }
         let cu = q_of[ids::node_index(c)];
         let owner = coarse_dist.owner(cu);
-        weight_sends[owner].push((cu, weight));
         touched.sort_unstable();
         for t in touched.drain(..) {
             let t = ids::node_index(t);
@@ -240,10 +243,10 @@ pub(crate) fn contract_unless(
         }
     }
     let arc_recv = alltoallv(comm, arc_sends);
-    let weight_recv = alltoallv(comm, weight_sends);
 
     // -- Step 5: merge the p sorted runs (a stable sort does exactly that),
-    //    sum what several PEs sent for one arc, assemble the subgraph.
+    //    sum what several PEs sent for one arc or node, split the node
+    //    weights off, assemble the subgraph.
     let mut arcs: Vec<(Node, Node, Weight)> = arc_recv.into_iter().flatten().collect();
     arcs.sort();
     arcs.dedup_by(|next, kept| {
@@ -256,9 +259,12 @@ pub(crate) fn contract_unless(
     let first = coarse_dist.first(comm.rank());
     let n_owned = coarse_dist.count(comm.rank());
     let mut owned_weights: Vec<Weight> = vec![0; n_owned];
-    for (c, w) in weight_recv.into_iter().flatten() {
-        owned_weights[ids::global_index(ids::node_global(c) - first)] += w;
-    }
+    arcs.retain(|&(cu, cv, w)| {
+        if cu == cv {
+            owned_weights[ids::global_index(ids::node_global(cu) - first)] = w;
+        }
+        cu != cv
+    });
     let coarse = DistGraph::from_arcs(comm, n_coarse, owned_weights, arcs);
     #[cfg(feature = "validate")]
     {

@@ -1,8 +1,12 @@
 //! Parallel size-constrained label propagation (Sections IV-A and IV-B).
 //!
 //! Each PE iterates over its owned nodes; ghost labels are refreshed through
-//! the phase-overlapped [`LabelExchange`]. The two roles differ in how block
-//! weights are maintained, exactly as in the paper:
+//! the phase-overlapped [`LabelExchange`]. A cluster-mode phase is `1/φ` of
+//! a round (`PHASES_PER_ROUND` chunks of the visit order, one overlapped
+//! flush after each), so a neighbour's move arrives one chunk late rather
+//! than one round late; a refine-mode phase is a whole round, closed by one
+//! synchronous flush and one weight allreduce. The two roles differ in how
+//! block weights are maintained, exactly as in the paper:
 //!
 //! * **Clustering** (coarsening): there are up to `n` clusters, so no PE can
 //!   hold all weights. Each PE keeps a *localized* table with the weights of
@@ -50,6 +54,21 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rustc_hash::FxHashMap;
+
+/// Phases φ per cluster-mode round: the degree order is walked in φ equal
+/// chunks and the ghost labels are flushed after each, so a PE sees its
+/// neighbours' moves one chunk late instead of one round late. Every PE runs
+/// all φ chunks, empty ones included, so the flushes and their tags stay in
+/// lockstep. At p = 1 a flush sends nothing, so φ changes no result there.
+///
+/// Measured against one flush per round on a Delaunay mesh of 2^19 nodes
+/// (k = 8, p = 2, two cores; random node IDs, so ghosts about equal owned
+/// nodes): process wall ×0.86 / ×0.83 on two instances (10 of 10 interleaved
+/// pairs each), geomean cut ×0.91 / ×0.90 over 10 seeds, coarsest graph
+/// 9 763 → 612 nodes against a stop size of 800. On a web graph of 2^18
+/// nodes at p = 2, φ = 16 against φ = 8 read ×0.955 in wall (6 of 10 pairs,
+/// inside the noise), so the larger φ stays.
+const PHASES_PER_ROUND: usize = 16;
 
 /// Reusable SCLP working memory: the neighbour-cluster aggregation map and
 /// the refine-mode shuffle buffer, kept across the calls of a V-cycle run.
@@ -222,8 +241,8 @@ pub fn parallel_sclp_cluster_with_scratch(
     )
 }
 
-/// The cluster-mode round loop; `after_round(weights, labels)` runs once a
-/// round's ghost updates are applied, and once more after the final drain.
+/// The cluster-mode round loop; `after_round(weights, labels)` runs after
+/// each round's last flush, and once more after the final drain.
 #[allow(clippy::too_many_arguments)] // the public signature plus the hook
 fn cluster_rounds(
     comm: &Comm,
@@ -253,70 +272,75 @@ fn cluster_rounds(
     scratch.prepare(graph);
     let map = &mut scratch.map;
 
+    let order = graph.degree_order();
     let mut stats = SclpStats::default();
     for _ in 0..iterations {
         let _round_span = comm.recorder().span("sclp_round");
         let mut moved = 0u64;
-        for &v in graph.degree_order() {
-            let degree = graph.degree(v);
-            if degree == 0 {
-                continue;
-            }
-            stats.edges_scanned += ids::count_global(degree);
-            let cur = labels[ids::node_index(v)];
-            map.clear();
-            match constraint {
-                None => {
-                    for (u, w) in graph.neighbors(v) {
-                        map.add(labels[ids::node_index(u)], w);
-                    }
+        for phase in 0..PHASES_PER_ROUND {
+            let chunk = &order[order.len() * phase / PHASES_PER_ROUND
+                ..order.len() * (phase + 1) / PHASES_PER_ROUND];
+            for &v in chunk {
+                let degree = graph.degree(v);
+                if degree == 0 {
+                    continue;
                 }
-                Some(cons) => {
-                    let cv = cons[ids::node_index(v)];
-                    for (u, w) in graph.neighbors(v) {
-                        if cons[ids::node_index(u)] == cv {
+                stats.edges_scanned += ids::count_global(degree);
+                let cur = labels[ids::node_index(v)];
+                map.clear();
+                match constraint {
+                    None => {
+                        for (u, w) in graph.neighbors(v) {
                             map.add(labels[ids::node_index(u)], w);
                         }
                     }
-                }
-            }
-            let cv_weight = graph.node_weight(v) as i64;
-            let mut best = cur;
-            let mut best_w = map.get(cur);
-            let mut ties = 1u32;
-            for (c, w) in map.iter() {
-                // A candidate that can neither win nor tie is dropped before
-                // its weight is looked up: it would have changed nothing.
-                if c == cur || w < best_w || (w == best_w && best == cur) {
-                    continue;
-                }
-                if weights.get(c).max(0) + cv_weight > u_bound as i64 {
-                    continue;
-                }
-                if w > best_w {
-                    best = c;
-                    best_w = w;
-                    ties = 1;
-                } else {
-                    ties += 1;
-                    if rng.gen_range(0..ties) == 0 {
-                        best = c;
+                    Some(cons) => {
+                        let cv = cons[ids::node_index(v)];
+                        for (u, w) in graph.neighbors(v) {
+                            if cons[ids::node_index(u)] == cv {
+                                map.add(labels[ids::node_index(u)], w);
+                            }
+                        }
                     }
                 }
+                let cv_weight = graph.node_weight(v) as i64;
+                let mut best = cur;
+                let mut best_w = map.get(cur);
+                let mut ties = 1u32;
+                for (c, w) in map.iter() {
+                    // A candidate that can neither win nor tie is dropped before
+                    // its weight is looked up: it would have changed nothing.
+                    if c == cur || w < best_w || (w == best_w && best == cur) {
+                        continue;
+                    }
+                    if weights.get(c).max(0) + cv_weight > u_bound as i64 {
+                        continue;
+                    }
+                    if w > best_w {
+                        best = c;
+                        best_w = w;
+                        ties = 1;
+                    } else {
+                        ties += 1;
+                        if rng.gen_range(0..ties) == 0 {
+                            best = c;
+                        }
+                    }
+                }
+                if best != cur {
+                    weights.transfer(cur, best, cv_weight);
+                    labels[ids::node_index(v)] = best;
+                    exchange.record(graph, v, best);
+                    moved += 1;
+                }
             }
-            if best != cur {
-                weights.transfer(cur, best, cv_weight);
-                labels[ids::node_index(v)] = best;
-                exchange.record(graph, v, best);
-                moved += 1;
-            }
+            // Phase boundary: overlap scheme — send now, apply phase κ−1.
+            exchange.flush_overlap_with(comm, graph, labels, |l, old, new| {
+                weights.transfer(old, new, graph.node_weight(l) as i64);
+            });
         }
         stats.rounds += 1;
         stats.moves += moved;
-        // Phase boundary: overlap scheme — send now, apply phase κ−1.
-        exchange.flush_overlap_with(comm, graph, labels, |l, old, new| {
-            weights.transfer(old, new, graph.node_weight(l) as i64);
-        });
         after_round(&weights, labels);
         // Convergence is global: stop only when *no* PE moved anything.
         let global_moves = allreduce_sum(comm, moved);
@@ -590,8 +614,9 @@ pub fn parallel_sclp_refine_with_scratch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgp_dmp::run;
+    use pgp_dmp::{run, tags};
     use pgp_graph::CsrGraph;
+    use pgp_obs::TraceEventKind;
     use std::collections::HashMap;
 
     fn cluster_weights_global(
@@ -903,6 +928,79 @@ mod tests {
             foreign[2] > 0,
             "the spill path was not reached: {foreign:?}"
         );
+    }
+
+    #[test]
+    fn pes_with_fewer_nodes_than_phases_keep_the_flushes_in_lockstep() {
+        // Nine nodes on four PEs: blocks of three, so PEs 0–2 own fewer
+        // nodes than there are phases and PE 3 owns none.
+        let g = pgp_gen::mesh::grid2d(3, 3);
+        let go = || {
+            let cfg = pgp_dmp::RunConfig {
+                deadline: Some(std::time::Duration::from_secs(20)),
+                ..pgp_dmp::RunConfig::default()
+            };
+            pgp_dmp::run_config(4, cfg, |comm| {
+                let dg = DistGraph::from_global(comm, &g);
+                let mut labels = singleton_labels(&dg);
+                parallel_sclp_cluster(comm, &dg, 4, 3, 8, &mut labels, None);
+                (dg.n_local(), labels)
+            })
+            .into_iter()
+            .map(|r| r.expect("every PE finished before the deadline"))
+            .collect::<Vec<_>>()
+        };
+        let first = go();
+        let owned: Vec<usize> = first.iter().map(|r| r.0).collect();
+        assert_eq!(owned, [3, 3, 3, 0]);
+        assert!(owned.iter().all(|&n| n < PHASES_PER_ROUND));
+        assert_eq!(first, go());
+    }
+
+    #[test]
+    fn each_pe_sends_one_ghost_message_per_phase_to_each_adjacent_pe() {
+        let g = pgp_gen::ba::barabasi_albert(400, 3, 2);
+        let p = 3;
+        let obs = pgp_obs::Obs::new(p);
+        let cfg = pgp_dmp::RunConfig {
+            obs: Some(std::sync::Arc::clone(&obs)),
+            ..pgp_dmp::RunConfig::default()
+        };
+        let per_pe = pgp_dmp::run_config(p, cfg, |comm| {
+            let dg = DistGraph::from_global(comm, &g);
+            let mut labels = singleton_labels(&dg);
+            let stats = parallel_sclp_cluster(comm, &dg, 50, 4, 5, &mut labels, None);
+            (dg.adjacent_pes().to_vec(), stats.rounds)
+        });
+        let is_ghost = |tag: u64| {
+            tag >= tags::COLLECTIVE_TAG_BASE
+                && (tag - tags::COLLECTIVE_TAG_BASE) % tags::BLOCK_SPAN == tags::GHOST_LABELS
+        };
+        let trace = obs.trace();
+        for (pe, result) in trace.per_pe.iter().zip(per_pe) {
+            let (adjacent, rounds) = result.expect("the run finished");
+            assert!(rounds > 1 && !adjacent.is_empty());
+            let (mut sent, mut recvd) = (vec![0u64; p], vec![0u64; p]);
+            for event in &pe.events {
+                match event.kind {
+                    TraceEventKind::Send { dst, tag, .. } if is_ghost(tag) => sent[dst] += 1,
+                    TraceEventKind::Recv { src, tag, .. } if is_ghost(tag) => recvd[src] += 1,
+                    _ => {}
+                }
+            }
+            // φ flushes a round send to every adjacent PE; each receives the
+            // flush before it, and the final drain receives the last one.
+            let per_peer = (PHASES_PER_ROUND * rounds) as u64;
+            for q in 0..p {
+                let expected = if adjacent.contains(&(q as u32)) {
+                    per_peer
+                } else {
+                    0
+                };
+                assert_eq!(sent[q], expected, "PE {} sent to {q}", pe.rank);
+                assert_eq!(recvd[q], expected, "PE {} received from {q}", pe.rank);
+            }
+        }
     }
 
     #[test]

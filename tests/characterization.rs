@@ -1,7 +1,9 @@
 //! Characterization of the partitioner's output: a table of
 //! `(generator, n, weights, k, p, eps, seed, preset) → 64-bit hash of the
 //! assignment`, filled in on the commit before the SCLP kernel was rewritten
-//! (ISSUE 21) and reproduced bit for bit by every kernel since. The rows are
+//! and reproduced bit for bit by every kernel since; the p > 1 rows were
+//! re-pinned once, when cluster-mode SCLP began flushing ghost labels φ
+//! times per round (the p = 1 rows did not move). The rows are
 //! small instances chosen to reach every branch of the two round loops:
 //! `eps = 0` with heavy nodes (overloaded blocks at refine entry, forced
 //! repair), weighted nodes and edges, zero-weight edges (the first-touch
@@ -52,43 +54,43 @@ use Weights::*;
 const CASES: &[Case] = &[
     // Unit weights, every p, the three k.
     (Grid,     900,  Unit,  2,   1, 0.03, 1,  Fast,    0x5c27fa64233908ef),
-    (Grid,     900,  Unit,  8,   2, 0.03, 2,  Fast,    0xf91c628bf2863894),
-    (Grid,     900,  Unit,  8,   3, 0.03, 3,  Eco,     0x6cacebc2dc603b4d),
-    (Delaunay, 1500, Unit,  8,   4, 0.03, 4,  Fast,    0x7bfe048510669ec0),
-    (Delaunay, 1500, Unit,  2,   2, 0.03, 5,  Minimal, 0x8308ab818825ebde),
+    (Grid,     900,  Unit,  8,   2, 0.03, 2,  Fast,    0x34c2f441f9f7e41b),
+    (Grid,     900,  Unit,  8,   3, 0.03, 3,  Eco,     0xcef883a5163f2a84),
+    (Delaunay, 1500, Unit,  8,   4, 0.03, 4,  Fast,    0x1604ec4f1e0d5f5f),
+    (Delaunay, 1500, Unit,  2,   2, 0.03, 5,  Minimal, 0x2ba07d6705ca608a),
     (Delaunay, 4000, Unit,  100, 2, 0.03, 6,  Fast,    0xac012a2e832aa407),
     (Sbm,      1200, Unit,  8,   1, 0.03, 7,  Fast,    0x9ddb77db062b7565),
-    (Sbm,      1200, Unit,  8,   2, 0.03, 8,  Eco,     0xb923d62297e4dc6b),
-    (Sbm,      1200, Unit,  2,   3, 0.03, 9,  Fast,    0x735749f66272de8e),
-    (Ba,       1000, Unit,  8,   4, 0.03, 10, Fast,    0xd40a0771c9ec9692),
-    (Ba,       3000, Unit,  100, 3, 0.03, 11, Fast,    0x797b4f82a663946d),
-    (Web,      2048, Unit,  8,   2, 0.03, 12, Fast,    0x7bb705ff3b9e41ce),
-    (Web,      2048, Unit,  2,   4, 0.03, 13, Eco,     0xcd4810139eef3026),
+    (Sbm,      1200, Unit,  8,   2, 0.03, 8,  Eco,     0x2ae46dc8fba3950f),
+    (Sbm,      1200, Unit,  2,   3, 0.03, 9,  Fast,    0xc7d551b99f6148ff),
+    (Ba,       1000, Unit,  8,   4, 0.03, 10, Fast,    0xc27bc23062640776),
+    (Ba,       3000, Unit,  100, 3, 0.03, 11, Fast,    0x34aee0011c1ae269),
+    (Web,      2048, Unit,  8,   2, 0.03, 12, Fast,    0x0901290402964b75),
+    (Web,      2048, Unit,  2,   4, 0.03, 13, Eco,     0x46aedc64fa20ad1a),
     (Web,      4096, Unit,  100, 1, 0.03, 14, Minimal, 0x498080ff18ccbd36),
     // eps = 0: every block is at or over Lmax after projection.
-    (Grid,     900,  Unit,  8,   2, 0.0,  15, Fast,    0x586f4973bbccbb24),
-    (Sbm,      1200, Unit,  2,   3, 0.0,  16, Fast,    0x80426bcfa2444c05),
-    (Web,      2048, Unit,  8,   4, 0.0,  17, Fast,    0xb8482f63480980ee),
+    (Grid,     900,  Unit,  8,   2, 0.0,  15, Fast,    0xa8b4adadfc63a846),
+    (Sbm,      1200, Unit,  2,   3, 0.0,  16, Fast,    0xcf73c7c6d16d2d68),
+    (Web,      2048, Unit,  8,   4, 0.0,  17, Fast,    0x291ce2e04ea11755),
     (Ba,       1000, Unit,  100, 2, 0.0,  18, Fast,    0x57980be96466abe4),
     // Heavy nodes: overloaded blocks at refine entry, forced repair.
     (Grid,     900,  Heavy, 8,   1, 0.0,  19, Fast,    0x722e3118e3fe93ea),
-    (Grid,     900,  Heavy, 8,   2, 0.0,  20, Fast,    0x683b1670dd684327),
-    (Delaunay, 1500, Heavy, 8,   3, 0.0,  21, Eco,     0x183311a2b5e6caa4),
-    (Sbm,      1200, Heavy, 2,   4, 0.0,  22, Fast,    0x6a5b384c1fa2626e),
-    (Ba,       1000, Heavy, 8,   2, 0.001, 23, Fast,   0xf37ac8e7065531ee),
-    (Web,      2048, Heavy, 100, 3, 0.0,  24, Fast,    0x7eb8d1c41e206f5d),
-    (Web,      2048, Heavy, 8,   2, 0.03, 25, Eco,     0x70584d5f827a6d9b),
+    (Grid,     900,  Heavy, 8,   2, 0.0,  20, Fast,    0x2c43719a0ff1a184),
+    (Delaunay, 1500, Heavy, 8,   3, 0.0,  21, Eco,     0x7a328f16bb29e92f),
+    (Sbm,      1200, Heavy, 2,   4, 0.0,  22, Fast,    0x8832f020b8f64970),
+    (Ba,       1000, Heavy, 8,   2, 0.001, 23, Fast,   0xbce6b4c90266dd15),
+    (Web,      2048, Heavy, 100, 3, 0.0,  24, Fast,    0x46fb5a5f3237f4b7),
+    (Web,      2048, Heavy, 8,   2, 0.03, 25, Eco,     0x1547caa56bdc05c6),
     // Weighted nodes and edges, zero-weight edges among them.
-    (Grid,     900,  Nodes, 8,   2, 0.03, 26, Fast,    0x9ba3a46d14e6fccf),
-    (Grid,     900,  Edges, 8,   3, 0.03, 27, Fast,    0x95359554eaa58eee),
+    (Grid,     900,  Nodes, 8,   2, 0.03, 26, Fast,    0x6b2fc5058787ee63),
+    (Grid,     900,  Edges, 8,   3, 0.03, 27, Fast,    0xefc37a06d94beb54),
     (Delaunay, 1500, Edges, 2,   1, 0.03, 28, Fast,    0x7d62e0e3e9b17e5d),
-    (Delaunay, 1500, Both,  8,   2, 0.01, 29, Eco,     0x0dbeb738920d2144),
-    (Sbm,      1200, Edges, 8,   4, 0.03, 30, Fast,    0xc62df8a75225a406),
-    (Sbm,      1200, Both,  2,   2, 0.0,  31, Fast,    0x7230b97f610188b7),
+    (Delaunay, 1500, Both,  8,   2, 0.01, 29, Eco,     0xcf3b30fc0b19a1aa),
+    (Sbm,      1200, Edges, 8,   4, 0.03, 30, Fast,    0x19e8a9f3343eaba7),
+    (Sbm,      1200, Both,  2,   2, 0.0,  31, Fast,    0xebeac43512b1ea0a),
     (Ba,       1000, Edges, 8,   1, 0.03, 32, Eco,     0xdbcbdb85989a4d3e),
-    (Ba,       3000, Both,  100, 4, 0.03, 33, Fast,    0x0ee351797c80b2c0),
-    (Web,      2048, Edges, 8,   3, 0.03, 34, Fast,    0x0f813185b35355ae),
-    (Web,      2048, Both,  8,   2, 0.0,  35, Minimal, 0xa1191bd687b6430a),
+    (Ba,       3000, Both,  100, 4, 0.03, 33, Fast,    0x5c17b5cbdea91bce),
+    (Web,      2048, Edges, 8,   3, 0.03, 34, Fast,    0xf5800b7c5e1bc3b0),
+    (Web,      2048, Both,  8,   2, 0.0,  35, Minimal, 0x7c57d38582f687af),
     (Web,      2048, Nodes, 2,   1, 0.001, 36, Fast,   0xdb93b72661263394),
 ];
 
