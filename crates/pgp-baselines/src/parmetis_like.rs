@@ -19,7 +19,7 @@ use pgp_dmp::collectives::allgatherv;
 use pgp_dmp::{Comm, DistGraph, RunConfig};
 use pgp_graph::{lmax, CsrGraph, Node, Partition};
 use pgp_lp::par::parallel_sclp_refine;
-use pgp_seq::{initial_partition, InitialConfig};
+use pgp_seq::initial::{recursive_bisection, InitialConfig};
 
 use crate::matching::parallel_hem;
 
@@ -182,7 +182,7 @@ pub fn parmetis_like_distributed(
     let coarsest_global: CsrGraph = current.gather_global(comm);
     // Independent attempts across PEs (different seeds), best cut wins —
     // that is also how the real systems exploit spare parallelism here.
-    let local = initial_partition(
+    let local = recursive_bisection(
         &coarsest_global,
         cfg.k,
         &InitialConfig {

@@ -1,23 +1,44 @@
-//! Initial partitioning of the coarsest graph: greedy graph growing +
-//! FM, wrapped in recursive bisection for general `k`, with multiple
-//! attempts keeping the best.
+//! Initial partitioning of the coarsest graph.
+//!
+//! * k ≥ 3: direct k-way greedy growing. Each of `attempts` growings draws
+//!   k distinct seed nodes, one per block (nodes heavier than ⌈W/k⌉ first,
+//!   each alone in its block). Every block below ⌈W/k⌉ absorbs its most
+//!   strongly connected unassigned frontier node — the strongest such offer
+//!   of all blocks first — until it reaches ⌈W/k⌉ or its frontier runs dry.
+//!   What no block reached (other components, heavy nodes every block
+//!   skipped) goes, node by node from the lowest ID, to the lightest block,
+//!   which grows on from there. The growing with the smallest cut is
+//!   repaired by LP (an overloaded block sheds weight) and refined by one
+//!   k-way FM run. A block LP or FM left empty gets a low-degree node of a
+//!   block with two or more.
+//! * k ≤ 2: [`recursive_bisection`] — greedy growing + two-way FM, the best
+//!   of `attempts` per bisection, then the same repair and k-way FM.
+//!
+//! A growing costs O(m log m) time and O(n + m + k) memory whatever k is:
+//! each block's frontier is an indexed heap when k-way FM's table rule
+//! admits k position arrays of n entries, else a heap of every offer with
+//! the connections in a hash map. Its buffers are reused across attempts.
 
 use crate::fm::{two_way_fm, FmConfig};
-use crate::heap::NodeHeap;
+use crate::heap::{GrowEntry, NodeHeap};
 use pgp_graph::subgraph::induced_by_nodes;
 use pgp_graph::{BlockId, CsrGraph, Node, Partition, Weight};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use rustc_hash::FxHashMap;
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Configuration for initial partitioning.
 #[derive(Clone, Debug)]
 pub struct InitialConfig {
     /// Balance slack `ε`.
     pub eps: f64,
-    /// Independent attempts per bisection; the best cut wins.
+    /// Independent attempts — growings at k ≥ 3, growing + FM starts per
+    /// bisection at k ≤ 2; the best cut wins.
     pub attempts: usize,
-    /// FM passes applied after each growing attempt.
+    /// FM passes: the k-way FM run that closes either path, and the two-way
+    /// FM after each bisection attempt.
     pub fm_passes: usize,
     /// RNG seed.
     pub seed: u64,
@@ -34,9 +55,34 @@ impl Default for InitialConfig {
     }
 }
 
-/// Partitions `graph` into `k` blocks by recursive bisection with greedy
-/// graph growing and FM refinement.
+/// Partitions `graph` into `k` blocks: directly by k-way growing at k ≥ 3,
+/// by [`recursive_bisection`] at k ≤ 2 (module docs).
 pub fn initial_partition(graph: &CsrGraph, k: usize, cfg: &InitialConfig) -> Partition {
+    if k <= 2 {
+        return recursive_bisection(graph, k, cfg);
+    }
+    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut grower = Grower::new(graph, k);
+    let mut best: Option<(Weight, Vec<BlockId>)> = None;
+    for _ in 0..cfg.attempts.max(1) {
+        grower.grow(graph, &mut rng);
+        let cut = grower.cut(graph);
+        if best.as_ref().is_none_or(|(bc, _)| cut < *bc) {
+            best = Some((cut, grower.block.clone()));
+        }
+    }
+    let (_, assignment) = best.expect("at least one attempt");
+    let mut p = Partition::from_assignment(graph, k, assignment);
+    repair_and_refine(graph, &mut p, cfg);
+    fill_empty_blocks(graph, &mut p);
+    p
+}
+
+/// Partitions `graph` into `k` blocks by recursive bisection with greedy
+/// graph growing and two-way FM, then LP repair and k-way FM. The ParMetis
+/// stand-in's initial partitioner (ParMetis partitions its coarsest graph
+/// by recursive bisection) and [`initial_partition`]'s at k ≤ 2.
+pub fn recursive_bisection(graph: &CsrGraph, k: usize, cfg: &InitialConfig) -> Partition {
     assert!(k >= 1);
     let mut assignment = vec![0 as BlockId; graph.n()];
     if k > 1 && graph.n() > 0 {
@@ -45,13 +91,305 @@ pub fn initial_partition(graph: &CsrGraph, k: usize, cfg: &InitialConfig) -> Par
     }
     let mut p = Partition::from_assignment(graph, k, assignment);
     if k > 1 {
-        // Balance repair (LP refinement's overloaded-block rule shifts
-        // weight out of any block the bisection drift pushed past Lmax)...
-        pgp_lp::seq::sclp_refine(graph, &mut p, cfg.eps, 4, cfg.seed ^ 0xBA1A);
-        // ...then a direct k-way FM pass across all bisection borders.
-        crate::fm::refine_partition(graph, &mut p, cfg.eps, cfg.seed ^ 0xF00D, cfg.fm_passes);
+        repair_and_refine(graph, &mut p, cfg);
     }
     p
+}
+
+/// Balance repair (LP refinement's overloaded-block rule shifts weight out
+/// of any block the initial partition pushed past Lmax), then one k-way FM
+/// run across all block borders.
+fn repair_and_refine(graph: &CsrGraph, p: &mut Partition, cfg: &InitialConfig) {
+    pgp_lp::seq::sclp_refine(graph, p, cfg.eps, 4, cfg.seed ^ 0xBA1A);
+    crate::fm::refine_partition(graph, p, cfg.eps, cfg.seed ^ 0xF00D, cfg.fm_passes);
+}
+
+/// A node no block has absorbed yet.
+const UNASSIGNED: BlockId = BlockId::MAX;
+
+/// The buffers of k-way greedy growing, reused across attempts.
+struct Grower {
+    /// Every block grows towards ⌈W/k⌉.
+    target: Weight,
+    /// Each node's block, [`UNASSIGNED`] until absorbed.
+    block: Vec<BlockId>,
+    weights: Vec<Weight>,
+    frontier: Frontier,
+    /// Each node's random tie-break, drawn once per attempt.
+    tiebreak: Vec<u64>,
+    /// Every block below the target with an offer it may take, at its best
+    /// offer (the lowest ID among equals), so the strongest offer of all is
+    /// taken next. At most one entry per block; an entry whose node another
+    /// block took is re-keyed when it pops.
+    growing: BinaryHeap<(GrowEntry, Reverse<BlockId>)>,
+    /// Every block, lightest first, where leftovers go. An entry is current
+    /// while its weight is the block's; one is pushed per weight change.
+    lightest: BinaryHeap<Reverse<(Weight, BlockId)>>,
+    /// Nodes heavier than the target, heaviest first, at most k: the seeds
+    /// of the first blocks in every attempt, so each sits alone in a block
+    /// that never grows instead of landing, as a leftover, on top of one.
+    pinned: Vec<Node>,
+    /// The other nodes, permuted; the prefix is an attempt's random seeds.
+    order: Vec<Node>,
+}
+
+impl Grower {
+    fn new(graph: &CsrGraph, k: usize) -> Self {
+        let n = graph.n();
+        let target = graph.total_node_weight().div_ceil(k as Weight);
+        let (mut pinned, order): (Vec<Node>, Vec<Node>) =
+            graph.nodes().partition(|&v| graph.node_weight(v) > target);
+        pinned.sort_by_key(|&v| Reverse(graph.node_weight(v)));
+        let order = order
+            .into_iter()
+            .chain(pinned.drain(k.min(pinned.len())..))
+            .collect();
+        Self {
+            target,
+            block: vec![UNASSIGNED; n],
+            weights: vec![0; k],
+            frontier: Frontier::new(graph, k),
+            tiebreak: vec![0; n],
+            growing: BinaryHeap::new(),
+            lightest: BinaryHeap::new(),
+            pinned,
+            order,
+        }
+    }
+
+    /// One growing of all k blocks (module docs).
+    fn grow(&mut self, graph: &CsrGraph, rng: &mut SmallRng) {
+        let (n, k) = (graph.n(), self.weights.len());
+        self.block.fill(UNASSIGNED);
+        self.weights.fill(0);
+        self.frontier.clear();
+        self.tiebreak.iter_mut().for_each(|t| *t = rng.gen());
+        self.growing.clear();
+        self.lightest.clear();
+        self.lightest
+            .extend((0..k as BlockId).map(|b| Reverse((0, b))));
+        // The pinned nodes, then distinct random seeds (all nodes when
+        // k ≥ n) by a partial shuffle.
+        for b in 0..self.pinned.len() {
+            self.absorb(graph, self.pinned[b], b as BlockId);
+        }
+        let seeds = k.min(n) - self.pinned.len();
+        for i in 0..seeds {
+            let j = rng.gen_range(i..self.order.len());
+            self.order.swap(i, j);
+            self.absorb(graph, self.order[i], (self.pinned.len() + i) as BlockId);
+        }
+        for b in 0..k.min(n) as BlockId {
+            self.queue(graph, b);
+        }
+        let mut untouched = 0;
+        loop {
+            if let Some((offer, Reverse(b))) = self.growing.pop() {
+                match self.best_offer(graph, b) {
+                    Some(best) if best == offer => {
+                        self.frontier.pop(b);
+                        self.absorb(graph, offer.2, b);
+                        self.queue(graph, b);
+                    }
+                    Some(best) => self.growing.push((best, Reverse(b))),
+                    None => {}
+                }
+                continue;
+            }
+            // No block can grow: the first unassigned node goes to the
+            // lightest block, which grows on from it.
+            let Some(v) = (untouched..n).find(|&v| self.block[v] == UNASSIGNED) else {
+                break;
+            };
+            untouched = v + 1;
+            let b = self.lightest_block();
+            self.absorb(graph, v as Node, b);
+            self.queue(graph, b);
+        }
+    }
+
+    /// Puts `v` into block `b` and offers its unassigned neighbours to `b`.
+    fn absorb(&mut self, graph: &CsrGraph, v: Node, b: BlockId) {
+        self.block[v as usize] = b;
+        let w = graph.node_weight(v);
+        if w > 0 {
+            self.weights[b as usize] += w;
+            self.lightest.push(Reverse((self.weights[b as usize], b)));
+        }
+        self.frontier
+            .offer_neighbors(graph, v, b, &self.block, &self.tiebreak);
+    }
+
+    /// Queues `b` at its best offer while it is below the target.
+    fn queue(&mut self, graph: &CsrGraph, b: BlockId) {
+        if self.weights[b as usize] < self.target {
+            if let Some(offer) = self.best_offer(graph, b) {
+                self.growing.push((offer, Reverse(b)));
+            }
+        }
+    }
+
+    /// `b`'s most strongly connected unassigned frontier node's offer, left
+    /// on top of its frontier. Offers of absorbed nodes are dropped on the
+    /// way, and so is a node that would move `b` further past the target
+    /// than stopping short leaves it — for good, as `b` only gets heavier.
+    fn best_offer(&mut self, graph: &CsrGraph, b: BlockId) -> Option<GrowEntry> {
+        let (grown, target) = (self.weights[b as usize], self.target);
+        while let Some(offer) = self.frontier.peek(b) {
+            let u = offer.2;
+            let w = graph.node_weight(u);
+            let overshoots = grown + w > target && grown + w - target > target - grown;
+            if self.block[u as usize] == UNASSIGNED && !overshoots {
+                return Some(offer);
+            }
+            self.frontier.pop(b);
+        }
+        None
+    }
+
+    /// The lightest block (the lowest ID among equals).
+    fn lightest_block(&mut self) -> BlockId {
+        loop {
+            let Reverse((w, b)) = *self.lightest.peek().expect("one entry per block");
+            if w == self.weights[b as usize] {
+                return b;
+            }
+            self.lightest.pop();
+        }
+    }
+
+    /// The cut of the current growing.
+    fn cut(&self, graph: &CsrGraph) -> Weight {
+        let mut cut = 0;
+        for v in graph.nodes() {
+            let b = self.block[v as usize];
+            for (u, w) in graph.neighbors_weighted(v) {
+                if self.block[u as usize] != b {
+                    cut += w;
+                }
+            }
+        }
+        cut / 2
+    }
+}
+
+/// Every block's frontier: the unassigned nodes offered to it, by their
+/// connection to it, most strongly connected first (a random tie-break per
+/// node among equals). Both forms pop the same nodes in the same order, up
+/// to stale or skipped entries of a node no block may take (absorbed, or
+/// skipped by this block, which then skips it for good: a block only gets
+/// heavier).
+enum Frontier {
+    /// `n · k ≤ 2 · arcs` (k-way FM's table rule): one indexed heap per
+    /// block holding each node once, at its connection so far — k arrays of
+    /// n positions, at most 8 bytes per arc.
+    Indexed(Vec<NodeHeap<GrowEntry>>),
+    /// Otherwise (k close to n): per block, a heap of every offer, each at
+    /// the node's connection when offered, which a hash map keyed `node <<
+    /// 32 | block` keeps; at most one offer and one key per arc. A node's
+    /// latest offer pops before its stale ones.
+    Lazy(Vec<BinaryHeap<GrowEntry>>, FxHashMap<u64, Weight>),
+}
+
+impl Frontier {
+    fn new(graph: &CsrGraph, k: usize) -> Self {
+        if crate::fm::takes_table(graph, k) {
+            Self::Indexed((0..k).map(|_| NodeHeap::new(graph.n())).collect())
+        } else {
+            Self::Lazy(
+                (0..k).map(|_| BinaryHeap::new()).collect(),
+                FxHashMap::default(),
+            )
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            Self::Indexed(heaps) => heaps.iter_mut().for_each(NodeHeap::clear),
+            Self::Lazy(heaps, conn) => {
+                heaps.iter_mut().for_each(BinaryHeap::clear);
+                conn.clear();
+            }
+        }
+    }
+
+    /// Offers `v`'s unassigned neighbours to block `b`: each one's
+    /// connection to `b` rises by the arc between them.
+    fn offer_neighbors(
+        &mut self,
+        graph: &CsrGraph,
+        v: Node,
+        b: BlockId,
+        block: &[BlockId],
+        tiebreak: &[u64],
+    ) {
+        let unassigned = graph
+            .neighbors_weighted(v)
+            .filter(|&(u, _)| block[u as usize] == UNASSIGNED);
+        match self {
+            Self::Indexed(heaps) => {
+                let heap = &mut heaps[b as usize];
+                for (u, w) in unassigned {
+                    heap.raise_or_insert((w, Reverse(tiebreak[u as usize]), u), |e| e.0 += w);
+                }
+            }
+            Self::Lazy(heaps, conn) => {
+                for (u, w) in unassigned {
+                    let c = conn.entry(u64::from(u) << 32 | u64::from(b)).or_insert(0);
+                    *c += w;
+                    heaps[b as usize].push((*c, Reverse(tiebreak[u as usize]), u));
+                }
+            }
+        }
+    }
+
+    /// Block `b`'s best offer.
+    fn peek(&self, b: BlockId) -> Option<GrowEntry> {
+        match self {
+            Self::Indexed(heaps) => heaps[b as usize].peek(),
+            Self::Lazy(heaps, _) => heaps[b as usize].peek().copied(),
+        }
+    }
+
+    /// Drops block `b`'s best offer.
+    fn pop(&mut self, b: BlockId) {
+        match self {
+            Self::Indexed(heaps) => drop(heaps[b as usize].pop()),
+            Self::Lazy(heaps, _) => drop(heaps[b as usize].pop()),
+        }
+    }
+}
+
+/// Gives every empty block one node while a block has two or more, so a
+/// partition of n ≥ k nodes uses all k blocks: nodes are taken in
+/// increasing-degree order (isolated nodes first, which cut nothing). A
+/// moved node leaves a block at least as heavy as itself, so the heaviest
+/// block never gets heavier.
+fn fill_empty_blocks(graph: &CsrGraph, p: &mut Partition) {
+    let k = p.k();
+    let mut count = vec![0usize; k];
+    for &b in p.assignment() {
+        count[b as usize] += 1;
+    }
+    let mut empty = (0..k as BlockId)
+        .filter(|&b| count[b as usize] == 0)
+        .collect::<Vec<_>>();
+    if empty.is_empty() {
+        return;
+    }
+    empty.reverse();
+    let mut assignment = p.assignment().to_vec();
+    for v in pgp_graph::ordering::degree_order(graph) {
+        let from = assignment[v as usize] as usize;
+        if count[from] < 2 {
+            continue;
+        }
+        let Some(to) = empty.pop() else { break };
+        count[from] -= 1;
+        count[to as usize] = 1;
+        assignment[v as usize] = to;
+    }
+    *p = Partition::from_assignment(graph, k, assignment);
 }
 
 /// Recursively bisects the subgraph induced by `nodes` into blocks
@@ -319,6 +657,163 @@ mod tests {
             .map(|v| g.node_weight(v))
             .sum();
         assert!((8..=12).contains(&w0), "side-0 weight {w0}");
+    }
+
+    /// k = 2 is recursive bisection, byte for byte.
+    #[test]
+    fn k2_is_recursive_bisection() {
+        let graphs = [
+            pgp_gen::mesh::grid2d(16, 16),
+            pgp_gen::sbm::sbm(400, pgp_gen::sbm::SbmParams::default(), 3).0,
+            pgp_graph::builder::from_edges(8, &[(0, 1), (1, 2), (4, 5), (5, 6)]),
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            for seed in 0..4 {
+                let cfg = InitialConfig {
+                    seed,
+                    ..Default::default()
+                };
+                assert_eq!(
+                    initial_partition(g, 2, &cfg).assignment(),
+                    recursive_bisection(g, 2, &cfg).assignment(),
+                    "graph {i}, seed {seed}"
+                );
+            }
+        }
+    }
+
+    /// The indexed and the lazy frontier grow the same blocks, attempt after
+    /// attempt on reused buffers, whichever form the table rule picks.
+    #[test]
+    fn both_frontiers_grow_the_same_blocks() {
+        let dense = pgp_gen::sbm::sbm(
+            300,
+            pgp_gen::sbm::SbmParams {
+                intra_degree: 30.0,
+                inter_degree: 6.0,
+                ..Default::default()
+            },
+            4,
+        )
+        .0;
+        let weighted = messy_graph(60, 3, 5, &messy_edges(7), &[0, 1, 2, 3, 1], 17);
+        for (g, k) in [(&dense, 8), (&dense, 40), (&weighted, 3), (&weighted, 30)] {
+            let mut indexed = Grower::new(g, k);
+            indexed.frontier = Frontier::Indexed((0..k).map(|_| NodeHeap::new(g.n())).collect());
+            let mut lazy = Grower::new(g, k);
+            lazy.frontier = Frontier::Lazy(
+                (0..k).map(|_| BinaryHeap::new()).collect(),
+                FxHashMap::default(),
+            );
+            let (mut r1, mut r2) = (SmallRng::seed_from_u64(9), SmallRng::seed_from_u64(9));
+            for attempt in 0..3 {
+                indexed.grow(g, &mut r1);
+                lazy.grow(g, &mut r2);
+                assert_eq!(indexed.block, lazy.block, "k = {k}, attempt {attempt}");
+                assert!(indexed.block.iter().all(|&b| (b as usize) < k));
+            }
+        }
+    }
+
+    /// Empty blocks get nodes of blocks with two or more, lowest degree
+    /// first, and the heaviest block gets no heavier.
+    #[test]
+    fn empty_blocks_are_filled_from_shared_blocks() {
+        let g = pgp_graph::GraphBuilder::new(6)
+            .add_edge(0, 1)
+            .add_edge(1, 2)
+            .add_edge(3, 4)
+            .node_weights(vec![1, 5, 1, 2, 2, 1])
+            .build();
+        let mut p = Partition::from_assignment(&g, 5, vec![0, 0, 0, 1, 1, 4]);
+        let before = p.max_block_weight();
+        fill_empty_blocks(&g, &mut p);
+        // Isolated node 5 is alone in block 4; degree-1 nodes 0, 2, 3, 4
+        // come next, and block 1 keeps one of its two.
+        assert_eq!(p.assignment(), &[2, 0, 3, 1, 1, 4]);
+        assert!(p.max_block_weight() <= before);
+    }
+
+    /// Arc list for [`messy_graph`]: endpoints and weights 0..=3.
+    fn messy_edges(seed: u64) -> Vec<(u32, u32, u64)> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..200)
+            .map(|_| {
+                (
+                    rng.gen_range(0..60),
+                    rng.gen_range(0..60),
+                    rng.gen_range(0..4),
+                )
+            })
+            .collect()
+    }
+
+    /// `n` nodes in `comps` components plus `isolated` nodes without arcs;
+    /// each edge of `edges` is moved into the component of its first
+    /// endpoint. Node weights cycle through `weights` (zeros included), and
+    /// node `heavy % n` weighs as much as all others together plus one.
+    fn messy_graph(
+        n: usize,
+        comps: usize,
+        isolated: usize,
+        edges: &[(u32, u32, u64)],
+        weights: &[Weight],
+        heavy: usize,
+    ) -> CsrGraph {
+        let linked = (n - isolated.min(n - 1)) as u32;
+        let comps = comps.clamp(1, linked as usize) as u32;
+        let span = linked.div_ceil(comps);
+        let mut b = pgp_graph::GraphBuilder::new(n);
+        for &(u, v, w) in edges {
+            let u = u % linked;
+            let start = u / span * span;
+            let v = start + v % (linked - start).min(span);
+            if u != v {
+                b.push_edge(u, v, w);
+            }
+        }
+        let mut ws: Vec<Weight> = (0..n).map(|v| weights[v % weights.len()]).collect();
+        let heavy = heavy % n;
+        ws[heavy] = ws.iter().sum::<Weight>() + 1;
+        b.node_weights(ws).build()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Many components, isolated nodes, zero-weight nodes, a node
+        /// heavier than W/k, and k ∈ {3, n/2, n, n + 3}: exactly k blocks,
+        /// min(n, k) of them used (all k when n ≥ k), the same result for
+        /// the same seed, and a heaviest block within Lmax or no heavier than
+        /// recursive bisection's.
+        #[test]
+        fn kway_growing_on_messy_graphs(
+            n in 8usize..60,
+            comps in 1usize..6,
+            isolated in 0usize..8,
+            edges in proptest::collection::vec((0u32..60, 0u32..60, 0u64..4), 0..160),
+            weights in proptest::collection::vec(0u64..4, 1..6),
+            heavy in 0usize..60,
+            kind in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            let g = messy_graph(n, comps, isolated, &edges, &weights, heavy);
+            let k = [3, n / 2, n, n + 3][kind];
+            let cfg = InitialConfig { seed, ..Default::default() };
+            let p = initial_partition(&g, k, &cfg);
+            proptest::prop_assert_eq!(p.k(), k);
+            let used: std::collections::BTreeSet<BlockId> = p.assignment().iter().copied().collect();
+            proptest::prop_assert!(used.iter().all(|&b| (b as usize) < k));
+            proptest::prop_assert_eq!(used.len(), n.min(k));
+            proptest::prop_assert_eq!(initial_partition(&g, k, &cfg).assignment(), p.assignment());
+            let rb = recursive_bisection(&g, k, &cfg);
+            let l = pgp_graph::lmax(g.total_node_weight(), k, cfg.eps);
+            proptest::prop_assert!(
+                p.max_block_weight() <= rb.max_block_weight().max(l),
+                "k = {}: heaviest block {} against recursive bisection's {} (Lmax {})",
+                k, p.max_block_weight(), rb.max_block_weight(), l
+            );
+        }
     }
 
     /// Growing before the indexed heap: a lazy heap of every offer, stale

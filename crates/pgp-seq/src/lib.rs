@@ -6,7 +6,8 @@
 //! * [`coarsen`](mod@coarsen) — cluster-contraction (paper) and heavy-edge-matching
 //!   (baseline) hierarchies, with the constraint mechanism that keeps cut
 //!   edges of input partitions alive.
-//! * [`initial`] — greedy graph growing + recursive bisection.
+//! * [`initial`] — direct k-way greedy growing (k ≥ 3) and recursive
+//!   bisection (k = 2, and the ParMetis stand-in).
 //! * [`fm`] — k-way FM local search with hill climbing and rollback
 //!   (never worsens the cut).
 //! * [`kaffpa`](mod@kaffpa) — the multilevel driver, including combine inputs.

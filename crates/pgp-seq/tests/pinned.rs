@@ -135,22 +135,22 @@ type Case = (&'static str, fn() -> u64, u64);
 
 #[rustfmt::skip]
 const CASES: &[Case] = &[
-    ("kaffpa sbm k=32",           || kaffpa_hash(&sbm(), 32, 7),             0x25840cc61f6fa279),
-    ("initial sbm k=32",          || initial(&sbm(), 32, 0.03, 3),           0x7eb34d97acc738ce),
+    ("kaffpa sbm k=32",           || kaffpa_hash(&sbm(), 32, 7),             0xc37fa7938a1ace9f),
+    ("initial sbm k=32",          || initial(&sbm(), 32, 0.03, 3),           0x254bc6d58545288c),
     ("fm sbm k=32",               || fm(&sbm(), 32, 0.03, 4),                0x182cc75973c6671c),
     ("initial zero-arc grid k=2", || initial(&zero_arc_grid(), 2, 0.03, 1),  0x7311d038dcd06e03),
-    ("initial zero-arc grid k=5", || initial(&zero_arc_grid(), 5, 0.03, 2),  0xd9a4b748e81d1a1b),
-    ("kaffpa zero-arc grid k=5",  || kaffpa_hash(&zero_arc_grid(), 5, 3),    0x7c768ce19864e2f1),
+    ("initial zero-arc grid k=5", || initial(&zero_arc_grid(), 5, 0.03, 2),  0xd17d3b0b92d97008),
+    ("kaffpa zero-arc grid k=5",  || kaffpa_hash(&zero_arc_grid(), 5, 3),    0xf470d207864de5cc),
     ("fm zero-arc grid k=2",      || fm(&zero_arc_grid(), 2, 0.03, 5),       0x26d56ca77f8fa098),
     ("fm zero-arc grid k=5",      || fm(&zero_arc_grid(), 5, 0.03, 6),       0x79aed102f6424c3a),
     // Attempt 2 of 4 grows side 0 to 302 against a cap of 301.
     ("bisect overloaded start",   || bisect(&heavy_grid(), 0.0, 7),          0x3b64000d56f16407),
-    ("initial heavy eps=0 k=3",   || initial(&heavy_grid(), 3, 0.0, 8),      0xc4f6c2d7012c8443),
+    ("initial heavy eps=0 k=3",   || initial(&heavy_grid(), 3, 0.0, 8),      0x7d436e49de4d5b61),
     ("fm heavy eps=0 k=2",        || fm(&heavy_grid(), 2, 0.0, 9),           0x70368b49eb7035fb),
-    ("initial disconnected k=4",  || initial(&disconnected(), 4, 0.03, 10),  0x4129de93b67218e1),
-    ("kaffpa disconnected k=4",   || kaffpa_hash(&disconnected(), 4, 11),    0x15b21d2e2582fca3),
+    ("initial disconnected k=4",  || initial(&disconnected(), 4, 0.03, 10),  0x6ded2b6f644c2598),
+    ("kaffpa disconnected k=4",   || kaffpa_hash(&disconnected(), 4, 11),    0xc716f9fc1c11bf52),
     ("fm dense sbm k=32",         || fm(&dense_sbm(), 32, 0.03, 12),         0x45760dcca2fc1647),
-    ("kaffpa dense sbm k=32",     || kaffpa_hash(&dense_sbm(), 32, 13),      0x68ac4bd05dd55bb7),
+    ("kaffpa dense sbm k=32",     || kaffpa_hash(&dense_sbm(), 32, 13),      0x53e9f25cbb47a28b),
 ];
 
 #[test]
