@@ -91,7 +91,7 @@ pub fn kway_fm(graph: &CsrGraph, k: usize, labels: &mut [Node], cfg: &FmConfig) 
 /// Whether k-way FM keeps the per-(node, block) table: when `n · k ≤ 2 ·
 /// arcs` its 12 bytes per entry come to at most 24 per arc, O(m) like the
 /// graph. Beyond that (k close to n) only `Dense` is safe.
-pub(crate) fn takes_table(graph: &CsrGraph, k: usize) -> bool {
+fn takes_table(graph: &CsrGraph, k: usize) -> bool {
     graph.n() as u128 * k as u128 <= 2 * graph.num_arcs() as u128
 }
 

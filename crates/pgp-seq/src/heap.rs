@@ -65,25 +65,6 @@ impl<E: Entry> NodeHeap<E> {
         }
     }
 
-    /// Empties the heap in time linear in its size.
-    pub(crate) fn clear(&mut self) {
-        for e in self.entries.drain(..) {
-            self.pos[e.node() as usize] = ABSENT;
-        }
-    }
-
-    /// Inserts `e`'s node at `e` if it is absent; otherwise raises its entry
-    /// by `raise`, which must not lower it.
-    pub(crate) fn raise_or_insert(&mut self, e: E, raise: impl FnOnce(&mut E)) {
-        match self.pos[e.node() as usize] {
-            ABSENT => self.push(e),
-            i => {
-                raise(&mut self.entries[i as usize]);
-                self.sift_up(i as usize);
-            }
-        }
-    }
-
     /// Takes `v` out of the heap, if it is in.
     pub(crate) fn remove(&mut self, v: Node) {
         let i = self.pos[v as usize];
@@ -95,10 +76,6 @@ impl<E: Entry> NodeHeap<E> {
         if (i as usize) < self.entries.len() {
             self.replace(i as usize, last);
         }
-    }
-
-    pub(crate) fn peek(&self) -> Option<E> {
-        self.entries.first().copied()
     }
 
     pub(crate) fn pop(&mut self) -> Option<E> {

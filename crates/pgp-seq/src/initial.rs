@@ -1,23 +1,21 @@
 //! Initial partitioning of the coarsest graph.
 //!
-//! * k ≥ 3: direct k-way greedy growing. Each of `attempts` growings draws
-//!   k distinct seed nodes, one per block (nodes heavier than ⌈W/k⌉ first,
-//!   each alone in its block). Every block below ⌈W/k⌉ absorbs its most
-//!   strongly connected unassigned frontier node — the strongest such offer
-//!   of all blocks first — until it reaches ⌈W/k⌉ or its frontier runs dry.
-//!   What no block reached (other components, heavy nodes every block
-//!   skipped) goes, node by node from the lowest ID, to the lightest block,
-//!   which grows on from there. The growing with the smallest cut is
-//!   repaired by LP (an overloaded block sheds weight) and refined by one
-//!   k-way FM run. A block LP or FM left empty gets a low-degree node of a
-//!   block with two or more.
+//! * k ≥ 3: direct k-way greedy growing, once. k distinct seed nodes start
+//!   one block each (nodes heavier than ⌈W/k⌉ first, each alone in its
+//!   block). Every block below ⌈W/k⌉ absorbs its most strongly connected
+//!   unassigned frontier node — the strongest such offer of all blocks
+//!   first — until it reaches ⌈W/k⌉ or its frontier runs dry. What no block
+//!   reached (other components, heavy nodes every block skipped) goes, node
+//!   by node from the lowest ID, to the lightest block, which grows on from
+//!   there. The growing is repaired by LP (an overloaded block sheds weight)
+//!   and refined by one k-way FM run. A block LP or FM left empty gets a
+//!   low-degree node of a block with two or more.
 //! * k ≤ 2: [`recursive_bisection`] — greedy growing + two-way FM, the best
 //!   of `attempts` per bisection, then the same repair and k-way FM.
 //!
-//! A growing costs O(m log m) time and O(n + m + k) memory whatever k is:
-//! each block's frontier is an indexed heap when k-way FM's table rule
-//! admits k position arrays of n entries, else a heap of every offer with
-//! the connections in a hash map. Its buffers are reused across attempts.
+//! The growing costs O(m log m) time and O(n + m + k) memory whatever k is:
+//! each block's frontier is a heap of every offer made to it, with the
+//! connections in a hash map, so no n · k table is built even at k ≥ n.
 
 use crate::fm::{two_way_fm, FmConfig};
 use crate::heap::{GrowEntry, NodeHeap};
@@ -34,8 +32,9 @@ use std::collections::BinaryHeap;
 pub struct InitialConfig {
     /// Balance slack `ε`.
     pub eps: f64,
-    /// Independent attempts — growings at k ≥ 3, growing + FM starts per
-    /// bisection at k ≤ 2; the best cut wins.
+    /// Independent growing + two-way FM starts per bisection of
+    /// [`recursive_bisection`]; the best cut wins. Direct k-way growing
+    /// (k ≥ 3) grows once.
     pub attempts: usize,
     /// FM passes: the k-way FM run that closes either path, and the two-way
     /// FM after each bisection attempt.
@@ -62,16 +61,7 @@ pub fn initial_partition(graph: &CsrGraph, k: usize, cfg: &InitialConfig) -> Par
         return recursive_bisection(graph, k, cfg);
     }
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut grower = Grower::new(graph, k);
-    let mut best: Option<(Weight, Vec<BlockId>)> = None;
-    for _ in 0..cfg.attempts.max(1) {
-        grower.grow(graph, &mut rng);
-        let cut = grower.cut(graph);
-        if best.as_ref().is_none_or(|(bc, _)| cut < *bc) {
-            best = Some((cut, grower.block.clone()));
-        }
-    }
-    let (_, assignment) = best.expect("at least one attempt");
+    let assignment = Grower::grow(graph, k, &mut rng);
     let mut p = Partition::from_assignment(graph, k, assignment);
     repair_and_refine(graph, &mut p, cfg);
     fill_empty_blocks(graph, &mut p);
@@ -107,15 +97,24 @@ fn repair_and_refine(graph: &CsrGraph, p: &mut Partition, cfg: &InitialConfig) {
 /// A node no block has absorbed yet.
 const UNASSIGNED: BlockId = BlockId::MAX;
 
-/// The buffers of k-way greedy growing, reused across attempts.
+/// The state of one k-way greedy growing.
 struct Grower {
     /// Every block grows towards ⌈W/k⌉.
     target: Weight,
     /// Each node's block, [`UNASSIGNED`] until absorbed.
     block: Vec<BlockId>,
     weights: Vec<Weight>,
-    frontier: Frontier,
-    /// Each node's random tie-break, drawn once per attempt.
+    /// Each block's frontier: a heap of the offers of the unassigned nodes
+    /// next to it, most strongly connected first (a random tie-break per
+    /// node among equals), each at the node's connection to the block when
+    /// offered. A node's latest offer pops before its stale ones; offers of
+    /// absorbed nodes, or of nodes the block skipped (for good: a block only
+    /// gets heavier), are dropped when they reach the top.
+    frontier: Vec<BinaryHeap<GrowEntry>>,
+    /// Each (node, block) connection so far, keyed `node << 32 | block`: at
+    /// most one key, like one offer, per arc, whatever k is.
+    connection: FxHashMap<u64, Weight>,
+    /// Each node's random tie-break.
     tiebreak: Vec<u64>,
     /// Every block below the target with an offer it may take, at its best
     /// offer (the lowest ID among equals), so the strongest offer of all is
@@ -125,90 +124,72 @@ struct Grower {
     /// Every block, lightest first, where leftovers go. An entry is current
     /// while its weight is the block's; one is pushed per weight change.
     lightest: BinaryHeap<Reverse<(Weight, BlockId)>>,
-    /// Nodes heavier than the target, heaviest first, at most k: the seeds
-    /// of the first blocks in every attempt, so each sits alone in a block
-    /// that never grows instead of landing, as a leftover, on top of one.
-    pinned: Vec<Node>,
-    /// The other nodes, permuted; the prefix is an attempt's random seeds.
-    order: Vec<Node>,
 }
 
 impl Grower {
-    fn new(graph: &CsrGraph, k: usize) -> Self {
+    /// Grows all k blocks at once (module docs) and returns each node's
+    /// block.
+    fn grow(graph: &CsrGraph, k: usize, rng: &mut SmallRng) -> Vec<BlockId> {
         let n = graph.n();
         let target = graph.total_node_weight().div_ceil(k as Weight);
-        let (mut pinned, order): (Vec<Node>, Vec<Node>) =
-            graph.nodes().partition(|&v| graph.node_weight(v) > target);
-        pinned.sort_by_key(|&v| Reverse(graph.node_weight(v)));
-        let order = order
-            .into_iter()
-            .chain(pinned.drain(k.min(pinned.len())..))
-            .collect();
-        Self {
+        let mut grower = Self {
             target,
             block: vec![UNASSIGNED; n],
             weights: vec![0; k],
-            frontier: Frontier::new(graph, k),
-            tiebreak: vec![0; n],
+            frontier: (0..k).map(|_| BinaryHeap::new()).collect(),
+            connection: FxHashMap::default(),
+            tiebreak: (0..n).map(|_| rng.gen()).collect(),
             growing: BinaryHeap::new(),
-            lightest: BinaryHeap::new(),
-            pinned,
-            order,
+            lightest: (0..k as BlockId).map(|b| Reverse((0, b))).collect(),
+        };
+        // Nodes heavier than the target, heaviest first, at most k, seed
+        // the first blocks, so each sits alone in a block that never grows
+        // instead of landing, as a leftover, on top of one. Distinct random
+        // seeds (all nodes when k ≥ n) start the others.
+        let (mut pinned, mut order): (Vec<Node>, Vec<Node>) =
+            graph.nodes().partition(|&v| graph.node_weight(v) > target);
+        pinned.sort_by_key(|&v| Reverse(graph.node_weight(v)));
+        order.extend(pinned.drain(k.min(pinned.len())..));
+        for (b, &v) in pinned.iter().enumerate() {
+            grower.absorb(graph, v, b as BlockId);
         }
-    }
-
-    /// One growing of all k blocks (module docs).
-    fn grow(&mut self, graph: &CsrGraph, rng: &mut SmallRng) {
-        let (n, k) = (graph.n(), self.weights.len());
-        self.block.fill(UNASSIGNED);
-        self.weights.fill(0);
-        self.frontier.clear();
-        self.tiebreak.iter_mut().for_each(|t| *t = rng.gen());
-        self.growing.clear();
-        self.lightest.clear();
-        self.lightest
-            .extend((0..k as BlockId).map(|b| Reverse((0, b))));
-        // The pinned nodes, then distinct random seeds (all nodes when
-        // k ≥ n) by a partial shuffle.
-        for b in 0..self.pinned.len() {
-            self.absorb(graph, self.pinned[b], b as BlockId);
-        }
-        let seeds = k.min(n) - self.pinned.len();
-        for i in 0..seeds {
-            let j = rng.gen_range(i..self.order.len());
-            self.order.swap(i, j);
-            self.absorb(graph, self.order[i], (self.pinned.len() + i) as BlockId);
+        for i in 0..k.min(n) - pinned.len() {
+            let j = rng.gen_range(i..order.len());
+            order.swap(i, j);
+            grower.absorb(graph, order[i], (pinned.len() + i) as BlockId);
         }
         for b in 0..k.min(n) as BlockId {
-            self.queue(graph, b);
+            grower.queue(graph, b);
         }
         let mut untouched = 0;
         loop {
-            if let Some((offer, Reverse(b))) = self.growing.pop() {
-                match self.best_offer(graph, b) {
+            if let Some((offer, Reverse(b))) = grower.growing.pop() {
+                match grower.best_offer(graph, b) {
                     Some(best) if best == offer => {
-                        self.frontier.pop(b);
-                        self.absorb(graph, offer.2, b);
-                        self.queue(graph, b);
+                        grower.frontier[b as usize].pop();
+                        grower.absorb(graph, offer.2, b);
+                        grower.queue(graph, b);
                     }
-                    Some(best) => self.growing.push((best, Reverse(b))),
+                    Some(best) => grower.growing.push((best, Reverse(b))),
                     None => {}
                 }
                 continue;
             }
             // No block can grow: the first unassigned node goes to the
             // lightest block, which grows on from it.
-            let Some(v) = (untouched..n).find(|&v| self.block[v] == UNASSIGNED) else {
+            let Some(v) = (untouched..n).find(|&v| grower.block[v] == UNASSIGNED) else {
                 break;
             };
             untouched = v + 1;
-            let b = self.lightest_block();
-            self.absorb(graph, v as Node, b);
-            self.queue(graph, b);
+            let b = grower.lightest_block();
+            grower.absorb(graph, v as Node, b);
+            grower.queue(graph, b);
         }
+        grower.block
     }
 
-    /// Puts `v` into block `b` and offers its unassigned neighbours to `b`.
+    /// Puts `v` into block `b` and offers its unassigned neighbours to `b`:
+    /// each one's connection to `b` rises by the arc between them.
     fn absorb(&mut self, graph: &CsrGraph, v: Node, b: BlockId) {
         self.block[v as usize] = b;
         let w = graph.node_weight(v);
@@ -216,8 +197,16 @@ impl Grower {
             self.weights[b as usize] += w;
             self.lightest.push(Reverse((self.weights[b as usize], b)));
         }
-        self.frontier
-            .offer_neighbors(graph, v, b, &self.block, &self.tiebreak);
+        for (u, w) in graph.neighbors_weighted(v) {
+            if self.block[u as usize] == UNASSIGNED {
+                let c = self
+                    .connection
+                    .entry(u64::from(u) << 32 | u64::from(b))
+                    .or_insert(0);
+                *c += w;
+                self.frontier[b as usize].push((*c, Reverse(self.tiebreak[u as usize]), u));
+            }
+        }
     }
 
     /// Queues `b` at its best offer while it is below the target.
@@ -235,14 +224,15 @@ impl Grower {
     /// than stopping short leaves it — for good, as `b` only gets heavier.
     fn best_offer(&mut self, graph: &CsrGraph, b: BlockId) -> Option<GrowEntry> {
         let (grown, target) = (self.weights[b as usize], self.target);
-        while let Some(offer) = self.frontier.peek(b) {
+        let frontier = &mut self.frontier[b as usize];
+        while let Some(&offer) = frontier.peek() {
             let u = offer.2;
             let w = graph.node_weight(u);
             let overshoots = grown + w > target && grown + w - target > target - grown;
             if self.block[u as usize] == UNASSIGNED && !overshoots {
                 return Some(offer);
             }
-            self.frontier.pop(b);
+            frontier.pop();
         }
         None
     }
@@ -255,107 +245,6 @@ impl Grower {
                 return b;
             }
             self.lightest.pop();
-        }
-    }
-
-    /// The cut of the current growing.
-    fn cut(&self, graph: &CsrGraph) -> Weight {
-        let mut cut = 0;
-        for v in graph.nodes() {
-            let b = self.block[v as usize];
-            for (u, w) in graph.neighbors_weighted(v) {
-                if self.block[u as usize] != b {
-                    cut += w;
-                }
-            }
-        }
-        cut / 2
-    }
-}
-
-/// Every block's frontier: the unassigned nodes offered to it, by their
-/// connection to it, most strongly connected first (a random tie-break per
-/// node among equals). Both forms pop the same nodes in the same order, up
-/// to stale or skipped entries of a node no block may take (absorbed, or
-/// skipped by this block, which then skips it for good: a block only gets
-/// heavier).
-enum Frontier {
-    /// `n · k ≤ 2 · arcs` (k-way FM's table rule): one indexed heap per
-    /// block holding each node once, at its connection so far — k arrays of
-    /// n positions, at most 8 bytes per arc.
-    Indexed(Vec<NodeHeap<GrowEntry>>),
-    /// Otherwise (k close to n): per block, a heap of every offer, each at
-    /// the node's connection when offered, which a hash map keyed `node <<
-    /// 32 | block` keeps; at most one offer and one key per arc. A node's
-    /// latest offer pops before its stale ones.
-    Lazy(Vec<BinaryHeap<GrowEntry>>, FxHashMap<u64, Weight>),
-}
-
-impl Frontier {
-    fn new(graph: &CsrGraph, k: usize) -> Self {
-        if crate::fm::takes_table(graph, k) {
-            Self::Indexed((0..k).map(|_| NodeHeap::new(graph.n())).collect())
-        } else {
-            Self::Lazy(
-                (0..k).map(|_| BinaryHeap::new()).collect(),
-                FxHashMap::default(),
-            )
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Self::Indexed(heaps) => heaps.iter_mut().for_each(NodeHeap::clear),
-            Self::Lazy(heaps, conn) => {
-                heaps.iter_mut().for_each(BinaryHeap::clear);
-                conn.clear();
-            }
-        }
-    }
-
-    /// Offers `v`'s unassigned neighbours to block `b`: each one's
-    /// connection to `b` rises by the arc between them.
-    fn offer_neighbors(
-        &mut self,
-        graph: &CsrGraph,
-        v: Node,
-        b: BlockId,
-        block: &[BlockId],
-        tiebreak: &[u64],
-    ) {
-        let unassigned = graph
-            .neighbors_weighted(v)
-            .filter(|&(u, _)| block[u as usize] == UNASSIGNED);
-        match self {
-            Self::Indexed(heaps) => {
-                let heap = &mut heaps[b as usize];
-                for (u, w) in unassigned {
-                    heap.raise_or_insert((w, Reverse(tiebreak[u as usize]), u), |e| e.0 += w);
-                }
-            }
-            Self::Lazy(heaps, conn) => {
-                for (u, w) in unassigned {
-                    let c = conn.entry(u64::from(u) << 32 | u64::from(b)).or_insert(0);
-                    *c += w;
-                    heaps[b as usize].push((*c, Reverse(tiebreak[u as usize]), u));
-                }
-            }
-        }
-    }
-
-    /// Block `b`'s best offer.
-    fn peek(&self, b: BlockId) -> Option<GrowEntry> {
-        match self {
-            Self::Indexed(heaps) => heaps[b as usize].peek(),
-            Self::Lazy(heaps, _) => heaps[b as usize].peek().copied(),
-        }
-    }
-
-    /// Drops block `b`'s best offer.
-    fn pop(&mut self, b: BlockId) {
-        match self {
-            Self::Indexed(heaps) => drop(heaps[b as usize].pop()),
-            Self::Lazy(heaps, _) => drop(heaps[b as usize].pop()),
         }
     }
 }
@@ -682,39 +571,6 @@ mod tests {
         }
     }
 
-    /// The indexed and the lazy frontier grow the same blocks, attempt after
-    /// attempt on reused buffers, whichever form the table rule picks.
-    #[test]
-    fn both_frontiers_grow_the_same_blocks() {
-        let dense = pgp_gen::sbm::sbm(
-            300,
-            pgp_gen::sbm::SbmParams {
-                intra_degree: 30.0,
-                inter_degree: 6.0,
-                ..Default::default()
-            },
-            4,
-        )
-        .0;
-        let weighted = messy_graph(60, 3, 5, &messy_edges(7), &[0, 1, 2, 3, 1], 17);
-        for (g, k) in [(&dense, 8), (&dense, 40), (&weighted, 3), (&weighted, 30)] {
-            let mut indexed = Grower::new(g, k);
-            indexed.frontier = Frontier::Indexed((0..k).map(|_| NodeHeap::new(g.n())).collect());
-            let mut lazy = Grower::new(g, k);
-            lazy.frontier = Frontier::Lazy(
-                (0..k).map(|_| BinaryHeap::new()).collect(),
-                FxHashMap::default(),
-            );
-            let (mut r1, mut r2) = (SmallRng::seed_from_u64(9), SmallRng::seed_from_u64(9));
-            for attempt in 0..3 {
-                indexed.grow(g, &mut r1);
-                lazy.grow(g, &mut r2);
-                assert_eq!(indexed.block, lazy.block, "k = {k}, attempt {attempt}");
-                assert!(indexed.block.iter().all(|&b| (b as usize) < k));
-            }
-        }
-    }
-
     /// Empty blocks get nodes of blocks with two or more, lowest degree
     /// first, and the heaviest block gets no heavier.
     #[test]
@@ -732,20 +588,6 @@ mod tests {
         // come next, and block 1 keeps one of its two.
         assert_eq!(p.assignment(), &[2, 0, 3, 1, 1, 4]);
         assert!(p.max_block_weight() <= before);
-    }
-
-    /// Arc list for [`messy_graph`]: endpoints and weights 0..=3.
-    fn messy_edges(seed: u64) -> Vec<(u32, u32, u64)> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        (0..200)
-            .map(|_| {
-                (
-                    rng.gen_range(0..60),
-                    rng.gen_range(0..60),
-                    rng.gen_range(0..4),
-                )
-            })
-            .collect()
     }
 
     /// `n` nodes in `comps` components plus `isolated` nodes without arcs;

@@ -1,16 +1,15 @@
 //! KaFFPa-lite: the sequential multilevel partitioner.
 //!
 //! Coarsen (cluster contraction or matching) → initial partition (direct
-//! k-way growing at k ≥ 3, one growing by default; recursive bisection at
-//! k = 2 — [`crate::initial`]) → project back level by level with LP + FM
-//! refinement. Supports the evolutionary
-//! combine protocol: when input partitions are given, their cut edges are
-//! never contracted (via the constraint mechanism) and the coarsest level
-//! is the better input itself, refined there like every finer level, so
-//! the output is never worse than the better input. A combine runs no
-//! initial partitioning unless the better input is unbalanced; then a fresh
-//! partition of the coarsest graph is the fallback, kept when its cut is no
-//! larger.
+//! k-way growing at k ≥ 3, recursive bisection at k = 2 —
+//! [`crate::initial`]) → project back level by level with LP + FM
+//! refinement. Supports the evolutionary combine protocol: when input
+//! partitions are given, their cut edges are never contracted (via the
+//! constraint mechanism) and the coarsest level is the better input itself,
+//! refined there like every finer level, so the output is never worse than
+//! the better input. A combine runs no initial partitioning unless the
+//! better input is unbalanced; then a fresh partition of the coarsest graph
+//! is the fallback, kept when its cut is no larger.
 
 use crate::coarsen::{coarsen, CoarsenConfig, Hierarchy, Scheme};
 use crate::fm::{kway_fm, FmConfig};
@@ -35,8 +34,8 @@ pub struct KaffpaConfig {
     pub refine_iterations: usize,
     /// FM passes per level during uncoarsening.
     pub fm_passes: usize,
-    /// Attempts for initial partitioning: growing + two-way FM starts per
-    /// bisection at k = 2, k-way growings at k ≥ 3.
+    /// Attempts per bisection of initial partitioning at k = 2 (k ≥ 3 grows
+    /// k blocks once).
     pub initial_attempts: usize,
     /// RNG seed.
     pub seed: u64,
@@ -53,10 +52,7 @@ impl KaffpaConfig {
             cluster_factor: 14.0,
             refine_iterations: 6,
             fm_passes: 3,
-            // At k ≥ 3 one growing: four ran `evo_k32` at ×0.78 of recursive
-            // bisection's time instead of ×0.72, for a cut 0.3 % lower
-            // (DESIGN.md §8, *Initial partitioning*).
-            initial_attempts: if k <= 2 { 4 } else { 1 },
+            initial_attempts: 4,
             seed,
         }
     }
@@ -321,11 +317,13 @@ mod tests {
     }
 
     /// With a balanced better parent the coarsest level is that parent, so
-    /// the initial partitioner's settings cannot reach the offspring.
+    /// the initial partitioner's settings cannot reach the offspring. At
+    /// k = 2, where initial partitioning is recursive bisection, its
+    /// attempts are the probe (k-way growing at k ≥ 3 grows once).
     #[test]
     fn balanced_parents_combine_without_initial_partitioning() {
         let (g, _) = pgp_gen::sbm::sbm(2000, pgp_gen::sbm::SbmParams::default(), 5);
-        let k = 32;
+        let k = 2;
         let p1 = kaffpa(&g, &KaffpaConfig::new(k, 100));
         let p2 = kaffpa(&g, &KaffpaConfig::new(k, 200));
         assert!(p1.is_balanced(&g, 0.03) && p2.is_balanced(&g, 0.03));
