@@ -39,6 +39,7 @@ pub mod coarsen;
 pub mod config;
 pub mod contract;
 pub mod partitioner;
+pub mod renumber;
 #[cfg(feature = "validate")]
 pub mod validate;
 
@@ -46,3 +47,4 @@ pub use coarsen::{ParHierarchy, ParLevel};
 pub use config::{GraphClass, ParhipConfig, Preset};
 pub use contract::{parallel_contract, parallel_project_blocks, ParContraction};
 pub use partitioner::{parhip_distributed, ParhipStats, PartitionError, Partitioned, Partitioner};
+pub use renumber::Renumbering;

@@ -10,7 +10,11 @@
 use crate::coarsen::{coarsen_borrowed, level_work};
 use crate::config::ParhipConfig;
 use crate::contract::parallel_project_blocks;
-use pgp_dmp::collectives::{allgatherv, allreduce_sum_vec};
+use crate::renumber::{
+    block_numbering, blocks_in_input_order, crossing_arcs, migrate, worth_moving, Migrated,
+    Renumbering,
+};
+use pgp_dmp::collectives::{allgatherv, allreduce_sum_vec, gatherv};
 use pgp_dmp::{Comm, CommError, DistGraph, RunConfig};
 use pgp_evo::{Budget, EvoConfig};
 use pgp_graph::ids;
@@ -18,6 +22,7 @@ use pgp_graph::io::{RowSegment, SegmentedGraph};
 use pgp_graph::{lmax, CsrGraph, Node, Partition, Weight};
 use pgp_lp::par::{parallel_sclp_refine_with_scratch, SclpScratch};
 use pgp_obs::{LevelWork, PassStats};
+use std::borrow::Cow;
 use std::sync::{Mutex, PoisonError};
 
 /// Structural statistics of one run (as reported by rank 0; all PEs see
@@ -34,6 +39,9 @@ pub struct ParhipStats {
     pub cut: u64,
     /// Final imbalance, as [`Partition::imbalance`] defines it.
     pub imbalance: f64,
+    /// The renumbering rule at every V-cycle boundary it was evaluated at
+    /// (p > 1, cycles left), in cycle order.
+    pub renumberings: Vec<Renumbering>,
 }
 
 /// Why the front door turned a run away, or why the run it started failed.
@@ -109,7 +117,7 @@ impl From<CommError> for PartitionError {
 /// What [`Partitioner::partition`] returns.
 #[derive(Clone, Debug)]
 pub struct Partitioned {
-    /// The assembled global partition (identical to what rank 0 holds).
+    /// The assembled global partition, in the input's node order.
     pub partition: Partition,
     /// The run's statistics, `cut` and `imbalance` filled in.
     pub stats: ParhipStats,
@@ -260,8 +268,9 @@ impl<'a> Partitioner<'a> {
     /// structured comm failure comes back as [`PartitionError::Comm`].
     ///
     /// The cut, the imbalance and the closing check
-    /// ([`Partitioned::violation`]) are computed on the PEs; only the
-    /// assignment is gathered.
+    /// ([`Partitioned::violation`]) are computed on the PEs, on the graph
+    /// the last V-cycle ran on; only the assignment is gathered, on rank 0,
+    /// in input order.
     ///
     /// # Panics
     /// Panics if a [`SegmentedGraph`] does not have `p` segments.
@@ -331,18 +340,19 @@ impl<'a> Partitioner<'a> {
         };
         let values = pgp_dmp::run_config(p, self.run.clone(), |comm| {
             let dg = rows.distribute(comm);
-            let (blocks, mut stats) = self.run_on_pe(comm, &dg);
-            let closing = close_run(comm, &dg, &blocks, cfg.k);
+            let (run, mut stats) = self.run_on_pe(comm, dg);
+            let closing = close_run(comm, &run.graph, &run.blocks, cfg.k);
             stats.cut = closing.cut;
-            let local = blocks[..dg.n_local()].to_vec();
-            drop((blocks, dg));
-            (allgatherv(comm, local), stats, closing)
+            // Rank 0 alone gathers the assignment, in input order.
+            let assignment = gatherv(comm, 0, run.input_blocks(comm));
+            (assignment, stats, closing)
         })
         .into_iter()
         .collect::<Result<Vec<_>, CommError>>()?;
-        // Every PE holds the same result; rank 0 speaks for the group.
+        // Every PE holds the same statistics; rank 0 holds the assignment.
         let (assignment, mut stats, closing) =
             values.into_iter().next().expect("p >= 1 was checked");
+        let assignment = assignment.expect("rank 0 gathers the assignment");
         let total = closing.total_node_weight;
         let partition = Partition::from_block_weights(cfg.k, assignment, closing.block_weights);
         stats.imbalance = partition.imbalance_of(total);
@@ -361,9 +371,9 @@ impl<'a> Partitioner<'a> {
         })
     }
 
-    /// One run on one PE: the blocks of the owned and ghost nodes, and the
-    /// stats.
-    fn run_on_pe(&self, comm: &Comm, graph: &DistGraph) -> (Vec<Node>, ParhipStats) {
+    /// One run on one PE, from its part of the input graph (moved in, so
+    /// a migration frees it): where the run ended, and the stats.
+    fn run_on_pe(&self, comm: &Comm, graph: DistGraph) -> (CycleRun<'static>, ParhipStats) {
         let cfg = self.cfg;
         let input = self.prepartition.map(|ip| {
             assert_eq!(ip.k(), cfg.k, "prepartition block count mismatch");
@@ -371,7 +381,7 @@ impl<'a> Partitioner<'a> {
                 .map(|l| ip.block(graph.local_to_global(l)))
                 .collect()
         });
-        parhip_cycles(comm, graph, cfg, input)
+        parhip_cycles(comm, Cow::Owned(graph), cfg, input)
     }
 }
 
@@ -383,44 +393,80 @@ fn weight_sum(weights: &[Weight]) -> u128 {
 /// The bare per-PE call, in the shape of KaHIP's `ParHIPPartitionKWay`,
 /// for code already inside a `pgp_dmp::run*` closure: runs the full system
 /// on an already-distributed graph with no options; returns this PE's
-/// local block assignment (owned nodes) plus stats.
+/// local block assignment (owned nodes of `graph`) plus stats. When the run
+/// moved to a block numbering, the blocks come back to their input owners
+/// in one `alltoallv`.
 pub fn parhip_distributed(
     comm: &Comm,
     graph: &DistGraph,
     cfg: &ParhipConfig,
 ) -> (Vec<Node>, ParhipStats) {
-    let (mut blocks, stats) = parhip_cycles(comm, graph, cfg, None);
-    blocks.truncate(graph.n_local());
-    (blocks, stats)
+    let (run, stats) = parhip_cycles(comm, Cow::Borrowed(graph), cfg, None);
+    (run.input_blocks(comm), stats)
+}
+
+/// Where a run's V-cycles ended: the graph of the last cycle — the input
+/// graph, or the block-numbered one the run moved to — with the blocks of
+/// its owned and ghost nodes and, after a move, its owned nodes' input IDs.
+struct CycleRun<'g> {
+    graph: Cow<'g, DistGraph>,
+    blocks: Vec<Node>,
+    input_ids: Option<Vec<Node>>,
+}
+
+impl CycleRun<'_> {
+    /// The blocks of the input nodes this PE owns, in ID order. The graph
+    /// is dropped first; after a move every block goes back to its input
+    /// owner with its input ID, in one `alltoallv`. A move keeps the node
+    /// count and the PE count, so the graph's distribution is the input's.
+    fn input_blocks(self, comm: &Comm) -> Vec<Node> {
+        let Self {
+            graph,
+            mut blocks,
+            input_ids,
+        } = self;
+        let input_dist = graph.dist();
+        blocks.truncate(graph.n_local());
+        drop(graph);
+        match input_ids {
+            None => blocks,
+            Some(input_ids) => blocks_in_input_order(comm, input_dist, &input_ids, &blocks),
+        }
+    }
 }
 
 /// The shared V-cycle engine: runs `cfg.vcycles` cycles from an optional
 /// carried-in assignment `blocks` of the owned and ghost nodes — the one
-/// state a V-cycle hands the next — and returns that vector after the last
-/// cycle. [`Partitioner::partition`] and [`parhip_distributed`] funnel
-/// here.
-fn parhip_cycles(
+/// state a V-cycle hands the next, with the graph it is numbered by — and
+/// returns both after the last cycle. Between cycles at p > 1 the graph
+/// may move to its block numbering ([`crate::renumber`]).
+/// [`Partitioner::partition`] and [`parhip_distributed`] funnel here.
+fn parhip_cycles<'g>(
     comm: &Comm,
-    graph: &DistGraph,
+    mut graph: Cow<'g, DistGraph>,
     cfg: &ParhipConfig,
     mut blocks: Option<Vec<Node>>,
-) -> (Vec<Node>, ParhipStats) {
+) -> (CycleRun<'g>, ParhipStats) {
     let mut stats = ParhipStats::default();
+    let mut input_ids: Option<Vec<Node>> = None;
     #[cfg(feature = "validate")]
-    crate::validate::assert_graph_valid(comm, graph, "parhip input graph");
+    crate::validate::assert_graph_valid(comm, &graph, "parhip input graph");
 
     // One SCLP scratch for the whole run: the finest graph recurs every
     // cycle, so its degree order is computed once and reused.
     let mut scratch = SclpScratch::new();
 
-    for cycle in 0..cfg.vcycles.max(1) {
+    let cycles = cfg.vcycles.max(1);
+    for cycle in 0..cycles {
         let rec = comm.recorder();
         rec.enter("vcycle");
+        // Whether this cycle ends at a boundary that may renumber.
+        let renumber = comm.size() > 1 && cycle + 1 < cycles;
         // ---- Parallel coarsening -------------------------------------
         rec.enter("coarsen");
         // Level 0 of the hierarchy is `graph` itself, borrowed.
         let (hierarchy, coarsest_blocks) =
-            coarsen_borrowed(comm, graph, cfg, cycle, blocks.as_deref(), &mut scratch);
+            coarsen_borrowed(comm, &graph, cfg, cycle, blocks.as_deref(), &mut scratch);
         rec.exit("coarsen");
         let depth = hierarchy.depth();
         if cycle == 0 {
@@ -526,11 +572,43 @@ fn parhip_cycles(
             }
         }
         rec.exit("uncoarsen");
+        drop(hierarchy);
+        if renumber {
+            // ---- Renumbering by block ----------------------------------
+            rec.enter("migrate");
+            let new_ids = block_numbering(comm, &graph, &cur, cfg.k);
+            let (crossing_now, crossing_by_block) = crossing_arcs(comm, &graph, &new_ids);
+            let migrated = worth_moving(crossing_now, crossing_by_block);
+            stats.renumberings.push(Renumbering {
+                after_cycle: cycle,
+                crossing_now,
+                crossing_by_block,
+                migrated,
+            });
+            if migrated {
+                let Migrated {
+                    graph: moved,
+                    blocks: moved_blocks,
+                    input_ids: moved_ids,
+                } = migrate(comm, graph, new_ids, cur, input_ids);
+                #[cfg(feature = "validate")]
+                crate::validate::assert_graph_valid(comm, &moved, "block-numbered graph");
+                graph = Cow::Owned(moved);
+                cur = moved_blocks;
+                input_ids = Some(moved_ids);
+            }
+            rec.exit("migrate");
+        }
         blocks = Some(cur);
         rec.exit("vcycle");
     }
 
-    (blocks.expect("at least one cycle ran"), stats)
+    let run = CycleRun {
+        graph,
+        blocks: blocks.expect("at least one cycle ran"),
+        input_ids,
+    };
+    (run, stats)
 }
 
 /// Global edge cut and block weights of `blocks` (owned + ghost) on

@@ -1,7 +1,8 @@
 //! The full ParHIP pipeline under a seeded cross-tag delay plan: the
 //! partition is *bit-identical* to the run without one, because the comm
 //! substrate keeps FIFO per `(src, tag)` and every receive is selective —
-//! KaFFPaE's ring exchange included.
+//! KaFFPaE's ring exchange and the move to a block numbering between
+//! V-cycles included.
 
 use parhip::{GraphClass, ParhipConfig, Partitioner};
 use pgp_dmp::collectives::allgatherv;
@@ -74,5 +75,25 @@ fn eco_rmat_partition_is_bit_identical_under_delay_reorder() {
     cfg.coarsest_nodes_per_block = 50;
     cfg.evo_operations = 9;
     assert!(!cfg.deterministic);
+    assert_bit_identical_under_delay(&g, 3, &cfg);
+}
+
+/// A random-ID Delaunay mesh moves to its block numbering after the first
+/// V-cycle (at p = 3 blocks straddle PE ranges): the counts that decide it,
+/// the rows that move and the blocks mapped back to the input owners are
+/// the same under delay.
+#[test]
+fn migrating_mesh_partition_is_bit_identical_under_delay_reorder() {
+    let g = pgp_gen::delaunay::delaunay_random(3000, 7);
+    let mut cfg = ParhipConfig::fast(8, GraphClass::Mesh, 13);
+    cfg.coarsest_nodes_per_block = 50;
+    let out = Partitioner::new(&cfg)
+        .partition(&g, 3)
+        .expect("valid input");
+    assert!(
+        out.stats.renumberings.iter().any(|r| r.migrated),
+        "the mesh must move: {:?}",
+        out.stats.renumberings
+    );
     assert_bit_identical_under_delay(&g, 3, &cfg);
 }

@@ -1,7 +1,8 @@
 //! MPI-style collective operations built on point-to-point messages.
 //!
 //! Broadcast and reduce use binomial trees (`O(log p)` rounds), the barrier
-//! uses the dissemination algorithm, allgatherv and alltoallv are direct.
+//! uses the dissemination algorithm, gatherv, allgatherv and alltoallv are
+//! direct.
 //! Every collective allocates a fresh group-wide tag so that back-to-back
 //! collectives never interleave (see [`crate::comm::Comm`]).
 
@@ -12,7 +13,7 @@ use crate::wire::Wire;
 // Operation codes mixed into the per-call tag block (diagnostic only; the
 // block number alone already guarantees uniqueness across calls). Defined
 // centrally in `tags` with the payload type each op carries.
-use crate::tags::{OP_ALLGATHER, OP_ALLTOALL, OP_BARRIER, OP_BCAST, OP_REDUCE, OP_SCAN};
+use crate::tags::{OP_ALLGATHER, OP_ALLTOALL, OP_BARRIER, OP_BCAST, OP_GATHER, OP_REDUCE, OP_SCAN};
 
 /// Dissemination barrier: `⌈log₂ p⌉` rounds, no central coordinator.
 pub fn barrier(comm: &Comm) {
@@ -211,6 +212,28 @@ pub fn allgatherv<T: Clone + Wire>(comm: &Comm, value: Vec<T>) -> Vec<T> {
         .collect()
 }
 
+/// Concatenating gather of vectors to `root` (gatherv): the root gets the
+/// concatenation of all PEs' vectors in rank order, every other PE `None`.
+/// Direct: p−1 sends to the root, and only the root holds the whole.
+pub fn gatherv<T: Wire>(comm: &Comm, root: usize, value: Vec<T>) -> Option<Vec<T>> {
+    let _coll = comm.recorder().collective_span("gather");
+    let tag = comm.fresh_tag_block() + OP_GATHER;
+    if comm.rank() != root {
+        comm.send(root, tag, value);
+        return None;
+    }
+    let mut mine = Some(value);
+    let mut out = Vec::new();
+    for src in 0..comm.size() {
+        if src == root {
+            out.append(mine.as_mut().expect("the root's own vector is used once"));
+        } else {
+            out.extend(comm.recv::<Vec<T>>(src, tag));
+        }
+    }
+    Some(out)
+}
+
 /// Personalized all-to-all (alltoallv): `sends[j]` goes to PE `j`; returns
 /// the vector received from each PE, in rank order. The workhorse of the
 /// parallel contraction (quotient-edge redistribution) and uncoarsening
@@ -331,6 +354,20 @@ mod tests {
             allgatherv(comm, vec![comm.rank() as u32; comm.rank() + 1])
         });
         assert!(r.iter().all(|v| v == &vec![0, 1, 1, 2, 2, 2]));
+    }
+
+    #[test]
+    fn gatherv_concatenates_on_the_root_only() {
+        for root in 0..3 {
+            let r = run(3, move |comm| {
+                gatherv(comm, root, vec![comm.rank() as u32; comm.rank() + 1])
+            });
+            for (rank, got) in r.into_iter().enumerate() {
+                let want = (rank == root).then(|| vec![0, 1, 1, 2, 2, 2]);
+                assert_eq!(got, want, "root {root}, rank {rank}");
+            }
+        }
+        assert_eq!(run(1, |comm| gatherv(comm, 0, vec![7u64])), [Some(vec![7])]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   ([`Comm`]) over one mailbox per PE.
 //! * [`runner`] — SPMD execution ([`run`], [`run_config`]).
 //! * [`collectives`] — barrier, broadcast, reduce, allreduce, exscan,
-//!   allgatherv, alltoallv.
+//!   gatherv, allgatherv, alltoallv.
 //! * [`dgraph`] — the distributed graph of Section IV-A: contiguous node
 //!   ranges, ghost nodes, global↔local ID maps, per-adjacent-PE buffers.
 //! * [`exchange`] — the phase-overlapped ghost-label exchange of §IV-A.

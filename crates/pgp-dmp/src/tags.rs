@@ -59,6 +59,10 @@ pub const OP_REDUCE: Tag = 3 << 8;
 /// per (src, dst) pair (generic at every call site).
 pub const OP_ALLGATHER: Tag = 5 << 8;
 
+/// Direct gatherv to one root. Payload: `Vec<T>` — the sender's whole
+/// vector, one per non-root PE (generic at every call site).
+pub const OP_GATHER: Tag = 4 << 8;
+
 /// Personalized all-to-all (alltoallv). Payload: `Vec<T>` — the vector
 /// destined for the receiving PE (generic at every call site).
 pub const OP_ALLTOALL: Tag = 6 << 8;
@@ -96,6 +100,7 @@ fn offset_name(offset: Tag) -> Option<&'static str> {
         OP_BCAST => Some("OP_BCAST"),
         OP_REDUCE => Some("OP_REDUCE"),
         OP_ALLGATHER => Some("OP_ALLGATHER"),
+        OP_GATHER => Some("OP_GATHER"),
         OP_ALLTOALL => Some("OP_ALLTOALL"),
         OP_SCAN => Some("OP_SCAN"),
         _ => None,
@@ -154,6 +159,7 @@ mod tests {
             OP_BCAST,
             OP_REDUCE,
             OP_ALLGATHER,
+            OP_GATHER,
             OP_ALLTOALL,
             OP_SCAN,
         ];

@@ -314,7 +314,8 @@ fn seek_metis_header<R: Read>(s: &mut Scanner<R>) -> Result<bool, IoError> {
 /// of nodes, and what `DistGraph::from_segment` takes over as one PE's
 /// rows.
 ///
-/// Rows are strictly ascending and loop-free. `xadj` starts at 0 and has
+/// Rows are loop-free, the reader's strictly ascending;
+/// `DistGraph::from_segment` sorts each row. `xadj` starts at 0 and has
 /// one entry per row plus one; `adjwgt` holds one weight per arc, or
 /// nothing while every arc weighs 1.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

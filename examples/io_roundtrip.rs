@@ -1,7 +1,9 @@
 //! METIS-format I/O: write a generated graph to the standard `.graph`
 //! text format (readable by METIS/KaHIP/Chaco-family tools), read it back,
 //! partition it, and emit the partition file in the conventional
-//! one-block-per-line format.
+//! one-block-per-line format. Also writes a Delaunay mesh of 2^14 random
+//! points, its node IDs in random order (`mesh.graph`), for CLI runs that
+//! move the graph to its block numbering between V-cycles.
 //!
 //! ```text
 //! cargo run --release --example io_roundtrip
@@ -24,6 +26,16 @@ fn main() {
         graph_path.display(),
         graph.n(),
         graph.m()
+    );
+
+    let mesh_path = dir.join("mesh.graph");
+    let mesh = pgp::pgp_gen::delaunay::delaunay_x(14, 5);
+    write_metis_file(&mesh, &mesh_path).expect("write mesh");
+    println!(
+        "wrote {} ({} nodes, {} edges, METIS format)",
+        mesh_path.display(),
+        mesh.n(),
+        mesh.m()
     );
 
     // Read back and verify the round trip.
