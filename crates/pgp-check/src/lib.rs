@@ -385,20 +385,23 @@ pub fn validate_contraction(
     }
     let incoming = alltoallv(comm, sends);
     let first = coarse.first_global();
-    let mut sums: Vec<Weight> = vec![0; coarse.n_local()];
+    // Members are counted, not weighed: a cluster of zero-weight nodes
+    // has members that sum to 0.
+    let mut sums: Vec<(usize, Weight)> = vec![(0, 0); coarse.n_local()];
     for contribs in incoming {
         for (c, w) in contribs {
             let idx = ids::global_index(ids::node_global(c) - first);
-            if idx >= sums.len() {
+            let Some((members, sum)) = sums.get_mut(idx) else {
                 errs.push(format!("coarse ID {c} routed to the wrong owner"));
                 continue;
-            }
-            sums[idx] += w;
+            };
+            *members += 1;
+            *sum += w;
         }
     }
-    for (i, (&got, &want)) in sums.iter().zip(coarse.owned_weights()).enumerate() {
+    for (i, (&(members, got), &want)) in sums.iter().zip(coarse.owned_weights()).enumerate() {
         let cid = first + ids::count_global(i);
-        if got == 0 {
+        if members == 0 {
             errs.push(format!(
                 "coarse node {cid} has no fine members (mapping not surjective)"
             ));
@@ -623,6 +626,52 @@ mod tests {
         for r in reports {
             let errs = r.expect_err("bogus weights must be detected");
             assert!(errs.iter().any(|e| e.contains("recount")), "{errs:?}");
+        }
+    }
+
+    /// A cluster of zero-weight nodes has members whose weights sum to 0;
+    /// a coarse node no fine node maps to is still caught.
+    #[test]
+    fn zero_weight_cluster_contracts_validly() {
+        let n = 16;
+        let mut b = pgp_graph::GraphBuilder::new(n);
+        for i in 0..n {
+            b.push_edge(i as Node, ((i + 1) % n) as Node, 1);
+        }
+        let weights = (0..n).map(|i| Weight::from(i >= 4)).collect();
+        let g = b.node_weights(weights).build();
+        let clustering: Vec<Node> = (0..n as Node).map(|v| v / 4).collect();
+        let c = pgp_graph::contract_clustering(&g, &clustering);
+        assert_eq!(c.coarse.node_weight(c.mapping[0]), 0);
+        for orphan in [false, true] {
+            let reports = run(2, |comm| {
+                let fine = DistGraph::from_global(comm, &g);
+                let coarse = DistGraph::from_global(comm, &c.coarse);
+                let mapping: Vec<Node> = (0..(fine.n_local() + fine.n_ghost()) as Node)
+                    .map(|l| {
+                        let cu = c.mapping[ids::node_index(fine.local_to_global(l))];
+                        // Folding the zero-weight cluster into its neighbour
+                        // moves no weight but leaves its coarse node empty.
+                        if orphan && cu == c.mapping[0] {
+                            c.mapping[4]
+                        } else {
+                            cu
+                        }
+                    })
+                    .collect();
+                validate_contraction(comm, &fine, &coarse, &mapping)
+            });
+            for r in reports {
+                if orphan {
+                    let errs = r.expect_err("an empty coarse node must be detected");
+                    assert!(
+                        errs.iter().any(|e| e.contains("no fine members")),
+                        "{errs:?}"
+                    );
+                } else {
+                    r.unwrap();
+                }
+            }
         }
     }
 

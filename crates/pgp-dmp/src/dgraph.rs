@@ -711,18 +711,6 @@ impl DistGraph {
         }
     }
 
-    /// Number of arcs whose target is a ghost (the paper reports ghost-edge
-    /// fractions to explain Delaunay vs RGG scaling).
-    pub fn ghost_arc_count(&self) -> u64 {
-        let nl = self.n_local();
-        let ghost_arcs = self
-            .adjncy
-            .iter()
-            .filter(|&&t| ids::node_index(t) >= nl)
-            .count();
-        ids::count_global(ghost_arcs)
-    }
-
     /// Number of owned arcs.
     pub fn local_arc_count(&self) -> u64 {
         ids::count_global(self.adjncy.len())
@@ -950,7 +938,12 @@ mod tests {
                 assert_eq!(rows.owned_neighbors(l), expected, "ghost {l}");
                 arcs += expected.len() as u64;
             }
-            assert_eq!(arcs, dg.ghost_arc_count());
+            let nl = dg.n_local();
+            let ghost_arcs = (0..nl as Node)
+                .flat_map(|u| dg.neighbors(u))
+                .filter(|&(t, _)| t as usize >= nl)
+                .count();
+            assert_eq!(arcs, ghost_arcs as u64);
         });
     }
 
@@ -1092,7 +1085,6 @@ mod tests {
             let dg = DistGraph::from_global(comm, &g);
             assert_eq!(dg.n_local(), 6);
             assert_eq!(dg.n_ghost(), 0);
-            assert_eq!(dg.ghost_arc_count(), 0);
             assert!(dg.adjacent_pes().is_empty());
         });
     }

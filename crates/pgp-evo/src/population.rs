@@ -46,11 +46,6 @@ impl Population {
         self.members.first()
     }
 
-    /// The worst score currently held (`None` when empty).
-    pub fn worst_score(&self) -> Option<Weight> {
-        self.members.last().map(|m| m.score)
-    }
-
     /// All members, best first.
     pub fn members(&self) -> &[Individual] {
         &self.members
@@ -118,11 +113,11 @@ mod tests {
         let p_good = Partition::from_assignment(&g, 2, vec![0, 0, 1, 1]); // cut 1
         assert!(pop.insert(&g, &p_bad));
         assert!(pop.insert(&g, &p_mid));
-        assert_eq!(pop.worst_score(), Some(3));
+        assert_eq!(pop.members().last().map(|m| m.score), Some(3));
         assert!(pop.insert(&g, &p_good)); // evicts cut-3
         assert_eq!(pop.len(), 2);
         assert_eq!(pop.best().unwrap().score, 1);
-        assert_eq!(pop.worst_score(), Some(2));
+        assert_eq!(pop.members().last().map(|m| m.score), Some(2));
         // Worse than current worst: rejected.
         assert!(!pop.insert(&g, &p_bad));
     }

@@ -185,14 +185,6 @@ pub const MAIN_SET: [&str; 12] = [
 /// Table I's lower block — the graphs ParMetis fails on.
 pub const LARGE_WEB_SET: [&str; 3] = ["arabic-2005", "sk-2005", "uk-2007"];
 
-/// Builds the full main benchmark set at a tier.
-pub fn main_set(tier: Tier, seed: u64) -> Vec<Instance> {
-    MAIN_SET
-        .iter()
-        .map(|name| instance(name, tier, seed))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,57 +28,6 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> CsrGraph {
     b.build()
 }
 
-/// `G(n, p)`: every pair independently with probability `p`. Uses geometric
-/// skipping, `O(n + m)` expected time.
-pub fn gnp(n: usize, p: f64, seed: u64) -> CsrGraph {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    let mut b = GraphBuilder::new(n);
-    if p == 0.0 || n < 2 {
-        return b.build();
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let total_pairs = n as u64 * (n as u64 - 1) / 2;
-    let log1mp = (1.0 - p).ln();
-    let mut idx: u64 = 0;
-    // Iterate over selected pair indices by geometric jumps.
-    loop {
-        let skip = if p >= 1.0 {
-            1
-        } else {
-            let r: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            1 + (r.ln() / log1mp).floor() as u64
-        };
-        idx = idx.saturating_add(skip);
-        if idx > total_pairs {
-            break;
-        }
-        let (u, v) = pair_of_index(idx - 1, n as u64);
-        b.push_edge(u as Node, v as Node, 1);
-    }
-    b.build()
-}
-
-/// Maps a linear index in `0..n(n−1)/2` to the lexicographic pair `(u, v)`,
-/// `u < v`. Row `u` starts at offset `u(2n−u−1)/2`.
-fn pair_of_index(k: u64, n: u64) -> (u64, u64) {
-    let row_start = |u: u64| u * (2 * n - u - 1) / 2;
-    // Quadratic initial guess, then fix up floating-point drift.
-    let kf = k as f64;
-    let nf = n as f64;
-    let disc = ((2.0 * nf - 1.0).powi(2) - 8.0 * kf).max(0.0);
-    let mut u = (((2.0 * nf - 1.0 - disc.sqrt()) / 2.0) as u64).min(n - 2);
-    loop {
-        if u > 0 && k < row_start(u) {
-            u -= 1;
-        } else if u + 2 < n && k >= row_start(u + 1) {
-            u += 1;
-        } else {
-            let v = u + 1 + (k - row_start(u));
-            return (u, v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,37 +51,5 @@ mod tests {
         let g = gnm(5, 10, 3);
         assert_eq!(g.m(), 10);
         assert_eq!(g.max_degree(), 4);
-    }
-
-    #[test]
-    fn gnp_edge_count_in_expected_range() {
-        let n = 200;
-        let p = 0.05;
-        let g = gnp(n, p, 7);
-        let expect = (n * (n - 1) / 2) as f64 * p;
-        assert!(
-            (g.m() as f64) > expect * 0.7 && (g.m() as f64) < expect * 1.3,
-            "m = {} vs expected {expect}",
-            g.m()
-        );
-        g.validate().unwrap();
-    }
-
-    #[test]
-    fn gnp_p_zero_and_small_n() {
-        assert_eq!(gnp(10, 0.0, 1).m(), 0);
-        assert_eq!(gnp(1, 0.5, 1).m(), 0);
-        assert_eq!(gnp(0, 0.5, 1).n(), 0);
-    }
-
-    #[test]
-    fn pair_of_index_is_bijective() {
-        let n = 9u64;
-        let mut seen = std::collections::HashSet::new();
-        for k in 0..n * (n - 1) / 2 {
-            let (u, v) = pair_of_index(k, n);
-            assert!(u < v && v < n, "k={k} -> ({u},{v})");
-            assert!(seen.insert((u, v)));
-        }
     }
 }

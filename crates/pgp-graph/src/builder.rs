@@ -73,24 +73,12 @@ impl GraphBuilder {
         self.edges.push((a, b, w));
     }
 
-    /// Bulk edge insertion.
-    pub fn extend_edges(&mut self, it: impl IntoIterator<Item = (Node, Node, Weight)>) {
-        for (u, v, w) in it {
-            self.push_edge(u, v, w);
-        }
-    }
-
     /// Sets explicit node weights (`len == n`).
     #[must_use]
     pub fn node_weights(mut self, weights: Vec<Weight>) -> Self {
         assert_eq!(weights.len(), self.n, "node weight length mismatch");
         self.node_weights = Some(weights);
         self
-    }
-
-    /// Number of (not yet deduplicated) edge insertions so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Finalizes the CSR graph: sorts, merges duplicates, symmetrizes.
@@ -197,15 +185,6 @@ mod tests {
         let g = GraphBuilder::new(0).build();
         assert_eq!(g.n(), 0);
         assert_eq!(g.m(), 0);
-    }
-
-    #[test]
-    fn extend_edges_bulk() {
-        let mut b = GraphBuilder::new(5);
-        b.extend_edges((0..4).map(|i| (i as Node, i as Node + 1, 2)));
-        let g = b.build();
-        assert_eq!(g.m(), 4);
-        assert_eq!(g.total_edge_weight(), 8);
     }
 }
 

@@ -131,12 +131,6 @@ impl CsrGraph {
         (self.xadj[v as usize + 1] - self.xadj[v as usize]) as usize
     }
 
-    /// Weighted degree of `v` (sum of incident edge weights).
-    #[inline]
-    pub fn weighted_degree(&self, v: Node) -> Weight {
-        self.neighbors_weighted(v).map(|(_, w)| w).sum()
-    }
-
     /// Weight of node `v`.
     #[inline]
     pub fn node_weight(&self, v: Node) -> Weight {
@@ -394,7 +388,6 @@ mod tests {
         assert_eq!(g.total_edge_weight(), 3);
         for v in g.nodes() {
             assert_eq!(g.degree(v), 2);
-            assert_eq!(g.weighted_degree(v), 2);
         }
         g.validate().unwrap();
     }

@@ -1,5 +1,5 @@
-//! Graph I/O in the METIS/KaHIP `.graph` text format plus a simple
-//! whitespace edge-list reader.
+//! Graph I/O in the METIS/KaHIP `.graph` text format, and METIS partition
+//! files.
 //!
 //! METIS format summary: the header line is `n m [fmt [ncon]]` where `fmt`
 //! is a 3-digit flag string — `1xx` node sizes (unsupported), `x1x` node
@@ -8,7 +8,7 @@
 //! neighbor followed by the edge weight if `xx1`. Comment lines start
 //! with `%`.
 //!
-//! All three readers stream their input through one private `Scanner`: a
+//! Both readers stream their input through one private `Scanner`: a
 //! buffer of a few MiB refilled as its lines are consumed, no per-line
 //! `String`, no UTF-8 pass, and never the whole file in memory. The METIS
 //! rows go straight into CSR arrays: one [`RowSegment`] per contiguous
@@ -16,7 +16,7 @@
 //! single one that becomes a [`CsrGraph`] ([`read_metis_file`]).
 //! [`read_metis`] lists what the reader normalises and what it rejects.
 
-use crate::{ids, BlockId, CsrGraph, GraphBuilder, Node, Partition, Weight};
+use crate::{ids, BlockId, CsrGraph, Node, Partition, Weight};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::{BufWriter, Read, Write};
@@ -77,14 +77,16 @@ fn ends_token(buf: &[u8], i: usize) -> bool {
 /// hold it, unless it is a comment, which streams past.
 const BUF_BYTES: usize = 4 << 20;
 
+/// The byte that starts a comment line in a METIS graph or partition file.
+const COMMENT: u8 = b'%';
+
 /// A cursor over a text stream: line by line, and within a line one
 /// unsigned decimal token at a time. A line ends at `\n` or at the end of
-/// the input; lines whose first non-blank byte is one of `comment` are
+/// the input; lines whose first non-blank byte is [`COMMENT`] are
 /// skipped. The cursor walks whole lines only: what follows the last line
 /// end in the buffer is carried to the front at the next refill.
 struct Scanner<R> {
     reader: R,
-    comment: &'static [u8],
     buf: Vec<u8>,
     /// `buf[..len]` holds bytes read; `buf[..end]` ends at a line end, or
     /// at the end of the input, and is all the cursor may walk.
@@ -102,10 +104,9 @@ struct Scanner<R> {
 }
 
 impl<R: Read> Scanner<R> {
-    fn new(reader: R, comment: &'static [u8], buf_bytes: usize) -> Self {
+    fn new(reader: R, buf_bytes: usize) -> Self {
         Self {
             reader,
-            comment,
             buf: vec![0; buf_bytes.max(1)],
             len: 0,
             end: 0,
@@ -147,10 +148,7 @@ impl<R: Read> Scanner<R> {
             }
             self.line += 1;
             self.in_line = true;
-            if !self
-                .skip_blanks()
-                .is_some_and(|b| self.comment.contains(&b))
-            {
+            if self.skip_blanks() != Some(COMMENT) {
                 return Ok(true);
             }
         }
@@ -183,7 +181,7 @@ impl<R: Read> Scanner<R> {
                 // One line fills the buffer: a comment is dropped as it
                 // streams past, anything else gets room to finish.
                 let first = self.buf.iter().find(|&&b| !is_blank(b));
-                if first.is_some_and(|b| self.comment.contains(b)) {
+                if first == Some(&COMMENT) {
                     self.skip_line()?;
                     scanned = 0;
                     continue;
@@ -467,7 +465,7 @@ fn parse_metis<R: Read>(
     buf_bytes: usize,
     starts: impl FnOnce(u64) -> Vec<u64>,
 ) -> Result<SegmentedGraph, IoError> {
-    let mut s = Scanner::new(reader, b"%", buf_bytes);
+    let mut s = Scanner::new(reader, buf_bytes);
     if !seek_metis_header(&mut s)? {
         return Err(perr(1, "missing header line"));
     }
@@ -697,8 +695,9 @@ fn push_arc_weight(adjwgt: &mut Vec<Weight>, adjncy: &Vec<Node>, w: Weight) {
 }
 
 /// Rewrites the row that starts at `row` and runs to the end of the arrays
-/// the way [`GraphBuilder`] would have built it: self-loops of `u` dropped,
-/// neighbours sorted, repeated neighbours merged by summing their weights.
+/// the way [`crate::GraphBuilder`] would have built it: self-loops of `u`
+/// dropped, neighbours sorted, repeated neighbours merged by summing their
+/// weights.
 fn normalise_row(u: Node, row: usize, adjncy: &mut Vec<Node>, adjwgt: &mut Vec<Weight>) {
     let weight = |i: usize| if adjwgt.is_empty() { 1 } else { adjwgt[i] };
     let mut arcs: Vec<(Node, Weight)> = (row..adjncy.len())
@@ -857,7 +856,7 @@ pub fn write_partition(partition: &Partition, writer: impl Write) -> Result<(), 
 /// Reads a METIS partition file for `graph`; `k` is inferred as
 /// `max block + 1`.
 pub fn read_partition(graph: &CsrGraph, reader: impl Read) -> Result<Partition, IoError> {
-    let mut s = Scanner::new(reader, b"%", BUF_BYTES);
+    let mut s = Scanner::new(reader, BUF_BYTES);
     let mut assignment: Vec<BlockId> = Vec::with_capacity(graph.n());
     while s.next_line()? {
         let Some(tok) = s.uint() else {
@@ -884,39 +883,11 @@ pub fn read_partition(graph: &CsrGraph, reader: impl Read) -> Result<Partition, 
     Ok(Partition::from_assignment(graph, k, assignment))
 }
 
-/// Reads a whitespace-separated edge list (`u v` per line, 0-based,
-/// comments with `#` or `%`; anything after the two IDs is ignored). `n`
-/// is inferred as `max id + 1`.
-pub fn read_edge_list(reader: impl Read) -> Result<CsrGraph, IoError> {
-    let mut s = Scanner::new(reader, b"#%", BUF_BYTES);
-    let mut edges: Vec<(Node, Node)> = Vec::new();
-    let mut n = 0usize;
-    // The builder needs `max id + 1` inside the `Node` range.
-    let mut node_id = |s: &mut Scanner<_>, what: &str| match s.field(what)? {
-        id if id < u64::from(Node::MAX) - 1 => {
-            n = n.max(ids::global_index(id) + 1);
-            Ok(ids::global_node(id))
-        }
-        id => Err(perr(s.line, format!("{what} {id} exceeds the node range"))),
-    };
-    while s.next_line()? {
-        if s.skip_blanks().is_some() {
-            let u = node_id(&mut s, "source id")?;
-            let v = node_id(&mut s, "target id")?;
-            edges.push((u, v));
-        }
-    }
-    let mut b = GraphBuilder::with_capacity(n, edges.len());
-    for (u, v) in edges {
-        b.push_edge(u, v, 1);
-    }
-    Ok(b.build())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::from_edges;
+    use crate::GraphBuilder;
 
     /// The line a reader's parse error names.
     fn parse_line<T: std::fmt::Debug>(r: Result<T, IoError>) -> usize {
@@ -1043,7 +1014,7 @@ mod tests {
             "x".repeat(5000),
             "y".repeat(999)
         );
-        let mut s = Scanner::new(text.as_bytes(), b"%", 16);
+        let mut s = Scanner::new(text.as_bytes(), 16);
         assert!(seek_metis_header(&mut s).unwrap());
         assert_eq!(s.line, 2);
         let mut rows = 0;
@@ -1158,18 +1129,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_list_errors_are_typed() {
-        assert_eq!(parse_line(read_edge_list("0 1\n2\n".as_bytes())), 2);
-        assert_eq!(parse_line(read_edge_list("0 x\n".as_bytes())), 1);
-        assert_eq!(
-            parse_line(read_edge_list("# c\n\n0 4294967294\n".as_bytes())),
-            3
-        );
-        // Anything after the two IDs is ignored, as before.
-        assert_eq!(read_edge_list("0 1 7 junk\n".as_bytes()).unwrap().m(), 1);
-    }
-
-    #[test]
     fn metis_roundtrip_unweighted() {
         let g = from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let mut buf = Vec::new();
@@ -1221,20 +1180,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_list_roundtrip() {
-        let text = "# comment\n0 1\n1 2\n2 0\n";
-        let g = read_edge_list(text.as_bytes()).unwrap();
-        assert_eq!(g.n(), 3);
-        assert_eq!(g.m(), 3);
-    }
-
-    #[test]
-    fn edge_list_empty() {
-        let g = read_edge_list("".as_bytes()).unwrap();
-        assert_eq!(g.n(), 0);
-    }
-
-    #[test]
     fn partition_roundtrip() {
         let g = from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let p = crate::Partition::from_assignment(&g, 3, vec![0, 2, 2, 1]);
@@ -1276,6 +1221,7 @@ mod tests {
 mod proptests {
     use super::tests::{block_starts, rows_of};
     use super::*;
+    use crate::GraphBuilder;
     use proptest::prelude::*;
 
     /// SplitMix64: the rendering decisions of one case, from its seed.
@@ -1436,12 +1382,6 @@ mod proptests {
                 assert_well_formed(&g);
             }
             let _ = read_partition(&CsrGraph::empty(), &bytes[..]);
-            // `n` of an edge list is its largest ID, which no file length
-            // bounds: keep the IDs of this one short.
-            let short: Vec<u8> = bytes.chunks(3).flat_map(|c| [c, &b" "[..]].concat()).collect();
-            if let Ok(g) = read_edge_list(&short[..]) {
-                assert_well_formed(&g);
-            }
         }
 
         /// A valid file with a few bytes replaced, inserted or deleted:

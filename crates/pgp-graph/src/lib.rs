@@ -3,10 +3,11 @@
 //! This crate is the shared-memory substrate of the ParHIP reproduction:
 //! a compact CSR ([`CsrGraph`]) with node and edge weights, a builder that
 //! symmetrizes/deduplicates arbitrary edge lists, METIS-format I/O,
-//! the [`Partition`] type with balance accounting, sequential
-//! cluster-contraction ([`contract_clustering`]), quotient graphs, node
-//! orderings, and quality metrics (edge cut, communication volume,
-//! modularity).
+//! the [`Partition`] type with balance accounting and edge cut, sequential
+//! cluster-contraction ([`contract_clustering`]), induced subgraphs, node
+//! orderings, the degree-skew test that classifies an input, and the
+//! metrics examples and tests measure with (communication volume,
+//! modularity, coverage).
 //!
 //! Conventions used throughout the workspace:
 //!
@@ -25,7 +26,6 @@ pub mod io;
 pub mod metrics;
 pub mod ordering;
 pub mod partition;
-pub mod quotient;
 pub mod stats;
 pub mod subgraph;
 
@@ -33,7 +33,6 @@ pub use builder::GraphBuilder;
 pub use contract::{contract_clustering, project_partition, Contraction};
 pub use csr::CsrGraph;
 pub use partition::{BlockId, Partition, PartitionError};
-pub use quotient::QuotientGraph;
 
 /// A node identifier. Dense, `0..n`.
 pub type Node = u32;

@@ -1,17 +1,9 @@
-//! Partition and clustering quality metrics.
-//!
-//! Besides the paper's objective (total edge cut) this module provides the
-//! alternative objectives its conclusion mentions (communication volume,
-//! maximum quotient degree — see [`crate::QuotientGraph`]) and modularity
-//! for the clustering-quality discussion.
+//! Partition and clustering quality metrics beside the paper's objective
+//! (the edge cut is [`Partition::edge_cut`]): the communication volume its
+//! conclusion mentions, and modularity and coverage, which the generator
+//! and SCLP tests use as oracles.
 
-use crate::{CsrGraph, Node, Partition, Weight};
-
-/// Total edge cut — the paper's objective. Equivalent to
-/// [`Partition::edge_cut`], provided here for a uniform metrics namespace.
-pub fn edge_cut(graph: &CsrGraph, partition: &Partition) -> Weight {
-    partition.edge_cut(graph)
-}
+use crate::{CsrGraph, Node, Partition};
 
 /// Communication volume of a block: for each node in the block, the number
 /// of *other* blocks containing at least one of its neighbors, summed.
@@ -85,31 +77,6 @@ pub fn coverage(graph: &CsrGraph, clustering: &[Node]) -> f64 {
     intra as f64 / w_total as f64
 }
 
-/// Summary statistics comparing a coarse graph to its fine graph —
-/// used by the coarsening-effectiveness experiment (Section V-B narrative).
-#[derive(Clone, Copy, Debug)]
-pub struct ShrinkStats {
-    /// `n_fine / n_coarse`.
-    pub node_shrink: f64,
-    /// `m_fine / m_coarse` (`inf` if the coarse graph has no edges).
-    pub edge_shrink: f64,
-    /// Average degree of the coarse graph.
-    pub coarse_avg_degree: f64,
-}
-
-/// Computes shrink statistics for one coarsening step.
-pub fn shrink_stats(fine: &CsrGraph, coarse: &CsrGraph) -> ShrinkStats {
-    ShrinkStats {
-        node_shrink: fine.n() as f64 / coarse.n().max(1) as f64,
-        edge_shrink: if coarse.m() == 0 {
-            f64::INFINITY
-        } else {
-            fine.m() as f64 / coarse.m() as f64
-        },
-        coarse_avg_degree: coarse.avg_degree(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,14 +135,5 @@ mod tests {
         assert_eq!(coverage(&g, &[0; 6]), 1.0);
         let c = coverage(&g, &[0, 0, 0, 1, 1, 1]);
         assert!((c - 6.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shrink_stats_basic() {
-        let g = two_triangles();
-        let c = crate::contract_clustering(&g, &[0, 0, 0, 1, 1, 1]);
-        let s = shrink_stats(&g, &c.coarse);
-        assert_eq!(s.node_shrink, 3.0);
-        assert_eq!(s.edge_shrink, 7.0);
     }
 }

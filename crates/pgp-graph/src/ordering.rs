@@ -40,24 +40,6 @@ pub fn random_order(n: usize, rng: &mut impl Rng) -> Vec<Node> {
     order
 }
 
-/// Degree order with ties shuffled randomly: nodes of equal degree appear in
-/// random relative order. Used to diversify repeated V-cycles.
-pub fn degree_order_shuffled(graph: &CsrGraph, rng: &mut impl Rng) -> Vec<Node> {
-    let mut order = degree_order(graph);
-    // Shuffle runs of equal degree in place.
-    let mut start = 0;
-    while start < order.len() {
-        let d = graph.degree(order[start]);
-        let mut end = start + 1;
-        while end < order.len() && graph.degree(order[end]) == d {
-            end += 1;
-        }
-        order[start..end].shuffle(rng);
-        start = end;
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,17 +86,6 @@ mod tests {
         let mut rng2 = SmallRng::seed_from_u64(42);
         let b = random_order(100, &mut rng2);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn shuffled_degree_order_respects_degree_ordering() {
-        let g = from_edges(6, &[(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)]);
-        let mut rng = SmallRng::seed_from_u64(7);
-        let order = degree_order_shuffled(&g, &mut rng);
-        assert!(is_permutation(&order, 6));
-        for w in order.windows(2) {
-            assert!(g.degree(w[0]) <= g.degree(w[1]));
-        }
     }
 
     #[test]

@@ -143,19 +143,6 @@ impl Partition {
         &self.block_weights
     }
 
-    /// Moves node `v` (with weight from `graph`) to block `to`, updating the
-    /// cached weights. Returns the previous block.
-    pub fn move_node(&mut self, graph: &CsrGraph, v: Node, to: BlockId) -> BlockId {
-        let from = self.assignment[v as usize];
-        if from != to {
-            let w = graph.node_weight(v);
-            self.block_weights[from as usize] -= w;
-            self.block_weights[to as usize] += w;
-            self.assignment[v as usize] = to;
-        }
-        from
-    }
-
     /// The heaviest block's weight.
     pub fn max_block_weight(&self) -> Weight {
         self.block_weights.iter().copied().max().unwrap_or(0)
@@ -191,20 +178,6 @@ impl Partition {
             }
         }
         cut / 2
-    }
-
-    /// True iff `v` has a neighbor in a different block (Section II-A).
-    pub fn is_boundary(&self, graph: &CsrGraph, v: Node) -> bool {
-        let b = self.assignment[v as usize];
-        graph.neighbors(v).any(|u| self.assignment[u as usize] != b)
-    }
-
-    /// All boundary nodes.
-    pub fn boundary_nodes(&self, graph: &CsrGraph) -> Vec<Node> {
-        graph
-            .nodes()
-            .filter(|&v| self.is_boundary(graph, v))
-            .collect()
     }
 
     /// Number of non-empty blocks.
@@ -278,25 +251,6 @@ mod tests {
         ));
         // With 50 % slack it passes.
         assert!(p.is_balanced(&g, 0.5));
-    }
-
-    #[test]
-    fn move_node_updates_weights_and_cut() {
-        let g = path4();
-        let mut p = Partition::from_assignment(&g, 2, vec![0, 0, 1, 1]);
-        let from = p.move_node(&g, 1, 1);
-        assert_eq!(from, 0);
-        assert_eq!(p.block_weight(0), 1);
-        assert_eq!(p.block_weight(1), 3);
-        assert_eq!(p.edge_cut(&g), 1); // cut edge is now {0,1}
-    }
-
-    #[test]
-    fn boundary_nodes_on_path() {
-        let g = path4();
-        let p = Partition::from_assignment(&g, 2, vec![0, 0, 1, 1]);
-        assert_eq!(p.boundary_nodes(&g), vec![1, 2]);
-        assert!(!p.is_boundary(&g, 0));
     }
 
     #[test]

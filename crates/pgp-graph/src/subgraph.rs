@@ -1,7 +1,7 @@
-//! Block-induced subgraph extraction — used by recursive bisection and by
-//! per-PE local views.
+//! Induced subgraph extraction — used by recursive bisection, which
+//! partitions each side's induced subgraph on its own.
 
-use crate::{BlockId, CsrGraph, Node, Partition};
+use crate::{CsrGraph, Node};
 
 /// A subgraph induced by a node subset, with the mapping back to the parent
 /// graph.
@@ -11,12 +11,6 @@ pub struct Subgraph {
     pub graph: CsrGraph,
     /// `to_parent[local] = parent node`.
     pub to_parent: Vec<Node>,
-}
-
-/// Extracts the subgraph induced by the nodes of block `b`.
-pub fn induced_by_block(graph: &CsrGraph, partition: &Partition, b: BlockId) -> Subgraph {
-    let members: Vec<Node> = graph.nodes().filter(|&v| partition.block(v) == b).collect();
-    induced_by_nodes(graph, &members)
 }
 
 /// Extracts the subgraph induced by `nodes` (must be distinct; order defines
@@ -53,8 +47,7 @@ mod tests {
     fn induced_block_subgraph() {
         // Two triangles with a bridge; block 0 = {0,1,2}.
         let g = from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]);
-        let p = Partition::from_assignment(&g, 2, vec![0, 0, 0, 1, 1, 1]);
-        let s = induced_by_block(&g, &p, 0);
+        let s = induced_by_nodes(&g, &[0, 1, 2]);
         assert_eq!(s.graph.n(), 3);
         assert_eq!(s.graph.m(), 3); // the triangle, bridge excluded
         assert_eq!(s.to_parent, vec![0, 1, 2]);

@@ -46,21 +46,6 @@ impl Hierarchy {
     pub fn levels(&self) -> usize {
         self.graphs.len()
     }
-
-    /// Projects a constraint vector on the finest graph down to any level:
-    /// every coarse node inherits its members' (shared) constraint value.
-    pub fn project_constraint(&self, fine_constraint: &[Node], level: usize) -> Vec<Node> {
-        let mut cur = fine_constraint.to_vec();
-        for mapping in self.mappings.iter().take(level) {
-            let coarse_n = mapping.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
-            let mut next = vec![0 as Node; coarse_n];
-            for (v, &c) in mapping.iter().enumerate() {
-                next[c as usize] = cur[v];
-            }
-            cur = next;
-        }
-        cur
-    }
 }
 
 /// Coarsening parameters.
@@ -274,6 +259,21 @@ mod tests {
         }
     }
 
+    /// Projects a constraint vector on the finest graph down to any level:
+    /// every coarse node inherits its members' (shared) constraint value.
+    fn project_constraint(h: &Hierarchy, fine_constraint: &[Node], level: usize) -> Vec<Node> {
+        let mut cur = fine_constraint.to_vec();
+        for mapping in h.mappings.iter().take(level) {
+            let coarse_n = mapping.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
+            let mut next = vec![0 as Node; coarse_n];
+            for (v, &c) in mapping.iter().enumerate() {
+                next[c as usize] = cur[v];
+            }
+            cur = next;
+        }
+        cur
+    }
+
     #[test]
     fn constraint_prevents_cross_class_contraction() {
         let (g, _) = pgp_gen::sbm::sbm(400, pgp_gen::sbm::SbmParams::default(), 2);
@@ -284,11 +284,11 @@ mod tests {
         // is pure (a mixed node would have been produced by contracting a
         // cross-class edge).
         for level in 1..h.levels() {
-            let proj = h.project_constraint(&cons, level);
+            let proj = project_constraint(&h, &cons, level);
             // Verify purity: recompute by scanning members at the previous
             // level.
             let mapping = &h.mappings[level - 1];
-            let prev = h.project_constraint(&cons, level - 1);
+            let prev = project_constraint(&h, &cons, level - 1);
             for (v, &c) in mapping.iter().enumerate() {
                 assert_eq!(
                     proj[c as usize], prev[v],

@@ -87,11 +87,60 @@ pub fn recursive_bisection(graph: &CsrGraph, k: usize, cfg: &InitialConfig) -> P
 }
 
 /// Balance repair (LP refinement's overloaded-block rule shifts weight out
-/// of any block the initial partition pushed past Lmax), then one k-way FM
-/// run across all block borders.
+/// of any block the initial partition pushed past Lmax, and
+/// [`shed_arcless_nodes`] what LP cannot reach), then one k-way FM run
+/// across all block borders.
 fn repair_and_refine(graph: &CsrGraph, p: &mut Partition, cfg: &InitialConfig) {
     pgp_lp::seq::sclp_refine(graph, p, cfg.eps, 4, cfg.seed ^ 0xBA1A);
+    shed_arcless_nodes(graph, p, cfg.eps);
     crate::fm::refine_partition(graph, p, cfg.eps, cfg.seed ^ 0xF00D, cfg.fm_passes);
+}
+
+/// Moves nodes without arcs, lowest ID first, out of every block above
+/// Lmax into the lightest block while it stays within Lmax. LP and FM only
+/// move a node to an adjacent block, so an arc-less node never leaves an
+/// overloaded block that way; wherever it goes it cuts nothing. A
+/// bisection caps a side at `⌈target·(1+ε)⌉`, which can exceed Lmax: 4
+/// against Lmax 3 for a triangle plus three isolated nodes at k = 2.
+fn shed_arcless_nodes(graph: &CsrGraph, p: &mut Partition, eps: f64) {
+    let lmax = pgp_graph::lmax(graph.total_node_weight(), p.k(), eps);
+    if p.max_block_weight() <= lmax {
+        return;
+    }
+    let mut weights = p.block_weights().to_vec();
+    let mut assignment = p.assignment().to_vec();
+    // Every block, lightest first; an entry is current while its weight is
+    // the block's, and one is pushed per weight change.
+    let mut lightest: BinaryHeap<Reverse<(Weight, usize)>> = weights
+        .iter()
+        .enumerate()
+        .map(|(b, &w)| Reverse((w, b)))
+        .collect();
+    let mut moved = false;
+    for v in graph.nodes().filter(|&v| graph.degree(v) == 0) {
+        let from = assignment[v as usize] as usize;
+        let w = graph.node_weight(v);
+        while lightest
+            .peek()
+            .is_some_and(|&Reverse((lw, b))| lw != weights[b])
+        {
+            lightest.pop();
+        }
+        let Some(&Reverse((_, to))) = lightest.peek() else {
+            break;
+        };
+        if weights[from] > lmax && to != from && weights[to] + w <= lmax {
+            weights[from] -= w;
+            weights[to] += w;
+            lightest.push(Reverse((weights[from], from)));
+            lightest.push(Reverse((weights[to], to)));
+            assignment[v as usize] = to as BlockId;
+            moved = true;
+        }
+    }
+    if moved {
+        *p = Partition::from_assignment(graph, p.k(), assignment);
+    }
 }
 
 /// A node no block has absorbed yet.

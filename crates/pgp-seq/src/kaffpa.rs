@@ -306,6 +306,34 @@ mod tests {
         assert!(p1.edge_cut(&g) <= before, "{} > {before}", p1.edge_cut(&g));
     }
 
+    /// A triangle plus three nodes without arcs: Lmax is 3 at k = 2 and 2
+    /// at k = 3, and only an arc-less node can leave a block the growing
+    /// overfilled, because LP and FM move nodes to adjacent blocks only.
+    #[test]
+    fn arcless_nodes_leave_an_overloaded_block() {
+        let g = pgp_graph::builder::from_edges(6, &[(0, 1), (1, 2), (0, 2)]);
+        for k in [2, 3] {
+            for seed in 0..200 {
+                let p = kaffpa(&g, &KaffpaConfig::new(k, seed));
+                assert!(
+                    p.is_balanced(&g, 0.03),
+                    "kaffpa k = {k}, seed {seed}: {:?}",
+                    p.assignment()
+                );
+                let cfg = crate::InitialConfig {
+                    seed,
+                    ..Default::default()
+                };
+                let p = crate::initial_partition(&g, k, &cfg);
+                assert!(
+                    p.is_balanced(&g, 0.03),
+                    "initial_partition k = {k}, seed {seed}: {:?}",
+                    p.assignment()
+                );
+            }
+        }
+    }
+
     /// FNV offset folded through splitmix, as `tests/pinned.rs` hashes.
     fn assignment_hash(p: &Partition) -> u64 {
         p.assignment().iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {

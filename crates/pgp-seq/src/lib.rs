@@ -11,18 +11,14 @@
 //! * [`fm`] — k-way FM local search with hill climbing and rollback
 //!   (never worsens the cut).
 //! * [`kaffpa`](mod@kaffpa) — the multilevel driver, including combine inputs.
-//! * [`modularity`] — multilevel modularity clustering (the paper's §VI
-//!   future-work generalization).
 
 pub mod coarsen;
 pub mod fm;
 mod heap;
 pub mod initial;
 pub mod kaffpa;
-pub mod modularity;
 
 pub use coarsen::{coarsen, CoarsenConfig, Hierarchy, Scheme};
 pub use fm::{kway_fm, refine_partition, FmConfig, FmStats};
 pub use initial::{initial_partition, InitialConfig};
 pub use kaffpa::{kaffpa, kaffpa_with_inputs, KaffpaConfig};
-pub use modularity::{cluster_modularity, ClusteringResult, ModularityConfig};

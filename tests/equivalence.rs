@@ -89,21 +89,3 @@ fn parallel_lp_quality_matches_sequential_ballpark() {
         );
     }
 }
-
-/// The quotient graph's total edge weight equals the partition cut — on
-/// partitions produced by the real pipeline, not just hand-made ones.
-#[test]
-fn quotient_graph_consistency_on_pipeline_output() {
-    let g = pgp::pgp_gen::delaunay::delaunay_x(10, 4);
-    let mut cfg = pgp::parhip::ParhipConfig::fast(6, pgp::parhip::GraphClass::Mesh, 3);
-    cfg.coarsest_nodes_per_block = 40;
-    cfg.deterministic = true;
-    let part = pgp::parhip::Partitioner::new(&cfg)
-        .partition(&g, 2)
-        .expect("valid input")
-        .partition;
-    let q = pgp::pgp_graph::QuotientGraph::build(&g, &part);
-    assert_eq!(q.total_cut(), part.edge_cut(&g));
-    assert!(q.max_quotient_degree() <= 5); // ≤ k−1 neighbouring blocks
-    assert_eq!(q.graph.total_node_weight(), g.total_node_weight());
-}

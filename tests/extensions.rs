@@ -1,29 +1,10 @@
 //! Integration tests for the paper's §VI future-work extensions that this
-//! reproduction implements: modularity clustering, alternative
-//! evolutionary objectives, and prepartition input.
+//! reproduction implements: alternative evolutionary objectives and
+//! prepartition input.
 
 use pgp::pgp_dmp::run;
 use pgp::pgp_evo::{kaffpae, EvoConfig, Objective};
 use pgp::pgp_graph::metrics::communication_volume;
-use pgp::pgp_seq::{cluster_modularity, ModularityConfig};
-
-/// Multilevel modularity clustering finds strong community structure on a
-/// planted-partition graph — the "huge unstructured graphs in a short
-/// amount of time" use case.
-#[test]
-fn modularity_clustering_end_to_end() {
-    let (g, truth) = pgp::pgp_gen::sbm::sbm(2500, Default::default(), 17);
-    let r = cluster_modularity(&g, &ModularityConfig::default());
-    let truth_q = pgp::pgp_graph::metrics::modularity(&g, &truth);
-    assert!(
-        r.modularity > truth_q * 0.8,
-        "Q = {:.3} vs planted {truth_q:.3}",
-        r.modularity
-    );
-    // Sanity: labels form a valid clustering of the node set.
-    assert_eq!(r.labels.len(), g.n());
-    assert!(r.clusters >= 2);
-}
 
 /// Selecting for communication volume produces partitions whose volume is
 /// no worse than cut-selected ones (on average over seeds), and still

@@ -160,24 +160,26 @@ proptest! {
     }
 }
 
-/// The one balance violation an 800-case run of the property above found:
-/// a 3-node mesh plus 3 isolated nodes, k = 2, p = 8, fast, seed 150, ends
-/// with assignment [0, 0, 0, 1, 1, 0], block 0 at weight 4 > Lmax 3. The
-/// renumbering rule declines here; the same assignment comes out without it.
+/// A 3-node mesh plus 3 isolated nodes, k = 2, fast, seed 150 (the case an
+/// 800-case run of the property above found at p = 8): the bisection of the
+/// coarsest graph may put 4 nodes on a side against Lmax 3, and LP and FM
+/// never move a node without arcs, so initial partitioning must shed such
+/// nodes out of an overloaded block.
 #[test]
-#[ignore = "known defect: a 6-node graph at p = 8 ends unbalanced (CHANGES.md, FOUND on tiny graphs at large p)"]
-fn isolated_nodes_at_eight_pes_stay_balanced() {
+fn isolated_nodes_at_large_p_stay_balanced() {
     let g = graph(1, 3, 8, 150);
     assert_eq!(g.n(), 6);
     let cfg = config(2, false, 150);
-    let out = Partitioner::new(&cfg)
-        .run(watched())
-        .partition(&g, 8)
-        .expect("a valid input");
-    assert_eq!(
-        out.violation.as_deref(),
-        None,
-        "{:?}",
-        out.partition.assignment()
-    );
+    for p in [4, 5, 7, 8] {
+        let out = Partitioner::new(&cfg)
+            .run(watched())
+            .partition(&g, p)
+            .expect("a valid input");
+        assert_eq!(
+            out.violation.as_deref(),
+            None,
+            "p = {p}: {:?}",
+            out.partition.assignment()
+        );
+    }
 }
