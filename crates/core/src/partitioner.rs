@@ -303,11 +303,12 @@ impl<'a> Partitioner<'a> {
             GraphInput::Segments(g) => (
                 g.n,
                 g.segments.iter().map(|s| weight_sum(&s.node_weight)).sum(),
+                // The stored weights, and 1 for every other arc.
                 g.segments
                     .iter()
-                    .map(|s| match s.adjwgt.as_slice() {
-                        [] => u128::from(ids::count_global(s.adjncy.len())),
-                        w => weight_sum(w),
+                    .map(|s| {
+                        let unit = s.adjncy.len() - s.adjwgt.len();
+                        weight_sum(&s.adjwgt) + u128::from(ids::count_global(unit))
                     })
                     .sum(),
             ),
@@ -851,6 +852,23 @@ mod tests {
         let total = Some(PartitionError::EdgeWeightOverflow {
             total: 12_000_000_000_000_000_000,
         });
+        // A path 1 - ... - 6 whose one edge {3, 4} weighs 5e18: only rows 3
+        // and 4 store weights, and the eight unit arcs count 1 each.
+        let sparse = |p: usize| {
+            let w = 5_000_000_000_000_000_000u64;
+            let text = format!("6 5 1\n2 1\n1 1 3 1\n2 1 4 {w}\n3 {w} 5 1\n4 1 6 1\n5 1\n");
+            let g = pgp_graph::io::read_metis_segments(text.as_bytes(), |n| {
+                let dist = pgp_dmp::dgraph::BlockDist::new(n, p);
+                (0..p).map(|r| dist.first(r)).collect()
+            })
+            .expect("a valid weighted path");
+            let stored: Vec<usize> = g.segments.iter().map(|s| s.weighted_rows.len()).collect();
+            assert_eq!(stored.iter().sum::<usize>(), 2, "p = {p}");
+            g
+        };
+        let sparse_total = Some(PartitionError::EdgeWeightOverflow {
+            total: 10_000_000_000_000_000_008,
+        });
         for p in [1, 2] {
             for cfg in [
                 small_cfg(2, GraphClass::Social, 3),
@@ -861,6 +879,8 @@ mod tests {
                 assert_eq!(out.err(), total, "global, p = {p}");
                 let out = partitioner.partition(segments(heavy, p), p);
                 assert_eq!(out.err(), total, "segments, p = {p}");
+                let out = partitioner.partition(sparse(p), p);
+                assert_eq!(out.err(), sparse_total, "sparse segments, p = {p}");
             }
         }
         let light = 2_000_000_000_000_000_000;

@@ -139,13 +139,14 @@ pub(crate) struct Migrated {
 }
 
 /// One PE's rows for one new owner: per row `(new ID, input ID, block,
-/// degree)`, the node weights, the targets' new IDs, and the arc weights
-/// (empty while every arc of the sending PE weighs 1).
+/// degree)`, the node weights, the targets' new IDs, and the rows that
+/// hold an arc of weight other than 1 (their places in the message) with
+/// those rows' arc weights.
 type Rows = (
     Vec<(Node, Node, Node, Node)>,
     Vec<Weight>,
     Vec<Node>,
-    Vec<Weight>,
+    (Vec<Node>, Vec<Weight>),
 );
 
 /// Moves every owned row of `graph` to the owner of its new ID in one
@@ -162,11 +163,14 @@ pub(crate) fn migrate(
 ) -> Migrated {
     let n_global = graph.n_global();
     let dist = graph.dist();
-    let weighted = graph.has_arc_weights();
     let mut sends: Vec<Rows> = vec![Default::default(); comm.size()];
     for u in 0..ids::node_of_index(graph.n_local()) {
         let l = ids::node_index(u);
-        let (heads, weights, targets, arc_weights) = &mut sends[dist.owner(new_ids[l])];
+        let (heads, weights, targets, (weighted, arc_weights)) = &mut sends[dist.owner(new_ids[l])];
+        let stores = graph.stores_weights(u);
+        if stores {
+            weighted.push(ids::node_of_index(heads.len()));
+        }
         let input = input_ids
             .as_ref()
             .map_or_else(|| graph.local_to_global(u), |ids| ids[l]);
@@ -179,7 +183,7 @@ pub(crate) fn migrate(
         weights.push(graph.node_weight(u));
         for (v, w) in graph.neighbors(u) {
             targets.push(new_ids[ids::node_index(v)]);
-            if weighted {
+            if stores {
                 arc_weights.push(w);
             }
         }
@@ -203,7 +207,9 @@ pub(crate) fn migrate(
     let mut node_weight: Vec<Weight> = vec![0; n_rows];
     let mut owned_blocks: Vec<Node> = vec![0; n_rows];
     let mut input_ids: Vec<Node> = vec![0; n_rows];
-    for (run, (heads, weights, ..)) in runs.iter().enumerate() {
+    // Per row that stores weights: its ID, its message and its weights there.
+    let mut heavy: Vec<(usize, usize, Range<usize>)> = Vec::new();
+    for (run, (heads, weights, _, (weighted, _))) in runs.iter().enumerate() {
         let mut at = 0;
         for (&(g, input, block, degree), &w) in heads.iter().zip(weights) {
             let r = ids::global_index(ids::node_global(g) - first);
@@ -213,29 +219,31 @@ pub(crate) fn migrate(
             owned_blocks[r] = block;
             input_ids[r] = input;
         }
+        let mut at = 0;
+        for &i in weighted {
+            let (g, _, _, degree) = heads[ids::node_index(i)];
+            let r = ids::global_index(ids::node_global(g) - first);
+            heavy.push((r, run, at..at + ids::node_index(degree)));
+            at += ids::node_index(degree);
+        }
     }
+    heavy.sort_unstable_by_key(|&(r, ..)| r);
     let arcs = runs.iter().map(|(_, _, targets, _)| targets.len()).sum();
-    let weighted = runs.iter().any(|(.., w)| !w.is_empty());
     let mut rows = RowSegment {
         first,
         xadj: Vec::with_capacity(n_rows + 1),
         adjncy: Vec::with_capacity(arcs),
-        adjwgt: Vec::with_capacity(if weighted { arcs } else { 0 }),
+        weighted_rows: heavy.iter().map(|&(r, ..)| r).collect(),
+        adjwgt: Vec::with_capacity(heavy.iter().map(|(.., w)| w.len()).sum()),
         node_weight,
     };
     rows.xadj.push(0);
     for (run, from) in place {
-        let (_, _, targets, arc_weights) = &runs[run];
-        rows.adjncy.extend_from_slice(&targets[from.clone()]);
-        if weighted {
-            if arc_weights.is_empty() {
-                // Every arc of the sending PE weighs 1.
-                rows.adjwgt.resize(rows.adjncy.len(), 1);
-            } else {
-                rows.adjwgt.extend_from_slice(&arc_weights[from]);
-            }
-        }
+        rows.adjncy.extend_from_slice(&runs[run].2[from]);
         rows.xadj.push(ids::count_global(rows.adjncy.len()));
+    }
+    for (_, run, from) in heavy {
+        rows.adjwgt.extend_from_slice(&(runs[run].3).1[from]);
     }
     drop(runs);
     let graph = DistGraph::from_segment(comm, n_global, rows);
@@ -319,6 +327,50 @@ mod tests {
             assert_eq!(out.stats.renumberings, [want], "{what}");
             assert_eq!(out.stats.cut, out.partition.edge_cut(g), "{what}");
         }
+    }
+
+    /// A Delaunay mesh with a few weight-2 edges moves at p = 2 with its
+    /// rows mixed: the rows with a non-unit arc travel with their weights,
+    /// the others with none, and every moved row reads back its input row.
+    #[test]
+    fn migrate_moves_mixed_rows_with_their_weights() {
+        let mesh = pgp_gen::delaunay::delaunay_x(12, 3);
+        let mut b = pgp_graph::GraphBuilder::new(mesh.n());
+        for u in mesh.nodes() {
+            for v in mesh.neighbors(u).filter(|&v| u < v) {
+                b.push_edge(u, v, 1 + Weight::from((u + v).is_multiple_of(97)));
+            }
+        }
+        let g = b.build();
+        let out = run(&g, 2, GraphClass::Mesh, Default::default());
+        assert!(out.stats.renumberings[0].migrated);
+        assert_eq!(out.stats.cut, out.partition.edge_cut(&g));
+        let blocks = out.partition.assignment().to_vec();
+        pgp_dmp::run(2, |comm| {
+            let dg = DistGraph::from_global(comm, &g);
+            let mixed = (0..ids::node_of_index(dg.n_local())).filter(|&u| dg.stores_weights(u));
+            assert!(0 < mixed.count() && dg.weighted_arcs() < dg.local_arc_count() as usize);
+            let local: Vec<Node> = (0..ids::node_of_index(dg.n_local() + dg.n_ghost()))
+                .map(|l| blocks[ids::node_index(dg.local_to_global(l))])
+                .collect();
+            let new_ids = block_numbering(comm, &dg, &local, 8);
+            let moved = migrate(comm, Cow::Borrowed(&dg), new_ids, local, None);
+            let input = allgatherv(comm, moved.input_ids.clone());
+            let gathered = moved.graph.gather_global(comm);
+            for x in gathered.nodes() {
+                let u = input[ids::node_index(x)];
+                let mut row: Vec<(Node, Weight)> = gathered
+                    .neighbors_weighted(x)
+                    .map(|(y, w)| (input[ids::node_index(y)], w))
+                    .collect();
+                row.sort_unstable();
+                let want: Vec<(Node, Weight)> = g.neighbors_weighted(u).collect();
+                assert_eq!(row, want, "row {u}");
+            }
+            let weighted =
+                |gr: &DistGraph| allreduce_sum_vec(comm, vec![gr.weighted_arcs() as u64]);
+            assert_eq!(weighted(&moved.graph), weighted(&dg));
+        });
     }
 
     /// p = 1 never evaluates the rule: a two-cycle run makes the collective

@@ -17,9 +17,11 @@
 //!
 //! * **Row layout** — the owned nodes' arc ranges tile the arc arrays
 //!   exactly once, each range as long as its node's degree, targets in
-//!   `0..n_local+n_ghost`; `degree_order` is the owned nodes by ascending
-//!   degree, ties by ID. Arc weights may be zero: the reader accepts them
-//!   and every kernel handles them.
+//!   `0..n_local+n_ghost`; the rows that store weights fill the arcs
+//!   before `weighted_arcs()`, each with an arc that weighs other than 1;
+//!   `degree_order` is the owned nodes by ascending degree, ties by ID.
+//!   Arc weights may be zero: the reader accepts them and every kernel
+//!   handles them.
 //! * **Ghost tables** — `ghost_map` ⇄ `ghost_global` is a bijection onto
 //!   `n_local..n_local+n_ghost`; `ghost_owner` agrees with the `BlockDist`
 //!   arithmetic and never names the local PE; no ghost global ID lies in
@@ -99,7 +101,15 @@ pub fn validate_dist_graph(comm: &Comm, g: &DistGraph) -> Result<(), Vec<String>
             "the arc ranges of {n_local} owned nodes do not tile the {arcs} arcs exactly once"
         ));
     }
-    for u in owned.clone().filter(|_| rows_ok) {
+    // The rows that store weights fill arcs `0..w_end`, no row straddling it.
+    let w_end = g.weighted_arcs();
+    let weights_ok = w_end <= arcs && ranges.iter().all(|r| r.end <= w_end || r.start >= w_end);
+    if rows_ok && !weights_ok {
+        errs.push(format!(
+            "the stored weights end at arc {w_end} of {arcs}, inside a row or past the last"
+        ));
+    }
+    for u in owned.clone().filter(|_| rows_ok && weights_ok) {
         let (range, degree) = (g.arc_range(u).len(), g.degree(u));
         if range != degree || g.neighbors(u).count() != degree {
             errs.push(format!(
@@ -112,6 +122,10 @@ pub fn validate_dist_graph(comm: &Comm, g: &DistGraph) -> Result<(), Vec<String>
                 "node {u} has target {t} out of local range 0..{n_all}"
             ));
             break; // one report is enough; corrupt rows repeat
+        }
+        if g.stores_weights(u) && g.neighbors(u).all(|(_, w)| w == 1) {
+            errs.push(format!("node {u} stores weights, all of them 1"));
+            break;
         }
     }
     let order = g.degree_order();

@@ -89,23 +89,30 @@ fn sort_row(adjncy: &mut [Node], adjwgt: &mut [Weight]) {
     }
 }
 
-/// Where a PE's rows are stored, decided from their degrees alone.
+/// Where a PE's rows are stored, decided from their degrees and from which
+/// rows hold an arc that weighs other than 1.
 struct RowLayout {
     /// One `(start, end)` arc range per owned node.
     ranges: Vec<(usize, usize)>,
     /// The owned nodes by ascending degree, ties by local ID.
     degree_order: Vec<Node>,
-    /// Whether the ranges follow `degree_order` (else they follow IDs).
-    by_degree: bool,
+    /// The arcs of the rows that hold a non-unit arc: positions
+    /// `0..w_end`, ahead of every other row.
+    w_end: usize,
+    /// Whether the ranges are the rows back to back in ID order, so a copy
+    /// in ID order is already in place.
+    in_id_order: bool,
 }
 
 impl RowLayout {
-    /// The layout of rows whose ID-order offsets are `offsets` (any base).
-    /// Rows are stored in degree order when this PE's own degree skew
-    /// passes the `class=auto` test for a complex network, so a cluster
-    /// round reads the arc arrays front to back; otherwise they stay in ID
-    /// order, in which a mesh's contraction and refinement read them.
-    fn new(offsets: &[u64]) -> Self {
+    /// The layout of rows whose ID-order offsets are `offsets` (any base),
+    /// `weighted` the ascending rows that hold a non-unit arc. Rows are
+    /// visited in degree order when this PE's own degree skew passes the
+    /// `class=auto` test for a complex network, so a cluster round reads
+    /// the arc arrays front to back; otherwise in ID order, in which a
+    /// mesh's contraction and refinement read them. They are stored in that
+    /// order, the weighted rows first, so only their weights are stored.
+    fn new(offsets: &[u64], weighted: &[usize]) -> Self {
         let n = offsets.len() - 1;
         let degree = |u: usize| ids::global_index(offsets[u + 1] - offsets[u]);
         let max_degree = (0..n).map(degree).max().unwrap_or(0);
@@ -126,23 +133,36 @@ impl RowLayout {
         }
         let arcs = ids::global_index(offsets[n] - offsets[0]);
         let by_degree = skew_looks_like_complex_network(degree_skew(n, arcs, max_degree));
-        let ranges = if by_degree {
-            let mut ranges = vec![(0, 0); n];
-            let mut start = 0;
-            for &v in &degree_order {
-                let u = ids::node_index(v);
+        let visit = |i: usize| {
+            if by_degree {
+                ids::node_index(degree_order[i])
+            } else {
+                i
+            }
+        };
+        let mut heavy = vec![false; n];
+        for &u in weighted {
+            heavy[u] = true;
+        }
+        let mut ranges = vec![(0, 0); n];
+        let mut start = 0;
+        let mut w_end = 0;
+        // The weighted rows, then the others, each group in visit order.
+        for group in [true, false] {
+            for u in (0..n).map(visit).filter(|&u| heavy[u] == group) {
                 ranges[u] = (start, start + degree(u));
                 start = ranges[u].1;
             }
-            ranges
-        } else {
-            let at = |u: usize| ids::global_index(offsets[u] - offsets[0]);
-            (0..n).map(|u| (at(u), at(u + 1))).collect()
-        };
+            if group {
+                w_end = start;
+            }
+        }
+        let in_id_order = (0..n).all(|u| ranges[u].0 == ids::global_index(offsets[u] - offsets[0]));
         Self {
             ranges,
             degree_order,
-            by_degree,
+            w_end,
+            in_id_order,
         }
     }
 
@@ -157,17 +177,28 @@ impl RowLayout {
     }
 
     /// A copy of `src`, rows stored back to back in ID order, with every
-    /// row at its place in this layout. A whole-array copy in ID order; in
-    /// degree order each row is written to its place first and read again
-    /// by the assembly pass, which measured faster than placing and
-    /// rewriting each row in one go.
+    /// row at its place in this layout. A whole-array copy in ID order;
+    /// otherwise each row is written to its place first and read again by
+    /// the assembly pass, which measured faster than placing and rewriting
+    /// each row in one go.
     fn copy_rows<T: Copy + Default>(&self, src: &[T]) -> Vec<T> {
-        if !self.by_degree {
+        if self.in_id_order {
             return src.to_vec();
         }
         let mut placed = vec![T::default(); src.len()];
         for (row, place) in self.segment_rows() {
             placed[place].copy_from_slice(&src[row]);
+        }
+        placed
+    }
+
+    /// The stored weights: those of the weighted rows, each `(row,
+    /// weights)` at its place, `w_end` of them.
+    fn place_weights<'w>(&self, rows: impl Iterator<Item = (usize, &'w [Weight])>) -> Vec<Weight> {
+        let mut placed = vec![0; self.w_end];
+        for (u, weights) in rows {
+            let (lo, hi) = self.ranges[u];
+            placed[lo..hi].copy_from_slice(weights);
         }
         placed
     }
@@ -202,10 +233,11 @@ impl GhostRows {
 /// otherwise they follow local IDs. Either way a row holds the same arcs
 /// in the same order (DESIGN.md §8, "Rows in visit order").
 ///
-/// As in [`CsrGraph`], unit arc weights are not stored per arc: when every
-/// arc of this PE weighs 1, `adjwgt` holds one run of ones as long as the
-/// longest row (`adjwgt_mask == 0`). Assembly drops an all-ones vector, and
-/// [`DistGraph::neighbors`] is the one reader that knows.
+/// A row whose arcs all weigh 1 stores no weights. The rows that hold a
+/// non-unit arc are stored first, at arcs `0..w_end`; `adjwgt` holds their
+/// weights, then one run of ones as long as the longest other row, which
+/// every other row reads. Each row's group is decided from its own arcs,
+/// and [`DistGraph::neighbors`] is the one reader that knows.
 #[derive(Clone, Debug)]
 pub struct DistGraph {
     rank: usize,
@@ -214,12 +246,11 @@ pub struct DistGraph {
     /// (owned or ghost).
     ranges: Vec<(usize, usize)>,
     adjncy: Vec<Node>,
-    /// One weight per arc (`adjwgt_mask == usize::MAX`), or — every arc
-    /// weighs 1, `adjwgt_mask == 0` — as many ones as the longest row has
-    /// arcs. The weights of the row that starts at arc `lo` start at
-    /// `adjwgt[lo & adjwgt_mask]`.
+    /// The weights of arcs `0..w_end`, then as many ones as the longest row
+    /// stored after them has arcs. The weights of the row that starts at
+    /// arc `lo` start at `adjwgt[min(lo, w_end)]`.
     adjwgt: Vec<Weight>,
-    adjwgt_mask: usize,
+    w_end: usize,
     /// The owned nodes by ascending degree, ties by local ID.
     degree_order: Vec<Node>,
     /// Weights of owned nodes followed by ghost nodes.
@@ -291,13 +322,20 @@ impl DistGraph {
         let nodes = ids::global_index(dist.first(rank))..ids::global_index(dist.last_excl(rank));
         let offsets = &global.xadj()[nodes.start..=nodes.end];
         let arcs = ids::global_index(offsets[0])..ids::global_index(offsets[nodes.len()]);
-        let layout = RowLayout::new(offsets);
-        let adjncy = layout.copy_rows(&global.adjncy()[arcs.clone()]);
-        let adjwgt = if global.has_arc_weights() {
-            layout.copy_rows(&global.adjwgt()[arcs])
-        } else {
+        // Only a graph that stores weights has rows with a non-unit arc.
+        let stored = global.has_arc_weights().then(|| global.adjwgt());
+        let all = stored.as_deref().unwrap_or_default();
+        let at = |u: usize| ids::global_index(offsets[u]);
+        let row_weights = |u: usize| &all[at(u)..at(u + 1)];
+        let weighted: Vec<usize> = if all.is_empty() {
             Vec::new()
+        } else {
+            let heavy = |&u: &usize| row_weights(u).iter().any(|&w| w != 1);
+            (0..nodes.len()).filter(heavy).collect()
         };
+        let layout = RowLayout::new(offsets, &weighted);
+        let adjncy = layout.copy_rows(&global.adjncy()[arcs]);
+        let adjwgt = layout.place_weights(weighted.iter().map(|&u| (u, row_weights(u))));
         // Ghost weights can be read straight off the shared input here; the
         // fully distributed constructor fetches them by message instead.
         Self::from_rows(
@@ -343,13 +381,23 @@ impl DistGraph {
         for i in 0..n_local {
             xadj[i + 1] += xadj[i];
         }
-        let layout = RowLayout::new(&xadj);
+        let mut weighted: Vec<usize> = Vec::new();
+        for &(u, _, w) in &arcs {
+            let r = ids::global_index(ids::node_global(u) - first);
+            if w != 1 && weighted.last() != Some(&r) {
+                weighted.push(r);
+            }
+        }
+        let layout = RowLayout::new(&xadj, &weighted);
         let mut adjncy = vec![0; arcs.len()];
-        let mut adjwgt = vec![0; arcs.len()];
+        let mut adjwgt = vec![0; layout.w_end];
         for (row, place) in layout.segment_rows() {
-            for (i, &(_, v, w)) in place.zip(&arcs[row]) {
+            let weights = adjwgt.get_mut(place.clone()).unwrap_or_default();
+            for (i, &(_, v, _)) in place.clone().zip(&arcs[row.clone()]) {
                 adjncy[i] = v;
-                adjwgt[i] = w;
+            }
+            for (slot, &(_, _, w)) in weights.iter_mut().zip(&arcs[row]) {
+                *slot = w;
             }
         }
         drop(arcs);
@@ -377,7 +425,7 @@ impl DistGraph {
     ///
     /// # Panics
     /// Panics if the segment does not hold exactly the rows this PE owns.
-    pub fn from_segment(comm: &Comm, n_global: u64, rows: RowSegment) -> Self {
+    pub fn from_segment(comm: &Comm, n_global: u64, mut rows: RowSegment) -> Self {
         let dist = BlockDist::new(n_global, comm.size());
         let rank = comm.rank();
         assert!(
@@ -388,20 +436,28 @@ impl DistGraph {
             rows.rows(),
             rows.first
         );
+        // A row listed with nothing but ones stores no weights either.
+        let heavy = |(_, w): &(usize, &[Weight])| w.iter().any(|&w| w != 1);
+        let weighted: Vec<usize> = rows.weighted().filter(heavy).map(|(u, _)| u).collect();
+        let layout = RowLayout::new(&rows.xadj, &weighted);
+        // In ID order with no row dropped, the segment's weights are
+        // already at their places.
+        let adjwgt = if layout.in_id_order && weighted.len() == rows.weighted_rows.len() {
+            std::mem::take(&mut rows.adjwgt)
+        } else {
+            layout.place_weights(rows.weighted().filter(heavy))
+        };
         let RowSegment {
             xadj,
             mut adjncy,
-            mut adjwgt,
+            weighted_rows,
+            adjwgt: listed,
             node_weight,
             ..
         } = rows;
-        let layout = RowLayout::new(&xadj);
-        drop(xadj);
-        if layout.by_degree {
+        drop((xadj, weighted_rows, listed));
+        if !layout.in_id_order {
             adjncy = layout.copy_rows(&adjncy);
-            if !adjwgt.is_empty() {
-                adjwgt = layout.copy_rows(&adjwgt);
-            }
         }
         Self::from_rows(
             comm,
@@ -416,8 +472,7 @@ impl DistGraph {
 
     /// The one assembly path, row by row in ID order: this PE's rows at
     /// their places in `layout`, `adjncy` still in global IDs and `adjwgt`
-    /// either parallel to it or empty (all ones; an all-ones vector is
-    /// dropped). Rewrites `adjncy` to local IDs in place — ghosts are
+    /// the weights of arcs `0..layout.w_end`. Rewrites `adjncy` to local IDs in place — ghosts are
     /// numbered in first-appearance order, rows in ID order, each row's
     /// arcs ascending by `(target, weight)` — and builds the ghost tables
     /// and the interface structure in the same pass. `ghost_weights(ghosts,
@@ -438,12 +493,15 @@ impl DistGraph {
         let RowLayout {
             ranges,
             degree_order,
+            w_end,
             ..
         } = layout;
         let n_local = ranges.len();
-        if adjwgt.iter().all(|&w| w == 1) {
-            adjwgt = Vec::new();
-        }
+        assert_eq!(
+            adjwgt.len(),
+            w_end,
+            "one weight per arc of the weighted rows"
+        );
 
         let mut ghost_global: Vec<Node> = Vec::new();
         let mut ghost_owner: Vec<u32> = Vec::new();
@@ -491,24 +549,22 @@ impl DistGraph {
             comm,
             vec![
                 node_weight[..n_local].iter().sum(),
-                if adjwgt.is_empty() {
-                    ids::count_global(adjncy.len())
-                } else {
-                    adjwgt.iter().sum()
-                },
+                adjwgt.iter().sum::<Weight>() + ids::count_global(adjncy.len() - w_end),
                 ids::count_global(adjncy.len()),
             ],
         );
         let (total_node_weight, total_edge_weight, global_m) =
             (totals[0], totals[1] / 2, totals[2] / 2);
 
-        // From "none or one per arc" to the stored form.
-        let (adjwgt, adjwgt_mask) = if adjwgt.is_empty() {
-            let max_degree = ranges.iter().map(|&(lo, hi)| hi - lo).max().unwrap_or(0);
-            (vec![1; max_degree], 0)
-        } else {
-            (adjwgt, usize::MAX)
-        };
+        // The run of ones every other row reads.
+        let ones = ranges
+            .iter()
+            .filter(|&&(lo, _)| lo >= w_end)
+            .map(|&(lo, hi)| hi - lo)
+            .max()
+            .unwrap_or(0);
+        adjwgt.reserve_exact(ones);
+        adjwgt.resize(w_end + ones, 1);
 
         Self {
             rank,
@@ -516,7 +572,7 @@ impl DistGraph {
             ranges,
             adjncy,
             adjwgt,
-            adjwgt_mask,
+            w_end,
             degree_order,
             node_weight,
             ghost_global,
@@ -645,13 +701,20 @@ impl DistGraph {
     #[inline]
     pub fn neighbors(&self, l: Node) -> impl Iterator<Item = (Node, Weight)> + '_ {
         let (lo, hi) = self.ranges[ids::node_index(l)];
-        // One array, one masked offset: a branch between two slicings here
+        // One array, one clamped offset: a branch between two slicings here
         // cost the SCLP cluster sweep a quarter of its time on `web_p1`
         // (DESIGN.md §5, "Bytes per arc").
         let row = &self.adjncy[lo..hi];
-        let start = lo & self.adjwgt_mask;
+        let start = lo.min(self.w_end);
         let weights = &self.adjwgt[start..start + row.len()];
         row.iter().copied().zip(weights.iter().copied())
+    }
+
+    /// Whether owned node `l` has an arc that weighs other than 1, so its
+    /// row's weights are stored.
+    #[inline]
+    pub fn stores_weights(&self, l: Node) -> bool {
+        self.ranges[ids::node_index(l)].0 < self.w_end
     }
 
     /// True iff owned node `l` has at least one ghost neighbour.
@@ -746,10 +809,17 @@ impl DistGraph {
         lo..hi
     }
 
-    /// Whether arc weights are stored per arc: false when every arc of this
-    /// PE weighs 1.
+    /// Whether any arc weights are stored: false when every arc of this PE
+    /// weighs 1.
     pub fn has_arc_weights(&self) -> bool {
-        self.adjwgt_mask != 0
+        self.w_end != 0
+    }
+
+    /// The arcs whose weights are stored: positions `0..weighted_arcs()`
+    /// hold the rows with an arc that weighs other than 1, and every row
+    /// stored after them weighs 1 throughout (validator access).
+    pub fn weighted_arcs(&self) -> usize {
+        self.w_end
     }
 
     /// Ghost global IDs in ghost-local order (validator access).
@@ -779,14 +849,14 @@ impl DistGraph {
         &mut self.node_weight
     }
 
-    /// Mutable arc weights (unit weights written out first), for seeding
-    /// corruptions in validator tests.
+    /// Mutable arc weights, one per arc position (unit weights written out
+    /// first), for seeding corruptions in validator tests.
     #[doc(hidden)]
     pub fn adjwgt_mut_for_test(&mut self) -> &mut Vec<Weight> {
-        if self.adjwgt_mask == 0 {
-            self.adjwgt = vec![1; self.adjncy.len()];
-            self.adjwgt_mask = usize::MAX;
-        }
+        let arcs = self.adjncy.len();
+        self.adjwgt.truncate(self.w_end);
+        self.adjwgt.resize(arcs, 1);
+        self.w_end = arcs;
         &mut self.adjwgt
     }
 
@@ -1050,7 +1120,8 @@ mod tests {
     /// Rows are stored back to back in visit order exactly where the PE's
     /// own degrees look like a complex network: on every PE of the R-MAT
     /// web graph `tests/assembly.rs` weights (per-PE skew 10–21), on none
-    /// of its Delaunay mesh's.
+    /// of its Delaunay mesh's. The rows with a non-unit arc (R-MAT's merged
+    /// duplicates) come first, each group in that order.
     #[test]
     fn rows_follow_the_degree_order_on_a_web_graph_only() {
         let web = pgp_gen::rmat::rmat_web(9, 8, 3);
@@ -1060,8 +1131,10 @@ mod tests {
                 run(p, |comm| {
                     let dg = DistGraph::from_global(comm, g);
                     let back_to_back = |order: &[Node]| {
+                        let stored = order.iter().filter(|&&v| dg.stores_weights(v));
+                        let unit = order.iter().filter(|&&v| !dg.stores_weights(v));
                         let mut at = 0;
-                        for &v in order {
+                        for &v in stored.chain(unit) {
                             if dg.ranges[v as usize].0 != at {
                                 return false;
                             }

@@ -84,13 +84,19 @@ fn constructors_agree(graph: &CsrGraph, p: usize) {
 
 /// R-MAT's web graph with arc weights 1..=3: skewed enough that every PE
 /// of up to four stores its rows in degree order, where the other
-/// instances here keep ID order.
+/// instances here keep ID order. Rows with a non-unit arc come first.
 fn weighted_rmat() -> CsrGraph {
-    let g = rmat::rmat_web(9, 8, 3);
-    let mut b = GraphBuilder::new(g.n());
-    for u in g.nodes() {
-        for v in g.neighbors(u).filter(|&v| u < v) {
-            b.push_edge(u, v, 1 + Weight::from((u + v) % 3));
+    reweighted(&rmat::rmat_web(9, 8, 3), |u, v| {
+        1 + Weight::from((u + v) % 3)
+    })
+}
+
+/// `graph`'s edges, edge `{u, v}` (`u < v`) weighing `w(u, v)`.
+fn reweighted(graph: &CsrGraph, w: impl Fn(Node, Node) -> Weight) -> CsrGraph {
+    let mut b = GraphBuilder::new(graph.n());
+    for u in graph.nodes() {
+        for v in graph.neighbors(u).filter(|&v| u < v) {
+            b.push_edge(u, v, w(u, v));
         }
     }
     b.build()
@@ -104,8 +110,12 @@ fn constructors_agree_on_a_weighted_rmat_graph() {
         constructors_agree(&graph, p);
         run(p, |comm| {
             let g = DistGraph::from_global(comm, &graph);
+            assert!(g.weighted_arcs() > 0, "p={p}, PE {}", comm.rank());
+            let order = g.degree_order();
+            let stored = order.iter().filter(|&&v| g.stores_weights(v));
+            let unit = order.iter().filter(|&&v| !g.stores_weights(v));
             let mut at = 0;
-            for &v in g.degree_order() {
+            for &v in stored.chain(unit) {
                 assert_eq!(g.arc_range(v).start, at, "p={p}, PE {}", comm.rank());
                 at = g.arc_range(v).end;
             }
@@ -277,4 +287,134 @@ fn streamed_segments_build_the_from_global_graph() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Whether `order`'s rows are stored back to back in that order.
+fn back_to_back(g: &DistGraph, order: impl Iterator<Item = Node>) -> bool {
+    let mut at = 0;
+    for v in order {
+        if g.arc_range(v).start != at {
+            return false;
+        }
+        at = g.arc_range(v).end;
+    }
+    at as u64 == g.local_arc_count()
+}
+
+/// A row whose arcs all weigh 1 stores no weights, whichever constructor
+/// built the view: a grid (rows in ID order) and a web stand-in (rows in
+/// degree order), each all unit, with a few weight-2 edges, and all
+/// weighted, at p = 1, 2, 3. Every row reads back its global row; the rows
+/// with a non-unit arc come first, each group in visit order; they cost at
+/// most 8 B per arc of theirs over the unit form; and the two uniform
+/// weightings keep the one-group layout, back to back in visit order.
+#[test]
+fn only_rows_with_a_non_unit_arc_store_weights() {
+    let grid = pgp_gen::mesh::grid2d(64, 64);
+    let params = webgraph::WebGraphParams {
+        intra_degree: 12.0,
+        inter_degree: 4.0,
+        ..Default::default()
+    };
+    // Seed 6: skewed enough on every PE of up to three to keep degree order.
+    let web = webgraph::web_graph(1 << 12, params, 6).0;
+    for (what, g, by_degree) in [("grid", &grid, false), ("web", &web, true)] {
+        let forms = [
+            ("unit", reweighted(g, |_, _| 1)),
+            (
+                "mixed",
+                reweighted(g, |u, v| 1 + Weight::from((u + v).is_multiple_of(401))),
+            ),
+            ("heavy", reweighted(g, |u, v| 2 + Weight::from((u ^ v) & 1))),
+        ];
+        for p in 1..=3 {
+            // Each form's rows as the reader streams them, one slot per PE.
+            let slots: Vec<Vec<Mutex<Option<RowSegment>>>> = forms
+                .iter()
+                .map(|(_, graph)| {
+                    let mut text = Vec::new();
+                    write_metis(graph, &mut text).unwrap();
+                    let streamed = read_metis_segments(&text[..], |n| block_starts(n, p)).unwrap();
+                    let slot = |s| Mutex::new(Some(s));
+                    streamed.segments.into_iter().map(slot).collect()
+                })
+                .collect();
+            run(p, |comm| {
+                let pe = comm.rank();
+                let mut built: Vec<DistGraph> = Vec::new();
+                for ((form, graph), slots) in forms.iter().zip(&slots) {
+                    let at = format!("{what} {form}, p={p}, PE {pe}");
+                    let a = DistGraph::from_global(comm, graph);
+                    let mut arcs: Vec<(Node, Node, Weight)> = Vec::new();
+                    for u in 0..a.n_local() as Node {
+                        let gu = a.local_to_global(u);
+                        arcs.extend(a.neighbors(u).map(|(v, w)| (gu, a.local_to_global(v), w)));
+                    }
+                    let b =
+                        DistGraph::from_arcs(comm, a.n_global(), a.owned_weights().to_vec(), arcs);
+                    let rows = slots[pe].lock().unwrap().take().unwrap();
+                    let c = DistGraph::from_segment(comm, a.n_global(), rows);
+                    for (how, dg) in [("from_global", &a), ("from_arcs", &b), ("from_segment", &c)]
+                    {
+                        validate_dist_graph(comm, dg)
+                            .unwrap_or_else(|e| panic!("{how}, {at}: {e:?}"));
+                        let mut stored_arcs = 0;
+                        for u in 0..dg.n_local() as Node {
+                            let gu = dg.local_to_global(u);
+                            let row: Vec<(Node, Weight)> = dg
+                                .neighbors(u)
+                                .map(|(v, w)| (dg.local_to_global(v), w))
+                                .collect();
+                            let want: Vec<(Node, Weight)> = graph.neighbors_weighted(gu).collect();
+                            assert_eq!(row, want, "{how}, {at}, row {gu}");
+                            let stores = want.iter().any(|&(_, w)| w != 1);
+                            assert_eq!(dg.stores_weights(u), stores, "{how}, {at}, row {gu}");
+                            stored_arcs += if stores { want.len() } else { 0 };
+                        }
+                        assert_eq!(dg.weighted_arcs(), stored_arcs, "{how}, {at}");
+                        assert_eq!(dg.has_arc_weights(), stored_arcs > 0, "{how}, {at}");
+                    }
+                    assert_eq!(view(&a), view(&b), "from_arcs, {at}");
+                    assert_eq!(view(&a), view(&c), "from_segment, {at}");
+                    assert_eq!(a.heap_bytes(), c.heap_bytes(), "from_segment, {at}");
+                    built.push(a);
+                }
+                let [unit, mixed, heavy] = &built[..] else {
+                    unreachable!("three forms")
+                };
+                let at = format!("{what}, p={p}, PE {pe}");
+                let arcs = unit.local_arc_count() as usize;
+                assert_eq!(
+                    (unit.weighted_arcs(), heavy.weighted_arcs()),
+                    (0, arcs),
+                    "{at}"
+                );
+                assert!(
+                    0 < mixed.weighted_arcs() && mixed.weighted_arcs() < arcs,
+                    "{at}"
+                );
+                assert!(
+                    mixed.heap_bytes() <= unit.heap_bytes() + 8 * mixed.weighted_arcs(),
+                    "{at}: {} > {} + 8 * {}",
+                    mixed.heap_bytes(),
+                    unit.heap_bytes(),
+                    mixed.weighted_arcs()
+                );
+                let ids = || 0..unit.n_local() as Node;
+                let visit: Vec<Node> = if by_degree {
+                    unit.degree_order().to_vec()
+                } else {
+                    ids().collect()
+                };
+                for g in [unit, heavy] {
+                    assert!(back_to_back(g, visit.iter().copied()), "{at}");
+                }
+                let ranges = |g: &DistGraph| ids().map(|u| g.arc_range(u)).collect::<Vec<_>>();
+                assert_eq!(ranges(unit), ranges(heavy), "{at}");
+                let stored = visit.iter().copied().filter(|&u| mixed.stores_weights(u));
+                let others = visit.iter().copied().filter(|&u| !mixed.stores_weights(u));
+                assert!(back_to_back(mixed, stored.chain(others)), "{at}");
+            });
+        }
+    }
 }

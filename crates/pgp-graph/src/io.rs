@@ -314,8 +314,9 @@ fn seek_metis_header<R: Read>(s: &mut Scanner<R>) -> Result<bool, IoError> {
 ///
 /// Rows are loop-free, the reader's strictly ascending;
 /// `DistGraph::from_segment` sorts each row. `xadj` starts at 0 and has
-/// one entry per row plus one; `adjwgt` holds one weight per arc, or
-/// nothing while every arc weighs 1.
+/// one entry per row plus one. A row whose arcs all weigh 1 stores no
+/// weights: `adjwgt` holds the weights of the rows in `weighted_rows`
+/// alone, one row after the other.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RowSegment {
     /// Global ID of the first row.
@@ -324,7 +325,11 @@ pub struct RowSegment {
     pub xadj: Vec<u64>,
     /// Neighbours, global IDs.
     pub adjncy: Vec<Node>,
-    /// Arc weights parallel to `adjncy`, or empty (all 1).
+    /// The rows (0-based within the segment) that hold an arc of weight
+    /// other than 1, ascending.
+    pub weighted_rows: Vec<usize>,
+    /// The arc weights of `weighted_rows`, row after row; every other arc
+    /// weighs 1.
     pub adjwgt: Vec<Weight>,
     /// One weight per row.
     pub node_weight: Vec<Weight>,
@@ -340,6 +345,7 @@ impl RowSegment {
             first,
             xadj,
             adjncy: Vec::with_capacity(arcs),
+            weighted_rows: Vec::new(),
             adjwgt: Vec::new(),
             node_weight: Vec::with_capacity(rows),
         }
@@ -356,13 +362,31 @@ impl RowSegment {
         ids::global_index(self.xadj[r])..ids::global_index(self.xadj[r + 1])
     }
 
-    /// The weight of arc `i`.
+    /// The rows that store weights, ascending, each with its weights.
+    pub fn weighted(&self) -> impl Iterator<Item = (usize, &[Weight])> + '_ {
+        self.weighted_rows
+            .iter()
+            .scan(0, move |at: &mut usize, &r| {
+                let weights = &self.adjwgt[*at..*at + self.row(r).len()];
+                *at += weights.len();
+                Some((r, weights))
+            })
+    }
+
+    /// Records the weight of the arc just pushed to row `r`, the last row,
+    /// whose arcs start at `row_start`. The row stores weights from its
+    /// first arc that weighs other than 1 on, with the ones before it
+    /// filled in.
     #[inline]
-    fn weight(&self, i: usize) -> Weight {
-        if self.adjwgt.is_empty() {
-            1
-        } else {
-            self.adjwgt[i]
+    fn push_weight(&mut self, r: usize, row_start: usize, w: Weight) {
+        let stored = self.weighted_rows.last() == Some(&r);
+        if !stored && w != 1 {
+            self.weighted_rows.push(r);
+            let ones = self.adjncy.len() - 1 - row_start;
+            self.adjwgt.resize(self.adjwgt.len() + ones, 1);
+        }
+        if stored || w != 1 {
+            self.adjwgt.push(w);
         }
     }
 
@@ -372,6 +396,7 @@ impl RowSegment {
         use std::mem::size_of;
         self.xadj.capacity() * size_of::<u64>()
             + self.adjncy.capacity() * size_of::<Node>()
+            + self.weighted_rows.capacity() * size_of::<usize>()
             + (self.adjwgt.capacity() + self.node_weight.capacity()) * size_of::<Weight>()
     }
 
@@ -379,6 +404,7 @@ impl RowSegment {
     fn shrink_to_fit(&mut self) {
         self.xadj.shrink_to_fit();
         self.adjncy.shrink_to_fit();
+        self.weighted_rows.shrink_to_fit();
         self.adjwgt.shrink_to_fit();
         self.node_weight.shrink_to_fit();
     }
@@ -561,7 +587,7 @@ fn parse_metis<R: Read>(
             .ok_or_else(|| perr(s.line, "node weights overflow u64"))?;
         cur.node_weight.push(node_w);
 
-        let row = cur.adjncy.len();
+        let (r, row) = (cur.rows() - 1, cur.adjncy.len());
         // Strictly ascending and loop-free is what a well-formed file has;
         // the parser sees it for free, and only other rows pay for a sort.
         let own = ids::count_global(u) + 1;
@@ -583,10 +609,10 @@ fn parse_metis<R: Read>(
             arc_weight_sum = arc_weight_sum
                 .checked_add(w)
                 .ok_or_else(|| perr(s.line, "edge weights overflow u64"))?;
-            push_arc_weight(&mut cur.adjwgt, &cur.adjncy, w);
+            cur.push_weight(r, row, w);
         }
         if !clean {
-            normalise_row(ids::node_of_index(u), row, &mut cur.adjncy, &mut cur.adjwgt);
+            normalise_row(&mut cur, ids::node_of_index(u), r, row);
         }
         cur.xadj.push(ids::count_global(cur.adjncy.len()));
     }
@@ -640,7 +666,15 @@ fn into_csr(mut g: SegmentedGraph) -> CsrGraph {
         .segments
         .pop()
         .expect("a single-segment parse has one segment");
-    CsrGraph::from_parts(s.xadj, s.adjncy, s.adjwgt, s.node_weight)
+    // One weight per arc once any row stores weights: `CsrGraph`'s form.
+    let mut adjwgt = Vec::new();
+    if !s.weighted_rows.is_empty() {
+        adjwgt = vec![1; s.adjncy.len()];
+        for (r, weights) in s.weighted() {
+            adjwgt[s.row(r)].copy_from_slice(weights);
+        }
+    }
+    CsrGraph::from_parts(s.xadj, s.adjncy, adjwgt, s.node_weight)
 }
 
 /// Reads a graph in METIS format from any reader.
@@ -679,29 +713,21 @@ pub fn read_metis_segments(
     parse_metis(reader, None, BUF_BYTES, starts)
 }
 
-/// Records the weight of arc `adjncy.len() - 1`, just pushed. `adjwgt`
-/// stays empty — every arc weighs 1 — until the first arc that weighs
-/// something else; only then is it allocated, as large as `adjncy`, with
-/// the ones before it filled in.
-#[inline]
-fn push_arc_weight(adjwgt: &mut Vec<Weight>, adjncy: &Vec<Node>, w: Weight) {
-    if adjwgt.is_empty() && w != 1 {
-        adjwgt.reserve_exact(adjncy.capacity());
-        adjwgt.resize(adjncy.len() - 1, 1);
-    }
-    if w != 1 || !adjwgt.is_empty() {
-        adjwgt.push(w);
-    }
-}
-
-/// Rewrites the row that starts at `row` and runs to the end of the arrays
-/// the way [`crate::GraphBuilder`] would have built it: self-loops of `u`
-/// dropped, neighbours sorted, repeated neighbours merged by summing their
-/// weights.
-fn normalise_row(u: Node, row: usize, adjncy: &mut Vec<Node>, adjwgt: &mut Vec<Weight>) {
-    let weight = |i: usize| if adjwgt.is_empty() { 1 } else { adjwgt[i] };
-    let mut arcs: Vec<(Node, Weight)> = (row..adjncy.len())
-        .map(|i| (adjncy[i], weight(i)))
+/// Rewrites row `r` of `seg`, its last, which starts at arc `row`, the way
+/// [`crate::GraphBuilder`] would have built it: self-loops of `u` dropped,
+/// neighbours sorted, repeated neighbours merged by summing their weights.
+fn normalise_row(seg: &mut RowSegment, u: Node, r: usize, row: usize) {
+    let stored = seg.weighted_rows.last() == Some(&r);
+    let weights = seg.adjwgt.len() - if stored { seg.adjncy.len() - row } else { 0 };
+    let weight = |i: usize| {
+        if stored {
+            seg.adjwgt[weights + i - row]
+        } else {
+            1
+        }
+    };
+    let mut arcs: Vec<(Node, Weight)> = (row..seg.adjncy.len())
+        .map(|i| (seg.adjncy[i], weight(i)))
         .filter(|&(v, _)| v != u)
         .collect();
     arcs.sort_unstable_by_key(|&(v, _)| v);
@@ -713,11 +739,14 @@ fn normalise_row(u: Node, row: usize, adjncy: &mut Vec<Node>, adjwgt: &mut Vec<W
         }
         same
     });
-    adjncy.truncate(row);
-    adjwgt.truncate(row);
+    seg.adjncy.truncate(row);
+    seg.adjwgt.truncate(weights);
+    if stored {
+        seg.weighted_rows.pop();
+    }
     for (v, w) in arcs {
-        adjncy.push(v);
-        push_arc_weight(adjwgt, adjncy, w);
+        seg.adjncy.push(v);
+        seg.push_weight(r, row, w);
     }
 }
 
@@ -735,6 +764,26 @@ fn normalise_row(u: Node, row: usize, adjncy: &mut Vec<Node>, adjwgt: &mut Vec<W
 fn first_unmirrored_arc(segments: &[RowSegment]) -> Option<(Node, Node)> {
     let n = segments.iter().map(RowSegment::rows).sum();
     let holder = |v: u64| &segments[segments.partition_point(|s| s.first <= v) - 1];
+    // Per row that stores weights, how far its first weight sits before its
+    // first arc: the weight of arc `c` of row `v` is `adjwgt[c - back[v]]`
+    // in `v`'s segment. Allocated only when some row stores weights.
+    const UNIT: usize = usize::MAX;
+    let mut back: Vec<usize> = Vec::new();
+    if segments.iter().any(|s| !s.weighted_rows.is_empty()) {
+        back = vec![UNIT; n];
+        for seg in segments {
+            let base = ids::global_index(seg.first);
+            let mut at = 0;
+            for &r in &seg.weighted_rows {
+                back[base + r] = seg.row(r).start - at;
+                at += seg.row(r).len();
+            }
+        }
+    }
+    let weight = |seg: &RowSegment, v: Node, c: usize| match back.get(ids::node_index(v)) {
+        Some(&b) if b != UNIT => seg.adjwgt[c - b],
+        _ => 1,
+    };
     // next[v]: the first entry of row v's upper part no higher row claimed,
     // a position in the adjacency of v's segment.
     let mut next: Vec<usize> = Vec::with_capacity(n);
@@ -755,7 +804,7 @@ fn first_unmirrored_arc(segments: &[RowSegment]) -> Option<(Node, Node)> {
                     .row(ids::global_index(g - vs.first))
                     .contains(&c)
                     .then(|| vs.adjncy[c]);
-                if unclaimed == Some(own) && vs.weight(c) == seg.weight(i) {
+                if unclaimed == Some(own) && weight(vs, v, c) == weight(seg, own, i) {
                     next[ids::node_index(v)] = c + 1;
                 } else {
                     // An entry of row `v` that row `x < u` did not claim is
@@ -934,9 +983,21 @@ mod tests {
     /// Segment `seg`'s rows as `(row, node weight, [(target, weight)])`.
     #[allow(clippy::type_complexity)]
     pub(super) fn rows_of(seg: &RowSegment) -> Vec<(u64, Weight, Vec<(Node, Weight)>)> {
+        let mut weighted = seg.weighted().peekable();
         (0..seg.rows())
             .map(|r| {
-                let arcs = seg.row(r).map(|i| (seg.adjncy[i], seg.weight(i))).collect();
+                let targets = &seg.adjncy[seg.row(r)];
+                let arcs = match weighted.next_if(|&(w, _)| w == r) {
+                    Some((_, weights)) => {
+                        assert!(weights.iter().any(|&w| w != 1), "row {r} stores only ones");
+                        targets
+                            .iter()
+                            .copied()
+                            .zip(weights.iter().copied())
+                            .collect()
+                    }
+                    None => targets.iter().map(|&v| (v, 1)).collect(),
+                };
                 (seg.first + r as u64, seg.node_weight[r], arcs)
             })
             .collect()
@@ -1063,6 +1124,15 @@ mod tests {
         assert_eq!(metis_line("2 1\n2 2\n1\n"), 3);
         // Weights all 1 but one, and its mirror is 1.
         assert_eq!(metis_line("3 2 1\n2 1 3 1\n1 1\n1 2\n"), 4);
+        // The same, the other way round: a row that does not store weights
+        // claims the 2 of a row that does.
+        assert_eq!(metis_line("3 2 1\n2 1 3 2\n1 1\n1 1\n"), 4);
+        // A weighted row whose mirror is a weighted row with another weight.
+        assert_eq!(metis_line("3 2 1\n2 3 3 1\n1 3 3 2\n1 1 2 5\n"), 4);
+        // Merged into weight 2 in one row, two 1s listed apart in the other.
+        assert_eq!(metis_line("3 2\n2 2\n1 3\n2\n"), 3);
+        // Heavy rows with their mirrors in place pass.
+        read_metis("3 2 1\n2 3 3 2\n1 3\n1 2\n".as_bytes()).unwrap();
     }
 
     #[test]
@@ -1083,6 +1153,73 @@ mod tests {
             .collect();
         assert_eq!(arcs, vec![(2, 1), (2, 2), (3, 1), (0, 1), (1, 2), (1, 1)]);
         merged.validate().unwrap();
+    }
+
+    /// One weight-2 edge among unit ones: exactly its two rows store
+    /// weights, in whichever segments hold them, and the rows around them
+    /// read 1.
+    #[test]
+    fn one_heavy_edge_stores_the_weights_of_its_two_rows() {
+        // A path 1 - 2 - ... - 8, plus the edge {3, 6} of weight 2.
+        let mut text = String::from("8 8 1\n2 1\n1 1 3 1\n2 1 4 1 6 2\n");
+        text += "3 1 5 1\n4 1 6 1\n3 2 5 1 7 1\n6 1 8 1\n7 1\n";
+        for p in [1, 2, 3, 8] {
+            let g = parse_metis(text.as_bytes(), None, BUF_BYTES, |n| block_starts(n, p)).unwrap();
+            let mut stored: Vec<(u64, Vec<Weight>)> = Vec::new();
+            for seg in &g.segments {
+                assert_eq!(seg.adjwgt.len(), seg.weighted().map(|(_, w)| w.len()).sum());
+                stored.extend(
+                    seg.weighted()
+                        .map(|(r, w)| (seg.first + r as u64, w.to_vec())),
+                );
+            }
+            assert_eq!(stored, [(2, vec![1, 1, 2]), (5, vec![2, 1, 1])], "p={p}");
+        }
+        let g = read_metis(text.as_bytes()).unwrap();
+        assert!(g.has_arc_weights());
+        assert_eq!(g.total_edge_weight(), 9);
+        let mut again = Vec::new();
+        write_metis(&g, &mut again).unwrap();
+        assert_eq!(read_metis(&again[..]).unwrap(), g);
+    }
+
+    /// Graphs whose weights sit in a few rows, in all rows, or in none come
+    /// back equal from `write_metis` → `read_metis`.
+    #[test]
+    fn metis_roundtrip_keeps_sparse_weights() {
+        let grid = |w: &dyn Fn(Node, Node) -> Weight| {
+            let id = |x: Node, y: Node| y * 12 + x;
+            let mut b = GraphBuilder::new(144);
+            for y in 0..12 {
+                for x in 0..12 {
+                    if x + 1 < 12 {
+                        b.push_edge(id(x, y), id(x + 1, y), w(id(x, y), id(x + 1, y)));
+                    }
+                    if y + 1 < 12 {
+                        b.push_edge(id(x, y), id(x, y + 1), w(id(x, y), id(x, y + 1)));
+                    }
+                }
+            }
+            b.build()
+        };
+        let few = |u: Node, v: Node| if (u + v).is_multiple_of(37) { 2 } else { 1 };
+        let all = |u: Node, v: Node| 2 + Weight::from(u % 3 + v % 2);
+        for (what, g) in [
+            ("few", grid(&few)),
+            ("all", grid(&all)),
+            ("none", grid(&|_, _| 1)),
+        ] {
+            let mut text = Vec::new();
+            write_metis(&g, &mut text).unwrap();
+            assert_eq!(read_metis(&text[..]).unwrap(), g, "{what}");
+            let split = read_metis_segments(&text[..], |n| block_starts(n, 5)).unwrap();
+            let rows: Vec<_> = split.segments.iter().flat_map(rows_of).collect();
+            let want: Vec<_> = g
+                .nodes()
+                .map(|u| (u64::from(u), 1, g.neighbors_weighted(u).collect()))
+                .collect();
+            assert_eq!(rows, want, "{what}");
+        }
     }
 
     #[test]
@@ -1378,8 +1515,22 @@ mod proptests {
             picks in proptest::collection::vec(0usize..BYTES.len(), 0..120),
         ) {
             let bytes: Vec<u8> = picks.into_iter().map(|i| BYTES[i]).collect();
-            if let Ok(g) = read_metis(&bytes[..]) {
-                assert_well_formed(&g);
+            let whole = read_metis(&bytes[..]);
+            if let Ok(g) = &whole {
+                assert_well_formed(g);
+            }
+            // Segments, weights stored per row: the same verdict, the same rows.
+            let split = read_metis_segments(&bytes[..], |n| block_starts(n, 3));
+            match (&whole, split) {
+                (Ok(g), Ok(split)) => {
+                    let rows: Vec<_> = split.segments.iter().flat_map(rows_of).collect();
+                    let want: Vec<_> = g
+                        .nodes()
+                        .map(|u| (u64::from(u), g.node_weight(u), g.neighbors_weighted(u).collect()))
+                        .collect();
+                    prop_assert_eq!(rows, want);
+                }
+                (whole, split) => prop_assert_eq!(format!("{:?}", whole.as_ref().err()), format!("{:?}", split.err())),
             }
             let _ = read_partition(&CsrGraph::empty(), &bytes[..]);
         }
