@@ -109,6 +109,7 @@ pub fn validate_dist_graph(comm: &Comm, g: &DistGraph) -> Result<(), Vec<String>
             "the stored weights end at arc {w_end} of {arcs}, inside a row or past the last"
         ));
     }
+    let mut all_ones = None;
     for u in owned.clone().filter(|_| rows_ok && weights_ok) {
         let (range, degree) = (g.arc_range(u).len(), g.degree(u));
         if range != degree || g.neighbors(u).count() != degree {
@@ -123,11 +124,12 @@ pub fn validate_dist_graph(comm: &Comm, g: &DistGraph) -> Result<(), Vec<String>
             ));
             break; // one report is enough; corrupt rows repeat
         }
-        if g.stores_weights(u) && g.neighbors(u).all(|(_, w)| w == 1) {
-            errs.push(format!("node {u} stores weights, all of them 1"));
-            break;
+        // Not a safety fault: the rows after it are still checked.
+        if all_ones.is_none() && g.stores_weights(u) && g.neighbors(u).all(|(_, w)| w == 1) {
+            all_ones = Some(format!("node {u} stores weights, all of them 1"));
         }
     }
+    errs.extend(all_ones);
     let order = g.degree_order();
     let sorted = order.len() == n_local
         && order.iter().all(|&v| ids::node_index(v) < n_local)
@@ -455,7 +457,7 @@ mod tests {
         run(4, |comm| {
             let dg = DistGraph::from_global(comm, &g);
             // The ring is unweighted: the audit sees the unit form.
-            assert!(!dg.has_arc_weights());
+            assert_eq!(dg.weighted_arcs(), 0);
             validate_dist_graph(comm, &dg).unwrap();
         });
     }
@@ -516,19 +518,39 @@ mod tests {
             if comm.rank() == 0 {
                 // Tamper with the weight of the first cut arc on this side
                 // only: the mirror no longer matches.
-                let pos = (0..dg.n_local() as Node)
-                    .find_map(|u| {
-                        let cut = dg.neighbors(u).position(|(t, _)| dg.is_ghost(t))?;
-                        Some(dg.arc_range(u).start + cut)
-                    })
+                let (u, cut) = (0..dg.n_local() as Node)
+                    .find_map(|u| Some((u, dg.neighbors(u).position(|(t, _)| dg.is_ghost(t))?)))
                     .expect("ring PE has cut arcs");
-                dg.adjwgt_mut_for_test()[pos] = 7;
+                dg.set_arc_weight_for_test(u, cut, 7);
             }
             validate_dist_graph(comm, &dg)
         });
         for r in reports {
             let errs = r.expect_err("asymmetry must be detected");
             assert!(errs.iter().any(|e| e.contains("mirror")), "{errs:?}");
+            assert!(
+                !errs.iter().any(|e| e.contains("stores weights")),
+                "{errs:?}"
+            );
+        }
+    }
+
+    /// A unit row moved into the stored rows, its weights all 1: the layout
+    /// still tiles, and only the canonical form is reported.
+    #[test]
+    fn stored_unit_row_is_reported() {
+        let g = ring(12);
+        let reports = run(2, |comm| {
+            let mut dg = DistGraph::from_global(comm, &g);
+            if comm.rank() == 1 {
+                dg.set_arc_weight_for_test(2, 0, 1);
+                assert_eq!(dg.weighted_arcs(), 2);
+            }
+            validate_dist_graph(comm, &dg)
+        });
+        for r in reports {
+            let errs = r.expect_err("the stored unit row must be reported");
+            assert_eq!(errs, ["[PE 1] node 2 stores weights, all of them 1"]);
         }
     }
 

@@ -133,6 +133,15 @@ impl RowLayout {
         }
         let arcs = ids::global_index(offsets[n] - offsets[0]);
         let by_degree = skew_looks_like_complex_network(degree_skew(n, arcs, max_degree));
+        // The weighted rows at `0..w_end`, then the others, each group in
+        // visit order; a weighted row is marked until it is placed.
+        const WEIGHTED: (usize, usize) = (usize::MAX, 0);
+        let mut ranges = vec![(0, 0); n];
+        for &u in weighted {
+            ranges[u] = WEIGHTED;
+        }
+        let w_end = weighted.iter().map(|&u| degree(u)).sum();
+        let (mut heavy_at, mut unit_at) = (0, w_end);
         let visit = |i: usize| {
             if by_degree {
                 ids::node_index(degree_order[i])
@@ -140,24 +149,16 @@ impl RowLayout {
                 i
             }
         };
-        let mut heavy = vec![false; n];
-        for &u in weighted {
-            heavy[u] = true;
+        for u in (0..n).map(visit) {
+            let at = if ranges[u] == WEIGHTED {
+                &mut heavy_at
+            } else {
+                &mut unit_at
+            };
+            ranges[u] = (*at, *at + degree(u));
+            *at = ranges[u].1;
         }
-        let mut ranges = vec![(0, 0); n];
-        let mut start = 0;
-        let mut w_end = 0;
-        // The weighted rows, then the others, each group in visit order.
-        for group in [true, false] {
-            for u in (0..n).map(visit).filter(|&u| heavy[u] == group) {
-                ranges[u] = (start, start + degree(u));
-                start = ranges[u].1;
-            }
-            if group {
-                w_end = start;
-            }
-        }
-        let in_id_order = (0..n).all(|u| ranges[u].0 == ids::global_index(offsets[u] - offsets[0]));
+        let in_id_order = !by_degree && (w_end == 0 || w_end == arcs);
         Self {
             ranges,
             degree_order,
@@ -809,12 +810,6 @@ impl DistGraph {
         lo..hi
     }
 
-    /// Whether any arc weights are stored: false when every arc of this PE
-    /// weighs 1.
-    pub fn has_arc_weights(&self) -> bool {
-        self.w_end != 0
-    }
-
     /// The arcs whose weights are stored: positions `0..weighted_arcs()`
     /// hold the rows with an arc that weighs other than 1, and every row
     /// stored after them weighs 1 throughout (validator access).
@@ -849,15 +844,24 @@ impl DistGraph {
         &mut self.node_weight
     }
 
-    /// Mutable arc weights, one per arc position (unit weights written out
-    /// first), for seeding corruptions in validator tests.
+    /// Sets the weight of arc `i` of owned node `l` to `w`, for seeding
+    /// corruptions in validator tests. A row that stored no weights moves
+    /// to the end of the stored rows first, so the layout keeps its form.
     #[doc(hidden)]
-    pub fn adjwgt_mut_for_test(&mut self) -> &mut Vec<Weight> {
-        let arcs = self.adjncy.len();
-        self.adjwgt.truncate(self.w_end);
-        self.adjwgt.resize(arcs, 1);
-        self.w_end = arcs;
-        &mut self.adjwgt
+    pub fn set_arc_weight_for_test(&mut self, l: Node, i: usize, w: Weight) {
+        let u = ids::node_index(l);
+        let (lo, hi) = self.ranges[u];
+        if lo >= self.w_end {
+            let (at, len) = (self.w_end, hi - lo);
+            self.adjncy[at..hi].rotate_right(len);
+            for r in self.ranges.iter_mut().filter(|r| (at..lo).contains(&r.0)) {
+                *r = (r.0 + len, r.1 + len);
+            }
+            self.ranges[u] = (at, at + len);
+            self.adjwgt.splice(at..at, std::iter::repeat_n(1, len));
+            self.w_end += len;
+        }
+        self.adjwgt[self.ranges[u].0 + i] = w;
     }
 
     /// Mutable arc ranges, for seeding corruptions in validator tests.
@@ -1091,7 +1095,7 @@ mod tests {
             let u = DistGraph::from_global(comm, &unit);
             let w = DistGraph::from_global(comm, &weighted);
             let arc_weights = u.local_arc_count() as usize * std::mem::size_of::<Weight>();
-            assert!(!u.has_arc_weights());
+            assert_eq!(u.weighted_arcs(), 0);
             assert!(u.heap_bytes() < arc_weights);
             // What the unit form holds instead: one row of 31 ones.
             let unit_row = 31 * std::mem::size_of::<Weight>();
@@ -1105,7 +1109,7 @@ mod tests {
                 arcs.extend(u.neighbors(l).map(|(t, x)| (gl, u.local_to_global(t), x)));
             }
             let again = DistGraph::from_arcs(comm, 32, u.owned_weights().to_vec(), arcs);
-            assert!(!again.has_arc_weights());
+            assert_eq!(again.weighted_arcs(), 0);
             assert_eq!(again.owned_weights(), u.owned_weights());
             for l in 0..u.n_local() as Node {
                 let row = |g: &DistGraph| -> Vec<(Node, Weight)> {

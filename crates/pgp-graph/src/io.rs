@@ -374,20 +374,52 @@ impl RowSegment {
     }
 
     /// Records the weight of the arc just pushed to row `r`, the last row,
-    /// whose arcs start at `row_start`. The row stores weights from its
-    /// first arc that weighs other than 1 on, with the ones before it
-    /// filled in.
+    /// whose arcs start at `row_start`; `stored` says whether the row
+    /// stores weights so far, and the result whether it does now. A row
+    /// starts to store weights at its first arc that weighs other than 1,
+    /// with the ones before it filled in. Under [`Listed::Every`] that
+    /// first arc lists every row before it too, and each later row is
+    /// listed from its first arc.
     #[inline]
-    fn push_weight(&mut self, r: usize, row_start: usize, w: Weight) {
-        let stored = self.weighted_rows.last() == Some(&r);
-        if !stored && w != 1 {
-            self.weighted_rows.push(r);
-            let ones = self.adjncy.len() - 1 - row_start;
-            self.adjwgt.resize(self.adjwgt.len() + ones, 1);
+    fn push_weight(
+        &mut self,
+        listed: Listed,
+        stored: bool,
+        r: usize,
+        row_start: usize,
+        w: Weight,
+    ) -> bool {
+        if !stored {
+            let every = listed == Listed::Every;
+            if every && !self.weighted_rows.is_empty() {
+                // Listed from its first arc: no ones to fill in.
+                self.weighted_rows.push(r);
+            } else if w == 1 {
+                return false;
+            } else {
+                // The ones of the arcs before this one that now need a
+                // stored weight: this row's, or under `Every` all so far.
+                let mut filled = self.adjwgt.len() + self.adjncy.len() - 1 - row_start;
+                if every {
+                    self.weighted_rows
+                        .reserve_exact(self.node_weight.capacity());
+                    self.weighted_rows.extend(0..r);
+                    filled = self.adjncy.len() - 1;
+                }
+                self.weighted_rows.push(r);
+                // Once the rows before it store weights for more than half
+                // their arcs, most rows will: room for one weight per arc
+                // at once, as the dense form has, instead of growing by
+                // doubling.
+                if every || 2 * self.adjwgt.len() > row_start {
+                    self.adjwgt
+                        .reserve_exact(self.adjncy.capacity().saturating_sub(self.adjwgt.len()));
+                }
+                self.adjwgt.resize(filled, 1);
+            }
         }
-        if stored || w != 1 {
-            self.adjwgt.push(w);
-        }
+        self.adjwgt.push(w);
+        true
     }
 
     /// Bytes of heap the segment holds: capacity × element size of every
@@ -479,17 +511,39 @@ fn line_of_row(shifts: &[(usize, usize)], row: usize) -> usize {
     line + (row - r)
 }
 
-/// The one METIS parse: streams `reader` through a buffer of `buf_bytes`
-/// (grown only for a row longer than that) into one [`RowSegment`] per
-/// entry of `starts(n)`, the ascending first rows of the segments. The
-/// arrays are sized from the header when `file_len` bounds it; a reader of
-/// unknown length grows them and checks the header against the bytes it
-/// turned out to hold.
+/// Which rows a parse lists in [`RowSegment::weighted_rows`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Listed {
+    /// The rows that hold an arc of weight other than 1.
+    Weighted,
+    /// Every row with an arc, once any row holds such an arc: one weight
+    /// per arc, the form [`into_csr`] takes over as it is.
+    Every,
+}
+
+/// [`parse_into`] listing the rows that hold a non-unit arc: the segments
+/// as [`RowSegment`] describes them.
 fn parse_metis<R: Read>(
     reader: R,
     file_len: Option<u64>,
     buf_bytes: usize,
     starts: impl FnOnce(u64) -> Vec<u64>,
+) -> Result<SegmentedGraph, IoError> {
+    parse_into(reader, file_len, buf_bytes, starts, Listed::Weighted)
+}
+
+/// The one METIS parse: streams `reader` through a buffer of `buf_bytes`
+/// (grown only for a row longer than that) into one [`RowSegment`] per
+/// entry of `starts(n)`, the ascending first rows of the segments, listing
+/// the rows `listed` names. The arrays are sized from the header when
+/// `file_len` bounds it; a reader of unknown length grows them and checks
+/// the header against the bytes it turned out to hold.
+fn parse_into<R: Read>(
+    reader: R,
+    file_len: Option<u64>,
+    buf_bytes: usize,
+    starts: impl FnOnce(u64) -> Vec<u64>,
+    listed: Listed,
 ) -> Result<SegmentedGraph, IoError> {
     let mut s = Scanner::new(reader, buf_bytes);
     if !seek_metis_header(&mut s)? {
@@ -593,6 +647,10 @@ fn parse_metis<R: Read>(
         let own = ids::count_global(u) + 1;
         let mut prev = 0;
         let mut clean = true;
+        let mut stored = false;
+        // Without a weight column only a merged repeat weighs other than
+        // 1; once one has, `Every` lists each later row all the same.
+        let listing = !has_edge_weights && listed == Listed::Every && !cur.weighted_rows.is_empty();
         while let Some(tok) = s.uint() {
             let v = tok.map_err(|t| perr(s.line, format!("bad neighbor '{}'", s.token(t))))?;
             if v == 0 || v > ids::count_global(n) {
@@ -601,18 +659,20 @@ fn parse_metis<R: Read>(
             clean &= v > prev && v != own;
             prev = v;
             cur.adjncy.push(ids::global_node(v - 1));
-            let w = if has_edge_weights {
-                s.field("edge weight")?
-            } else {
-                1
-            };
-            arc_weight_sum = arc_weight_sum
-                .checked_add(w)
-                .ok_or_else(|| perr(s.line, "edge weights overflow u64"))?;
-            cur.push_weight(r, row, w);
+            // Without a weight column every arc weighs 1, and the arc count
+            // cannot overflow.
+            if has_edge_weights {
+                let w = s.field("edge weight")?;
+                arc_weight_sum = arc_weight_sum
+                    .checked_add(w)
+                    .ok_or_else(|| perr(s.line, "edge weights overflow u64"))?;
+                stored = cur.push_weight(listed, stored, r, row, w);
+            } else if listing {
+                stored = cur.push_weight(listed, stored, r, row, 1);
+            }
         }
         if !clean {
-            normalise_row(&mut cur, ids::node_of_index(u), r, row);
+            normalise_row(&mut cur, listed, ids::node_of_index(u), r, row);
         }
         cur.xadj.push(ids::count_global(cur.adjncy.len()));
     }
@@ -660,21 +720,14 @@ fn parse_metis<R: Read>(
     })
 }
 
-/// The graph of a single-segment parse.
+/// The graph of a single-segment parse that listed [`Listed::Every`] row:
+/// its weights are `CsrGraph`'s, none or one per arc.
 fn into_csr(mut g: SegmentedGraph) -> CsrGraph {
     let s = g
         .segments
         .pop()
         .expect("a single-segment parse has one segment");
-    // One weight per arc once any row stores weights: `CsrGraph`'s form.
-    let mut adjwgt = Vec::new();
-    if !s.weighted_rows.is_empty() {
-        adjwgt = vec![1; s.adjncy.len()];
-        for (r, weights) in s.weighted() {
-            adjwgt[s.row(r)].copy_from_slice(weights);
-        }
-    }
-    CsrGraph::from_parts(s.xadj, s.adjncy, adjwgt, s.node_weight)
+    CsrGraph::from_parts(s.xadj, s.adjncy, s.adjwgt, s.node_weight)
 }
 
 /// Reads a graph in METIS format from any reader.
@@ -699,7 +752,7 @@ fn into_csr(mut g: SegmentedGraph) -> CsrGraph {
 /// w)` without the mirror arc `(v, u, w)` in row `v`; at its own line — a
 /// non-blank line after the last row.
 pub fn read_metis(reader: impl Read) -> Result<CsrGraph, IoError> {
-    parse_metis(reader, None, BUF_BYTES, |_| vec![0]).map(into_csr)
+    parse_into(reader, None, BUF_BYTES, |_| vec![0], Listed::Every).map(into_csr)
 }
 
 /// [`read_metis`] into one [`RowSegment`] per entry of `starts(n)`: the
@@ -716,7 +769,7 @@ pub fn read_metis_segments(
 /// Rewrites row `r` of `seg`, its last, which starts at arc `row`, the way
 /// [`crate::GraphBuilder`] would have built it: self-loops of `u` dropped,
 /// neighbours sorted, repeated neighbours merged by summing their weights.
-fn normalise_row(seg: &mut RowSegment, u: Node, r: usize, row: usize) {
+fn normalise_row(seg: &mut RowSegment, listed: Listed, u: Node, r: usize, row: usize) {
     let stored = seg.weighted_rows.last() == Some(&r);
     let weights = seg.adjwgt.len() - if stored { seg.adjncy.len() - row } else { 0 };
     let weight = |i: usize| {
@@ -744,9 +797,74 @@ fn normalise_row(seg: &mut RowSegment, u: Node, r: usize, row: usize) {
     if stored {
         seg.weighted_rows.pop();
     }
+    let mut keeps = false;
     for (v, w) in arcs {
         seg.adjncy.push(v);
-        seg.push_weight(r, row, w);
+        keeps = seg.push_weight(listed, keeps, r, row, w);
+    }
+}
+
+/// One segment as [`first_unmirrored_arc`] reads it: its rows and where
+/// their weights sit. When the segment stores one weight per arc, arc
+/// `c`'s is `adjwgt[c]`. Otherwise a row's weights are found in O(1) from
+/// one bit per row, the count of stored rows before each 64 rows, and per
+/// stored row how far its weights sit before its arcs: two bits per row
+/// and a word per stored row, nothing when no row stores weights.
+struct CheckedRows<'a> {
+    seg: &'a RowSegment,
+    /// The segment's stored weights.
+    adjwgt: &'a [Weight],
+    /// Whether every arc's weight is stored.
+    per_arc: bool,
+    /// Per 64 rows, one bit each, and the stored rows before them.
+    words: Vec<(u64, usize)>,
+    /// Per stored row, its first arc's position minus its first weight's.
+    back: Vec<usize>,
+}
+
+impl<'a> CheckedRows<'a> {
+    fn new(seg: &'a RowSegment) -> Self {
+        let per_arc = seg.adjwgt.len() == seg.adjncy.len();
+        let (mut words, mut back) = (Vec::new(), Vec::new());
+        if !per_arc && !seg.weighted_rows.is_empty() {
+            words = vec![(0u64, 0); seg.rows().div_ceil(64)];
+            back.reserve_exact(seg.weighted_rows.len());
+            let mut at = 0;
+            for &r in &seg.weighted_rows {
+                words[r / 64].0 |= 1 << (r % 64);
+                back.push(seg.row(r).start - at);
+                at += seg.row(r).len();
+            }
+            let mut before = 0;
+            for (bits, count) in &mut words {
+                *count = before;
+                before += bits.count_ones() as usize;
+            }
+        }
+        Self {
+            seg,
+            adjwgt: &seg.adjwgt,
+            per_arc,
+            words,
+            back,
+        }
+    }
+
+    /// The weight of arc `c`, in row `r`.
+    #[inline]
+    fn weight(&self, r: usize, c: usize) -> Weight {
+        if self.per_arc {
+            return self.adjwgt[c];
+        }
+        let Some(&(bits, before)) = self.words.get(r / 64) else {
+            return 1;
+        };
+        let bit = 1u64 << (r % 64);
+        if bits & bit == 0 {
+            return 1;
+        }
+        let below = (bits & (bit - 1)).count_ones() as usize;
+        self.adjwgt[c - self.back[before + below]]
     }
 }
 
@@ -763,31 +881,15 @@ fn normalise_row(seg: &mut RowSegment, u: Node, r: usize, row: usize) {
 /// last one that starts at or before `v`.
 fn first_unmirrored_arc(segments: &[RowSegment]) -> Option<(Node, Node)> {
     let n = segments.iter().map(RowSegment::rows).sum();
-    let holder = |v: u64| &segments[segments.partition_point(|s| s.first <= v) - 1];
-    // Per row that stores weights, how far its first weight sits before its
-    // first arc: the weight of arc `c` of row `v` is `adjwgt[c - back[v]]`
-    // in `v`'s segment. Allocated only when some row stores weights.
-    const UNIT: usize = usize::MAX;
-    let mut back: Vec<usize> = Vec::new();
-    if segments.iter().any(|s| !s.weighted_rows.is_empty()) {
-        back = vec![UNIT; n];
-        for seg in segments {
-            let base = ids::global_index(seg.first);
-            let mut at = 0;
-            for &r in &seg.weighted_rows {
-                back[base + r] = seg.row(r).start - at;
-                at += seg.row(r).len();
-            }
-        }
-    }
-    let weight = |seg: &RowSegment, v: Node, c: usize| match back.get(ids::node_index(v)) {
-        Some(&b) if b != UNIT => seg.adjwgt[c - b],
-        _ => 1,
-    };
+    let checked: Vec<CheckedRows> = segments.iter().map(CheckedRows::new).collect();
+    let holder = |v: u64| &checked[segments.partition_point(|s| s.first <= v) - 1];
+    // Without stored weights every arc weighs 1: no lookups.
+    let weighted = segments.iter().any(|s| !s.adjwgt.is_empty());
     // next[v]: the first entry of row v's upper part no higher row claimed,
     // a position in the adjacency of v's segment.
     let mut next: Vec<usize> = Vec::with_capacity(n);
-    for seg in segments {
+    for here in &checked {
+        let seg = here.seg;
         for r in 0..seg.rows() {
             let own = ids::global_node(seg.first + ids::count_global(r));
             let mut upper = seg.row(r).end;
@@ -798,13 +900,12 @@ fn first_unmirrored_arc(segments: &[RowSegment]) -> Option<(Node, Node)> {
                     break;
                 }
                 let g = ids::node_global(v);
-                let vs = if g >= seg.first { seg } else { holder(g) };
+                let there = if g >= seg.first { here } else { holder(g) };
+                let (vs, vr) = (there.seg, ids::global_index(g - there.seg.first));
                 let c = next[ids::node_index(v)];
-                let unclaimed = vs
-                    .row(ids::global_index(g - vs.first))
-                    .contains(&c)
-                    .then(|| vs.adjncy[c]);
-                if unclaimed == Some(own) && weight(vs, v, c) == weight(seg, own, i) {
+                let unclaimed = vs.row(vr).contains(&c).then(|| vs.adjncy[c]);
+                if unclaimed == Some(own) && (!weighted || there.weight(vr, c) == here.weight(r, i))
+                {
                     next[ids::node_index(v)] = c + 1;
                 } else {
                     // An entry of row `v` that row `x < u` did not claim is
@@ -871,7 +972,7 @@ pub fn write_metis(graph: &CsrGraph, writer: impl Write) -> Result<(), IoError> 
 /// Reads a METIS graph from a file path: [`read_metis`], with the arrays
 /// sized once from the header after the file's length has bounded it.
 pub fn read_metis_file(path: impl AsRef<Path>) -> Result<CsrGraph, IoError> {
-    read_metis_file_segments(path, |_| vec![0]).map(into_csr)
+    parse_file(path.as_ref(), |_| vec![0], Listed::Every).map(into_csr)
 }
 
 /// [`read_metis_segments`] from a file path, the arrays sized from the
@@ -881,9 +982,18 @@ pub fn read_metis_file_segments(
     path: impl AsRef<Path>,
     starts: impl FnOnce(u64) -> Vec<u64>,
 ) -> Result<SegmentedGraph, IoError> {
+    parse_file(path.as_ref(), starts, Listed::Weighted)
+}
+
+/// [`parse_into`] of a file, its arrays sized from the file's length.
+fn parse_file(
+    path: &Path,
+    starts: impl FnOnce(u64) -> Vec<u64>,
+    listed: Listed,
+) -> Result<SegmentedGraph, IoError> {
     let file = std::fs::File::open(path)?;
     let len = file.metadata()?.len();
-    parse_metis(file, Some(len), BUF_BYTES, starts)
+    parse_into(file, Some(len), BUF_BYTES, starts, listed)
 }
 
 /// Convenience: write a METIS graph to a file path.
